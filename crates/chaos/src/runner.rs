@@ -421,9 +421,6 @@ impl ChaosRunner {
     /// path that skips the counter), which is exactly what fault attribution
     /// would later mis-blame on the workload.
     fn check_metrics_invariants(&self, cluster: &ReplicatedCluster, report: &mut EpisodeReport) {
-        if !abase_obs::enabled() {
-            return;
-        }
         let delta = cluster.metrics_delta();
         let counted = delta.counter("abase_repl_resyncs_total");
         if counted < report.resyncs {

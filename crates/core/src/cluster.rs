@@ -771,9 +771,7 @@ impl ReplicatedCluster {
         // Observability hook: each tick republishes the registry view, so
         // anything driving the cluster can read a fresh snapshot without
         // knowing about the registry itself.
-        if abase_obs::enabled() {
-            self.obs_last = abase_obs::snapshot();
-        }
+        self.obs_last = abase_obs::snapshot();
         Ok(())
     }
 

@@ -2,32 +2,33 @@
 //!
 //! A [`Conn`] owns one client socket plus everything the socket's protocol
 //! position needs to survive `WouldBlock`: the partial-frame read buffer,
-//! parsed-but-unexecuted frames, the bounded write queue, and the session
-//! state (tenant, consistency level, LSN fence). The same machine serves
-//! both front-end models — the epoll workers drive it with non-blocking
-//! sockets, and the legacy thread-per-connection baseline drives it with
-//! blocking reads — so pipelining semantics are identical in both.
+//! parsed-but-unexecuted frames, the reply buffer, and the session state
+//! (tenant, consistency level, LSN fence).
 //!
 //! **Pipelining.** One readable event drains the socket, batch-parses every
 //! complete frame ([`RespValue::parse_batch`]), executes the batch in wire
-//! order, and answers with **one vectored write** covering every reply.
-//! Commands are never reordered within a connection: execution stops at the
-//! first command that may block (replicated write, `WAIT`, `PSYNC`) and the
-//! connection — with its remaining parsed frames — is handed off the event
-//! loop as a unit.
+//! order, and answers with **one write** covering every reply. Commands are
+//! never reordered within a connection: an event-loop worker stops in front
+//! of the first command that may park its thread (replicated write, `WAIT`,
+//! `PSYNC`) and the connection — with its remaining parsed frames — moves to
+//! an offload thread, which runs the same drain routine to the end of the
+//! batch.
 //!
-//! **Backpressure.** Replies queue in `out`; when the peer reads slowly the
-//! queue grows until [`HIGH_WATER`], at which point the connection stops
-//! *reading* (its worker keeps serving every other socket) until the queue
-//! drains below [`LOW_WATER`]. Writable interest is registered only while
-//! output is pending.
+//! **Backpressure.** Replies are encoded straight into `out`; when the peer
+//! reads slowly the unsent tail grows until [`HIGH_WATER`], at which point
+//! the connection stops *reading* (its worker keeps serving every other
+//! socket) until the tail drains below [`LOW_WATER`]. Writable interest is
+//! registered only while output is pending.
 
 use crate::metrics;
-use crate::server::{argv_strings, command_label, dispatch, CmdMetricsCache, ConnCtx, ConnState};
+use crate::server::{
+    argv_strings, command_label, dispatch, serve_replica_connection, CmdMetricsCache, ConnCtx,
+    ConnState, ReplicationControl,
+};
 use abase_obs::{Span, Stage};
 use abase_proto::{Command, ParseCommandError, RespValue};
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -45,18 +46,16 @@ const READ_BUDGET: usize = 256 * 1024;
 /// What a drive of the state machine asks its owner to do next.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// Stay on the event loop (interest per `wants_read`/`wants_write`).
+    /// Stay on — or, from an offload thread, return to — the event loop
+    /// (interest per `wants_read`/`wants_write`).
     Continue,
-    /// Drop the connection (EOF, I/O error, or fatal protocol error with the
-    /// error reply already flushed).
+    /// Drop the connection (EOF, I/O error, fatal protocol error with the
+    /// error reply already flushed, or a `PSYNC` replica stream that ended).
     Close,
-    /// The next command may block (replicated write, fenced `WAIT`): take
-    /// the connection off the loop and finish the batch on an offload
-    /// thread.
+    /// The next command may park its thread (replicated write, `WAIT`,
+    /// `PSYNC`): take the connection off the loop and finish the batch on an
+    /// offload thread.
     Offload,
-    /// The next command is `PSYNC`: the connection becomes a replica stream
-    /// and never returns to the command loop.
-    Psync,
 }
 
 /// Track per-server open/accepted/evicted counts for `INFO` and the
@@ -84,7 +83,7 @@ pub(crate) struct ConnGuard {
 
 impl ConnGuard {
     /// Count a connection open under `worker_label` (an interned worker
-    /// index, or `"accept"` before sharding).
+    /// index).
     pub(crate) fn open(stats: Arc<FrontEndStats>, worker_label: &'static str) -> Self {
         stats.open.fetch_add(1, Ordering::Relaxed);
         stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -112,25 +111,23 @@ pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     /// Raw bytes read but not yet parsed (at most a partial frame once a
     /// batch has been drained).
-    pub(crate) inbuf: Vec<u8>,
+    inbuf: Vec<u8>,
     /// Parsed frames not yet executed (non-empty only across an offload
     /// handoff or when execution stopped at a blocking command).
     pending: VecDeque<RespValue>,
-    /// Encoded replies not yet written, flushed with one vectored write.
-    out: VecDeque<Vec<u8>>,
-    /// Bytes of `out[0]` already written (partial-write resume point).
-    out_head_pos: usize,
-    /// Total un-flushed bytes across `out` (backpressure accounting).
-    out_bytes: usize,
+    /// Encoded replies; `out[out_sent..]` is still to be written.
+    out: Vec<u8>,
+    /// Write cursor into `out` (partial-write resume point).
+    out_sent: usize,
     /// A fatal protocol error parked until the frames before it are served.
     protocol_error: Option<abase_proto::ParseError>,
     /// Session state: tenant, consistency level, session LSN fence.
-    pub(crate) state: ConnState,
+    state: ConnState,
     /// Per-connection command-metrics cache (see `server.rs`).
     cmd_metrics: CmdMetricsCache,
     /// Backpressured: output crossed [`HIGH_WATER`]; reads stay paused until
-    /// the queue drains below [`LOW_WATER`] (hysteresis, not flapping at the
-    /// threshold).
+    /// the unsent tail drains below [`LOW_WATER`] (hysteresis, not flapping
+    /// at the threshold).
     throttled: bool,
     /// Close once `out` drains.
     closing: bool,
@@ -147,7 +144,7 @@ pub(crate) struct Conn {
     /// unchanged interest costs no `epoll_ctl`.
     pub(crate) installed_interest: (bool, bool),
     /// Open-connection accounting, released on drop.
-    pub(crate) guard: ConnGuard,
+    _guard: ConnGuard,
 }
 
 impl Conn {
@@ -156,9 +153,8 @@ impl Conn {
             stream,
             inbuf: Vec::with_capacity(4096),
             pending: VecDeque::new(),
-            out: VecDeque::new(),
-            out_head_pos: 0,
-            out_bytes: 0,
+            out: Vec::new(),
+            out_sent: 0,
             protocol_error: None,
             state: ConnState::default(),
             cmd_metrics: None,
@@ -169,7 +165,7 @@ impl Conn {
             worker,
             registered: false,
             installed_interest: (false, false),
-            guard,
+            _guard: guard,
         }
     }
 
@@ -180,33 +176,31 @@ impl Conn {
 
     /// Whether output is pending (register writable interest only then).
     pub(crate) fn wants_write(&self) -> bool {
-        !self.out.is_empty()
+        self.unsent() > 0
+    }
+
+    /// Encoded reply bytes not yet written (backpressure accounting).
+    fn unsent(&self) -> usize {
+        self.out.len() - self.out_sent
     }
 
     /// Drive the machine after a readiness event on a **non-blocking**
-    /// socket: flush if writable, read if readable, then parse/execute/flush
-    /// the batch.
+    /// socket: flush if writable, read if readable, then drain the batch.
     pub(crate) fn on_event(&mut self, readable: bool, writable: bool, ctx: &ConnCtx) -> Step {
-        if writable {
-            match self.flush_nonblocking() {
-                Ok(()) => {}
-                Err(_) => return Step::Close,
-            }
+        if writable && self.flush().is_err() {
+            return Step::Close;
         }
-        if readable && self.wants_read() {
-            match self.fill_inbuf() {
-                Ok(()) => {}
-                Err(_) => return Step::Close,
-            }
+        if readable && self.wants_read() && self.fill_inbuf().is_err() {
+            return Step::Close;
         }
-        self.process(ctx)
+        self.drain(ctx, false)
     }
 
     /// Read until `WouldBlock`, EOF, backpressure, or the per-event budget.
     fn fill_inbuf(&mut self) -> std::io::Result<()> {
         let mut chunk = [0u8; 16 * 1024];
         let mut taken = 0;
-        while taken < READ_BUDGET && self.out_bytes < HIGH_WATER {
+        while taken < READ_BUDGET && self.unsent() < HIGH_WATER {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.saw_eof = true;
@@ -225,10 +219,15 @@ impl Conn {
         Ok(())
     }
 
-    /// Parse every complete frame, execute the batch in order (stopping at a
-    /// command that must leave the loop), queue the replies, and flush them
-    /// with one vectored write.
-    pub(crate) fn process(&mut self, ctx: &ConnCtx) -> Step {
+    /// Parse every complete frame, execute the batch in wire order with the
+    /// replies encoded into `out`, and flush them with one write.
+    ///
+    /// `may_park` is whether the calling thread may run a command that
+    /// parks it. An event-loop worker may not: it stops in front of the
+    /// first such command and returns [`Step::Offload`], leaving the rest of
+    /// the batch parsed in `pending`. An offload thread may: it runs the
+    /// batch to the end, `PSYNC` upgrade included.
+    pub(crate) fn drain(&mut self, ctx: &ConnCtx, may_park: bool) -> Step {
         if !self.closing {
             // Top up the pending frames from the raw buffer.
             if self.protocol_error.is_none() && !self.inbuf.is_empty() {
@@ -247,12 +246,20 @@ impl Conn {
                     break None;
                 };
                 let command = Command::from_resp(value);
-                if ctx.replication.is_some() {
-                    if matches!(command, Ok(Command::PSync { .. })) {
-                        break Some(Step::Psync);
-                    }
-                    if may_block(&command, ctx) {
+                if parks(&command, ctx) {
+                    if !may_park {
                         break Some(Step::Offload);
+                    }
+                    // Replies already earned do not wait out the park.
+                    if self.flush().is_err() {
+                        break Some(Step::Close);
+                    }
+                    if let (Ok(Command::PSync { position }), Some(repl)) =
+                        (&command, ctx.replication.as_deref())
+                    {
+                        self.pending.pop_front();
+                        self.become_replica_stream(*position, repl);
+                        break Some(Step::Close);
                     }
                 }
                 // INVARIANT: the loop head peeked `front()` as Some.
@@ -261,34 +268,29 @@ impl Conn {
                 self.push_reply(&reply);
                 batch_commands += 1;
             };
-            if batch_commands > 0 && abase_obs::enabled() {
+            if batch_commands > 0 {
                 metrics::PIPELINE_BATCH.record(batch_commands);
             }
-            match step {
-                Some(step) => {
-                    // The handoff flushes what the batch produced so far.
-                    return step;
-                }
-                None => {
-                    if let Some(e) = self.protocol_error.take() {
-                        self.push_reply(&RespValue::Error(format!("ERR protocol: {e}")));
-                        self.closing = true;
-                    }
-                }
+            if let Some(step) = step {
+                return step;
+            }
+            if let Some(e) = self.protocol_error.take() {
+                self.push_reply(&RespValue::Error(format!("ERR protocol: {e}")));
+                self.closing = true;
             }
         }
-        if self.flush_nonblocking().is_err() {
+        if self.flush().is_err() {
             return Step::Close;
         }
-        if self.out.is_empty() && (self.closing || self.saw_eof) {
+        if !self.wants_write() && (self.closing || self.saw_eof) {
             return Step::Close;
         }
         Step::Continue
     }
 
-    /// Execute one command against the shared dispatcher, with the same
-    /// span/metrics/slowlog instrumentation in both front-end models.
-    pub(crate) fn execute(
+    /// Execute one command against the shared dispatcher under its span,
+    /// command metrics and slowlog.
+    fn execute(
         &mut self,
         value: &RespValue,
         command: Result<Command, ParseCommandError>,
@@ -299,184 +301,103 @@ impl Conn {
         span.enter(Stage::Admission);
         let reply = dispatch(value, command, &mut self.state, &mut span, ctx);
         span.enter(Stage::Respond);
-        if abase_obs::enabled() {
-            let (count, micros) = match self.cmd_metrics {
-                Some((cached, c, h)) if std::ptr::eq(cached, label) => (c, h),
-                _ => {
-                    let c = metrics::COMMANDS.with(label);
-                    let h = metrics::COMMAND_MICROS.with(label);
-                    self.cmd_metrics = Some((label, c, h));
-                    (c, h)
-                }
-            };
-            count.inc();
-            if matches!(reply, RespValue::Error(_)) {
-                metrics::COMMAND_ERRORS.inc(label);
+        let (count, micros) = match self.cmd_metrics {
+            Some((cached, c, h)) if std::ptr::eq(cached, label) => (c, h),
+            _ => {
+                let c = metrics::COMMANDS.with(label);
+                let h = metrics::COMMAND_MICROS.with(label);
+                self.cmd_metrics = Some((label, c, h));
+                (c, h)
             }
-            if let Some(report) = span.finish() {
-                micros.record(report.total_micros);
-                ctx.slowlog.observe(&report, || argv_strings(value));
-            }
+        };
+        count.inc();
+        if matches!(reply, RespValue::Error(_)) {
+            metrics::COMMAND_ERRORS.inc(label);
         }
+        let report = span.finish();
+        micros.record(report.total_micros);
+        ctx.slowlog.observe(&report, || argv_strings(value));
         reply
     }
 
-    /// Queue one encoded reply for the batch's vectored write.
-    pub(crate) fn push_reply(&mut self, reply: &RespValue) {
-        let mut buf = Vec::with_capacity(64);
-        reply.encode(&mut buf);
-        self.out_bytes += buf.len();
-        self.out.push_back(buf);
-        if self.out_bytes >= HIGH_WATER {
+    /// Encode one reply onto the end of the batch's output.
+    fn push_reply(&mut self, reply: &RespValue) {
+        reply.encode(&mut self.out);
+        if self.unsent() >= HIGH_WATER {
             self.throttled = true;
         }
     }
 
-    /// Write as much queued output as the socket accepts right now — one
-    /// `writev` covering the whole batch, repeated only for partial writes.
-    fn flush_nonblocking(&mut self) -> std::io::Result<()> {
-        while !self.out.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.out.len().min(64));
-            for (i, buf) in self.out.iter().take(64).enumerate() {
-                let from = if i == 0 { self.out_head_pos } else { 0 };
-                slices.push(IoSlice::new(&buf[from..]));
-            }
-            match self.stream.write_vectored(&slices) {
+    /// Write `out[out_sent..]` to the socket. On `WouldBlock` the rest stays
+    /// pending for the next writable event; an offload thread holds the
+    /// socket in blocking mode, never sees `WouldBlock`, and so always
+    /// returns with nothing pending.
+    fn flush(&mut self) -> std::io::Result<()> {
+        while self.out_sent < self.out.len() {
+            match self.stream.write(&self.out[self.out_sent..]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => self.consume_out(n),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
+                Ok(n) => self.out_sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-        Ok(())
-    }
-
-    /// Drain every queued reply with blocking writes (offload threads and
-    /// the thread-per-connection baseline; the socket must be in blocking
-    /// mode).
-    pub(crate) fn flush_blocking(&mut self) -> std::io::Result<()> {
-        while let Some(front) = self.out.front() {
-            let pos = self.out_head_pos;
-            self.stream.write_all(&front[pos..])?;
-            let n = front.len() - pos;
-            self.consume_out(n);
+        if self.out_sent == self.out.len() {
+            // One large reply must not pin its buffer for the connection's
+            // lifetime.
+            if self.out.capacity() > LOW_WATER {
+                self.out = Vec::new();
+            } else {
+                self.out.clear();
+            }
+            self.out_sent = 0;
+        } else if self.out_sent >= self.unsent() {
+            // A peer that never fully catches up would otherwise grow the
+            // sent prefix forever; moving a tail no longer than the prefix
+            // it replaces keeps the copy amortised O(1) per byte written.
+            self.out.drain(..self.out_sent);
+            self.out_sent = 0;
         }
-        Ok(())
-    }
-
-    /// Account `n` written bytes against the head of the output queue.
-    fn consume_out(&mut self, mut n: usize) {
-        self.out_bytes -= n;
-        if self.out_bytes < LOW_WATER {
+        if self.unsent() < LOW_WATER {
             self.throttled = false;
         }
-        while n > 0 {
-            let head_left = self.out[0].len() - self.out_head_pos;
-            if n >= head_left {
-                n -= head_left;
-                self.out.pop_front();
-                self.out_head_pos = 0;
-            } else {
-                self.out_head_pos += n;
-                n = 0;
-            }
-        }
+        Ok(())
     }
 
-    /// Un-parsed leftover bytes for a PSYNC handoff: frames the client
-    /// pipelined *after* `PSYNC` (re-encoded) plus the raw partial tail —
-    /// exactly what [`serve_replica_stream`](abase_replication::socket) wants
-    /// as its initial buffer.
-    pub(crate) fn take_leftover(&mut self) -> Vec<u8> {
+    /// The `PSYNC` upgrade: serve the socket as a replica stream until it
+    /// ends. Frames the client pipelined *after* `PSYNC` (re-encoded) plus
+    /// the raw partial tail are the stream's initial buffer.
+    fn become_replica_stream(
+        &mut self,
+        position: Option<(u64, u64)>,
+        repl: &dyn ReplicationControl,
+    ) {
+        let Ok(stream) = self.stream.try_clone() else {
+            return;
+        };
         let mut leftover = Vec::new();
         for frame in self.pending.drain(..) {
             frame.encode(&mut leftover);
         }
-        leftover.extend_from_slice(&self.inbuf);
-        self.inbuf = Vec::new();
-        leftover
-    }
-
-    /// Pop the next parsed frame (offload threads execute these in order).
-    pub(crate) fn pop_pending(&mut self) -> Option<RespValue> {
-        self.pending.pop_front()
-    }
-
-    /// Consume the `PSYNC` frame at the head of the pending queue and return
-    /// its requested position (the thread-per-connection baseline's handoff;
-    /// the caller has classified the head as `PSYNC` already).
-    pub(crate) fn psync_position(&mut self) -> Option<(u64, u64)> {
-        match self.pop_pending().map(|v| Command::from_resp(&v)) {
-            Some(Ok(Command::PSync { position })) => position,
-            _ => None,
-        }
-    }
-
-    /// The baseline counterpart of [`Conn::process`]: parse every complete
-    /// frame and execute the whole batch inline — blocking commands block
-    /// this connection's own thread, which is the model — then flush with
-    /// blocking writes. `PSYNC` still steps out (the caller upgrades the
-    /// socket into a replica stream).
-    pub(crate) fn process_blocking(&mut self, ctx: &ConnCtx) -> Step {
-        if self.protocol_error.is_none() && !self.inbuf.is_empty() {
-            let (batch, status) = RespValue::parse_batch(&self.inbuf);
-            self.inbuf.drain(..batch.consumed);
-            self.pending.extend(batch.frames);
-            if let Err(e) = status {
-                self.protocol_error = Some(e);
-                self.inbuf.clear();
-            }
-        }
-        let mut batch_commands = 0u64;
-        let mut psync = false;
-        while let Some(value) = self.pending.front() {
-            let command = Command::from_resp(value);
-            if ctx.replication.is_some() && matches!(command, Ok(Command::PSync { .. })) {
-                psync = true;
-                break;
-            }
-            // INVARIANT: the loop head peeked `front()` as Some.
-            let value = self.pending.pop_front().expect("front checked");
-            let reply = self.execute(&value, command, ctx);
-            self.push_reply(&reply);
-            batch_commands += 1;
-        }
-        if batch_commands > 0 && abase_obs::enabled() {
-            metrics::PIPELINE_BATCH.record(batch_commands);
-        }
-        if !psync {
-            if let Some(e) = self.protocol_error.take() {
-                self.push_reply(&RespValue::Error(format!("ERR protocol: {e}")));
-                self.closing = true;
-            }
-        }
-        if self.flush_blocking().is_err() {
-            return Step::Close;
-        }
-        if psync {
-            return Step::Psync;
-        }
-        if self.closing {
-            return Step::Close;
-        }
-        Step::Continue
+        leftover.append(&mut self.inbuf);
+        let _ = serve_replica_connection(stream, leftover, position, self.state.replica_id, repl);
     }
 }
 
-/// Commands that may park the serving thread when a replication plane is
-/// attached: replicated writes commit under the group's write concern, and
-/// `WAIT` drives follower acks up to its timeout. (`PSYNC` is classified
-/// separately — it never comes back.)
-fn may_block(command: &Result<Command, ParseCommandError>, ctx: &ConnCtx) -> bool {
-    match command {
-        Ok(Command::Wait { .. }) => true,
-        Ok(c) => c.is_write() && !ctx.read_only,
-        Err(_) => false,
-    }
+/// Whether `command` may park the thread that runs it. Only with a
+/// replication plane attached: replicated writes commit under the group's
+/// write concern, `WAIT` drives follower acks up to its timeout, and `PSYNC`
+/// turns the connection into a replica stream for the rest of its life.
+fn parks(command: &Result<Command, ParseCommandError>, ctx: &ConnCtx) -> bool {
+    ctx.replication.is_some()
+        && match command {
+            Ok(Command::Wait { .. } | Command::PSync { .. }) => true,
+            Ok(c) => c.is_write() && !ctx.read_only,
+            Err(_) => false,
+        }
 }

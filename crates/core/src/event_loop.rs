@@ -1,56 +1,51 @@
 //! The event-driven front end: epoll accept loop + worker pool.
 //!
-//! A [`RespServer`](crate::server::RespServer) in its default model serves
-//! every client connection from a **small, fixed pool of event-loop
-//! workers**: the accept loop shards fresh sockets round-robin across
-//! workers, each worker drives its connections' state machines
-//! ([`Conn`](crate::conn::Conn)) off one [`Poller`], and an idle connection
-//! costs one registered fd — not an OS thread and its stack. 10k mostly-idle
-//! clients are served by `workers + 1` threads.
+//! A [`RespServer`](crate::server::RespServer) serves every client
+//! connection from a **small, fixed pool of event-loop workers**: the accept
+//! loop shards fresh sockets round-robin across workers, each worker drives
+//! its connections' state machines ([`Conn`](crate::conn::Conn)) off one
+//! [`Poller`], and an idle connection costs one registered fd — not an OS
+//! thread and its stack. 10k mostly-idle clients are served by `workers + 1`
+//! threads.
 //!
-//! Blocking paths leave the loop instead of stalling it: a replicated write
-//! or fenced `WAIT` moves its connection to a short-lived offload thread for
-//! the rest of the batch (commands stay in wire order — the connection is
-//! off the poller while offloaded), and `PSYNC` hands the socket to the
-//! replica-stream path permanently. `serve_replica_stream` and follow-mode
-//! pumps keep their dedicated threads: they are few and throughput-bound.
+//! Parking commands leave the loop instead of stalling it: a replicated
+//! write, fenced `WAIT` or `PSYNC` moves its connection to a short-lived
+//! offload thread for the rest of the batch (commands stay in wire order —
+//! the connection is off the poller while offloaded). The connection then
+//! returns to its worker, except after `PSYNC`, whose offload thread serves
+//! the socket as a replica stream until it ends. `serve_replica_stream` and
+//! follow-mode pumps keep their dedicated threads: they are few and
+//! throughput-bound.
 //!
 //! Shutdown is deterministic: [`ShutdownHandle::shutdown`] flips the flag
 //! and writes every poller's eventfd waker, so the accept loop and all
-//! workers return promptly even if no connection ever arrives again (the
-//! old accept loop only noticed "after the next connection attempt").
+//! workers return promptly even if no connection ever arrives again.
 
 use crate::conn::{Conn, ConnGuard, Step};
 use crate::metrics;
-use crate::server::{serve_replica_connection, ConnCtx};
-use abase_proto::Command;
+use crate::server::ConnCtx;
 use abase_util::lockrank::{rank, RankedMutex};
 use abase_util::poller::{Events, Interest, Poller, Waker};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Front-end serving model and guardrails.
+/// Front-end sizing and guardrails.
 #[derive(Debug, Clone)]
-pub struct FrontEndConfig {
-    /// Event-loop worker count (clamped to 1..=16). Ignored by the
-    /// thread-per-connection baseline.
-    pub workers: usize,
+pub(crate) struct FrontEndConfig {
+    /// Event-loop worker count (clamped to 1..=16).
+    pub(crate) workers: usize,
     /// Connection cap: accepts beyond it are refused with
     /// `-ERR max number of clients reached` (Redis semantics).
-    pub max_clients: usize,
+    pub(crate) max_clients: usize,
     /// Close connections idle longer than this (`None` disables the
     /// reaper). Driven by the event loop's timer wheel; granularity is
     /// `timeout / 32`, floored at 1 ms.
-    pub idle_timeout: Option<Duration>,
-    /// Serve with the legacy one-OS-thread-per-connection model instead of
-    /// the event loop — kept as the measurable baseline for the
-    /// connection-scaling bench.
-    pub thread_per_conn: bool,
+    pub(crate) idle_timeout: Option<Duration>,
 }
 
 impl Default for FrontEndConfig {
@@ -62,7 +57,6 @@ impl Default for FrontEndConfig {
                 .clamp(2, 8),
             max_clients: 10_000,
             idle_timeout: None,
-            thread_per_conn: false,
         }
     }
 }
@@ -169,10 +163,7 @@ pub(crate) fn run_front_end(
     config: FrontEndConfig,
     shutdown: Arc<Shutdown>,
 ) -> std::io::Result<()> {
-    if config.thread_per_conn {
-        return accept_loop(listener, ctx, config, shutdown, Vec::new());
-    }
-    let n_workers = config.workers.clamp(1, 16);
+    let n_workers = ctx.io_threads;
     let mut workers = Vec::with_capacity(n_workers);
     for _ in 0..n_workers {
         let shared = Arc::new(WorkerShared::new()?);
@@ -205,10 +196,8 @@ pub(crate) fn run_front_end(
     result
 }
 
-/// Accept connections until shutdown. With event-loop workers, sockets are
-/// sharded round-robin; in the baseline model each socket gets its own
-/// serving thread. Either way the max-clients cap and deterministic
-/// (waker-driven) shutdown apply.
+/// Accept connections until shutdown, sharding sockets round-robin across
+/// the workers under the max-clients cap.
 fn accept_loop(
     listener: TcpListener,
     ctx: Arc<ConnCtx>,
@@ -260,21 +249,13 @@ fn accept_loop(
                 refuse_over_capacity(stream, &ctx);
                 continue;
             }
-            if config.thread_per_conn {
-                let guard = ConnGuard::open(Arc::clone(&ctx.stats), "accept");
-                let ctx = Arc::clone(&ctx);
-                let _ = std::thread::Builder::new()
-                    .name("abase-conn".into())
-                    .spawn(move || serve_blocking(stream, ctx, guard));
-            } else {
-                let idx = next_worker;
-                next_worker = (next_worker + 1) % workers.len();
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let guard = ConnGuard::open(Arc::clone(&ctx.stats), worker_label(idx));
-                workers[idx].send(Conn::new(stream, idx, guard));
+            let idx = next_worker;
+            next_worker = (next_worker + 1) % workers.len();
+            if stream.set_nonblocking(true).is_err() {
+                continue;
             }
+            let guard = ConnGuard::open(Arc::clone(&ctx.stats), worker_label(idx));
+            workers[idx].send(Conn::new(stream, idx, guard));
         }
     }
     Ok(())
@@ -403,7 +384,7 @@ fn settle(
                 let _ = poller.deregister(fd);
             }
         }
-        Step::Offload | Step::Psync => {
+        Step::Offload => {
             if conn.registered {
                 let _ = poller.deregister(fd);
                 conn.registered = false;
@@ -417,71 +398,16 @@ fn settle(
     }
 }
 
-/// Finish a batch whose next command may block, off the event loop: execute
-/// the remaining parsed frames in order with a blocking socket, then hand
-/// the connection back to its worker. `PSYNC` upgrades the connection into
-/// a replica stream and never returns.
+/// Finish a batch whose next command may park, off the event loop: run the
+/// connection's drain routine to the end of the batch with the socket in
+/// blocking mode, then hand the connection back to its worker. A `PSYNC`
+/// in the batch ends with the connection closed, not handed back.
 fn offload_batch(mut conn: Conn, ctx: Arc<ConnCtx>, home: Arc<WorkerShared>) {
     if conn.stream.set_nonblocking(false).is_err() {
         return;
     }
-    if conn.flush_blocking().is_err() {
-        return;
-    }
-    while let Some(value) = conn.pop_pending() {
-        let command = Command::from_resp(&value);
-        if let (Ok(Command::PSync { position }), Some(repl)) =
-            (&command, ctx.replication.as_deref())
-        {
-            let position = *position;
-            let replica_id = conn.state.replica_id;
-            let leftover = conn.take_leftover();
-            let Conn { stream, guard, .. } = conn;
-            let _ = serve_replica_connection(stream, leftover, position, replica_id, repl);
-            drop(guard);
-            return;
-        }
-        let reply = conn.execute(&value, command, &ctx);
-        conn.push_reply(&reply);
-        if conn.flush_blocking().is_err() {
-            return;
-        }
-    }
-    if conn.stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    home.send(conn);
-}
-
-/// The legacy thread-per-connection serving loop, retained as the
-/// connection-scaling baseline: blocking reads, the same state machine and
-/// batch semantics, blocking flushes.
-fn serve_blocking(stream: TcpStream, ctx: Arc<ConnCtx>, guard: ConnGuard) {
-    let mut conn = Conn::new(stream, 0, guard);
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        let n = match conn.stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        };
-        conn.inbuf.extend_from_slice(&chunk[..n]);
-        match conn.process_blocking(&ctx) {
-            Step::Continue => {}
-            Step::Close | Step::Offload => return,
-            Step::Psync => {
-                let position = conn.psync_position();
-                let replica_id = conn.state.replica_id;
-                let leftover = conn.take_leftover();
-                let Conn { stream, guard, .. } = conn;
-                if let Some(repl) = ctx.replication.as_deref() {
-                    let _ = serve_replica_connection(stream, leftover, position, replica_id, repl);
-                }
-                drop(guard);
-                return;
-            }
-        }
+    if conn.drain(&ctx, true) == Step::Continue && conn.stream.set_nonblocking(true).is_ok() {
+        home.send(conn);
     }
 }
 

@@ -62,7 +62,7 @@ pub use cluster::{
     ReplicatedClusterConfig, TenantSpec,
 };
 pub use engine::TableEngine;
-pub use event_loop::{FrontEndConfig, ShutdownHandle};
+pub use event_loop::ShutdownHandle;
 pub use meta::{FailoverPlan, MetaServer, RecoveryModel, ReplicaHealth, ReplicaSet};
 pub use migration::{
     MigrationConfig, MigrationEngine, MigrationError, MigrationReport, MigrationRequest,

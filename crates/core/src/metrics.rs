@@ -39,7 +39,7 @@ pub static CONN_EVICTED: LazyCounterFamily = LazyCounterFamily::new(
 );
 
 /// Commands executed per drained pipeline batch (one readable event = one
-/// batch = one vectored write).
+/// batch = one write).
 pub static PIPELINE_BATCH: LazyHisto = LazyHisto::new(
     "abase_pipeline_batch_commands",
     "Commands executed per drained pipeline batch",

@@ -6,10 +6,8 @@
 //! (tenant 0 until authenticated). Connections are served by a small pool of
 //! epoll event-loop workers (see [`crate::event_loop`]) with real pipelining
 //! — one readable event drains every complete frame, executes the batch in
-//! wire order, and answers with one vectored write — so 10k mostly-idle
-//! clients cost registered fds, not OS threads. The legacy
-//! thread-per-connection model survives behind
-//! [`FrontEndConfig::thread_per_conn`] as the measurable baseline.
+//! wire order, and answers with one write — so 10k mostly-idle clients cost
+//! registered fds, not OS threads.
 //!
 //! When the node's engine fronts a replica-group leader, attach the group via
 //! [`RespServer::with_replication`]: every RESP write is committed under the
@@ -279,7 +277,7 @@ pub struct RespServer {
     engine: Arc<TableEngine>,
     listener: TcpListener,
     shutdown: Arc<Shutdown>,
-    /// Serving model, worker count, max-clients cap, idle timeout.
+    /// Worker count, max-clients cap, idle timeout.
     front_end: FrontEndConfig,
     /// Per-server connection accounting (`INFO`, the max-clients cap).
     stats: Arc<FrontEndStats>,
@@ -326,13 +324,6 @@ impl RespServer {
         self
     }
 
-    /// Replace the whole front-end configuration (serving model, worker
-    /// count, max-clients cap, idle timeout).
-    pub fn with_front_end(mut self, config: FrontEndConfig) -> Self {
-        self.front_end = config;
-        self
-    }
-
     /// Event-loop worker count (clamped to 1..=16 at run time).
     pub fn io_threads(mut self, workers: usize) -> Self {
         self.front_end.workers = workers;
@@ -349,13 +340,6 @@ impl RespServer {
     /// Evict connections idle longer than `timeout`.
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
         self.front_end.idle_timeout = Some(timeout);
-        self
-    }
-
-    /// Serve with the legacy one-OS-thread-per-connection model (the
-    /// connection-scaling baseline).
-    pub fn thread_per_conn(mut self) -> Self {
-        self.front_end.thread_per_conn = true;
         self
     }
 
@@ -399,15 +383,8 @@ impl RespServer {
         }
     }
 
-    /// Serve connections until shut down: the event-loop worker pool by
-    /// default, one thread per connection when the baseline model is
-    /// configured.
+    /// Serve connections from the event-loop worker pool until shut down.
     pub fn run(self) -> std::io::Result<()> {
-        let io_threads = if self.front_end.thread_per_conn {
-            0
-        } else {
-            self.front_end.workers.clamp(1, 16)
-        };
         let ctx = Arc::new(ConnCtx {
             engine: self.engine,
             clock: self.clock_micros,
@@ -417,7 +394,7 @@ impl RespServer {
             repl_info: self.repl_info,
             started: self.started,
             stats: self.stats,
-            io_threads,
+            io_threads: self.front_end.workers.clamp(1, 16),
         });
         event_loop::run_front_end(self.listener, ctx, self.front_end, self.shutdown)
     }
@@ -459,8 +436,7 @@ pub(crate) struct ConnCtx {
     pub(crate) repl_info: Option<Arc<dyn Fn() -> ReplInfo + Send + Sync>>,
     pub(crate) started: Instant,
     pub(crate) stats: Arc<FrontEndStats>,
-    /// Event-loop worker count `INFO server` reports (0 in the
-    /// thread-per-connection baseline).
+    /// Event-loop worker count (`INFO server`).
     pub(crate) io_threads: usize,
 }
 
@@ -688,10 +664,8 @@ pub(crate) fn dispatch(
             span.enter(Stage::Engine);
             return match repl.read_routed(&storage_key, consistency, now) {
                 Ok((value, _lag)) => {
-                    if abase_obs::enabled() {
-                        let bytes = value.as_ref().map_or(0, |v| v.len());
-                        tenant_ru(state).0.add(ru_units(bytes));
-                    }
+                    let bytes = value.as_ref().map_or(0, |v| v.len());
+                    tenant_ru(state).0.add(ru_units(bytes));
                     RespValue::Bulk(value.map(bytes::Bytes::from))
                 }
                 Err(e) => RespValue::Error(format!("ERR replication: {e}")),
@@ -708,13 +682,11 @@ pub(crate) fn dispatch(
         Ok(outcome) => {
             // §4.1 RU charging at the serving edge, split per tenant: writes
             // by payload size, reads by actual bytes returned.
-            if abase_obs::enabled() {
-                let (read_ru, write_ru) = tenant_ru(state);
-                if command.is_write() {
-                    write_ru.add(ru_units(command.payload_size()));
-                } else {
-                    read_ru.add(ru_units(outcome.bytes_returned));
-                }
+            let (read_ru, write_ru) = tenant_ru(state);
+            if command.is_write() {
+                write_ru.add(ru_units(command.payload_size()));
+            } else {
+                read_ru.add(ru_units(outcome.bytes_returned));
             }
             // Writes are acknowledged only once the replica group's write
             // concern holds; an unsatisfiable concern is the client's error.
@@ -806,10 +778,6 @@ fn info_reply(section: Option<&[u8]>, ctx: &ConnCtx) -> RespValue {
         out.push_str(&format!(
             "evicted_clients:{}\r\n",
             ctx.stats.evicted.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "metrics_enabled:{}\r\n",
-            u8::from(abase_obs::enabled())
         ));
         out.push_str(&format!(
             "slowlog_threshold_micros:{}\r\n",

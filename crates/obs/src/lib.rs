@@ -1,7 +1,7 @@
 //! # abase-obs — the observability plane
 //!
 //! One crate with four pieces, composed so the hot path pays one relaxed
-//! atomic op per event and literally nothing when disabled:
+//! atomic op per event:
 //!
 //! - [`metric`]: wait-free [`Counter`]/[`Gauge`]/[`Histo`] primitives. The
 //!   histogram shares its log-bucket layout with
@@ -9,8 +9,7 @@
 //!   buckets across threads, so recording is a single `fetch_add`.
 //! - [`registry`]: the process-global name → metric table. Instrumentation
 //!   sites declare `static` [`LazyCounter`]-style handles that register on
-//!   first touch and stay `&'static` forever. A global enabled flag turns
-//!   the whole plane into a no-op (the overhead-bench baseline).
+//!   first touch and stay `&'static` forever.
 //! - [`span`]/[`slowlog`]: per-operation tracing through the serving
 //!   pipeline (parse → admission → engine → replication-wait → respond) and
 //!   a bounded ring of threshold-beating slow ops with stage breakdowns.
@@ -30,9 +29,8 @@ pub mod span;
 pub use expo::{render, validate};
 pub use metric::{Counter, Gauge, Histo};
 pub use registry::{
-    enabled, entries, histograms, set_enabled, snapshot, Entry, Family, Handle, LazyCounter,
-    LazyCounterFamily, LazyGauge, LazyGaugeFamily, LazyHisto, LazyHistoFamily, MetricKind,
-    Snapshot, Timer,
+    entries, histograms, snapshot, Entry, Family, Handle, LazyCounter, LazyCounterFamily,
+    LazyGauge, LazyGaugeFamily, LazyHisto, LazyHistoFamily, MetricKind, Snapshot, Timer,
 };
 pub use slowlog::{SlowEntry, SlowLog, DEFAULT_THRESHOLD_MICROS};
 pub use span::{Span, SpanReport, Stage, N_STAGES, STAGES};

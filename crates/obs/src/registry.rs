@@ -4,36 +4,14 @@
 //! Hot paths declare metrics as `static` [`LazyCounter`]/[`LazyGauge`]/
 //! [`LazyHisto`] (or the labelled `*Family` variants) and record through
 //! them; the first touch registers the metric (leaking it, so handles are
-//! `&'static` and recording never takes the registry lock). When the
-//! registry is disabled ([`set_enabled`]) every record path short-circuits
-//! after one relaxed load — that is the "no-op registry" arm the overhead
-//! bench compares against.
+//! `&'static` and recording never takes the registry lock).
 
 use crate::metric::{Counter, Gauge, Histo};
 use abase_util::lockrank::{rank, RankedMutex, RankedRwLock};
 use abase_util::LatencyHistogram;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Is the registry recording? One relaxed load — every record path checks
-/// this first, so a disabled registry costs nothing beyond the check.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn recording on/off process-wide. Off = the no-op registry (used by the
-/// overhead bench to measure what instrumentation costs).
-pub fn set_enabled(on: bool) {
-    // Relaxed on purpose (downgraded from SeqCst): the flag is advisory —
-    // every record path already reads it Relaxed, and no data is published
-    // through it, so the stronger ordering bought nothing.
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// What a registered name is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,6 +287,16 @@ macro_rules! lazy_handle {
                 self.metric();
             }
         }
+
+        /// Record and read through the handle as through the metric itself.
+        impl std::ops::Deref for $name {
+            type Target = $metric;
+
+            #[inline]
+            fn deref(&self) -> &$metric {
+                self.metric()
+            }
+        }
     };
 }
 
@@ -333,67 +321,6 @@ lazy_handle!(
     Histo,
     register_histo
 );
-
-impl LazyCounter {
-    /// Add one (no-op while the registry is disabled).
-    #[inline]
-    pub fn inc(&self) {
-        if enabled() {
-            self.metric().inc();
-        }
-    }
-
-    /// Add `n` (no-op while the registry is disabled).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if enabled() {
-            self.metric().add(n);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.metric().get()
-    }
-}
-
-impl LazyGauge {
-    /// Overwrite the value (no-op while the registry is disabled).
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if enabled() {
-            self.metric().set(v);
-        }
-    }
-
-    /// Add (possibly negative) `delta` (no-op while disabled).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.metric().add(delta);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.metric().get()
-    }
-}
-
-impl LazyHisto {
-    /// Record one observation of `micros` (no-op while disabled).
-    #[inline]
-    pub fn record(&self, micros: u64) {
-        if enabled() {
-            self.metric().record(micros);
-        }
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.metric().count()
-    }
-}
 
 macro_rules! lazy_family {
     ($(#[$doc:meta])* $name:ident, $metric:ty, $variant:ident) => {
@@ -474,71 +401,50 @@ lazy_family!(
 );
 
 impl LazyCounterFamily {
-    /// Add one to `label`'s counter (no-op while disabled).
+    /// Add one to `label`'s counter.
     #[inline]
     pub fn inc(&self, label: &str) {
-        if enabled() {
-            self.with(label).inc();
-        }
+        self.with(label).inc();
     }
 
-    /// Add `n` to `label`'s counter (no-op while disabled).
+    /// Add `n` to `label`'s counter.
     #[inline]
     pub fn add(&self, label: &str, n: u64) {
-        if enabled() {
-            self.with(label).add(n);
-        }
+        self.with(label).add(n);
     }
 }
 
 impl LazyGaugeFamily {
-    /// Set `label`'s gauge (no-op while disabled).
+    /// Set `label`'s gauge.
     #[inline]
     pub fn set(&self, label: &str, v: i64) {
-        if enabled() {
-            self.with(label).set(v);
-        }
+        self.with(label).set(v);
     }
 }
 
 impl LazyHistoFamily {
-    /// Record into `label`'s histogram (no-op while disabled).
+    /// Record into `label`'s histogram.
     #[inline]
     pub fn record(&self, label: &str, micros: u64) {
-        if enabled() {
-            self.with(label).record(micros);
-        }
+        self.with(label).record(micros);
     }
 }
 
-/// A start/stop wall-clock timer that is free when the registry is disabled
-/// (no `Instant::now` call on either end).
+/// A start/stop wall-clock timer feeding a [`LazyHisto`].
 #[derive(Debug)]
-pub struct Timer(Option<Instant>);
+pub struct Timer(Instant);
 
 impl Timer {
-    /// Start timing (a no-op returning an inert timer while disabled).
+    /// Start timing.
     #[inline]
     pub fn start() -> Self {
-        Timer(if enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        })
-    }
-
-    /// Elapsed microseconds, if the timer is live.
-    #[inline]
-    pub fn elapsed_micros(&self) -> Option<u64> {
-        self.0.map(|t| t.elapsed().as_micros() as u64)
+        Timer(Instant::now())
     }
 
     /// Record the elapsed time into `histo` and stop.
     #[inline]
     pub fn observe(self, histo: &LazyHisto) {
-        if let Some(t) = self.0 {
-            histo.record(t.elapsed().as_micros() as u64);
-        }
+        histo.record(self.0.elapsed().as_micros() as u64);
     }
 }
 
@@ -575,21 +481,6 @@ mod tests {
         T_COUNTER.inc();
         let delta = snapshot().delta(&base);
         assert_eq!(delta.value("test_registry_counter_total"), 1.0);
-    }
-
-    #[test]
-    fn disabled_registry_drops_records() {
-        static OFF: LazyCounter = LazyCounter::new("test_registry_off_total", "test");
-        OFF.touch();
-        let before = OFF.get();
-        set_enabled(false);
-        OFF.inc();
-        let timer = Timer::start();
-        assert!(timer.elapsed_micros().is_none());
-        set_enabled(true);
-        assert_eq!(OFF.get(), before);
-        OFF.inc();
-        assert_eq!(OFF.get(), before + 1);
     }
 
     #[test]

@@ -6,12 +6,9 @@
 //! the elapsed microseconds of each stage it passes through; when the whole
 //! operation exceeds the SLOWLOG threshold the per-stage breakdown is
 //! captured alongside the command (see [`crate::slowlog`]).
-//!
-//! When the registry is disabled a span is inert — no `Instant::now` calls
-//! at all — so the tracer obeys the same no-op contract as the metrics.
 
 use crate::metric::Histo;
-use crate::registry::{self, LazyHistoFamily};
+use crate::registry::LazyHistoFamily;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -76,35 +73,21 @@ fn stage_histos() -> &'static [&'static Histo; N_STAGES] {
 /// skipped (a read never waits on replication); skipped stages report 0.
 #[derive(Debug)]
 pub struct Span {
-    /// `None` when tracing is disabled — every method is then a no-op.
-    clock: Option<SpanClock>,
-    stage_micros: [u64; N_STAGES],
-}
-
-#[derive(Debug)]
-struct SpanClock {
     started: Instant,
     stage_started: Instant,
     current: Stage,
+    stage_micros: [u64; N_STAGES],
 }
 
 impl Span {
-    /// Start a span with the [`Stage::Parse`] stage open. Inert (no clock
-    /// reads) while the registry is disabled.
+    /// Start a span with the [`Stage::Parse`] stage open.
     #[inline]
     pub fn begin() -> Self {
-        let clock = if registry::enabled() {
-            let now = Instant::now();
-            Some(SpanClock {
-                started: now,
-                stage_started: now,
-                current: Stage::Parse,
-            })
-        } else {
-            None
-        };
+        let now = Instant::now();
         Span {
-            clock,
+            started: now,
+            stage_started: now,
+            current: Stage::Parse,
             stage_micros: [0; N_STAGES],
         }
     }
@@ -113,25 +96,21 @@ impl Span {
     /// accumulates into it.
     #[inline]
     pub fn enter(&mut self, next: Stage) {
-        if let Some(clock) = &mut self.clock {
-            let now = Instant::now();
-            let elapsed = now.duration_since(clock.stage_started).as_micros() as u64;
-            self.stage_micros[clock.current as usize] += elapsed;
-            clock.stage_started = now;
-            clock.current = next;
-        }
+        let now = Instant::now();
+        self.stage_micros[self.current as usize] +=
+            now.duration_since(self.stage_started).as_micros() as u64;
+        self.stage_started = now;
+        self.current = next;
     }
 
     /// Close the span: final stage is stamped, every traversed stage is
     /// recorded into the stage histograms, and the total duration plus the
-    /// per-stage breakdown are returned (`None` when tracing was disabled).
+    /// per-stage breakdown are returned.
     #[inline]
-    pub fn finish(mut self) -> Option<SpanReport> {
-        let clock = self.clock.take()?;
-        let now = Instant::now();
-        self.stage_micros[clock.current as usize] +=
-            now.duration_since(clock.stage_started).as_micros() as u64;
-        let total_micros = now.duration_since(clock.started).as_micros() as u64;
+    pub fn finish(mut self) -> SpanReport {
+        // Re-entering the open stage stamps it; `stage_started` is then the
+        // span's end.
+        self.enter(self.current);
         let histos = stage_histos();
         for stage in STAGES {
             let micros = self.stage_micros[stage as usize];
@@ -139,10 +118,10 @@ impl Span {
                 histos[stage as usize].record(micros);
             }
         }
-        Some(SpanReport {
-            total_micros,
+        SpanReport {
+            total_micros: self.stage_started.duration_since(self.started).as_micros() as u64,
             stage_micros: self.stage_micros,
-        })
+        }
     }
 }
 
@@ -176,7 +155,7 @@ mod tests {
         span.enter(Stage::Engine);
         std::thread::sleep(std::time::Duration::from_millis(2));
         span.enter(Stage::Respond);
-        let report = span.finish().expect("tracing enabled");
+        let report = span.finish();
         assert!(report.total_micros >= 4000, "total={}", report.total_micros);
         assert!(report.stage_micros[Stage::Parse as usize] >= 2000);
         assert!(report.stage_micros[Stage::Engine as usize] >= 2000);
@@ -196,7 +175,7 @@ mod tests {
         span.enter(Stage::ReplicationWait);
         span.enter(Stage::Engine);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let report = span.finish().expect("tracing enabled");
+        let report = span.finish();
         assert!(report.stage_micros[Stage::Engine as usize] >= 2000);
     }
 }

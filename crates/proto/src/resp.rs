@@ -31,7 +31,25 @@ pub enum ParseError {
     BadInteger,
     /// Line framing (`\r\n`) violated.
     BadFraming,
+    /// A bulk string declared more than 512 MiB.
+    BulkTooLong,
+    /// An array declared more than 1 Mi elements.
+    ArrayTooLong,
+    /// Arrays nested more than 32 deep.
+    TooDeep,
 }
+
+/// Largest bulk string a frame may declare (Redis's `proto-max-bulk-len`).
+/// A peer cannot make the receiver buffer more than this for one value.
+const MAX_BULK_LEN: usize = 512 << 20;
+/// Most elements an array may declare (Redis's multibulk limit).
+const MAX_ARRAY_LEN: usize = 1 << 20;
+/// Deepest array nesting accepted: the parser recurses once per level, so
+/// this bounds its stack. Commands nest 1 deep, `SLOWLOG GET` replies 3.
+const MAX_DEPTH: usize = 32;
+/// The shortest encoded value (`+\r\n`): `n` buffered bytes hold at most
+/// `n / MIN_FRAME_LEN` array elements.
+const MIN_FRAME_LEN: usize = 3;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -39,6 +57,9 @@ impl fmt::Display for ParseError {
             ParseError::BadType(b) => write!(f, "unknown RESP type byte 0x{b:02x}"),
             ParseError::BadInteger => write!(f, "malformed RESP integer"),
             ParseError::BadFraming => write!(f, "malformed RESP framing"),
+            ParseError::BulkTooLong => write!(f, "bulk string longer than {MAX_BULK_LEN} bytes"),
+            ParseError::ArrayTooLong => write!(f, "array longer than {MAX_ARRAY_LEN} elements"),
+            ParseError::TooDeep => write!(f, "arrays nested deeper than {MAX_DEPTH}"),
         }
     }
 }
@@ -112,6 +133,11 @@ impl RespValue {
     /// input is a valid prefix of a frame (read more bytes), or `Err` when the
     /// input can never become a valid frame.
     pub fn parse(input: &[u8]) -> Result<Option<(RespValue, usize)>, ParseError> {
+        RespValue::parse_nested(input, 0)
+    }
+
+    /// [`RespValue::parse`] at array nesting level `depth`.
+    fn parse_nested(input: &[u8], depth: usize) -> Result<Option<(RespValue, usize)>, ParseError> {
         let Some(&type_byte) = input.first() else {
             return Ok(None);
         };
@@ -140,6 +166,9 @@ impl RespValue {
                 let Some(len) = len else {
                     return Ok(Some((RespValue::Bulk(None), header)));
                 };
+                if len > MAX_BULK_LEN {
+                    return Err(ParseError::BulkTooLong);
+                }
                 let need = header + len + 2;
                 if input.len() < need {
                     return Ok(None);
@@ -159,9 +188,17 @@ impl RespValue {
                 let Some(len) = len else {
                     return Ok(Some((RespValue::Array(None), pos)));
                 };
-                let mut items = Vec::with_capacity(len);
+                if len > MAX_ARRAY_LEN {
+                    return Err(ParseError::ArrayTooLong);
+                }
+                if depth >= MAX_DEPTH {
+                    return Err(ParseError::TooDeep);
+                }
+                // Reserve for the elements the buffered bytes could hold, not
+                // for what the peer claims is coming.
+                let mut items = Vec::with_capacity(len.min((input.len() - pos) / MIN_FRAME_LEN));
                 for _ in 0..len {
-                    match RespValue::parse(&input[pos..])? {
+                    match RespValue::parse_nested(&input[pos..], depth + 1)? {
                         None => return Ok(None),
                         Some((item, used)) => {
                             items.push(item);
@@ -178,7 +215,7 @@ impl RespValue {
     /// Parse **every** complete frame at the head of `input` — the
     /// pipelining entry point: one readable event drains one buffer into a
     /// whole batch of commands, executed together and answered with a single
-    /// vectored write.
+    /// write.
     ///
     /// Returns the parsed frames plus the total byte count they consumed
     /// (the caller drains exactly that prefix and keeps the partial-frame

@@ -162,6 +162,40 @@ fn huge_declared_bulk_stays_incomplete() {
 }
 
 #[test]
+fn hostile_lengths_and_nesting_are_errors_not_crashes() {
+    // A 22-byte header must not reserve i64::MAX elements.
+    let (batch, status) = RespValue::parse_batch(b"*9223372036854775807\r\n");
+    assert!(batch.frames.is_empty());
+    assert_eq!(status, Err(ParseError::ArrayTooLong));
+    // Under the cap, the reservation follows the buffered bytes, not the claim.
+    assert_eq!(RespValue::parse(b"*1048576\r\n"), Ok(None));
+    assert_eq!(
+        RespValue::parse(b"*1048577\r\n"),
+        Err(ParseError::ArrayTooLong)
+    );
+
+    // 40 KB of `*1\r\n` recurses once per level without a depth cap.
+    let (batch, status) = RespValue::parse_batch(&b"*1\r\n".repeat(10_000));
+    assert!(batch.frames.is_empty());
+    assert_eq!(status, Err(ParseError::TooDeep));
+
+    // A bulk header may not commit the receiver to buffering without bound
+    // (and `header + len + 2` must not overflow).
+    for wire in [&b"$9223372036854775807\r\n"[..], b"$536870913\r\nabc"] {
+        let (_, status) = RespValue::parse_batch(wire);
+        assert_eq!(status, Err(ParseError::BulkTooLong));
+    }
+    assert_eq!(RespValue::parse(b"$536870912\r\nabc"), Ok(None));
+
+    // Frames ahead of the hostile one are still delivered.
+    let mut wire = RespValue::Integer(1).to_bytes();
+    wire.extend_from_slice(b"*9223372036854775807\r\n");
+    let (batch, status) = RespValue::parse_batch(&wire);
+    assert_eq!(batch.frames, vec![RespValue::Integer(1)]);
+    assert_eq!(status, Err(ParseError::ArrayTooLong));
+}
+
+#[test]
 fn deeply_nested_arrays_roundtrip_incrementally() {
     let mut value = RespValue::Integer(42);
     for _ in 0..16 {

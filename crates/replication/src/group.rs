@@ -769,9 +769,6 @@ impl ReplicaGroup {
     /// Publish the per-follower LSN lag gauges (local replicas and remote
     /// socket followers alike) from the current group state.
     pub fn refresh_lag_gauges(&self) {
-        if !abase_obs::enabled() {
-            return;
-        }
         let Ok(leader_lsn) = self.leader_lsn() else {
             return;
         };

@@ -1,7 +1,8 @@
 //! End-to-end behavior of the event-driven RESP front end: partial-frame
 //! resume across `WouldBlock`, interleaved pipelined batches on one worker,
 //! write-buffer backpressure, the max-clients cap, idle-connection reaping,
-//! PSYNC handing the socket off the event loop, and deterministic shutdown.
+//! parking commands and PSYNC leaving the event loop, hostile frames, and
+//! deterministic shutdown.
 //!
 //! Invariants under test (see TESTING.md §Event-loop front end): commands on
 //! one connection are never reordered, a slow reader never stalls its
@@ -73,6 +74,25 @@ fn read_replies(stream: &mut TcpStream, want: usize) -> Vec<RespValue> {
         }
     }
     replies
+}
+
+/// Everything the server sends before it closes the connection. A close
+/// with request bytes still unread reaches the client as a reset; a server
+/// that keeps the connection open fails the read timeout.
+fn read_until_closed(stream: &mut TcpStream) -> Vec<u8> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut received = Vec::new();
+    let mut chunk = [0u8; 256];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return received,
+            Ok(n) => received.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return received,
+            Err(e) => panic!("server kept the connection open: {e}"),
+        }
+    }
 }
 
 /// Bind a single-worker server so every connection shares one event loop —
@@ -201,20 +221,10 @@ fn max_clients_cap_refuses_with_the_redis_error() {
     );
     // Third connection: accepted at the TCP level, refused at the RESP level.
     let mut c3 = TcpStream::connect(addr).unwrap();
-    c3.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 256];
-    loop {
-        match c3.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => panic!("no refusal before close: {e}"),
-        }
-        if buf.ends_with(b"\r\n") {
-            break;
-        }
-    }
-    assert_eq!(&buf[..], b"-ERR max number of clients reached\r\n");
+    assert_eq!(
+        read_until_closed(&mut c3),
+        b"-ERR max number of clients reached\r\n"
+    );
     // Closing one admitted client frees a slot.
     drop(c1);
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -319,13 +329,12 @@ fn shutdown_also_drops_connected_clients() {
     }
 }
 
-#[test]
-fn psync_hands_the_socket_off_the_single_worker_event_loop() {
-    let dir = unique_dir("psync-handoff");
-    let fdir = unique_dir("psync-handoff-follower");
+/// A single-worker server leading a one-member quorum group (the leader
+/// alone satisfies the write concern; `WAIT 1` needs a remote follower).
+fn start_single_worker_leader(tag: &str) -> std::net::SocketAddr {
     let group = ReplicaGroup::bootstrap(
         1,
-        &dir,
+        unique_dir(tag),
         &[1],
         GroupConfig {
             write_concern: WriteConcern::Quorum,
@@ -336,16 +345,23 @@ fn psync_hands_the_socket_off_the_single_worker_event_loop() {
     .unwrap();
     let engine = Arc::new(TableEngine::from_db(group.leader_db().unwrap()));
     let group = Arc::new(group.into_mutex());
-    // ONE worker: if PSYNC parked the replica stream on the event loop, the
-    // regular client below could never be served concurrently.
     let server = RespServer::bind(engine, "127.0.0.1:0")
         .unwrap()
         .io_threads(1)
-        .with_replication(Arc::clone(&group) as Arc<dyn ReplicationControl>);
+        .with_replication(group as Arc<dyn ReplicationControl>);
     let addr = server.local_addr().unwrap();
     std::thread::spawn(move || server.run());
+    addr
+}
+
+/// Connect a socket follower to `addr` and pump it on its own thread until
+/// the returned flag is set.
+fn pump_follower(
+    tag: &str,
+    addr: std::net::SocketAddr,
+) -> (Arc<AtomicBool>, std::thread::JoinHandle<()>) {
     let mut follower = SocketFollower::connect(
-        fdir.join("replica"),
+        unique_dir(tag).join("replica"),
         DbConfig::small_for_tests(),
         &addr.to_string(),
         77,
@@ -364,9 +380,18 @@ fn psync_hands_the_socket_off_the_single_worker_event_loop() {
             }
         })
     };
+    (stop, pump)
+}
+
+#[test]
+fn psync_hands_the_socket_off_the_single_worker_event_loop() {
+    // ONE worker: if PSYNC parked the replica stream on the event loop, the
+    // regular client below could never be served concurrently.
+    let addr = start_single_worker_leader("psync-handoff");
+    let (stop, pump) = pump_follower("psync-handoff-follower", addr);
     // While the replica stream lives on its dedicated thread, the single
-    // event-loop worker keeps serving clients — including a quorum write
-    // that needs the remote follower's ack (offloaded, then reinjected).
+    // event-loop worker keeps serving clients — including a `WAIT` that
+    // needs the remote follower's ack (offloaded, then reinjected).
     let mut client = TcpStream::connect(addr).unwrap();
     let reply = roundtrip(&mut client, &cmd(&["SET", "k", "v"]));
     assert_eq!(reply, RespValue::ok(), "quorum write through the handoff");
@@ -383,6 +408,81 @@ fn psync_hands_the_socket_off_the_single_worker_event_loop() {
     );
     stop.store(true, Ordering::Relaxed);
     pump.join().unwrap();
+}
+
+#[test]
+fn pipelined_batch_straddles_the_offload_handoff_in_wire_order() {
+    let addr = start_single_worker_leader("straddle");
+    let mut client = TcpStream::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    // PING runs on the loop; SET moves the connection to an offload thread,
+    // which must finish the batch in order. With no follower attached yet,
+    // `WAIT 1` parks there.
+    let mut batch = Vec::new();
+    for parts in [
+        &["PING"][..],
+        &["SET", "k", "v"],
+        &["GET", "k"],
+        &["WAIT", "1", "5000"],
+        &["PING"],
+    ] {
+        batch.extend_from_slice(&cmd(parts));
+    }
+    client.write_all(&batch).unwrap();
+    // Replies earned before the park are not held behind it.
+    let early = read_replies(&mut client, 3);
+    assert_eq!(early[0], RespValue::Simple("PONG".into()));
+    assert_eq!(early[1], RespValue::ok());
+    assert_eq!(early[2], RespValue::bulk("v"));
+    // The connection is off the poller now, so nothing reads this second
+    // batch until the first is done and the connection is back on the loop.
+    let mut second = cmd(&["GET", "k"]);
+    second.extend_from_slice(&cmd(&["PING"]));
+    client.write_all(&second).unwrap();
+    // Only now can `WAIT` be satisfied: the follower's own PSYNC goes
+    // through the same single worker and the same drain routine.
+    let (stop, pump) = pump_follower("straddle-follower", addr);
+    let rest = read_replies(&mut client, 4);
+    assert_eq!(rest[0], RespValue::Integer(1), "WAIT saw the follower ack");
+    assert_eq!(rest[1], RespValue::Simple("PONG".into()));
+    assert_eq!(rest[2], RespValue::bulk("v"));
+    assert_eq!(rest[3], RespValue::Simple("PONG".into()));
+    stop.store(true, Ordering::Relaxed);
+    pump.join().unwrap();
+}
+
+#[test]
+fn hostile_frames_get_a_protocol_error_and_the_worker_survives() {
+    let (_dir, addr) = start_single_worker("hostile");
+    let mut bystander = TcpStream::connect(addr).unwrap();
+    assert_eq!(
+        roundtrip(&mut bystander, &cmd(&["PING"])),
+        RespValue::Simple("PONG".into())
+    );
+    let hostile: [Vec<u8>; 3] = [
+        b"*9223372036854775807\r\n".to_vec(),
+        b"*1\r\n".repeat(10_000),
+        b"$9223372036854775807\r\n".to_vec(),
+    ];
+    for frame in hostile {
+        let mut attacker = TcpStream::connect(addr).unwrap();
+        attacker.write_all(&frame).unwrap();
+        let reply = String::from_utf8(read_until_closed(&mut attacker)).unwrap();
+        assert!(reply.starts_with("-ERR protocol: "), "{reply:?}");
+        // The one worker that parsed the frame still serves its other
+        // connections, old and new.
+        assert_eq!(
+            roundtrip(&mut bystander, &cmd(&["PING"])),
+            RespValue::Simple("PONG".into())
+        );
+    }
+    let mut fresh = TcpStream::connect(addr).unwrap();
+    assert_eq!(
+        roundtrip(&mut fresh, &cmd(&["PING"])),
+        RespValue::Simple("PONG".into())
+    );
 }
 
 #[test]
@@ -403,25 +503,4 @@ fn info_reports_connected_clients_and_io_threads() {
     assert!(info.contains("io_threads:3"), "{info}");
     assert!(info.contains("total_connections_received:"), "{info}");
     assert!(info.contains("evicted_clients:0"), "{info}");
-}
-
-#[test]
-fn thread_per_conn_baseline_still_serves_pipelined_batches() {
-    let dir = unique_dir("baseline");
-    let engine = Arc::new(TableEngine::open(&dir, DbConfig::small_for_tests()).unwrap());
-    let server = RespServer::bind(engine, "127.0.0.1:0")
-        .unwrap()
-        .thread_per_conn();
-    let addr = server.local_addr().unwrap();
-    std::thread::spawn(move || server.run());
-    let mut client = TcpStream::connect(addr).unwrap();
-    let mut batch = Vec::new();
-    batch.extend_from_slice(&cmd(&["SET", "k", "v"]));
-    batch.extend_from_slice(&cmd(&["GET", "k"]));
-    batch.extend_from_slice(&cmd(&["PING"]));
-    client.write_all(&batch).unwrap();
-    let replies = read_replies(&mut client, 3);
-    assert_eq!(replies[0], RespValue::ok());
-    assert_eq!(replies[1], RespValue::bulk("v"));
-    assert_eq!(replies[2], RespValue::Simple("PONG".into()));
 }

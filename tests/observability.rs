@@ -89,7 +89,6 @@ fn info_reports_every_section_with_expected_fields() {
     }
     // Server section: this very connection is counted.
     assert!(info.contains("connected_clients:"), "{info}");
-    assert!(info.contains("metrics_enabled:1"), "{info}");
     // Keyspace section reflects the SET.
     assert!(info.contains("puts:1"), "{info}");
     // Stats carries the raw registry dump.
