@@ -143,6 +143,9 @@ struct ArmRun {
     cache_hits: u64,
     cache_misses: u64,
     hit_rate: f64,
+    /// Point reads a cached row answered (the cache's other kind of entry;
+    /// `cache_hits`/`hit_rate` count blocks).
+    row_hits: u64,
     disk_block_reads: u64,
 }
 
@@ -206,13 +209,14 @@ fn arm_json(arm: &str, r: &ArmRun) -> String {
     format!(
         "      {{\"arm\": \"{arm}\", \"ops_per_sec\": {:.1}, \"p50_micros\": {}, \
          \"p99_micros\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-         \"hit_rate\": {:.4}, \"disk_block_reads\": {}}}",
+         \"hit_rate\": {:.4}, \"row_hits\": {}, \"disk_block_reads\": {}}}",
         r.ops_per_sec,
         r.p50_micros,
         r.p99_micros,
         r.cache_hits,
         r.cache_misses,
         r.hit_rate,
+        r.row_hits,
         r.disk_block_reads
     )
 }
@@ -264,9 +268,10 @@ fn run_arm(arm: &'static str, cache_bytes: usize, sizes: &Sizes) -> Vec<ArmRun> 
         let (cache_after, disk_after) = counters(&db);
         lat.sort_unstable();
         let pct = |p: f64| lat[((lat.len() - 1) as f64 * p) as usize];
-        let (hits, misses) = (
+        let (hits, misses, row_hits) = (
             cache_after.0 - cache_before.0,
             cache_after.1 - cache_before.1,
+            cache_after.2 - cache_before.2,
         );
         results.push(ArmRun {
             ops_per_sec,
@@ -275,6 +280,7 @@ fn run_arm(arm: &'static str, cache_bytes: usize, sizes: &Sizes) -> Vec<ArmRun> 
             cache_hits: hits,
             cache_misses: misses,
             hit_rate: hits as f64 / (hits + misses).max(1) as f64,
+            row_hits,
             disk_block_reads: disk_after - disk_before,
         });
     }
@@ -284,15 +290,16 @@ fn run_arm(arm: &'static str, cache_bytes: usize, sizes: &Sizes) -> Vec<ArmRun> 
     results
 }
 
-/// ((cache hits, cache misses), disk block reads) — cumulative counters.
-fn counters(db: &Db) -> ((u64, u64), u64) {
+/// ((block hits, block misses, row hits), disk block reads) — cumulative
+/// counters.
+fn counters(db: &Db) -> ((u64, u64, u64), u64) {
     let cache = db
         .block_cache()
         .map(|c| {
             let s = c.stats();
-            (s.hits, s.misses)
+            (s.hits, s.misses, c.row_stats().hits)
         })
-        .unwrap_or((0, 0));
+        .unwrap_or((0, 0, 0));
     (cache, db.stats().block_reads)
 }
 

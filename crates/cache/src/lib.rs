@@ -11,7 +11,9 @@
 //!   a TTL, and hot entries are proactively refreshed shortly before they expire so
 //!   that the expiry of a hot key never produces a thundering herd on the data node.
 //! * [`sharded`] — a lock-striped, `Sync` wrapper over SA-LRU shards for wall-clock
-//!   multi-threaded use (the lavastore block cache is built on it).
+//!   multi-threaded use. The lavastore node cache is built on it: SST blocks and
+//!   hot rows share one instance and one byte budget, so the size classes have
+//!   two populated classes to choose between.
 //!
 //! All caches are sized in **bytes** (not entry counts) because the paper's workloads
 //! span 0.1 KB comments to 5 MB LLM KV-cache blobs (Table 1), and count-based caches

@@ -6,6 +6,7 @@
 //! building block inside [`crate::salru::SaLruCache`].
 
 use crate::stats::CacheStats;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -94,7 +95,15 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     /// Look up `key`, promoting it to most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    ///
+    /// Like `HashMap::get`, lookups (`get`, `peek`, `size_of`, `contains`,
+    /// `remove`) take any borrowed form `Q` of the key, so a cache keyed by
+    /// an owned buffer is probed with the slice the caller already holds.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         match self.map.get(key).copied() {
             Some(idx) => {
                 self.stats.hits += 1;
@@ -124,17 +133,29 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     /// Look up `key` without promoting it or touching statistics.
-    pub fn peek(&self, key: &K) -> Option<&V> {
+    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.map.get(key).map(|&idx| &self.slot(idx).value)
     }
 
     /// Byte size recorded for `key`, if cached.
-    pub fn size_of(&self, key: &K) -> Option<usize> {
+    pub fn size_of<Q>(&self, key: &Q) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.map.get(key).map(|&idx| self.slot(idx).size)
     }
 
     /// True if `key` is cached (no promotion, no stats).
-    pub fn contains(&self, key: &K) -> bool {
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.map.contains_key(key)
     }
 
@@ -189,7 +210,11 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     /// Remove `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let idx = self.map.remove(key)?;
         let slot = self.detach(idx);
         Some(slot.value)
@@ -300,8 +325,8 @@ mod tests {
     fn insert_and_get() {
         let mut c = cache(100);
         c.insert("a".into(), 1, 10);
-        assert_eq!(c.get(&"a".into()), Some(&1));
-        assert_eq!(c.get(&"b".into()), None);
+        assert_eq!(c.get("a"), Some(&1));
+        assert_eq!(c.get("b"), None);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.used_bytes(), 10);
@@ -314,12 +339,12 @@ mod tests {
         c.insert("b".into(), 2, 10);
         c.insert("c".into(), 3, 10);
         // Touch "a" so "b" becomes LRU.
-        c.get(&"a".into());
+        c.get("a");
         let evicted = c.insert("d".into(), 4, 10);
         assert_eq!(evicted, vec![("b".to_string(), 2)]);
-        assert!(c.contains(&"a".into()));
-        assert!(c.contains(&"c".into()));
-        assert!(c.contains(&"d".into()));
+        assert!(c.contains("a"));
+        assert!(c.contains("c"));
+        assert!(c.contains("d"));
         assert_eq!(c.len(), 3);
     }
 
@@ -328,7 +353,7 @@ mod tests {
         let mut c = cache(10);
         let evicted = c.insert("big".into(), 1, 11);
         assert!(evicted.is_empty());
-        assert!(!c.contains(&"big".into()));
+        assert!(!c.contains("big"));
         assert_eq!(c.used_bytes(), 0);
     }
 
@@ -339,7 +364,7 @@ mod tests {
         c.insert("a".into(), 2, 30);
         assert_eq!(c.used_bytes(), 30);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.peek(&"a".into()), Some(&2));
+        assert_eq!(c.peek("a"), Some(&2));
     }
 
     #[test]
@@ -356,14 +381,14 @@ mod tests {
     fn remove_frees_bytes_and_slot_reuse_works() {
         let mut c = cache(100);
         c.insert("a".into(), 1, 40);
-        assert_eq!(c.remove(&"a".into()), Some(1));
+        assert_eq!(c.remove("a"), Some(1));
         assert_eq!(c.used_bytes(), 0);
         assert!(c.is_empty());
         // Slot is reused without corruption.
         c.insert("b".into(), 2, 40);
         c.insert("c".into(), 3, 40);
-        assert_eq!(c.get(&"b".into()), Some(&2));
-        assert_eq!(c.get(&"c".into()), Some(&3));
+        assert_eq!(c.get("b"), Some(&2));
+        assert_eq!(c.get("c"), Some(&3));
     }
 
     #[test]
@@ -383,7 +408,7 @@ mod tests {
         c.insert("a".into(), 1, 1);
         c.insert("b".into(), 2, 1);
         c.insert("c".into(), 3, 1);
-        c.get(&"a".into());
+        c.get("a");
         assert_eq!(
             c.keys_mru_first(),
             vec!["a".to_string(), "c".to_string(), "b".to_string()]
@@ -395,7 +420,7 @@ mod tests {
         let mut c = cache(20);
         c.insert("a".into(), 1, 10);
         c.insert("b".into(), 2, 10);
-        c.peek(&"a".into());
+        c.peek("a");
         // "a" is still LRU, so inserting "c" evicts it.
         let evicted = c.insert("c".into(), 3, 10);
         assert_eq!(evicted[0].0, "a");

@@ -13,6 +13,7 @@
 
 use crate::lru::LruCache;
 use crate::stats::CacheStats;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -147,8 +148,13 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
             .expect("last bound is usize::MAX") as u8
     }
 
-    /// Look up `key`, promoting it within its class on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    /// Look up `key`, promoting it within its class on a hit. Lookups take
+    /// any borrowed form of the key, as [`LruCache::get`] does.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.maybe_decay();
         self.lookups_since_decay += 1;
         match self.key_class.get(key).copied() {
@@ -166,13 +172,21 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
     }
 
     /// Look up without promotion or statistics.
-    pub fn peek(&self, key: &K) -> Option<&V> {
+    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let class = *self.key_class.get(key)?;
         self.classes[class as usize].lru.peek(key)
     }
 
     /// True if `key` is cached.
-    pub fn contains(&self, key: &K) -> bool {
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.key_class.contains_key(key)
     }
 
@@ -206,7 +220,11 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
     }
 
     /// Remove `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let class = self.key_class.remove(key)?;
         let shard = &mut self.classes[class as usize];
         // INVARIANT: `key_class` and the per-class LRUs are updated in

@@ -10,10 +10,16 @@
 //!
 //! Values are required to be `Clone`: callers store `Arc<[u8]>`-style handles
 //! so a hit clones a pointer, never the payload.
+//!
+//! The lavastore node cache is one `ShardedCache` holding two kinds of entry
+//! — ~4 KiB SST blocks and ~0.1 KiB rows — under one byte budget, which is
+//! the case the size classes exist for. Lookups take a borrowed form of the
+//! key (`K: Borrow<Q>`), so a row is probed with the caller's `&[u8]`.
 
 use crate::salru::SaLruCache;
 use crate::stats::CacheStats;
 use abase_util::lockrank::{rank, RankedMutex};
+use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,6 +32,12 @@ pub struct InsertOutcome<K, V> {
     /// False when the entry was larger than its shard's budget and was not
     /// admitted at all.
     pub admitted: bool,
+    /// True when the call added an entry for a key that had none; false when
+    /// it replaced the key's entry or the entry was too large to go in. Every
+    /// created entry later leaves exactly once, through an `evicted` list
+    /// (possibly this call's own) or [`ShardedCache::remove`], so a caller
+    /// can keep exact per-kind counts from outcomes alone.
+    pub created: bool,
 }
 
 /// A thread-safe SA-LRU: N lock-striped shards, each running the size-aware
@@ -62,19 +74,33 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         }
     }
 
-    fn shard_for(&self, key: &K) -> &RankedMutex<SaLruCache<K, V>> {
+    /// `Borrow` guarantees `Q` hashes as `K` does, so a borrowed probe lands
+    /// on the shard its owned key was inserted into.
+    fn shard_for<Q>(&self, key: &Q) -> &RankedMutex<SaLruCache<K, V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + ?Sized,
+    {
         let idx = self.hasher.hash_one(key) as usize & self.mask;
         &self.shards[idx]
     }
 
     /// Look up `key`, promoting it within its shard on a hit. Returns a clone
     /// of the stored value (an `Arc` handle for block-cache use).
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.shard_for(key).lock().get(key).cloned()
     }
 
     /// True if `key` is currently cached (no promotion, no stats).
-    pub fn contains(&self, key: &K) -> bool {
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.shard_for(key).lock().contains(key)
     }
 
@@ -82,9 +108,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     pub fn insert(&self, key: K, value: V, size: usize) -> InsertOutcome<K, V> {
         let shard = self.shard_for(&key);
         let mut guard = shard.lock();
-        let before = guard.used_bytes();
+        let (before, len_before) = (guard.used_bytes(), guard.len());
         let evicted = guard.insert(key.clone(), value, size);
         let admitted = guard.contains(&key);
+        let created = guard.len() + evicted.len() > len_before;
         let after = guard.used_bytes();
         drop(guard);
         match after.cmp(&before) {
@@ -96,11 +123,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             }
             std::cmp::Ordering::Equal => {}
         }
-        InsertOutcome { evicted, admitted }
+        InsertOutcome {
+            evicted,
+            admitted,
+            created,
+        }
     }
 
     /// Remove `key`, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V> {
+    pub fn remove<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let shard = self.shard_for(key);
         let mut guard = shard.lock();
         let before = guard.used_bytes();
@@ -223,6 +258,76 @@ mod tests {
         assert_eq!(c.remove(&"k".to_string()), Some(1));
         assert_eq!(c.used_bytes(), 0);
         assert_eq!(c.remove(&"k".to_string()), None);
+    }
+
+    #[test]
+    fn hot_small_class_survives_a_stream_of_cold_blocks() {
+        // The node cache's shape: ~150 B rows and 4 KiB blocks in one budget.
+        // Each row is hit once per 100 block inserts and the cache has room
+        // for ~56 blocks, so recency alone (a plain LRU) would let the block
+        // stream wash every row out. Hits per byte keeps them: the block
+        // class yields nothing, so it is always the victim.
+        let c: ShardedCache<(u8, u64), u64> = ShardedCache::new(256 << 10, 4);
+        let rows = 200u64;
+        for i in 0..rows {
+            c.insert((0, i), i, 150);
+        }
+        for block in 0..2_000u64 {
+            for i in [block * 2 % rows, (block * 2 + 1) % rows] {
+                assert_eq!(c.get(&(0, i)), Some(i), "row {i} lost at block {block}");
+            }
+            let out = c.insert((1, block), block, 4 << 10);
+            assert!(out.created);
+            assert!(
+                out.evicted.iter().all(|((kind, _), _)| *kind == 1),
+                "a hot row was evicted for a cold block: {:?}",
+                out.evicted
+            );
+            assert!(c.used_bytes() <= c.capacity_bytes(), "over budget");
+        }
+        assert!(c.stats().evictions > 0, "the blocks never filled the cache");
+        assert!((0..rows).all(|i| c.contains(&(0, i))));
+    }
+
+    #[test]
+    fn borrowed_key_lookups_agree_with_owned() {
+        let c: ShardedCache<Vec<u8>, u32> = ShardedCache::new(1 << 20, 8);
+        for i in 0..64u32 {
+            c.insert(format!("key-{i}").into_bytes(), i, 100);
+        }
+        for i in 0..64u32 {
+            let owned = format!("key-{i}").into_bytes();
+            // `&[u8]` and `&Vec<u8>` hash alike, so both land on one shard.
+            assert_eq!(c.get(owned.as_slice()), Some(i));
+            assert_eq!(c.get(&owned), Some(i));
+            assert!(c.contains(owned.as_slice()));
+        }
+        assert_eq!(c.get(&b"absent"[..]), None);
+        assert_eq!(c.remove(&b"key-7"[..]), Some(7));
+        assert_eq!(c.remove(&b"key-7".to_vec()), None);
+        assert_eq!(c.remove(&b"key-8".to_vec()), Some(8));
+        assert_eq!(c.get(&b"key-8"[..]), None);
+        assert_eq!(c.len(), 62);
+        assert_eq!(c.used_bytes(), 62 * 100);
+    }
+
+    #[test]
+    fn created_counts_each_entry_once() {
+        // created − evicted − removed is the live count, whatever happens.
+        let c: ShardedCache<u64, u64> = ShardedCache::new(8 << 10, 2);
+        let mut live = 0i64;
+        for i in 0..5_000u64 {
+            let key = i % 97;
+            let out = c.insert(key, i, 64 + (i as usize * 131) % 2_000);
+            live += i64::from(out.created) - out.evicted.len() as i64;
+            if i % 5 == 0 && c.remove(&(key / 2)).is_some() {
+                live -= 1;
+            }
+            assert_eq!(live, c.len() as i64, "at i={i}");
+        }
+        // Larger than a shard: not admitted, nothing created, nothing evicted.
+        let out = c.insert(1_000, 0, 8 << 10);
+        assert!(!out.admitted && !out.created && out.evicted.is_empty());
     }
 
     #[test]

@@ -718,7 +718,7 @@ impl ReplicatedCluster {
             Err(e) => return Err(e),
         };
         let bytes = routed.result.value.as_ref().map(|v| v.len()).unwrap_or(0);
-        let outcome = if routed.result.from_memtable {
+        let outcome = if routed.result.from_memtable || routed.result.from_row_cache {
             ReadOutcome::NodeCacheHit
         } else {
             ReadOutcome::Miss

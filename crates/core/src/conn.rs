@@ -196,7 +196,12 @@ impl Conn {
         self.drain(ctx, false)
     }
 
-    /// Read until `WouldBlock`, EOF, backpressure, or the per-event budget.
+    /// Read until a short read, `WouldBlock`, EOF, backpressure, or the
+    /// per-event budget. A read that returns less than it asked for emptied
+    /// the socket buffer, so asking again would only buy `WouldBlock`: one
+    /// wasted syscall on every request/reply exchange. The poller is
+    /// level-triggered, so bytes that land afterwards — and EOF, a readable
+    /// event whose read returns 0 — raise the event again.
     fn fill_inbuf(&mut self) -> std::io::Result<()> {
         let mut chunk = [0u8; 16 * 1024];
         let mut taken = 0;
@@ -210,6 +215,9 @@ impl Conn {
                     self.inbuf.extend_from_slice(&chunk[..n]);
                     taken += n;
                     self.last_active = Instant::now();
+                    if n < chunk.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,

@@ -836,6 +836,14 @@ fn info_reply(section: Option<&[u8]>, ctx: &ConnCtx) -> RespValue {
                     "block_cache_capacity_bytes:{}\r\n",
                     cache.capacity_bytes()
                 ));
+                // Rows share the budget above; the block_cache_* counters
+                // count blocks only.
+                let rs = cache.row_stats();
+                out.push_str(&format!("row_cache_hits:{}\r\n", rs.hits));
+                out.push_str(&format!("row_cache_misses:{}\r\n", rs.misses));
+                out.push_str(&format!("row_cache_hit_ratio:{:.4}\r\n", rs.hit_ratio()));
+                out.push_str(&format!("row_cache_entries:{}\r\n", cache.row_count()));
+                out.push_str(&format!("row_cache_bytes:{}\r\n", cache.row_bytes()));
             }
             None => out.push_str("block_cache_enabled:0\r\n"),
         }

@@ -25,11 +25,11 @@
 //! has flushed its records at or below that point (see
 //! [`Db::advance_floor_locked`]).
 
-use crate::block_cache::BlockCache;
+use crate::block_cache::{BlockCache, CachedRow};
 use crate::compaction::{pick_compaction, CompactionConfig};
 use crate::error::{Error, Result};
 use crate::iter::MergeIterator;
-use crate::memtable::MemTable;
+use crate::memtable::{MemEntry, MemTable};
 use crate::record::{Record, RecordKind, NO_EXPIRY};
 use crate::sstable::{BlockIo, SstReader, SstWriter};
 use crate::version::{SstMeta, Version};
@@ -75,9 +75,12 @@ pub struct DbConfig {
     /// Time since the last WAL flush that triggers one on a non-durable
     /// commit (group-commit interval trigger).
     pub group_commit_interval_ms: u64,
-    /// Byte budget for the shared data-block cache (one cache across **all**
-    /// stripes; `0` disables caching entirely). SST files are immutable, so
-    /// the cache needs no invalidation — only eviction.
+    /// Byte budget of the node cache: one cache across **all** stripes,
+    /// holding SST data blocks and hot rows side by side (`0` disables both).
+    /// How the budget divides between the two kinds is the SA-LRU's decision,
+    /// not a setting. Blocks are immutable and only ever evicted; rows are
+    /// also invalidated by the flush that supersedes them (see
+    /// [`crate::block_cache`]).
     pub block_cache_bytes: usize,
 }
 
@@ -138,15 +141,18 @@ impl DbConfig {
 pub struct ReadResult {
     /// The live value, if the key exists and has not expired.
     pub value: Option<Bytes>,
-    /// Data-block accesses performed (0 when served by memtable/bloom).
-    /// Cache hits count: Rule 1 prices logical block I/O, and a request's
-    /// cost must not depend on cache luck. `io_ops - cache_hits` of these
-    /// actually reached the disk.
+    /// Data-block accesses performed (0 when served by memtable, cached row
+    /// or bloom). Block-cache hits count: Rule 1 prices logical block I/O,
+    /// and a request's cost must not depend on cache luck. `io_ops -
+    /// cache_hits` of these actually reached the disk.
     pub io_ops: u32,
     /// Of `io_ops`, the accesses served by the block cache without disk I/O.
     pub cache_hits: u32,
     /// True when the memtable answered.
     pub from_memtable: bool,
+    /// True when a cached row answered: the paper's node-cache hit, which
+    /// costs CPU and no I/O (`io_ops` and `cache_hits` are both 0).
+    pub from_row_cache: bool,
 }
 
 /// Monotonic counters exposed by the engine.
@@ -843,89 +849,82 @@ impl Db {
     }
 
     /// Point read at virtual time `now` (TTL-expired records read as absent).
-    /// Touches exactly one stripe's lock.
+    /// Touches exactly one stripe's lock. Looks in the memtable, then the
+    /// node cache's rows, then the SSTs.
     pub fn get(&self, key: &[u8], now: SimTime) -> Result<ReadResult> {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         let stripe = self.stripes[self.stripe_of(key)].read();
+        let mut result = ReadResult {
+            value: None,
+            io_ops: 0,
+            cache_hits: 0,
+            from_memtable: false,
+            from_row_cache: false,
+        };
         // 1. Memtable: the newest state, shadowing everything below.
         if let Some(entry) = stripe.memtable.get(key) {
             self.stats.memtable_hits.fetch_add(1, Ordering::Relaxed);
-            let value = match entry.kind {
-                RecordKind::Delete => None,
-                RecordKind::Put => {
-                    if entry.expires_at != NO_EXPIRY && entry.expires_at <= now {
-                        None
-                    } else {
-                        Some(entry.value.clone())
-                    }
-                }
-            };
-            return Ok(ReadResult {
-                value,
-                io_ops: 0,
-                cache_hits: 0,
-                from_memtable: true,
-            });
+            result.value = is_live(entry.kind, entry.expires_at, now).then(|| entry.value.clone());
+            result.from_memtable = true;
+            return Ok(result);
         }
-        let mut io = BlockIo::default();
-        // 2. L0, newest file first (files may overlap).
-        for meta in &stripe.levels[0] {
-            let reader = &stripe.readers[&meta.id];
-            let (record, file_io) = reader.get(key)?;
-            io.absorb(file_io);
-            if let Some(record) = record {
-                self.stats
-                    .block_reads
-                    .fetch_add(u64::from(io.disk), Ordering::Relaxed);
-                return Ok(self.resolve(record, now, io));
-            }
+        // 2. Row: the newest SST-resident version, kept current by
+        //    `flush_stripe` (see `block_cache`). Held under the stripe's read
+        //    lock, like the admission below, so neither can straddle a flush.
+        if let Some(row) = self.block_cache.as_ref().and_then(|c| c.get_row(key)) {
+            result.value = is_live(RecordKind::Put, row.expires_at, now).then_some(row.value);
+            result.from_row_cache = true;
+            return Ok(result);
         }
-        // 3. L1+: at most one candidate file per level.
-        for level in 1..stripe.levels.len() {
-            let files = &stripe.levels[level];
-            let idx = files.partition_point(|m| m.max_key.as_ref() < key);
-            if let Some(meta) = files.get(idx) {
-                if meta.min_key.as_ref() <= key {
-                    let reader = &stripe.readers[&meta.id];
-                    let (record, file_io) = reader.get(key)?;
-                    io.absorb(file_io);
-                    if let Some(record) = record {
-                        self.stats
-                            .block_reads
-                            .fetch_add(u64::from(io.disk), Ordering::Relaxed);
-                        return Ok(self.resolve(record, now, io));
-                    }
-                }
-            }
-        }
+        // 3. SSTs.
+        let (entry, io) = Self::search_ssts(&stripe, key)?;
         self.stats
             .block_reads
             .fetch_add(u64::from(io.disk), Ordering::Relaxed);
-        Ok(ReadResult {
-            value: None,
-            io_ops: io.total(),
-            cache_hits: io.cached,
-            from_memtable: false,
-        })
-    }
-
-    fn resolve(&self, record: Record, now: SimTime, io: BlockIo) -> ReadResult {
-        let value = match record.kind {
-            RecordKind::Delete => None,
-            RecordKind::Put => {
-                if record.is_expired(now) {
-                    None
-                } else {
-                    Some(record.value)
+        result.io_ops = io.total();
+        result.cache_hits = io.cached;
+        if let Some(entry) = entry {
+            result.value = is_live(entry.kind, entry.expires_at, now).then_some(entry.value);
+            // Admit what this read had to go to the disk for: a key whose
+            // block is already cached gains nothing from a second copy, so a
+            // dataset that fits the cache as blocks is not stored twice.
+            if io.disk > 0 {
+                if let (Some(cache), Some(value)) = (&self.block_cache, &result.value) {
+                    let row = CachedRow {
+                        value: value.clone(),
+                        expires_at: entry.expires_at,
+                    };
+                    cache.insert_row(Bytes::copy_from_slice(key), row);
                 }
             }
-        };
-        ReadResult {
-            value,
-            io_ops: io.total(),
-            cache_hits: io.cached,
-            from_memtable: false,
         }
+        Ok(result)
+    }
+
+    /// Newest version of `key` in `stripe`'s SSTs, with the block accesses
+    /// the search made.
+    fn search_ssts(stripe: &Stripe, key: &[u8]) -> Result<(Option<MemEntry>, BlockIo)> {
+        let mut io = BlockIo::default();
+        // L0, newest file first (files may overlap).
+        for meta in &stripe.levels[0] {
+            let (entry, file_io) = stripe.readers[&meta.id].get_entry(key)?;
+            io.absorb(file_io);
+            if entry.is_some() {
+                return Ok((entry, io));
+            }
+        }
+        // L1+: at most one candidate file per level.
+        for files in &stripe.levels[1..] {
+            let idx = files.partition_point(|m| m.max_key.as_ref() < key);
+            if let Some(meta) = files.get(idx).filter(|m| m.min_key.as_ref() <= key) {
+                let (entry, file_io) = stripe.readers[&meta.id].get_entry(key)?;
+                io.absorb(file_io);
+                if entry.is_some() {
+                    return Ok((entry, io));
+                }
+            }
+        }
+        Ok((None, io))
     }
 
     /// All live `(key, value)` pairs whose key starts with `prefix`, at
@@ -1009,8 +1008,15 @@ impl Db {
             self.config.bloom_bits_per_key,
             self.config.block_bytes,
         )?;
+        // Each record written here supersedes its key's cached row; drop it
+        // while the write lock keeps readers (and their admissions) out. A
+        // cache that holds no rows — a write-only load — skips the probes.
+        let rows = self.block_cache.as_deref().filter(|c| c.row_count() > 0);
         for record in stripe.memtable.iter_records() {
             writer.add(&record)?;
+            if let Some(cache) = rows {
+                cache.invalidate_row(&record.key);
+            }
         }
         let info = writer.finish()?;
         self.stats
@@ -1254,6 +1260,12 @@ impl Db {
     }
 }
 
+/// Whether the newest version of a key is one a point read returns: a `Put`
+/// that has not expired by `now`.
+fn is_live(kind: RecordKind, expires_at: u64, now: SimTime) -> bool {
+    kind == RecordKind::Put && (expires_at == NO_EXPIRY || expires_at > now)
+}
+
 /// Smallest byte string strictly greater than every key with `prefix`
 /// (used to bound overlap checks). Falls back to 0xFF-padding when the prefix
 /// is all 0xFF.
@@ -1316,19 +1328,16 @@ mod tests {
         db.put(b"in-sst-2", b"b", None, 0).unwrap();
         db.flush().unwrap();
         db.put(b"in-mem", b"c", None, 0).unwrap();
-        assert_eq!(
-            db.get(b"in-sst-1", 0).unwrap().value.as_deref(),
-            Some(&b"a"[..])
-        );
+        // An SST read costs at least one block I/O.
+        let r = db.get(b"in-sst-1", 0).unwrap();
+        assert_eq!(r.value.as_deref(), Some(&b"a"[..]));
+        assert!(r.io_ops >= 1 && !r.from_memtable);
         assert_eq!(
             db.get(b"in-sst-2", 0).unwrap().value.as_deref(),
             Some(&b"b"[..])
         );
         let r = db.get(b"in-mem", 0).unwrap();
         assert!(r.from_memtable);
-        // An SST read costs at least one block I/O.
-        let r = db.get(b"in-sst-1", 0).unwrap();
-        assert!(r.io_ops >= 1);
     }
 
     #[test]
@@ -1515,6 +1524,176 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn readers_never_see_a_version_go_backwards_across_flushes() {
+        // The stale-row hazard: a flush moves a newer version into an SST
+        // while the cache still holds the older one as a row. One writer
+        // rewrites a fixed key set with increasing versions and flushes
+        // every few hundred writes; a reader that saw version v of a key
+        // must never afterwards see less than v.
+        const KEYS: usize = 64;
+        const WRITES: u64 = 6_000;
+        let dir = TestDir::new("row-monotone");
+        // A cache large enough that rows stay resident between flushes.
+        let config = DbConfig {
+            block_cache_bytes: 1 << 20,
+            ..DbConfig::small_for_tests()
+        };
+        let db = Arc::new(Db::open(dir.path(), config).unwrap());
+        let key = |k: usize| format!("key-{k:03}").into_bytes();
+        for k in 0..KEYS {
+            db.put(&key(k), &0u64.to_le_bytes(), None, 0).unwrap();
+        }
+        db.flush().unwrap();
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let readers: Vec<_> = (0..3)
+            .map(|t| {
+                let (db, done, start) = (Arc::clone(&db), Arc::clone(&done), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let mut seen = [0u64; KEYS];
+                    let (mut i, mut row_hits) = (t, 0u64);
+                    start.wait();
+                    // ORDER: Acquire pairs with the writer's Release store.
+                    while !done.load(Ordering::Acquire) {
+                        let k = i % KEYS;
+                        let r = db.get(&key(k), 0).unwrap();
+                        let v = r.value.expect("keys are never deleted");
+                        let v = u64::from_le_bytes(v.as_ref().try_into().unwrap());
+                        assert!(v >= seen[k], "key {k} went back from {} to {v}", seen[k]);
+                        seen[k] = v;
+                        row_hits += u64::from(r.from_row_cache);
+                        i += 7;
+                    }
+                    row_hits
+                })
+            })
+            .collect();
+        start.wait();
+        for version in 1..=WRITES {
+            let k = (version as usize * 13) % KEYS;
+            db.put(&key(k), &version.to_le_bytes(), None, 0).unwrap();
+            if version % 300 == 0 {
+                db.flush().unwrap();
+            }
+        }
+        // ORDER: Release pairs with the readers' Acquire load.
+        done.store(true, Ordering::Release);
+        let row_hits: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+        assert!(row_hits > 0, "no read was served by a row: nothing tested");
+    }
+
+    /// A store with `n` flushed keys and nothing in the memtable.
+    fn flushed_db(dir: &TestDir, config: DbConfig, n: usize) -> Db {
+        let db = Db::open(dir.path(), config).unwrap();
+        for i in 0..n {
+            db.put(format!("k{i:03}").as_bytes(), b"v", None, 0)
+                .unwrap();
+        }
+        db.flush().unwrap();
+        db
+    }
+
+    #[test]
+    fn a_row_is_admitted_only_by_a_read_that_reached_the_disk() {
+        let dir = TestDir::new("row-admit");
+        let db = flushed_db(&dir, DbConfig::small_for_tests(), 100);
+        let cache = db.block_cache().unwrap();
+        assert_eq!(cache.row_count(), 0, "the write path admits nothing");
+        // First read of k000: its block comes from disk, so the row goes in.
+        let r = db.get(b"k000", 0).unwrap();
+        assert!(!r.from_row_cache && r.io_ops > r.cache_hits);
+        assert_eq!(cache.row_count(), 1);
+        // A neighbour in the same, now cached, block: served by the block
+        // cache, and not worth a second copy.
+        let near = (1..100)
+            .map(|i| format!("k{i:03}"))
+            .find(|k| {
+                let r = db.get(k.as_bytes(), 0).unwrap();
+                r.io_ops > 0 && r.io_ops == r.cache_hits
+            })
+            .expect("some key shares a block with an earlier read");
+        let rows = cache.row_count();
+        let again = db.get(near.as_bytes(), 0).unwrap();
+        assert!(!again.from_row_cache && again.cache_hits > 0);
+        assert_eq!(cache.row_count(), rows);
+        // The admitted row answers with no I/O of either kind.
+        let r = db.get(b"k000", 0).unwrap();
+        assert_eq!(r.value.as_deref(), Some(&b"v"[..]));
+        assert!(r.from_row_cache && !r.from_memtable);
+        assert_eq!((r.io_ops, r.cache_hits), (0, 0));
+        // Rows count toward the one resident gauge.
+        assert!(cache.resident_bytes() >= cache.pinned_bytes() + cache.row_bytes());
+        assert!(cache.row_bytes() > 0);
+    }
+
+    #[test]
+    fn cache_off_means_no_rows_either() {
+        let dir = TestDir::new("row-off");
+        let config = DbConfig {
+            block_cache_bytes: 0,
+            ..DbConfig::small_for_tests()
+        };
+        let db = flushed_db(&dir, config, 50);
+        assert!(db.block_cache().is_none());
+        for _ in 0..2 {
+            let r = db.get(b"k007", 0).unwrap();
+            assert!(r.value.is_some() && !r.from_row_cache && r.io_ops > 0);
+            assert_eq!(r.cache_hits, 0);
+        }
+    }
+
+    #[test]
+    fn an_expired_row_reads_as_absent() {
+        let dir = TestDir::new("row-ttl");
+        let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
+        db.put(b"k", b"v", Some(1_000), 0).unwrap();
+        db.flush().unwrap();
+        assert!(db.get(b"k", 999).unwrap().value.is_some());
+        let hit = db.get(b"k", 999).unwrap();
+        assert!(hit.from_row_cache && hit.value.is_some());
+        let expired = db.get(b"k", 1_000).unwrap();
+        assert!(expired.from_row_cache && expired.value.is_none());
+        // A record that is already expired when it is found is not admitted.
+        db.put(b"late", b"v", Some(10), 0).unwrap();
+        db.flush().unwrap();
+        assert!(db.get(b"late", 10).unwrap().value.is_none());
+        assert!(!db.get(b"late", 10).unwrap().from_row_cache);
+    }
+
+    #[test]
+    fn a_flushed_tombstone_or_overwrite_hides_the_cached_row() {
+        let dir = TestDir::new("row-invalidate");
+        let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
+        // Values larger than a block: every record has a block to itself, so
+        // each first read goes to the disk and admits its row.
+        for key in [&b"dead"[..], b"rewritten", b"untouched"] {
+            db.put(key, &[b'o'; 600], None, 0).unwrap();
+        }
+        db.flush().unwrap();
+        for key in [&b"dead"[..], b"rewritten", b"untouched"] {
+            db.get(key, 0).unwrap();
+            assert!(db.get(key, 0).unwrap().from_row_cache, "row not admitted");
+        }
+        // In the memtable the newer versions shadow the rows ...
+        db.delete(b"dead", 0).unwrap();
+        db.put(b"rewritten", b"new", None, 0).unwrap();
+        assert!(db.get(b"dead", 0).unwrap().value.is_none());
+        // ... and the flush that moves them into an SST drops the rows.
+        db.flush().unwrap();
+        assert_eq!(db.block_cache().unwrap().row_count(), 1);
+        let dead = db.get(b"dead", 0).unwrap();
+        assert!(dead.value.is_none() && !dead.from_row_cache);
+        let rewritten = db.get(b"rewritten", 0).unwrap();
+        assert_eq!(rewritten.value.as_deref(), Some(&b"new"[..]));
+        assert!(!rewritten.from_row_cache);
+        assert!(db.get(b"untouched", 0).unwrap().from_row_cache);
+        // Compaction rewrites files and invalidates nothing.
+        db.compact_to_quiescence(0).unwrap();
+        assert!(db.get(b"untouched", 0).unwrap().from_row_cache);
+        assert!(db.get(b"dead", 0).unwrap().value.is_none());
     }
 
     #[test]

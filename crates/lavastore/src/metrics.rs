@@ -92,10 +92,34 @@ pub static BLOCK_CACHE_EVICTIONS: LazyCounter = LazyCounter::new(
     "Data blocks evicted from the block cache",
 );
 
-/// Bytes resident in the block cache (data blocks + pinned index/filter).
+/// Bytes resident in the node cache (blocks + rows + pinned index/filter).
 pub static BLOCK_CACHE_BYTES: LazyGauge = LazyGauge::new(
     "abase_block_cache_bytes",
-    "Bytes resident in the block cache, including pinned index and bloom blocks",
+    "Bytes resident in the node cache: data blocks, rows, and pinned index and bloom blocks",
+);
+
+/// Point reads answered by a cached row (no bloom probe, no block access).
+pub static ROW_CACHE_HITS: LazyCounter = LazyCounter::new(
+    "abase_row_cache_hits_total",
+    "Point reads served from a cached row without touching an SST",
+);
+
+/// Point reads past the memtable that found no cached row.
+pub static ROW_CACHE_MISSES: LazyCounter = LazyCounter::new(
+    "abase_row_cache_misses_total",
+    "Row cache lookups that fell through to the SSTs",
+);
+
+/// Rows admitted after a lookup that cost a disk block read.
+pub static ROW_CACHE_INSERTIONS: LazyCounter = LazyCounter::new(
+    "abase_row_cache_insertions_total",
+    "Rows admitted to the node cache after a read that reached the disk",
+);
+
+/// Rows dropped because a flush installed a newer version of their key.
+pub static ROW_CACHE_INVALIDATIONS: LazyCounter = LazyCounter::new(
+    "abase_row_cache_invalidations_total",
+    "Cached rows removed by a flush that wrote a newer version of their key",
 );
 
 /// Bloom filter probes on the point-read path.

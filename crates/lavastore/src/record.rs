@@ -9,6 +9,7 @@ use crate::encoding::{
     get_len_prefixed, get_u64, get_varint, put_len_prefixed, put_u64, put_varint,
 };
 use crate::error::{Error, Result};
+use crate::memtable::MemEntry;
 use bytes::Bytes;
 use std::cmp::Ordering;
 
@@ -135,6 +136,23 @@ impl Record {
             value,
         })
     }
+
+    /// Decode the record at `buf[*pos..]` without its key, advancing `pos`:
+    /// a point read already holds the key it searched for, so only the value
+    /// is copied out of the block.
+    pub fn decode_entry(buf: &[u8], pos: &mut usize) -> Result<MemEntry> {
+        get_len_prefixed(buf, pos)?; // key (bounds-checked slice, no copy)
+        let seq = get_u64(buf, pos)?;
+        let kind = RecordKind::from_u64(get_varint(buf, pos)?)?;
+        let expires_at = get_u64(buf, pos)?;
+        let value = Bytes::copy_from_slice(get_len_prefixed(buf, pos)?);
+        Ok(MemEntry {
+            seq,
+            kind,
+            expires_at,
+            value,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -179,6 +197,31 @@ mod tests {
             assert_eq!(pos, decode_pos, "peek_key must skip the whole record");
         }
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn decode_entry_is_decode_without_the_key() {
+        let records = vec![
+            Record::put("key1", "value1", 7, Some(99)),
+            Record::delete("key2", 8),
+        ];
+        let mut buf = Vec::new();
+        for r in &records {
+            r.encode(&mut buf);
+        }
+        let (mut pos, mut decode_pos) = (0, 0);
+        for r in &records {
+            let entry = Record::decode_entry(&buf, &mut pos).unwrap();
+            let full = Record::decode(&buf, &mut decode_pos).unwrap();
+            assert_eq!(pos, decode_pos);
+            assert_eq!(
+                (entry.seq, entry.kind, entry.expires_at, &entry.value),
+                (full.seq, full.kind, full.expires_at, &r.value)
+            );
+        }
+        // The kind byte (after the 5-byte key and the seq) is validated here too.
+        buf[13] = 9;
+        assert!(Record::decode_entry(&buf, &mut 0).is_err());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::encoding::{
     put_varint,
 };
 use crate::error::{Error, Result};
+use crate::memtable::MemEntry;
 use crate::record::Record;
 use bytes::Bytes;
 use std::fs::File;
@@ -394,10 +395,13 @@ impl SstReader {
                 return Ok((block, BlockIo { disk: 0, cached: 1 }));
             }
         }
-        let mut buf = vec![0u8; handle.len as usize];
-        self.file.read_exact_at(&mut buf, handle.offset)?;
+        // One allocation, read into in place: the cache and the caller share
+        // this `Arc`, and a `Vec` converted afterwards would copy the block.
+        let mut block: Arc<[u8]> = std::iter::repeat_n(0u8, handle.len as usize).collect();
+        // INVARIANT: the `Arc` was created on the line above and not cloned.
+        let buf = Arc::get_mut(&mut block).expect("fresh allocation is unshared");
+        self.file.read_exact_at(buf, handle.offset)?;
         self.block_reads.fetch_add(1, Ordering::Relaxed);
-        let block: Arc<[u8]> = buf.into();
         if fill {
             if let Some(cache) = &self.cache {
                 cache.insert(self.file_id, handle.offset, Arc::clone(&block));
@@ -409,6 +413,20 @@ impl SstReader {
     /// Point lookup. Returns the record plus the block accesses performed
     /// (zero on a bloom or range miss, one access — cached or disk — else).
     pub fn get(&self, key: &[u8]) -> Result<(Option<Record>, BlockIo)> {
+        let (entry, io) = self.get_entry(key)?;
+        let record = entry.map(|e| Record {
+            key: Bytes::copy_from_slice(key),
+            seq: e.seq,
+            kind: e.kind,
+            expires_at: e.expires_at,
+            value: e.value,
+        });
+        Ok((record, io))
+    }
+
+    /// [`SstReader::get`] for a caller that keeps hold of `key`: the record
+    /// comes back without a copy of it.
+    pub fn get_entry(&self, key: &[u8]) -> Result<(Option<MemEntry>, BlockIo)> {
         if !self.key_in_range(key) {
             return Ok((None, BlockIo::default()));
         }
@@ -439,7 +457,7 @@ impl SstReader {
         }
         if lo < view.len() && view.key_at(lo)? == key {
             let mut pos = view.offset(lo)?;
-            return Ok((Some(Record::decode(view.data, &mut pos)?), io));
+            return Ok((Some(Record::decode_entry(view.data, &mut pos)?), io));
         }
         // The filter said "maybe" but the block search came up empty.
         crate::metrics::BLOOM_FALSE_POSITIVES.inc();

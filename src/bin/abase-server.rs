@@ -90,7 +90,8 @@ fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
 }
 
 /// Engine configuration from the environment: `ABASE_BLOCK_CACHE_BYTES`
-/// sizes the shared data-block cache (0 disables it; default ~64 MiB).
+/// sizes the shared node cache, blocks and rows together (0 disables it;
+/// default ~64 MiB).
 fn db_config_from_env() -> DbConfig {
     let mut config = DbConfig::default();
     if let Some(bytes) = env_parse::<usize>("ABASE_BLOCK_CACHE_BYTES") {
