@@ -13,7 +13,9 @@
 //! * locking goes through the parking_lot shim / lockrank wrappers, never
 //!   raw `std::sync` (A004);
 //! * metric names follow the `abase_*` registry conventions (A005);
-//! * every failpoint the chaos harness installs has a live fire site (A006).
+//! * every failpoint the chaos harness installs has a live fire site (A006);
+//! * the metric tables in `crates/obs/README.md` name exactly the families
+//!   the code declares (A007).
 //!
 //! There is no `syn`, no proc-macro machinery, and no crates.io dependency:
 //! a small line lexer ([`lexer`]) blanks comments and strings so the rules
@@ -26,7 +28,7 @@
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{check_failpoints, check_file, CrossFile, FileCtx, Finding};
+pub use rules::{check_failpoints, check_file, CrossFile, FileCtx, Finding, METRICS_README};
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -44,19 +46,30 @@ pub fn analyze(files: &[(PathBuf, String)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut cross = CrossFile::default();
     for (rel, src) in files {
+        if rel == Path::new(METRICS_README) {
+            rules::collect_documented_metrics(rel, src, &mut cross);
+            continue;
+        }
         let ctx = FileCtx::from_rel(rel);
         let lexed = lexer::lex(src);
         findings.extend(check_file(&ctx, &lexed, &mut cross));
     }
     findings.extend(check_failpoints(&cross));
+    findings.extend(rules::check_metric_docs(&cross));
     findings.sort();
     findings
 }
 
-/// Walk `root` for `.rs` files and run every rule over them.
+/// Walk `root` for `.rs` files (plus the metrics README, when the tree has
+/// one) and run every rule over them.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
+    match fs::read_to_string(root.join(METRICS_README)) {
+        Ok(text) => files.push((PathBuf::from(METRICS_README), text)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
     files.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(analyze(&files))
 }

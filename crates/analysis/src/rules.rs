@@ -1,6 +1,6 @@
 //! The lint rules.
 //!
-//! Every rule has a stable id (`A001`..`A006`), reports `file:line`
+//! Every rule has a stable id (`A001`..`A007`), reports `file:line`
 //! diagnostics, and can be silenced at a site with a
 //! `// LINT: allow(A00x): reason` comment within the rule's lookback window.
 //!
@@ -12,6 +12,7 @@
 //! | A004 | no `std::sync::{Mutex, RwLock, Condvar}` outside `crates/shims` |
 //! | A005 | metric names follow the `abase_*` naming conventions |
 //! | A006 | every installed failpoint name has a `failpoint::check` fire site |
+//! | A007 | the metric tables in `crates/obs/README.md` and the metrics declared in code name the same families |
 
 use crate::lexer::{first_string_after, has_word, test_regions, Lexed};
 use std::fmt;
@@ -105,10 +106,14 @@ impl FileCtx {
     }
 }
 
-/// A failpoint name seen at an `install` or `check` call.
+/// The one document whose metric tables A007 holds to the code.
+pub const METRICS_README: &str = "crates/obs/README.md";
+
+/// A name seen at a site: a failpoint at an `install` or `check` call, a
+/// metric family at its declaration or in its README row.
 #[derive(Debug, Clone)]
-pub struct FailpointRef {
-    /// The failpoint name literal.
+pub struct NamedSite {
+    /// The name literal.
     pub name: String,
     /// File it appeared in.
     pub path: PathBuf,
@@ -116,13 +121,19 @@ pub struct FailpointRef {
     pub line: usize,
 }
 
-/// Cross-file facts collected during the per-file pass, consumed by A006.
+/// Cross-file facts collected during the per-file pass, consumed by A006
+/// and A007.
 #[derive(Debug, Default)]
 pub struct CrossFile {
     /// Failpoint names passed to `failpoint::install(...)`.
-    pub installs: Vec<FailpointRef>,
+    pub installs: Vec<NamedSite>,
     /// Failpoint names passed to `failpoint::check(...)`.
-    pub checks: Vec<FailpointRef>,
+    pub checks: Vec<NamedSite>,
+    /// Metric families declared in non-test code (`Lazy*::new("name", ..)`).
+    pub metric_decls: Vec<NamedSite>,
+    /// Metric families named in the README's tables; `None` until the README
+    /// has been seen (A007 has nothing to compare against without it).
+    pub metric_docs: Option<Vec<NamedSite>>,
 }
 
 /// True if any comment in the `window` lines ending at `line` (1-based)
@@ -264,6 +275,7 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
                 ("counter", "LazyCounter::new("),
                 ("counter", "LazyCounterFamily::new("),
                 ("gauge", "LazyGauge::new("),
+                ("gauge", "LazyGaugeFamily::new("),
                 ("histogram", "LazyHisto::new("),
                 ("histogram", "LazyHistoFamily::new("),
             ] {
@@ -276,6 +288,14 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
                         if !lint_allowed(lexed, line, "A005") {
                             push(&mut findings, line, "A005", msg);
                         }
+                    }
+                    // A007 (collection): the family is declared here.
+                    if !lint_allowed(lexed, line, "A007") {
+                        cross.metric_decls.push(NamedSite {
+                            name: lit.value.clone(),
+                            path: ctx.rel.clone(),
+                            line,
+                        });
                     }
                 }
             }
@@ -295,7 +315,7 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
             for at in word_positions(code, token) {
                 let col = code[..at].chars().count();
                 if let Some(lit) = first_string_after(lexed, line, col) {
-                    list.push(FailpointRef {
+                    list.push(NamedSite {
                         name: lit.value.clone(),
                         path: ctx.rel.clone(),
                         line,
@@ -358,5 +378,60 @@ pub fn check_failpoints(cross: &CrossFile) -> Vec<Finding> {
             });
         }
     }
+    findings
+}
+
+/// A007 (collection): the metric families the README's tables name — every
+/// table row whose first cell is a back-ticked `abase_*` identifier. Rows for
+/// names outside that namespace (`failpoint_fired_total`, synthesized at
+/// snapshot time and footnoted as such) are not declarations' business.
+pub fn collect_documented_metrics(rel: &Path, text: &str, cross: &mut CrossFile) {
+    let docs = cross.metric_docs.get_or_insert_with(Vec::new);
+    for (idx, row) in text.lines().enumerate() {
+        let Some(cell) = row.trim_start().strip_prefix("| `") else {
+            continue;
+        };
+        let Some((name, _)) = cell.split_once('`') else {
+            continue;
+        };
+        if name.starts_with("abase_") {
+            docs.push(NamedSite {
+                name: name.to_string(),
+                path: rel.to_path_buf(),
+                line: idx + 1,
+            });
+        }
+    }
+}
+
+/// A007: the README's metric tables and the declarations in code must name
+/// the same families — a row without a declaration documents a metric nobody
+/// records, a declaration without a row is a metric an operator cannot look
+/// up.
+pub fn check_metric_docs(cross: &CrossFile) -> Vec<Finding> {
+    let Some(docs) = &cross.metric_docs else {
+        return Vec::new();
+    };
+    let missing = |refs: &[NamedSite], other: &[NamedSite], what: &str| -> Vec<Finding> {
+        refs.iter()
+            .filter(|r| !other.iter().any(|o| o.name == r.name))
+            .map(|r| Finding {
+                path: r.path.clone(),
+                line: r.line,
+                rule: "A007",
+                message: format!("metric family `{}` {what}", r.name),
+            })
+            .collect()
+    };
+    let mut findings = missing(
+        docs,
+        &cross.metric_decls,
+        "has a README row but no `Lazy*::new` declaration in code",
+    );
+    findings.extend(missing(
+        &cross.metric_decls,
+        docs,
+        &format!("is declared here but has no row in {METRICS_README}"),
+    ));
     findings
 }

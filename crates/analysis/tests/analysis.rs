@@ -169,6 +169,48 @@ fn a006_accepts_matched_install_and_check() {
     );
 }
 
+/// Analyze a metrics fixture next to its README twin.
+fn run_a007(twin: &str) -> Vec<Finding> {
+    analyze(&[
+        (
+            PathBuf::from("crates/demo/src/metrics.rs"),
+            fixture(&format!("{twin}/a007_metrics.rs")),
+        ),
+        (
+            PathBuf::from(abase_analysis::METRICS_README),
+            fixture(&format!("{twin}/a007_README.md")),
+        ),
+    ])
+}
+
+#[test]
+fn a007_trips_on_undocumented_and_on_undeclared_families() {
+    let findings = run_a007("bad");
+    assert_eq!(rules_of(&findings), vec!["A007"], "{findings:?}");
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    // The ghost row is reported in the README, the hidden family at its
+    // declaration.
+    assert!(findings.iter().any(|f| f.path.ends_with("README.md")
+        && f.line == 6
+        && f.message.contains("abase_demo_ghost_total")));
+    assert!(findings
+        .iter()
+        .any(|f| f.path.ends_with("metrics.rs") && f.message.contains("abase_demo_hidden_total")));
+}
+
+#[test]
+fn a007_accepts_matching_tables_and_is_silent_without_a_readme() {
+    let findings = run_a007("good");
+    assert!(
+        findings.is_empty(),
+        "clean twin must be silent: {findings:?}"
+    );
+    // Declarations alone are nothing to compare: a scan that never saw the
+    // README (a sub-tree, a single fixture) raises no A007.
+    let alone = run_at("crates/demo/src/metrics.rs", "bad/a007_metrics.rs");
+    assert!(alone.is_empty(), "{alone:?}");
+}
+
 #[test]
 fn the_workspace_itself_is_clean() {
     // The committed tree must stay lint-clean: this is the same invariant CI

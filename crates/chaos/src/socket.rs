@@ -2,7 +2,7 @@
 //!
 //! A socket episode runs a **real TCP** replica pair — a leader
 //! `ReplicaGroup` served by [`abase_replication::serve_group_replica`] and a
-//! [`SocketFollower`] pumping it — while a seed-drawn schedule of frame
+//! [`Follower`] pumping it — while a seed-drawn schedule of frame
 //! misfortune fires through the `socket.ship` / `socket.ack` fail points:
 //! dropped, duplicated, and reordered `BATCH` frames, dropped acks, severed
 //! connections (network partitions), and a mid-stream leader kill.
@@ -28,9 +28,7 @@
 //! driven synchronously between writes.
 
 use abase_lavastore::DbConfig;
-use abase_replication::{
-    serve_group_replica, FollowerPump, GroupConfig, ReplicaGroup, SocketFollower, WriteConcern,
-};
+use abase_replication::{serve_group_replica, Follower, GroupConfig, ReplicaGroup, WriteConcern};
 use abase_util::failpoint::{self, FaultAction};
 use abase_util::TestDir;
 
@@ -174,7 +172,7 @@ pub fn run_socket_episode(seed: u64) -> SocketEpisodeReport {
     }
     const REPLICA_ID: u32 = 900;
     let tag = format!("replica-{REPLICA_ID}");
-    let mut follower = SocketFollower::connect(
+    let mut follower = Follower::connect(
         follower_dir.path().join("replica"),
         DbConfig::small_for_tests(),
         &addr.to_string(),
@@ -185,13 +183,10 @@ pub fn run_socket_episode(seed: u64) -> SocketEpisodeReport {
 
     let mut schedule = schedule.into_iter().peekable();
     let mut last_follower_lsn = 0u64;
-    let pump = |follower: &mut SocketFollower, last: &mut u64, violations: &mut Vec<String>| {
-        match follower.pump() {
-            Ok(FollowerPump::Resynced) | Ok(FollowerPump::Applied(_)) | Ok(FollowerPump::Idle) => {}
-            // Transport errors are episode weather (partitions, dead
-            // leader); safety is judged by state, not liveness.
-            Err(_) => {}
-        }
+    let pump = |follower: &mut Follower, last: &mut u64, violations: &mut Vec<String>| {
+        // Transport errors are episode weather (partitions, dead leader);
+        // safety is judged by state, not liveness.
+        let _ = follower.pump();
         let lsn = follower.last_seq();
         if lsn < *last {
             violations.push(format!("follower LSN went backward: {lsn} < {last}"));

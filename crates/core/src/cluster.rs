@@ -867,11 +867,11 @@ impl ReplicatedCluster {
             .groups
             .get_mut(&req.partition)
             .ok_or(ReplError::NoLeader)?;
-        let ticket = group.begin_join(req.to, &base_dir)?;
+        let mut ticket = group.begin_join(req.to, &base_dir, None)?;
         let t0 = std::time::Instant::now();
-        let info = ticket.copy_throttled(throttle)?;
+        let info = ticket.copy(throttle)?;
         let secs = t0.elapsed().as_secs_f64();
-        group.complete_join(ticket, info)?;
+        group.complete_join(ticket)?;
         // No fallible work after the join: an error here would leave the
         // destination installed in the group while the caller's abort path
         // assumes membership never changed. Catch-up starts with the next
@@ -1079,20 +1079,27 @@ impl ReplicatedCluster {
                 node.host_replica(promotion.partition, Role::Leader);
             }
         }
-        // 4. Parallel reconstruction from the planned sources.
+        // 4. Parallel reconstruction from the planned sources: each rebuilt
+        //    replica is a staged join whose source is the planned surviving
+        //    member, copied into the ticket's staging directory by one
+        //    worker per source node.
+        let mut tickets = Vec::with_capacity(plan.reconstructions.len());
         let mut tasks = Vec::with_capacity(plan.reconstructions.len());
         for assignment in &plan.reconstructions {
-            let group = &self.groups[&assignment.partition];
+            let group = self
+                .groups
+                .get_mut(&assignment.partition)
+                // INVARIANT: the plan was built from this map's entries.
+                .expect("planned partition exists");
+            let ticket =
+                group.begin_join(assignment.dest, &self.base_dir, Some(assignment.source))?;
             tasks.push(ReconstructionTask {
                 partition: assignment.partition,
                 source: group.db(assignment.source)?,
                 source_node: assignment.source,
-                dest_dir: abase_replication::group::replica_dir(
-                    &self.base_dir,
-                    assignment.partition,
-                    assignment.dest,
-                ),
+                dest_dir: ticket.staging().to_path_buf(),
             });
+            tickets.push(ticket);
         }
         let reconstruction = if tasks.is_empty() {
             None
@@ -1115,19 +1122,18 @@ impl ReplicatedCluster {
                 }
             }
         }
-        // 5. Rebuilt replicas join their groups and start tailing.
-        for assignment in &plan.reconstructions {
-            let dir = abase_replication::group::replica_dir(
-                &self.base_dir,
-                assignment.partition,
-                assignment.dest,
-            );
+        // 5. Rebuilt replicas join their groups in the dead member's stead
+        //    (the join is refused if the group's epoch moved under the copy)
+        //    and catch up to the leader's current position.
+        for (assignment, ticket) in plan.reconstructions.iter().zip(tickets) {
             let group = self
                 .groups
                 .get_mut(&assignment.partition)
                 // INVARIANT: the plan was built from this map's entries.
                 .expect("planned partition exists");
-            group.adopt_replica(failed, assignment.dest, dir)?;
+            group.complete_join(ticket)?;
+            group.remove_member(failed)?;
+            group.pump_follower(assignment.dest)?;
             if let Some(node) = self.nodes.get_mut(&assignment.dest) {
                 node.host_replica(assignment.partition, Role::Follower);
             }

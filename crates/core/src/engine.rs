@@ -71,11 +71,6 @@ impl TableEngine {
         Arc::clone(&self.db.read())
     }
 
-    /// A shareable handle to the store, for wiring into a replica group.
-    pub fn shared_db(&self) -> Arc<Db> {
-        self.db()
-    }
-
     /// Replace the underlying store. Commands already executing finish
     /// against the handle they cloned; new commands see the replacement —
     /// exactly the semantics a follower needs when a full resync swaps its
@@ -98,11 +93,13 @@ impl TableEngine {
         out
     }
 
+    /// `h{tenant}:{key length}:{key}` — the field follows directly. The
+    /// length is what ends the key: joined by a separator alone, key `a` with
+    /// field `b:c` and key `a:b` with field `c` would be one storage key.
     fn hash_prefix(tenant: TenantId, key: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(key.len() + 12);
-        out.extend_from_slice(format!("h{tenant}:").as_bytes());
+        let mut out = Vec::with_capacity(key.len() + 16);
+        out.extend_from_slice(format!("h{tenant}:{}:", key.len()).as_bytes());
         out.extend_from_slice(key);
-        out.push(b':');
         out
     }
 
@@ -521,6 +518,27 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        // A `:` inside a key or a field never moves the boundary between
+        // them: `a` + `b:c` and `a:b` + `c` are different entries of
+        // different hashes.
+        let hset = |key: &str, field: &str, value: &str| Command::HSet {
+            key: key.into(),
+            pairs: vec![(field.into(), value.into())],
+        };
+        e.execute(1, &hset("a", "b:c", "x"), 0).unwrap();
+        let hget = Command::HGet {
+            key: "a:b".into(),
+            field: "c".into(),
+        };
+        assert_eq!(e.execute(1, &hget, 0).unwrap().reply, RespValue::Bulk(None));
+        e.execute(1, &hset("a:b", "c", "y"), 0).unwrap();
+        let hlen = Command::HLen { key: "a".into() };
+        assert_eq!(e.execute(1, &hlen, 0).unwrap().reply, RespValue::Integer(1));
+        let hgetall = Command::HGetAll { key: "a".into() };
+        assert_eq!(
+            e.execute(1, &hgetall, 0).unwrap().reply,
+            RespValue::array(vec![RespValue::bulk("b:c"), RespValue::bulk("x")])
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! enqueue ──▶ [queued] ──(source & dest idle)──▶ stage:
-//!     begin_join → ResyncTicket::copy_throttled (§3.3 Throttle,
+//!     begin_join → ResyncTicket::copy (§3.3 Throttle,
 //!     copy RU charged to both nodes) → complete_join
 //!   ──▶ [catch-up] binlog tailing until lag ≤ cut-over budget
 //!   ──▶ cut-over: drain to lag 0, epoch-bumped membership swap

@@ -29,11 +29,10 @@ use crate::engine::TableEngine;
 use crate::event_loop::{self, FrontEndConfig, Shutdown, ShutdownHandle};
 use crate::metrics;
 use crate::types::ConsistencyLevel;
+use abase_lavastore::Db;
 use abase_obs::{SlowLog, Span, Stage, Timer};
 use abase_proto::{Command, RespValue, SlowlogSub};
-use abase_replication::{
-    socket, ReadConsistency, RemoteFollowerState, ReplicaGroup, ReplicaSource,
-};
+use abase_replication::{socket, ReadConsistency, RemoteFollowerState, ReplicaGroup};
 use abase_util::lockrank::RankedMutex;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -117,10 +116,10 @@ pub trait ReplicationControl: Send + Sync {
         0
     }
 
-    /// The leader-side source a `PSYNC` replica connection streams from.
+    /// The leader's store, which a `PSYNC` replica connection streams from.
     /// `None` when this node does not lead a replica group (followers and
     /// unreplicated nodes refuse PSYNC).
-    fn replica_source(&self) -> Option<ReplicaSource> {
+    fn replica_source(&self) -> Option<Arc<Db>> {
         None
     }
 
@@ -159,13 +158,8 @@ impl ReplicationControl for RankedMutex<ReplicaGroup> {
         self.lock().followers_acked(lsn)
     }
 
-    fn replica_source(&self) -> Option<ReplicaSource> {
-        let group = self.lock();
-        let leader = group.leader()?;
-        Some(ReplicaSource {
-            db: group.leader_db().ok()?,
-            wal_dir: group.replica_dir(leader).ok()?,
-        })
+    fn replica_source(&self) -> Option<Arc<Db>> {
+        self.lock().leader_db().ok()
     }
 
     fn register_remote(&self, id: u32) -> Result<(Arc<RemoteFollowerState>, u64), String> {
@@ -251,10 +245,11 @@ fn drive_followers(
             return Ok(status.followers_acked);
         }
         if let Some(&id) = status.needs_resync.first() {
-            let ticket = { group.lock().begin_resync(id) }.map_err(|e| e.to_string())?;
-            // The long copy happens without the lock.
-            let info = ticket.copy().map_err(|e| e.to_string())?;
-            match group.lock().complete_resync(ticket, info) {
+            let mut ticket = { group.lock().begin_resync(id) }.map_err(|e| e.to_string())?;
+            // The long copy happens without the lock, through the ticket's
+            // own cursor on the leader's log.
+            ticket.copy(None).map_err(|e| e.to_string())?;
+            match group.lock().complete_resync(ticket) {
                 Ok(()) => {}
                 // Leadership moved mid-copy: loop and retry from the top.
                 Err(abase_replication::Error::ResyncSuperseded) => {}
@@ -494,7 +489,7 @@ pub(crate) fn argv_strings(value: &RespValue) -> Vec<String> {
 }
 
 /// Serve a `PSYNC` replica connection on the leader. The group lock is held
-/// only to clone out the [`ReplicaSource`] and register the follower —
+/// only to clone out the leader's store handle and register the follower —
 /// streaming (and any checkpoint ship) runs with the group unlocked, exactly
 /// like the staged resync copies, so `WAIT`/commit on other connections flow
 /// freely for the duration.
@@ -1448,9 +1443,7 @@ mod tests {
 
     #[test]
     fn psync_streams_a_remote_follower_through_the_resp_server() {
-        use abase_replication::{
-            FollowerPump, GroupConfig, ReplicaGroup, SocketFollower, WriteConcern,
-        };
+        use abase_replication::{Follower, GroupConfig, PumpStatus, ReplicaGroup, WriteConcern};
         let dir = TestDir::new("psync-resp");
         let fdir = TestDir::new("psync-resp-follower");
         let group = ReplicaGroup::bootstrap(
@@ -1473,7 +1466,7 @@ mod tests {
         std::thread::spawn(move || server.run());
         // The follower in "another process": its pump thread drives the
         // REPLCONF/PSYNC handshake and the checkpoint pull.
-        let mut follower = SocketFollower::connect(
+        let mut follower = Follower::connect(
             fdir.path().join("replica"),
             DbConfig::small_for_tests(),
             &addr.to_string(),
@@ -1489,7 +1482,7 @@ mod tests {
                 let mut db = follower_db;
                 while !stop.load(Ordering::Relaxed) {
                     match follower.pump() {
-                        Ok(FollowerPump::Resynced) => db = follower.db(),
+                        Ok(PumpStatus::Resynced) => db = follower.db(),
                         Ok(_) => {}
                         Err(_) => std::thread::sleep(Duration::from_millis(5)),
                     }

@@ -12,10 +12,12 @@
 //!   (`level_base_bytes · level_growth^(n-1)`), its oldest file plus the
 //!   overlapping span of level `n+1` compacts down one level.
 //!
-//! Tombstones are garbage-collected when the output level is the bottom level
-//! and expired records are dropped at any level — the TTL-heavy workloads of
-//! Table 1 (3-hour advertisement joins, 1-day LLM caches) reclaim space purely
-//! through this path.
+//! Tombstones are garbage-collected when the output level is the bottom
+//! level; an expired record gives up its value at any level (it is rewritten
+//! as a tombstone, which still shadows older versions below) and goes
+//! entirely at the bottom — the TTL-heavy workloads of Table 1 (3-hour
+//! advertisement joins, 1-day LLM caches) reclaim space purely through this
+//! path.
 
 use crate::version::SstMeta;
 

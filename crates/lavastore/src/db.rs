@@ -1373,6 +1373,46 @@ mod tests {
     }
 
     #[test]
+    fn expired_value_above_the_bottom_keeps_shadowing_a_deeper_live_one() {
+        let dir = TestDir::new("compact-ttl-shadow");
+        let config = DbConfig {
+            n_stripes: 1,
+            compaction: CompactionConfig {
+                l0_trigger: 2,
+                // L1 is always over budget (everything sinks to L2); L2 never.
+                level_base_bytes: 1,
+                level_growth: 1 << 30,
+                n_levels: 4,
+            },
+            ..DbConfig::small_for_tests()
+        };
+        let db = Db::open(dir.path(), config).unwrap();
+        db.put(b"k", b"old", None, 0).unwrap();
+        db.flush().unwrap();
+        db.put(b"a", b"filler", None, 0).unwrap();
+        db.flush().unwrap();
+        db.compact_to_quiescence(0).unwrap();
+        assert_eq!(db.level_file_counts()[..2], [0, 0], "old version not in L2");
+        // A newer version with a TTL lands in L0, expires, and is compacted
+        // into L1 — not the bottom: L2 still holds the old version.
+        db.put(b"k", b"new", Some(100), 0).unwrap();
+        db.flush().unwrap();
+        db.put(b"z", b"filler", None, 0).unwrap();
+        db.flush().unwrap();
+        assert!(db.compact_once(200).unwrap());
+        assert!(db.level_file_counts()[1] > 0 && db.level_file_counts()[2] > 0);
+        assert_eq!(
+            db.get(b"k", 200).unwrap().value,
+            None,
+            "dead value came back"
+        );
+        // Once the shadow reaches the bottom both versions go.
+        db.compact_to_quiescence(200).unwrap();
+        assert_eq!(db.get(b"k", 200).unwrap().value, None);
+        assert_eq!(db.scan_prefix(b"", 200).unwrap().0.len(), 2);
+    }
+
+    #[test]
     fn compaction_preserves_data_and_reduces_l0() {
         let dir = TestDir::new("compact");
         let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();

@@ -64,9 +64,12 @@ impl MergeIterator {
         Self { heap }
     }
 
-    /// Collapse the stream to the newest version per key, applying GC policy:
-    /// drop records expired at `now`, and drop tombstones when `drop_tombstones`
-    /// (bottom-level compaction, where nothing older can exist).
+    /// Collapse the stream to the newest version per key, applying GC policy.
+    /// A newest version that is dead — a tombstone, or expired at `now` — is
+    /// dropped only when `drop_tombstones` (bottom-level compaction, where
+    /// nothing older can exist). Anywhere else it must keep shadowing older
+    /// versions in deeper levels, so it stays, as a tombstone: an expired
+    /// value dropped there would bring a deeper live version back to life.
     pub fn dedup_newest(self, now: u64, drop_tombstones: bool) -> Vec<Record> {
         let mut out: Vec<Record> = Vec::new();
         let mut last_key: Option<bytes::Bytes> = None;
@@ -75,10 +78,10 @@ impl MergeIterator {
                 continue; // older version of the same key
             }
             last_key = Some(record.key.clone());
-            if record.is_expired(now) {
-                continue;
-            }
-            if drop_tombstones && record.kind == crate::record::RecordKind::Delete {
+            if record.kind == crate::record::RecordKind::Delete || record.is_expired(now) {
+                if !drop_tombstones {
+                    out.push(Record::delete(record.key, record.seq));
+                }
                 continue;
             }
             out.push(record);
@@ -141,8 +144,12 @@ mod tests {
     #[test]
     fn dedup_drops_expired() {
         let a = vec![Record::put("k", "v", 10, Some(100))];
-        let out = MergeIterator::new(vec![a.clone()]).dedup_newest(100, false);
+        // At the bottom an expired record simply goes; above it, a deeper
+        // level may hold an older live version it must keep shadowing.
+        let out = MergeIterator::new(vec![a.clone()]).dedup_newest(100, true);
         assert!(out.is_empty());
+        let out = MergeIterator::new(vec![a.clone()]).dedup_newest(100, false);
+        assert_eq!(out, vec![Record::delete("k", 10)]);
         let kept = MergeIterator::new(vec![a]).dedup_newest(99, false);
         assert_eq!(kept.len(), 1);
     }
@@ -154,7 +161,11 @@ mod tests {
         let newer = vec![Record::put("k", "expired", 10, Some(50))];
         let older = vec![Record::put("k", "live", 5, None)];
         let out = MergeIterator::new(vec![newer, older]).dedup_newest(100, false);
-        assert!(out.is_empty(), "older version resurrected: {out:?}");
+        assert_eq!(
+            out,
+            vec![Record::delete("k", 10)],
+            "older version resurrected"
+        );
     }
 
     #[test]

@@ -1,21 +1,25 @@
-//! The binlog: a tail-reading cursor over a leader's WAL segment files.
+//! The binlog: the filesystem [`LogTransport`], a tail-reading cursor over
+//! the WAL segment files of a [`Db`] in this process.
 //!
 //! LavaStore names its WAL segments `wal-<id>.log` with ids from one
 //! monotonic allocator, so ascending id is chronological. A [`Binlog`]
-//! remembers `(segment, byte offset)` and each [`Binlog::poll`] returns every
-//! record the leader fully framed since the last poll, advancing across
-//! rotated segments. When the cursor's segment has been rotated *away*
-//! (deleted after a memtable flush) before the follower finished it, the
-//! missed records now live only in SSTs — the poll reports [`Poll::Gap`] and
-//! the follower must full-resync from a leader checkpoint
-//! ([`abase_lavastore::Db::checkpoint_with`]), exactly like a Redis replica
-//! falling off the backlog and taking a full sync.
+//! remembers `(segment, byte offset)` and each poll returns every record the
+//! tailed store fully framed since the last poll, advancing across rotated
+//! segments. When the cursor's segment has been rotated *away* (deleted after
+//! a memtable flush) before the follower finished it, the missed records now
+//! live only in SSTs — the poll reports [`Poll::Gap`] and the follower must
+//! full-resync from a checkpoint, exactly like a Redis replica falling off
+//! the backlog and taking a full sync. The cursor holds the store it tails,
+//! so it stages that checkpoint itself ([`Db::checkpoint_with`]) and resumes
+//! at the checkpoint's edge.
 
+use crate::transport::LogTransport;
 use crate::Result;
 use abase_lavastore::record::Record;
 use abase_lavastore::wal::Wal;
-use abase_lavastore::Error as StorageError;
-use std::path::{Path, PathBuf};
+use abase_lavastore::{CheckpointInfo, Db, Error as StorageError};
+use std::path::Path;
+use std::sync::Arc;
 
 /// Outcome of one poll.
 #[derive(Debug)]
@@ -26,10 +30,10 @@ pub enum Poll {
     Gap,
 }
 
-/// A persistent read cursor over a WAL directory.
-#[derive(Debug)]
+/// A read cursor over the WAL directory of a store in this process.
+#[derive(Debug, Clone)]
 pub struct Binlog {
-    dir: PathBuf,
+    db: Arc<Db>,
     /// Current segment id; `None` until the first poll finds one.
     segment: Option<u64>,
     /// Byte offset of the next unread frame within `segment`.
@@ -37,42 +41,26 @@ pub struct Binlog {
 }
 
 impl Binlog {
-    /// Attach to `dir`, positioned at the start of the oldest live segment.
-    pub fn attach(dir: impl AsRef<Path>) -> Self {
+    /// Tail `db`'s log, positioned at the start of its oldest live segment.
+    pub fn attach(db: Arc<Db>) -> Self {
         Self {
-            dir: dir.as_ref().to_path_buf(),
+            db,
             segment: None,
             offset: 0,
         }
     }
+}
 
-    /// Reposition the cursor (used after a full resync: the checkpoint tells
-    /// the follower exactly where the copied state ends in the log).
-    pub fn seek(&mut self, segment: u64, offset: u64) {
-        self.segment = Some(segment);
-        self.offset = offset;
-    }
-
-    /// The directory being tailed.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Current `(segment, offset)` position, if attached to a segment yet.
-    pub fn position(&self) -> Option<(u64, u64)> {
-        self.segment.map(|s| (s, self.offset))
-    }
-
-    /// Read every record fully framed since the last poll.
-    ///
+impl LogTransport for Binlog {
     /// A torn frame at the tail (the leader's buffered writer flushed
     /// mid-frame) parks the cursor before it; the next poll retries. Reports
     /// [`Poll::Gap`] when the cursor's segment no longer exists.
-    pub fn poll(&mut self) -> Result<Poll> {
+    fn poll(&mut self) -> Result<Poll> {
+        let dir = self.db.dir();
         // Chaos sites: a stalled tail reader (returns empty without moving the
         // cursor) or a forced gap (as if the cursor's segment rotated away).
         if abase_util::failpoint::enabled() {
-            match abase_util::failpoint::check("binlog.poll", &self.dir.display().to_string()) {
+            match abase_util::failpoint::check("binlog.poll", &dir.display().to_string()) {
                 Some(abase_util::failpoint::FaultAction::Stall) => {
                     return Ok(Poll::Records(Vec::new()))
                 }
@@ -84,7 +72,7 @@ impl Binlog {
         // the directory traffic minimal: one listing per poll iteration (to
         // decide segment advancement), and one only at first attach.
         if self.segment.is_none() {
-            let ids = Wal::list_segments(&self.dir)?;
+            let ids = Wal::list_segments(dir)?;
             let Some(&oldest) = ids.first() else {
                 return Ok(Poll::Records(Vec::new()));
             };
@@ -96,7 +84,7 @@ impl Binlog {
             let Some(segment) = self.segment else {
                 return Ok(Poll::Records(out));
             };
-            let path = Wal::segment_path(&self.dir, segment);
+            let path = Wal::segment_path(dir, segment);
             match Wal::replay_from(&path, self.offset) {
                 Ok((records, cursor)) => {
                     out.extend(records);
@@ -110,7 +98,7 @@ impl Binlog {
             // A segment is closed exactly when a newer one exists; only then
             // may the cursor advance. Listing *after* the read also catches a
             // rotation that happened while reading, within this same poll.
-            let ids = Wal::list_segments(&self.dir)?;
+            let ids = Wal::list_segments(dir)?;
             match ids.iter().find(|&&id| id > segment) {
                 Some(&next) => {
                     self.segment = Some(next);
@@ -120,6 +108,34 @@ impl Binlog {
             }
         }
         Ok(Poll::Records(out))
+    }
+
+    fn seek(&mut self, segment: u64, offset: u64) {
+        self.segment = Some(segment);
+        self.offset = offset;
+    }
+
+    fn position(&self) -> Option<(u64, u64)> {
+        self.segment.map(|s| (s, self.offset))
+    }
+
+    /// Stream a checkpoint of the tailed store into `staging` (pinned files,
+    /// no store lock held across the byte copy). A failed copy leaves no
+    /// staging tree behind.
+    fn fetch_checkpoint(
+        &mut self,
+        staging: &Path,
+        on_chunk: &mut dyn FnMut(usize),
+    ) -> Result<CheckpointInfo> {
+        std::fs::remove_dir_all(staging).ok();
+        let info = self
+            .db
+            .checkpoint_with(staging, on_chunk)
+            .inspect_err(|_| {
+                std::fs::remove_dir_all(staging).ok();
+            })?;
+        self.seek(info.wal_segment, info.wal_offset);
+        Ok(info)
     }
 }
 
@@ -139,8 +155,8 @@ mod tests {
     #[test]
     fn tails_live_writes() {
         let dir = TestDir::new("tail");
-        let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
-        let mut binlog = Binlog::attach(dir.path());
+        let db = Arc::new(Db::open(dir.path(), DbConfig::small_for_tests()).unwrap());
+        let mut binlog = Binlog::attach(Arc::clone(&db));
         db.put(b"a", b"1", None, 0).unwrap();
         db.put(b"b", b"2", None, 0).unwrap();
         db.flush_wal().unwrap();
@@ -160,8 +176,8 @@ mod tests {
     #[test]
     fn follows_rotation_across_segments() {
         let dir = TestDir::new("rotate");
-        let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
-        let mut binlog = Binlog::attach(dir.path());
+        let db = Arc::new(Db::open(dir.path(), DbConfig::small_for_tests()).unwrap());
+        let mut binlog = Binlog::attach(Arc::clone(&db));
         db.put(b"before", b"x", None, 0).unwrap();
         db.flush_wal().unwrap();
         assert_eq!(expect_records(binlog.poll().unwrap()).len(), 1);
@@ -178,8 +194,8 @@ mod tests {
     #[test]
     fn rotation_before_read_is_a_gap() {
         let dir = TestDir::new("gap");
-        let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
-        let mut binlog = Binlog::attach(dir.path());
+        let db = Arc::new(Db::open(dir.path(), DbConfig::small_for_tests()).unwrap());
+        let mut binlog = Binlog::attach(Arc::clone(&db));
         db.put(b"k1", b"v", None, 0).unwrap();
         db.flush_wal().unwrap();
         // The follower reads the first batch, then stalls while the leader
@@ -200,14 +216,16 @@ mod tests {
     fn seek_resumes_after_checkpoint() {
         let dir = TestDir::new("seek");
         let clone_dir = TestDir::new("seek-clone");
-        let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
+        let db = Arc::new(Db::open(dir.path(), DbConfig::small_for_tests()).unwrap());
         db.put(b"a", b"1", None, 0).unwrap();
         db.put(b"b", b"2", None, 0).unwrap();
-        let info = db.checkpoint(clone_dir.path()).unwrap();
-        // A cursor seeked to the checkpoint boundary sees only post-snapshot
-        // writes.
-        let mut binlog = Binlog::attach(dir.path());
-        binlog.seek(info.wal_segment, info.wal_offset);
+        // The cursor stages the checkpoint itself and is left at its edge:
+        // it sees only post-snapshot writes.
+        let mut binlog = Binlog::attach(Arc::clone(&db));
+        let info = binlog
+            .fetch_checkpoint(clone_dir.path(), &mut |_| {})
+            .unwrap();
+        assert_eq!(binlog.position(), Some((info.wal_segment, info.wal_offset)));
         db.put(b"c", b"3", None, 0).unwrap();
         db.flush_wal().unwrap();
         let records = expect_records(binlog.poll().unwrap());

@@ -12,7 +12,7 @@
 //! chunk, so wall-clock comparisons between the two strategies reflect disk
 //! parallelism rather than incidental filesystem noise.
 
-use crate::{Error, Result};
+use crate::{Binlog, Error, LogTransport, Result};
 use abase_lavastore::Db;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -39,7 +39,10 @@ impl Throttle {
     }
 }
 
-/// One replica to rebuild: copy a checkpoint of `source` into `dest_dir`.
+/// One replica to rebuild: stage a checkpoint of `source` into `dest_dir` —
+/// the replica's final directory for a raw store, a
+/// [`ResyncTicket::staging`](crate::ResyncTicket::staging) directory for a
+/// group member (whose install then goes through the ticket's epoch guard).
 pub struct ReconstructionTask {
     /// The partition whose replica is being rebuilt.
     pub partition: u64,
@@ -47,7 +50,7 @@ pub struct ReconstructionTask {
     pub source: Arc<Db>,
     /// The node hosting `source` — tasks sharing a node share its disk.
     pub source_node: u32,
-    /// Destination data directory for the rebuilt replica.
+    /// Directory the checkpoint is staged into (replaced if it exists).
     pub dest_dir: PathBuf,
 }
 
@@ -75,13 +78,12 @@ fn run_tasks(tasks: Vec<ReconstructionTask>, throttle: Option<Throttle>) -> Resu
     let mut replicas = 0usize;
     let mut bytes = 0u64;
     for task in tasks {
-        std::fs::remove_dir_all(&task.dest_dir).ok();
         let mut on_chunk = |n: usize| {
             if let Some(t) = throttle {
                 t.on_chunk(n);
             }
         };
-        let info = task.source.checkpoint_with(&task.dest_dir, &mut on_chunk)?;
+        let info = Binlog::attach(task.source).fetch_checkpoint(&task.dest_dir, &mut on_chunk)?;
         replicas += 1;
         bytes += info.bytes_copied;
     }

@@ -2,19 +2,29 @@
 //!
 //! A [`ReplicaGroup`] owns a full [`Db`] per replica (in production these
 //! live on different DataNodes; the group object is the control-plane view).
-//! Writes go to the leader; each follower tails the leader's WAL through a
-//! [`Binlog`] and applies records with their original sequence numbers, so a
-//! follower's acked LSN *is* its `Db::last_seq`. The write path enforces a
-//! [`WriteConcern`]; the read path picks a replica per [`ReadConsistency`];
-//! failover promotes the most-caught-up live follower, which — because WAL
-//! shipping applies records in order (prefix property) — retains every write
-//! any follower ever acked below its LSN.
+//! Writes go to the leader; every other member is a [`Follower`] tailing the
+//! leader's WAL through a [`Binlog`] and applying records with their original
+//! sequence numbers, so a follower's acked LSN *is* its `Db::last_seq`. The
+//! write path enforces a [`WriteConcern`]; the read path picks a replica per
+//! [`ReadConsistency`]; failover promotes the most-caught-up live follower,
+//! which — because WAL shipping applies records in order (prefix property) —
+//! retains every write any follower ever acked below its LSN.
+//!
+//! The group adds to a follower only what is group business: liveness and
+//! role, the divergent-history flag, and *placement changes*. Every one of
+//! those — gap resync, migration join, failover re-seed — is a
+//! [`ResyncTicket`]: a cursor of its own on the source member's log, a
+//! staging directory, and the epoch it was issued in. The ticket's cursor
+//! stages the checkpoint while the group is unlocked; the follower's own
+//! cursor is never touched by a copy in flight. On install the follower
+//! takes the ticket's cursor over, already at the checkpoint's edge.
 
-use crate::binlog::{Binlog, Poll};
+use crate::binlog::Binlog;
 use crate::failover::Throttle;
+use crate::follower::{Follower, PumpStatus};
 use crate::transport::LogTransport;
 use crate::{Error, Lsn, Result};
-use abase_lavastore::{CheckpointInfo, Db, DbConfig, Error as StorageError, ReadResult};
+use abase_lavastore::{CheckpointInfo, Db, DbConfig, ReadResult};
 use abase_util::clock::SimTime;
 use abase_util::failpoint::{self, FaultAction};
 use std::path::{Path, PathBuf};
@@ -152,21 +162,58 @@ struct RemoteFollower {
     state: Arc<RemoteFollowerState>,
 }
 
+/// A member's store: the leader's, or the [`Follower`] tailing it.
+enum Node {
+    Leader(Arc<Db>),
+    Follower(Follower),
+}
+
 struct Replica {
     id: ReplicaId,
-    dir: PathBuf,
-    db: Arc<Db>,
-    role: Role,
     alive: bool,
-    /// Follower-only: source of the leader's log records (filesystem
-    /// [`Binlog`] in-process, a socket transport across processes).
-    transport: Option<Box<dyn LogTransport>>,
     /// Forces a checkpoint resync before the next pump (set when a demoted
     /// ex-leader may hold a divergent unacked tail whose sequence numbers
     /// would wrongly dedup against the new leader's history).
     needs_full_resync: bool,
-    /// Full resynchronizations performed (fell off the leader's log).
+    /// Full resynchronizations performed (roles change and rebuild the
+    /// [`Follower`]; the replica's history does not).
     resyncs: u64,
+    node: Node,
+}
+
+impl Replica {
+    fn db(&self) -> &Arc<Db> {
+        match &self.node {
+            Node::Leader(db) => db,
+            Node::Follower(f) => &f.db,
+        }
+    }
+
+    /// Highest LSN applied.
+    fn lsn(&self) -> Lsn {
+        self.db().last_seq()
+    }
+
+    fn role(&self) -> Role {
+        match self.node {
+            Node::Leader(_) => Role::Leader,
+            Node::Follower(_) => Role::Follower,
+        }
+    }
+
+    fn leads(&self) -> bool {
+        self.alive && self.role() == Role::Leader
+    }
+
+    fn follows(&self) -> bool {
+        self.alive && self.role() == Role::Follower
+    }
+
+    /// Take (or keep) the follower role, tailing through `cursor`.
+    fn follow(&mut self, config: DbConfig, cursor: Binlog) {
+        let db = Arc::clone(self.db());
+        self.node = Node::Follower(Follower::over(db, config, Box::new(cursor)));
+    }
 }
 
 /// Observability snapshot for one replica.
@@ -229,18 +276,6 @@ pub struct ReplicaGroup {
     epoch: u64,
 }
 
-/// What one shallow (no-resync) pump pass observed for a follower.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PumpStatus {
-    /// Nothing to pump: the replica is dead, not a follower, or detached.
-    Idle,
-    /// The cursor is live; zero or more records were applied.
-    Applied,
-    /// The follower fell off the leader's log (or carries divergent history)
-    /// and needs a full resync before shipping can continue.
-    NeedsResync,
-}
-
 /// Outcome of one [`ReplicaGroup::advance`] pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdvanceStatus {
@@ -252,38 +287,27 @@ pub struct AdvanceStatus {
     pub needs_resync: Vec<ReplicaId>,
 }
 
-/// What a staged checkpoint copy will become once installed: a refreshed
-/// existing follower (gap resync) or a brand-new group member (migration /
-/// reconstruction staging). Both run through the same [`ResyncTicket`]
-/// machinery — one placement-change path, two install targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StageTarget {
-    /// Replace an existing follower's divergent/gapped state.
-    Resync,
-    /// Install a new follower that was not previously a member.
-    Join,
-}
-
 /// A prepared, staged replica-placement change whose (long) checkpoint copy
 /// runs without borrowing the group: [`ReplicaGroup::begin_resync`] (refresh
 /// an existing follower) or [`ReplicaGroup::begin_join`] (stage a new member
-/// — the migration/reconstruction path) hands one out, [`ResyncTicket::copy`]
-/// / [`ResyncTicket::copy_throttled`] streams the leader checkpoint into a
-/// staging directory, and [`ReplicaGroup::complete_resync`] /
-/// [`ReplicaGroup::complete_join`] atomically installs it. Callers that guard
-/// the group with a mutex (the RESP server) drop the lock around `copy`, so
-/// `WAIT`/commit on other keys are not blocked for the duration of the
-/// transfer.
+/// — migration and failover re-seeding) hands one out, [`ResyncTicket::copy`]
+/// streams a checkpoint of the source member into a staging directory, and
+/// [`ReplicaGroup::complete_resync`] / [`ReplicaGroup::complete_join`]
+/// atomically installs it. Callers that guard the group with a mutex (the
+/// RESP server) drop the lock around `copy`, so `WAIT`/commit on other keys
+/// are not blocked for the duration of the transfer.
 #[derive(Debug)]
 pub struct ResyncTicket {
     follower: ReplicaId,
     epoch: u64,
-    leader: Arc<Db>,
-    leader_dir: PathBuf,
+    /// The ticket's own cursor on the source member's log.
+    source: Binlog,
+    /// Does `source` tail the leader? Only then does the checkpoint's edge
+    /// name a position in the log the installed follower will tail.
+    source_leads: bool,
     staging: PathBuf,
-    /// Directory the staged copy is renamed into on install.
+    /// Directory a joining member's staged copy is renamed into.
     install_dir: PathBuf,
-    target: StageTarget,
 }
 
 impl ResyncTicket {
@@ -293,37 +317,24 @@ impl ResyncTicket {
         self.follower
     }
 
-    /// Stream a leader checkpoint into the staging directory. Does not touch
-    /// the follower's live state: a failure mid-copy (source died, disk
-    /// error) leaves the follower exactly as it was, still serving its
-    /// (valid prefix) history.
-    pub fn copy(&self) -> Result<CheckpointInfo> {
-        self.copy_with(&mut |_| {})
+    /// Where the copy is staged — what a [`crate::ReconstructionTask`] that
+    /// runs this ticket's copy on a failover worker names as its `dest_dir`.
+    pub fn staging(&self) -> &Path {
+        &self.staging
     }
 
-    /// [`ResyncTicket::copy`] under a per-disk bandwidth [`Throttle`] — the
-    /// §3.3 recovery-bandwidth model: migration and reconstruction copies
-    /// charge the same modeled disk budget as failover re-seeding, so live
-    /// moves never consume more I/O than the recovery plane is allowed to.
-    pub fn copy_throttled(&self, throttle: Option<&Throttle>) -> Result<CheckpointInfo> {
-        self.copy_with(&mut |chunk| {
+    /// Stream a checkpoint of the source into the staging directory under an
+    /// optional per-disk bandwidth [`Throttle`] — the §3.3 recovery-bandwidth
+    /// model: resync, migration and reconstruction copies charge the same
+    /// modeled disk budget. Does not touch the follower's live state: a
+    /// failure mid-copy (source died, disk error) leaves the follower exactly
+    /// as it was, still serving its (valid prefix) history.
+    pub fn copy(&mut self, throttle: Option<&Throttle>) -> Result<CheckpointInfo> {
+        self.source.fetch_checkpoint(&self.staging, &mut |chunk| {
             if let Some(t) = throttle {
                 t.on_chunk(chunk);
             }
         })
-    }
-
-    /// Stream a leader checkpoint into the staging directory, reporting each
-    /// copied chunk to `on_chunk` (bandwidth throttling, RU accounting).
-    pub fn copy_with(&self, on_chunk: &mut dyn FnMut(usize)) -> Result<CheckpointInfo> {
-        std::fs::remove_dir_all(&self.staging).ok();
-        match self.leader.checkpoint_with(&self.staging, on_chunk) {
-            Ok(info) => Ok(info),
-            Err(e) => {
-                std::fs::remove_dir_all(&self.staging).ok();
-                Err(e.into())
-            }
-        }
     }
 }
 
@@ -371,26 +382,20 @@ impl ReplicaGroup {
             "a group needs at least one replica"
         );
         let base_dir = base_dir.as_ref();
-        let leader_dir = replica_dir(base_dir, partition, replica_ids[0]);
-        let mut replicas = Vec::with_capacity(replica_ids.len());
-        for (i, &id) in replica_ids.iter().enumerate() {
-            let dir = replica_dir(base_dir, partition, id);
-            let db = Arc::new(Db::open(&dir, config.db)?);
-            let (role, transport): (Role, Option<Box<dyn LogTransport>>) = if i == 0 {
-                (Role::Leader, None)
-            } else {
-                (Role::Follower, Some(Box::new(Binlog::attach(&leader_dir))))
-            };
-            replicas.push(Replica {
+        let mut replicas: Vec<Replica> = Vec::with_capacity(replica_ids.len());
+        for &id in replica_ids {
+            let db = Arc::new(Db::open(replica_dir(base_dir, partition, id), config.db)?);
+            let mut replica = Replica {
                 id,
-                dir,
-                db,
-                role,
                 alive: true,
-                transport,
                 needs_full_resync: false,
                 resyncs: 0,
-            });
+                node: Node::Leader(db),
+            };
+            if let Some(leader) = replicas.first() {
+                replica.follow(config.db, Binlog::attach(Arc::clone(leader.db())));
+            }
+            replicas.push(replica);
         }
         Ok(Self {
             partition,
@@ -424,29 +429,26 @@ impl ReplicaGroup {
 
     /// The live leader's id.
     pub fn leader(&self) -> Option<ReplicaId> {
-        self.replicas
-            .iter()
-            .find(|r| r.role == Role::Leader && r.alive)
-            .map(|r| r.id)
+        self.replicas.iter().find(|r| r.leads()).map(|r| r.id)
     }
 
     /// The live leader's database handle.
     pub fn leader_db(&self) -> Result<Arc<Db>> {
         self.replicas
             .iter()
-            .find(|r| r.role == Role::Leader && r.alive)
-            .map(|r| Arc::clone(&r.db))
+            .find(|r| r.leads())
+            .map(|r| Arc::clone(r.db()))
             .ok_or(Error::NoLeader)
     }
 
     /// A replica's current database handle (replaced wholesale on resync).
     pub fn db(&self, id: ReplicaId) -> Result<Arc<Db>> {
-        self.find(id).map(|r| Arc::clone(&r.db))
+        self.find(id).map(|r| Arc::clone(r.db()))
     }
 
     /// A replica's on-disk directory.
     pub fn replica_dir(&self, id: ReplicaId) -> Result<PathBuf> {
-        self.find(id).map(|r| r.dir.clone())
+        self.find(id).map(|r| r.db().dir().to_path_buf())
     }
 
     /// Is the replica marked reachable?
@@ -456,7 +458,7 @@ impl ReplicaGroup {
 
     /// Highest LSN `id` has applied.
     pub fn acked_lsn(&self, id: ReplicaId) -> Result<Lsn> {
-        self.find(id).map(|r| r.db.last_seq())
+        self.find(id).map(Replica::lsn)
     }
 
     /// The live leader's current LSN (what followers converge toward).
@@ -478,7 +480,7 @@ impl ReplicaGroup {
         self.replicas
             .iter()
             .filter(|r| r.alive && !r.needs_full_resync)
-            .filter(|r| min_lsn.is_none_or(|lsn| r.db.last_seq() >= lsn))
+            .filter(|r| min_lsn.is_none_or(|lsn| r.lsn() >= lsn))
             .map(|r| r.id)
             .collect()
     }
@@ -493,7 +495,7 @@ impl ReplicaGroup {
     pub fn acked_count(&self, lsn: Lsn) -> usize {
         self.replicas
             .iter()
-            .filter(|r| r.alive && !r.needs_full_resync && r.db.last_seq() >= lsn)
+            .filter(|r| r.alive && !r.needs_full_resync && r.lsn() >= lsn)
             .count()
             + self.remote_acked(lsn)
     }
@@ -657,30 +659,25 @@ impl ReplicaGroup {
     /// `need` replicas ack. Returns whether any follower made progress
     /// (applied records or completed a resync).
     fn pump_lagging(&mut self, lsn: Lsn, need: usize) -> Result<bool> {
-        // A divergent (needs-resync) follower is lagging regardless of its
-        // raw LSN: it cannot ack until a resync replaces its history.
-        let lagging: Vec<(ReplicaId, Lsn, u64)> = self
-            .replicas
-            .iter()
-            .filter(|r| {
-                r.alive
-                    && r.role == Role::Follower
-                    && (r.db.last_seq() < lsn || r.needs_full_resync)
-            })
-            .map(|r| (r.id, r.db.last_seq(), r.resyncs))
-            .collect();
         let mut progressed = false;
-        for (id, seq_before, resyncs_before) in lagging {
-            self.pump_follower(id)?;
-            let r = self.find(id)?;
-            if r.db.last_seq() != seq_before || r.resyncs != resyncs_before {
-                progressed = true;
-            }
+        for id in self.lagging(lsn) {
+            progressed |= self.pump_follower(id)? != PumpStatus::Idle;
             if self.acked_count(lsn) >= need {
                 break;
             }
         }
         Ok(progressed)
+    }
+
+    /// Live followers that have not applied `lsn`. A divergent (needs-resync)
+    /// follower is lagging regardless of its raw LSN: it cannot ack until a
+    /// resync replaces its history.
+    fn lagging(&self, lsn: Lsn) -> Vec<ReplicaId> {
+        self.replicas
+            .iter()
+            .filter(|r| r.follows() && (r.lsn() < lsn || r.needs_full_resync))
+            .map(|r| r.id)
+            .collect()
     }
 
     /// Pump until at least `numreplicas` *followers* have applied `lsn` or
@@ -709,12 +706,7 @@ impl ReplicaGroup {
     pub fn followers_acked(&self, lsn: Lsn) -> usize {
         self.replicas
             .iter()
-            .filter(|r| {
-                r.alive
-                    && r.role == Role::Follower
-                    && !r.needs_full_resync
-                    && r.db.last_seq() >= lsn
-            })
+            .filter(|r| r.follows() && !r.needs_full_resync && r.lsn() >= lsn)
             .count()
             + self.remote_acked(lsn)
     }
@@ -725,18 +717,8 @@ impl ReplicaGroup {
     /// keep long checkpoint copies outside their critical section.
     pub fn advance(&mut self, lsn: Lsn) -> Result<AdvanceStatus> {
         self.leader_db()?.flush_wal()?;
-        let ids: Vec<ReplicaId> = self
-            .replicas
-            .iter()
-            .filter(|r| {
-                r.alive
-                    && r.role == Role::Follower
-                    && (r.db.last_seq() < lsn || r.needs_full_resync)
-            })
-            .map(|r| r.id)
-            .collect();
         let mut needs_resync = Vec::new();
-        for id in ids {
+        for id in self.lagging(lsn) {
             if self.pump_follower_shallow(id)? == PumpStatus::NeedsResync {
                 needs_resync.push(id);
             }
@@ -753,13 +735,8 @@ impl ReplicaGroup {
         if let Ok(leader) = self.leader_db() {
             leader.flush_wal()?;
         }
-        let ids: Vec<ReplicaId> = self
-            .replicas
-            .iter()
-            .filter(|r| r.alive && r.role == Role::Follower)
-            .map(|r| r.id)
-            .collect();
-        for id in ids {
+        // Every live follower: none has applied `Lsn::MAX`.
+        for id in self.lagging(Lsn::MAX) {
             self.pump_follower(id)?;
         }
         self.refresh_lag_gauges();
@@ -773,11 +750,9 @@ impl ReplicaGroup {
             return;
         };
         for r in &self.replicas {
-            if r.role == Role::Follower && r.alive {
-                crate::metrics::FOLLOWER_LAG.set(
-                    &r.id.to_string(),
-                    leader_lsn.saturating_sub(r.db.last_seq()) as i64,
-                );
+            if r.follows() {
+                crate::metrics::FOLLOWER_LAG
+                    .set(&r.id.to_string(), leader_lsn.saturating_sub(r.lsn()) as i64);
             }
         }
         for &(id, acked, connected) in &self.status().remote_followers {
@@ -812,13 +787,13 @@ impl ReplicaGroup {
             ReadConsistency::Leader => self
                 .replicas
                 .iter()
-                .position(|r| r.role == Role::Leader && r.alive)
+                .position(|r| r.leads())
                 .ok_or(Error::NoLeader)?,
             ReadConsistency::Eventual => self
                 .pick_replica(|r| !r.needs_full_resync)
                 .ok_or(Error::NoLeader)?,
             ReadConsistency::ReadYourWrites(lsn) => self
-                .pick_replica(|r| !r.needs_full_resync && r.db.last_seq() >= lsn)
+                .pick_replica(|r| !r.needs_full_resync && r.lsn() >= lsn)
                 .ok_or(Error::NoQuorum { need: 1, acked: 0 })?,
         };
         self.serve_from(replica, key, now)
@@ -843,7 +818,7 @@ impl ReplicaGroup {
             return Err(Error::ReplicaUnavailable(id));
         }
         if let Some(need) = min_lsn {
-            let lsn = r.db.last_seq();
+            let lsn = r.lsn();
             if lsn < need {
                 return Err(Error::StaleReplica {
                     replica: id,
@@ -858,15 +833,10 @@ impl ReplicaGroup {
     /// Serve a read from the replica at `idx`, stamping provenance.
     fn serve_from(&self, idx: usize, key: &[u8], now: SimTime) -> Result<RoutedRead> {
         let r = &self.replicas[idx];
-        let replica_lsn = r.db.last_seq();
-        let leader_lsn = self
-            .replicas
-            .iter()
-            .find(|x| x.role == Role::Leader && x.alive)
-            .map(|x| x.db.last_seq())
-            .unwrap_or(replica_lsn);
+        let replica_lsn = r.lsn();
+        let leader_lsn = self.leader_lsn().unwrap_or(replica_lsn);
         Ok(RoutedRead {
-            result: r.db.get(key, now)?,
+            result: r.db().get(key, now)?,
             replica: r.id,
             replica_lsn,
             lag: leader_lsn.saturating_sub(replica_lsn),
@@ -910,7 +880,7 @@ impl ReplicaGroup {
         self.find(id)
             .ok()
             .filter(|r| r.alive && !r.needs_full_resync)
-            .map(|r| r.db.last_seq())
+            .map(Replica::lsn)
     }
 
     /// Elect the most-caught-up live follower as leader after the old leader
@@ -921,313 +891,236 @@ impl ReplicaGroup {
     /// (a revived ex-leader with a divergent tail) is never a candidate: its
     /// LSN counts history the group may have replaced.
     pub fn promote(&mut self) -> Result<ReplicaId> {
-        if self
-            .replicas
-            .iter()
-            .any(|r| r.role == Role::Leader && r.alive)
-        {
+        if self.replicas.iter().any(|r| r.leads()) {
             return Err(Error::LeaderStillAlive);
         }
         let winner = self
             .replicas
             .iter()
-            .filter(|r| r.alive && r.role == Role::Follower && !r.needs_full_resync)
+            .filter(|r| r.follows() && !r.needs_full_resync)
             .max_by(|a, b| {
-                a.db.last_seq()
-                    .cmp(&b.db.last_seq())
+                a.lsn()
+                    .cmp(&b.lsn())
                     // Deterministic tie-break: prefer the lowest id.
                     .then(b.id.cmp(&a.id))
             })
             .map(|r| r.id)
             .ok_or(Error::NoPromotionCandidate)?;
-        let leader_dir = self.find(winner)?.dir.clone();
+        // A dead ex-leader may carry unacked records that share sequence
+        // numbers with the new leader's history; WAL shipping alone cannot
+        // reconcile that, so force a checkpoint resync before it ever serves
+        // again.
         for r in &mut self.replicas {
-            if r.id == winner {
-                r.role = Role::Leader;
-                r.transport = None;
-            } else {
-                // Everyone else — including the dead ex-leader — becomes a
-                // follower of the winner. Demoting the old leader here is
-                // what prevents split brain: if it is later revived it tails
-                // the new leader instead of silently resuming leadership.
-                // Fresh attach: duplicate records dedup on apply; if the new
-                // leader already rotated past what a follower needs, the gap
-                // path triggers a full resync. An ex-leader whose unacked
-                // tail diverged resyncs the same way (its WAL is discarded
-                // for a checkpoint of the new leader).
-                if r.role == Role::Leader {
-                    // A dead ex-leader may carry unacked records that share
-                    // sequence numbers with the new leader's history; WAL
-                    // shipping alone cannot reconcile that, so force a
-                    // checkpoint resync before it ever serves again.
-                    r.needs_full_resync = true;
-                }
-                r.role = Role::Follower;
-                r.transport = Some(Box::new(Binlog::attach(&leader_dir)));
-            }
+            r.needs_full_resync |= r.role() == Role::Leader;
         }
-        // Leadership changed: any in-flight resync copy from the old leader
-        // must not install (its ticket carries the previous epoch).
-        self.epoch += 1;
+        // Everyone else — including the dead ex-leader — becomes a follower
+        // of the winner. Demoting the old leader here is what prevents split
+        // brain: if it is later revived it tails the new leader instead of
+        // silently resuming leadership. Fresh attach: duplicate records dedup
+        // on apply; if the new leader already rotated past what a follower
+        // needs, the gap path triggers a full resync.
+        self.install_leader(winner, |_| None)?;
         Ok(winner)
     }
 
-    /// Replace a dead member with a freshly reconstructed replica whose data
-    /// directory `dir` was seeded by [`crate::failover`]. The new replica
-    /// opens the copied state and starts tailing the current leader.
-    pub fn adopt_replica(
+    /// Switch roles: `leader` leads, every other member follows it through a
+    /// fresh cursor, seeked where `seek` says that member may skip to. Bumps
+    /// the epoch: an in-flight ticket staged under the old leadership must
+    /// not install.
+    fn install_leader(
         &mut self,
-        dead: ReplicaId,
-        new_id: ReplicaId,
-        dir: PathBuf,
+        leader: ReplicaId,
+        seek: impl Fn(&Replica) -> Option<(u64, u64)>,
     ) -> Result<()> {
-        let leader_dir = {
-            let leader = self
-                .replicas
-                .iter()
-                .find(|r| r.role == Role::Leader && r.alive)
-                .ok_or(Error::NoLeader)?;
-            leader.dir.clone()
-        };
-        let slot = self.find_index(dead)?;
-        let db = Arc::new(Db::open(&dir, self.config.db)?);
-        self.replicas[slot] = Replica {
-            id: new_id,
-            dir,
-            db,
-            role: Role::Follower,
-            alive: true,
-            transport: Some(Box::new(Binlog::attach(&leader_dir))),
-            needs_full_resync: false,
-            resyncs: 0,
-        };
-        // Membership changed: stale resync tickets must not install.
-        self.epoch += 1;
-        // Catch the newcomer up to the leader's current position.
-        self.pump_follower(new_id)
-    }
-
-    /// Pump one follower's binlog: apply newly shipped records; on a gap,
-    /// full-resync from a leader checkpoint and continue tailing from there.
-    pub fn pump_follower(&mut self, id: ReplicaId) -> Result<()> {
-        // Two rounds maximum: a gap resolves through resync, after which the
-        // second poll must succeed (the cursor sits at a live position).
-        for _ in 0..2 {
-            match self.pump_follower_shallow(id)? {
-                PumpStatus::Idle | PumpStatus::Applied => return Ok(()),
-                PumpStatus::NeedsResync => self.resync_follower(id)?,
+        let config = self.config.db;
+        let leader_db = Arc::clone(self.find(leader)?.db());
+        for r in &mut self.replicas {
+            if r.id == leader {
+                r.node = Node::Leader(Arc::clone(r.db()));
+            } else {
+                let mut cursor = Binlog::attach(Arc::clone(&leader_db));
+                if let Some((segment, offset)) = seek(r) {
+                    cursor.seek(segment, offset);
+                }
+                r.follow(config, cursor);
             }
         }
+        self.epoch += 1;
         Ok(())
     }
 
-    /// One poll-and-apply pass for a follower, *without* resolving gaps:
+    /// Pump one follower: apply newly shipped records; on a gap, full-resync
+    /// from a leader checkpoint and continue tailing from there.
+    pub fn pump_follower(&mut self, id: ReplicaId) -> Result<PumpStatus> {
+        let status = self.pump_follower_shallow(id)?;
+        if status != PumpStatus::NeedsResync {
+            return Ok(status);
+        }
+        // Staged: a copy that fails mid-stream leaves the follower untouched
+        // on its old (valid prefix) state.
+        let mut ticket = self.begin_resync(id)?;
+        ticket.copy(None)?;
+        self.complete_resync(ticket)?;
+        // The cursor sits at the checkpoint's edge: pick up what the leader
+        // appended while the copy ran.
+        self.pump_follower_shallow(id)?;
+        Ok(PumpStatus::Resynced)
+    }
+
+    /// One [`Follower`] pass for member `id`, *without* resolving gaps:
     /// [`PumpStatus::NeedsResync`] tells the caller a full resync is due
     /// (which [`ReplicaGroup::pump_follower`] runs inline and lock-holding
     /// callers run through the ticket API).
     pub fn pump_follower_shallow(&mut self, id: ReplicaId) -> Result<PumpStatus> {
-        let idx = self.find_index(id)?;
-        {
-            let r = &self.replicas[idx];
-            if !r.alive || r.role != Role::Follower {
-                return Ok(PumpStatus::Idle);
-            }
-            if r.needs_full_resync {
-                return Ok(PumpStatus::NeedsResync);
-            }
-            // Chaos site: one follower's pump stalls (its peers still ship).
-            if failpoint::enabled()
-                && failpoint::check("group.pump", &r.dir.display().to_string())
-                    == Some(FaultAction::Stall)
-            {
-                return Ok(PumpStatus::Applied);
-            }
-        }
-        let pump_timer = abase_obs::Timer::start();
-        let outcome = {
-            let r = &mut self.replicas[idx];
-            let Some(transport) = r.transport.as_mut() else {
-                return Ok(PumpStatus::Idle);
-            };
-            transport.poll()?
+        let r = self.find_mut(id)?;
+        let Node::Follower(follower) = &mut r.node else {
+            return Ok(PumpStatus::Idle);
         };
-        match outcome {
-            Poll::Records(records) => {
-                let r = &mut self.replicas[idx];
-                crate::metrics::SHIP_RECORDS.add(records.len() as u64);
-                for record in &records {
-                    match r.db.apply_replicated(record) {
-                        Ok(_) => {}
-                        Err(StorageError::InvalidState(_)) => {
-                            // LSN gap inside the stream (possible after a
-                            // leader change): fall back to full resync.
-                            return Ok(PumpStatus::NeedsResync);
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                // Acknowledge through the transport: a no-op for the
-                // filesystem binlog (the leader reads `Db::last_seq`
-                // directly), a `REPLCONF ACK` for socket transports whose
-                // leader lives in another process.
-                let lsn = r.db.last_seq();
-                if let Some(t) = r.transport.as_mut() {
-                    t.ack(lsn)?;
-                    crate::metrics::ACKS.inc();
-                }
-                pump_timer.observe(&crate::metrics::PUMP_MICROS);
-                Ok(PumpStatus::Applied)
-            }
-            Poll::Gap => Ok(PumpStatus::NeedsResync),
+        if !r.alive {
+            return Ok(PumpStatus::Idle);
         }
+        if r.needs_full_resync {
+            return Ok(PumpStatus::NeedsResync);
+        }
+        // Chaos site: one follower's pump stalls (its peers still ship).
+        if failpoint::enabled()
+            && failpoint::check("group.pump", &follower.db.dir().display().to_string())
+                == Some(FaultAction::Stall)
+        {
+            return Ok(PumpStatus::Idle);
+        }
+        follower.pump_shallow()
     }
 
     /// Prepare a full resync of `id` from the current leader. The returned
     /// ticket owns a staging directory next to the follower's; nothing about
     /// the follower changes until [`ReplicaGroup::complete_resync`].
     pub fn begin_resync(&mut self, id: ReplicaId) -> Result<ResyncTicket> {
-        let dir = self.find(id)?.dir.clone();
-        self.stage_ticket(id, dir, StageTarget::Resync)
+        let dir = self.replica_dir(id)?;
+        self.stage_ticket(id, dir, None)
     }
 
     /// Prepare staging a **new** member `new_id` (its replica directory will
-    /// live under `base_dir`, laid out by [`replica_dir`]) from a leader
-    /// checkpoint — the entry point live partition migration and replica
-    /// re-seeding share with the gap-resync path: same ticket, same staged
-    /// copy, same epoch guard. Nothing about the group changes until
+    /// live under `base_dir`, laid out by [`replica_dir`]) from a checkpoint
+    /// of `source` — a live member picked to spread recovery reads (§3.3), or
+    /// `None` for the leader. Live partition migration and failover
+    /// re-seeding share this with the gap-resync path: same ticket, same
+    /// staged copy, same epoch guard. Nothing about the group changes until
     /// [`ReplicaGroup::complete_join`].
-    pub fn begin_join(&mut self, new_id: ReplicaId, base_dir: &Path) -> Result<ResyncTicket> {
+    pub fn begin_join(
+        &mut self,
+        new_id: ReplicaId,
+        base_dir: &Path,
+        source: Option<ReplicaId>,
+    ) -> Result<ResyncTicket> {
         if self.find(new_id).is_ok() {
             return Err(Error::AlreadyMember(new_id));
         }
         let dir = replica_dir(base_dir, self.partition, new_id);
-        self.stage_ticket(new_id, dir, StageTarget::Join)
+        self.stage_ticket(new_id, dir, source)
     }
 
-    /// The shared staging entry: a ticket copying the current leader's
-    /// checkpoint toward `install_dir`, valid for the current epoch only.
+    /// The shared staging entry: a ticket copying a checkpoint of `source`
+    /// (default: the leader) toward `install_dir`, valid for the current
+    /// epoch only.
     fn stage_ticket(
         &mut self,
         id: ReplicaId,
         install_dir: PathBuf,
-        target: StageTarget,
+        source: Option<ReplicaId>,
     ) -> Result<ResyncTicket> {
-        let leader = self.leader_db()?;
-        let leader_dir = {
-            let l = self
-                .replicas
-                .iter()
-                .find(|r| r.role == Role::Leader && r.alive)
-                .ok_or(Error::NoLeader)?;
-            l.dir.clone()
-        };
+        let leader = self.leader().ok_or(Error::NoLeader)?;
+        let source = self.find(source.unwrap_or(leader))?;
+        if !source.alive || source.needs_full_resync {
+            // A dead disk cannot be read; divergent history must not spread.
+            return Err(Error::ReplicaUnavailable(source.id));
+        }
         // Unique per ticket: two connections may race resyncs for the same
         // follower with their group lock dropped, and sharing one staging
         // path would let one copy clobber the other mid-stream.
-        static STAGING_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        static STAGING_SEQ: AtomicU64 = AtomicU64::new(0);
         let staging = install_dir.with_extension(format!(
             "resync-{}",
-            STAGING_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            STAGING_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         Ok(ResyncTicket {
             follower: id,
             epoch: self.epoch,
-            leader,
-            leader_dir,
+            source: Binlog::attach(Arc::clone(source.db())),
+            source_leads: source.id == leader,
             staging,
             install_dir,
-            target,
         })
     }
 
+    /// The epoch guard both installs share, and the cursor the installed
+    /// follower tails through: the ticket's own when it staged from the
+    /// leader (already at the checkpoint's edge), else a fresh one on the
+    /// leader — the checkpoint's edge then names a position in the *source's*
+    /// log, so the follower re-reads the leader's retained log and dedups
+    /// forward. A refused ticket is dropped by the caller's `?`, which
+    /// removes its staging tree.
+    fn admit(&self, ticket: &ResyncTicket) -> Result<Box<dyn LogTransport>> {
+        if ticket.epoch != self.epoch {
+            return Err(Error::ResyncSuperseded);
+        }
+        Ok(Box::new(if ticket.source_leads {
+            ticket.source.clone()
+        } else {
+            Binlog::attach(self.leader_db()?)
+        }))
+    }
+
     /// Atomically install a completed resync copy: swap the staged checkpoint
-    /// into the follower's directory, reopen it, and seek its binlog to where
-    /// the checkpoint ends. Refuses a ticket from an older epoch (the
-    /// leadership or membership changed while the copy ran) — the caller
-    /// simply retries against the new leader.
-    pub fn complete_resync(&mut self, ticket: ResyncTicket, info: CheckpointInfo) -> Result<()> {
-        if ticket.epoch != self.epoch || ticket.target != StageTarget::Resync {
-            std::fs::remove_dir_all(&ticket.staging).ok();
+    /// into the follower's directory, reopen it, and tail on from where the
+    /// checkpoint ends. Refuses a ticket from an older epoch (the leadership
+    /// or membership changed while the copy ran) — the caller simply retries
+    /// against the new leader.
+    pub fn complete_resync(&mut self, ticket: ResyncTicket) -> Result<()> {
+        let cursor = self.admit(&ticket)?;
+        let r = self.find_mut(ticket.follower)?;
+        let Node::Follower(follower) = &mut r.node else {
             return Err(Error::ResyncSuperseded);
-        }
-        let idx = match self.find_index(ticket.follower) {
-            Ok(idx) => idx,
-            Err(e) => {
-                std::fs::remove_dir_all(&ticket.staging).ok();
-                return Err(e);
-            }
         };
-        if self.replicas[idx].role != Role::Follower {
-            std::fs::remove_dir_all(&ticket.staging).ok();
-            return Err(Error::ResyncSuperseded);
-        }
-        let dir = self.replicas[idx].dir.clone();
-        install_staged(&ticket.staging, &dir)?;
-        let db = Arc::new(Db::open(&dir, self.config.db)?);
-        let r = &mut self.replicas[idx];
-        r.db = db;
-        let mut binlog = Binlog::attach(&ticket.leader_dir);
-        binlog.seek(info.wal_segment, info.wal_offset);
-        r.transport = Some(Box::new(binlog));
+        follower.install(&ticket.staging, Some(cursor))?;
         r.needs_full_resync = false;
         r.resyncs += 1;
-        crate::metrics::RESYNCS.inc();
         Ok(())
     }
 
     /// Atomically install a staged **join**: swap the staged checkpoint into
     /// the new member's directory, open it, and add it to the group as a
-    /// follower tailing the leader from where the checkpoint ends. Refuses a
-    /// ticket from an older epoch — leadership or membership changed while
-    /// the copy ran, so the staged bytes may descend from a deposed leader.
-    /// Membership changes, so the epoch bumps (any other in-flight ticket is
-    /// thereby superseded).
-    pub fn complete_join(&mut self, ticket: ResyncTicket, info: CheckpointInfo) -> Result<()> {
-        if ticket.epoch != self.epoch || ticket.target != StageTarget::Join {
-            std::fs::remove_dir_all(&ticket.staging).ok();
-            return Err(Error::ResyncSuperseded);
-        }
+    /// follower of the leader. Refuses a ticket from an older epoch —
+    /// leadership or membership changed while the copy ran, so the staged
+    /// bytes may descend from a deposed leader. Membership changes, so the
+    /// epoch bumps (any other in-flight ticket is thereby superseded).
+    pub fn complete_join(&mut self, ticket: ResyncTicket) -> Result<()> {
+        let cursor = self.admit(&ticket)?;
         if self.find(ticket.follower).is_ok() {
-            std::fs::remove_dir_all(&ticket.staging).ok();
             return Err(Error::AlreadyMember(ticket.follower));
         }
-        let dir = ticket.install_dir.clone();
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::rename(&ticket.staging, &dir).map_err(StorageError::Io)?;
-        let db = match Db::open(&dir, self.config.db) {
-            Ok(db) => Arc::new(db),
-            Err(e) => {
-                // The copy was renamed into place but never became a member:
-                // reclaim the directory so a failed join leaves no orphan.
-                std::fs::remove_dir_all(&dir).ok();
-                return Err(e.into());
-            }
-        };
-        let mut binlog = Binlog::attach(&ticket.leader_dir);
-        binlog.seek(info.wal_segment, info.wal_offset);
+        let follower =
+            Follower::from_staged(&ticket.staging, &ticket.install_dir, self.config.db, cursor)?;
         self.replicas.push(Replica {
             id: ticket.follower,
-            dir,
-            db,
-            role: Role::Follower,
             alive: true,
-            transport: Some(Box::new(binlog)),
             needs_full_resync: false,
             resyncs: 0,
+            node: Node::Follower(follower),
         });
         self.epoch += 1;
         Ok(())
     }
 
-    /// Remove a member from the group (migration source teardown, or
-    /// discarding an aborted staged join). The member may be dead or alive,
-    /// but never the live leader — transfer leadership with
-    /// [`ReplicaGroup::handover`] first. Returns the removed replica's data
-    /// directory so the caller can reclaim the disk. Membership changes, so
-    /// the epoch bumps.
+    /// Remove a member from the group (migration source teardown, the dead
+    /// member a failover re-seed replaced, or discarding an aborted staged
+    /// join). The member may be dead or alive, but never the live leader —
+    /// transfer leadership with [`ReplicaGroup::handover`] first. Returns the
+    /// removed replica's data directory so the caller can reclaim the disk.
+    /// Membership changes, so the epoch bumps.
     pub fn remove_member(&mut self, id: ReplicaId) -> Result<PathBuf> {
         let idx = self.find_index(id)?;
-        if self.replicas[idx].role == Role::Leader && self.replicas[idx].alive {
+        if self.replicas[idx].leads() {
             return Err(Error::MemberIsLeader(id));
         }
         if self.replicas.len() <= 1 {
@@ -1235,7 +1128,7 @@ impl ReplicaGroup {
         }
         let removed = self.replicas.remove(idx);
         self.epoch += 1;
-        Ok(removed.dir)
+        Ok(removed.db().dir().to_path_buf())
     }
 
     /// Planned leadership transfer (the migration cut-over path when the
@@ -1252,7 +1145,7 @@ impl ReplicaGroup {
         }
         {
             let r = self.find(to)?;
-            if !r.alive || r.role != Role::Follower || r.needs_full_resync {
+            if !r.follows() || r.needs_full_resync {
                 return Err(Error::ReplicaUnavailable(to));
             }
         }
@@ -1261,37 +1154,23 @@ impl ReplicaGroup {
         // genuinely stuck.
         self.drain_to_leader(to)?;
         let need = self.leader_lsn()?;
-        let new_leader_dir = self.find(to)?.dir.clone();
-        // Followers that already hold the full history (the drained old
-        // leader, any caught-up bystander) seek straight to the new leader's
-        // live append position; laggards re-attach from the retained log and
-        // dedup forward (the same catch-up path a crash promotion uses).
         // Flush the new leader's group-commit buffer first: `wal_position`
         // reports only flushed bytes, and frames still sitting in the buffer
         // must land below the seek point, not after it — a follower seeking
         // past them would silently skip records until the gap check fired.
-        self.find(to)?.db.flush_wal()?;
-        let wal_position = self.find(to)?.db.wal_position();
-        for r in &mut self.replicas {
-            if r.id == to {
-                r.role = Role::Leader;
-                r.transport = None;
-            } else {
-                // The old leader holds exactly the new leader's history (the
-                // drain above made the LSNs equal before any role changed),
-                // so it re-attaches as a plain follower — no divergent tail,
-                // no forced resync.
-                r.role = Role::Follower;
-                let mut binlog = Binlog::attach(&new_leader_dir);
-                // A divergent replica's raw LSN lies; it resyncs regardless.
-                if !r.needs_full_resync && r.db.last_seq() >= need {
-                    binlog.seek(wal_position.0, wal_position.1);
-                }
-                r.transport = Some(Box::new(binlog));
-            }
-        }
-        self.epoch += 1;
-        Ok(())
+        let new_leader = self.db(to)?;
+        new_leader.flush_wal()?;
+        let wal_position = new_leader.wal_position();
+        // Followers that already hold the full history (the drained old
+        // leader — the drain made the LSNs equal before any role changed, so
+        // it has no divergent tail and needs no resync — and any caught-up
+        // bystander) seek straight to the new leader's live append position;
+        // laggards re-attach from the retained log and dedup forward (the
+        // same catch-up path a crash promotion uses). A divergent replica's
+        // raw LSN lies; it resyncs regardless.
+        self.install_leader(to, |r| {
+            (!r.needs_full_resync && r.lsn() >= need).then_some(wal_position)
+        })
     }
 
     /// Drain `id` to the live leader's exact LSN: flush the leader's log and
@@ -1319,72 +1198,6 @@ impl ReplicaGroup {
         })
     }
 
-    /// Rebuild a follower from a leader checkpoint (it fell off the log).
-    /// Staged: a copy that fails mid-stream leaves the follower untouched on
-    /// its old (valid prefix) state instead of destroying it. The transport
-    /// gets first refusal — a socket transport pulls the checkpoint from its
-    /// *remote* leader; filesystem transports return `None` and the staged
-    /// [`ResyncTicket`] copy runs against the local leader instead. Either
-    /// way the gap handling a pump sees is transport-agnostic.
-    fn resync_follower(&mut self, id: ReplicaId) -> Result<()> {
-        if self.try_transport_resync(id)? {
-            return Ok(());
-        }
-        let ticket = self.begin_resync(id)?;
-        let info = ticket.copy()?;
-        self.complete_resync(ticket, info)
-    }
-
-    /// Ask the follower's transport to fetch a checkpoint (the cross-process
-    /// resync path); install it through the same staged swap the ticket
-    /// machinery uses. `Ok(false)` when the transport has no fetch side.
-    fn try_transport_resync(&mut self, id: ReplicaId) -> Result<bool> {
-        let config = self.config.db;
-        let idx = self.find_index(id)?;
-        let r = &mut self.replicas[idx];
-        let Some(transport) = r.transport.as_mut() else {
-            return Ok(false);
-        };
-        static STAGING_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let staging = r.dir.with_extension(format!(
-            "resync-net-{}",
-            STAGING_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let Some(info) = transport.fetch_checkpoint(&staging)? else {
-            return Ok(false);
-        };
-        install_staged(&staging, &r.dir)?;
-        r.db = Arc::new(Db::open(&r.dir, config)?);
-        let lsn = r.db.last_seq();
-        if let Some(t) = r.transport.as_mut() {
-            // `fetch_checkpoint` already left the cursor at the checkpoint's
-            // edge (and renegotiated a socket stream); re-seeking would
-            // clobber that negotiation for a redundant PSYNC.
-            debug_assert_eq!(t.position(), Some((info.wal_segment, info.wal_offset)));
-            t.ack(lsn)?;
-        }
-        r.needs_full_resync = false;
-        r.resyncs += 1;
-        crate::metrics::RESYNCS.inc();
-        Ok(true)
-    }
-
-    /// Replace a follower's log transport (e.g. point it at a leader across
-    /// a socket instead of the shared filesystem). The pump, gap handling,
-    /// and ack accounting are transport-agnostic, so nothing else changes.
-    pub fn set_follower_transport(
-        &mut self,
-        id: ReplicaId,
-        transport: Box<dyn LogTransport>,
-    ) -> Result<()> {
-        let r = self.find_mut(id)?;
-        if r.role != Role::Follower {
-            return Err(Error::MemberIsLeader(id));
-        }
-        r.transport = Some(transport);
-        Ok(())
-    }
-
     /// Snapshot of the group's replication state.
     pub fn status(&self) -> GroupStatus {
         GroupStatus {
@@ -1395,9 +1208,9 @@ impl ReplicaGroup {
                 .iter()
                 .map(|r| ReplicaStatus {
                     id: r.id,
-                    role: r.role,
+                    role: r.role(),
                     alive: r.alive,
-                    acked_lsn: r.db.last_seq(),
+                    acked_lsn: r.lsn(),
                     resyncs: r.resyncs,
                 })
                 .collect(),
@@ -1430,19 +1243,6 @@ impl ReplicaGroup {
 /// Directory layout: one subdirectory per (partition, replica).
 pub fn replica_dir(base: &Path, partition: u64, id: ReplicaId) -> PathBuf {
     base.join(format!("p{partition}-r{id}"))
-}
-
-/// The staged install every placement change shares — resync tickets, joins,
-/// and socket followers pulling remote checkpoints: tear out the live
-/// directory and rename the fully staged copy into its place. The staged
-/// tree was written completely before this runs, so a crash between the two
-/// steps loses a replica *copy*, never a prefix of one.
-pub(crate) fn install_staged(staging: &Path, dir: &Path) -> Result<()> {
-    if dir.exists() {
-        std::fs::remove_dir_all(dir).map_err(StorageError::Io)?;
-    }
-    std::fs::rename(staging, dir).map_err(StorageError::Io)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1751,12 +1551,12 @@ mod tests {
         let (_d, mut g) = group("stale-ticket", WriteConcern::Async);
         g.put(b"k", b"v", None, 0).unwrap();
         g.tick().unwrap();
-        let ticket = g.begin_resync(30).unwrap();
-        let info = ticket.copy().unwrap();
+        let mut ticket = g.begin_resync(30).unwrap();
+        ticket.copy(None).unwrap();
         // Leadership changes while the copy was (conceptually) in flight.
         g.fail_replica(10).unwrap();
         g.promote().unwrap();
-        match g.complete_resync(ticket, info) {
+        match g.complete_resync(ticket) {
             Err(Error::ResyncSuperseded) => {}
             other => panic!("expected ResyncSuperseded, got {other:?}"),
         }
@@ -1900,11 +1700,11 @@ mod tests {
             g.put(format!("k{i}").as_bytes(), b"v", None, 0).unwrap();
         }
         // Stage node 40 through the same ticket API gap resyncs use.
-        let ticket = g.begin_join(40, dir.path()).unwrap();
+        let mut ticket = g.begin_join(40, dir.path(), None).unwrap();
         assert_eq!(ticket.follower(), 40);
-        let info = ticket.copy_throttled(None).unwrap();
+        let info = ticket.copy(None).unwrap();
         assert!(info.bytes_copied > 0);
-        g.complete_join(ticket, info).unwrap();
+        g.complete_join(ticket).unwrap();
         assert_eq!(g.members(), vec![10, 20, 30, 40]);
         // Writes after the join ship to the newcomer too; quorum over 4 = 3.
         assert_eq!(g.commit_need(), 3);
@@ -1913,7 +1713,7 @@ mod tests {
         assert_eq!(g.acked_lsn(40).unwrap(), lsn);
         assert!(g.db(40).unwrap().get(b"k0", 0).unwrap().value.is_some());
         // Double-join of the same id is refused.
-        match g.begin_join(40, dir.path()) {
+        match g.begin_join(40, dir.path(), None) {
             Err(Error::AlreadyMember(40)) => {}
             other => panic!("expected AlreadyMember, got {other:?}"),
         }
@@ -1924,17 +1724,55 @@ mod tests {
         let (dir, mut g) = group("join-epoch", WriteConcern::Async);
         g.put(b"k", b"v", None, 0).unwrap();
         g.tick().unwrap();
-        let ticket = g.begin_join(40, dir.path()).unwrap();
-        let info = ticket.copy().unwrap();
+        let mut ticket = g.begin_join(40, dir.path(), None).unwrap();
+        ticket.copy(None).unwrap();
         // Leadership changes while the copy was in flight: the shared epoch
         // guard refuses the install, exactly as for a resync ticket.
         g.fail_replica(10).unwrap();
         g.promote().unwrap();
-        match g.complete_join(ticket, info) {
+        match g.complete_join(ticket) {
             Err(Error::ResyncSuperseded) => {}
             other => panic!("expected ResyncSuperseded, got {other:?}"),
         }
         assert_eq!(g.members(), vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn failover_reseed_is_refused_when_leadership_changes_mid_copy() {
+        use crate::failover::{reconstruct_parallel, ReconstructionTask};
+        let (dir, mut g) = group("reseed-epoch", WriteConcern::All);
+        for i in 0..10 {
+            g.put(format!("k{i}").as_bytes(), b"v", None, 0).unwrap();
+        }
+        // Node 30 died. Its replacement 40 is re-seeded from the surviving
+        // *follower* 20 (never from the dead disk), staged by a failover
+        // worker into the join ticket's staging directory.
+        g.fail_replica(30).unwrap();
+        match g.begin_join(40, dir.path(), Some(30)) {
+            Err(Error::ReplicaUnavailable(30)) => {}
+            other => panic!("expected ReplicaUnavailable, got {other:?}"),
+        }
+        let ticket = g.begin_join(40, dir.path(), Some(20)).unwrap();
+        let staging = ticket.staging().to_path_buf();
+        let task = ReconstructionTask {
+            partition: 1,
+            source: g.db(20).unwrap(),
+            source_node: 20,
+            dest_dir: staging.clone(),
+        };
+        reconstruct_parallel(vec![task], None).unwrap();
+        assert!(staging.is_dir(), "the copy must land in staging");
+        // Leadership moves while the copy ran: the staged bytes may descend
+        // from a deposed leader, so the install is refused — nothing joins,
+        // nothing appears at the final path, nothing is left in staging.
+        g.handover(20).unwrap();
+        match g.complete_join(ticket) {
+            Err(Error::ResyncSuperseded) => {}
+            other => panic!("expected ResyncSuperseded, got {other:?}"),
+        }
+        assert_eq!(g.members(), vec![10, 20, 30]);
+        assert!(!dir.path().join("p1-r40").exists());
+        assert!(!staging.exists());
     }
 
     #[test]
@@ -1983,14 +1821,13 @@ mod tests {
     }
 
     #[test]
-    fn handover_flushes_new_leader_buffer_before_capturing_seek_position() {
-        // Regression: handover captures the new leader's WAL position as the
-        // seek point for caught-up followers. Everything the new leader
-        // applied as a follower can still sit in its group-commit buffer
-        // (nothing below reaches the byte trigger, and the interval trigger
-        // is cranked up so timing cannot drain it) — without an explicit
-        // flush, the captured position and the on-disk log disagree, and a
-        // follower seeking there diverges from the frames it ships next.
+    fn acked_records_have_left_the_follower_wal_buffer_before_handover_seeks() {
+        // Handover captures the new leader's *flushed* WAL position as the
+        // seek point for caught-up followers, so every frame the new leader
+        // applied as a follower must be below it. Nothing here reaches the
+        // group-commit byte trigger and the interval trigger is cranked up,
+        // so only the follower pass's own flush-before-ack can have moved
+        // the records out of the buffer.
         let dir = TestDir::new("handover-buf");
         let mut g = ReplicaGroup::bootstrap(
             1,
@@ -2009,15 +1846,14 @@ mod tests {
         for i in 0..10 {
             g.put(format!("k{i}").as_bytes(), b"v", None, 0).unwrap();
         }
-        let (seg_before, pos_before) = g.db(20).unwrap().wal_position();
-        g.handover(20).unwrap();
-        let (seg_after, pos_after) = g.db(20).unwrap().wal_position();
-        assert_eq!(seg_before, seg_after);
-        assert!(
-            pos_after > pos_before,
-            "handover must flush the new leader's buffered frames before \
-             capturing the seek position ({pos_before} -> {pos_after})"
+        let acked_position = g.db(20).unwrap().wal_position();
+        g.db(20).unwrap().flush_wal().unwrap();
+        assert_eq!(
+            g.db(20).unwrap().wal_position(),
+            acked_position,
+            "an acked record was still only in the follower's WAL buffer"
         );
+        g.handover(20).unwrap();
         // The old leader re-attached at the flushed position: the next write
         // ships to it without a gap or a forced resync.
         let lsn = g.put(b"post", b"w", None, 0).unwrap();

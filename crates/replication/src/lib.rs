@@ -7,15 +7,21 @@
 //!
 //! The pieces:
 //!
-//! * [`binlog`] — a [`Binlog`] cursor over the leader's WAL segment files:
-//!   followers poll it for newly appended records and detect when they have
-//!   fallen behind a rotated-away segment (a *gap*, which forces a full
-//!   resynchronization from a leader checkpoint).
+//! * [`transport`] — [`LogTransport`]: where a follower's records come from,
+//!   and the one way a replica is ever seeded (`fetch_checkpoint`: stage a
+//!   complete checkpoint of the source, leave the cursor at its edge).
+//!   Implemented by [`Binlog`], a cursor over the WAL segment files of a
+//!   store in this process, and by [`SocketTransport`], a `PSYNC` stream
+//!   from a leader in another one ([`socket`]).
+//! * [`follower`] — [`Follower`]: the one poll → apply → ack pass and the one
+//!   install of a staged checkpoint, for a follower process and for a group
+//!   member alike.
 //! * [`group`] — [`ReplicaGroup`]: per-follower acked-LSN tracking,
 //!   configurable [`WriteConcern`] (`Async`, `Quorum`, `All`) on the write
 //!   path and [`ReadConsistency`] (`Eventual`, `ReadYourWrites` via LSN
-//!   fencing, `Leader`) on the read path, plus leader failover that promotes
-//!   the most-caught-up follower without losing any acked write.
+//!   fencing, `Leader`) on the read path, leader failover that promotes the
+//!   most-caught-up follower without losing any acked write, and the
+//!   epoch-guarded [`ResyncTicket`] every placement change stages through.
 //! * [`failover`] — parallel replica reconstruction after a node failure:
 //!   the surviving members of each affected group re-seed replacement
 //!   replicas concurrently, one stream per surviving node, turning the §3.3
@@ -50,6 +56,7 @@
 
 pub mod binlog;
 pub mod failover;
+pub mod follower;
 pub mod group;
 pub mod metrics;
 pub mod socket;
@@ -60,14 +67,12 @@ pub use failover::{
     reconstruct_parallel, reconstruct_single_source, ReconstructionReport, ReconstructionTask,
     Throttle,
 };
+pub use follower::{Follower, PumpStatus};
 pub use group::{
-    AdvanceStatus, GroupConfig, GroupStatus, PumpStatus, ReadConsistency, RemoteFollowerState,
-    ReplicaGroup, ReplicaId, ReplicaStatus, ResyncTicket, Role, RoutedRead, WriteConcern,
+    AdvanceStatus, GroupConfig, GroupStatus, ReadConsistency, RemoteFollowerState, ReplicaGroup,
+    ReplicaId, ReplicaStatus, ResyncTicket, Role, RoutedRead, WriteConcern,
 };
-pub use socket::{
-    serve_group_replica, serve_replica_stream, FollowerPump, ReplicaSource, SocketFollower,
-    SocketTransport,
-};
+pub use socket::{serve_group_replica, serve_replica_stream, SocketTransport};
 pub use transport::LogTransport;
 
 /// Replication log sequence number — the storage engine's record `seq`.

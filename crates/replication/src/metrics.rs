@@ -1,16 +1,18 @@
 //! Replication-plane metric declarations. Recording sites live in
-//! `group.rs` (pump/apply/resync) and `socket.rs` (frame shipping,
-//! FULLRESYNC, checkpoint staging); this module only owns the handles.
+//! `follower.rs` (the pump pass and the staged install), `socket.rs` (frame
+//! shipping, FULLRESYNC, checkpoint staging) and `group.rs` (lag gauges);
+//! this module only owns the handles.
 
 use abase_obs::{LazyCounter, LazyGaugeFamily, LazyHisto};
 
-/// Records applied to followers by the pump (local and socket transports).
+/// Records a follower's pump pass received (duplicates included).
 pub static SHIP_RECORDS: LazyCounter = LazyCounter::new(
     "abase_repl_ship_records_total",
-    "Log records applied to followers by the replication pump",
+    "Log records delivered to followers by the replication pump",
 );
 
-/// One pump pass (poll + apply + ack) per follower.
+/// One pump pass (poll + apply + ack) per follower, in whichever process
+/// the follower lives.
 pub static PUMP_MICROS: LazyHisto = LazyHisto::new(
     "abase_repl_pump_micros",
     "Duration of one follower pump pass (poll, apply, ack)",
@@ -47,10 +49,10 @@ pub static BATCH_BYTES: LazyCounter = LazyCounter::new(
     "Serialized bytes of BATCH frames shipped over replica sockets",
 );
 
-/// Checkpoint bytes staged for full resyncs (both ticket and socket paths).
+/// Checkpoint bytes a leader staged to ship over a replica socket.
 pub static STAGED_BYTES: LazyCounter = LazyCounter::new(
     "abase_repl_staged_bytes_total",
-    "Checkpoint bytes staged for full resyncs",
+    "Checkpoint bytes staged by a leader for FULLRESYNC streams",
 );
 
 /// Per-follower replication lag in LSNs, labelled by replica id; refreshed

@@ -23,21 +23,21 @@
 //! | `CKPT last_seq seg off bytes` | leader → follower | checkpoint stream end: [`CheckpointInfo`] |
 //!
 //! A follower that receives `+FULLRESYNC` pulls the checkpoint into a
-//! staging directory and installs it through the same staged
-//! swap-and-reopen path the in-process [`ResyncTicket`](crate::ResyncTicket)
-//! machinery uses, then re-issues `PSYNC` at the checkpoint's edge.
+//! staging directory ([`LogTransport::fetch_checkpoint`]), re-issues `PSYNC`
+//! at the checkpoint's edge, and installs the staged tree like any other
+//! [`Follower`](crate::Follower).
 //!
 //! Chaos sites: `socket.ship` (leader's outbound batch frames — drop,
 //! duplicate, reorder, disconnect) and `socket.ack` (follower's outbound
 //! acks — drop, disconnect), both keyed by a `replica-<id>` context.
 
 use crate::binlog::{Binlog, Poll};
-use crate::group::{install_staged, RemoteFollowerState};
+use crate::group::RemoteFollowerState;
 use crate::transport::LogTransport;
 use crate::{Error, Result};
 use abase_lavastore::record::Record;
 use abase_lavastore::wal::Wal;
-use abase_lavastore::{CheckpointInfo, Db, DbConfig};
+use abase_lavastore::{CheckpointInfo, Db};
 use abase_proto::{Command, RespValue};
 use abase_util::failpoint::{self, FaultAction};
 use std::io::{Read, Write};
@@ -298,18 +298,6 @@ fn read_frame_nonblocking(
 // Leader side: serving a replica connection
 // ---------------------------------------------------------------------------
 
-/// What a leader-side replica connection streams from: the leader's store
-/// (for checkpoints) and its WAL directory (for the binlog cursor). Cloned
-/// out of the group under its lock once; the stream itself then runs with
-/// the group *unlocked*, exactly like the staged checkpoint copies.
-#[derive(Debug, Clone)]
-pub struct ReplicaSource {
-    /// The leader's database handle.
-    pub db: Arc<Db>,
-    /// The directory whose WAL segments are shipped.
-    pub wal_dir: PathBuf,
-}
-
 /// Outbound batch shipper with the `socket.ship` chaos site: frames can be
 /// dropped, duplicated, reordered, or the connection severed.
 struct Shipper<'a> {
@@ -356,7 +344,8 @@ impl Shipper<'_> {
 }
 
 /// Serve one replica connection on the leader: stream framed binlog records
-/// from `source`, absorb `REPLCONF ACK` frames into `state` (under the
+/// from `source` (the leader's store, cloned out of the group under its lock
+/// once), absorb `REPLCONF ACK` frames into `state` (under the
 /// registration `generation`, so a superseded connection's late acks are
 /// discarded), and run the `FULLRESYNC` checkpoint dance when the
 /// follower's position fell off retention. Runs until the peer disconnects.
@@ -366,7 +355,7 @@ impl Shipper<'_> {
 pub fn serve_replica_stream(
     mut stream: TcpStream,
     mut buffer: Vec<u8>,
-    source: &ReplicaSource,
+    source: &Arc<Db>,
     state: &RemoteFollowerState,
     generation: u64,
     first_psync: Option<(u64, u64)>,
@@ -396,8 +385,8 @@ pub fn serve_replica_stream(
         //    follower restart on a kept-alive connection).
         if let Some(position) = pending_psync.take() {
             match position {
-                Some((segment, offset)) if Wal::segment_path(&source.wal_dir, segment).exists() => {
-                    let mut binlog = Binlog::attach(&source.wal_dir);
+                Some((segment, offset)) if Wal::segment_path(source.dir(), segment).exists() => {
+                    let mut binlog = Binlog::attach(Arc::clone(source));
                     binlog.seek(segment, offset);
                     stream.write_all(&RespValue::Simple("CONTINUE".into()).to_bytes())?;
                     cursor = Some(binlog);
@@ -449,13 +438,13 @@ pub fn serve_replica_stream(
             // Flush only when the store's LSN moved since the last flush —
             // an idle connection must not hammer the leader Db's write lock
             // once per loop iteration per replica.
-            let live_lsn = source.db.last_seq();
+            let live_lsn = source.last_seq();
             if flushed_lsn != Some(live_lsn) {
-                source.db.flush_wal().map_err(|e| io_other(e.into()))?;
+                source.flush_wal().map_err(|e| io_other(e.into()))?;
                 flushed_lsn = Some(live_lsn);
             }
             let pre_poll = binlog.position();
-            match LogTransport::poll(binlog).map_err(io_other)? {
+            match binlog.poll().map_err(io_other)? {
                 Poll::Records(records) if !records.is_empty() => {
                     let (segment, offset) = binlog.position().ok_or_else(|| {
                         io_other(Error::Transport(
@@ -537,15 +526,15 @@ pub fn serve_replica_stream(
 /// leader's directory (the same `Db::checkpoint_with` pin-and-stream the
 /// resync tickets use — concurrent writes never stall), ship every file in
 /// `FILE` chunks, close with the `CKPT` frame, and clean the staging tree.
-fn send_checkpoint(stream: &mut TcpStream, source: &ReplicaSource) -> Result<()> {
+fn send_checkpoint(stream: &mut TcpStream, source: &Db) -> Result<()> {
     static CKPT_SEQ: AtomicU64 = AtomicU64::new(0);
-    let staging = source.wal_dir.with_extension(format!(
+    let staging = source.dir().with_extension(format!(
         "psync-ckpt-{}-{}",
         std::process::id(),
         CKPT_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let result = (|| -> Result<()> {
-        let info = source.db.checkpoint_with(&staging, &mut |_| {})?;
+        let info = source.checkpoint_with(&staging, &mut |_| {})?;
         crate::metrics::STAGED_BYTES.add(info.bytes_copied);
         let mut names: Vec<PathBuf> = std::fs::read_dir(&staging)
             .map_err(|e| transport_err("checkpoint staging", e))?
@@ -647,11 +636,6 @@ impl SocketTransport {
         format!("replica-{}", self.replica_id)
     }
 
-    /// Is the transport currently connected to the leader?
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
     fn drop_stream(&mut self) {
         self.stream = None;
         self.buffer.clear();
@@ -747,7 +731,7 @@ impl SocketTransport {
 
 impl LogTransport for SocketTransport {
     fn link_up(&self) -> bool {
-        self.is_connected()
+        self.stream.is_some()
     }
 
     fn poll(&mut self) -> Result<Poll> {
@@ -845,7 +829,11 @@ impl LogTransport for SocketTransport {
 
     /// `PSYNC ? -1` → `FULLRESYNC` → `FILE*` → `CKPT`: pull a complete
     /// leader checkpoint into `staging` and leave the cursor at its edge.
-    fn fetch_checkpoint(&mut self, staging: &Path) -> Result<Option<CheckpointInfo>> {
+    fn fetch_checkpoint(
+        &mut self,
+        staging: &Path,
+        on_chunk: &mut dyn FnMut(usize),
+    ) -> Result<CheckpointInfo> {
         if !self.try_connect()? {
             return Err(Error::Transport(
                 "leader unreachable for full resync".into(),
@@ -907,6 +895,7 @@ impl LogTransport for SocketTransport {
                                 .map_err(|e| transport_err("staging file", e))?;
                             f.write_all(&chunk)
                                 .map_err(|e| transport_err("staging write", e))?;
+                            on_chunk(chunk.len());
                         }
                         StreamFrame::Ckpt(info) => return Ok(info),
                         // Stale batches from before the resync are ignorable.
@@ -921,7 +910,7 @@ impl LogTransport for SocketTransport {
                 self.seek(info.wal_segment, info.wal_offset);
                 // Resume the incremental stream at the edge.
                 self.request_stream()?;
-                Ok(Some(info))
+                Ok(info)
             }
             Err(e) => {
                 std::fs::remove_dir_all(staging).ok();
@@ -953,7 +942,7 @@ pub fn anonymous_replica_id() -> u32 {
 /// Serve one inbound connection as a replica of `group`'s leader: answer
 /// `REPLCONF` handshake frames with `+OK`, and on the first `PSYNC` register
 /// the remote follower and switch into [`serve_replica_stream`]. The group
-/// lock is held only for registration and to clone the [`ReplicaSource`];
+/// lock is held only for registration and to clone the leader's `Db` handle;
 /// the stream itself runs unlocked. The RESP server integrates this same
 /// dance into its command loop; this standalone version is for embedders
 /// (and harnesses) that dedicate a raw socket to replication.
@@ -983,11 +972,7 @@ pub fn serve_group_replica(
                 let id = replica_id.unwrap_or_else(anonymous_replica_id);
                 let (source, state, generation) = {
                     let mut g = group.lock();
-                    let leader = g.leader().ok_or(Error::NoLeader)?;
-                    let source = ReplicaSource {
-                        db: g.leader_db()?,
-                        wal_dir: g.replica_dir(leader)?,
-                    };
+                    let source = g.leader_db()?;
                     let (state, generation) = g.register_remote_follower(id)?;
                     (source, state, generation)
                 };
@@ -1013,218 +998,12 @@ pub fn serve_group_replica(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Follower side: the standalone socket follower
-// ---------------------------------------------------------------------------
-
-/// Outcome of one [`SocketFollower::pump`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FollowerPump {
-    /// Nothing new arrived.
-    Idle,
-    /// This many new records were applied.
-    Applied(usize),
-    /// A full resync replaced the store — callers holding the old `Db`
-    /// handle (a serving engine) must re-fetch it via
-    /// [`SocketFollower::db`].
-    Resynced,
-}
-
-/// A follower replica in its own OS process: a local [`Db`] kept in sync by
-/// pumping a [`LogTransport`] (normally a [`SocketTransport`] to the
-/// leader's RESP port). Gap recovery pulls a leader checkpoint through the
-/// transport and installs it with the same staged swap-and-reopen the
-/// in-process resync tickets use.
-pub struct SocketFollower {
-    dir: PathBuf,
-    config: DbConfig,
-    db: Arc<Db>,
-    transport: Box<dyn LogTransport>,
-    resyncs: u64,
-    staging_seq: u64,
-    /// Last LSN acknowledged through the transport.
-    last_acked: Option<u64>,
-    /// Pumps since the last ack (periodic re-acks reseed the leader's
-    /// accounting after reconnects without per-pump chatter).
-    pumps_since_ack: u32,
-}
-
-impl std::fmt::Debug for SocketFollower {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SocketFollower")
-            .field("dir", &self.dir)
-            .field("lsn", &self.db.last_seq())
-            .field("resyncs", &self.resyncs)
-            .finish()
-    }
-}
-
-impl SocketFollower {
-    /// Open (or create) the local replica at `dir` and aim it at the leader
-    /// on `leader_addr`. `replica_id` identifies this follower in the
-    /// leader's accounting; `listening_port` is the port this follower's
-    /// own RESP server listens on (handshake metadata).
-    pub fn connect(
-        dir: impl AsRef<Path>,
-        config: DbConfig,
-        leader_addr: &str,
-        replica_id: u32,
-        listening_port: u16,
-    ) -> Result<Self> {
-        let transport = Box::new(SocketTransport::new(
-            leader_addr,
-            replica_id,
-            listening_port,
-        ));
-        Self::with_transport(dir, config, transport)
-    }
-
-    /// A follower over any transport (tests drive filesystem transports
-    /// through the same pump).
-    pub fn with_transport(
-        dir: impl AsRef<Path>,
-        config: DbConfig,
-        transport: Box<dyn LogTransport>,
-    ) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        let db = Arc::new(Db::open(&dir, config)?);
-        Ok(Self {
-            dir,
-            config,
-            db,
-            transport,
-            resyncs: 0,
-            staging_seq: 0,
-            last_acked: None,
-            pumps_since_ack: 0,
-        })
-    }
-
-    /// The current store handle. Replaced wholesale by a full resync —
-    /// re-fetch after [`FollowerPump::Resynced`].
-    pub fn db(&self) -> Arc<Db> {
-        Arc::clone(&self.db)
-    }
-
-    /// Highest LSN applied locally.
-    pub fn last_seq(&self) -> u64 {
-        self.db.last_seq()
-    }
-
-    /// Full resyncs performed.
-    pub fn resyncs(&self) -> u64 {
-        self.resyncs
-    }
-
-    /// Is the replication link to the leader currently alive? A `pump()`
-    /// that found nothing cannot distinguish "idle leader" from "dead
-    /// socket awaiting reconnect" — this can, so it (not pump results) is
-    /// what `INFO replication` should report as `link_status`.
-    pub fn link_up(&self) -> bool {
-        self.transport.link_up()
-    }
-
-    /// The transport's cursor in the leader's log, if it has one. A restart
-    /// that persisted this can resume with a positional `PSYNC` instead of
-    /// a full checkpoint pull (the leader still answers `FULLRESYNC` if the
-    /// position fell off retention meanwhile).
-    pub fn position(&self) -> Option<(u64, u64)> {
-        self.transport.position()
-    }
-
-    /// One pump pass: poll the transport, apply what arrived (duplicates
-    /// dedup; an LSN gap — dropped or reordered frames — forces a full
-    /// resync), and acknowledge the applied LSN back through the transport.
-    pub fn pump(&mut self) -> Result<FollowerPump> {
-        let outcome = match self.transport.poll()? {
-            Poll::Gap => return self.full_resync(),
-            Poll::Records(records) => {
-                crate::metrics::SHIP_RECORDS.add(records.len() as u64);
-                let mut applied = 0usize;
-                for record in &records {
-                    match self.db.apply_replicated(record) {
-                        Ok(true) => applied += 1,
-                        Ok(false) => {} // duplicate delivery, deduped
-                        Err(abase_lavastore::Error::InvalidState(_)) => {
-                            // A hole in the stream (dropped/reordered frame
-                            // beyond repair): recover through a checkpoint.
-                            return self.full_resync();
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                if applied > 0 {
-                    self.db.flush_wal()?;
-                }
-                // The poll is drained: if a leader keepalive advertised an
-                // LSN we still trail, the frames carrying it were lost in
-                // transit (nothing else can be in flight ahead of the ping)
-                // — recover through a checkpoint instead of waiting for
-                // traffic that will never come.
-                if self
-                    .transport
-                    .leader_lsn_hint()
-                    .is_some_and(|hint| hint > self.db.last_seq())
-                {
-                    return self.full_resync();
-                }
-                if applied > 0 {
-                    FollowerPump::Applied(applied)
-                } else {
-                    FollowerPump::Idle
-                }
-            }
-        };
-        // Ack when the applied LSN moved, plus a periodic re-ack (reseeds
-        // the leader's accounting after a reconnect). Never every pump: a
-        // constant ack stream keeps the leader's inbound drain busy.
-        self.pumps_since_ack += 1;
-        let lsn = self.db.last_seq();
-        if self.last_acked != Some(lsn) || self.pumps_since_ack >= 32 {
-            self.transport.ack(lsn)?;
-            crate::metrics::ACKS.inc();
-            self.last_acked = Some(lsn);
-            self.pumps_since_ack = 0;
-        }
-        Ok(outcome)
-    }
-
-    /// Pull a checkpoint through the transport and install it — the socket
-    /// version of the staged `begin_resync`/`ResyncTicket` path: stage,
-    /// swap, reopen, seek to the checkpoint edge.
-    fn full_resync(&mut self) -> Result<FollowerPump> {
-        self.staging_seq += 1;
-        let staging = self
-            .dir
-            .with_extension(format!("resync-net-{}", self.staging_seq));
-        let Some(info) = self.transport.fetch_checkpoint(&staging)? else {
-            return Err(Error::Transport(
-                "transport cannot fetch checkpoints and no local leader exists".into(),
-            ));
-        };
-        install_staged(&staging, &self.dir)?;
-        self.db = Arc::new(Db::open(&self.dir, self.config)?);
-        // No seek here: `fetch_checkpoint` already left the cursor at the
-        // checkpoint's edge and renegotiated the stream — a second seek
-        // would reset the negotiation and force a redundant PSYNC.
-        debug_assert_eq!(
-            self.transport.position(),
-            Some((info.wal_segment, info.wal_offset))
-        );
-        self.resyncs += 1;
-        crate::metrics::RESYNCS.inc();
-        let lsn = self.db.last_seq();
-        self.transport.ack(lsn)?;
-        self.last_acked = Some(lsn);
-        self.pumps_since_ack = 0;
-        Ok(FollowerPump::Resynced)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::group::{GroupConfig, ReplicaGroup, WriteConcern};
+    use crate::Follower;
+    use abase_lavastore::DbConfig;
     use abase_util::lockrank::RankedMutex as Mutex;
     use abase_util::TestDir;
     use std::net::TcpListener;
@@ -1274,7 +1053,7 @@ mod tests {
             db.put(format!("seed{i:02}").as_bytes(), &[7u8; 32], None, 0)
                 .unwrap();
         }
-        let mut follower = SocketFollower::connect(
+        let mut follower = Follower::connect(
             fdir.path().join("replica"),
             DbConfig::small_for_tests(),
             &addr.to_string(),
@@ -1346,7 +1125,7 @@ mod tests {
         // A follower claiming position (0, 0) must be told to full-resync.
         let mut transport = SocketTransport::new(addr.to_string(), 101, 0);
         LogTransport::seek(&mut transport, 0, 0);
-        let mut follower = SocketFollower::with_transport(
+        let mut follower = Follower::with_transport(
             fdir.path().join("replica"),
             DbConfig::small_for_tests(),
             Box::new(transport),
@@ -1359,50 +1138,6 @@ mod tests {
             follower.pump().unwrap();
         }
         assert_eq!(follower.resyncs(), 1, "recovery must go through FULLRESYNC");
-    }
-
-    #[test]
-    fn group_follower_pumps_over_a_socket_transport() {
-        // The transport-agnosticism proof: a ReplicaGroup follower whose
-        // records arrive over TCP, through the identical pump/gap path.
-        let leader_dir = TestDir::new("socket-group-leader");
-        let follower_dir = TestDir::new("socket-group-follower");
-        let leader = test_group(&leader_dir);
-        let addr = spawn_leader_endpoint(Arc::clone(&leader));
-        // A single-member group on the "follower machine" whose one follower
-        // tails the remote leader. Bootstrap with a local leader then point
-        // the follower's transport across the socket.
-        let mut g = ReplicaGroup::bootstrap(
-            1,
-            follower_dir.path(),
-            &[1, 2],
-            GroupConfig {
-                write_concern: WriteConcern::Async,
-                db: DbConfig::small_for_tests(),
-                wait_timeout: Duration::from_millis(100),
-            },
-        )
-        .unwrap();
-        g.set_follower_transport(2, Box::new(SocketTransport::new(addr.to_string(), 102, 0)))
-            .unwrap();
-        {
-            let db = leader.lock().leader_db().unwrap();
-            for i in 0..10 {
-                db.put(format!("k{i}").as_bytes(), b"v", None, 0).unwrap();
-            }
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while g.acked_lsn(2).unwrap() < 10 {
-            assert!(Instant::now() < deadline, "socket group follower stalled");
-            g.pump_follower(2).unwrap();
-        }
-        // The gap path is transport-agnostic too: it fetched the checkpoint
-        // over the wire (the follower had no position) instead of staging a
-        // ticket against the local leader.
-        let status = g.status();
-        let f2 = status.replicas.iter().find(|r| r.id == 2).unwrap();
-        assert_eq!(f2.resyncs, 1);
-        assert!(g.db(2).unwrap().get(b"k0", 0).unwrap().value.is_some());
     }
 
     #[test]

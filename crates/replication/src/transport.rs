@@ -1,41 +1,35 @@
 //! Transport abstraction over "where do a follower's log records come from".
 //!
-//! A [`ReplicaGroup`](crate::ReplicaGroup) follower does not care whether the
-//! records it applies were read straight off the leader's WAL files (the
-//! in-process [`Binlog`] transport) or shipped over a TCP connection by a
-//! leader in another OS process (the
-//! [`SocketTransport`](crate::socket::SocketTransport)). [`LogTransport`]
-//! captures the three things the pump loop needs — poll for new records,
-//! reposition after a checkpoint install, report the cursor — plus the
-//! transport-specific half of gap recovery: a filesystem transport lets the
-//! group run its staged [`ResyncTicket`](crate::ResyncTicket) copy against
-//! the local leader `Db`, while a socket transport *pulls* the checkpoint
-//! from the remote leader (`PSYNC ? -1` → `FULLRESYNC` → file stream) into
-//! the same staging-directory-then-rename install path.
+//! A [`Follower`](crate::Follower) does not care whether the records it
+//! applies were read straight off the leader's WAL files (the in-process
+//! [`Binlog`](crate::Binlog)) or shipped over a TCP connection by a leader in
+//! another OS process ([`SocketTransport`](crate::socket::SocketTransport)).
+//! [`LogTransport`] is everything the follower needs from either: poll for
+//! new records, acknowledge, and — the one way a replica is ever seeded —
+//! stage a complete checkpoint of the source into a directory and leave the
+//! cursor at the checkpoint's edge. A filesystem transport copies from the
+//! `Db` it tails; a socket transport pulls `PSYNC ? -1` → `FULLRESYNC` →
+//! file stream. What happens to the staged tree next is the same for both.
 
-use crate::binlog::{Binlog, Poll};
+use crate::binlog::Poll;
 use crate::Result;
 use abase_lavastore::CheckpointInfo;
 use std::path::Path;
 
-/// A follower's source of leader log records. Implemented by the filesystem
-/// [`Binlog`] (replicas sharing a machine) and by
-/// [`SocketTransport`](crate::socket::SocketTransport) (replicas in
-/// different processes, frames shipped over the leader's RESP port).
+/// A follower's source of leader log records.
 pub trait LogTransport: Send {
     /// Read every record fully framed since the last poll, or report a gap
     /// (the cursor fell off the leader's retention and a full resync is
     /// required before shipping can continue).
     fn poll(&mut self) -> Result<Poll>;
 
-    /// Reposition the cursor (after a full resync: the checkpoint says
-    /// exactly where the copied state ends in the leader's log).
+    /// Reposition the cursor.
     fn seek(&mut self, segment: u64, offset: u64);
 
     /// Current `(segment, offset)` position, if attached to one yet.
     fn position(&self) -> Option<(u64, u64)>;
 
-    /// Acknowledge that the follower durably applied records up to `lsn`.
+    /// Acknowledge that the follower applied records up to `lsn`.
     /// Filesystem transports do nothing — the leader reads the follower's
     /// `Db::last_seq` directly; a socket transport sends `REPLCONF ACK
     /// <lsn>` back to the leader, feeding its remote-follower accounting.
@@ -65,58 +59,14 @@ pub trait LogTransport: Send {
         None
     }
 
-    /// Transport-side full resync: pull a complete leader checkpoint into
-    /// `staging` and leave the cursor at the checkpoint's edge. Returns
-    /// `Ok(None)` when the transport has no way to fetch one (the filesystem
-    /// transport — its caller stages a [`ResyncTicket`](crate::ResyncTicket)
-    /// copy from the local leader instead).
-    fn fetch_checkpoint(&mut self, staging: &Path) -> Result<Option<CheckpointInfo>> {
-        let _ = staging;
-        Ok(None)
-    }
-}
-
-impl LogTransport for Binlog {
-    fn poll(&mut self) -> Result<Poll> {
-        Binlog::poll(self)
-    }
-
-    fn seek(&mut self, segment: u64, offset: u64) {
-        Binlog::seek(self, segment, offset);
-    }
-
-    fn position(&self) -> Option<(u64, u64)> {
-        Binlog::position(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use abase_lavastore::{Db, DbConfig};
-    use abase_util::TestDir;
-
-    #[test]
-    fn binlog_implements_the_transport_contract() {
-        let dir = TestDir::new("transport-binlog");
-        let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
-        let mut transport: Box<dyn LogTransport> = Box::new(Binlog::attach(dir.path()));
-        assert_eq!(transport.position(), None);
-        db.put(b"a", b"1", None, 0).unwrap();
-        db.flush_wal().unwrap();
-        match transport.poll().unwrap() {
-            Poll::Records(r) => assert_eq!(r.len(), 1),
-            Poll::Gap => panic!("unexpected gap"),
-        }
-        assert!(transport.position().is_some());
-        // Acks are a no-op and checkpoint fetching defers to the group.
-        transport.ack(1).unwrap();
-        assert!(transport
-            .fetch_checkpoint(&dir.path().join("staging"))
-            .unwrap()
-            .is_none());
-        let (seg, off) = transport.position().unwrap();
-        transport.seek(seg, off);
-        assert_eq!(transport.position(), Some((seg, off)));
-    }
+    /// Stage a complete checkpoint of the source into `staging` (replacing
+    /// whatever was there), reporting each copied chunk's size to `on_chunk`
+    /// (bandwidth throttling), and leave the cursor at the checkpoint's edge
+    /// so the next poll continues exactly where the staged state ends. On
+    /// error nothing is left at `staging`.
+    fn fetch_checkpoint(
+        &mut self,
+        staging: &Path,
+        on_chunk: &mut dyn FnMut(usize),
+    ) -> Result<CheckpointInfo>;
 }

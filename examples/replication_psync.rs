@@ -9,8 +9,9 @@
 //! * `leader <dir>` — a RESP server leading a replica group, accepting
 //!   `REPLCONF`/`PSYNC` follower connections on its port.
 //! * `follower <dir> <leader-addr>` — a read-only RESP server whose store is
-//!   kept in sync by pulling a checkpoint (`PSYNC ? -1` → `FULLRESYNC`) and
-//!   then tailing the leader's WAL over the socket, acking `REPLCONF ACK`.
+//!   kept in sync by a `replication::Follower` over a socket transport: its
+//!   first pump stages a checkpoint (`PSYNC ? -1` → `FULLRESYNC`) and swaps
+//!   it in, every later one tails the leader's WAL, acking `REPLCONF ACK`.
 //!
 //! The scenario then runs over raw RESP:
 //!
@@ -28,7 +29,7 @@
 use abase::core::{ReplInfo, ReplicationControl, RespServer, TableEngine};
 use abase::lavastore::DbConfig;
 use abase::proto::RespValue;
-use abase::replication::{FollowerPump, GroupConfig, ReplicaGroup, SocketFollower, WriteConcern};
+use abase::replication::{Follower, GroupConfig, PumpStatus, ReplicaGroup, WriteConcern};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -67,7 +68,7 @@ fn run_leader(dir: &str) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run_follower(dir: &str, leader: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let mut follower = SocketFollower::connect(dir, DbConfig::small_for_tests(), leader, 2, 0)?;
+    let mut follower = Follower::connect(dir, DbConfig::small_for_tests(), leader, 2, 0)?;
     let engine = Arc::new(TableEngine::from_db(follower.db()));
     // Same wiring as `abase-server follow`: the pump thread owns the link,
     // so shared cells feed `INFO replication` (applied LSN, link status).
@@ -95,7 +96,7 @@ fn run_follower(dir: &str, leader: &str) -> Result<(), Box<dyn std::error::Error
     std::io::stdout().flush()?;
     std::thread::spawn(move || loop {
         match follower.pump() {
-            Ok(FollowerPump::Resynced) => engine.swap_db(follower.db()),
+            Ok(PumpStatus::Resynced) => engine.swap_db(follower.db()),
             Ok(_) => {}
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }

@@ -14,12 +14,13 @@
 //! * `leader` — lead a **cross-process** replica group: a single local
 //!   replica that accepts `REPLCONF`/`PSYNC` follower connections on the
 //!   RESP port. Quorum spans this process and every registered follower.
-//! * `follow <leader-addr> [replica-id]` — run as a socket follower of the
-//!   leader at `leader-addr`: pull a checkpoint (`PSYNC`), tail its WAL over
-//!   the socket, ack via `REPLCONF ACK`, and serve **read-only** RESP
-//!   traffic from the replicated store. The optional positional
-//!   `replica-id` (default 2) names this follower in the leader's
-//!   accounting.
+//! * `follow <leader-addr> [replica-id]` — run as a follower of the leader
+//!   at `leader-addr`: a `replication::Follower` (the same type a local
+//!   group's members are) over a socket transport pulls a checkpoint
+//!   (`PSYNC`), tails the leader's WAL, acks via `REPLCONF ACK`, and this
+//!   process serves **read-only** RESP traffic from the replicated store.
+//!   The optional positional `replica-id` (default 2) names this follower
+//!   in the leader's accounting.
 //!
 //! Two terminals make a replica group:
 //!
@@ -30,7 +31,7 @@
 
 use abase::core::{ReplInfo, ReplicationControl, RespServer, TableEngine};
 use abase::lavastore::DbConfig;
-use abase::replication::{FollowerPump, GroupConfig, ReplicaGroup, SocketFollower, WriteConcern};
+use abase::replication::{Follower, GroupConfig, PumpStatus, ReplicaGroup, WriteConcern};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -194,7 +195,7 @@ fn run_follower(
         .next()
         .and_then(|p| p.parse().ok())
         .unwrap_or(0);
-    let mut follower = SocketFollower::connect(
+    let mut follower = Follower::connect(
         dir,
         db_config_from_env(),
         leader,
@@ -237,7 +238,7 @@ fn run_follower(
         match follower.pump() {
             // A full resync replaced the store wholesale: the serving engine
             // switches to the fresh handle.
-            Ok(FollowerPump::Resynced) => engine.swap_db(follower.db()),
+            Ok(PumpStatus::Resynced) => engine.swap_db(follower.db()),
             Ok(_) => {}
             Err(e) => {
                 eprintln!("follower pump: {e}");

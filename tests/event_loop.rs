@@ -12,7 +12,7 @@
 use abase::core::{ReplicationControl, RespServer, TableEngine};
 use abase::lavastore::DbConfig;
 use abase::proto::RespValue;
-use abase::replication::{GroupConfig, ReplicaGroup, SocketFollower, WriteConcern};
+use abase::replication::{Follower, GroupConfig, ReplicaGroup, WriteConcern};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -360,7 +360,7 @@ fn pump_follower(
     tag: &str,
     addr: std::net::SocketAddr,
 ) -> (Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-    let mut follower = SocketFollower::connect(
+    let mut follower = Follower::connect(
         unique_dir(tag).join("replica"),
         DbConfig::small_for_tests(),
         &addr.to_string(),

@@ -47,15 +47,15 @@ fn migration_staging_and_failover_resync_share_one_api() {
     }
     g.tick().unwrap();
     // Resync path: refresh existing follower 20 from a staged checkpoint.
-    let resync = g.begin_resync(20).unwrap();
-    let resync_info = resync.copy_throttled(None).unwrap();
+    let mut resync = g.begin_resync(20).unwrap();
+    let resync_info = resync.copy(None).unwrap();
     // Join path: stage brand-new member 40 from the same machinery.
-    let join = g.begin_join(40, dir.path()).unwrap();
-    let join_info = join.copy_throttled(None).unwrap();
+    let mut join = g.begin_join(40, dir.path(), None).unwrap();
+    let join_info = join.copy(None).unwrap();
     // The same leader checkpoint feeds both targets.
     assert_eq!(resync_info.last_seq, join_info.last_seq);
-    g.complete_resync(resync, resync_info).unwrap();
-    g.complete_join(join, join_info).unwrap();
+    g.complete_resync(resync).unwrap();
+    g.complete_join(join).unwrap();
     assert_eq!(g.members(), vec![10, 20, 30, 40]);
     // Both installed replicas serve the full history and tail the leader.
     let lsn = g.put(b"post", b"v", None, 0).unwrap();
@@ -68,17 +68,17 @@ fn migration_staging_and_failover_resync_share_one_api() {
     }
     // And both ticket kinds die under the same epoch guard: any membership
     // change supersedes copies still in flight, whichever path issued them.
-    let stale_resync = g.begin_resync(20).unwrap();
-    let stale_join = g.begin_join(50, dir.path()).unwrap();
-    let ri = stale_resync.copy().unwrap();
-    let ji = stale_join.copy().unwrap();
+    let mut stale_resync = g.begin_resync(20).unwrap();
+    let mut stale_join = g.begin_join(50, dir.path(), None).unwrap();
+    stale_resync.copy(None).unwrap();
+    stale_join.copy(None).unwrap();
     g.remove_member(40).unwrap(); // epoch bump
     assert!(matches!(
-        g.complete_resync(stale_resync, ri),
+        g.complete_resync(stale_resync),
         Err(abase::replication::Error::ResyncSuperseded)
     ));
     assert!(matches!(
-        g.complete_join(stale_join, ji),
+        g.complete_join(stale_join),
         Err(abase::replication::Error::ResyncSuperseded)
     ));
 }

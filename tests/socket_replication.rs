@@ -1,6 +1,6 @@
 //! Network-real replication through the RESP server: a leader `RespServer`
 //! and a follower that is, in every way but the process boundary, the
-//! `abase-server follow` mode — a `SocketFollower` speaking
+//! `abase-server follow` mode — a `Follower` speaking
 //! `REPLCONF`/`PSYNC` over a real TCP connection. (The genuinely two-process
 //! version of this scenario is `examples/replication_psync.rs`, which CI
 //! runs; these tests keep the protocol matrix — restart, retention
@@ -10,7 +10,7 @@ use abase::core::{ReplicationControl, RespServer, TableEngine};
 use abase::lavastore::DbConfig;
 use abase::proto::RespValue;
 use abase::replication::{
-    GroupConfig, LogTransport, ReplicaGroup, SocketFollower, SocketTransport, WriteConcern,
+    Follower, GroupConfig, LogTransport, ReplicaGroup, SocketTransport, WriteConcern,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -43,7 +43,7 @@ fn roundtrip(stream: &mut TcpStream, request: &[u8]) -> RespValue {
     }
 }
 
-fn drive(follower: &mut SocketFollower, target_lsn: u64, what: &str) {
+fn drive(follower: &mut Follower, target_lsn: u64, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(15);
     while follower.last_seq() < target_lsn {
         assert!(
@@ -82,7 +82,7 @@ fn follower_restart_resumes_and_retention_falloff_fullresyncs() {
     // Phase 1 — a fresh follower attaches through the RESP port, pulls the
     // initial checkpoint, and starts acking.
     let replica_dir = follower_dir.join("replica");
-    let mut follower = SocketFollower::connect(
+    let mut follower = Follower::connect(
         &replica_dir,
         DbConfig::small_for_tests(),
         &addr.to_string(),
@@ -115,7 +115,7 @@ fn follower_restart_resumes_and_retention_falloff_fullresyncs() {
     drop(follower);
     let mut transport = SocketTransport::new(addr.to_string(), 42, 0);
     transport.seek(position.0, position.1);
-    let mut follower = SocketFollower::with_transport(
+    let mut follower = Follower::with_transport(
         &replica_dir,
         DbConfig::small_for_tests(),
         Box::new(transport),
@@ -156,7 +156,7 @@ fn follower_restart_resumes_and_retention_falloff_fullresyncs() {
     };
     let mut transport = SocketTransport::new(addr.to_string(), 42, 0);
     transport.seek(position.0, position.1);
-    let mut follower = SocketFollower::with_transport(
+    let mut follower = Follower::with_transport(
         &replica_dir,
         DbConfig::small_for_tests(),
         Box::new(transport),
@@ -220,7 +220,7 @@ fn quorum_commit_latency_is_not_gated_by_the_wait_timeout() {
             std::thread::sleep(Duration::from_millis(100));
         });
     }
-    let mut follower = SocketFollower::connect(
+    let mut follower = Follower::connect(
         base.join("follower"),
         DbConfig::default(),
         &addr.to_string(),
