@@ -9,10 +9,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use abase_cache::aulru::{AuLruCache, AuLruConfig};
 use abase_cache::{LruCache, SaLruCache};
+use abase_core::TableEngine;
 use abase_forecast::prophet::{ProphetConfig, ProphetModel};
 use abase_forecast::psd::dominant_period;
 use abase_lavastore::{Db, DbConfig};
-use abase_proto::{Command, RespValue};
+use abase_proto::{Command, RequestScanner, RespValue, Scanned};
 use abase_quota::{RuEstimator, TokenBucket};
 use abase_scheduler::{LoadVector, NodeState, PoolState, ReplicaLoad, Rescheduler};
 use abase_wfq::{CpuTickBudget, DualWfq, DualWfqConfig, WfqItem};
@@ -99,7 +100,7 @@ fn bench_quota(c: &mut Criterion) {
 
 fn bench_resp(c: &mut Criterion) {
     let mut group = c.benchmark_group("resp");
-    let wire = Command::Set {
+    let wire = Command::<bytes::Bytes>::Set {
         key: "user:12345".into(),
         value: bytes::Bytes::from(vec![7u8; 512]),
         ttl_secs: Some(60),
@@ -112,7 +113,41 @@ fn bench_resp(c: &mut Criterion) {
             black_box(Command::from_resp(&value).unwrap());
         });
     });
+    // The server's request path without the socket: request bytes in, reply
+    // bytes out, through the scanner, the grammar over borrowed arguments,
+    // `TableEngine::execute` and `encode` — what a connection's drain loop
+    // runs per command (spans, metrics and RU charging aside).
+    let dir = std::env::temp_dir().join(format!("abase-bench-path-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let engine = TableEngine::open(&dir, DbConfig::default()).unwrap();
+    let mut scanner = RequestScanner::new();
+    let mut out = Vec::new();
+    let mut request_path = |wire: &[u8]| {
+        let Ok(Scanned::Command { argv, consumed }) = scanner.scan(wire) else {
+            panic!("not a command frame");
+        };
+        let command = Command::from_args(argv.len(), |i| Ok(argv.get(i))).unwrap();
+        out.clear();
+        engine
+            .execute(1, &command, 0)
+            .unwrap()
+            .reply
+            .encode(&mut out);
+        black_box((consumed, &out));
+    };
+    let frame = |parts: &[&[u8]]| {
+        RespValue::array(parts.iter().map(|p| RespValue::bulk(p.to_vec())).collect()).to_bytes()
+    };
+    let set = frame(&[b"SET", b"user00012345", &[7u8; 128]]);
+    let get = frame(&[b"GET", b"user00012345"]);
+    group.bench_function("request_path_set", |b| {
+        b.iter(|| request_path(black_box(&set)));
+    });
+    group.bench_function("request_path_get", |b| {
+        b.iter(|| request_path(black_box(&get)));
+    });
     group.finish();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_lavastore(c: &mut Criterion) {

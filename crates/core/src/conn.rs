@@ -1,47 +1,61 @@
 //! Per-connection RESP state machine for the event-driven front end.
 //!
 //! A [`Conn`] owns one client socket plus everything the socket's protocol
-//! position needs to survive `WouldBlock`: the partial-frame read buffer,
-//! parsed-but-unexecuted frames, the reply buffer, and the session state
-//! (tenant, consistency level, LSN fence).
+//! position needs to survive `WouldBlock`: the input buffer with its cursor,
+//! the reply buffer, and the session state (tenant, consistency level, LSN
+//! fence).
 //!
-//! **Pipelining.** One readable event drains the socket, batch-parses every
-//! complete frame ([`RespValue::parse_batch`]), executes the batch in wire
-//! order, and answers with **one write** covering every reply. Commands are
-//! never reordered within a connection: an event-loop worker stops in front
-//! of the first command that may park its thread (replicated write, `WAIT`,
-//! `PSYNC`) and the connection — with its remaining parsed frames — moves to
-//! an offload thread, which runs the same drain routine to the end of the
-//! batch.
+//! **One pass from socket bytes to reply bytes.** The socket is read straight
+//! into the connection's input buffer ([`Input`]); the drain loop scans **one
+//! command at a time** from a cursor into it
+//! ([`RequestScanner`](abase_proto::RequestScanner)), runs the grammar over
+//! the argument slices (`Command<&[u8]>`), executes, and encodes the reply
+//! onto the end of `out`; one write covers every reply of the batch. Nothing
+//! between `read(2)` and `write(2)` is parsed ahead or held in a queue: what
+//! has not been executed yet is bytes, `buf[head..filled]`.
 //!
-//! **Backpressure.** Replies are encoded straight into `out`; when the peer
-//! reads slowly the unsent tail grows until [`HIGH_WATER`], at which point
-//! the connection stops *reading* (its worker keeps serving every other
-//! socket) until the tail drains below [`LOW_WATER`]. Writable interest is
-//! registered only while output is pending.
+//! **Pipelining and offload.** Commands are never reordered within a
+//! connection: an event-loop worker stops in front of the first command that
+//! may park its thread (replicated write, `WAIT`, `PSYNC`) and the connection
+//! moves to an offload thread, which runs the same drain routine over the
+//! same buffer from the same cursor to the end of the batch. What an offload
+//! thread — or a `PSYNC` replica stream — inherits is the unread bytes.
+//!
+//! **Backpressure** is a property of the drain loop: once un-flushed output
+//! reaches [`HIGH_WATER`] the connection is throttled, and a throttled
+//! connection neither *executes* nor *reads* — the rest of the batch stays
+//! behind the cursor as bytes (its worker keeps serving every other socket)
+//! until a writable event drains the unsent tail below [`LOW_WATER`], and the
+//! loop resumes where it stopped. `out` therefore holds at most
+//! `HIGH_WATER` plus one reply. Writable interest is registered only while
+//! output is pending.
 
 use crate::metrics;
 use crate::server::{
-    argv_strings, command_label, dispatch, serve_replica_connection, CmdMetricsCache, ConnCtx,
-    ConnState, ReplicationControl,
+    argv_strings, command_label, dispatch, malformed_argv_strings, refuse_malformed,
+    serve_replica_connection, BorrowedCommand, CmdMetricsCache, ConnCtx, ConnState,
+    ReplicationControl,
 };
 use abase_obs::{Span, Stage};
-use abase_proto::{Command, ParseCommandError, RespValue};
-use std::collections::VecDeque;
+use abase_proto::{Command, ParseError, RequestScanner, RespValue, Scanned};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Stop reading from a connection whose un-flushed output exceeds this.
+/// Throttle a connection — stop executing and reading — once its un-flushed
+/// output reaches this.
 pub(crate) const HIGH_WATER: usize = 1 << 20;
-/// Resume reading once the un-flushed output drains below this.
+/// Resume once the un-flushed output drains below this.
 pub(crate) const LOW_WATER: usize = HIGH_WATER / 4;
 /// Per-readable-event read budget: bound the bytes one socket can pull in
 /// before its worker moves on (level-triggered readiness re-fires for the
 /// rest).
 const READ_BUDGET: usize = 256 * 1024;
+/// First size of a connection's input buffer (an idle connection that never
+/// sends has none).
+const INITIAL_INPUT: usize = 4096;
 
 /// What a drive of the state machine asks its owner to do next.
 #[derive(Debug, PartialEq, Eq)]
@@ -105,29 +119,76 @@ impl Drop for ConnGuard {
     }
 }
 
+/// A connection's input: one initialised buffer the socket is read into.
+/// `buf[head..filled]` is what has been read and not yet executed; the
+/// bytes past `filled` are spare room for the next read.
+#[derive(Debug, Default)]
+struct Input {
+    buf: Vec<u8>,
+    /// Cursor: where the next command starts.
+    head: usize,
+    /// End of the bytes read.
+    filled: usize,
+    /// Argument positions of the command being scanned.
+    scanner: RequestScanner,
+}
+
+impl Input {
+    /// The bytes read and not yet executed.
+    fn unread(&self) -> &[u8] {
+        &self.buf[self.head..self.filled]
+    }
+
+    /// Scan the command frame at the cursor.
+    fn scan(&mut self) -> Result<Scanned<'_>, ParseError> {
+        self.scanner.scan(&self.buf[self.head..self.filled])
+    }
+
+    /// Room to read into. The executed prefix is reclaimed first — for free
+    /// when everything read has been executed, which is the common case —
+    /// and the buffer grows only when what is still unread (a frame still
+    /// arriving, or a batch that backpressure left as bytes) fills half of
+    /// it. Growth zeroes the new room once; no read ever does.
+    fn spare(&mut self) -> &mut [u8] {
+        if self.head == self.filled {
+            self.head = 0;
+            self.filled = 0;
+            // One huge frame must not pin its buffer for the connection's
+            // lifetime.
+            if self.buf.len() > 2 * READ_BUDGET {
+                self.buf = Vec::new();
+            }
+        }
+        if self.buf.len() - self.filled <= self.buf.len() / 2 {
+            self.buf.copy_within(self.head..self.filled, 0);
+            self.filled -= self.head;
+            self.head = 0;
+            if self.buf.len() - self.filled <= self.buf.len() / 2 {
+                let grown = (self.buf.len() * 2).max(INITIAL_INPUT);
+                self.buf.resize(grown, 0);
+            }
+        }
+        &mut self.buf[self.filled..]
+    }
+}
+
 /// One client connection's complete serving state.
 #[derive(Debug)]
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
-    /// Raw bytes read but not yet parsed (at most a partial frame once a
-    /// batch has been drained).
-    inbuf: Vec<u8>,
-    /// Parsed frames not yet executed (non-empty only across an offload
-    /// handoff or when execution stopped at a blocking command).
-    pending: VecDeque<RespValue>,
+    /// Bytes read but not yet executed, with the cursor into them.
+    input: Input,
     /// Encoded replies; `out[out_sent..]` is still to be written.
     out: Vec<u8>,
     /// Write cursor into `out` (partial-write resume point).
     out_sent: usize,
-    /// A fatal protocol error parked until the frames before it are served.
-    protocol_error: Option<abase_proto::ParseError>,
     /// Session state: tenant, consistency level, session LSN fence.
     state: ConnState,
     /// Per-connection command-metrics cache (see `server.rs`).
     cmd_metrics: CmdMetricsCache,
-    /// Backpressured: output crossed [`HIGH_WATER`]; reads stay paused until
-    /// the unsent tail drains below [`LOW_WATER`] (hysteresis, not flapping
-    /// at the threshold).
+    /// Backpressured: output reached [`HIGH_WATER`]; executing and reading
+    /// stay paused until the unsent tail drains below [`LOW_WATER`]
+    /// (hysteresis, not flapping at the threshold).
     throttled: bool,
     /// Close once `out` drains.
     closing: bool,
@@ -151,11 +212,9 @@ impl Conn {
     pub(crate) fn new(stream: TcpStream, worker: usize, guard: ConnGuard) -> Self {
         Conn {
             stream,
-            inbuf: Vec::with_capacity(4096),
-            pending: VecDeque::new(),
+            input: Input::default(),
             out: Vec::new(),
             out_sent: 0,
-            protocol_error: None,
             state: ConnState::default(),
             cmd_metrics: None,
             throttled: false,
@@ -196,26 +255,28 @@ impl Conn {
         self.drain(ctx, false)
     }
 
-    /// Read until a short read, `WouldBlock`, EOF, backpressure, or the
-    /// per-event budget. A read that returns less than it asked for emptied
-    /// the socket buffer, so asking again would only buy `WouldBlock`: one
-    /// wasted syscall on every request/reply exchange. The poller is
-    /// level-triggered, so bytes that land afterwards — and EOF, a readable
-    /// event whose read returns 0 — raise the event again.
+    /// Read straight into the input buffer's spare room until a short read,
+    /// `WouldBlock`, EOF, or the per-event budget. A read that returns less
+    /// than it asked for emptied the socket buffer, so asking again would
+    /// only buy `WouldBlock`: one wasted syscall on every request/reply
+    /// exchange. The poller is level-triggered, so bytes that land
+    /// afterwards — and EOF, a readable event whose read returns 0 — raise
+    /// the event again.
     fn fill_inbuf(&mut self) -> std::io::Result<()> {
-        let mut chunk = [0u8; 16 * 1024];
         let mut taken = 0;
-        while taken < READ_BUDGET && self.unsent() < HIGH_WATER {
-            match self.stream.read(&mut chunk) {
+        while taken < READ_BUDGET {
+            let room = self.input.spare();
+            let asked = room.len().min(READ_BUDGET - taken);
+            match self.stream.read(&mut room[..asked]) {
                 Ok(0) => {
                     self.saw_eof = true;
                     break;
                 }
                 Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
+                    self.input.filled += n;
                     taken += n;
                     self.last_active = Instant::now();
-                    if n < chunk.len() {
+                    if n < asked {
                         break;
                     }
                 }
@@ -227,68 +288,31 @@ impl Conn {
         Ok(())
     }
 
-    /// Parse every complete frame, execute the batch in wire order with the
-    /// replies encoded into `out`, and flush them with one write.
+    /// Execute the buffered commands in wire order with the replies encoded
+    /// into `out`, and flush them with one write.
     ///
     /// `may_park` is whether the calling thread may run a command that
     /// parks it. An event-loop worker may not: it stops in front of the
-    /// first such command and returns [`Step::Offload`], leaving the rest of
-    /// the batch parsed in `pending`. An offload thread may: it runs the
-    /// batch to the end, `PSYNC` upgrade included.
+    /// first such command and returns [`Step::Offload`], the rest of the
+    /// batch still bytes behind the cursor. An offload thread may: it runs
+    /// the batch to the end, `PSYNC` upgrade included.
     pub(crate) fn drain(&mut self, ctx: &ConnCtx, may_park: bool) -> Step {
-        if !self.closing {
-            // Top up the pending frames from the raw buffer.
-            if self.protocol_error.is_none() && !self.inbuf.is_empty() {
-                let (batch, status) = RespValue::parse_batch(&self.inbuf);
-                self.inbuf.drain(..batch.consumed);
-                self.pending.extend(batch.frames);
-                if let Err(e) = status {
-                    // Report only after the frames before it are served.
-                    self.protocol_error = Some(e);
-                    self.inbuf.clear();
+        loop {
+            if !self.closing {
+                if let Some(step) = self.run_buffered(ctx, may_park) {
+                    return step;
                 }
             }
-            let mut batch_commands = 0u64;
-            let step = loop {
-                let Some(value) = self.pending.front() else {
-                    break None;
-                };
-                let command = Command::from_resp(value);
-                if parks(&command, ctx) {
-                    if !may_park {
-                        break Some(Step::Offload);
-                    }
-                    // Replies already earned do not wait out the park.
-                    if self.flush().is_err() {
-                        break Some(Step::Close);
-                    }
-                    if let (Ok(Command::PSync { position }), Some(repl)) =
-                        (&command, ctx.replication.as_deref())
-                    {
-                        self.pending.pop_front();
-                        self.become_replica_stream(*position, repl);
-                        break Some(Step::Close);
-                    }
-                }
-                // INVARIANT: the loop head peeked `front()` as Some.
-                let value = self.pending.pop_front().expect("front checked");
-                let reply = self.execute(&value, command, ctx);
-                self.push_reply(&reply);
-                batch_commands += 1;
-            };
-            if batch_commands > 0 {
-                metrics::PIPELINE_BATCH.record(batch_commands);
+            let stalled = self.throttled;
+            if self.flush().is_err() {
+                return Step::Close;
             }
-            if let Some(step) = step {
-                return step;
+            // Backpressure stopped the batch and this flush relieved it at
+            // once (always so on an offload thread's blocking socket): the
+            // rest runs now. Otherwise it waits for the writable event.
+            if !stalled || self.throttled {
+                break;
             }
-            if let Some(e) = self.protocol_error.take() {
-                self.push_reply(&RespValue::Error(format!("ERR protocol: {e}")));
-                self.closing = true;
-            }
-        }
-        if self.flush().is_err() {
-            return Step::Close;
         }
         if !self.wants_write() && (self.closing || self.saw_eof) {
             return Step::Close;
@@ -296,44 +320,95 @@ impl Conn {
         Step::Continue
     }
 
-    /// Execute one command against the shared dispatcher under its span,
-    /// command metrics and slowlog.
-    fn execute(
-        &mut self,
-        value: &RespValue,
-        command: Result<Command, ParseCommandError>,
-        ctx: &ConnCtx,
-    ) -> RespValue {
-        let mut span = Span::begin();
-        let label = command_label(value, &command);
-        span.enter(Stage::Admission);
-        let reply = dispatch(value, command, &mut self.state, &mut span, ctx);
-        span.enter(Stage::Respond);
-        let (count, micros) = match self.cmd_metrics {
-            Some((cached, c, h)) if std::ptr::eq(cached, label) => (c, h),
-            _ => {
-                let c = metrics::COMMANDS.with(label);
-                let h = metrics::COMMAND_MICROS.with(label);
-                self.cmd_metrics = Some((label, c, h));
-                (c, h)
+    /// Scan, execute and answer one command at a time from the cursor until
+    /// the input runs out, backpressure throttles the connection, or a
+    /// command decides the connection's next step.
+    fn run_buffered(&mut self, ctx: &ConnCtx, may_park: bool) -> Option<Step> {
+        let mut served = 0u64;
+        // The store handle, taken once for the batch (see
+        // `TableEngine::swap_db`).
+        let mut db = None;
+        // When the previous command of the batch finished, which is when
+        // this one begins.
+        let mut finished: Option<Instant> = None;
+        let step = loop {
+            if self.throttled {
+                break None;
+            }
+            let mut span = finished.take().map_or_else(Span::begin, Span::begin_at);
+            let outcome = match self.input.scan() {
+                Ok(Scanned::Incomplete) => break None,
+                Ok(Scanned::Command { argv, consumed }) => {
+                    let command = Command::from_args(argv.len(), |i| Ok(argv.get(i)));
+                    if parks(&command, ctx) {
+                        if !may_park {
+                            break Some(Step::Offload);
+                        }
+                        // Replies already earned do not wait out the park;
+                        // the command is scanned again once they are out.
+                        if self.out_sent < self.out.len() {
+                            if self.flush().is_err() {
+                                break Some(Step::Close);
+                            }
+                            continue;
+                        }
+                        if let (Ok(Command::PSync { position }), Some(repl)) =
+                            (&command, ctx.replication.as_deref())
+                        {
+                            let position = *position;
+                            self.input.head += consumed;
+                            self.become_replica_stream(position, repl);
+                            break Some(Step::Close);
+                        }
+                    }
+                    let label = command_label(argv, &command);
+                    span.enter(Stage::Admission);
+                    let db = db.get_or_insert_with(|| ctx.engine.db());
+                    let reply = dispatch(argv, command, &mut self.state, &mut span, db, ctx);
+                    span.enter(Stage::Respond);
+                    reply.encode(&mut self.out);
+                    let argv = || argv_strings(argv);
+                    let done = account(&mut self.cmd_metrics, label, &reply, span, ctx, argv);
+                    self.input.head += consumed;
+                    Ok(done)
+                }
+                // Not a command frame: the owned parser has the verdict,
+                // which for a complete frame is an error reply.
+                Ok(Scanned::Other) => match RespValue::parse(self.input.unread()) {
+                    Ok(None) => break None,
+                    Ok(Some((value, consumed))) => {
+                        let (label, reply) = refuse_malformed(&value);
+                        span.enter(Stage::Admission);
+                        span.enter(Stage::Respond);
+                        reply.encode(&mut self.out);
+                        let argv = || malformed_argv_strings(&value);
+                        let done = account(&mut self.cmd_metrics, label, &reply, span, ctx, argv);
+                        self.input.head += consumed;
+                        Ok(done)
+                    }
+                    Err(e) => Err(e),
+                },
+                Err(e) => Err(e),
+            };
+            match outcome {
+                Ok(done) => finished = Some(done),
+                Err(e) => {
+                    // The frames before a malformed one have been served;
+                    // what follows it never is.
+                    RespValue::Error(format!("ERR protocol: {e}")).encode(&mut self.out);
+                    self.closing = true;
+                    break None;
+                }
+            }
+            served += 1;
+            if self.unsent() >= HIGH_WATER {
+                self.throttled = true;
             }
         };
-        count.inc();
-        if matches!(reply, RespValue::Error(_)) {
-            metrics::COMMAND_ERRORS.inc(label);
+        if served > 0 {
+            metrics::PIPELINE_BATCH.record(served);
         }
-        let report = span.finish();
-        micros.record(report.total_micros);
-        ctx.slowlog.observe(&report, || argv_strings(value));
-        reply
-    }
-
-    /// Encode one reply onto the end of the batch's output.
-    fn push_reply(&mut self, reply: &RespValue) {
-        reply.encode(&mut self.out);
-        if self.unsent() >= HIGH_WATER {
-            self.throttled = true;
-        }
+        step
     }
 
     /// Write `out[out_sent..]` to the socket. On `WouldBlock` the rest stays
@@ -378,8 +453,8 @@ impl Conn {
     }
 
     /// The `PSYNC` upgrade: serve the socket as a replica stream until it
-    /// ends. Frames the client pipelined *after* `PSYNC` (re-encoded) plus
-    /// the raw partial tail are the stream's initial buffer.
+    /// ends. Whatever the client pipelined *after* `PSYNC` — the unread
+    /// bytes — is the stream's initial buffer.
     fn become_replica_stream(
         &mut self,
         position: Option<(u64, u64)>,
@@ -388,24 +463,202 @@ impl Conn {
         let Ok(stream) = self.stream.try_clone() else {
             return;
         };
-        let mut leftover = Vec::new();
-        for frame in self.pending.drain(..) {
-            frame.encode(&mut leftover);
-        }
-        leftover.append(&mut self.inbuf);
+        let leftover = self.input.unread().to_vec();
         let _ = serve_replica_connection(stream, leftover, position, self.state.replica_id, repl);
     }
+}
+
+/// Count one answered frame under `label`, close its span into the command
+/// histogram, and offer it to the slowlog (`argv` is rendered only on
+/// capture). Returns when the span finished.
+fn account(
+    cache: &mut CmdMetricsCache,
+    label: &'static str,
+    reply: &RespValue,
+    span: Span,
+    ctx: &ConnCtx,
+    argv: impl FnOnce() -> Vec<String>,
+) -> Instant {
+    let (count, micros) = match *cache {
+        Some((cached, c, h)) if std::ptr::eq(cached, label) => (c, h),
+        _ => {
+            let c = metrics::COMMANDS.with(label);
+            let h = metrics::COMMAND_MICROS.with(label);
+            *cache = Some((label, c, h));
+            (c, h)
+        }
+    };
+    count.inc();
+    if matches!(reply, RespValue::Error(_)) {
+        metrics::COMMAND_ERRORS.inc(label);
+    }
+    let report = span.finish();
+    micros.record(report.total_micros);
+    ctx.slowlog.observe(&report, argv);
+    report.finished
 }
 
 /// Whether `command` may park the thread that runs it. Only with a
 /// replication plane attached: replicated writes commit under the group's
 /// write concern, `WAIT` drives follower acks up to its timeout, and `PSYNC`
 /// turns the connection into a replica stream for the rest of its life.
-fn parks(command: &Result<Command, ParseCommandError>, ctx: &ConnCtx) -> bool {
+fn parks(command: &BorrowedCommand<'_>, ctx: &ConnCtx) -> bool {
     ctx.replication.is_some()
         && match command {
             Ok(Command::Wait { .. } | Command::PSync { .. }) => true,
             Ok(c) => c.is_write() && !ctx.read_only,
             Err(_) => false,
         }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::TableEngine;
+    use abase_lavastore::DbConfig;
+    use abase_util::TestDir;
+    use std::net::TcpListener;
+    use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
+
+    fn ctx(dir: &TestDir) -> ConnCtx {
+        ConnCtx {
+            engine: Arc::new(TableEngine::open(dir.path(), DbConfig::default()).unwrap()),
+            clock: Arc::new(AtomicU64::new(0)),
+            replication: None,
+            read_only: false,
+            slowlog: Arc::new(abase_obs::SlowLog::default()),
+            repl_info: None,
+            started: Instant::now(),
+            stats: Arc::new(FrontEndStats::default()),
+            io_threads: 1,
+        }
+    }
+
+    /// A served connection (non-blocking, as on the event loop) and the
+    /// client end of its socket.
+    fn socket_pair(ctx: &ConnCtx) -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        served.set_nonblocking(true).unwrap();
+        let guard = ConnGuard::open(Arc::clone(&ctx.stats), "test");
+        (Conn::new(served, 0, guard), client)
+    }
+
+    fn frame(parts: &[&[u8]]) -> Vec<u8> {
+        RespValue::array(parts.iter().map(|p| RespValue::bulk(p.to_vec())).collect()).to_bytes()
+    }
+
+    /// Send `request` and drive the connection until `want` reply bytes
+    /// have arrived.
+    fn exchange(
+        conn: &mut Conn,
+        client: &mut TcpStream,
+        ctx: &ConnCtx,
+        request: &[u8],
+        want: usize,
+    ) -> Vec<u8> {
+        client.write_all(request).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
+        let mut reply = vec![0u8; want];
+        let mut got = 0;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while got < want {
+            assert!(Instant::now() < deadline, "no reply");
+            assert_eq!(conn.on_event(true, true, ctx), Step::Continue);
+            got += client.read(&mut reply[got..]).unwrap_or(0);
+        }
+        reply
+    }
+
+    /// The store handle is taken once per drained batch: a batch after
+    /// `swap_db` (a follower's full resync) must read the replacement.
+    #[test]
+    fn the_next_batch_after_swap_db_reads_the_new_store() {
+        let dir = TestDir::new("conn-swap-db");
+        let ctx = ctx(&dir);
+        let (mut conn, mut client) = socket_pair(&ctx);
+        let replacement_dir = TestDir::new("conn-swap-db-replacement");
+        let replacement = abase_lavastore::Db::open(replacement_dir.path(), DbConfig::default());
+        let replacement = Arc::new(replacement.unwrap());
+        let key = TableEngine::storage_string_key(0, b"k");
+        ctx.engine.db().put(&key, b"old", None, 0).unwrap();
+        replacement.put(&key, b"new", None, 0).unwrap();
+
+        let get = frame(&[b"GET", b"k"]);
+        let two_gets = [&get[..], &get[..]].concat();
+        let reply = exchange(&mut conn, &mut client, &ctx, &two_gets, 18);
+        assert_eq!(reply, b"$3\r\nold\r\n$3\r\nold\r\n");
+        ctx.engine.swap_db(replacement);
+        let reply = exchange(&mut conn, &mut client, &ctx, &two_gets, 18);
+        assert_eq!(reply, b"$3\r\nnew\r\n$3\r\nnew\r\n");
+    }
+
+    /// One pipelined read of many `GET bigkey` must not encode every reply
+    /// before the first write: the drain loop stops executing at
+    /// `HIGH_WATER`, leaves the rest of the batch as bytes, and resumes from
+    /// the writable event — every reply once, in order.
+    #[test]
+    fn a_pipelined_batch_of_big_replies_is_bounded_by_high_water() {
+        const VALUE: usize = 128 << 10;
+        const KEYS: usize = 4;
+        const GETS: usize = 200;
+        let dir = TestDir::new("conn-backpressure");
+        let ctx = ctx(&dir);
+        let (mut conn, mut client) = socket_pair(&ctx);
+        let value = |k: usize| vec![b'a' + k as u8; VALUE];
+        for k in 0..KEYS {
+            let set = Command::Set {
+                key: format!("big{k}").into_bytes(),
+                value: value(k),
+                ttl_secs: None,
+            };
+            ctx.engine.execute(0, &set, 0).unwrap();
+        }
+        client
+            .set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
+
+        // The batch: 200 GETs of 128 KiB values, 25 MiB of replies, in
+        // one read of 5 KB. The peer is not reading.
+        let mut batch = Vec::new();
+        for i in 0..GETS {
+            batch.extend_from_slice(&frame(&[b"GET", format!("big{}", i % KEYS).as_bytes()]));
+        }
+        client.write_all(&batch).unwrap();
+        assert_eq!(conn.on_event(true, false, &ctx), Step::Continue);
+        let one_reply = VALUE + 16;
+        assert!(conn.throttled && !conn.wants_read());
+        assert!(
+            conn.out.len() <= HIGH_WATER + one_reply,
+            "{} bytes of replies buffered past HIGH_WATER",
+            conn.out.len()
+        );
+        assert!(
+            !conn.input.unread().is_empty(),
+            "the rest of the batch stays behind the cursor as bytes"
+        );
+
+        // The peer reads: writable events resume the batch where it stopped.
+        let mut received = Vec::new();
+        let mut chunk = vec![0u8; 1 << 20];
+        let mut expected = Vec::new();
+        for i in 0..GETS {
+            RespValue::bulk(value(i % KEYS)).encode(&mut expected);
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while received.len() < expected.len() {
+            assert!(Instant::now() < deadline, "the batch never finished");
+            assert_eq!(conn.on_event(false, true, &ctx), Step::Continue);
+            assert!(conn.out.len() <= HIGH_WATER + one_reply);
+            if let Ok(n) = client.read(&mut chunk) {
+                received.extend_from_slice(&chunk[..n]);
+            }
+        }
+        assert!(received == expected, "replies lost, repeated or reordered");
+        assert!(conn.input.unread().is_empty() && !conn.wants_write());
+    }
 }

@@ -7,13 +7,53 @@
 //! paper's `HGetAll` decomposes into `HLen` + scan (§4.1).
 
 use abase_lavastore::{Db, DbConfig, ReadResult};
+use abase_proto::resp::push_decimal;
 use abase_proto::{Command, RespValue};
 use abase_util::clock::SimTime;
 use abase_util::lockrank::{rank, RankedRwLock};
 use bytes::Bytes;
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::types::TenantId;
+
+thread_local! {
+    /// The buffer storage keys are built in on this thread, kept between
+    /// commands so a request's key costs no allocation.
+    static KEY_SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// A scratch key buffer that grew past this (one huge key) is freed, not kept.
+const KEPT_KEY_BYTES: usize = 64 << 10;
+
+/// The thread's key buffer, on loan for one command: a storage key does not
+/// outlive the store call it is built for.
+struct KeyScratch(Vec<u8>);
+
+impl KeyScratch {
+    fn take() -> Self {
+        KeyScratch(KEY_SCRATCH.take())
+    }
+}
+
+impl Drop for KeyScratch {
+    fn drop(&mut self) {
+        if self.0.capacity() <= KEPT_KEY_BYTES {
+            KEY_SCRATCH.set(std::mem::take(&mut self.0));
+        }
+    }
+}
+
+/// The absolute expiry `secs` after `now`, or `None` when a client-chosen
+/// TTL runs past the end of the clock.
+fn expiry(now: SimTime, secs: u64) -> Option<SimTime> {
+    secs.checked_mul(1_000_000)?.checked_add(now)
+}
+
+/// Redis's refusal of a TTL that overflows; nothing is written.
+fn invalid_expire(verb: &str) -> RespValue {
+    RespValue::Error(format!("ERR invalid expire time in '{verb}' command"))
+}
 
 /// Outcome of executing one command.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,10 +111,12 @@ impl TableEngine {
         Arc::clone(&self.db.read())
     }
 
-    /// Replace the underlying store. Commands already executing finish
-    /// against the handle they cloned; new commands see the replacement —
-    /// exactly the semantics a follower needs when a full resync swaps its
-    /// data directory for a fresh leader checkpoint.
+    /// Replace the underlying store. A connection takes the handle once per
+    /// drained batch, so a batch in flight finishes against the store it
+    /// started on — the race a single command has always had — and the
+    /// connection's *next* batch sees the replacement: exactly the semantics
+    /// a follower needs when a full resync swaps its data directory for a
+    /// fresh leader checkpoint.
     pub fn swap_db(&self, db: Arc<Db>) {
         *self.db.write() = db;
     }
@@ -83,117 +125,122 @@ impl TableEngine {
     /// the server's routed read path can issue the same read against a
     /// follower replica's store.
     pub fn storage_string_key(tenant: TenantId, key: &[u8]) -> Vec<u8> {
-        Self::string_key(tenant, key)
-    }
-
-    fn string_key(tenant: TenantId, key: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(key.len() + 12);
-        out.extend_from_slice(format!("t{tenant}:").as_bytes());
-        out.extend_from_slice(key);
+        Self::string_key(&mut out, tenant, key);
         out
     }
 
-    /// `h{tenant}:{key length}:{key}` — the field follows directly. The
-    /// length is what ends the key: joined by a separator alone, key `a` with
-    /// field `b:c` and key `a:b` with field `c` would be one storage key.
-    fn hash_prefix(tenant: TenantId, key: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(key.len() + 16);
-        out.extend_from_slice(format!("h{tenant}:{}:", key.len()).as_bytes());
+    /// Overwrite `out` with `t{tenant}:{key}`.
+    fn string_key(out: &mut Vec<u8>, tenant: TenantId, key: &[u8]) {
+        out.clear();
+        out.push(b't');
+        push_decimal(out, u64::from(tenant));
+        out.push(b':');
         out.extend_from_slice(key);
-        out
     }
 
-    fn hash_field_key(tenant: TenantId, key: &[u8], field: &[u8]) -> Vec<u8> {
-        let mut out = Self::hash_prefix(tenant, key);
+    /// Overwrite `out` with `h{tenant}:{key length}:{key}` — the field
+    /// follows directly. The length is what ends the key: joined by a
+    /// separator alone, key `a` with field `b:c` and key `a:b` with field `c`
+    /// would be one storage key.
+    fn hash_prefix(out: &mut Vec<u8>, tenant: TenantId, key: &[u8]) {
+        out.clear();
+        out.push(b'h');
+        push_decimal(out, u64::from(tenant));
+        out.push(b':');
+        push_decimal(out, key.len() as u64);
+        out.push(b':');
+        out.extend_from_slice(key);
+    }
+
+    fn hash_field_key(out: &mut Vec<u8>, tenant: TenantId, key: &[u8], field: &[u8]) {
+        Self::hash_prefix(out, tenant, key);
         out.extend_from_slice(field);
-        out
     }
 
-    /// Execute `cmd` on behalf of `tenant` at virtual time `now`.
-    pub fn execute(
+    /// Execute `cmd` on behalf of `tenant` at virtual time `now`, against
+    /// the current store. Generic over how the command holds its arguments:
+    /// the server passes a `Command<&[u8]>` borrowed from its input buffer,
+    /// so a value is copied once, by the store, into the record it keeps.
+    pub fn execute<B: AsRef<[u8]>>(
         &self,
         tenant: TenantId,
-        cmd: &Command,
+        cmd: &Command<B>,
         now: SimTime,
     ) -> abase_lavastore::Result<ExecOutcome> {
-        let db = self.db();
+        Self::execute_on(&self.db(), tenant, cmd, now)
+    }
+
+    /// [`TableEngine::execute`] against a store handle the caller holds —
+    /// a connection takes [`TableEngine::db`] once per drained batch, not
+    /// once per command. The only place a verb meets the store.
+    pub fn execute_on<B: AsRef<[u8]>>(
+        db: &Db,
+        tenant: TenantId,
+        cmd: &Command<B>,
+        now: SimTime,
+    ) -> abase_lavastore::Result<ExecOutcome> {
+        let mut scratch = KeyScratch::take();
+        let sk = &mut scratch.0;
+        // A reply that touched no block and returned `bytes` to the client.
+        let free = |reply: RespValue, bytes_returned: usize| ExecOutcome {
+            reply,
+            io_ops: 0,
+            bytes_returned,
+            from_memtable: true,
+        };
         match cmd {
-            Command::Ping => Ok(ExecOutcome {
-                reply: RespValue::Simple("PONG".into()),
-                io_ops: 0,
-                bytes_returned: 4,
-                from_memtable: true,
-            }),
+            Command::Ping => Ok(free(RespValue::Simple("PONG".into()), 4)),
             // Replication control commands are answered by the server's
             // replication handle when one is attached; a bare engine has no
             // replicas, so WAIT reports zero acks and REPLCONF is accepted.
-            Command::Wait { .. } => Ok(ExecOutcome {
-                reply: RespValue::Integer(0),
-                io_ops: 0,
-                bytes_returned: 8,
-                from_memtable: true,
-            }),
-            Command::ReplConf { .. } => Ok(ExecOutcome {
-                reply: RespValue::ok(),
-                io_ops: 0,
-                bytes_returned: 2,
-                from_memtable: true,
-            }),
+            Command::Wait { .. } => Ok(free(RespValue::Integer(0), 8)),
+            // Consistency is per-connection state owned by the server's read
+            // routing; a bare engine acknowledges and stays leader-local.
+            Command::ReplConf { .. } | Command::Consistency { .. } => Ok(free(RespValue::ok(), 2)),
             // PSYNC only makes sense on a connection the server switched
             // into replica-streaming mode; reaching the engine means no
             // replication plane is attached here.
-            Command::PSync { .. } => Ok(ExecOutcome {
-                reply: RespValue::Error("ERR PSYNC requires a replication-enabled leader".into()),
-                io_ops: 0,
-                bytes_returned: 0,
-                from_memtable: true,
-            }),
-            // Consistency is per-connection state owned by the server's read
-            // routing; a bare engine acknowledges and stays leader-local.
-            Command::Consistency { .. } => Ok(ExecOutcome {
-                reply: RespValue::ok(),
-                io_ops: 0,
-                bytes_returned: 2,
-                from_memtable: true,
-            }),
+            Command::PSync { .. } => Ok(free(
+                RespValue::Error("ERR PSYNC requires a replication-enabled leader".into()),
+                0,
+            )),
             // Observability commands are answered by the server front end
             // (which owns the registry snapshot and per-server slowlog);
             // a bare engine has nothing to report.
-            Command::Info { .. } | Command::Slowlog { .. } | Command::Metrics => Ok(ExecOutcome {
-                reply: RespValue::Error(
+            Command::Info { .. } | Command::Slowlog { .. } | Command::Metrics => Ok(free(
+                RespValue::Error(
                     "ERR observability commands are served by the RESP front end".into(),
                 ),
-                io_ops: 0,
-                bytes_returned: 0,
-                from_memtable: true,
-            }),
+                0,
+            )),
             Command::Get { key } => {
-                let r = db.get(&Self::string_key(tenant, key), now)?;
-                Ok(Self::bulk_outcome(r))
+                Self::string_key(sk, tenant, key.as_ref());
+                Ok(Self::bulk_outcome(db.get(sk, now)?))
             }
             Command::Set {
                 key,
                 value,
                 ttl_secs,
             } => {
-                let expires = ttl_secs.map(|s| now + s * 1_000_000);
-                db.put(&Self::string_key(tenant, key), value, expires, now)?;
-                Ok(ExecOutcome {
-                    reply: RespValue::ok(),
-                    io_ops: 0,
-                    bytes_returned: 2,
-                    from_memtable: true,
-                })
+                let expires = ttl_secs.map(|secs| expiry(now, secs));
+                if expires == Some(None) {
+                    return Ok(free(invalid_expire("set"), 0));
+                }
+                let expires = expires.flatten();
+                Self::string_key(sk, tenant, key.as_ref());
+                db.put(sk, value.as_ref(), expires, now)?;
+                Ok(free(RespValue::ok(), 2))
             }
             Command::Del { keys } => {
                 let mut removed = 0i64;
                 let mut io = 0u32;
                 for key in keys {
-                    let sk = Self::string_key(tenant, key);
-                    let r = db.get(&sk, now)?;
+                    Self::string_key(sk, tenant, key.as_ref());
+                    let r = db.get(sk, now)?;
                     io += r.io_ops;
                     if r.value.is_some() {
-                        db.delete(&sk, now)?;
+                        db.delete(sk, now)?;
                         removed += 1;
                     }
                 }
@@ -205,7 +252,8 @@ impl TableEngine {
                 })
             }
             Command::Exists { key } => {
-                let r = db.get(&Self::string_key(tenant, key), now)?;
+                Self::string_key(sk, tenant, key.as_ref());
+                let r = db.get(sk, now)?;
                 Ok(ExecOutcome {
                     reply: RespValue::Integer(i64::from(r.value.is_some())),
                     io_ops: r.io_ops,
@@ -214,50 +262,41 @@ impl TableEngine {
                 })
             }
             Command::Expire { key, secs } => {
-                let sk = Self::string_key(tenant, key);
-                let r = db.get(&sk, now)?;
-                match r.value {
-                    None => Ok(ExecOutcome {
-                        reply: RespValue::Integer(0),
-                        io_ops: r.io_ops,
-                        bytes_returned: 8,
-                        from_memtable: r.from_memtable,
-                    }),
-                    Some(value) => {
-                        db.put(&sk, &value, Some(now + secs * 1_000_000), now)?;
-                        Ok(ExecOutcome {
-                            reply: RespValue::Integer(1),
-                            io_ops: r.io_ops,
-                            bytes_returned: 8,
-                            from_memtable: r.from_memtable,
-                        })
-                    }
+                let Some(expires) = expiry(now, *secs) else {
+                    return Ok(free(invalid_expire("expire"), 0));
+                };
+                Self::string_key(sk, tenant, key.as_ref());
+                let r = db.get(sk, now)?;
+                if let Some(value) = &r.value {
+                    db.put(sk, value, Some(expires), now)?;
                 }
+                Ok(ExecOutcome {
+                    reply: RespValue::Integer(i64::from(r.value.is_some())),
+                    io_ops: r.io_ops,
+                    bytes_returned: 8,
+                    from_memtable: r.from_memtable,
+                })
             }
             Command::HSet { key, pairs } => {
                 for (field, value) in pairs {
-                    db.put(&Self::hash_field_key(tenant, key, field), value, None, now)?;
+                    Self::hash_field_key(sk, tenant, key.as_ref(), field.as_ref());
+                    db.put(sk, value.as_ref(), None, now)?;
                 }
-                Ok(ExecOutcome {
-                    reply: RespValue::Integer(pairs.len() as i64),
-                    io_ops: 0,
-                    bytes_returned: 8,
-                    from_memtable: true,
-                })
+                Ok(free(RespValue::Integer(pairs.len() as i64), 8))
             }
             Command::HGet { key, field } => {
-                let r = db.get(&Self::hash_field_key(tenant, key, field), now)?;
-                Ok(Self::bulk_outcome(r))
+                Self::hash_field_key(sk, tenant, key.as_ref(), field.as_ref());
+                Ok(Self::bulk_outcome(db.get(sk, now)?))
             }
             Command::HDel { key, fields } => {
                 let mut removed = 0i64;
                 let mut io = 0u32;
                 for field in fields {
-                    let fk = Self::hash_field_key(tenant, key, field);
-                    let r = db.get(&fk, now)?;
+                    Self::hash_field_key(sk, tenant, key.as_ref(), field.as_ref());
+                    let r = db.get(sk, now)?;
                     io += r.io_ops;
                     if r.value.is_some() {
-                        db.delete(&fk, now)?;
+                        db.delete(sk, now)?;
                         removed += 1;
                     }
                 }
@@ -269,7 +308,8 @@ impl TableEngine {
                 })
             }
             Command::HLen { key } => {
-                let (pairs, io) = db.scan_prefix(&Self::hash_prefix(tenant, key), now)?;
+                Self::hash_prefix(sk, tenant, key.as_ref());
+                let (pairs, io) = db.scan_prefix(sk, now)?;
                 Ok(ExecOutcome {
                     reply: RespValue::Integer(pairs.len() as i64),
                     io_ops: io,
@@ -278,12 +318,12 @@ impl TableEngine {
                 })
             }
             Command::HGetAll { key } => {
-                let prefix = Self::hash_prefix(tenant, key);
-                let (pairs, io) = db.scan_prefix(&prefix, now)?;
+                Self::hash_prefix(sk, tenant, key.as_ref());
+                let (pairs, io) = db.scan_prefix(sk, now)?;
                 let mut items = Vec::with_capacity(pairs.len() * 2);
                 let mut bytes = 0usize;
                 for (k, v) in pairs {
-                    let field = Bytes::copy_from_slice(&k[prefix.len()..]);
+                    let field = Bytes::copy_from_slice(&k[sk.len()..]);
                     bytes += field.len() + v.len();
                     items.push(RespValue::Bulk(Some(field)));
                     items.push(RespValue::Bulk(Some(v)));
@@ -313,6 +353,9 @@ impl TableEngine {
 mod tests {
     use super::*;
     use abase_util::TestDir;
+
+    /// The owned command: `"k".into()` needs the argument type named.
+    type Command = abase_proto::Command<Bytes>;
 
     fn engine(tag: &str) -> (TestDir, TableEngine) {
         let dir = TestDir::new(tag);
@@ -403,6 +446,45 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.reply, RespValue::Integer(0));
+    }
+
+    /// A client-chosen TTL that runs past the end of the clock is refused
+    /// with Redis's error and writes nothing — it neither wraps to an expiry
+    /// moments away nor (debug builds) panics the thread that serves it.
+    #[test]
+    fn overflowing_ttls_are_refused_and_write_nothing() {
+        let (_d, e) = engine("ttl-overflow");
+        let now = 1_700_000_000_000_000;
+        e.execute(1, &set("k", "old", None), now).unwrap();
+        // `secs * 1_000_000` wraps; `now + micros` wraps.
+        for secs in [18_446_744_073_710, u64::MAX, u64::MAX / 1_000_000] {
+            let out = e.execute(1, &set("k", "new", Some(secs)), now).unwrap();
+            assert_eq!(
+                out.reply,
+                RespValue::Error("ERR invalid expire time in 'set' command".into())
+            );
+            let expire = Command::Expire {
+                key: "k".into(),
+                secs,
+            };
+            assert_eq!(
+                e.execute(1, &expire, now).unwrap().reply,
+                RespValue::Error("ERR invalid expire time in 'expire' command".into())
+            );
+        }
+        assert_eq!(
+            e.execute(1, &get("k"), now + 1_000_000).unwrap().reply,
+            RespValue::bulk("old"),
+            "a refused TTL must leave the record as it was"
+        );
+        // The largest TTL that fits is accepted.
+        let fits = (u64::MAX - now) / 1_000_000;
+        assert_eq!(
+            e.execute(1, &set("k", "new", Some(fits)), now)
+                .unwrap()
+                .reply,
+            RespValue::ok()
+        );
     }
 
     #[test]

@@ -306,8 +306,7 @@ fn worker_loop(
         let mut woke = false;
         // epoll reports at most one event per fd per wait, so every token in
         // the batch is distinct and `remove` cannot race a duplicate.
-        let batch: Vec<_> = events.iter().collect();
-        for ev in batch {
+        for ev in events.iter() {
             if ev.token == TOKEN_WAKER {
                 woke = true;
                 continue;

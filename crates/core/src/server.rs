@@ -31,7 +31,7 @@ use crate::metrics;
 use crate::types::ConsistencyLevel;
 use abase_lavastore::Db;
 use abase_obs::{SlowLog, Span, Stage, Timer};
-use abase_proto::{Command, RespValue, SlowlogSub};
+use abase_proto::{Argv, Command, RespValue, SlowlogSub};
 use abase_replication::{socket, ReadConsistency, RemoteFollowerState, ReplicaGroup};
 use abase_util::lockrank::RankedMutex;
 use std::io::Write;
@@ -444,45 +444,78 @@ pub(crate) type CmdMetricsCache = Option<(
     &'static abase_obs::Histo,
 )>;
 
+/// The grammar's verdict on a command frame, as the server holds it: the
+/// arguments are slices of the connection's input buffer.
+pub(crate) type BorrowedCommand<'a> = Result<Command<&'a [u8]>, abase_proto::ParseCommandError>;
+
 /// Bounded-cardinality command label for the per-command metric families:
 /// the parsed command's canonical name, `AUTH` for the connection-layer auth
 /// frame, `INVALID` for anything unparseable (client-chosen strings must not
 /// mint label values).
-pub(crate) fn command_label(
-    value: &RespValue,
-    command: &Result<Command, abase_proto::ParseCommandError>,
-) -> &'static str {
-    if let Ok(c) = command {
-        return c.name();
+pub(crate) fn command_label(argv: Argv<'_>, command: &BorrowedCommand<'_>) -> &'static str {
+    match command {
+        Ok(c) => c.name(),
+        Err(_) => rejected_label(argv.iter().next()),
     }
-    if let RespValue::Array(Some(items)) = value {
-        if let Some(RespValue::Bulk(Some(name))) = items.first() {
-            if name.eq_ignore_ascii_case(b"AUTH") {
-                return "AUTH";
-            }
-        }
-    }
-    "INVALID"
 }
 
-/// The frame as printable argv for a SLOWLOG entry (lossy UTF-8, long
-/// arguments truncated — the log keeps shapes, not payloads).
-pub(crate) fn argv_strings(value: &RespValue) -> Vec<String> {
+/// The label of a frame the grammar refused, from its verb when it has one.
+pub(crate) fn rejected_label(verb: Option<&[u8]>) -> &'static str {
+    match verb {
+        Some(verb) if verb.eq_ignore_ascii_case(b"AUTH") => "AUTH",
+        _ => "INVALID",
+    }
+}
+
+/// One argument as SLOWLOG shows it (lossy UTF-8, long arguments truncated —
+/// the log keeps shapes, not payloads).
+fn shown_arg(arg: &[u8]) -> String {
     const MAX_ARG: usize = 128;
+    let shown = String::from_utf8_lossy(&arg[..arg.len().min(MAX_ARG)]).into_owned();
+    if arg.len() > MAX_ARG {
+        format!("{shown}... ({} bytes)", arg.len())
+    } else {
+        shown
+    }
+}
+
+/// A command frame as printable argv for a SLOWLOG entry.
+pub(crate) fn argv_strings(argv: Argv<'_>) -> Vec<String> {
+    argv.iter().map(shown_arg).collect()
+}
+
+/// Label and error reply for a complete frame that is not a command frame
+/// (a non-array, or an array holding something other than bulk strings),
+/// worded by the owned grammar entry point.
+pub(crate) fn refuse_malformed(value: &RespValue) -> (&'static str, RespValue) {
+    let verb = match value {
+        RespValue::Array(Some(items)) => match items.first() {
+            Some(RespValue::Bulk(Some(verb))) => Some(&verb[..]),
+            _ => None,
+        },
+        _ => None,
+    };
+    let reason = match Command::from_resp(value) {
+        Err(e) => e,
+        // The grammar reads every item of a frame it accepts as a bulk
+        // string, and this frame holds one that is not.
+        Ok(_) => abase_proto::ParseCommandError("expected bulk strings".into()),
+    };
+    (
+        rejected_label(verb),
+        RespValue::Error(format!("ERR {reason}")),
+    )
+}
+
+/// [`argv_strings`] for a frame [`refuse_malformed`] answered.
+pub(crate) fn malformed_argv_strings(value: &RespValue) -> Vec<String> {
     let RespValue::Array(Some(items)) = value else {
         return vec!["<non-array frame>".into()];
     };
     items
         .iter()
         .map(|item| match item {
-            RespValue::Bulk(Some(b)) => {
-                let shown = String::from_utf8_lossy(&b[..b.len().min(MAX_ARG)]).into_owned();
-                if b.len() > MAX_ARG {
-                    format!("{shown}... ({} bytes)", b.len())
-                } else {
-                    shown
-                }
-            }
+            RespValue::Bulk(Some(b)) => shown_arg(b),
             other => format!("{other:?}"),
         })
         .collect()
@@ -528,34 +561,34 @@ pub(crate) fn serve_replica_connection(
     result
 }
 
+/// Answer one command frame: connection-state verbs here, the replication
+/// plane where one is attached, everything else through
+/// [`TableEngine::execute_on`] against `db`, the store handle the connection
+/// took for this batch — on arguments borrowed from the connection's input
+/// buffer.
 pub(crate) fn dispatch(
-    value: &RespValue,
-    command: Result<Command, abase_proto::ParseCommandError>,
+    argv: Argv<'_>,
+    command: BorrowedCommand<'_>,
     state: &mut ConnState,
     span: &mut Span,
+    db: &Db,
     ctx: &ConnCtx,
 ) -> RespValue {
-    let engine = &*ctx.engine;
     let clock = &*ctx.clock;
     let replication = ctx.replication.as_deref();
     let read_only = ctx.read_only;
     // AUTH is handled at the connection layer (it selects the tenant).
-    if let RespValue::Array(Some(items)) = value {
-        if items.len() == 2 {
-            if let (RespValue::Bulk(Some(name)), RespValue::Bulk(Some(arg))) =
-                (&items[0], &items[1])
-            {
-                if name.eq_ignore_ascii_case(b"AUTH") {
-                    return match std::str::from_utf8(arg).ok().and_then(|s| s.parse().ok()) {
-                        Some(id) => {
-                            state.tenant = id;
-                            RespValue::ok()
-                        }
-                        None => RespValue::Error("ERR AUTH expects a numeric tenant id".into()),
-                    };
-                }
+    if argv.len() == 2 && argv.get(0).eq_ignore_ascii_case(b"AUTH") {
+        let tenant = std::str::from_utf8(argv.get(1))
+            .ok()
+            .and_then(|s| s.parse().ok());
+        return match tenant {
+            Some(id) => {
+                state.tenant = id;
+                RespValue::ok()
             }
-        }
+            None => RespValue::Error("ERR AUTH expects a numeric tenant id".into()),
+        };
     }
     let command = match command {
         Ok(c) => c,
@@ -594,7 +627,7 @@ pub(crate) fn dispatch(
     // Observability commands are served by the front end: it owns the
     // registry view, the per-server SLOWLOG, and the replication identity.
     match &command {
-        Command::Info { section } => return info_reply(section.as_deref(), ctx),
+        Command::Info { section } => return info_reply(*section, ctx),
         Command::Slowlog { sub } => return slowlog_reply(sub, &ctx.slowlog),
         Command::Metrics => return RespValue::bulk(abase_obs::render()),
         _ => {}
@@ -673,7 +706,7 @@ pub(crate) fn dispatch(
         return RespValue::Error("READONLY You can't write against a read only replica.".into());
     }
     span.enter(Stage::Engine);
-    match engine.execute(state.tenant, &command, now) {
+    match TableEngine::execute_on(db, state.tenant, &command, now) {
         Ok(outcome) => {
             // §4.1 RU charging at the serving edge, split per tenant: writes
             // by payload size, reads by actual bytes returned.
@@ -1417,7 +1450,7 @@ mod tests {
         engine
             .execute(
                 0,
-                &Command::Set {
+                &Command::<bytes::Bytes>::Set {
                     key: "k".into(),
                     value: "v".into(),
                     ttl_secs: None,

@@ -15,15 +15,11 @@ pub struct BloomFilter {
     k: u32,
 }
 
-/// 64-bit FNV-1a — the base hash for the filter.
-fn fnv1a(data: &[u8], seed: u64) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+/// 64-bit FNV-1a offset basis and prime — the base hash for the filter.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Seed of the second hash (the stride of the double hashing).
+const STRIDE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl BloomFilter {
     /// Build a filter for `n` keys at `bits_per_key` bits each (10 by default
@@ -38,28 +34,42 @@ impl BloomFilter {
         }
     }
 
-    fn positions(&self, key: &[u8]) -> impl Iterator<Item = usize> + '_ {
-        let h1 = fnv1a(key, 0);
-        let h2 = fnv1a(key, 0x9E37_79B9_7F4A_7C15) | 1; // odd stride
-        let n_bits = self.bits.len() * 8;
-        (0..self.k)
-            .map(move |i| (h1.wrapping_add(h2.wrapping_mul(u64::from(i))) % n_bits as u64) as usize)
+    /// The filter's two base hashes of `key`: every filter derives its bit
+    /// positions from this pair, so a lookup that probes several files
+    /// hashes its key once ([`BloomFilter::may_contain_hashed`]).
+    /// One pass over the key computes both (two seeds of FNV-1a).
+    pub fn hash_pair(key: &[u8]) -> (u64, u64) {
+        let (mut h1, mut h2) = (FNV_BASIS, FNV_BASIS ^ STRIDE_SEED);
+        for &b in key {
+            h1 = (h1 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            h2 = (h2 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        (h1, h2 | 1) // odd stride
+    }
+
+    /// The k bit positions of a hashed key, computed as they are asked for.
+    fn positions(&self, (h1, h2): (u64, u64)) -> impl Iterator<Item = usize> {
+        let n_bits = self.bits.len() as u64 * 8;
+        (0..self.k).map(move |i| (h1.wrapping_add(h2.wrapping_mul(u64::from(i))) % n_bits) as usize)
     }
 
     /// Insert a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let positions: Vec<usize> = self.positions(key).collect();
-        for pos in positions {
+        for pos in self.positions(Self::hash_pair(key)) {
             self.bits[pos / 8] |= 1 << (pos % 8);
         }
     }
 
     /// True if the key *may* be present; false proves absence.
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        self.positions(key)
-            .collect::<Vec<_>>()
-            .iter()
-            .all(|&pos| self.bits[pos / 8] & (1 << (pos % 8)) != 0)
+        self.may_contain_hashed(Self::hash_pair(key))
+    }
+
+    /// [`BloomFilter::may_contain`] for a key hashed by
+    /// [`BloomFilter::hash_pair`]; stops at the first clear bit.
+    pub fn may_contain_hashed(&self, hashes: (u64, u64)) -> bool {
+        self.positions(hashes)
+            .all(|pos| self.bits[pos / 8] & (1 << (pos % 8)) != 0)
     }
 
     /// Serialize to bytes.
@@ -129,6 +139,27 @@ mod tests {
         assert_eq!(f, g);
         assert!(g.may_contain(b"alpha"));
         assert_eq!(pos, buf.len());
+    }
+
+    /// The bit positions are an on-disk format: every SST written before
+    /// this filter stopped allocating must keep reading. The bytes are the
+    /// output of the implementation that collected positions into a `Vec`.
+    #[test]
+    fn encoded_bits_match_the_golden_filter() {
+        const GOLDEN: &str = "0600000032000000c2562cc061882e004a087102dd804001a93ac86e1681c93c\
+                              602215109a4447917788fee048143186ad2d50470256107a1d84";
+        let mut f = BloomFilter::with_capacity(40, 10);
+        for i in 0..40 {
+            f.insert(format!("user{i:08}").as_bytes());
+        }
+        let mut buf = Vec::new();
+        f.encode(&mut buf);
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        for i in 0..40 {
+            let key = format!("user{i:08}");
+            assert!(f.may_contain_hashed(BloomFilter::hash_pair(key.as_bytes())));
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! [`Db::advance_floor_locked`]).
 
 use crate::block_cache::{BlockCache, CachedRow};
+use crate::bloom::BloomFilter;
 use crate::compaction::{pick_compaction, CompactionConfig};
 use crate::error::{Error, Result};
 use crate::iter::MergeIterator;
@@ -905,9 +906,14 @@ impl Db {
     /// the search made.
     fn search_ssts(stripe: &Stripe, key: &[u8]) -> Result<(Option<MemEntry>, BlockIo)> {
         let mut io = BlockIo::default();
+        if stripe.readers.is_empty() {
+            return Ok((None, io));
+        }
+        // Every file's filter probes with the one pair of hashes.
+        let hashes = BloomFilter::hash_pair(key);
         // L0, newest file first (files may overlap).
         for meta in &stripe.levels[0] {
-            let (entry, file_io) = stripe.readers[&meta.id].get_entry(key)?;
+            let (entry, file_io) = stripe.readers[&meta.id].get_entry(key, hashes)?;
             io.absorb(file_io);
             if entry.is_some() {
                 return Ok((entry, io));
@@ -917,7 +923,7 @@ impl Db {
         for files in &stripe.levels[1..] {
             let idx = files.partition_point(|m| m.max_key.as_ref() < key);
             if let Some(meta) = files.get(idx).filter(|m| m.min_key.as_ref() <= key) {
-                let (entry, file_io) = stripe.readers[&meta.id].get_entry(key)?;
+                let (entry, file_io) = stripe.readers[&meta.id].get_entry(key, hashes)?;
                 io.absorb(file_io);
                 if entry.is_some() {
                     return Ok((entry, io));

@@ -6,7 +6,7 @@
 
 use crate::record::{Record, RecordKind, SeqNo};
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Bound;
 
 /// The newest state of a key inside the memtable.
@@ -38,22 +38,27 @@ impl MemTable {
     /// Apply a record (newest wins; an older record than the stored one is
     /// ignored, which makes WAL replay idempotent).
     pub fn apply(&mut self, record: &Record) {
-        if let Some(existing) = self.entries.get(&record.key) {
-            if existing.seq >= record.seq {
-                return;
+        let entry = MemEntry {
+            seq: record.seq,
+            kind: record.kind,
+            expires_at: record.expires_at,
+            value: record.value.clone(),
+        };
+        // One descent of the tree finds the key's slot or the place for it.
+        match self.entries.entry(record.key.clone()) {
+            Entry::Vacant(slot) => {
+                slot.insert(entry);
             }
-            self.approximate_bytes -= existing.value.len() + record.key.len() + 24;
+            Entry::Occupied(mut slot) => {
+                let existing = slot.get();
+                if existing.seq >= record.seq {
+                    return;
+                }
+                self.approximate_bytes -= existing.value.len() + record.key.len() + 24;
+                slot.insert(entry);
+            }
         }
         self.approximate_bytes += record.approximate_size();
-        self.entries.insert(
-            record.key.clone(),
-            MemEntry {
-                seq: record.seq,
-                kind: record.kind,
-                expires_at: record.expires_at,
-                value: record.value.clone(),
-            },
-        );
     }
 
     /// Newest entry for `key`, if buffered (tombstones included).
@@ -133,11 +138,19 @@ mod tests {
     #[test]
     fn byte_accounting_tracks_replacements() {
         let mut m = MemTable::new();
-        m.apply(&Record::put("key", "small", 1, None));
+        let small = Record::put("key", "small", 1, None);
+        m.apply(&small);
         let b1 = m.approximate_bytes();
-        m.apply(&Record::put("key", "a-much-longer-value", 2, None));
+        assert_eq!(b1, small.approximate_size());
+        let longer = Record::put("key", "a-much-longer-value", 2, None);
+        m.apply(&longer);
         let b2 = m.approximate_bytes();
         assert!(b2 > b1);
+        // A replacement is charged for the new version only, and a stale
+        // record for nothing.
+        assert_eq!(b2, longer.approximate_size());
+        m.apply(&small);
+        assert_eq!(m.approximate_bytes(), b2);
         m.clear();
         assert_eq!(m.approximate_bytes(), 0);
         assert!(m.is_empty());

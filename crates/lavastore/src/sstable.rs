@@ -413,7 +413,7 @@ impl SstReader {
     /// Point lookup. Returns the record plus the block accesses performed
     /// (zero on a bloom or range miss, one access — cached or disk — else).
     pub fn get(&self, key: &[u8]) -> Result<(Option<Record>, BlockIo)> {
-        let (entry, io) = self.get_entry(key)?;
+        let (entry, io) = self.get_entry(key, BloomFilter::hash_pair(key))?;
         let record = entry.map(|e| Record {
             key: Bytes::copy_from_slice(key),
             seq: e.seq,
@@ -424,14 +424,15 @@ impl SstReader {
         Ok((record, io))
     }
 
-    /// [`SstReader::get`] for a caller that keeps hold of `key`: the record
-    /// comes back without a copy of it.
-    pub fn get_entry(&self, key: &[u8]) -> Result<(Option<MemEntry>, BlockIo)> {
+    /// [`SstReader::get`] for a caller that keeps hold of `key` — the record
+    /// comes back without a copy of it — and probes several files with it:
+    /// `hashes` is the key's [`BloomFilter::hash_pair`], computed once.
+    pub fn get_entry(&self, key: &[u8], hashes: (u64, u64)) -> Result<(Option<MemEntry>, BlockIo)> {
         if !self.key_in_range(key) {
             return Ok((None, BlockIo::default()));
         }
         crate::metrics::BLOOM_CHECKS.inc();
-        if !self.bloom.may_contain(key) {
+        if !self.bloom.may_contain_hashed(hashes) {
             self.bloom_skips.fetch_add(1, Ordering::Relaxed);
             crate::metrics::BLOOM_NEGATIVES.inc();
             return Ok((None, BlockIo::default()));

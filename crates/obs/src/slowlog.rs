@@ -135,6 +135,7 @@ mod tests {
         SpanReport {
             total_micros: total,
             stage_micros,
+            finished: std::time::Instant::now(),
         }
     }
 

@@ -1,8 +1,16 @@
-//! The typed ABase command set.
+//! The typed ABase command set and its one grammar.
 //!
 //! String commands plus the hash commands whose RU estimation the paper treats
 //! specially (§4.1): `HLEN` has an unpredictable scan size estimated from
 //! history, and `HGETALL` decomposes into `HLen` followed by a scan.
+//!
+//! [`Command`] is generic over how it holds its arguments. The server runs
+//! `Command<&[u8]>`, whose arguments are slices of the connection's input
+//! buffer (see [`crate::resp::RequestScanner`]) and which therefore costs no
+//! allocation to build; clients, tests and the replication handshake use the
+//! owned default, `Command<Bytes>`, through [`Command::from_resp`] and
+//! [`Command::to_resp`]. Verb names, arity and option checks live in exactly
+//! one function, [`Command::from_args`]; `from_resp` is an adapter onto it.
 
 use crate::resp::RespValue;
 use bytes::Bytes;
@@ -10,68 +18,68 @@ use std::fmt;
 
 /// A parsed client command.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
+pub enum Command<B = Bytes> {
     /// `GET key`
     Get {
         /// Key to read.
-        key: Bytes,
+        key: B,
     },
     /// `SET key value` with optional `EX seconds`.
     Set {
         /// Key to write.
-        key: Bytes,
+        key: B,
         /// Value to store.
-        value: Bytes,
+        value: B,
         /// Relative TTL in seconds, if given (`SET … EX n` / `SETEX`).
         ttl_secs: Option<u64>,
     },
     /// `DEL key [key …]`
     Del {
         /// Keys to delete.
-        keys: Vec<Bytes>,
+        keys: Vec<B>,
     },
     /// `EXISTS key`
     Exists {
         /// Key to probe.
-        key: Bytes,
+        key: B,
     },
     /// `EXPIRE key seconds`
     Expire {
         /// Key to re-arm.
-        key: Bytes,
+        key: B,
         /// Relative TTL in seconds.
         secs: u64,
     },
     /// `HSET key field value [field value …]`
     HSet {
         /// Hash key.
-        key: Bytes,
+        key: B,
         /// Field/value pairs.
-        pairs: Vec<(Bytes, Bytes)>,
+        pairs: Vec<(B, B)>,
     },
     /// `HGET key field`
     HGet {
         /// Hash key.
-        key: Bytes,
+        key: B,
         /// Field to read.
-        field: Bytes,
+        field: B,
     },
     /// `HDEL key field [field …]`
     HDel {
         /// Hash key.
-        key: Bytes,
+        key: B,
         /// Fields to remove.
-        fields: Vec<Bytes>,
+        fields: Vec<B>,
     },
     /// `HLEN key` — a complex read: scan size unknown a priori.
     HLen {
         /// Hash key.
-        key: Bytes,
+        key: B,
     },
     /// `HGETALL key` — a complex read: `HLen` + scan.
     HGetAll {
         /// Hash key.
-        key: Bytes,
+        key: B,
     },
     /// `WAIT numreplicas timeout-ms` — block until that many replicas have
     /// acknowledged the *connection's* last write (Redis replication
@@ -92,7 +100,7 @@ pub enum Command {
     /// per-follower acked-LSN accounting.
     ReplConf {
         /// Key/value option pairs as sent.
-        pairs: Vec<(Bytes, Bytes)>,
+        pairs: Vec<(B, B)>,
     },
     /// `PSYNC segment offset` — a follower asks the leader to stream framed
     /// binlog records starting at `(segment, offset)` of the leader's WAL.
@@ -111,14 +119,14 @@ pub enum Command {
     /// served by follower replicas.
     Consistency {
         /// Requested level name, when setting.
-        level: Option<Bytes>,
+        level: Option<B>,
     },
     /// `INFO [section]` — human-readable server status, redis-style: named
     /// sections (`server`, `replication`, `keyspace`, `stats`, `latency`) of
     /// `key:value` lines. Without an argument every section is returned.
     Info {
         /// Requested section name, when given.
-        section: Option<Bytes>,
+        section: Option<B>,
     },
     /// `SLOWLOG GET [count] | RESET | LEN` — query the server's ring of
     /// operations that exceeded the slow-op threshold.
@@ -183,219 +191,215 @@ fn as_bulk(v: &RespValue) -> Result<Bytes, ParseCommandError> {
     }
 }
 
-fn as_u64(v: &RespValue) -> Result<u64, ParseCommandError> {
-    let raw = as_bulk(v)?;
-    std::str::from_utf8(&raw)
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or_else(|| err("expected unsigned integer"))
+fn as_u64(raw: &[u8]) -> Option<u64> {
+    std::str::from_utf8(raw).ok()?.parse().ok()
 }
 
-impl Command {
-    /// Parse a client RESP array (`*N` of bulk strings) into a command.
-    pub fn from_resp(value: &RespValue) -> Result<Command, ParseCommandError> {
+impl Command<Bytes> {
+    /// Parse a client RESP array (`*N` of bulk strings) into an owned
+    /// command: an adapter onto [`Command::from_args`], which reads each
+    /// item as a bulk string only when the grammar asks for it.
+    pub fn from_resp(value: &RespValue) -> Result<Self, ParseCommandError> {
         let RespValue::Array(Some(items)) = value else {
             return Err(err("commands must be RESP arrays"));
         };
-        if items.is_empty() {
+        Command::from_args(items.len(), |i| as_bulk(&items[i]))
+    }
+
+    /// Build the `REPLCONF ack <lsn>` frame a follower sends after applying
+    /// shipped records.
+    pub fn replconf_ack(lsn: u64) -> Self {
+        Command::ReplConf {
+            pairs: vec![(
+                Bytes::copy_from_slice(b"ack"),
+                Bytes::copy_from_slice(lsn.to_string().as_bytes()),
+            )],
+        }
+    }
+}
+
+impl<B: AsRef<[u8]>> Command<B> {
+    /// **The grammar**: the one place verb names are matched and arity and
+    /// options are checked. `argc` counts the frame's items, verb included;
+    /// `arg(i)` yields item `i` (`i < argc`) or the reason it cannot be read
+    /// as an argument. The server passes slices of its input buffer and gets
+    /// a `Command<&[u8]>`; [`Command::from_resp`] passes the bulk strings of
+    /// a [`RespValue`] array. The verb is compared case-insensitively in
+    /// place, so an accepted command allocates only the `Vec`s of the
+    /// variadic verbs.
+    pub fn from_args(
+        argc: usize,
+        arg: impl Fn(usize) -> Result<B, ParseCommandError>,
+    ) -> Result<Self, ParseCommandError> {
+        if argc == 0 {
             return Err(err("empty command array"));
         }
-        let name_raw = as_bulk(&items[0])?;
-        let name = std::str::from_utf8(&name_raw)
-            .map_err(|_| err("command name must be UTF-8"))?
-            .to_ascii_uppercase();
-        let args = &items[1..];
-        let want = |n: usize| -> Result<(), ParseCommandError> {
-            if args.len() == n {
+        let verb = arg(0)?;
+        let verb =
+            std::str::from_utf8(verb.as_ref()).map_err(|_| err("command name must be UTF-8"))?;
+        let is = |name: &str| verb.eq_ignore_ascii_case(name);
+        // Arguments after the verb: `args(i)` is frame item `i + 1`.
+        let n = argc - 1;
+        let args = |i: usize| arg(i + 1);
+        let uint =
+            |i: usize| as_u64(args(i)?.as_ref()).ok_or_else(|| err("expected unsigned integer"));
+        let want = |name: &str, arity: usize| {
+            if n == arity {
                 Ok(())
             } else {
-                Err(err(format!(
-                    "{name} expects {n} arguments, got {}",
-                    args.len()
-                )))
+                Err(err(format!("{name} expects {arity} arguments, got {n}")))
             }
         };
-        match name.as_str() {
-            "PING" => {
-                want(0)?;
-                Ok(Command::Ping)
-            }
-            "GET" => {
-                want(1)?;
-                Ok(Command::Get {
-                    key: as_bulk(&args[0])?,
-                })
-            }
-            "SET" => {
-                if args.len() == 2 {
-                    Ok(Command::Set {
-                        key: as_bulk(&args[0])?,
-                        value: as_bulk(&args[1])?,
-                        ttl_secs: None,
-                    })
-                } else if args.len() == 4 {
-                    let opt = as_bulk(&args[2])?;
-                    if !opt.eq_ignore_ascii_case(b"EX") {
-                        return Err(err("SET only supports the EX option"));
-                    }
-                    Ok(Command::Set {
-                        key: as_bulk(&args[0])?,
-                        value: as_bulk(&args[1])?,
-                        ttl_secs: Some(as_u64(&args[3])?),
-                    })
-                } else {
-                    Err(err("SET expects: key value [EX seconds]"))
-                }
-            }
-            "SETEX" => {
-                want(3)?;
+        if is("GET") {
+            want("GET", 1)?;
+            Ok(Command::Get { key: args(0)? })
+        } else if is("SET") {
+            if n == 2 {
                 Ok(Command::Set {
-                    key: as_bulk(&args[0])?,
-                    value: as_bulk(&args[2])?,
-                    ttl_secs: Some(as_u64(&args[1])?),
+                    key: args(0)?,
+                    value: args(1)?,
+                    ttl_secs: None,
                 })
-            }
-            "DEL" => {
-                if args.is_empty() {
-                    return Err(err("DEL expects at least one key"));
+            } else if n == 4 {
+                if !args(2)?.as_ref().eq_ignore_ascii_case(b"EX") {
+                    return Err(err("SET only supports the EX option"));
                 }
-                Ok(Command::Del {
-                    keys: args.iter().map(as_bulk).collect::<Result<_, _>>()?,
+                Ok(Command::Set {
+                    key: args(0)?,
+                    value: args(1)?,
+                    ttl_secs: Some(uint(3)?),
                 })
+            } else {
+                Err(err("SET expects: key value [EX seconds]"))
             }
-            "EXISTS" => {
-                want(1)?;
-                Ok(Command::Exists {
-                    key: as_bulk(&args[0])?,
-                })
+        } else if is("PING") {
+            want("PING", 0)?;
+            Ok(Command::Ping)
+        } else if is("SETEX") {
+            want("SETEX", 3)?;
+            Ok(Command::Set {
+                key: args(0)?,
+                value: args(2)?,
+                ttl_secs: Some(uint(1)?),
+            })
+        } else if is("DEL") {
+            if n == 0 {
+                return Err(err("DEL expects at least one key"));
             }
-            "EXPIRE" => {
-                want(2)?;
-                Ok(Command::Expire {
-                    key: as_bulk(&args[0])?,
-                    secs: as_u64(&args[1])?,
-                })
+            Ok(Command::Del {
+                keys: (0..n).map(args).collect::<Result<_, _>>()?,
+            })
+        } else if is("EXISTS") {
+            want("EXISTS", 1)?;
+            Ok(Command::Exists { key: args(0)? })
+        } else if is("EXPIRE") {
+            want("EXPIRE", 2)?;
+            Ok(Command::Expire {
+                key: args(0)?,
+                secs: uint(1)?,
+            })
+        } else if is("HSET") {
+            if n < 3 || n.is_multiple_of(2) {
+                return Err(err("HSET expects key followed by field/value pairs"));
             }
-            "HSET" => {
-                if args.len() < 3 || args.len() % 2 == 0 {
-                    return Err(err("HSET expects key followed by field/value pairs"));
+            let key = args(0)?;
+            let mut pairs = Vec::with_capacity((n - 1) / 2);
+            for i in (1..n).step_by(2) {
+                pairs.push((args(i)?, args(i + 1)?));
+            }
+            Ok(Command::HSet { key, pairs })
+        } else if is("HGET") {
+            want("HGET", 2)?;
+            Ok(Command::HGet {
+                key: args(0)?,
+                field: args(1)?,
+            })
+        } else if is("HDEL") {
+            if n < 2 {
+                return Err(err("HDEL expects key and at least one field"));
+            }
+            Ok(Command::HDel {
+                key: args(0)?,
+                fields: (1..n).map(args).collect::<Result<_, _>>()?,
+            })
+        } else if is("HLEN") {
+            want("HLEN", 1)?;
+            Ok(Command::HLen { key: args(0)? })
+        } else if is("HGETALL") {
+            want("HGETALL", 1)?;
+            Ok(Command::HGetAll { key: args(0)? })
+        } else if is("WAIT") {
+            want("WAIT", 2)?;
+            Ok(Command::Wait {
+                numreplicas: uint(0)?,
+                timeout_ms: uint(1)?,
+            })
+        } else if is("REPLCONF") {
+            if n == 0 || !n.is_multiple_of(2) {
+                return Err(err("REPLCONF expects key/value pairs"));
+            }
+            let mut pairs = Vec::with_capacity(n / 2);
+            for i in (0..n).step_by(2) {
+                pairs.push((args(i)?, args(i + 1)?));
+            }
+            Ok(Command::ReplConf { pairs })
+        } else if is("PSYNC") {
+            want("PSYNC", 2)?;
+            let seg = args(0)?;
+            let off = args(1)?;
+            if seg.as_ref() == b"?" || off.as_ref() == b"-1" {
+                return Ok(Command::PSync { position: None });
+            }
+            let position = |raw: &B| {
+                as_u64(raw.as_ref()).ok_or_else(|| err("PSYNC expects `segment offset` or `? -1`"))
+            };
+            Ok(Command::PSync {
+                position: Some((position(&seg)?, position(&off)?)),
+            })
+        } else if is("CONSISTENCY") {
+            if n > 1 {
+                return Err(err("CONSISTENCY expects at most one level argument"));
+            }
+            Ok(Command::Consistency {
+                level: (n == 1).then(|| args(0)).transpose()?,
+            })
+        } else if is("INFO") {
+            if n > 1 {
+                return Err(err("INFO expects at most one section argument"));
+            }
+            Ok(Command::Info {
+                section: (n == 1).then(|| args(0)).transpose()?,
+            })
+        } else if is("SLOWLOG") {
+            if n == 0 {
+                return Err(err("SLOWLOG expects GET|RESET|LEN"));
+            }
+            let sub = args(0)?;
+            let sub_is = |name: &str| sub.as_ref().eq_ignore_ascii_case(name.as_bytes());
+            let sub = if sub_is("GET") {
+                if n > 2 {
+                    return Err(err("SLOWLOG GET expects at most one count"));
                 }
-                let key = as_bulk(&args[0])?;
-                let mut pairs = Vec::with_capacity((args.len() - 1) / 2);
-                for pair in args[1..].chunks_exact(2) {
-                    pairs.push((as_bulk(&pair[0])?, as_bulk(&pair[1])?));
+                SlowlogSub::Get {
+                    count: (n == 2).then(|| uint(1)).transpose()?,
                 }
-                Ok(Command::HSet { key, pairs })
-            }
-            "HGET" => {
-                want(2)?;
-                Ok(Command::HGet {
-                    key: as_bulk(&args[0])?,
-                    field: as_bulk(&args[1])?,
-                })
-            }
-            "HDEL" => {
-                if args.len() < 2 {
-                    return Err(err("HDEL expects key and at least one field"));
-                }
-                Ok(Command::HDel {
-                    key: as_bulk(&args[0])?,
-                    fields: args[1..].iter().map(as_bulk).collect::<Result<_, _>>()?,
-                })
-            }
-            "HLEN" => {
-                want(1)?;
-                Ok(Command::HLen {
-                    key: as_bulk(&args[0])?,
-                })
-            }
-            "HGETALL" => {
-                want(1)?;
-                Ok(Command::HGetAll {
-                    key: as_bulk(&args[0])?,
-                })
-            }
-            "WAIT" => {
-                want(2)?;
-                Ok(Command::Wait {
-                    numreplicas: as_u64(&args[0])?,
-                    timeout_ms: as_u64(&args[1])?,
-                })
-            }
-            "REPLCONF" => {
-                if args.is_empty() || args.len() % 2 != 0 {
-                    return Err(err("REPLCONF expects key/value pairs"));
-                }
-                let mut pairs = Vec::with_capacity(args.len() / 2);
-                for pair in args.chunks_exact(2) {
-                    pairs.push((as_bulk(&pair[0])?, as_bulk(&pair[1])?));
-                }
-                Ok(Command::ReplConf { pairs })
-            }
-            "PSYNC" => {
-                want(2)?;
-                let seg = as_bulk(&args[0])?;
-                let off = as_bulk(&args[1])?;
-                if seg.as_ref() == b"?" || off.as_ref() == b"-1" {
-                    return Ok(Command::PSync { position: None });
-                }
-                let parse_u64 = |raw: &Bytes| {
-                    std::str::from_utf8(raw)
-                        .ok()
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .ok_or_else(|| err("PSYNC expects `segment offset` or `? -1`"))
-                };
-                Ok(Command::PSync {
-                    position: Some((parse_u64(&seg)?, parse_u64(&off)?)),
-                })
-            }
-            "CONSISTENCY" => {
-                if args.len() > 1 {
-                    return Err(err("CONSISTENCY expects at most one level argument"));
-                }
-                Ok(Command::Consistency {
-                    level: args.first().map(as_bulk).transpose()?,
-                })
-            }
-            "INFO" => {
-                if args.len() > 1 {
-                    return Err(err("INFO expects at most one section argument"));
-                }
-                Ok(Command::Info {
-                    section: args.first().map(as_bulk).transpose()?,
-                })
-            }
-            "SLOWLOG" => {
-                let Some(sub_raw) = args.first() else {
-                    return Err(err("SLOWLOG expects GET|RESET|LEN"));
-                };
-                let sub_name = as_bulk(sub_raw)?.to_ascii_uppercase();
-                let sub = match sub_name.as_slice() {
-                    b"GET" => {
-                        if args.len() > 2 {
-                            return Err(err("SLOWLOG GET expects at most one count"));
-                        }
-                        SlowlogSub::Get {
-                            count: args.get(1).map(as_u64).transpose()?,
-                        }
-                    }
-                    b"RESET" => {
-                        want(1)?;
-                        SlowlogSub::Reset
-                    }
-                    b"LEN" => {
-                        want(1)?;
-                        SlowlogSub::Len
-                    }
-                    _ => return Err(err("SLOWLOG expects GET|RESET|LEN")),
-                };
-                Ok(Command::Slowlog { sub })
-            }
-            "METRICS" => {
-                want(0)?;
-                Ok(Command::Metrics)
-            }
-            other => Err(err(format!("unknown command {other}"))),
+            } else if sub_is("RESET") {
+                want("SLOWLOG", 1)?;
+                SlowlogSub::Reset
+            } else if sub_is("LEN") {
+                want("SLOWLOG", 1)?;
+                SlowlogSub::Len
+            } else {
+                return Err(err("SLOWLOG expects GET|RESET|LEN"));
+            };
+            Ok(Command::Slowlog { sub })
+        } else if is("METRICS") {
+            want("METRICS", 0)?;
+            Ok(Command::Metrics)
+        } else {
+            let mut shown = verb.to_owned();
+            shown.make_ascii_uppercase();
+            Err(err(format!("unknown command {shown}")))
         }
     }
 
@@ -403,126 +407,142 @@ impl Command {
     pub fn to_resp(&self) -> RespValue {
         let mut items: Vec<RespValue> = Vec::new();
         let mut push = |s: &[u8]| items.push(RespValue::bulk(Bytes::copy_from_slice(s)));
+        push(self.name().as_bytes());
         match self {
-            Command::Ping => push(b"PING"),
-            Command::Get { key } => {
-                push(b"GET");
-                push(key);
-            }
+            Command::Ping | Command::Metrics => {}
+            Command::Get { key }
+            | Command::Exists { key }
+            | Command::HLen { key }
+            | Command::HGetAll { key } => push(key.as_ref()),
             Command::Set {
                 key,
                 value,
                 ttl_secs,
             } => {
-                push(b"SET");
-                push(key);
-                push(value);
+                push(key.as_ref());
+                push(value.as_ref());
                 if let Some(ttl) = ttl_secs {
                     push(b"EX");
                     push(ttl.to_string().as_bytes());
                 }
             }
             Command::Del { keys } => {
-                push(b"DEL");
                 for k in keys {
-                    push(k);
+                    push(k.as_ref());
                 }
             }
-            Command::Exists { key } => {
-                push(b"EXISTS");
-                push(key);
-            }
             Command::Expire { key, secs } => {
-                push(b"EXPIRE");
-                push(key);
+                push(key.as_ref());
                 push(secs.to_string().as_bytes());
             }
             Command::HSet { key, pairs } => {
-                push(b"HSET");
-                push(key);
+                push(key.as_ref());
                 for (f, v) in pairs {
-                    push(f);
-                    push(v);
+                    push(f.as_ref());
+                    push(v.as_ref());
                 }
             }
             Command::HGet { key, field } => {
-                push(b"HGET");
-                push(key);
-                push(field);
+                push(key.as_ref());
+                push(field.as_ref());
             }
             Command::HDel { key, fields } => {
-                push(b"HDEL");
-                push(key);
+                push(key.as_ref());
                 for f in fields {
-                    push(f);
+                    push(f.as_ref());
                 }
-            }
-            Command::HLen { key } => {
-                push(b"HLEN");
-                push(key);
-            }
-            Command::HGetAll { key } => {
-                push(b"HGETALL");
-                push(key);
             }
             Command::Wait {
                 numreplicas,
                 timeout_ms,
             } => {
-                push(b"WAIT");
                 push(numreplicas.to_string().as_bytes());
                 push(timeout_ms.to_string().as_bytes());
             }
             Command::ReplConf { pairs } => {
-                push(b"REPLCONF");
                 for (k, v) in pairs {
-                    push(k);
-                    push(v);
+                    push(k.as_ref());
+                    push(v.as_ref());
                 }
             }
-            Command::PSync { position } => {
-                push(b"PSYNC");
-                match position {
-                    Some((seg, off)) => {
-                        push(seg.to_string().as_bytes());
-                        push(off.to_string().as_bytes());
+            Command::PSync { position } => match position {
+                Some((seg, off)) => {
+                    push(seg.to_string().as_bytes());
+                    push(off.to_string().as_bytes());
+                }
+                None => {
+                    push(b"?");
+                    push(b"-1");
+                }
+            },
+            Command::Consistency { level: arg } | Command::Info { section: arg } => {
+                if let Some(arg) = arg {
+                    push(arg.as_ref());
+                }
+            }
+            Command::Slowlog { sub } => match sub {
+                SlowlogSub::Get { count } => {
+                    push(b"GET");
+                    if let Some(count) = count {
+                        push(count.to_string().as_bytes());
                     }
-                    None => {
-                        push(b"?");
-                        push(b"-1");
-                    }
                 }
-            }
-            Command::Consistency { level } => {
-                push(b"CONSISTENCY");
-                if let Some(level) = level {
-                    push(level);
-                }
-            }
-            Command::Info { section } => {
-                push(b"INFO");
-                if let Some(section) = section {
-                    push(section);
-                }
-            }
-            Command::Slowlog { sub } => {
-                push(b"SLOWLOG");
-                match sub {
-                    SlowlogSub::Get { count } => {
-                        push(b"GET");
-                        if let Some(count) = count {
-                            push(count.to_string().as_bytes());
-                        }
-                    }
-                    SlowlogSub::Reset => push(b"RESET"),
-                    SlowlogSub::Len => push(b"LEN"),
-                }
-            }
-            Command::Metrics => push(b"METRICS"),
+                SlowlogSub::Reset => push(b"RESET"),
+                SlowlogSub::Len => push(b"LEN"),
+            },
         }
         RespValue::array(items)
     }
 
+    /// The value of a named `REPLCONF` option (`listening-port`,
+    /// `replica-id`, `ack`), parsed as an unsigned integer.
+    pub fn replconf_option(&self, name: &str) -> Option<u64> {
+        let Command::ReplConf { pairs } = self else {
+            return None;
+        };
+        pairs.iter().find_map(|(k, v)| {
+            k.as_ref()
+                .eq_ignore_ascii_case(name.as_bytes())
+                .then(|| as_u64(v.as_ref()))
+                .flatten()
+        })
+    }
+
+    /// The acked LSN carried by a `REPLCONF ack <lsn>` frame, if this is one.
+    pub fn replconf_ack_lsn(&self) -> Option<u64> {
+        self.replconf_option("ack")
+    }
+
+    /// Payload bytes carried by the request (for write sizing / size class).
+    pub fn payload_size(&self) -> usize {
+        let len = |b: &B| b.as_ref().len();
+        match self {
+            Command::Set { key, value, .. } => len(key) + len(value),
+            Command::HSet { key, pairs } => {
+                len(key) + pairs.iter().map(|(f, v)| len(f) + len(v)).sum::<usize>()
+            }
+            Command::Del { keys } => keys.iter().map(len).sum(),
+            Command::HDel { key, fields } => len(key) + fields.iter().map(len).sum::<usize>(),
+            Command::Get { key }
+            | Command::Exists { key }
+            | Command::Expire { key, .. }
+            | Command::HGet { key, .. }
+            | Command::HLen { key }
+            | Command::HGetAll { key } => len(key),
+            Command::ReplConf { pairs } => pairs.iter().map(|(k, v)| len(k) + len(v)).sum(),
+            Command::Consistency { level: arg } | Command::Info { section: arg } => {
+                arg.as_ref().map_or(0, len)
+            }
+            Command::Ping
+            | Command::Wait { .. }
+            | Command::PSync { .. }
+            | Command::Slowlog { .. }
+            | Command::Metrics => 0,
+        }
+    }
+}
+
+impl<B> Command<B> {
     /// The canonical uppercase command name (the metrics `command` label).
     pub fn name(&self) -> &'static str {
         match self {
@@ -576,7 +596,7 @@ impl Command {
     }
 
     /// The primary key the command routes by (None for `PING`).
-    pub fn routing_key(&self) -> Option<&Bytes> {
+    pub fn routing_key(&self) -> Option<&B> {
         match self {
             Command::Get { key }
             | Command::Exists { key }
@@ -596,76 +616,6 @@ impl Command {
             | Command::Info { .. }
             | Command::Slowlog { .. }
             | Command::Metrics => None,
-        }
-    }
-
-    /// Build the `REPLCONF ack <lsn>` frame a follower sends after applying
-    /// shipped records.
-    pub fn replconf_ack(lsn: u64) -> Command {
-        Command::ReplConf {
-            pairs: vec![(
-                Bytes::copy_from_slice(b"ack"),
-                Bytes::copy_from_slice(lsn.to_string().as_bytes()),
-            )],
-        }
-    }
-
-    /// The acked LSN carried by a `REPLCONF ack <lsn>` frame, if this is one.
-    pub fn replconf_ack_lsn(&self) -> Option<u64> {
-        let Command::ReplConf { pairs } = self else {
-            return None;
-        };
-        pairs.iter().find_map(|(k, v)| {
-            if k.eq_ignore_ascii_case(b"ack") {
-                std::str::from_utf8(v).ok().and_then(|s| s.parse().ok())
-            } else {
-                None
-            }
-        })
-    }
-
-    /// The value of a named `REPLCONF` option (`listening-port`,
-    /// `replica-id`), parsed as an unsigned integer.
-    pub fn replconf_option(&self, name: &str) -> Option<u64> {
-        let Command::ReplConf { pairs } = self else {
-            return None;
-        };
-        pairs.iter().find_map(|(k, v)| {
-            if k.eq_ignore_ascii_case(name.as_bytes()) {
-                std::str::from_utf8(v).ok().and_then(|s| s.parse().ok())
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Payload bytes carried by the request (for write sizing / size class).
-    pub fn payload_size(&self) -> usize {
-        match self {
-            Command::Set { key, value, .. } => key.len() + value.len(),
-            Command::HSet { key, pairs } => {
-                key.len() + pairs.iter().map(|(f, v)| f.len() + v.len()).sum::<usize>()
-            }
-            Command::Del { keys } => keys.iter().map(Bytes::len).sum(),
-            Command::HDel { key, fields } => {
-                key.len() + fields.iter().map(Bytes::len).sum::<usize>()
-            }
-            Command::Get { key }
-            | Command::Exists { key }
-            | Command::Expire { key, .. }
-            | Command::HGet { key, .. }
-            | Command::HLen { key }
-            | Command::HGetAll { key } => key.len(),
-            Command::ReplConf { pairs } => {
-                pairs.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>()
-            }
-            Command::Consistency { level } => level.as_ref().map(Bytes::len).unwrap_or(0),
-            Command::Info { section } => section.as_ref().map(Bytes::len).unwrap_or(0),
-            Command::Ping
-            | Command::Wait { .. }
-            | Command::PSync { .. }
-            | Command::Slowlog { .. }
-            | Command::Metrics => 0,
         }
     }
 }

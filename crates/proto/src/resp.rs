@@ -1,17 +1,33 @@
-//! RESP2 (REdis Serialization Protocol) values.
+//! RESP2 (REdis Serialization Protocol): the owned value model and the
+//! server's borrowed request scanner.
 //!
-//! The five RESP2 types with an incremental parser: `parse` returns
-//! `Ok(None)` on incomplete input so a network layer can accumulate bytes and
-//! retry, and `Err` only on genuinely malformed frames.
+//! Two readers share one set of limits, one line reader and one
+//! [`ParseError`]:
+//!
+//! * [`RespValue`] is the **owned** model of the five RESP2 types —
+//!   what a client, a test or the replication handshake parses replies
+//!   into, and what every reply is encoded from. [`RespValue::parse`]
+//!   returns `Ok(None)` on incomplete input so a network layer can
+//!   accumulate bytes and retry, and `Err` only on genuinely malformed
+//!   frames; it allocates a tree per frame.
+//! * [`RequestScanner`] is the **server's** per-request reader. A client may
+//!   only send command frames — `*N` of non-null bulk strings — so the
+//!   scanner recognises exactly that shape and hands back the arguments as
+//!   slices of the input ([`Argv`]), allocating nothing. Anything else at
+//!   the head of the input is [`Scanned::Other`]: the caller falls back to
+//!   [`RespValue::parse`], which can only end in an error reply, so the
+//!   fallback is a cold path and not a second reader of commands.
 
 use bytes::Bytes;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A RESP2 protocol value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RespValue {
-    /// `+OK\r\n`
-    Simple(String),
+    /// `+OK\r\n` — borrowed for the fixed replies (`OK`, `PONG`), so the
+    /// commonest reply costs no allocation.
+    Simple(Cow<'static, str>),
     /// `-ERR message\r\n`
     Error(String),
     /// `:42\r\n`
@@ -79,7 +95,7 @@ impl RespValue {
 
     /// The conventional OK reply.
     pub fn ok() -> Self {
-        RespValue::Simple("OK".to_string())
+        RespValue::Simple(Cow::Borrowed("OK"))
     }
 
     /// Serialize into `out`.
@@ -97,13 +113,16 @@ impl RespValue {
             }
             RespValue::Integer(i) => {
                 out.push(b':');
-                out.extend_from_slice(i.to_string().as_bytes());
+                if *i < 0 {
+                    out.push(b'-');
+                }
+                push_decimal(out, i.unsigned_abs());
                 out.extend_from_slice(b"\r\n");
             }
             RespValue::Bulk(None) => out.extend_from_slice(b"$-1\r\n"),
             RespValue::Bulk(Some(data)) => {
                 out.push(b'$');
-                out.extend_from_slice(data.len().to_string().as_bytes());
+                push_decimal(out, data.len() as u64);
                 out.extend_from_slice(b"\r\n");
                 out.extend_from_slice(data);
                 out.extend_from_slice(b"\r\n");
@@ -111,7 +130,7 @@ impl RespValue {
             RespValue::Array(None) => out.extend_from_slice(b"*-1\r\n"),
             RespValue::Array(Some(items)) => {
                 out.push(b'*');
-                out.extend_from_slice(items.len().to_string().as_bytes());
+                push_decimal(out, items.len() as u64);
                 out.extend_from_slice(b"\r\n");
                 for item in items {
                     item.encode(out);
@@ -149,7 +168,7 @@ impl RespValue {
                 let total = 1 + consumed;
                 let text = std::str::from_utf8(line).map_err(|_| ParseError::BadFraming)?;
                 let value = match type_byte {
-                    b'+' => RespValue::Simple(text.to_string()),
+                    b'+' => RespValue::Simple(Cow::Owned(text.to_string())),
                     b'-' => RespValue::Error(text.to_string()),
                     _ => {
                         RespValue::Integer(text.parse::<i64>().map_err(|_| ParseError::BadInteger)?)
@@ -212,10 +231,10 @@ impl RespValue {
         }
     }
 
-    /// Parse **every** complete frame at the head of `input` — the
-    /// pipelining entry point: one readable event drains one buffer into a
-    /// whole batch of commands, executed together and answered with a single
-    /// write.
+    /// Parse **every** complete frame at the head of `input` into owned
+    /// values — for a reader of pipelined *replies*, or a replay of recorded
+    /// requests. (The server does not parse a batch ahead: it scans one
+    /// command at a time with [`RequestScanner`].)
     ///
     /// Returns the parsed frames plus the total byte count they consumed
     /// (the caller drains exactly that prefix and keeps the partial-frame
@@ -247,6 +266,151 @@ pub struct Batch {
     /// Total bytes the frames consumed (the partial-frame tail, if any,
     /// starts here).
     pub consumed: usize,
+}
+
+/// Append `n` in decimal, formatted on the stack.
+pub fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// The arguments of one scanned command frame, borrowed from the input it
+/// was scanned from.
+#[derive(Debug, Clone, Copy)]
+pub struct Argv<'a> {
+    input: &'a [u8],
+    spans: &'a [(usize, usize)],
+}
+
+impl<'a> Argv<'a> {
+    /// Number of arguments, the verb included.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// True for the empty frame `*0`.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Argument `i` (the verb is argument 0). Panics when out of range.
+    pub fn get(&self, i: usize) -> &'a [u8] {
+        let (start, end) = self.spans[i];
+        &self.input[start..end]
+    }
+
+    /// The arguments in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
+        let input = self.input;
+        self.spans
+            .iter()
+            .map(move |&(start, end)| &input[start..end])
+    }
+}
+
+/// What [`RequestScanner::scan`] found at the head of the input.
+#[derive(Debug)]
+pub enum Scanned<'a> {
+    /// One complete command frame: its arguments and the bytes it covered.
+    Command {
+        /// The frame's bulk strings, borrowed from the input.
+        argv: Argv<'a>,
+        /// Bytes of input the frame consumed.
+        consumed: usize,
+    },
+    /// A valid prefix of a frame: read more bytes.
+    Incomplete,
+    /// Not an array of non-null bulk strings (as far as the bytes go): hand
+    /// the same input to [`RespValue::parse`] for the verdict.
+    Other,
+}
+
+/// Argument positions kept for a later frame; a frame with more arguments
+/// than this gives its positions back once it is served.
+const KEPT_SPANS: usize = 4096;
+
+/// The allocation-free request scanner: one command frame → argument slices
+/// borrowed from the input, under the limits and [`ParseError`]s of
+/// [`RespValue::parse`]. It owns only the argument positions, reused from
+/// frame to frame.
+#[derive(Debug, Default)]
+pub struct RequestScanner {
+    spans: Vec<(usize, usize)>,
+}
+
+impl RequestScanner {
+    /// A scanner with no positions buffered.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Scan one command frame from the head of `input`. Agrees with
+    /// [`RespValue::parse`] on every input: `Command` where it returns an
+    /// array of non-null bulks (same consumed length), `Incomplete` where it
+    /// returns `Ok(None)`, the same `Err` where the frame can be told to be
+    /// malformed without leaving the command shape, and `Other` for the rest.
+    pub fn scan<'a>(&'a mut self, input: &'a [u8]) -> Result<Scanned<'a>, ParseError> {
+        self.spans.clear();
+        self.spans.shrink_to(KEPT_SPANS);
+        match input.first() {
+            None => return Ok(Scanned::Incomplete),
+            Some(b'*') => {}
+            Some(_) => return Ok(Scanned::Other),
+        }
+        let Some((line, used)) = read_line(&input[1..]) else {
+            return Ok(Scanned::Incomplete);
+        };
+        let mut pos = 1 + used;
+        let Some(len) = parse_len(line)? else {
+            return Ok(Scanned::Other);
+        };
+        if len > MAX_ARRAY_LEN {
+            return Err(ParseError::ArrayTooLong);
+        }
+        for _ in 0..len {
+            match input.get(pos) {
+                None => return Ok(Scanned::Incomplete),
+                Some(b'$') => {}
+                Some(_) => return Ok(Scanned::Other),
+            }
+            let Some((line, used)) = read_line(&input[pos + 1..]) else {
+                return Ok(Scanned::Incomplete);
+            };
+            let Some(len) = parse_len(line)? else {
+                return Ok(Scanned::Other);
+            };
+            if len > MAX_BULK_LEN {
+                return Err(ParseError::BulkTooLong);
+            }
+            let start = pos + 1 + used;
+            let end = start + len;
+            if input.len() < end + 2 {
+                return Ok(Scanned::Incomplete);
+            }
+            if &input[end..end + 2] != b"\r\n" {
+                return Err(ParseError::BadFraming);
+            }
+            self.spans.push((start, end));
+            pos = end + 2;
+        }
+        Ok(Scanned::Command {
+            argv: Argv {
+                input,
+                spans: &self.spans,
+            },
+            consumed: pos,
+        })
+    }
 }
 
 /// Read up to the first CRLF; returns (line content, bytes consumed incl CRLF).
@@ -369,6 +533,58 @@ mod tests {
         assert_eq!(batch.frames, vec![RespValue::Integer(1)]);
         assert_eq!(batch.consumed, 4);
         assert_eq!(status, Err(ParseError::BadType(b'!')));
+    }
+
+    #[test]
+    fn integers_and_lengths_encode_without_a_heap_string() {
+        for i in [0, 7, -7, 10, -10, 1_234_567_890, i64::MAX, i64::MIN] {
+            assert_eq!(
+                RespValue::Integer(i).to_bytes(),
+                format!(":{i}\r\n").into_bytes()
+            );
+        }
+        let mut out = Vec::new();
+        push_decimal(&mut out, u64::MAX);
+        assert_eq!(out, b"18446744073709551615");
+        let big = RespValue::bulk(vec![b'x'; 1000]).to_bytes();
+        assert!(big.starts_with(b"$1000\r\nxx"));
+    }
+
+    #[test]
+    fn scanner_borrows_the_arguments_of_a_command_frame() {
+        let mut scanner = RequestScanner::new();
+        let wire = b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$4\r\na\r\nb\r\n*1\r\n$4\r\nPING\r\n";
+        let Ok(Scanned::Command { argv, consumed }) = scanner.scan(wire) else {
+            panic!("a complete command frame");
+        };
+        assert_eq!(consumed, 30);
+        assert_eq!(argv.len(), 3);
+        let args: Vec<&[u8]> = argv.iter().collect();
+        assert_eq!(args, [&b"SET"[..], b"k", b"a\r\nb"]);
+        // The positions are reused by the next scan.
+        let Ok(Scanned::Command { argv, consumed }) = scanner.scan(&wire[30..]) else {
+            panic!("a complete command frame");
+        };
+        assert_eq!((argv.len(), argv.get(0), consumed), (1, &b"PING"[..], 14));
+        assert!(matches!(scanner.scan(&wire[..29]), Ok(Scanned::Incomplete)));
+        assert!(matches!(scanner.scan(b""), Ok(Scanned::Incomplete)));
+        // Anything that is not an array of non-null bulks is the owned
+        // parser's to judge.
+        for other in [
+            &b":1\r\n"[..],
+            b"*-1\r\n",
+            b"*1\r\n$-1\r\n",
+            b"*1\r\n:5\r\n",
+            b"!",
+        ] {
+            assert!(
+                matches!(scanner.scan(other), Ok(Scanned::Other)),
+                "{other:?}"
+            );
+        }
+        assert!(
+            matches!(scanner.scan(b"*0\r\n"), Ok(Scanned::Command { argv, consumed: 4 }) if argv.is_empty())
+        );
     }
 
     #[test]

@@ -7,8 +7,19 @@
 //! feeding byte-at-a-time streams, pipelining frames back-to-back, and
 //! throwing malformed lengths/framing at the parser.
 
-use abase_proto::{Command, ParseError, RespValue};
+use abase_proto::{Command, ParseError, RequestScanner, RespValue, Scanned};
 use bytes::Bytes;
+
+/// What the server's reader makes of the head of `wire`: the borrowed
+/// scanner, with the owned parser deciding what is not a command frame —
+/// `Ok(true)` for a complete frame, `Ok(false)` for "read more".
+fn scan(wire: &[u8]) -> Result<bool, ParseError> {
+    match RequestScanner::new().scan(wire)? {
+        Scanned::Command { .. } => Ok(true),
+        Scanned::Incomplete => Ok(false),
+        Scanned::Other => RespValue::parse(wire).map(|parsed| parsed.is_some()),
+    }
+}
 
 fn sample_values() -> Vec<RespValue> {
     vec![
@@ -178,6 +189,27 @@ fn hostile_lengths_and_nesting_are_errors_not_crashes() {
     let (batch, status) = RespValue::parse_batch(&b"*1\r\n".repeat(10_000));
     assert!(batch.frames.is_empty());
     assert_eq!(status, Err(ParseError::TooDeep));
+
+    // The server's borrowed scanner answers every case above the same way.
+    assert_eq!(
+        scan(b"*9223372036854775807\r\n"),
+        Err(ParseError::ArrayTooLong)
+    );
+    assert_eq!(scan(b"*1048576\r\n"), Ok(false));
+    assert_eq!(scan(b"*1048577\r\n"), Err(ParseError::ArrayTooLong));
+    assert_eq!(scan(&b"*1\r\n".repeat(10_000)), Err(ParseError::TooDeep));
+    for wire in [
+        &b"$9223372036854775807\r\n"[..],
+        b"$536870913\r\nabc",
+        b"*2\r\n$3\r\nGET\r\n$9223372036854775807\r\n",
+        b"*2\r\n$3\r\nGET\r\n$536870913\r\nabc",
+    ] {
+        assert_eq!(scan(wire), Err(ParseError::BulkTooLong));
+    }
+    assert_eq!(scan(b"$536870912\r\nabc"), Ok(false));
+    assert_eq!(scan(b"*2\r\n$3\r\nGET\r\n$536870912\r\nabc"), Ok(false));
+    assert_eq!(scan(b"*1\r\n$-2\r\n"), Err(ParseError::BadInteger));
+    assert_eq!(scan(b"*1\r\n$3\r\nGETxx"), Err(ParseError::BadFraming));
 
     // A bulk header may not commit the receiver to buffering without bound
     // (and `header + len + 2` must not overflow).

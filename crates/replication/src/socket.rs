@@ -693,7 +693,7 @@ impl SocketTransport {
             self.gapped = true;
             return Ok(());
         };
-        let psync = Command::PSync {
+        let psync: Command = Command::PSync {
             position: Some((segment, offset)),
         };
         let Some(stream) = self.stream.as_mut() else {
@@ -846,7 +846,11 @@ impl LogTransport for SocketTransport {
                 .as_mut()
                 .ok_or_else(|| Error::Transport("stream closed before resync handshake".into()))?;
             stream
-                .write_all(&Command::PSync { position: None }.to_resp().to_bytes())
+                .write_all(
+                    &Command::<bytes::Bytes>::PSync { position: None }
+                        .to_resp()
+                        .to_bytes(),
+                )
                 .map_err(|e| transport_err("PSYNC ? -1", e))?;
         }
         let deadline = Instant::now() + FETCH_TIMEOUT;

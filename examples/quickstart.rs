@@ -8,8 +8,11 @@
 
 use abase::core::engine::TableEngine;
 use abase::lavastore::DbConfig;
-use abase::proto::{Command, RespValue};
+use abase::proto::RespValue;
 use abase::util::clock::secs;
+
+/// The owned command: `"key".into()` needs the argument type named.
+type Command = abase::proto::Command<bytes::Bytes>;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("abase-quickstart-{}", std::process::id()));

@@ -29,9 +29,9 @@
 //!
 //! let dir = std::env::temp_dir().join(format!("abase-doc-{}", std::process::id()));
 //! let engine = TableEngine::open(&dir, DbConfig::small_for_tests()).unwrap();
-//! let set = Command::Set { key: "greeting".into(), value: "hello".into(), ttl_secs: None };
+//! let set = Command::Set { key: "greeting", value: "hello", ttl_secs: None };
 //! engine.execute(1, &set, 0).unwrap();
-//! let get = Command::Get { key: "greeting".into() };
+//! let get = Command::Get { key: "greeting" };
 //! let out = engine.execute(1, &get, 0).unwrap();
 //! assert_eq!(out.reply, abase::proto::RespValue::bulk("hello"));
 //! drop(engine);

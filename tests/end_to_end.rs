@@ -39,7 +39,7 @@ fn resp_wire_to_storage_and_back() {
     }
     // Restart: WAL replay keeps the data (within its TTL).
     let engine = TableEngine::open(dir.path(), DbConfig::small_for_tests()).unwrap();
-    let get = Command::Get { key: "k".into() };
+    let get: Command = Command::Get { key: "k".into() };
     assert_eq!(
         engine.execute(9, &get, 50_000_000).unwrap().reply,
         RespValue::bulk("v")

@@ -76,6 +76,29 @@ fn read_replies(stream: &mut TcpStream, want: usize) -> Vec<RespValue> {
     replies
 }
 
+/// The raw bytes of the next `want` replies.
+fn read_reply_bytes(stream: &mut TcpStream, want: usize) -> Vec<u8> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let (mut at, mut seen) = (0, 0);
+        while let Some((_, used)) = RespValue::parse(&buf[at..]).unwrap() {
+            at += used;
+            seen += 1;
+        }
+        if seen >= want {
+            assert_eq!(at, buf.len(), "more than {want} replies arrived");
+            return buf;
+        }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "server closed with {seen} of {want} replies");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
 /// Everything the server sends before it closes the connection. A close
 /// with request bytes still unread reaches the client as a reset; a server
 /// that keeps the connection open fails the read timeout.
@@ -478,11 +501,67 @@ fn hostile_frames_get_a_protocol_error_and_the_worker_survives() {
             RespValue::Simple("PONG".into())
         );
     }
+    // A TTL that overflows the clock is refused, not wrapped (release) or
+    // panicked on (debug, which would take the one worker with it).
+    assert_eq!(
+        roundtrip(
+            &mut bystander,
+            &cmd(&["SET", "k", "v", "EX", "18446744073710"])
+        ),
+        RespValue::Error("ERR invalid expire time in 'set' command".into())
+    );
     let mut fresh = TcpStream::connect(addr).unwrap();
     assert_eq!(
         roundtrip(&mut fresh, &cmd(&["PING"])),
         RespValue::Simple("PONG".into())
     );
+}
+
+/// The reply bytes of a batch do not depend on how the batch was cut into
+/// reads: one `write_all` and a byte-at-a-time feed (every read leaves the
+/// scanner on a partial frame, inside a header, a value, or a CR LF) answer
+/// the same — for commands, a value holding CR LF, a variadic verb, an
+/// unknown verb, the connection-layer AUTH, and a frame that is not an array.
+#[test]
+fn a_byte_at_a_time_feed_answers_like_one_write() {
+    let mut batch = Vec::new();
+    for parts in [
+        &["AUTH", "5"][..],
+        &["SET", "key", "line one\r\nline two\r\n"],
+        &["get", "key"],
+        &["HSET", "h", "f1", "v1", "f2", "v2"],
+        &["HGETALL", "h"],
+        &["NOSUCH", "x"],
+        &["GET"],
+        &["SET", "key", "v", "EX", "soon"],
+    ] {
+        batch.extend_from_slice(&cmd(parts));
+    }
+    batch.extend_from_slice(b":42\r\n");
+    batch.extend_from_slice(b"*2\r\n$3\r\nGET\r\n:7\r\n");
+    batch.extend_from_slice(&cmd(&["GET", "key"]));
+    let replies = 11;
+
+    let (_dir, addr) = start_single_worker("bytewise-whole");
+    let mut client = TcpStream::connect(addr).unwrap();
+    client.write_all(&batch).unwrap();
+    let whole = read_reply_bytes(&mut client, replies);
+
+    let (_dir, addr) = start_single_worker("bytewise-split");
+    let mut client = TcpStream::connect(addr).unwrap();
+    client.set_nodelay(true).unwrap();
+    for byte in &batch {
+        client.write_all(std::slice::from_ref(byte)).unwrap();
+        // Let each byte arrive as its own read.
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let split = read_reply_bytes(&mut client, replies);
+    assert_eq!(
+        String::from_utf8_lossy(&split),
+        String::from_utf8_lossy(&whole)
+    );
+    assert!(whole.starts_with(b"+OK\r\n+OK\r\n$20\r\nline one\r\nline two\r\n\r\n:2\r\n*4\r\n"));
+    assert!(whole.ends_with(b"\r\n$20\r\nline one\r\nline two\r\n\r\n"));
 }
 
 #[test]

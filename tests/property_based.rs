@@ -160,7 +160,7 @@ proptest! {
 
 fn arb_resp(depth: u32) -> impl Strategy<Value = RespValue> {
     let leaf = prop_oneof![
-        "[a-zA-Z0-9 ]{0,20}".prop_map(RespValue::Simple),
+        "[a-zA-Z0-9 ]{0,20}".prop_map(|s| RespValue::Simple(s.into())),
         "[a-zA-Z0-9 ]{0,20}".prop_map(RespValue::Error),
         any::<i64>().prop_map(RespValue::Integer),
         prop::collection::vec(any::<u8>(), 0..64).prop_map(|v| RespValue::Bulk(Some(v.into()))),
