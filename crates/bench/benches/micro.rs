@@ -12,7 +12,10 @@ use abase_cache::{LruCache, SaLruCache};
 use abase_core::TableEngine;
 use abase_forecast::prophet::{ProphetConfig, ProphetModel};
 use abase_forecast::psd::dominant_period;
-use abase_lavastore::{Db, DbConfig};
+use abase_lavastore::encoding::crc32;
+use abase_lavastore::record::Record;
+use abase_lavastore::sstable::{SstReader, SstWriter};
+use abase_lavastore::{BlockCache, Db, DbConfig};
 use abase_proto::{Command, RequestScanner, RespValue, Scanned};
 use abase_quota::{RuEstimator, TokenBucket};
 use abase_scheduler::{LoadVector, NodeState, PoolState, ReplicaLoad, Rescheduler};
@@ -177,9 +180,48 @@ fn bench_lavastore(c: &mut Criterion) {
             i += 1;
         });
     });
+    // One SST of abench-shaped records behind a warm cache: the index-block
+    // search, the block-cache hit, the restart search and walk in the data
+    // block, and the one copy of the value.
+    let sst = dir.with_extension("sst");
+    let keys: Vec<String> = (0..10_000).map(|i| format!("t1:user{i:08}")).collect();
+    let mut writer = SstWriter::create(&sst, keys.len(), 10, 4096).unwrap();
+    for (i, key) in keys.iter().enumerate() {
+        let record = Record::put(key.clone(), vec![7u8; 100], i as u64 + 1, None);
+        writer.add(&record).unwrap();
+    }
+    writer.finish().unwrap();
+    let cache = std::sync::Arc::new(BlockCache::new(64 << 20));
+    let reader = SstReader::open_cached(&sst, Some(cache)).unwrap();
+    for key in &keys {
+        reader.get(key.as_bytes()).unwrap();
+    }
+    group.bench_function("sst_seek_cached", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let key = &keys[(i * 37) % keys.len()];
+            black_box(reader.get(key.as_bytes()).unwrap());
+            i += 1;
+        });
+    });
     group.finish();
-    drop(db);
+    drop((reader, db));
+    std::fs::remove_file(&sst).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn bench_encoding(c: &mut Criterion) {
+    // The CRC every WAL append pays over its payload (129 B is abench's
+    // record), and the one a per-block checksum would pay.
+    let data: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
+    let mut group = c.benchmark_group("encoding");
+    group.bench_function("crc32_129B", |b| {
+        b.iter(|| black_box(crc32(black_box(&data[..129]))));
+    });
+    group.bench_function("crc32_4KiB", |b| {
+        b.iter(|| black_box(crc32(black_box(&data))));
+    });
+    group.finish();
 }
 
 fn bench_forecast(c: &mut Criterion) {
@@ -252,6 +294,7 @@ criterion_group!(
     bench_quota,
     bench_resp,
     bench_lavastore,
+    bench_encoding,
     bench_forecast,
     bench_rescheduler,
     bench_zipf

@@ -47,6 +47,10 @@
 //! Index and bloom blocks are *pinned*: they live in reader memory for the
 //! reader's whole lifetime (never evictable), and readers report those bytes
 //! here so the resident-bytes gauge covers everything the cache layer holds.
+//! `pinned_bytes` is the **whole** resident index: a reader keeps its SST's
+//! properties region as read from the file — key range, index block, bloom
+//! bits — and searches the index block in place, so there are no per-block
+//! heap keys beside it that the gauge does not see.
 
 use crate::metrics;
 use abase_cache::{CacheStats, InsertOutcome, ShardedCache};

@@ -87,6 +87,12 @@ impl BloomFilter {
         if end > buf.len() {
             return Err(Error::Corruption("truncated bloom filter".into()));
         }
+        // `positions` divides by the bit count and loops `k` times.
+        if len == 0 || !(1..=30).contains(&k) {
+            return Err(Error::Corruption(format!(
+                "bloom filter of {len} bytes with k = {k}"
+            )));
+        }
         let bits = buf[*pos..end].to_vec();
         *pos = end;
         Ok(Self { bits, k })
@@ -159,6 +165,21 @@ mod tests {
         for i in 0..40 {
             let key = format!("user{i:08}");
             assert!(f.may_contain_hashed(BloomFilter::hash_pair(key.as_bytes())));
+        }
+    }
+
+    #[test]
+    fn decode_refuses_a_filter_it_could_not_probe() {
+        // No bits would divide by zero; k outside what `with_capacity` writes.
+        for (k, len) in [(6u32, 0u32), (0, 8), (31, 8)] {
+            let mut buf = Vec::new();
+            put_u32(&mut buf, k);
+            put_u32(&mut buf, len);
+            buf.extend_from_slice(&[0xff; 8]);
+            assert!(
+                BloomFilter::decode(&buf, &mut 0).is_err(),
+                "k {k} len {len}"
+            );
         }
     }
 

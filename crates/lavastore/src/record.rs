@@ -4,10 +4,24 @@
 //! `(user_key asc, seq desc)`: newer versions of a key shadow older ones, and a
 //! tombstone shadows every older value. TTL is carried per record and evaluated
 //! lazily against virtual time on read and during compaction.
+//!
+//! # Encoding (format v2)
+//!
+//! ```text
+//! record: varint klen | key | tail
+//! tail:   flags u8 | varint seq | varint expires_at (only if flags & 2) | varint vlen | value
+//! flags:  bit 0 = tombstone, bit 1 = has an expiry; every other bit must be clear
+//! ```
+//!
+//! The **tail** — everything after the key — has one encoder
+//! ([`Record::encode_tail`]) and one decoder ([`Record::decode_tail`]). A WAL
+//! frame and a replication `BATCH` payload hold whole records
+//! ([`Record::encode`]); an SST entry writes its key prefix-compressed and then
+//! the same tail. A record without a TTL spends no bytes on one, and a
+//! sequence number costs what its magnitude needs (3 bytes up to two million
+//! writes) rather than a fixed eight.
 
-use crate::encoding::{
-    get_len_prefixed, get_u64, get_varint, put_len_prefixed, put_u64, put_varint,
-};
+use crate::encoding::{corruption, get_len_prefixed, get_varint, put_len_prefixed, put_varint};
 use crate::error::{Error, Result};
 use crate::memtable::MemEntry;
 use bytes::Bytes;
@@ -25,18 +39,52 @@ pub enum RecordKind {
     Delete = 1,
 }
 
-impl RecordKind {
-    fn from_u64(v: u64) -> Result<Self> {
-        match v {
-            0 => Ok(RecordKind::Put),
-            1 => Ok(RecordKind::Delete),
-            other => Err(Error::Corruption(format!("bad record kind {other}"))),
+/// Sentinel meaning "no TTL".
+pub const NO_EXPIRY: u64 = u64::MAX;
+
+/// Tail flag: the record is a tombstone (equals `RecordKind::Delete as u8`).
+const FLAG_DELETE: u8 = 1;
+/// Tail flag: a varint `expires_at` follows the sequence number.
+const FLAG_EXPIRES: u8 = 2;
+
+#[cold]
+#[inline(never)]
+fn bad_flags(flags: u8) -> Error {
+    Error::Corruption(format!("bad record flags {flags:#04x}"))
+}
+
+/// A decoded record tail: every field but the key, the value still borrowed
+/// from the buffer it was read out of.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tail<'a> {
+    pub(crate) seq: SeqNo,
+    pub(crate) kind: RecordKind,
+    pub(crate) expires_at: u64,
+    pub(crate) value: &'a [u8],
+}
+
+impl Tail<'_> {
+    /// Copy the value out: the tail as the memtable and point reads hold it.
+    pub(crate) fn to_entry(self) -> MemEntry {
+        MemEntry {
+            seq: self.seq,
+            kind: self.kind,
+            expires_at: self.expires_at,
+            value: Bytes::copy_from_slice(self.value),
+        }
+    }
+
+    /// Copy the value out and attach `key`.
+    pub(crate) fn to_record(self, key: Bytes) -> Record {
+        Record {
+            key,
+            seq: self.seq,
+            kind: self.kind,
+            expires_at: self.expires_at,
+            value: Bytes::copy_from_slice(self.value),
         }
     }
 }
-
-/// Sentinel meaning "no TTL".
-pub const NO_EXPIRY: u64 = u64::MAX;
 
 /// An internal record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,54 +147,55 @@ impl Record {
         self.key.len() + self.value.len() + 24
     }
 
-    /// Append the record to `buf` in the on-disk framing.
+    /// Append the record to `buf` in the on-disk framing (see the module
+    /// docs): the key, then the tail.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         put_len_prefixed(buf, &self.key);
-        put_u64(buf, self.seq);
-        put_varint(buf, self.kind as u64);
-        put_u64(buf, self.expires_at);
-        put_len_prefixed(buf, &self.value);
+        self.encode_tail(buf);
     }
 
-    /// Read only the key of the record at `buf[*pos..]`, advancing `pos`
-    /// past the whole record without materializing any field. Binary-search
-    /// probes and short-circuited scans use this to skip records whose key
-    /// already decided the comparison.
-    pub fn peek_key<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
-        let key = get_len_prefixed(buf, pos)?;
-        get_u64(buf, pos)?; // seq
-        get_varint(buf, pos)?; // kind
-        get_u64(buf, pos)?; // expires_at
-        get_len_prefixed(buf, pos)?; // value (bounds-checked slice, no copy)
-        Ok(key)
+    /// Append everything but the key — the one encoder of the record tail.
+    pub(crate) fn encode_tail(&self, buf: &mut Vec<u8>) {
+        let has_expiry = self.expires_at != NO_EXPIRY;
+        buf.push(self.kind as u8 | if has_expiry { FLAG_EXPIRES } else { 0 });
+        put_varint(buf, self.seq);
+        if has_expiry {
+            put_varint(buf, self.expires_at);
+        }
+        put_len_prefixed(buf, &self.value);
     }
 
     /// Decode a record from `buf[*pos..]`, advancing `pos`.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Record> {
         let key = Bytes::copy_from_slice(get_len_prefixed(buf, pos)?);
-        let seq = get_u64(buf, pos)?;
-        let kind = RecordKind::from_u64(get_varint(buf, pos)?)?;
-        let expires_at = get_u64(buf, pos)?;
-        let value = Bytes::copy_from_slice(get_len_prefixed(buf, pos)?);
-        Ok(Record {
-            key,
-            seq,
-            kind,
-            expires_at,
-            value,
-        })
+        Ok(Self::decode_tail(buf, pos)?.to_record(key))
     }
 
-    /// Decode the record at `buf[*pos..]` without its key, advancing `pos`:
-    /// a point read already holds the key it searched for, so only the value
-    /// is copied out of the block.
-    pub fn decode_entry(buf: &[u8], pos: &mut usize) -> Result<MemEntry> {
-        get_len_prefixed(buf, pos)?; // key (bounds-checked slice, no copy)
-        let seq = get_u64(buf, pos)?;
-        let kind = RecordKind::from_u64(get_varint(buf, pos)?)?;
-        let expires_at = get_u64(buf, pos)?;
-        let value = Bytes::copy_from_slice(get_len_prefixed(buf, pos)?);
-        Ok(MemEntry {
+    /// Decode the tail at `buf[*pos..]`, advancing `pos` past it — the one
+    /// decoder of the record tail. Nothing is copied: a caller walking past
+    /// a record pays for three varints and a bounds check.
+    #[inline(always)]
+    pub(crate) fn decode_tail<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Tail<'a>> {
+        let Some(&flags) = buf.get(*pos) else {
+            return Err(corruption("truncated record flags"));
+        };
+        *pos += 1;
+        if flags > FLAG_DELETE | FLAG_EXPIRES {
+            return Err(bad_flags(flags));
+        }
+        let kind = if flags & FLAG_DELETE != 0 {
+            RecordKind::Delete
+        } else {
+            RecordKind::Put
+        };
+        let seq = get_varint(buf, pos)?;
+        let expires_at = if flags & FLAG_EXPIRES != 0 {
+            get_varint(buf, pos)?
+        } else {
+            NO_EXPIRY
+        };
+        let value = get_len_prefixed(buf, pos)?;
+        Ok(Tail {
             seq,
             kind,
             expires_at,
@@ -178,29 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_key_advances_like_decode() {
-        let records = vec![
-            Record::put("key1", "value1", 7, None),
-            Record::delete("key2", 8),
-        ];
-        let mut buf = Vec::new();
-        for r in &records {
-            r.encode(&mut buf);
-        }
-        let mut pos = 0;
-        for r in &records {
-            let before = pos;
-            let key = Record::peek_key(&buf, &mut pos).unwrap();
-            assert_eq!(key, r.key.as_ref());
-            let mut decode_pos = before;
-            Record::decode(&buf, &mut decode_pos).unwrap();
-            assert_eq!(pos, decode_pos, "peek_key must skip the whole record");
-        }
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn decode_entry_is_decode_without_the_key() {
+    fn decode_tail_is_decode_without_the_key() {
         let records = vec![
             Record::put("key1", "value1", 7, Some(99)),
             Record::delete("key2", 8),
@@ -211,7 +238,8 @@ mod tests {
         }
         let (mut pos, mut decode_pos) = (0, 0);
         for r in &records {
-            let entry = Record::decode_entry(&buf, &mut pos).unwrap();
+            get_len_prefixed(&buf, &mut pos).unwrap();
+            let entry = Record::decode_tail(&buf, &mut pos).unwrap().to_entry();
             let full = Record::decode(&buf, &mut decode_pos).unwrap();
             assert_eq!(pos, decode_pos);
             assert_eq!(
@@ -219,9 +247,24 @@ mod tests {
                 (full.seq, full.kind, full.expires_at, &r.value)
             );
         }
-        // The kind byte (after the 5-byte key and the seq) is validated here too.
-        buf[13] = 9;
-        assert!(Record::decode_entry(&buf, &mut 0).is_err());
+        // The flags byte follows the 5-byte key; an unknown bit is refused.
+        buf[5] = 9;
+        assert!(Record::decode_tail(&buf, &mut 5).is_err());
+    }
+
+    #[test]
+    fn the_tail_spends_bytes_only_on_what_a_record_has() {
+        let len = |r: Record| {
+            let mut buf = Vec::new();
+            r.encode_tail(&mut buf);
+            buf.len()
+        };
+        // flags + 1-byte seq + vlen + value.
+        assert_eq!(len(Record::put("k", "v", 1, None)), 4);
+        // A seq up to 2^21 - 1 takes three bytes, an expiry what it needs.
+        assert_eq!(len(Record::put("k", "v", 200_000, None)), 6);
+        assert_eq!(len(Record::put("k", "v", 1, Some(1_000_000))), 7);
+        assert_eq!(len(Record::delete("k", 1)), 3);
     }
 
     #[test]
@@ -243,11 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_bad_kind() {
+    fn decode_rejects_bad_flags() {
         let mut buf = Vec::new();
         Record::put("k", "v", 1, None).encode(&mut buf);
-        // Corrupt the kind byte: it follows key (1+1 bytes) + seq (8 bytes).
-        buf[10] = 9;
+        // Corrupt the flags byte: it follows the key (1+1 bytes).
+        buf[2] = 9;
         let mut pos = 0;
         assert!(Record::decode(&buf, &mut pos).is_err());
     }

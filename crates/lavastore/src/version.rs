@@ -4,6 +4,11 @@
 //! the engine's id/sequence counters. Every mutation (flush, compaction) is
 //! persisted by atomically rewriting the manifest file (write-temp + rename),
 //! so a crash leaves either the old or the new version, never a torn one.
+//!
+//! The manifest's magic versions the **directory**, not just this file: WAL
+//! frames carry no format marker of their own, so a directory written in
+//! record/SST format v1 is turned away here, by name, before any log or SST
+//! in it is read under format v2's rules.
 
 use crate::encoding::{
     crc32, get_len_prefixed, get_u32, get_u64, get_varint, put_len_prefixed, put_u32, put_u64,
@@ -13,7 +18,10 @@ use crate::error::{Error, Result};
 use bytes::Bytes;
 use std::path::Path;
 
-const MANIFEST_MAGIC: u32 = 0xAB5E_3514;
+/// Manifest magic of a format-v2 directory (see `record.rs`, `sstable.rs`).
+const MANIFEST_MAGIC: u32 = 0xAB5E_3572;
+/// Manifest magic of format v1, kept only to name it when refusing one.
+const MANIFEST_MAGIC_V1: u32 = 0xAB5E_3514;
 
 /// Metadata for one live SST file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,9 +170,19 @@ impl Version {
     /// Deserialize a version.
     pub fn decode(data: &[u8]) -> Result<Self> {
         let mut pos = 0usize;
-        let magic = get_u32(data, &mut pos)?;
-        if magic != MANIFEST_MAGIC {
-            return Err(Error::Corruption("bad manifest magic".into()));
+        match get_u32(data, &mut pos)? {
+            MANIFEST_MAGIC => {}
+            MANIFEST_MAGIC_V1 => {
+                return Err(Error::Corruption(format!(
+                    "manifest is format v1 (magic {MANIFEST_MAGIC_V1:#010x}); \
+                     this build reads only format v2 directories"
+                )))
+            }
+            other => {
+                return Err(Error::Corruption(format!(
+                    "bad manifest magic {other:#010x} (format v2 is {MANIFEST_MAGIC:#010x})"
+                )))
+            }
         }
         let crc = get_u32(data, &mut pos)?;
         let len = get_u32(data, &mut pos)? as usize;

@@ -4,6 +4,17 @@
 //! stops cleanly at a torn tail (a crash mid-append), recovering every fully
 //! written record — the standard contract an LSM needs from its log.
 //!
+//! ```text
+//! frame:   crc32(payload) u32 LE | payload len u32 LE | payload
+//! payload: one record, `Record::encode` (format v2):
+//!          varint klen | key | flags u8 | varint seq | [varint expires_at] | varint vlen | value
+//! ```
+//!
+//! The frame header and the torn-tail rules are what they were in format v1;
+//! only the payload changed (`record.rs`). A frame says nothing about which
+//! format its payload is in — the directory's `MANIFEST` magic does
+//! (`version.rs`) — so replay requires a payload to be exactly one record.
+//!
 //! The writer side is shared by every stripe of the engine: concurrent
 //! writers append frames into one in-memory buffer under a short mutex, and
 //! durability is amortized by *group commit* — when `sync_on_append` is set,
@@ -554,6 +565,13 @@ impl Wal {
             }
             let mut rpos = 0usize;
             let record = Record::decode(payload, &mut rpos)?;
+            if rpos != payload.len() {
+                return Err(Error::Corruption(format!(
+                    "wal frame at offset {} holds {} bytes beyond its record",
+                    offset + pos as u64,
+                    payload.len() - rpos
+                )));
+            }
             out.push(record);
             pos = body_end;
         }
@@ -693,6 +711,22 @@ mod tests {
         data[10] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
         assert!(Wal::replay(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_frame_holding_more_than_one_record_is_corruption() {
+        // What a payload in another record format would look like to this
+        // decoder: a valid CRC over bytes that do not end where a record does.
+        let path = temp_path("trailing");
+        let mut payload = Vec::new();
+        Record::put("a", "1", 1, None).encode(&mut payload);
+        payload.push(0);
+        let mut frame = crc32(&payload).to_le_bytes().to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        std::fs::write(&path, &frame).unwrap();
+        assert!(matches!(Wal::replay(&path), Err(Error::Corruption(_))));
         std::fs::remove_file(&path).ok();
     }
 

@@ -22,6 +22,12 @@
 //! | `FILE name chunk` | leader → follower | checkpoint file bytes, appended in order |
 //! | `CKPT last_seq seg off bytes` | leader → follower | checkpoint stream end: [`CheckpointInfo`] |
 //!
+//! A `BATCH` payload is records back to back in [`Record::encode`]'s
+//! framing — the WAL's payload encoding, so it changes whenever the record
+//! format does (format v2: `lavastore/src/record.rs`). The stream carries no
+//! version and negotiates nothing: **both ends of a link run one build**.
+//! Checkpoint `FILE` frames ship files byte for byte and do not care.
+//!
 //! A follower that receives `+FULLRESYNC` pulls the checkpoint into a
 //! staging directory ([`LogTransport::fetch_checkpoint`]), re-issues `PSYNC`
 //! at the checkpoint's edge, and installs the staged tree like any other

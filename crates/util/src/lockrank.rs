@@ -511,14 +511,18 @@ mod tests {
             let ga = a.lock();
             let gb = b.lock();
             assert_eq!(*ga + *gb, 3);
-            assert_eq!(held_lock_names(), vec!["test.outer", "test.inner"]);
+            if CHECK_ENABLED {
+                assert_eq!(held_lock_names(), vec!["test.outer", "test.inner"]);
+            }
         }
         assert!(held_lock_names().is_empty(), "guards did not unwind");
         // Out-of-creation-order guard drops unwind by token, not position.
         let ga = a.lock();
         let gb = b.lock();
         drop(ga);
-        assert_eq!(held_lock_names(), vec!["test.inner"]);
+        if CHECK_ENABLED {
+            assert_eq!(held_lock_names(), vec!["test.inner"]);
+        }
         drop(gb);
         assert!(held_lock_names().is_empty());
     }
