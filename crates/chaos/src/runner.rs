@@ -156,8 +156,23 @@ struct ActiveFaults {
     torn: BTreeSet<u64>,
     /// Partitions with a pending checkpoint-failure (mid-resync death).
     ckpt_fail: BTreeSet<u64>,
-    /// Partitions with a pending transient flush failure.
-    flush_fail: BTreeSet<u64>,
+    /// Armed transient flush failures that have not surfaced yet. A count,
+    /// not a set of partitions: one partition can carry several, and one
+    /// tripped inside the cluster tick surfaces without a partition — the
+    /// error's own text ties it to the fault.
+    flush_fail: u32,
+}
+
+impl ActiveFaults {
+    /// Whether `error` is an armed `FlushFail` surfacing (in a write's commit
+    /// or the tick's pump), which consumes it. Transient: nothing escalates.
+    fn absorbs_flush_failure(&mut self, error: &ReplError) -> bool {
+        let armed = self.flush_fail > 0
+            && matches!(error, ReplError::Storage(e)
+                if e.to_string().contains("injected fault: wal flush failed"));
+        self.flush_fail -= u32::from(armed);
+        armed
+    }
 }
 
 /// Runs seeded chaos episodes and checks invariants.
@@ -485,7 +500,7 @@ impl ChaosRunner {
             FaultKind::FlushFail { partition } => {
                 if let Some(dir) = leader_dir(cluster, partition) {
                     failpoint::install("wal.flush", Some(&dir), FaultAction::Error, 0, 1);
-                    active.flush_fail.insert(partition);
+                    active.flush_fail += 1;
                 }
             }
             FaultKind::FsyncDelay { partition, ms } => {
@@ -639,6 +654,9 @@ impl ChaosRunner {
         active: &mut ActiveFaults,
         report: &mut EpisodeReport,
     ) {
+        if active.absorbs_flush_failure(&error) {
+            return;
+        }
         match error {
             ReplError::Storage(_) => {
                 if active.torn.remove(&partition) || active.ckpt_fail.remove(&partition) {
@@ -648,7 +666,7 @@ impl ChaosRunner {
                     if let Some(node) = cluster.meta().route(partition) {
                         self.kill(cluster, node, active, report);
                     }
-                } else if !active.flush_fail.remove(&partition) {
+                } else {
                     report.violations.push(format!(
                         "unexplained storage error on p{partition}: no armed fault"
                     ));
@@ -677,8 +695,9 @@ impl ChaosRunner {
         }
     }
 
-    /// A tick (async catch-up pump) failure must be explained by a pending
-    /// checkpoint-failure fault, whose escalation is the leader's death.
+    /// A tick (async catch-up pump) failure must be explained by an armed
+    /// flush failure, which is transient, or by a pending checkpoint-failure
+    /// fault, whose escalation is the leader's death.
     fn on_tick_error(
         &self,
         error: ReplError,
@@ -686,6 +705,9 @@ impl ChaosRunner {
         active: &mut ActiveFaults,
         report: &mut EpisodeReport,
     ) {
+        if active.absorbs_flush_failure(&error) {
+            return;
+        }
         if let Some(&partition) = active.ckpt_fail.iter().next() {
             active.ckpt_fail.remove(&partition);
             if let Some(node) = cluster.meta().route(partition) {

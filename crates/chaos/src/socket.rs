@@ -1,8 +1,9 @@
 //! Seeded chaos for the socket replication transport.
 //!
 //! A socket episode runs a **real TCP** replica pair — a leader
-//! `ReplicaGroup` served by [`abase_replication::serve_group_replica`] and a
-//! [`Follower`] pumping it — while a seed-drawn schedule of frame
+//! [`ServingNode`], the assembly `abase-server leader` runs, reached through
+//! its RESP port's `PSYNC` upgrade, and a bare [`Follower`] (the type a
+//! follower node pumps) stepped by hand — while a seed-drawn schedule of frame
 //! misfortune fires through the `socket.ship` / `socket.ack` fail points:
 //! dropped, duplicated, and reordered `BATCH` frames, dropped acks, severed
 //! connections (network partitions), and a mid-stream leader kill.
@@ -27,14 +28,14 @@
 //! timing. In practice that reproduces reliably because the pump loop is
 //! driven synchronously between writes.
 
+use abase_core::{NodeRole, ServingNode};
 use abase_lavastore::DbConfig;
-use abase_replication::{serve_group_replica, Follower, GroupConfig, ReplicaGroup, WriteConcern};
+use abase_replication::Follower;
 use abase_util::failpoint::{self, FaultAction};
 use abase_util::TestDir;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,8 +56,8 @@ pub enum SocketFault {
     /// Sever the replication connection (network partition); the follower
     /// reconnects and resumes via PSYNC.
     Partition,
-    /// Kill the leader process mid-stream: its endpoint stops serving and
-    /// every connection drops. No event after this one fires.
+    /// Kill the leader mid-stream: its node shuts down, so the port closes
+    /// and every connection drops. No event after this one fires.
     KillLeader,
 }
 
@@ -132,44 +133,16 @@ pub fn run_socket_episode(seed: u64) -> SocketEpisodeReport {
     let _guard = failpoint::ScopedInjector::enable();
     let leader_dir = TestDir::new(&format!("socket-chaos-leader-{seed}"));
     let follower_dir = TestDir::new(&format!("socket-chaos-follower-{seed}"));
-    let group = Arc::new(
-        ReplicaGroup::bootstrap(
-            1,
-            leader_dir.path(),
-            &[1],
-            GroupConfig {
-                write_concern: WriteConcern::Async,
-                db: DbConfig::small_for_tests(),
-                wait_timeout: Duration::from_millis(300),
-            },
-        )
-        .expect("bootstrap leader group")
-        .into_mutex(),
-    );
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind leader endpoint");
-    let addr = listener.local_addr().unwrap();
-    // Flipped by the KillLeader fault: the endpoint stops accepting (the
-    // listener drops, so reconnects are refused like a dead process's port).
-    let leader_dead = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    {
-        let group = Arc::clone(&group);
-        let leader_dead = Arc::clone(&leader_dead);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                // ORDER: Acquire pairs with the Release store at the
-                // KillLeader fault (downgraded from SeqCst: one writer, one
-                // flag, no other atomics to order against).
-                if leader_dead.load(std::sync::atomic::Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = stream else { break };
-                let group = Arc::clone(&group);
-                std::thread::spawn(move || {
-                    let _ = serve_group_replica(stream, &group);
-                });
-            }
-        });
-    }
+    let node = ServingNode::open(
+        "127.0.0.1:0",
+        leader_dir.path(),
+        DbConfig::small_for_tests(),
+        NodeRole::Leader { local_replicas: 1 },
+    )
+    .expect("open leader node");
+    let addr = node.local_addr();
+    let group = Arc::clone(node.group().expect("a leader node has a group"));
+    let mut leader = Some(node);
     const REPLICA_ID: u32 = 900;
     let tag = format!("replica-{REPLICA_ID}");
     let mut follower = Follower::connect(
@@ -177,7 +150,6 @@ pub fn run_socket_episode(seed: u64) -> SocketEpisodeReport {
         DbConfig::small_for_tests(),
         &addr.to_string(),
         REPLICA_ID,
-        0,
     )
     .expect("follower connect");
 
@@ -219,20 +191,9 @@ pub fn run_socket_episode(seed: u64) -> SocketEpisodeReport {
                 }
                 SocketFault::KillLeader => {
                     report.leader_killed = true;
-                    // The "process" dies: every in-flight ship severs, the
-                    // accept loop stops (a dummy connect wakes it so the
-                    // listener actually drops and reconnects are refused).
-                    failpoint::install(
-                        "socket.ship",
-                        Some(&tag),
-                        FaultAction::Disconnect,
-                        0,
-                        u32::MAX,
-                    );
-                    // ORDER: Release pairs with the accept loop's Acquire
-                    // load (downgraded from SeqCst; see that site).
-                    leader_dead.store(true, std::sync::atomic::Ordering::Release);
-                    let _ = std::net::TcpStream::connect(addr);
+                    if let Some(node) = leader.take() {
+                        let _ = node.shutdown();
+                    }
                 }
             }
             if report.leader_killed {

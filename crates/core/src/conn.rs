@@ -33,11 +33,11 @@
 use crate::metrics;
 use crate::server::{
     argv_strings, command_label, dispatch, malformed_argv_strings, refuse_malformed,
-    serve_replica_connection, BorrowedCommand, CmdMetricsCache, ConnCtx, ConnState,
-    ReplicationControl,
+    BorrowedCommand, CmdMetricsCache, ConnCtx, ConnState, ReplicationControl,
 };
 use abase_obs::{Span, Stage};
 use abase_proto::{Command, ParseError, RequestScanner, RespValue, Scanned};
+use abase_replication::serve_replica;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -353,7 +353,7 @@ impl Conn {
                             continue;
                         }
                         if let (Ok(Command::PSync { position }), Some(repl)) =
-                            (&command, ctx.replication.as_deref())
+                            (&command, ctx.role.plane())
                         {
                             let position = *position;
                             self.input.head += consumed;
@@ -454,7 +454,8 @@ impl Conn {
 
     /// The `PSYNC` upgrade: serve the socket as a replica stream until it
     /// ends. Whatever the client pipelined *after* `PSYNC` — the unread
-    /// bytes — is the stream's initial buffer.
+    /// bytes — is the stream's initial buffer. The plane only accepts the
+    /// follower: the stream runs with the group unlocked.
     fn become_replica_stream(
         &mut self,
         position: Option<(u64, u64)>,
@@ -464,7 +465,9 @@ impl Conn {
             return;
         };
         let leftover = self.input.unread().to_vec();
-        let _ = serve_replica_connection(stream, leftover, position, self.state.replica_id, repl);
+        let _ = serve_replica(stream, leftover, position, self.state.replica_id, |id| {
+            repl.accept_replica(id)
+        });
     }
 }
 
@@ -498,15 +501,15 @@ fn account(
     report.finished
 }
 
-/// Whether `command` may park the thread that runs it. Only with a
-/// replication plane attached: replicated writes commit under the group's
-/// write concern, `WAIT` drives follower acks up to its timeout, and `PSYNC`
-/// turns the connection into a replica stream for the rest of its life.
+/// Whether `command` may park the thread that runs it. Only on a leader:
+/// replicated writes commit under the group's write concern, `WAIT` drives
+/// follower acks up to its timeout, and `PSYNC` turns the connection into a
+/// replica stream for the rest of its life.
 fn parks(command: &BorrowedCommand<'_>, ctx: &ConnCtx) -> bool {
-    ctx.replication.is_some()
+    ctx.role.plane().is_some()
         && match command {
             Ok(Command::Wait { .. } | Command::PSync { .. }) => true,
-            Ok(c) => c.is_write() && !ctx.read_only,
+            Ok(c) => c.is_write(),
             Err(_) => false,
         }
 }
@@ -525,13 +528,12 @@ mod tests {
         ConnCtx {
             engine: Arc::new(TableEngine::open(dir.path(), DbConfig::default()).unwrap()),
             clock: Arc::new(AtomicU64::new(0)),
-            replication: None,
-            read_only: false,
+            role: crate::server::Role::Plain,
             slowlog: Arc::new(abase_obs::SlowLog::default()),
-            repl_info: None,
             started: Instant::now(),
             stats: Arc::new(FrontEndStats::default()),
             io_threads: 1,
+            shutdown: Arc::default(),
         }
     }
 

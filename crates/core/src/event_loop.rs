@@ -17,14 +17,16 @@
 //! follow-mode pumps keep their dedicated threads: they are few and
 //! throughput-bound.
 //!
-//! Shutdown is deterministic: [`ShutdownHandle::shutdown`] flips the flag
-//! and writes every poller's eventfd waker, so the accept loop and all
-//! workers return promptly even if no connection ever arrives again.
+//! Shutdown is deterministic: [`ShutdownHandle::shutdown`] flips the flag,
+//! writes every poller's eventfd waker and severs the sockets out on offload
+//! threads, so the accept loop and all workers return promptly even if no
+//! connection ever arrives again, and so do the offload threads — replica
+//! streams included — which `RespServer::run` waits out before it returns.
 
 use crate::conn::{Conn, ConnGuard, Step};
 use crate::metrics;
 use crate::server::ConnCtx;
-use abase_util::lockrank::{rank, RankedMutex};
+use abase_util::lockrank::{rank, RankedCondvar, RankedMutex};
 use abase_util::poller::{Events, Interest, Poller, Waker};
 use std::collections::HashMap;
 use std::io::Write;
@@ -71,12 +73,17 @@ pub(crate) fn worker_label(i: usize) -> &'static str {
     WORKER_LABELS.get(i).copied().unwrap_or("overflow")
 }
 
-/// Shared shutdown signal: a flag plus the eventfd wakers of every poller
-/// that must notice it.
+/// Shared shutdown signal: a flag, the eventfd wakers of every poller that
+/// must notice it, and the sockets of the connections that are off the loop.
 #[derive(Debug)]
 pub(crate) struct Shutdown {
     flag: AtomicBool,
     wakers: RankedMutex<Vec<Arc<Waker>>>,
+    /// A handle on the socket of every connection an offload thread holds,
+    /// keyed by the handle's fd: `trigger` severs them, `run_front_end`
+    /// waits until the table is empty.
+    offloaded: RankedMutex<HashMap<u64, TcpStream>>,
+    offload_done: RankedCondvar,
 }
 
 impl Default for Shutdown {
@@ -84,7 +91,23 @@ impl Default for Shutdown {
         Shutdown {
             flag: AtomicBool::new(false),
             wakers: RankedMutex::new(rank::EVENT_WAKERS, Vec::new()),
+            offloaded: RankedMutex::new(rank::EVENT_OFFLOADED, HashMap::new()),
+            offload_done: RankedCondvar::new(),
         }
+    }
+}
+
+/// An offload thread's entry in [`Shutdown`]'s socket table, removed when
+/// the thread ends, however it ends.
+struct Offloaded {
+    shutdown: Arc<Shutdown>,
+    key: u64,
+}
+
+impl Drop for Offloaded {
+    fn drop(&mut self) {
+        self.shutdown.offloaded.lock().remove(&self.key);
+        self.shutdown.offload_done.notify_all();
     }
 }
 
@@ -106,13 +129,45 @@ impl Shutdown {
         for waker in self.wakers.lock().iter() {
             waker.wake();
         }
+        // A thread blocked on its socket (a replica stream, a reply to a
+        // slow reader) sees it die and returns.
+        for stream in self.offloaded.lock().values() {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+    }
+
+    /// Enter `stream`'s connection in the offloaded table, or refuse once
+    /// shutdown began — the flag is read under the table's lock, so no entry
+    /// can appear that `trigger` did not sever.
+    fn offload(self: &Arc<Self>, stream: &TcpStream) -> Option<Offloaded> {
+        let handle = stream.try_clone().ok()?;
+        let key = handle.as_raw_fd() as u64;
+        let mut offloaded = self.offloaded.lock();
+        if self.is_set() {
+            return None;
+        }
+        offloaded.insert(key, handle);
+        Some(Offloaded {
+            shutdown: Arc::clone(self),
+            key,
+        })
+    }
+
+    /// Block until every offload thread has ended. After `trigger` none can
+    /// start, and those running end when their command does (a parked
+    /// `WAIT` at its own timeout at the latest).
+    fn wait_for_offloads(&self) {
+        let mut offloaded = self.offloaded.lock();
+        while !offloaded.is_empty() {
+            self.offload_done.wait(&mut offloaded);
+        }
     }
 }
 
 /// Stops a running [`RespServer`](crate::server::RespServer) deterministically:
 /// the accept loop and every event-loop worker are woken through their
 /// pollers' eventfds and joined — no "after the next connection attempt"
-/// window.
+/// window — and offloaded connections are severed and waited out.
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
     pub(crate) inner: Arc<Shutdown>,
@@ -161,8 +216,8 @@ pub(crate) fn run_front_end(
     listener: TcpListener,
     ctx: Arc<ConnCtx>,
     config: FrontEndConfig,
-    shutdown: Arc<Shutdown>,
 ) -> std::io::Result<()> {
+    let shutdown = &ctx.shutdown;
     let n_workers = ctx.io_threads;
     let mut workers = Vec::with_capacity(n_workers);
     for _ in 0..n_workers {
@@ -174,25 +229,25 @@ pub(crate) fn run_front_end(
     for (idx, shared) in workers.iter().enumerate() {
         let shared = Arc::clone(shared);
         let ctx = Arc::clone(&ctx);
-        let shutdown = Arc::clone(&shutdown);
         let all = workers.clone();
         let idle = config.idle_timeout;
         handles.push(
             std::thread::Builder::new()
                 .name(format!("abase-io-{idx}"))
-                .spawn(move || worker_loop(idx, shared, ctx, shutdown, idle, all))
+                .spawn(move || worker_loop(idx, shared, ctx, idle, all))
                 // INVARIANT: spawn fails only on thread-resource exhaustion at
                 // startup; the server cannot run without its worker pool.
                 .expect("spawn event-loop worker"),
         );
     }
-    let result = accept_loop(listener, ctx, config, Arc::clone(&shutdown), workers);
+    let result = accept_loop(listener, &ctx, config, workers);
     // The accept loop exits only on shutdown or a fatal poll error; either
     // way the workers must come down with it.
     shutdown.trigger();
     for handle in handles {
         let _ = handle.join();
     }
+    shutdown.wait_for_offloads();
     result
 }
 
@@ -200,11 +255,11 @@ pub(crate) fn run_front_end(
 /// the workers under the max-clients cap.
 fn accept_loop(
     listener: TcpListener,
-    ctx: Arc<ConnCtx>,
+    ctx: &ConnCtx,
     config: FrontEndConfig,
-    shutdown: Arc<Shutdown>,
     workers: Vec<Arc<WorkerShared>>,
 ) -> std::io::Result<()> {
+    let shutdown = &ctx.shutdown;
     listener.set_nonblocking(true)?;
     let poller = Poller::new()?;
     let waker = Arc::new(Waker::new()?);
@@ -246,7 +301,7 @@ fn accept_loop(
             // would add tens of ms per exchange.
             stream.set_nodelay(true).ok();
             if ctx.stats.open.load(Ordering::Relaxed) >= config.max_clients as i64 {
-                refuse_over_capacity(stream, &ctx);
+                refuse_over_capacity(stream, ctx);
                 continue;
             }
             let idx = next_worker;
@@ -274,7 +329,6 @@ fn worker_loop(
     idx: usize,
     shared: Arc<WorkerShared>,
     ctx: Arc<ConnCtx>,
-    shutdown: Arc<Shutdown>,
     idle_timeout: Option<Duration>,
     workers: Vec<Arc<WorkerShared>>,
 ) {
@@ -300,7 +354,7 @@ fn worker_loop(
         if poller.poll(&mut events, Some(timeout)).is_err() {
             break;
         }
-        if shutdown.is_set() {
+        if ctx.shutdown.is_set() {
             break;
         }
         let mut woke = false;
@@ -388,11 +442,19 @@ fn settle(
                 let _ = poller.deregister(fd);
                 conn.registered = false;
             }
+            let Some(offloaded) = ctx.shutdown.offload(&conn.stream) else {
+                return;
+            };
             let ctx = Arc::clone(ctx);
             let home = Arc::clone(&workers[conn.worker]);
             let _ = std::thread::Builder::new()
                 .name("abase-offload".into())
-                .spawn(move || offload_batch(conn, ctx, home));
+                .spawn(move || {
+                    offload_batch(conn, ctx, home);
+                    // Last: whoever waits on the table may take the store
+                    // apart, so everything else this thread held is gone.
+                    drop(offloaded);
+                });
         }
     }
 }

@@ -34,11 +34,15 @@
 //! * [`placement`] — the §6.4 single-tenant vs multi-tenant utilization
 //!   comparison and the §3.3 robustness arithmetic.
 //! * [`server`] — a TCP front end speaking RESP2 over the table engine, so
-//!   any Redis client can talk to a node; supports `WAIT`/`REPLCONF` against
-//!   an attached replica group.
+//!   any Redis client can talk to a node; supports `WAIT`/`REPLCONF`/`PSYNC`
+//!   against an attached replica group.
 //! * [`event_loop`] — the epoll worker pool behind [`server`]: sharded
 //!   per-connection state machines with real pipelining, a max-clients cap,
 //!   an idle-connection reaper, and deterministic shutdown.
+//! * [`serving`] — `ServingNode`, the real DataNode: a store in one of three
+//!   roles (plain, group leader, follower of a remote leader), its [`server`],
+//!   the housekeeping tick and the follower pump, assembled once and stopped
+//!   by one `shutdown()`. `abase-server`, the socket tests and chaos run it.
 
 #![deny(missing_docs)]
 
@@ -55,6 +59,7 @@ pub mod placement;
 pub mod proxy;
 pub mod router;
 pub mod server;
+pub mod serving;
 pub mod types;
 
 pub use cluster::{
@@ -71,4 +76,5 @@ pub use node::{DataNodeConfig, DataNodeSim, ReplicaRuSplit};
 pub use proxy::{ProxyPlane, ProxyPlaneConfig, ProxyReadSplit};
 pub use router::{ReadRouter, ReadRouterConfig, RouteDecision, RouterStats};
 pub use server::{ReplInfo, ReplicationControl, RespServer};
+pub use serving::{NodeRole, ServingNode};
 pub use types::{ConsistencyLevel, NodeId, PartitionId, ProxyId, TenantId};

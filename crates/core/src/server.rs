@@ -15,7 +15,9 @@
 //! concern turns the reply into an error), and clients wanting an explicit
 //! fence issue Redis-style `WAIT numreplicas timeout-ms` — the server blocks
 //! until that many followers acked the connection's latest LSN. `REPLCONF`
-//! handshake chatter is accepted for client compatibility.
+//! handshake chatter is accepted for client compatibility. A follower's
+//! server — only [`crate::serving::ServingNode`] builds one — refuses client
+//! writes and reports its link in `INFO replication`.
 //!
 //! Connections also carry a **read-consistency level** (`CONSISTENCY
 //! eventual|readyourwrites|leader`, default `leader`): with a replication
@@ -32,11 +34,10 @@ use crate::types::ConsistencyLevel;
 use abase_lavastore::Db;
 use abase_obs::{SlowLog, Span, Stage, Timer};
 use abase_proto::{Argv, Command, RespValue, SlowlogSub};
-use abase_replication::{socket, ReadConsistency, RemoteFollowerState, ReplicaGroup};
+use abase_replication::{AcceptedReplica, ReadConsistency, ReplicaGroup};
 use abase_util::lockrank::RankedMutex;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,9 +47,8 @@ use std::time::{Duration, Instant};
 pub const WAIT_UNBOUNDED_CAP: Duration = Duration::from_secs(30);
 
 /// Replication identity as reported by `INFO replication` — built by the
-/// attached replication plane on a leader, or by a provider closure a
-/// follower-mode server installs via [`RespServer::with_repl_info`] (the
-/// follower's pump loop owns the link state the server cannot see).
+/// attached replication plane on a leader, or from the link state a
+/// follower's pump loop publishes.
 #[derive(Debug, Clone)]
 pub struct ReplInfo {
     /// `leader`, `follower`, or `none`.
@@ -72,6 +72,59 @@ impl Default for ReplInfo {
             leader_addr: None,
             link_status: "n/a",
             followers: Vec::new(),
+        }
+    }
+}
+
+/// A follower's replication link, as `INFO replication` reports it.
+#[derive(Debug)]
+pub(crate) struct FollowerLink {
+    pub(crate) leader_addr: String,
+    /// Whether the socket to the leader is alive; the pump loop, which owns
+    /// the link, keeps it current.
+    pub(crate) up: AtomicBool,
+}
+
+/// What a server is to its replica group. One value decides whether writes
+/// commit through a plane, whether they are refused, and what `INFO
+/// replication` says, so the three cannot disagree.
+pub(crate) enum Role {
+    /// Unreplicated: `WAIT` answers 0, `PSYNC` is refused.
+    Plain,
+    /// Leads a group: writes commit under its concern; `WAIT`, routed reads
+    /// and `PSYNC` followers are served by the plane.
+    Leader(Arc<dyn ReplicationControl>),
+    /// Follows a leader: the store is written only by the replication
+    /// stream, so client writes are refused with `-READONLY`.
+    Follower(Arc<FollowerLink>),
+}
+
+impl Role {
+    /// The replication plane, on a leader.
+    pub(crate) fn plane(&self) -> Option<&dyn ReplicationControl> {
+        match self {
+            Role::Leader(plane) => Some(&**plane),
+            Role::Plain | Role::Follower(_) => None,
+        }
+    }
+
+    /// The identity `INFO` reports; a follower has applied what its store
+    /// (`engine`'s, whichever a resync last swapped in) holds.
+    fn repl_info(&self, engine: &TableEngine) -> ReplInfo {
+        match self {
+            Role::Plain => ReplInfo::default(),
+            Role::Leader(plane) => plane.repl_info(),
+            Role::Follower(link) => ReplInfo {
+                role: "follower",
+                last_lsn: engine.db().last_seq(),
+                leader_addr: Some(link.leader_addr.clone()),
+                link_status: if link.up.load(Ordering::Relaxed) {
+                    "up"
+                } else {
+                    "down"
+                },
+                followers: Vec::new(),
+            },
         }
     }
 }
@@ -116,18 +169,9 @@ pub trait ReplicationControl: Send + Sync {
         0
     }
 
-    /// The leader's store, which a `PSYNC` replica connection streams from.
-    /// `None` when this node does not lead a replica group (followers and
-    /// unreplicated nodes refuse PSYNC).
-    fn replica_source(&self) -> Option<Arc<Db>> {
-        None
-    }
-
-    /// Register (or re-register after a reconnect) a remote follower; its
-    /// shared ack state feeds the same accounting `WAIT` reads. The second
-    /// element is the registration generation the connection passes to
-    /// [`RemoteFollowerState::disconnect`] at teardown.
-    fn register_remote(&self, id: u32) -> Result<(Arc<RemoteFollowerState>, u64), String> {
+    /// Accept remote follower `id` (again, after a reconnect) as a `PSYNC`
+    /// replica. Planes that lead no group refuse.
+    fn accept_replica(&self, id: u32) -> Result<AcceptedReplica, String> {
         Err(format!(
             "this replication plane does not accept remote followers (replica {id})"
         ))
@@ -158,14 +202,15 @@ impl ReplicationControl for RankedMutex<ReplicaGroup> {
         self.lock().followers_acked(lsn)
     }
 
-    fn replica_source(&self) -> Option<Arc<Db>> {
-        self.lock().leader_db().ok()
-    }
-
-    fn register_remote(&self, id: u32) -> Result<(Arc<RemoteFollowerState>, u64), String> {
-        self.lock()
+    fn accept_replica(&self, id: u32) -> Result<AcceptedReplica, String> {
+        // The group lock is held for this and no longer: the stream, and any
+        // checkpoint it ships, runs with the group unlocked.
+        let mut group = self.lock();
+        let source = group.leader_db().map_err(|e| e.to_string())?;
+        let (remote, generation) = group
             .register_remote_follower(id)
-            .map_err(|e| e.to_string())
+            .map_err(|e| e.to_string())?;
+        Ok((source, remote, generation))
     }
 
     fn repl_info(&self) -> ReplInfo {
@@ -267,55 +312,47 @@ fn drive_followers(
     }
 }
 
-/// A running RESP server.
+/// A bound RESP server: the listener, the front end's sizing, and the context
+/// its connections will share once it runs.
 pub struct RespServer {
-    engine: Arc<TableEngine>,
     listener: TcpListener,
-    shutdown: Arc<Shutdown>,
     /// Worker count, max-clients cap, idle timeout.
     front_end: FrontEndConfig,
-    /// Per-server connection accounting (`INFO`, the max-clients cap).
-    stats: Arc<FrontEndStats>,
-    /// Virtual time source: servers outside the simulator tick this from wall
-    /// time; tests drive it manually.
-    clock_micros: Arc<AtomicU64>,
-    /// Replication plane behind `WAIT`, when this node leads a replica group.
-    replication: Option<Arc<dyn ReplicationControl>>,
-    /// Refuse client writes (a follower replica's server: its store is
-    /// written exclusively by the replication stream).
-    read_only: bool,
-    /// This server's SLOWLOG ring (per instance, not process-global: embedded
-    /// tests run many servers in one process).
-    slowlog: Arc<SlowLog>,
-    /// `INFO replication` provider overriding the plane's own view — used by
-    /// follower-mode servers whose link state lives in the pump loop.
-    repl_info: Option<Arc<dyn Fn() -> ReplInfo + Send + Sync>>,
-    /// When the server was bound (`INFO server` uptime).
-    started: Instant,
+    ctx: ConnCtx,
 }
 
 impl RespServer {
     /// Bind to `addr` (e.g. `"127.0.0.1:0"`) over an engine.
     pub fn bind(engine: Arc<TableEngine>, addr: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
         Ok(Self {
-            engine,
-            listener,
-            shutdown: Arc::new(Shutdown::default()),
+            listener: TcpListener::bind(addr)?,
             front_end: FrontEndConfig::default(),
-            stats: Arc::new(FrontEndStats::default()),
-            clock_micros: Arc::new(AtomicU64::new(0)),
-            replication: None,
-            read_only: false,
-            slowlog: Arc::new(SlowLog::default()),
-            repl_info: None,
-            started: Instant::now(),
+            ctx: ConnCtx {
+                engine,
+                clock: Arc::default(),
+                role: Role::Plain,
+                slowlog: Arc::default(),
+                started: Instant::now(),
+                stats: Arc::default(),
+                io_threads: 0,
+                shutdown: Arc::default(),
+            },
         })
     }
 
-    /// Attach the replication plane serving `WAIT`.
+    /// Lead a replica group: attach the replication plane that commits
+    /// writes and serves `WAIT`, routed reads and `PSYNC` followers.
     pub fn with_replication(mut self, replication: Arc<dyn ReplicationControl>) -> Self {
-        self.replication = Some(replication);
+        self.ctx.role = Role::Leader(replication);
+        self
+    }
+
+    /// Follow a leader: refuse client writes with `-READONLY` (a client
+    /// write would silently diverge the store from the leader) and report
+    /// `link` in `INFO replication`. Crate-private: a follower's server
+    /// exists only beside the pump that feeds its store.
+    pub(crate) fn following(mut self, link: Arc<FollowerLink>) -> Self {
+        self.ctx.role = Role::Follower(link);
         self
     }
 
@@ -338,25 +375,10 @@ impl RespServer {
         self
     }
 
-    /// Install the `INFO replication` provider (follower mode: the pump loop
-    /// owns role, applied LSN, leader address, and link status).
-    pub fn with_repl_info(mut self, provider: Arc<dyn Fn() -> ReplInfo + Send + Sync>) -> Self {
-        self.repl_info = Some(provider);
-        self
-    }
-
     /// This server's SLOWLOG (shared with every connection; retune its
     /// threshold through the handle).
     pub fn slowlog(&self) -> Arc<SlowLog> {
-        Arc::clone(&self.slowlog)
-    }
-
-    /// Refuse client writes with `-READONLY` (follower replicas: the store
-    /// is written exclusively by the replication stream — a client write
-    /// would silently diverge it from the leader).
-    pub fn read_only(mut self) -> Self {
-        self.read_only = true;
-        self
+        Arc::clone(&self.ctx.slowlog)
     }
 
     /// The bound address (useful with port 0).
@@ -366,7 +388,7 @@ impl RespServer {
 
     /// Handle for advancing the server's virtual clock.
     pub fn clock(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.clock_micros)
+        Arc::clone(&self.ctx.clock)
     }
 
     /// Handle that stops the accept loop and every event-loop worker
@@ -374,24 +396,14 @@ impl RespServer {
     /// attempt" window).
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
-            inner: Arc::clone(&self.shutdown),
+            inner: Arc::clone(&self.ctx.shutdown),
         }
     }
 
     /// Serve connections from the event-loop worker pool until shut down.
-    pub fn run(self) -> std::io::Result<()> {
-        let ctx = Arc::new(ConnCtx {
-            engine: self.engine,
-            clock: self.clock_micros,
-            replication: self.replication,
-            read_only: self.read_only,
-            slowlog: self.slowlog,
-            repl_info: self.repl_info,
-            started: self.started,
-            stats: self.stats,
-            io_threads: self.front_end.workers.clamp(1, 16),
-        });
-        event_loop::run_front_end(self.listener, ctx, self.front_end, self.shutdown)
+    pub fn run(mut self) -> std::io::Result<()> {
+        self.ctx.io_threads = self.front_end.workers.clamp(1, 16);
+        event_loop::run_front_end(self.listener, Arc::new(self.ctx), self.front_end)
     }
 }
 
@@ -415,24 +427,28 @@ pub(crate) struct ConnState {
     session_lsn: u64,
     /// `REPLCONF replica-id` announced by a connecting follower.
     pub(crate) replica_id: Option<u32>,
-    /// `REPLCONF listening-port` announced by a connecting follower (its own
-    /// RESP port — handshake metadata for observability/redirects).
-    listening_port: Option<u16>,
 }
 
 /// Everything one connection's dispatcher needs, bundled so the serving path
 /// has a single context argument (shared across workers behind one `Arc`).
 pub(crate) struct ConnCtx {
     pub(crate) engine: Arc<TableEngine>,
+    /// Virtual time source: servers outside the simulator tick this from wall
+    /// time; tests drive it manually.
     pub(crate) clock: Arc<AtomicU64>,
-    pub(crate) replication: Option<Arc<dyn ReplicationControl>>,
-    pub(crate) read_only: bool,
+    /// What this server is to its replica group.
+    pub(crate) role: Role,
+    /// This server's SLOWLOG ring (per instance, not process-global: embedded
+    /// tests run many servers in one process).
     pub(crate) slowlog: Arc<SlowLog>,
-    pub(crate) repl_info: Option<Arc<dyn Fn() -> ReplInfo + Send + Sync>>,
+    /// When the server was bound (`INFO server` uptime).
     pub(crate) started: Instant,
+    /// Per-server connection accounting (`INFO`, the max-clients cap).
     pub(crate) stats: Arc<FrontEndStats>,
-    /// Event-loop worker count (`INFO server`).
+    /// Event-loop worker count (`INFO server`), set when the server runs.
     pub(crate) io_threads: usize,
+    /// The shutdown signal, which also tracks connections off the loop.
+    pub(crate) shutdown: Arc<Shutdown>,
 }
 
 /// Count/latency handles for a connection's last-seen command label. Labels
@@ -521,46 +537,6 @@ pub(crate) fn malformed_argv_strings(value: &RespValue) -> Vec<String> {
         .collect()
 }
 
-/// Serve a `PSYNC` replica connection on the leader. The group lock is held
-/// only to clone out the leader's store handle and register the follower —
-/// streaming (and any checkpoint ship) runs with the group unlocked, exactly
-/// like the staged resync copies, so `WAIT`/commit on other connections flow
-/// freely for the duration.
-pub(crate) fn serve_replica_connection(
-    mut stream: TcpStream,
-    leftover: Vec<u8>,
-    position: Option<(u64, u64)>,
-    replica_id: Option<u32>,
-    repl: &dyn ReplicationControl,
-) -> std::io::Result<()> {
-    let Some(source) = repl.replica_source() else {
-        stream.write_all(
-            &RespValue::Error("ERR PSYNC: this node does not lead a replica group".into())
-                .to_bytes(),
-        )?;
-        return Ok(());
-    };
-    // Followers that skip `REPLCONF replica-id` get a server-assigned id
-    // well clear of the cluster's node-id space.
-    let id = replica_id.unwrap_or_else(socket::anonymous_replica_id);
-    let (remote, generation) = match repl.register_remote(id) {
-        Ok(registered) => registered,
-        Err(e) => {
-            stream.write_all(&RespValue::Error(format!("ERR replication: {e}")).to_bytes())?;
-            return Ok(());
-        }
-    };
-    let tag = format!("replica-{id}");
-    let result = socket::serve_replica_stream(
-        stream, leftover, &source, &remote, generation, position, &tag,
-    );
-    // Generation-guarded: if the follower already reconnected (a newer
-    // registration owns this state), this stale connection's death must not
-    // mark the live one down.
-    remote.disconnect(generation);
-    result
-}
-
 /// Answer one command frame: connection-state verbs here, the replication
 /// plane where one is attached, everything else through
 /// [`TableEngine::execute_on`] against `db`, the store handle the connection
@@ -575,8 +551,7 @@ pub(crate) fn dispatch(
     ctx: &ConnCtx,
 ) -> RespValue {
     let clock = &*ctx.clock;
-    let replication = ctx.replication.as_deref();
-    let read_only = ctx.read_only;
+    let replication = ctx.role.plane();
     // AUTH is handled at the connection layer (it selects the tenant).
     if argv.len() == 2 && argv.get(0).eq_ignore_ascii_case(b"AUTH") {
         let tenant = std::str::from_utf8(argv.get(1))
@@ -613,12 +588,10 @@ pub(crate) fn dispatch(
         };
     }
     // REPLCONF is connection state too: a connecting follower announces its
-    // listening port and replica id before PSYNC; `ack` frames landing here
-    // (outside a replica stream) are acknowledged and ignored.
+    // replica id before PSYNC; anything else a client sends with it (Redis
+    // replicas add `listening-port`), and `ack` frames landing here outside
+    // a replica stream, are acknowledged and ignored.
     if let Command::ReplConf { .. } = &command {
-        if let Some(port) = command.replconf_option("listening-port") {
-            state.listening_port = Some(port as u16);
-        }
         if let Some(id) = command.replconf_option("replica-id") {
             state.replica_id = Some(id as u32);
         }
@@ -702,7 +675,7 @@ pub(crate) fn dispatch(
     }
     // A follower replica's store is written only by the replication stream;
     // a client write here would silently diverge it from the leader.
-    if read_only && command.is_write() {
+    if matches!(ctx.role, Role::Follower(_)) && command.is_write() {
         return RespValue::Error("READONLY You can't write against a read only replica.".into());
     }
     span.enter(Stage::Engine);
@@ -763,18 +736,6 @@ fn tenant_ru(state: &mut ConnState) -> (&'static abase_obs::Counter, &'static ab
     }
 }
 
-/// The replication identity `INFO` reports: the installed provider wins
-/// (follower mode), else the attached plane's view (leader), else none.
-fn current_repl_info(ctx: &ConnCtx) -> ReplInfo {
-    if let Some(provider) = &ctx.repl_info {
-        return provider();
-    }
-    if let Some(repl) = &ctx.replication {
-        return repl.repl_info();
-    }
-    ReplInfo::default()
-}
-
 /// Build the `INFO [section]` reply. Sections mirror Redis: `server`,
 /// `replication`, `keyspace`, `stats`, `latency`; no argument (or `all` /
 /// `default` / `everything`) emits them all, an unknown section an empty
@@ -785,7 +746,7 @@ fn info_reply(section: Option<&[u8]>, ctx: &ConnCtx) -> RespValue {
         None | Some(b"all") | Some(b"default") | Some(b"everything") => true,
         Some(s) => s == name.as_bytes(),
     };
-    let info = current_repl_info(ctx);
+    let info = ctx.role.repl_info(&ctx.engine);
     let mut out = String::new();
     if wanted("server") {
         out.push_str("# Server\r\n");
@@ -958,8 +919,8 @@ mod tests {
     use abase_lavastore::DbConfig;
     use abase_util::TestDir;
     use parking_lot::Mutex;
-    use std::io::Read;
-    use std::sync::atomic::AtomicBool;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn start_server(tag: &str) -> (TestDir, std::net::SocketAddr, Arc<AtomicU64>) {
         let dir = TestDir::new(tag);
@@ -1458,7 +1419,13 @@ mod tests {
                 0,
             )
             .unwrap();
-        let server = RespServer::bind(engine, "127.0.0.1:0").unwrap().read_only();
+        let link = Arc::new(FollowerLink {
+            leader_addr: "10.0.0.1:7379".into(),
+            up: AtomicBool::new(true),
+        });
+        let server = RespServer::bind(engine, "127.0.0.1:0")
+            .unwrap()
+            .following(link);
         let addr = server.local_addr().unwrap();
         std::thread::spawn(move || server.run());
         let mut client = TcpStream::connect(addr).unwrap();
@@ -1504,7 +1471,6 @@ mod tests {
             DbConfig::small_for_tests(),
             &addr.to_string(),
             77,
-            0,
         )
         .unwrap();
         let follower_db = follower.db();

@@ -78,16 +78,14 @@ impl std::fmt::Debug for Follower {
 impl Follower {
     /// Open (or create) the local replica at `dir` and aim it at the leader
     /// on `leader_addr`. `replica_id` identifies this follower in the
-    /// leader's accounting; `listening_port` is the port this follower's
-    /// own RESP server listens on (handshake metadata).
+    /// leader's accounting.
     pub fn connect(
         dir: impl AsRef<Path>,
         config: DbConfig,
         leader_addr: &str,
         replica_id: u32,
-        listening_port: u16,
     ) -> Result<Self> {
-        let transport = SocketTransport::new(leader_addr, replica_id, listening_port);
+        let transport = SocketTransport::new(leader_addr, replica_id);
         Self::with_transport(dir, config, Box::new(transport))
     }
 

@@ -72,7 +72,7 @@ pub use group::{
     AdvanceStatus, GroupConfig, GroupStatus, ReadConsistency, RemoteFollowerState, ReplicaGroup,
     ReplicaId, ReplicaStatus, ResyncTicket, Role, RoutedRead, WriteConcern,
 };
-pub use socket::{serve_group_replica, serve_replica_stream, SocketTransport};
+pub use socket::{serve_replica, AcceptedReplica, SocketTransport};
 pub use transport::LogTransport;
 
 /// Replication log sequence number — the storage engine's record `seq`.

@@ -2,7 +2,7 @@
 //!
 //! This is the network half of the replication plane — replica groups that
 //! span OS processes. A follower process connects to the leader's RESP port,
-//! performs the `REPLCONF listening-port/replica-id` handshake, and issues
+//! performs the `REPLCONF replica-id` handshake, and issues
 //! `PSYNC <segment> <offset>`; the leader switches the connection into
 //! replica-streaming mode and ships framed binlog records (the storage
 //! engine's own [`Record`] encoding inside RESP bulk frames). Acks flow back
@@ -358,7 +358,7 @@ impl Shipper<'_> {
 /// The group lock is *not* held anywhere in here — `source` was cloned out
 /// once, acks land in shared atomics, and checkpoints stream from pinned
 /// files.
-pub fn serve_replica_stream(
+fn serve_replica_stream(
     mut stream: TcpStream,
     mut buffer: Vec<u8>,
     source: &Arc<Db>,
@@ -591,7 +591,6 @@ fn send_checkpoint(stream: &mut TcpStream, source: &Db) -> Result<()> {
 pub struct SocketTransport {
     leader_addr: String,
     replica_id: u32,
-    listening_port: u16,
     stream: Option<TcpStream>,
     buffer: Vec<u8>,
     position: Option<(u64, u64)>,
@@ -623,11 +622,10 @@ impl SocketTransport {
     /// `leader_addr`. Does not connect yet — the first poll (or checkpoint
     /// fetch) does, so a follower can be constructed while the leader is
     /// still coming up.
-    pub fn new(leader_addr: impl Into<String>, replica_id: u32, listening_port: u16) -> Self {
+    pub fn new(leader_addr: impl Into<String>, replica_id: u32) -> Self {
         Self {
             leader_addr: leader_addr.into(),
             replica_id,
-            listening_port,
             stream: None,
             buffer: Vec::new(),
             position: None,
@@ -665,16 +663,10 @@ impl SocketTransport {
         };
         stream.set_nodelay(true).ok();
         let handshake = Command::ReplConf {
-            pairs: vec![
-                (
-                    bytes::Bytes::copy_from_slice(b"listening-port"),
-                    bytes::Bytes::copy_from_slice(self.listening_port.to_string().as_bytes()),
-                ),
-                (
-                    bytes::Bytes::copy_from_slice(b"replica-id"),
-                    bytes::Bytes::copy_from_slice(self.replica_id.to_string().as_bytes()),
-                ),
-            ],
+            pairs: vec![(
+                bytes::Bytes::copy_from_slice(b"replica-id"),
+                bytes::Bytes::copy_from_slice(self.replica_id.to_string().as_bytes()),
+            )],
         };
         if stream.write_all(&handshake.to_resp().to_bytes()).is_err() {
             return Ok(false);
@@ -936,76 +928,52 @@ fn self_heal_err(e: std::io::Error) -> Error {
 }
 
 // ---------------------------------------------------------------------------
-// Leader side: a dedicated replica endpoint
+// Leader side: accepting a replica
 // ---------------------------------------------------------------------------
 
 /// Allocate an id for a follower that connected without announcing
 /// `REPLCONF replica-id` — one process-wide sequence, well clear of the
-/// cluster's node-id space, shared by every replica-accepting surface (the
-/// RESP server's PSYNC path and [`serve_group_replica`]) so two surfaces
-/// can never hand the same anonymous id to different followers.
-pub fn anonymous_replica_id() -> u32 {
+/// cluster's node-id space, so no two anonymous followers share an id.
+fn anonymous_replica_id() -> u32 {
     static REPLICA_SEQ: AtomicU64 = AtomicU64::new(1 << 20);
     REPLICA_SEQ.fetch_add(1, Ordering::Relaxed) as u32
 }
 
-/// Serve one inbound connection as a replica of `group`'s leader: answer
-/// `REPLCONF` handshake frames with `+OK`, and on the first `PSYNC` register
-/// the remote follower and switch into [`serve_replica_stream`]. The group
-/// lock is held only for registration and to clone the leader's `Db` handle;
-/// the stream itself runs unlocked. The RESP server integrates this same
-/// dance into its command loop; this standalone version is for embedders
-/// (and harnesses) that dedicate a raw socket to replication.
-pub fn serve_group_replica(
+/// What accepting a remote follower yields: the leader's store its
+/// connection streams from, the shared ack state `WAIT` and write concerns
+/// read, and the registration generation the connection acks and
+/// disconnects under.
+pub type AcceptedReplica = (Arc<Db>, Arc<RemoteFollowerState>, u64);
+
+/// Serve `stream`, whose client just sent `PSYNC position`, as a replica
+/// connection: `register` accepts the follower by id (a refusal is
+/// answered with an error reply), the stream runs until the peer goes away
+/// (`serve_replica_stream`), and the follower is marked disconnected —
+/// generation-guarded, so a connection the follower already replaced cannot
+/// mark the live one down. `leftover` is what the client pipelined after
+/// `PSYNC`. `register` is the only step that may take the group lock; the
+/// stream itself, and any checkpoint it ships, runs with the group unlocked.
+pub fn serve_replica(
     mut stream: TcpStream,
-    group: &abase_util::lockrank::RankedMutex<crate::ReplicaGroup>,
-) -> Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut buffer = Vec::new();
-    let mut replica_id: Option<u32> = None;
-    loop {
-        let frame = read_frame(&mut stream, &mut buffer, HANDSHAKE_TIMEOUT)
-            .map_err(|e| transport_err("replica handshake", e))?;
-        let Some(frame) = frame else {
-            return Err(Error::Transport("replica handshake timed out".into()));
-        };
-        match Command::from_resp(&frame) {
-            Ok(cmd @ Command::ReplConf { .. }) => {
-                if let Some(id) = cmd.replconf_option("replica-id") {
-                    replica_id = Some(id as u32);
-                }
-                stream
-                    .write_all(&RespValue::ok().to_bytes())
-                    .map_err(|e| transport_err("replica handshake", e))?;
-            }
-            Ok(Command::PSync { position }) => {
-                let id = replica_id.unwrap_or_else(anonymous_replica_id);
-                let (source, state, generation) = {
-                    let mut g = group.lock();
-                    let source = g.leader_db()?;
-                    let (state, generation) = g.register_remote_follower(id)?;
-                    (source, state, generation)
-                };
-                let tag = format!("replica-{id}");
-                let result = serve_replica_stream(
-                    stream, buffer, &source, &state, generation, position, &tag,
-                );
-                // Generation-guarded: a newer registration (the follower
-                // already reconnected) must not be marked down by this
-                // connection's death.
-                state.disconnect(generation);
-                return result.map_err(|e| transport_err("replica stream", e));
-            }
-            _ => {
-                stream
-                    .write_all(
-                        &RespValue::Error("ERR expected REPLCONF/PSYNC on a replica port".into())
-                            .to_bytes(),
-                    )
-                    .map_err(|e| transport_err("replica handshake", e))?;
-            }
+    leftover: Vec<u8>,
+    position: Option<(u64, u64)>,
+    replica_id: Option<u32>,
+    register: impl FnOnce(u32) -> std::result::Result<AcceptedReplica, String>,
+) -> std::io::Result<()> {
+    let id = replica_id.unwrap_or_else(anonymous_replica_id);
+    let (source, remote, generation) = match register(id) {
+        Ok(registered) => registered,
+        Err(e) => {
+            stream.write_all(&RespValue::Error(format!("ERR replication: {e}")).to_bytes())?;
+            return Ok(());
         }
-    }
+    };
+    let tag = format!("replica-{id}");
+    let result = serve_replica_stream(
+        stream, leftover, &source, &remote, generation, position, &tag,
+    );
+    remote.disconnect(generation);
+    result
 }
 
 #[cfg(test)]
@@ -1018,8 +986,40 @@ mod tests {
     use abase_util::TestDir;
     use std::net::TcpListener;
 
+    /// The replica handshake on a raw socket, as the RESP server runs it
+    /// inside its command loop: `REPLCONF` frames get `+OK`, the first
+    /// `PSYNC` hands the socket to [`serve_replica`].
+    fn serve_group_replica(mut stream: TcpStream, group: &Mutex<ReplicaGroup>) -> Result<()> {
+        let mut buffer = Vec::new();
+        let mut replica_id: Option<u32> = None;
+        loop {
+            let frame = read_frame(&mut stream, &mut buffer, HANDSHAKE_TIMEOUT)
+                .map_err(|e| transport_err("replica handshake", e))?
+                .ok_or_else(|| Error::Transport("replica handshake timed out".into()))?;
+            match Command::from_resp(&frame) {
+                Ok(cmd @ Command::ReplConf { .. }) => {
+                    if let Some(id) = cmd.replconf_option("replica-id") {
+                        replica_id = Some(id as u32);
+                    }
+                    stream.write_all(&RespValue::ok().to_bytes()).unwrap();
+                }
+                Ok(Command::PSync { position }) => {
+                    return serve_replica(stream, buffer, position, replica_id, |id| {
+                        let mut g = group.lock();
+                        let source = g.leader_db().map_err(|e| e.to_string())?;
+                        let (state, generation) =
+                            g.register_remote_follower(id).map_err(|e| e.to_string())?;
+                        Ok((source, state, generation))
+                    })
+                    .map_err(|e| transport_err("replica stream", e));
+                }
+                other => panic!("unexpected frame on a replica port: {other:?}"),
+            }
+        }
+    }
+
     /// A minimal leader endpoint: every accepted connection is served as a
-    /// replica through the public [`serve_group_replica`] dance.
+    /// replica.
     fn spawn_leader_endpoint(group: Arc<Mutex<ReplicaGroup>>) -> std::net::SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1068,7 +1068,6 @@ mod tests {
             DbConfig::small_for_tests(),
             &addr.to_string(),
             100,
-            0,
         )
         .unwrap();
         // First pump: gap (no position) → checkpoint fetch + install.
@@ -1133,7 +1132,7 @@ mod tests {
             }
         }
         // A follower claiming position (0, 0) must be told to full-resync.
-        let mut transport = SocketTransport::new(addr.to_string(), 101, 0);
+        let mut transport = SocketTransport::new(addr.to_string(), 101);
         LogTransport::seek(&mut transport, 0, 0);
         let mut follower = Follower::with_transport(
             fdir.path().join("replica"),

@@ -25,6 +25,7 @@
 //! |------|------|-------|
 //! | 100  | [`rank::EVENT_WAKERS`] | event-loop shutdown waker registry |
 //! | 110  | [`rank::EVENT_INJECT`] | event-loop per-worker connection mailbox |
+//! | 120  | [`rank::EVENT_OFFLOADED`] | sockets of connections on offload threads |
 //! | 200  | [`rank::REPLICA_GROUP`] | `ReplicaGroup` (held across follower pumps into dbs) |
 //! | 250  | [`rank::ENGINE_DB`] | `TableEngine`'s swappable `Arc<Db>` handle |
 //! | 300  | [`rank::LAVASTORE_STRIPE`] | per-stripe memtable + LSM view |
@@ -89,6 +90,8 @@ pub mod rank {
     pub const EVENT_WAKERS: Rank = Rank::new(100, "event_loop.wakers");
     /// Event-loop per-worker cross-thread connection mailbox.
     pub const EVENT_INJECT: Rank = Rank::new(110, "event_loop.inject");
+    /// Sockets of the connections offload threads hold (`Shutdown::offloaded`).
+    pub const EVENT_OFFLOADED: Rank = Rank::new(120, "event_loop.offloaded");
     /// `ReplicaGroup`: held while pumping followers into their stores, so it
     /// must sit outside every storage-engine lock.
     pub const REPLICA_GROUP: Rank = Rank::new(200, "replication.group");

@@ -4,14 +4,15 @@
 //! cargo run --release --example replication_psync
 //! ```
 //!
-//! The driver (no arguments) re-spawns this same binary twice:
+//! The driver (no arguments) re-spawns this same binary twice, each child a
+//! [`ServingNode`] — what `abase-server leader` / `abase-server follow` run:
 //!
-//! * `leader <dir>` — a RESP server leading a replica group, accepting
-//!   `REPLCONF`/`PSYNC` follower connections on its port.
-//! * `follower <dir> <leader-addr>` — a read-only RESP server whose store is
-//!   kept in sync by a `replication::Follower` over a socket transport: its
-//!   first pump stages a checkpoint (`PSYNC ? -1` → `FULLRESYNC`) and swaps
-//!   it in, every later one tails the leader's WAL, acking `REPLCONF ACK`.
+//! * `leader <dir>` — leads a replica group, accepting `REPLCONF`/`PSYNC`
+//!   follower connections on its RESP port.
+//! * `follower <dir> <leader-addr>` — a read-only node whose store is kept in
+//!   sync over the socket: its first pump stages a checkpoint (`PSYNC ? -1`
+//!   → `FULLRESYNC`) and swaps it in, every later one tails the leader's WAL,
+//!   acking `REPLCONF ACK`.
 //!
 //! The scenario then runs over raw RESP:
 //!
@@ -25,88 +26,38 @@
 //!
 //! This is the §3.3 deployment shape: replicas on different machines, the
 //! log shipped over the network, zero acked writes lost on leader death.
+//! `tests/server_roles.rs` asserts the same scenario, and what `INFO
+//! replication` says on both sides of it, against the `abase-server` binary.
 
-use abase::core::{ReplInfo, ReplicationControl, RespServer, TableEngine};
+use abase::core::{NodeRole, ServingNode};
 use abase::lavastore::DbConfig;
 use abase::proto::RespValue;
-use abase::replication::{Follower, GroupConfig, PumpStatus, ReplicaGroup, WriteConcern};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("leader") => run_leader(&args[1]),
-        Some("follower") => run_follower(&args[1], &args[2]),
+        Some("leader") => run_node(&args[1], NodeRole::Leader { local_replicas: 1 }),
+        Some("follower") => run_node(
+            &args[1],
+            NodeRole::Follower {
+                leader_addr: args[2].clone(),
+                replica_id: 2,
+            },
+        ),
         _ => run_driver(),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Child roles
-// ---------------------------------------------------------------------------
-
-fn run_leader(dir: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let group = ReplicaGroup::bootstrap(
-        0,
-        dir,
-        &[1],
-        GroupConfig::new(WriteConcern::Quorum, DbConfig::small_for_tests()),
-    )?;
-    let engine = Arc::new(TableEngine::from_db(group.leader_db()?));
-    let group = Arc::new(group.into_mutex());
-    let server = RespServer::bind(engine, "127.0.0.1:0")?
-        .with_replication(group as Arc<dyn ReplicationControl>);
-    println!("ADDR {}", server.local_addr()?);
+/// A child process: one node, its address on stdout, serving until killed.
+fn run_node(dir: &str, role: NodeRole) -> Result<(), Box<dyn std::error::Error>> {
+    let node = ServingNode::open("127.0.0.1:0", dir, DbConfig::small_for_tests(), role)?;
+    println!("ADDR {}", node.local_addr());
     std::io::stdout().flush()?;
-    server.run()?;
-    Ok(())
-}
-
-fn run_follower(dir: &str, leader: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let mut follower = Follower::connect(dir, DbConfig::small_for_tests(), leader, 2, 0)?;
-    let engine = Arc::new(TableEngine::from_db(follower.db()));
-    // Same wiring as `abase-server follow`: the pump thread owns the link,
-    // so shared cells feed `INFO replication` (applied LSN, link status).
-    let applied_lsn = Arc::new(AtomicU64::new(follower.last_seq()));
-    let link_up = Arc::new(AtomicBool::new(true));
-    let server = {
-        let applied_lsn = Arc::clone(&applied_lsn);
-        let link_up = Arc::clone(&link_up);
-        let leader = leader.to_string();
-        RespServer::bind(Arc::clone(&engine), "127.0.0.1:0")?
-            .read_only()
-            .with_repl_info(Arc::new(move || ReplInfo {
-                role: "follower",
-                last_lsn: applied_lsn.load(Ordering::Relaxed),
-                leader_addr: Some(leader.clone()),
-                link_status: if link_up.load(Ordering::Relaxed) {
-                    "up"
-                } else {
-                    "down"
-                },
-                followers: Vec::new(),
-            }))
-    };
-    println!("ADDR {}", server.local_addr()?);
-    std::io::stdout().flush()?;
-    std::thread::spawn(move || loop {
-        match follower.pump() {
-            Ok(PumpStatus::Resynced) => engine.swap_db(follower.db()),
-            Ok(_) => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-        applied_lsn.store(follower.last_seq(), Ordering::Relaxed);
-        // The transport knows whether the socket is alive; pump results
-        // don't (a dead link polls as "no records", same as an idle leader).
-        link_up.store(follower.link_up(), Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(1));
-    });
-    server.run()?;
+    node.wait()?;
     Ok(())
 }
 
@@ -117,16 +68,14 @@ fn run_follower(dir: &str, leader: &str) -> Result<(), Box<dyn std::error::Error
 struct Resp(TcpStream);
 
 impl Resp {
-    fn connect(addr: &str) -> std::io::Result<Self> {
-        Ok(Self(TcpStream::connect(addr)?))
-    }
-
     fn cmd(&mut self, parts: &[&str]) -> Result<RespValue, Box<dyn std::error::Error>> {
-        let mut out = format!("*{}\r\n", parts.len()).into_bytes();
-        for p in parts {
-            out.extend_from_slice(format!("${}\r\n{p}\r\n", p.len()).as_bytes());
-        }
-        self.0.write_all(&out)?;
+        let frame = RespValue::array(
+            parts
+                .iter()
+                .map(|p| RespValue::bulk(p.to_string()))
+                .collect(),
+        );
+        self.0.write_all(&frame.to_bytes())?;
         let mut buffer = Vec::new();
         let mut chunk = [0u8; 4096];
         loop {
@@ -140,21 +89,6 @@ impl Resp {
             buffer.extend_from_slice(&chunk[..n]);
         }
     }
-}
-
-/// `INFO replication` as text.
-fn info_text(client: &mut Resp) -> Result<String, Box<dyn std::error::Error>> {
-    match client.cmd(&["INFO", "replication"])? {
-        RespValue::Bulk(Some(b)) => Ok(String::from_utf8(b.to_vec())?),
-        other => Err(format!("INFO returned {other:?}").into()),
-    }
-}
-
-/// The value of a `key:value` INFO line.
-fn info_field(info: &str, key: &str) -> Option<String> {
-    info.lines()
-        .find_map(|l| l.strip_prefix(&format!("{key}:")))
-        .map(|v| v.trim_end().to_string())
 }
 
 fn spawn_role(role: &[&str]) -> Result<(Child, String), Box<dyn std::error::Error>> {
@@ -191,7 +125,7 @@ fn run_driver() -> Result<(), Box<dyn std::error::Error>> {
         spawn_role(&["follower", follower_dir.to_str().unwrap(), &leader_addr])?;
     println!("   follower RESP at {follower_addr}");
 
-    let mut client = Resp::connect(&leader_addr)?;
+    let mut client = Resp(TcpStream::connect(&leader_addr)?);
     // Until the follower's PSYNC lands, WAIT reports 0 connected followers.
     print!("== waiting for the follower to attach ");
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -223,45 +157,7 @@ fn run_driver() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("   50 writes quorum-acked, WAIT 1 -> 1");
 
-    println!("== INFO replication on both processes");
-    let leader_info = info_text(&mut client)?;
-    assert_eq!(info_field(&leader_info, "role").as_deref(), Some("leader"));
-    let leader_lsn: u64 = info_field(&leader_info, "last_applied_lsn")
-        .ok_or("leader INFO lacks last_applied_lsn")?
-        .parse()?;
-    assert!(
-        leader_lsn >= 50,
-        "leader LSN {leader_lsn} below the 50 writes"
-    );
-    assert!(
-        leader_info.contains("follower0:id=2,"),
-        "leader INFO does not list the remote follower:\n{leader_info}"
-    );
-    println!("   leader: role=leader last_applied_lsn={leader_lsn}, lists follower id=2");
-
-    let mut freader = Resp::connect(&follower_addr)?;
-    let follower_info = info_text(&mut freader)?;
-    assert_eq!(
-        info_field(&follower_info, "role").as_deref(),
-        Some("follower"),
-        "follower INFO:\n{follower_info}"
-    );
-    assert_eq!(
-        info_field(&follower_info, "leader_addr").as_deref(),
-        Some(leader_addr.as_str())
-    );
-    assert_eq!(
-        info_field(&follower_info, "link_status").as_deref(),
-        Some("up")
-    );
-    let follower_lsn: u64 = info_field(&follower_info, "last_applied_lsn")
-        .ok_or("follower INFO lacks last_applied_lsn")?
-        .parse()?;
-    assert!(follower_lsn > 0, "follower applied nothing");
-    println!(
-        "   follower: role=follower leader_addr={leader_addr} link=up last_applied_lsn={follower_lsn}"
-    );
-
+    let mut freader = Resp(TcpStream::connect(&follower_addr)?);
     println!("== reading the replicated keys from the follower process");
     for i in [0usize, 17, 49] {
         let reply = freader.cmd(&["GET", &format!("user:{i}")])?;
@@ -286,19 +182,6 @@ fn run_driver() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("   follower still serves every acked write");
-    // The pump notices the dead socket; INFO flips the link to `down`.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let info = info_text(&mut freader)?;
-        if info_field(&info, "link_status").as_deref() == Some("down") {
-            println!("   follower INFO reports link_status:down after leader death");
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err(format!("link never reported down:\n{info}").into());
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
     let reply = freader.cmd(&["SET", "rogue", "write"])?;
     match reply {
         RespValue::Error(e) if e.starts_with("READONLY") => {

@@ -388,7 +388,6 @@ fn pump_follower(
         DbConfig::small_for_tests(),
         &addr.to_string(),
         77,
-        0,
     )
     .unwrap();
     let stop = Arc::new(AtomicBool::new(false));

@@ -1,47 +1,21 @@
-//! Network-real replication through the RESP server: a leader `RespServer`
-//! and a follower that is, in every way but the process boundary, the
-//! `abase-server follow` mode — a `Follower` speaking
-//! `REPLCONF`/`PSYNC` over a real TCP connection. (The genuinely two-process
-//! version of this scenario is `examples/replication_psync.rs`, which CI
-//! runs; these tests keep the protocol matrix — restart, retention
-//! fall-off, FULLRESYNC recovery — fast and deterministic in one process.)
+//! Network-real replication through the RESP server: a leader
+//! `ServingNode` — the assembly `abase-server leader` runs — and followers
+//! speaking `REPLCONF`/`PSYNC` to it over a real TCP connection: a bare
+//! `Follower` stepped by hand where the test needs to restart it with a
+//! chosen cursor, a follower node where it needs the shipped cadence. (The
+//! genuinely two-process version is `tests/server_roles.rs`; these tests
+//! keep the protocol matrix — restart, retention fall-off, FULLRESYNC
+//! recovery — fast and deterministic in one process.)
 
-use abase::core::{ReplicationControl, RespServer, TableEngine};
+mod common;
+
+use abase::core::{NodeRole, ServingNode};
 use abase::lavastore::DbConfig;
 use abase::proto::RespValue;
-use abase::replication::{
-    Follower, GroupConfig, LogTransport, ReplicaGroup, SocketTransport, WriteConcern,
-};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use abase::replication::{Follower, LogTransport, SocketTransport};
+use abase::util::TestDir;
+use common::{eventually, Client};
 use std::time::{Duration, Instant};
-
-fn unique_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "abase-sockrepl-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn roundtrip(stream: &mut TcpStream, request: &[u8]) -> RespValue {
-    stream.write_all(request).unwrap();
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        let n = stream.read(&mut chunk).unwrap();
-        assert!(n > 0, "server closed unexpectedly");
-        buf.extend_from_slice(&chunk[..n]);
-        if let Some((value, _)) = RespValue::parse(&buf).unwrap() {
-            return value;
-        }
-    }
-}
 
 fn drive(follower: &mut Follower, target_lsn: u64, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(15);
@@ -58,26 +32,17 @@ fn drive(follower: &mut Follower, target_lsn: u64, what: &str) {
 
 #[test]
 fn follower_restart_resumes_and_retention_falloff_fullresyncs() {
-    let leader_dir = unique_dir("leader");
-    let follower_dir = unique_dir("follower");
-    let group = ReplicaGroup::bootstrap(
-        0,
+    let leader_dir = TestDir::new("sockrepl-leader");
+    let follower_dir = TestDir::new("sockrepl-follower");
+    let leader = ServingNode::open(
+        "127.0.0.1:0",
         &leader_dir,
-        &[1],
-        GroupConfig {
-            write_concern: WriteConcern::Quorum,
-            db: DbConfig::small_for_tests(),
-            wait_timeout: Duration::from_secs(5),
-        },
+        DbConfig::small_for_tests(),
+        NodeRole::Leader { local_replicas: 1 },
     )
     .unwrap();
-    let engine = Arc::new(TableEngine::from_db(group.leader_db().unwrap()));
-    let group = Arc::new(group.into_mutex());
-    let server = RespServer::bind(engine, "127.0.0.1:0")
-        .unwrap()
-        .with_replication(Arc::clone(&group) as Arc<dyn ReplicationControl>);
-    let addr = server.local_addr().unwrap();
-    std::thread::spawn(move || server.run());
+    let addr = leader.local_addr();
+    let db = leader.engine().db();
 
     // Phase 1 — a fresh follower attaches through the RESP port, pulls the
     // initial checkpoint, and starts acking.
@@ -87,33 +52,27 @@ fn follower_restart_resumes_and_retention_falloff_fullresyncs() {
         DbConfig::small_for_tests(),
         &addr.to_string(),
         42,
-        0,
     )
     .unwrap();
-    let mut client = TcpStream::connect(addr).unwrap();
+    let mut client = Client::connect(addr);
     // Quorum = {leader, follower}: the write only acks once the follower's
     // REPLCONF ACK crossed the socket, so serve it from a pump thread.
-    let lsn = {
-        let g = group.lock();
-        let db = g.leader_db().unwrap();
-        for i in 0..10 {
-            db.put(format!("a{i}").as_bytes(), b"1", None, 0).unwrap();
-        }
-        db.last_seq()
-    };
+    for i in 0..10 {
+        db.put(format!("a{i}").as_bytes(), b"1", None, 0).unwrap();
+    }
+    let lsn = db.last_seq();
     drive(&mut follower, lsn, "initial catch-up");
     assert_eq!(follower.resyncs(), 1, "fresh follower syncs via checkpoint");
     // RESP-layer proof that the ack arithmetic sees the remote: this
     // session never wrote, so WAIT reports the connected follower count
     // immediately (the session-fence bugfix), which is 1.
-    let reply = roundtrip(&mut client, b"*3\r\n$4\r\nWAIT\r\n$1\r\n1\r\n$3\r\n100\r\n");
-    assert_eq!(reply, RespValue::Integer(1));
+    assert_eq!(client.cmd(&["WAIT", "1", "100"]), RespValue::Integer(1));
 
     // Phase 2 — follower "process" restarts with its persisted cursor: a
     // positional PSYNC resumes the stream with no resync.
     let position = follower.position().expect("streamed follower has a cursor");
     drop(follower);
-    let mut transport = SocketTransport::new(addr.to_string(), 42, 0);
+    let mut transport = SocketTransport::new(addr.to_string(), 42);
     transport.seek(position.0, position.1);
     let mut follower = Follower::with_transport(
         &replica_dir,
@@ -121,12 +80,8 @@ fn follower_restart_resumes_and_retention_falloff_fullresyncs() {
         Box::new(transport),
     )
     .unwrap();
-    let lsn = {
-        let g = group.lock();
-        let db = g.leader_db().unwrap();
-        db.put(b"after-restart", b"2", None, 0).unwrap();
-        db.last_seq()
-    };
+    db.put(b"after-restart", b"2", None, 0).unwrap();
+    let lsn = db.last_seq();
     drive(&mut follower, lsn, "post-restart catch-up");
     assert_eq!(follower.resyncs(), 0, "a valid cursor must not resync");
     assert!(follower
@@ -141,20 +96,15 @@ fn follower_restart_resumes_and_retention_falloff_fullresyncs() {
     // with FULLRESYNC and it recovers through the staged checkpoint pull.
     let position = follower.position().unwrap();
     drop(follower);
-    let lsn = {
-        let g = group.lock();
-        let db = g.leader_db().unwrap();
-        let backlog = db.config().wal_retention_segments;
-        for round in 0..backlog + 3 {
-            for i in 0..25 {
-                db.put(format!("r{round}-k{i}").as_bytes(), &[9u8; 64], None, 0)
-                    .unwrap();
-            }
-            db.flush().unwrap();
+    for round in 0..db.config().wal_retention_segments + 3 {
+        for i in 0..25 {
+            db.put(format!("r{round}-k{i}").as_bytes(), &[9u8; 64], None, 0)
+                .unwrap();
         }
-        db.last_seq()
-    };
-    let mut transport = SocketTransport::new(addr.to_string(), 42, 0);
+        db.flush().unwrap();
+    }
+    let lsn = db.last_seq();
+    let mut transport = SocketTransport::new(addr.to_string(), 42);
     transport.seek(position.0, position.1);
     let mut follower = Follower::with_transport(
         &replica_dir,
@@ -171,17 +121,14 @@ fn follower_restart_resumes_and_retention_falloff_fullresyncs() {
     let last = follower.db().get(b"r0-k0", 0).unwrap();
     assert!(last.value.is_some(), "checkpointed history missing");
     // And the stream keeps flowing incrementally afterwards.
-    let lsn = {
-        let g = group.lock();
-        let db = g.leader_db().unwrap();
-        db.put(b"tail", b"3", None, 0).unwrap();
-        db.last_seq()
-    };
+    db.put(b"tail", b"3", None, 0).unwrap();
+    let lsn = db.last_seq();
     drive(&mut follower, lsn, "post-FULLRESYNC tail");
     assert_eq!(follower.resyncs(), 1, "tailing must not re-resync");
 
-    std::fs::remove_dir_all(&leader_dir).ok();
-    std::fs::remove_dir_all(&follower_dir).ok();
+    drop(follower);
+    drop(db);
+    leader.shutdown().unwrap();
 }
 
 /// Regression for the serve-loop drain starvation: the leader's replica
@@ -193,77 +140,45 @@ fn follower_restart_resumes_and_retention_falloff_fullresyncs() {
 /// socket round trip, an order of magnitude under the 100 ms budget.
 #[test]
 fn quorum_commit_latency_is_not_gated_by_the_wait_timeout() {
-    let base = unique_dir("latency");
-    let group = ReplicaGroup::bootstrap(
-        0,
+    let base = TestDir::new("sockrepl-latency");
+    // A leader node commits under a 100 ms `wait_timeout`; the follower
+    // node pumps and acks on the shipped cadence.
+    let leader = ServingNode::open(
+        "127.0.0.1:0",
         base.join("leader"),
-        &[1],
-        GroupConfig {
-            write_concern: WriteConcern::Quorum,
-            db: DbConfig::default(),
-            wait_timeout: Duration::from_millis(100),
+        DbConfig::default(),
+        NodeRole::Leader { local_replicas: 1 },
+    )
+    .unwrap();
+    let addr = leader.local_addr();
+    let follower = ServingNode::open(
+        "127.0.0.1:0",
+        base.join("follower"),
+        DbConfig::default(),
+        NodeRole::Follower {
+            leader_addr: addr.to_string(),
+            replica_id: 2,
         },
     )
     .unwrap();
-    let engine = Arc::new(TableEngine::from_db(group.leader_db().unwrap()));
-    let group = Arc::new(group.into_mutex());
-    let server = RespServer::bind(engine, "127.0.0.1:0")
-        .unwrap()
-        .with_replication(Arc::clone(&group) as Arc<dyn ReplicationControl>);
-    let addr = server.local_addr().unwrap();
-    std::thread::spawn(move || server.run());
-    {
-        // Mirror abase-server's housekeeping tick.
-        let group = Arc::clone(&group);
-        std::thread::spawn(move || loop {
-            let _ = group.lock().tick();
-            std::thread::sleep(Duration::from_millis(100));
-        });
-    }
-    let mut follower = Follower::connect(
-        base.join("follower"),
-        DbConfig::default(),
-        &addr.to_string(),
-        2,
-        0,
-    )
-    .unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let pump = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            // The abase-server follower cadence: pump, nap, repeat.
-            while !stop.load(Ordering::Relaxed) {
-                let _ = follower.pump();
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        })
-    };
-    let mut client = TcpStream::connect(addr).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let r = roundtrip(&mut client, b"*3\r\n$4\r\nWAIT\r\n$1\r\n1\r\n$3\r\n100\r\n");
-        if r == RespValue::Integer(1) {
-            break;
-        }
-        assert!(Instant::now() < deadline, "follower never attached");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    let mut client = Client::connect(addr);
+    eventually("the follower to attach", || {
+        client.cmd(&["WAIT", "1", "100"]) == RespValue::Integer(1)
+    });
     let mut lat = Vec::new();
     let mut fails = 0u32;
     for i in 0..40 {
-        let frame = format!("*3\r\n$3\r\nSET\r\n$4\r\nky{i:02}\r\n$1\r\nv\r\n");
+        let key = format!("ky{i:02}");
         let t0 = Instant::now();
-        let r = roundtrip(&mut client, frame.as_bytes());
+        let r = client.cmd(&["SET", &key, "v"]);
         lat.push(t0.elapsed().as_millis());
         if r != RespValue::ok() {
             fails += 1;
         }
     }
     lat.sort();
-    stop.store(true, Ordering::Relaxed);
-    pump.join().unwrap();
-    std::fs::remove_dir_all(&base).ok();
+    follower.shutdown().unwrap();
+    leader.shutdown().unwrap();
     assert_eq!(fails, 0, "quorum writes failed (p50={}ms)", lat[20]);
     assert!(
         lat[20] < 50,
