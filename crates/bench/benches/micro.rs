@@ -1,15 +1,15 @@
 //! Criterion micro-benchmarks for ABase's hot paths.
 //!
 //! Run with `cargo bench -p abase-bench`. These cover the per-request-cost
-//! components (cache ops, WFQ scheduling, quota checks, RESP parsing, RU
-//! math) and the heavier periodic jobs (storage engine ops, forecasting fit,
-//! rescheduling rounds).
+//! components (cache ops, WFQ scheduling, quota checks, admission and RU
+//! charging, RESP parsing, RU math) and the heavier periodic jobs (storage
+//! engine ops, forecasting fit, rescheduling rounds).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use abase_cache::aulru::{AuLruCache, AuLruConfig};
 use abase_cache::{LruCache, SaLruCache};
-use abase_core::TableEngine;
+use abase_core::{Pipeline, Request, Served, TableEngine};
 use abase_forecast::prophet::{ProphetConfig, ProphetModel};
 use abase_forecast::psd::dominant_period;
 use abase_lavastore::encoding::crc32;
@@ -97,6 +97,27 @@ fn bench_quota(c: &mut Criterion) {
             black_box(est.estimate_read_ru());
             i += 1;
         });
+    });
+    group.finish();
+}
+
+fn bench_pipeline(c: &mut Criterion) {
+    // What the server adds to a GET around the engine: the Admission stage's
+    // `admit` and the charge of a 100 B cache hit after it.
+    let mut group = c.benchmark_group("pipeline");
+    let hit = Served::Read(100, abase_quota::ru::ReadOutcome::NodeCacheHit);
+    let admit_settle = |pipeline: &Pipeline| {
+        black_box(pipeline.admit(7, Request::Read, 0).is_ok());
+        black_box(pipeline.settle(7, hit));
+    };
+    group.bench_function("admit_settle_no_quota", |b| {
+        let pipeline = Pipeline::new(1);
+        b.iter(|| admit_settle(&pipeline));
+    });
+    group.bench_function("admit_settle_quota_not_binding", |b| {
+        let pipeline = Pipeline::new(1);
+        pipeline.add_partition(7, 7, 1e12, 0);
+        b.iter(|| admit_settle(&pipeline));
     });
     group.finish();
 }
@@ -292,6 +313,7 @@ criterion_group!(
     bench_caches,
     bench_wfq,
     bench_quota,
+    bench_pipeline,
     bench_resp,
     bench_lavastore,
     bench_encoding,

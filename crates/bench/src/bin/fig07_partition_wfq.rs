@@ -74,14 +74,18 @@ fn main() {
     };
     let mut exp = IsolationExperiment::new(node, vec![t1, t2], 77);
     exp.set_minute_secs(10);
+    let quota_enabled = |exp: &mut IsolationExperiment, on| {
+        for partition in [10, 20] {
+            let pipeline = exp.node_mut().pipeline();
+            pipeline.set_partition_quota_enabled(partition, on);
+        }
+    };
     // Phase 1: partition quota disabled.
-    exp.node_mut().set_partition_quota_enabled(10, false);
-    exp.node_mut().set_partition_quota_enabled(20, false);
+    quota_enabled(&mut exp, false);
 
     let mut all = exp.run_minutes(37);
     println!("\n[minute 37] turning ON the partition quota\n");
-    exp.node_mut().set_partition_quota_enabled(10, true);
-    exp.node_mut().set_partition_quota_enabled(20, true);
+    quota_enabled(&mut exp, true);
     all.extend(exp.run_minutes(8));
 
     let mut rows = Vec::new();

@@ -12,8 +12,8 @@ use crate::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
 use crate::router::{ReadRouter, ReadRouterConfig, RouterStats};
 use crate::types::{Disposition, NodeId, PartitionId, ServedFrom, SimRequest, TenantId};
 use abase_lavastore::DbConfig;
-use abase_quota::ru::ReadOutcome;
-use abase_quota::{RuEstimator, TenantQuotaMonitor};
+use abase_quota::ru::{charge_read, write_ru, ReadOutcome};
+use abase_quota::TenantQuotaMonitor;
 use abase_replication::{
     reconstruct_parallel, Error as ReplError, GroupConfig, Lsn, ReadConsistency,
     ReconstructionReport, ReconstructionTask, ReplicaGroup, Role, Throttle, WriteConcern,
@@ -154,12 +154,13 @@ pub struct IsolationExperiment {
 
 impl IsolationExperiment {
     /// Build an experiment over `node` and `specs`, with 100 ms ticks.
-    pub fn new(mut node: DataNodeSim, specs: Vec<TenantSpec>, seed: u64) -> Self {
+    pub fn new(node: DataNodeSim, specs: Vec<TenantSpec>, seed: u64) -> Self {
         let mut tenants = HashMap::new();
         let mut order = Vec::new();
         let mut monitor = TenantQuotaMonitor::new(mins(1));
         for (i, spec) in specs.into_iter().enumerate() {
-            node.add_partition(spec.partition, spec.id, spec.partition_quota_ru, 0);
+            node.pipeline()
+                .add_partition(spec.partition, spec.id, spec.partition_quota_ru, 0);
             monitor.set_tenant_quota(spec.id, spec.tenant_quota_ru);
             let plane = ProxyPlane::new(
                 spec.id,
@@ -205,7 +206,8 @@ impl IsolationExperiment {
         self.clock
     }
 
-    /// Mutable access to the node (phase toggles: partition quota on/off).
+    /// Mutable access to the node (phase toggles: partition quota on/off,
+    /// through its [`DataNodeSim::pipeline`]).
     pub fn node_mut(&mut self) -> &mut DataNodeSim {
         &mut self.node
     }
@@ -340,8 +342,6 @@ impl IsolationExperiment {
             out.push(rt.acc.point(minute, tenant, self.minute_secs as f64));
             rt.acc.reset();
         }
-        // Clear any residual node stats so they do not leak across minutes.
-        self.node.take_stats();
     }
 }
 
@@ -411,8 +411,6 @@ pub struct ReplicatedCluster {
     /// The live-migration engine: scheduler plans become staged checkpoint
     /// copies + binlog catch-up + epoch-guarded cut-overs, drained by `tick`.
     migrations: MigrationEngine,
-    /// RU pricing for the per-replica split ledger.
-    ru: RuEstimator,
     /// Registry snapshot taken at construction — the baseline
     /// [`ReplicatedCluster::metrics_delta`] subtracts, so one process can
     /// run many clusters and still ask "what did *this* one do".
@@ -457,7 +455,6 @@ impl ReplicatedCluster {
             groups: HashMap::new(),
             router: ReadRouter::new(config.router),
             migrations: MigrationEngine::new(config.migration),
-            ru: RuEstimator::default(),
             obs_baseline: abase_obs::snapshot(),
             obs_last: abase_obs::Snapshot::default(),
         }
@@ -646,7 +643,7 @@ impl ReplicatedCluster {
             .get_mut(&partition)
             .ok_or(abase_replication::Error::NoLeader)?;
         let lsn = group.put(key, value, None, now)?;
-        let write_ru = self.ru.write_ru(key.len() + value.len(), 1);
+        let write_ru = write_ru(key.len() + value.len(), 1);
         // Dead members never applied the write; their ledgers stay flat.
         let live: Vec<NodeId> = group
             .members()
@@ -723,7 +720,7 @@ impl ReplicatedCluster {
         } else {
             ReadOutcome::Miss
         };
-        let read_ru = self.ru.charge_read(bytes, outcome);
+        let read_ru = charge_read(bytes, outcome);
         if let Some(node) = self.nodes.get_mut(&routed.replica) {
             node.record_replica_read(partition, read_ru);
         }
@@ -834,7 +831,7 @@ impl ReplicatedCluster {
                     if let Some(node) = self.nodes.get_mut(&req.to) {
                         node.host_replica(req.partition, Role::Follower);
                     }
-                    let copy_ru = self.ru.write_ru(bytes as usize, 1);
+                    let copy_ru = write_ru(bytes as usize, 1);
                     if let Some(node) = self.nodes.get_mut(&req.from) {
                         node.record_copy_out(req.partition, copy_ru);
                     }
@@ -977,7 +974,7 @@ impl ReplicatedCluster {
         std::fs::remove_dir_all(&source_dir).ok();
         self.meta
             .complete_migration(req.partition, req.from, req.to, dest_lsn);
-        let copy_ru = self.ru.write_ru(bytes_copied as usize, 1);
+        let copy_ru = write_ru(bytes_copied as usize, 1);
         let ledger = self
             .nodes
             .get_mut(&req.from)
@@ -1112,7 +1109,7 @@ impl ReplicatedCluster {
         // after a failover sees the recovery traffic in the loss function.
         if let Some(rec) = &reconstruction {
             let per_task = rec.bytes_copied / rec.replicas.max(1) as u64;
-            let copy_ru = self.ru.write_ru(per_task as usize, 1);
+            let copy_ru = write_ru(per_task as usize, 1);
             for assignment in &plan.reconstructions {
                 if let Some(node) = self.nodes.get_mut(&assignment.source) {
                     node.record_copy_out(assignment.partition, copy_ru);

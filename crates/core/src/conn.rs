@@ -31,8 +31,9 @@
 //! output is pending.
 
 use crate::metrics;
+use crate::pipeline::{Request, Throttled};
 use crate::server::{
-    argv_strings, command_label, dispatch, malformed_argv_strings, refuse_malformed,
+    argv_strings, command_label, dispatch, malformed_argv_strings, refuse_malformed, throttled,
     BorrowedCommand, CmdMetricsCache, ConnCtx, ConnState, ReplicationControl,
 };
 use abase_obs::{Span, Stage};
@@ -363,8 +364,17 @@ impl Conn {
                     }
                     let label = command_label(argv, &command);
                     span.enter(Stage::Admission);
-                    let db = db.get_or_insert_with(|| ctx.engine.db());
-                    let reply = dispatch(argv, command, &mut self.state, &mut span, db, ctx);
+                    let request = command.as_ref().ok().and_then(Request::of);
+                    let now = ctx.clock.load(Ordering::Relaxed);
+                    let partition = u64::from(self.state.tenant);
+                    let reply = match request.map(|r| ctx.pipeline.admit(partition, r, now)) {
+                        Some(Err(Throttled)) => throttled(&mut self.state),
+                        _ => {
+                            let db = db.get_or_insert_with(|| ctx.engine.db());
+                            let state = &mut self.state;
+                            dispatch(argv, command, request, state, &mut span, db, ctx)
+                        }
+                    };
                     span.enter(Stage::Respond);
                     reply.encode(&mut self.out);
                     let argv = || argv_strings(argv);
@@ -534,6 +544,7 @@ mod tests {
             stats: Arc::new(FrontEndStats::default()),
             io_threads: 1,
             shutdown: Arc::default(),
+            pipeline: Arc::new(crate::pipeline::Pipeline::new(1)),
         }
     }
 

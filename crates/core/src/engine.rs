@@ -64,8 +64,9 @@ pub struct ExecOutcome {
     pub io_ops: u32,
     /// Bytes returned to the client (the "actual size" RU charging uses).
     pub bytes_returned: usize,
-    /// True when the engine served the read without touching SSTs.
-    pub from_memtable: bool,
+    /// True when no block came from disk: the memtable, a cached row or
+    /// cached blocks answered — §4.1's node-cache hit.
+    pub from_cache: bool,
 }
 
 /// A multi-tenant table engine over one LavaStore instance.
@@ -187,7 +188,7 @@ impl TableEngine {
             reply,
             io_ops: 0,
             bytes_returned,
-            from_memtable: true,
+            from_cache: true,
         };
         match cmd {
             Command::Ping => Ok(free(RespValue::Simple("PONG".into()), 4)),
@@ -248,7 +249,7 @@ impl TableEngine {
                     reply: RespValue::Integer(removed),
                     io_ops: io,
                     bytes_returned: 8,
-                    from_memtable: false,
+                    from_cache: false,
                 })
             }
             Command::Exists { key } => {
@@ -258,7 +259,7 @@ impl TableEngine {
                     reply: RespValue::Integer(i64::from(r.value.is_some())),
                     io_ops: r.io_ops,
                     bytes_returned: 8,
-                    from_memtable: r.from_memtable,
+                    from_cache: r.io_ops == r.cache_hits,
                 })
             }
             Command::Expire { key, secs } => {
@@ -274,7 +275,7 @@ impl TableEngine {
                     reply: RespValue::Integer(i64::from(r.value.is_some())),
                     io_ops: r.io_ops,
                     bytes_returned: 8,
-                    from_memtable: r.from_memtable,
+                    from_cache: r.io_ops == r.cache_hits,
                 })
             }
             Command::HSet { key, pairs } => {
@@ -304,7 +305,7 @@ impl TableEngine {
                     reply: RespValue::Integer(removed),
                     io_ops: io,
                     bytes_returned: 8,
-                    from_memtable: false,
+                    from_cache: false,
                 })
             }
             Command::HLen { key } => {
@@ -312,9 +313,9 @@ impl TableEngine {
                 let (pairs, io) = db.scan_prefix(sk, now)?;
                 Ok(ExecOutcome {
                     reply: RespValue::Integer(pairs.len() as i64),
-                    io_ops: io,
+                    io_ops: io.total(),
                     bytes_returned: 8,
-                    from_memtable: false,
+                    from_cache: io.disk == 0,
                 })
             }
             Command::HGetAll { key } => {
@@ -330,9 +331,9 @@ impl TableEngine {
                 }
                 Ok(ExecOutcome {
                     reply: RespValue::array(items),
-                    io_ops: io,
+                    io_ops: io.total(),
                     bytes_returned: bytes,
-                    from_memtable: false,
+                    from_cache: io.disk == 0,
                 })
             }
         }
@@ -344,7 +345,7 @@ impl TableEngine {
             reply: RespValue::Bulk(r.value),
             io_ops: r.io_ops,
             bytes_returned,
-            from_memtable: r.from_memtable,
+            from_cache: r.io_ops == r.cache_hits,
         }
     }
 }
@@ -630,7 +631,9 @@ mod tests {
         e.db().flush().unwrap();
         let out = e.execute(1, &get("k"), 0).unwrap();
         assert!(out.io_ops >= 1, "SST read must report I/O");
-        assert!(!out.from_memtable);
+        assert!(!out.from_cache, "the first read of a block is a disk read");
+        let again = e.execute(1, &get("k"), 0).unwrap();
+        assert!(again.from_cache, "the second is a cached row");
     }
 
     #[test]

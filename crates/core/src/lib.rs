@@ -11,8 +11,10 @@
 //! * [`types`] — ids and shared request/response types.
 //! * [`engine`] — the real data path: RESP [`abase_proto::Command`]s executed
 //!   against a [`abase_lavastore::Db`] with tenant/table namespacing and TTLs.
-//! * [`node`] — `DataNodeSim`: partition quotas → four dual-layer WFQs →
-//!   SA-LRU cache → I/O cost model, driven in virtual-time ticks.
+//! * [`pipeline`] — `Pipeline`: §4.1 RU estimate and charge, §4.2 partition
+//!   quota and the WFQ's partition weight, decided once for both DataNodes.
+//! * [`node`] — `DataNodeSim`: the pipeline's admission → four dual-layer
+//!   WFQs → SA-LRU cache → I/O cost model, driven in virtual-time ticks.
 //! * [`proxy`] — the tenant proxy plane: AU-LRU proxy cache, proxy quotas with
 //!   meta-server clawback, and limited fan-out hash routing over proxy groups.
 //! * [`meta`] — the meta server: tenant traffic monitoring, replica-set
@@ -41,8 +43,9 @@
 //!   an idle-connection reaper, and deterministic shutdown.
 //! * [`serving`] — `ServingNode`, the real DataNode: a store in one of three
 //!   roles (plain, group leader, follower of a remote leader), its [`server`],
-//!   the housekeeping tick and the follower pump, assembled once and stopped
-//!   by one `shutdown()`. `abase-server`, the socket tests and chaos run it.
+//!   its pipeline, the housekeeping tick and the follower pump, assembled
+//!   once and stopped by one `shutdown()`. `abase-server`, the socket tests
+//!   and chaos run it.
 
 #![deny(missing_docs)]
 
@@ -55,6 +58,7 @@ pub mod metrics;
 pub mod migration;
 pub mod node;
 pub mod oncall;
+pub mod pipeline;
 pub mod placement;
 pub mod proxy;
 pub mod router;
@@ -73,6 +77,7 @@ pub use migration::{
     MigrationConfig, MigrationEngine, MigrationError, MigrationReport, MigrationRequest,
 };
 pub use node::{DataNodeConfig, DataNodeSim, ReplicaRuSplit};
+pub use pipeline::{Pipeline, Request, Served, Throttled};
 pub use proxy::{ProxyPlane, ProxyPlaneConfig, ProxyReadSplit};
 pub use router::{ReadRouter, ReadRouterConfig, RouteDecision, RouterStats};
 pub use server::{ReplInfo, ReplicationControl, RespServer};

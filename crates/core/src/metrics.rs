@@ -1,6 +1,7 @@
 //! Core-layer metric declarations: RESP serving, proxy cache, per-tenant RU
-//! split, and migration. Recording sites live in `server.rs`, `proxy.rs`,
-//! `migration.rs`, and `cluster.rs`; this module only owns the handles.
+//! split and rejections, the serving node's tick, and migration. Recording
+//! sites live in `server.rs`, `serving.rs`, `proxy.rs`, `migration.rs`, and
+//! `cluster.rs`; this module only owns the handles.
 
 use abase_obs::{
     LazyCounter, LazyCounterFamily, LazyGauge, LazyGaugeFamily, LazyHisto, LazyHistoFamily,
@@ -66,18 +67,35 @@ pub static COMMAND_MICROS: LazyHistoFamily = LazyHistoFamily::new(
     "End-to-end command service latency, by command name",
 );
 
-/// Read RUs charged, by tenant (table).
+/// Read RUs charged (§4.1: bytes returned, discounted on a cache hit), by
+/// tenant, in whole RUs.
 pub static TENANT_READ_RU: LazyCounterFamily = LazyCounterFamily::new(
     "abase_tenant_read_ru_total",
     "tenant",
-    "Read request units charged, by tenant",
+    "Read request units charged (whole RUs), by tenant",
 );
 
-/// Write RUs charged, by tenant (table).
+/// Write RUs charged (§4.1: payload times copies), by tenant, in whole RUs.
 pub static TENANT_WRITE_RU: LazyCounterFamily = LazyCounterFamily::new(
     "abase_tenant_write_ru_total",
     "tenant",
-    "Write request units charged, by tenant",
+    "Write request units charged (whole RUs), by tenant",
+);
+
+/// Commands refused by the tenant's partition quota (§4.2), by tenant.
+pub static TENANT_REJECTED: LazyCounterFamily = LazyCounterFamily::new(
+    "abase_tenant_rejected_total",
+    "tenant",
+    "Commands refused by the tenant's partition quota, by tenant",
+);
+
+// --- Serving node -----------------------------------------------------------
+
+/// Failed housekeeping-tick steps (`flush_wal`, `group_tick`).
+pub static TICK_ERRORS: LazyCounterFamily = LazyCounterFamily::new(
+    "abase_node_tick_errors_total",
+    "kind",
+    "Failed housekeeping-tick steps, by kind",
 );
 
 // --- Proxy plane ------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! The simulated DataNode: the cache-aware isolation pipeline of Figure 2.
 //!
 //! ```text
-//! submit() ──▶ partition quota (reject > 3×quota; rejection burns CPU)
+//! submit() ──▶ Pipeline::admit: partition quota (reject > 3×quota; rejection burns CPU)
 //!                   │ admitted
 //!                   ▼
 //!            four dual-layer WFQs (class by read/write × small/large)
@@ -9,17 +9,22 @@
 //!                   │ per request: SA-LRU cache probe
 //!            hit ───┴──▶ complete (CPU+memory cost only)
 //!            miss ──────▶ I/O-WFQ (IOPS cost) ──▶ complete + cache fill
+//!                                                  └─ Pipeline::settle charges RU
 //! ```
+//!
+//! Admission, charging and the WFQ weight are the serving node's own code
+//! ([`crate::pipeline`]); what is simulated here is the rest: the queues,
+//! the cache and the CPU and I/O budgets.
 //!
 //! The rejection-cost model implements the paper's Figure 6 observation: "the
 //! DataNode expended considerable resources rejecting Tenant 1's excessive
 //! requests, which severely disrupted the processing of Tenant 2's legitimate
 //! requests" — every rejected request debits the next tick's CPU budget.
 
-use crate::types::{Disposition, NodeId, PartitionId, ServedFrom, SimRequest, TenantId};
+use crate::pipeline::{Pipeline, Request, Served};
+use crate::types::{Disposition, NodeId, PartitionId, ServedFrom, SimRequest};
 use abase_cache::SaLruCache;
 use abase_quota::ru::ReadOutcome;
-use abase_quota::{PartitionQuota, QuotaDecision, RuEstimator};
 use abase_replication::Role;
 use abase_util::clock::SimTime;
 use abase_wfq::{NodeScheduler, NodeSchedulerConfig, WfqItem};
@@ -62,40 +67,9 @@ impl Default for DataNodeConfig {
     }
 }
 
-#[derive(Debug)]
-struct PartitionState {
-    tenant: TenantId,
-    quota: PartitionQuota,
-    ru: RuEstimator,
-}
-
-/// Per-tenant counters accumulated between metric snapshots.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TenantTickStats {
-    /// Requests completed successfully.
-    pub success: u64,
-    /// Requests rejected at the node (quota or queue overflow).
-    pub rejected: u64,
-    /// Node-cache hits among completed reads.
-    pub cache_hits: u64,
-    /// Completed reads (hit + miss).
-    pub reads_completed: u64,
-    /// Sum of completion latencies (µs) for mean computation.
-    pub latency_sum: f64,
-    /// Max completion latency (µs).
-    pub latency_max: f64,
-    /// RU actually charged.
-    pub ru_charged: f64,
-    /// The read share of `ru_charged`.
-    pub read_ru_charged: f64,
-    /// The write share of `ru_charged`.
-    pub write_ru_charged: f64,
-}
-
 /// Split read/write RU accumulated against one hosted replica — the
 /// per-replica load the read router spreads, Algorithm 2's loss function
-/// weighs, and the autoscaler's `LoadVector` aggregates. Kept separately
-/// from the tenant tick stats because it survives snapshots: routing and
+/// weighs, and the autoscaler's `LoadVector` aggregates: routing and
 /// rebalancing reason about replicas, not tenants.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplicaRuSplit {
@@ -120,7 +94,8 @@ pub struct DataNodeSim {
     config: DataNodeConfig,
     scheduler: NodeScheduler<SimRequest>,
     cache: SaLruCache<u64, usize>,
-    partitions: HashMap<PartitionId, PartitionState>,
+    /// Admission, charging and the WFQ weight of the hosted partitions.
+    pipeline: Pipeline,
     /// Replicas this node hosts (partition → role), maintained by the
     /// replicated-cluster placement so the §3.3 failure math has real counts.
     hosted_replicas: HashMap<PartitionId, Role>,
@@ -131,7 +106,6 @@ pub struct DataNodeSim {
     rejection_overhead_ru: f64,
     /// RU spent streaming/ingesting migration and reconstruction copies.
     migration_copy_ru: f64,
-    stats: HashMap<TenantId, TenantTickStats>,
 }
 
 impl DataNodeSim {
@@ -141,15 +115,14 @@ impl DataNodeSim {
         let scheduler = NodeScheduler::new(config.scheduler.clone());
         Self {
             id,
+            pipeline: Pipeline::new(config.replicas),
             config,
             scheduler,
             cache,
-            partitions: HashMap::new(),
             hosted_replicas: HashMap::new(),
             replica_ru: HashMap::new(),
             rejection_overhead_ru: 0.0,
             migration_copy_ru: 0.0,
-            stats: HashMap::new(),
         }
     }
 
@@ -251,44 +224,10 @@ impl DataNodeSim {
             .count()
     }
 
-    /// Host a partition with the given RU/s quota.
-    pub fn add_partition(
-        &mut self,
-        partition: PartitionId,
-        tenant: TenantId,
-        quota_ru: f64,
-        now: SimTime,
-    ) {
-        self.partitions.insert(
-            partition,
-            PartitionState {
-                tenant,
-                quota: PartitionQuota::new(quota_ru, now),
-                ru: RuEstimator::default(),
-            },
-        );
-    }
-
-    /// Enable/disable partition quota enforcement (Figure 7 phases).
-    pub fn set_partition_quota_enabled(&mut self, partition: PartitionId, enabled: bool) {
-        if let Some(p) = self.partitions.get_mut(&partition) {
-            p.quota.set_enabled(enabled);
-        }
-    }
-
-    /// Update a partition's quota (autoscaling applies here).
-    pub fn set_partition_quota(&mut self, partition: PartitionId, quota_ru: f64, now: SimTime) {
-        if let Some(p) = self.partitions.get_mut(&partition) {
-            p.quota.set_partition_quota(quota_ru, now);
-        }
-    }
-
-    /// The partition's current estimated read RU (what admission charges).
-    pub fn estimated_read_ru(&self, partition: PartitionId) -> f64 {
-        self.partitions
-            .get(&partition)
-            .map(|p| p.ru.estimate_read_ru())
-            .unwrap_or(1.0)
+    /// The hosted partitions' admission and charging: partitions are
+    /// registered, and their quotas set, here.
+    pub fn pipeline(&self) -> &Pipeline {
+        &self.pipeline
     }
 
     /// Total CPU-layer queue depth.
@@ -303,29 +242,24 @@ impl DataNodeSim {
 
     /// Submit a request at `now`. Rejections are immediate; admissions queue.
     pub fn submit(&mut self, req: SimRequest, now: SimTime) -> Option<Disposition> {
-        let Some(part) = self.partitions.get_mut(&req.partition) else {
-            // Unknown partition: treat as node rejection.
-            self.note_rejection(req.tenant);
-            return Some(Disposition::RejectedAtNode);
+        // An unknown partition is a node rejection too.
+        let Some(tenant) = self.pipeline.tenant(req.partition) else {
+            return self.reject();
         };
-        let tenant = part.tenant;
-        let est_ru = if req.is_write {
-            part.ru.write_ru(req.value_bytes, self.config.replicas)
+        let request = if req.is_write {
+            Request::Write(req.value_bytes)
         } else {
-            part.ru.estimate_read_ru()
+            Request::Read
         };
-        if part.quota.admit(now, est_ru) == QuotaDecision::Reject {
-            self.note_rejection(tenant);
-            return Some(Disposition::RejectedAtNode);
-        }
+        let Ok(est_ru) = self.pipeline.admit(req.partition, request, now) else {
+            return self.reject();
+        };
         // Bounded request queue: overflow is also a (costly) rejection.
         let class = self.scheduler.classify(req.is_write, req.value_bytes);
-        let depth = self.tenant_cpu_depth(tenant);
-        if depth >= self.config.max_queue_per_tenant {
-            self.note_rejection(tenant);
-            return Some(Disposition::RejectedAtNode);
+        if self.scheduler.cpu_tenant_depth(tenant) >= self.config.max_queue_per_tenant {
+            return self.reject();
         }
-        let weight = self.partition_weight(req.partition);
+        let weight = self.pipeline.weight(req.partition);
         self.scheduler.push_cpu(
             class,
             WfqItem {
@@ -338,32 +272,9 @@ impl DataNodeSim {
         None
     }
 
-    fn tenant_cpu_depth(&self, tenant: TenantId) -> usize {
-        self.scheduler.cpu_tenant_depth(tenant)
-    }
-
-    fn note_rejection(&mut self, tenant: TenantId) {
+    fn reject(&mut self) -> Option<Disposition> {
         self.rejection_overhead_ru += self.config.rejection_cost_ru;
-        self.stats.entry(tenant).or_default().rejected += 1;
-    }
-
-    /// `wPartition`: this partition's share of the node's total quota.
-    fn partition_weight(&self, partition: PartitionId) -> f64 {
-        let total: f64 = self
-            .partitions
-            .values()
-            .map(|p| p.quota.partition_quota())
-            .sum();
-        let own = self
-            .partitions
-            .get(&partition)
-            .map(|p| p.quota.partition_quota())
-            .unwrap_or(1.0);
-        if total <= 0.0 {
-            1.0
-        } else {
-            (own / total).clamp(1e-6, 1.0)
-        }
+        Some(Disposition::RejectedAtNode)
     }
 
     /// Advance one tick of `tick_len` ending at `now + tick_len`; returns the
@@ -382,29 +293,22 @@ impl DataNodeSim {
         let mut done: Vec<(SimRequest, ServedFrom, f64)> = Vec::new();
         for (_class, item) in self.scheduler.drain_cpu_tick(budget) {
             let req = item.payload;
+            let (bytes, partition) = (req.value_bytes, req.partition);
             if req.is_write {
                 // Writes land in WAL + memtable: no read I/O. Cache the value
                 // so subsequent reads hit ("frequent access to recently-
                 // updated data", §1 challenge 1).
-                self.cache.insert(req.key, req.value_bytes, req.value_bytes);
-                done.push((req, ServedFrom::NodeCache, item.cost));
+                self.cache.insert(req.key, bytes, bytes);
+                let charged = self.pipeline.settle(partition, Served::Write(bytes));
+                done.push((req, ServedFrom::NodeCache, charged));
             } else if self.cache.get(&req.key).is_some() {
-                let part = self
-                    .partitions
-                    .get_mut(&req.partition)
-                    // INVARIANT: requests are only admitted for partitions
-                    // registered on this node.
-                    .expect("partition exists");
-                part.ru
-                    .record_read(req.value_bytes, ReadOutcome::NodeCacheHit);
-                let charged = part
-                    .ru
-                    .charge_read(req.value_bytes, ReadOutcome::NodeCacheHit);
+                let hit = Served::Read(bytes, ReadOutcome::NodeCacheHit);
+                let charged = self.pipeline.settle(partition, hit);
                 done.push((req, ServedFrom::NodeCache, charged));
             } else {
                 // Miss: descend to the I/O layer (Rule 1: IOPS cost).
-                let io_cost = 1.0 + (req.value_bytes as f64 / (64.0 * 1024.0)).floor();
-                let class = self.scheduler.classify(false, req.value_bytes);
+                let io_cost = 1.0 + (bytes as f64 / (64.0 * 1024.0)).floor();
+                let class = self.scheduler.classify(false, bytes);
                 self.scheduler.push_io(
                     class,
                     WfqItem {
@@ -418,19 +322,14 @@ impl DataNodeSim {
         }
         for (_class, item) in self.scheduler.drain_io_tick() {
             let req = item.payload;
-            let part = self
-                .partitions
-                .get_mut(&req.partition)
-                // INVARIANT: requests are only admitted for partitions
-                // registered on this node.
-                .expect("partition exists");
-            part.ru.record_read(req.value_bytes, ReadOutcome::Miss);
-            let charged = part.ru.charge_read(req.value_bytes, ReadOutcome::Miss);
-            self.cache.insert(req.key, req.value_bytes, req.value_bytes);
+            let bytes = req.value_bytes;
+            let miss = Served::Read(bytes, ReadOutcome::Miss);
+            let charged = self.pipeline.settle(req.partition, miss);
+            self.cache.insert(req.key, bytes, bytes);
             done.push((req, ServedFrom::Storage, charged));
         }
         // Phase 2: assign completion instants spread across the tick (work is
-        // served continuously, not at tick boundaries) and account stats.
+        // served continuously, not at tick boundaries) and charge replicas.
         let n = done.len() as u64;
         let mut completions = Vec::with_capacity(done.len());
         for (idx, (req, served_from, ru)) in done.into_iter().enumerate() {
@@ -449,23 +348,10 @@ impl DataNodeSim {
                 latency += self.config.io_service_micros;
             }
             let split = self.replica_ru.entry(req.partition).or_default();
-            let stats = self.stats.entry(req.tenant).or_default();
-            stats.success += 1;
-            stats.ru_charged += ru;
             if req.is_write {
-                stats.write_ru_charged += ru;
                 split.write_ru += ru;
             } else {
-                stats.read_ru_charged += ru;
                 split.read_ru += ru;
-            }
-            stats.latency_sum += latency as f64;
-            stats.latency_max = stats.latency_max.max(latency as f64);
-            if !req.is_write {
-                stats.reads_completed += 1;
-                if served_from == ServedFrom::NodeCache {
-                    stats.cache_hits += 1;
-                }
             }
             completions.push((
                 req,
@@ -477,16 +363,12 @@ impl DataNodeSim {
         }
         completions
     }
-
-    /// Drain and reset the per-tenant counters accumulated since last call.
-    pub fn take_stats(&mut self) -> HashMap<TenantId, TenantTickStats> {
-        std::mem::take(&mut self.stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::TenantId;
     use abase_util::clock::ms;
 
     fn request(
@@ -508,9 +390,9 @@ mod tests {
     }
 
     fn node() -> DataNodeSim {
-        let mut n = DataNodeSim::new(1, DataNodeConfig::default());
-        n.add_partition(10, 1, 3000.0, 0);
-        n.add_partition(20, 2, 3000.0, 0);
+        let n = DataNodeSim::new(1, DataNodeConfig::default());
+        n.pipeline().add_partition(10, 1, 3000.0, 0);
+        n.pipeline().add_partition(20, 2, 3000.0, 0);
         n
     }
 
@@ -573,8 +455,9 @@ mod tests {
             }
         }
         assert!(rejected > 5_000, "rejected={rejected}");
-        let stats = n.take_stats();
-        assert_eq!(stats[&1].rejected, rejected);
+        assert_eq!(n.queue_depth(), 20_000 - rejected);
+        // An unknown partition is rejected outright.
+        assert!(n.submit(request(1, 99, 0, false, 0), 0).is_some());
     }
 
     #[test]
@@ -587,8 +470,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        n.add_partition(10, 1, 100.0, 0);
-        n.add_partition(20, 2, 100.0, 0);
+        n.pipeline().add_partition(10, 1, 100.0, 0);
+        n.pipeline().add_partition(20, 2, 100.0, 0);
         // Tenant 1 floods: ~300 admitted (3× quota burst) then rejections.
         for i in 0..2_000 {
             n.submit(request(1, 10, i, false, 0), 0);
@@ -610,7 +493,7 @@ mod tests {
     #[test]
     fn disabled_partition_quota_admits_everything() {
         let mut n = node();
-        n.set_partition_quota_enabled(10, false);
+        n.pipeline().set_partition_quota_enabled(10, false);
         let mut rejected = 0;
         for i in 0..20_000 {
             if n.submit(request(1, 10, i, false, 0), 0).is_some() {
@@ -630,7 +513,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        n.add_partition(10, 1, 1e9, 0); // effectively no quota
+        n.pipeline().add_partition(10, 1, 1e9, 0); // effectively no quota
         let mut rejected = 0;
         for i in 0..10_000 {
             if n.submit(request(1, 10, i, false, 0), 0).is_some() {
@@ -650,8 +533,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        n.add_partition(10, 1, 500.0, 0);
-        n.add_partition(20, 2, 500.0, 0);
+        n.pipeline().add_partition(10, 1, 500.0, 0);
+        n.pipeline().add_partition(20, 2, 500.0, 0);
         // Equal quotas, both flood within their 3× burst: 1500 admitted each.
         for i in 0..1_500 {
             n.submit(request(1, 10, i, false, 0), 0);
@@ -682,26 +565,15 @@ mod tests {
         let split = n.replica_ru_split(10);
         assert!(split.write_ru > 0.0, "write RU not charged: {split:?}");
         assert!(split.read_ru > 0.0, "read RU not charged: {split:?}");
-        let s = n.take_stats();
-        assert!(
-            (s[&1].read_ru_charged + s[&1].write_ru_charged - s[&1].ru_charged).abs() < 1e-9,
-            "split does not sum to total"
-        );
+        // §4.1: a 1 KiB write costs half an RU per replica; the cold read
+        // missed, so it pays its bytes in full.
+        assert!((split.write_ru - 1.5).abs() < 1e-12, "{split:?}");
+        assert!((split.read_ru - 0.5).abs() < 1e-12, "{split:?}");
         // Routed follower reads land in the same ledger the rebalancer reads.
         n.record_replica_read(10, 2.5);
         assert!(n.replica_ru_split(10).read_ru >= split.read_ru + 2.5);
         assert_eq!(n.replica_ru_splits().len(), 1);
         n.drop_replica(10);
         assert_eq!(n.replica_ru_split(10), ReplicaRuSplit::default());
-    }
-
-    #[test]
-    fn stats_accumulate_and_reset() {
-        let mut n = node();
-        n.submit(request(1, 10, 1, true, 0), 0);
-        n.tick(0, ms(100));
-        let s = n.take_stats();
-        assert_eq!(s[&1].success, 1);
-        assert!(n.take_stats().is_empty());
     }
 }

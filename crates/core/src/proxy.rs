@@ -16,6 +16,7 @@
 use crate::types::{ConsistencyLevel, TenantId};
 use abase_cache::aulru::AuLruConfig;
 use abase_cache::{AuLruCache, CacheStats};
+use abase_quota::ru::{write_ru, ReadOutcome};
 use abase_quota::{ProxyQuota, QuotaDecision, RuEstimator};
 use abase_util::clock::SimTime;
 use rand::rngs::StdRng;
@@ -178,7 +179,7 @@ impl ProxyPlane {
     /// The plane's current RU estimate for one request (admission pricing).
     pub fn estimate_ru(&self, is_write: bool) -> f64 {
         if is_write {
-            self.estimator.write_ru(1024, 3)
+            write_ru(1024, 3)
         } else {
             self.estimator.estimate_read_ru()
         }
@@ -221,6 +222,7 @@ impl ProxyPlane {
         now: SimTime,
     ) -> ProxyDecision {
         let proxy = self.route(key);
+        let est = self.estimate_ru(is_write);
         let p = &mut self.proxies[proxy as usize];
         let cacheable = !is_write && consistency == ConsistencyLevel::Eventual;
         if cacheable && self.config.cache_enabled && p.cache.get(&key, now).is_some() {
@@ -232,18 +234,11 @@ impl ProxyPlane {
             // A write invalidates the routed proxy's cached copy.
             p.cache.invalidate(&key);
         }
-        if self.config.quota_enabled {
-            let est = if is_write {
-                self.estimator.write_ru(1024, 3)
-            } else {
-                self.estimator.estimate_read_ru()
-            };
-            if p.quota.admit(now, est) == QuotaDecision::Reject {
-                if !is_write {
-                    p.reads_rejected += 1;
-                }
-                return ProxyDecision::Rejected { proxy };
+        if self.config.quota_enabled && p.quota.admit(now, est) == QuotaDecision::Reject {
+            if !is_write {
+                p.reads_rejected += 1;
             }
+            return ProxyDecision::Rejected { proxy };
         }
         if !is_write {
             p.reads_forwarded += 1;
@@ -270,9 +265,9 @@ impl ProxyPlane {
         self.estimator.record_read(
             value_bytes,
             if node_cache_hit {
-                abase_quota::ru::ReadOutcome::NodeCacheHit
+                ReadOutcome::NodeCacheHit
             } else {
-                abase_quota::ru::ReadOutcome::Miss
+                ReadOutcome::Miss
             },
         );
     }

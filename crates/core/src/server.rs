@@ -27,13 +27,15 @@
 //! only `leader` reads pin to the leader replica.
 
 use crate::conn::FrontEndStats;
-use crate::engine::TableEngine;
+use crate::engine::{ExecOutcome, TableEngine};
 use crate::event_loop::{self, FrontEndConfig, Shutdown, ShutdownHandle};
 use crate::metrics;
+use crate::pipeline::{Pipeline, Request, Served};
 use crate::types::ConsistencyLevel;
 use abase_lavastore::Db;
-use abase_obs::{SlowLog, Span, Stage, Timer};
+use abase_obs::{Counter, LazyCounterFamily, SlowLog, Span, Stage, Timer};
 use abase_proto::{Argv, Command, RespValue, SlowlogSub};
+use abase_quota::ru::ReadOutcome;
 use abase_replication::{AcceptedReplica, ReadConsistency, ReplicaGroup};
 use abase_util::lockrank::RankedMutex;
 use std::net::TcpListener;
@@ -336,8 +338,15 @@ impl RespServer {
                 stats: Arc::default(),
                 io_threads: 0,
                 shutdown: Arc::default(),
+                pipeline: Arc::new(Pipeline::new(1)),
             },
         })
+    }
+
+    /// Admit and charge through `pipeline` (the serving node's).
+    pub(crate) fn with_pipeline(mut self, pipeline: Arc<Pipeline>) -> Self {
+        self.ctx.pipeline = pipeline;
+        self
     }
 
     /// Lead a replica group: attach the replication plane that commits
@@ -412,21 +421,59 @@ impl RespServer {
 /// session's last acked write.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ConnState {
-    tenant: u32,
-    /// RU counters for `tenant`, resolved on first charge and reused until
-    /// the tenant changes (AUTH) — keeps the family probe and the tenant
-    /// label allocation off the per-command path.
-    ru_metrics: Option<(
-        u32,
-        &'static abase_obs::Counter,
-        &'static abase_obs::Counter,
-    )>,
+    pub(crate) tenant: u32,
+    /// `tenant`'s ledger, resolved on first use and kept until AUTH changes
+    /// the tenant.
+    ledger: Option<TenantLedger>,
     consistency: ConsistencyLevel,
     /// Highest LSN this connection's writes reached — what a
     /// `readyourwrites` read fences on, and the fence `WAIT` enforces.
     session_lsn: u64,
     /// `REPLCONF replica-id` announced by a connecting follower.
     pub(crate) replica_id: Option<u32>,
+}
+
+impl ConnState {
+    /// The ledger of the connection's tenant.
+    fn ledger(&mut self) -> &mut TenantLedger {
+        let tenant = self.tenant;
+        if self.ledger.is_some_and(|ledger| ledger.tenant != tenant) {
+            self.ledger = None;
+        }
+        self.ledger.get_or_insert_with(|| {
+            let label = tenant.to_string();
+            let ru = |family: &LazyCounterFamily| (family.with(&label), 0.0);
+            TenantLedger {
+                tenant,
+                ru: [ru(&metrics::TENANT_READ_RU), ru(&metrics::TENANT_WRITE_RU)],
+                rejected: metrics::TENANT_REJECTED.with(&label),
+            }
+        })
+    }
+}
+
+/// One tenant's counters as a connection holds them: resolved once, so a
+/// charge is a relaxed atomic add, not a label allocation and a family probe.
+#[derive(Debug, Clone, Copy)]
+struct TenantLedger {
+    tenant: u32,
+    /// The read and the write RU counter, each with the RU charged to it but
+    /// not yet counted: charges are fractions, the counters whole RUs.
+    ru: [(&'static Counter, f64); 2],
+    rejected: &'static Counter,
+}
+
+impl TenantLedger {
+    /// Count `ru` against the read or the write counter.
+    fn charge(&mut self, write: bool, ru: f64) {
+        let (counter, carry) = &mut self.ru[usize::from(write)];
+        *carry += ru;
+        let whole = carry.floor();
+        if whole >= 1.0 {
+            counter.add(whole as u64);
+            *carry -= whole;
+        }
+    }
 }
 
 /// Everything one connection's dispatcher needs, bundled so the serving path
@@ -449,6 +496,8 @@ pub(crate) struct ConnCtx {
     pub(crate) io_threads: usize,
     /// The shutdown signal, which also tracks connections off the loop.
     pub(crate) shutdown: Arc<Shutdown>,
+    /// Admission and RU charging, each tenant one partition.
+    pub(crate) pipeline: Arc<Pipeline>,
 }
 
 /// Count/latency handles for a connection's last-seen command label. Labels
@@ -537,14 +586,51 @@ pub(crate) fn malformed_argv_strings(value: &RespValue) -> Vec<String> {
         .collect()
 }
 
-/// Answer one command frame: connection-state verbs here, the replication
-/// plane where one is attached, everything else through
-/// [`TableEngine::execute_on`] against `db`, the store handle the connection
-/// took for this batch — on arguments borrowed from the connection's input
-/// buffer.
+/// The answer to a command its tenant's quota refused, counted per tenant.
+pub(crate) fn throttled(state: &mut ConnState) -> RespValue {
+    state.ledger().rejected.inc();
+    let tenant = state.tenant;
+    RespValue::Error(format!(
+        "THROTTLED tenant {tenant} is over its partition quota; retry later"
+    ))
+}
+
+/// Settle `served` through the pipeline (§4.1) and count its RU against the
+/// connection's tenant.
+fn charge(served: Served, state: &mut ConnState, ctx: &ConnCtx) {
+    let ru = ctx.pipeline.settle(u64::from(state.tenant), served);
+    state
+        .ledger()
+        .charge(matches!(served, Served::Write(_)), ru);
+}
+
+/// What the engine's run of `request` comes to for §4.1: a write its
+/// payload, a read the bytes it returned and whether a cache answered.
+fn served(request: Request, outcome: &ExecOutcome) -> Served {
+    let bytes = outcome.bytes_returned;
+    let read = if outcome.from_cache {
+        ReadOutcome::NodeCacheHit
+    } else {
+        ReadOutcome::Miss
+    };
+    match (request, &outcome.reply) {
+        (Request::Write(payload), _) => Served::Write(payload),
+        (Request::HashScan, RespValue::Array(Some(items))) => {
+            Served::HashScan(items.len() / 2, bytes, read)
+        }
+        _ => Served::Read(bytes, read),
+    }
+}
+
+/// Answer one command frame the pipeline admitted as `request`:
+/// connection-state verbs here, the replication plane where one is attached,
+/// everything else through [`TableEngine::execute_on`] against `db`, the
+/// store handle the connection took for this batch — on arguments borrowed
+/// from the connection's input buffer.
 pub(crate) fn dispatch(
     argv: Argv<'_>,
     command: BorrowedCommand<'_>,
+    request: Option<Request>,
     state: &mut ConnState,
     span: &mut Span,
     db: &Db,
@@ -665,8 +751,10 @@ pub(crate) fn dispatch(
             span.enter(Stage::Engine);
             return match repl.read_routed(&storage_key, consistency, now) {
                 Ok((value, _lag)) => {
+                    // The routed read does not report its cache outcome,
+                    // so it settles as a miss.
                     let bytes = value.as_ref().map_or(0, |v| v.len());
-                    tenant_ru(state).0.add(ru_units(bytes));
+                    charge(Served::Read(bytes, ReadOutcome::Miss), state, ctx);
                     RespValue::Bulk(value.map(bytes::Bytes::from))
                 }
                 Err(e) => RespValue::Error(format!("ERR replication: {e}")),
@@ -681,13 +769,8 @@ pub(crate) fn dispatch(
     span.enter(Stage::Engine);
     match TableEngine::execute_on(db, state.tenant, &command, now) {
         Ok(outcome) => {
-            // §4.1 RU charging at the serving edge, split per tenant: writes
-            // by payload size, reads by actual bytes returned.
-            let (read_ru, write_ru) = tenant_ru(state);
-            if command.is_write() {
-                write_ru.add(ru_units(command.payload_size()));
-            } else {
-                read_ru.add(ru_units(outcome.bytes_returned));
+            if let Some(request) = request {
+                charge(served(request, &outcome), state, ctx);
             }
             // Writes are acknowledged only once the replica group's write
             // concern holds; an unsatisfiable concern is the client's error.
@@ -711,28 +794,6 @@ pub(crate) fn dispatch(
             outcome.reply
         }
         Err(e) => RespValue::Error(format!("ERR storage: {e}")),
-    }
-}
-
-/// RUs charged for `bytes` moved: the paper's §4.1 unit is 2 KB, with a
-/// one-RU floor (integer RUs are enough at metric granularity).
-fn ru_units(bytes: usize) -> u64 {
-    bytes.max(1).div_ceil(2048) as u64
-}
-
-/// `(read, write)` RU counters for the connection's tenant, cached in the
-/// session state so steady-state charging is one relaxed atomic add instead
-/// of a label allocation plus two family probes per command.
-fn tenant_ru(state: &mut ConnState) -> (&'static abase_obs::Counter, &'static abase_obs::Counter) {
-    match state.ru_metrics {
-        Some((tenant, read, write)) if tenant == state.tenant => (read, write),
-        _ => {
-            let label = state.tenant.to_string();
-            let read = metrics::TENANT_READ_RU.with(&label);
-            let write = metrics::TENANT_WRITE_RU.with(&label);
-            state.ru_metrics = Some((state.tenant, read, write));
-            (read, write)
-        }
     }
 }
 

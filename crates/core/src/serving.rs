@@ -5,10 +5,16 @@
 //!
 //! A node owns, besides the store its [`NodeRole`] names and the front end:
 //!
+//! * the request [`Pipeline`]: every command is admitted against its
+//!   tenant's partition quota and charged its §4.1 RU through it — each
+//!   tenant is one partition, and none has a quota until one is set through
+//!   [`ServingNode::pipeline`];
 //! * the housekeeping tick, every [`TICK`]: it drives the server's clock from
 //!   the wall clock (expiries are persisted as instants of that clock, so it
 //!   must mean the same after a restart and on every member of a group),
-//!   flushes the WAL to the OS and, on a leader, pumps the local followers;
+//!   flushes the WAL to the OS and, on a leader, pumps the local followers. A
+//!   step that fails is counted in `abase_node_tick_errors_total{kind}`, and
+//!   the first failure of each kind is logged;
 //! * on a follower, the pump: poll → apply → ack against the leader, swapping
 //!   the engine's store when a full resync replaced it.
 //!
@@ -17,10 +23,13 @@
 
 use crate::engine::TableEngine;
 use crate::event_loop::ShutdownHandle;
+use crate::metrics;
+use crate::pipeline::Pipeline;
 use crate::server::{FollowerLink, ReplicationControl, RespServer};
 use abase_lavastore::DbConfig;
 use abase_replication::{Follower, GroupConfig, PumpStatus, ReplicaGroup, WriteConcern};
 use abase_util::lockrank::RankedMutex;
+use std::fmt::Display;
 use std::io;
 use std::net::SocketAddr;
 use std::path::Path;
@@ -67,6 +76,7 @@ pub struct ServingNode {
     addr: SocketAddr,
     engine: Arc<TableEngine>,
     group: Option<Arc<RankedMutex<ReplicaGroup>>>,
+    pipeline: Arc<Pipeline>,
     front_end: ShutdownHandle,
     serving: Option<JoinHandle<io::Result<()>>>,
     stop: Arc<AtomicBool>,
@@ -79,6 +89,17 @@ fn unix_micros() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_micros() as u64)
+}
+
+/// Count a failed tick step of `kind`, and log it if it is the first: a
+/// poisoned WAL fails every tick after.
+fn tick_step<E: Display>(kind: &'static str, logged: &mut bool, result: Result<(), E>) {
+    if let Err(e) = result {
+        metrics::TICK_ERRORS.inc(kind);
+        if !std::mem::replace(logged, true) {
+            eprintln!("node tick: {kind} failed: {e} (later failures are only counted)");
+        }
+    }
 }
 
 impl ServingNode {
@@ -106,6 +127,10 @@ impl ServingNode {
     ) -> io::Result<Self> {
         let mut group = None;
         let mut pump = None;
+        let replicas = match role {
+            NodeRole::Leader { local_replicas } => local_replicas.max(1),
+            NodeRole::Plain | NodeRole::Follower { .. } => 1,
+        };
         let engine = match role {
             NodeRole::Plain => TableEngine::open(dir, config).map_err(io::Error::other)?,
             NodeRole::Leader { local_replicas } => {
@@ -133,7 +158,10 @@ impl ServingNode {
             }
         };
         let engine = Arc::new(engine);
-        let server = tune(RespServer::bind(Arc::clone(&engine), addr)?);
+        // A write is charged for the copies this process writes.
+        let pipeline = Arc::new(Pipeline::new(replicas));
+        let server =
+            tune(RespServer::bind(Arc::clone(&engine), addr)?).with_pipeline(Arc::clone(&pipeline));
         let server = match (&group, &pump) {
             (Some(group), _) => {
                 server.with_replication(Arc::clone(group) as Arc<dyn ReplicationControl>)
@@ -148,6 +176,7 @@ impl ServingNode {
             addr: server.local_addr()?,
             engine: Arc::clone(&engine),
             group: group.clone(),
+            pipeline,
             front_end: server.shutdown_handle(),
             serving: None,
             stop: Arc::new(AtomicBool::new(false)),
@@ -157,21 +186,24 @@ impl ServingNode {
         node.serving = Some(thread("abase-serve").spawn(move || server.run())?);
         let stop = Arc::clone(&node.stop);
         let store = Arc::clone(&engine);
-        node.upkeep.push(thread("abase-tick").spawn(move || loop {
-            // Read before the pass, so the last pass runs after the front
-            // end is down and flushes everything it acknowledged.
-            let last = stop.load(Ordering::Relaxed);
-            clock.store(unix_micros(), Ordering::Relaxed);
-            let _ = store.db().flush_wal();
-            // Local followers converge on this cadence without a client's
-            // `WAIT`; remote ones are fed by their connections' threads.
-            if let Some(group) = &group {
-                let _ = group.lock().tick();
+        node.upkeep.push(thread("abase-tick").spawn(move || {
+            let mut logged = [false; 2];
+            loop {
+                // Read before the pass, so the last pass runs after the front
+                // end is down and flushes everything it acknowledged.
+                let last = stop.load(Ordering::Relaxed);
+                clock.store(unix_micros(), Ordering::Relaxed);
+                tick_step("flush_wal", &mut logged[0], store.db().flush_wal());
+                // Local followers converge on this cadence without a client's
+                // `WAIT`; remote ones are fed by their connections' threads.
+                if let Some(group) = &group {
+                    tick_step("group_tick", &mut logged[1], group.lock().tick());
+                }
+                if last {
+                    break;
+                }
+                std::thread::park_timeout(TICK);
             }
-            if last {
-                break;
-            }
-            std::thread::park_timeout(TICK);
         })?);
         if let Some((mut follower, link)) = pump {
             let stop = Arc::clone(&node.stop);
@@ -215,6 +247,13 @@ impl ServingNode {
     /// The replica group, on a leader.
     pub fn group(&self) -> Option<&Arc<RankedMutex<ReplicaGroup>>> {
         self.group.as_ref()
+    }
+
+    /// The node's admission and charging. A tenant's quota is set with
+    /// [`Pipeline::add_partition`]`(tenant, tenant, quota_ru, now)`, as the
+    /// simulator registers a partition.
+    pub fn pipeline(&self) -> &Pipeline {
+        &self.pipeline
     }
 
     /// Stop serving: the port is closed, replica streams and parked commands

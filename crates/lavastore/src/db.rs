@@ -934,13 +934,18 @@ impl Db {
     }
 
     /// All live `(key, value)` pairs whose key starts with `prefix`, at
-    /// virtual time `now`. Returns the pairs and the block I/Os used.
+    /// virtual time `now`. Returns the pairs and the block accesses used,
+    /// split into disk reads and cache hits.
     ///
     /// Takes every stripe's read lock (in index order, so concurrent scans
     /// cannot deadlock) to get a point-in-time view across stripes, then
     /// merges by key with newest-seq-wins — sequence numbers are globally
     /// unique, so the merge is unambiguous regardless of source order.
-    pub fn scan_prefix(&self, prefix: &[u8], now: SimTime) -> Result<(Vec<(Bytes, Bytes)>, u32)> {
+    pub fn scan_prefix(
+        &self,
+        prefix: &[u8],
+        now: SimTime,
+    ) -> Result<(Vec<(Bytes, Bytes)>, BlockIo)> {
         let guards: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
         let mut sources = Vec::new();
         let mut io = BlockIo::default();
@@ -976,7 +981,7 @@ impl Db {
             .fetch_add(u64::from(io.disk), Ordering::Relaxed);
         let merged = MergeIterator::new(sources).dedup_newest(now, true);
         let out = merged.into_iter().map(|r| (r.key, r.value)).collect();
-        Ok((out, io.total()))
+        Ok((out, io))
     }
 
     /// Force a memtable flush of every stripe (no-op for empty stripes).

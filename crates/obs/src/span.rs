@@ -17,7 +17,9 @@ use std::time::Instant;
 pub enum Stage {
     /// RESP frame decode + command parse.
     Parse = 0,
-    /// Admission control: auth/consistency gating and RU accounting.
+    /// Admission control: the request pipeline prices the command (§4.1)
+    /// and checks its tenant's partition quota (§4.2), refusing it with
+    /// `-THROTTLED` when the quota is spent.
     Admission = 1,
     /// Storage-engine execution (lavastore read/write).
     Engine = 2,
@@ -66,17 +68,19 @@ fn stage_histos() -> &'static [&'static Histo; N_STAGES] {
     CELL.get_or_init(|| STAGES.map(|s| STAGE_MICROS.with(s.name())))
 }
 
-/// One operation's trace: wall-clock start plus elapsed micros per stage.
+/// One operation's trace: the elapsed time of each stage, which together
+/// span the operation.
 ///
 /// Usage: [`Span::begin`] when the request arrives, [`Span::enter`] at each
 /// stage boundary, [`Span::finish`] when the reply is written. Stages may be
 /// skipped (a read never waits on replication); skipped stages report 0.
 #[derive(Debug)]
 pub struct Span {
-    started: Instant,
     stage_started: Instant,
     current: Stage,
-    stage_micros: [u64; N_STAGES],
+    /// Elapsed nanoseconds per stage: whole micros are taken once, in
+    /// [`Span::finish`], so sub-µs stages are not rounded away per entry.
+    stage_nanos: [u64; N_STAGES],
 }
 
 impl Span {
@@ -92,10 +96,9 @@ impl Span {
     #[inline]
     pub fn begin_at(now: Instant) -> Self {
         Span {
-            started: now,
             stage_started: now,
             current: Stage::Parse,
-            stage_micros: [0; N_STAGES],
+            stage_nanos: [0; N_STAGES],
         }
     }
 
@@ -104,8 +107,8 @@ impl Span {
     #[inline]
     pub fn enter(&mut self, next: Stage) {
         let now = Instant::now();
-        self.stage_micros[self.current as usize] +=
-            now.duration_since(self.stage_started).as_micros() as u64;
+        self.stage_nanos[self.current as usize] +=
+            now.duration_since(self.stage_started).as_nanos() as u64;
         self.stage_started = now;
         self.current = next;
     }
@@ -119,15 +122,22 @@ impl Span {
         // span's end.
         self.enter(self.current);
         let histos = stage_histos();
+        // Each stage gets the whole micros its running total crosses, so
+        // the stages add up to the total exactly.
+        let mut stage_micros = [0; N_STAGES];
+        let (mut nanos, mut total_micros) = (0, 0);
         for stage in STAGES {
-            let micros = self.stage_micros[stage as usize];
+            nanos += self.stage_nanos[stage as usize];
+            let micros = nanos / 1_000 - total_micros;
+            total_micros += micros;
+            stage_micros[stage as usize] = micros;
             if micros > 0 {
                 histos[stage as usize].record(micros);
             }
         }
         SpanReport {
-            total_micros: self.stage_started.duration_since(self.started).as_micros() as u64,
-            stage_micros: self.stage_micros,
+            total_micros,
+            stage_micros,
             finished: self.stage_started,
         }
     }
@@ -175,6 +185,23 @@ mod tests {
         let stages: Vec<_> = report.stages().collect();
         assert!(stages.iter().any(|&(name, _)| name == "parse"));
         assert!(!stages.iter().any(|&(name, _)| name == "admission"));
+    }
+
+    #[test]
+    fn sub_microsecond_stages_add_up_to_the_total() {
+        // Each stage lasts a clock read, far below a microsecond.
+        let mut span = Span::begin();
+        for i in 0..20_000 {
+            span.enter([Stage::Engine, Stage::Respond][i % 2]);
+        }
+        let report = span.finish();
+        let sum: u64 = report.stage_micros.iter().sum();
+        assert!(report.total_micros > 1, "total={}", report.total_micros);
+        assert!(
+            sum.abs_diff(report.total_micros) <= 1,
+            "stages sum to {sum} us of a {} us total",
+            report.total_micros
+        );
     }
 
     #[test]

@@ -17,6 +17,16 @@ use abase_util::stats::MovingAverage;
 
 /// The unit byte size `U`, "empirically set to 2KB".
 pub const UNIT_BYTES: usize = 2048;
+/// Window length `k` of the moving-average estimators.
+const WINDOW: usize = 128;
+/// Minimum RU charged for any request that reaches a data node — the pure
+/// CPU/dispatch cost that even a cache hit consumes. (The paper folds this
+/// into "consume only CPU and memory resources"; we make it explicit so a
+/// 100 %-hit tenant still registers non-zero load.)
+const MIN_RU: f64 = 0.05;
+/// Fraction of the byte cost charged when the data-node cache serves the
+/// read (memory bandwidth instead of disk I/O).
+const NODE_HIT_COST_FACTOR: f64 = 0.3;
 
 /// Where a read was ultimately served from — determines its real resource cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,44 +39,29 @@ pub enum ReadOutcome {
     Miss,
 }
 
-/// Tunables for the RU model.
-#[derive(Debug, Clone, Copy)]
-pub struct RuConfig {
-    /// The unit byte size `U` (2 KB in the paper).
-    pub unit_bytes: usize,
-    /// Window length `k` for the moving-average estimators.
-    pub window: usize,
-    /// Minimum RU charged for any request that reaches a data node — the pure
-    /// CPU/dispatch cost that even a cache hit consumes. (The paper folds this
-    /// into "consume only CPU and memory resources"; we make it explicit so a
-    /// 100 %-hit tenant still registers non-zero load.)
-    pub min_ru: f64,
-    /// Fraction of the byte cost charged when the data-node cache serves the
-    /// read (memory bandwidth instead of disk I/O).
-    pub node_hit_cost_factor: f64,
-    /// Prior mean read size (bytes) before any sample is observed.
-    pub prior_read_size: f64,
-    /// Prior hit ratio before any sample is observed.
-    pub prior_hit_ratio: f64,
+/// RU for a write of `size` bytes replicated `replicas` times: one direct
+/// write plus `r − 1` synchronizations, each costing `S/U` — a total of
+/// `r · S/U`. A write's estimate and its charge are the same.
+pub fn write_ru(size: usize, replicas: u32) -> f64 {
+    (size as f64 / UNIT_BYTES as f64).max(MIN_RU) * replicas as f64
 }
 
-impl Default for RuConfig {
-    fn default() -> Self {
-        Self {
-            unit_bytes: UNIT_BYTES,
-            window: 128,
-            min_ru: 0.05,
-            node_hit_cost_factor: 0.3,
-            prior_read_size: UNIT_BYTES as f64,
-            prior_hit_ratio: 0.0,
-        }
+/// *Actual* RU charged once a read completes, based on the real size
+/// returned and the real cache outcome.
+pub fn charge_read(actual_size: usize, outcome: ReadOutcome) -> f64 {
+    let byte_cost = actual_size as f64 / UNIT_BYTES as f64;
+    match outcome {
+        ReadOutcome::ProxyCacheHit => 0.0,
+        ReadOutcome::NodeCacheHit => (byte_cost * NODE_HIT_COST_FACTOR).max(MIN_RU),
+        ReadOutcome::Miss => byte_cost.max(MIN_RU),
     }
 }
 
-/// Per-tenant (or per-table) RU estimator and charger.
+/// Per-tenant (or per-table) RU estimator: the moving averages a read's
+/// estimate is priced from. Before any sample it assumes 2 KB reads that
+/// all miss.
 #[derive(Debug, Clone)]
 pub struct RuEstimator {
-    config: RuConfig,
     /// `E[S_read]`: moving average of returned read sizes.
     read_size: MovingAverage,
     /// `E[R_hit]`: moving average of cache-hit indicators (post-proxy).
@@ -78,49 +73,12 @@ pub struct RuEstimator {
 }
 
 impl RuEstimator {
-    /// An estimator with the given configuration.
-    pub fn new(config: RuConfig) -> Self {
-        Self {
-            read_size: MovingAverage::new(config.window, config.prior_read_size),
-            hit_ratio: MovingAverage::new(config.window, config.prior_hit_ratio),
-            hash_len: MovingAverage::new(config.window, 8.0),
-            hash_field_size: MovingAverage::new(config.window, 64.0),
-            config,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &RuConfig {
-        &self.config
-    }
-
-    /// RU for a write of `size` bytes replicated `replicas` times: one direct
-    /// write plus `r − 1` synchronizations, each costing `S/U` — a total of
-    /// `r · S/U`.
-    pub fn write_ru(&self, size: usize, replicas: u32) -> f64 {
-        let per_replica = (size as f64 / self.config.unit_bytes as f64).max(self.config.min_ru);
-        per_replica * replicas as f64
-    }
-
     /// *Estimated* RU of an upcoming read, used for admission control:
     /// `E[S_read] · (1 − E[R_hit]) / U`, floored at the CPU cost.
     pub fn estimate_read_ru(&self) -> f64 {
         let s = self.read_size.mean();
         let h = self.hit_ratio.mean().clamp(0.0, 1.0);
-        (s * (1.0 - h) / self.config.unit_bytes as f64).max(self.config.min_ru)
-    }
-
-    /// *Actual* RU charged once a read completes, based on the real size
-    /// returned and the real cache outcome.
-    pub fn charge_read(&self, actual_size: usize, outcome: ReadOutcome) -> f64 {
-        let byte_cost = actual_size as f64 / self.config.unit_bytes as f64;
-        match outcome {
-            ReadOutcome::ProxyCacheHit => 0.0,
-            ReadOutcome::NodeCacheHit => {
-                (byte_cost * self.config.node_hit_cost_factor).max(self.config.min_ru)
-            }
-            ReadOutcome::Miss => byte_cost.max(self.config.min_ru),
-        }
+        (s * (1.0 - h) / UNIT_BYTES as f64).max(MIN_RU)
     }
 
     /// Record a completed read so the moving averages track the workload.
@@ -151,7 +109,7 @@ impl RuEstimator {
     /// by the dispatch cost for all but enormous tables.
     pub fn estimate_hlen_ru(&self) -> f64 {
         let len = self.hash_len.mean().max(1.0);
-        (self.config.min_ru * len.log2().max(1.0)).max(self.config.min_ru)
+        (MIN_RU * len.log2().max(1.0)).max(MIN_RU)
     }
 
     /// Estimated RU for `HGetAll`, decomposed as `HLen` followed by a scan of
@@ -160,7 +118,7 @@ impl RuEstimator {
     pub fn estimate_hgetall_ru(&self) -> f64 {
         let scan_bytes = self.hash_len.mean() * self.hash_field_size.mean();
         let h = self.hit_ratio.mean().clamp(0.0, 1.0);
-        self.estimate_hlen_ru() + (scan_bytes * (1.0 - h) / self.config.unit_bytes as f64).max(0.0)
+        self.estimate_hlen_ru() + (scan_bytes * (1.0 - h) / UNIT_BYTES as f64).max(0.0)
     }
 
     /// Current `E[S_read]` (bytes).
@@ -176,7 +134,12 @@ impl RuEstimator {
 
 impl Default for RuEstimator {
     fn default() -> Self {
-        Self::new(RuConfig::default())
+        Self {
+            read_size: MovingAverage::new(WINDOW, UNIT_BYTES as f64),
+            hit_ratio: MovingAverage::new(WINDOW, 0.0),
+            hash_len: MovingAverage::new(WINDOW, 8.0),
+            hash_field_size: MovingAverage::new(WINDOW, 64.0),
+        }
     }
 }
 
@@ -186,13 +149,12 @@ mod tests {
 
     #[test]
     fn write_ru_scales_with_size_and_replicas() {
-        let e = RuEstimator::default();
         // 2 KB write, 3 replicas → 3 RU.
-        assert!((e.write_ru(2048, 3) - 3.0).abs() < 1e-12);
+        assert!((write_ru(2048, 3) - 3.0).abs() < 1e-12);
         // 1 KB write, 1 replica → 0.5 RU.
-        assert!((e.write_ru(1024, 1) - 0.5).abs() < 1e-12);
+        assert!((write_ru(1024, 1) - 0.5).abs() < 1e-12);
         // Tiny writes floor at min_ru per replica.
-        assert!((e.write_ru(1, 2) - 2.0 * 0.05).abs() < 1e-12);
+        assert!((write_ru(1, 2) - 2.0 * 0.05).abs() < 1e-12);
     }
 
     #[test]
@@ -214,10 +176,9 @@ mod tests {
 
     #[test]
     fn charges_differ_by_outcome() {
-        let e = RuEstimator::default();
-        let miss = e.charge_read(4096, ReadOutcome::Miss);
-        let hit = e.charge_read(4096, ReadOutcome::NodeCacheHit);
-        let proxy = e.charge_read(4096, ReadOutcome::ProxyCacheHit);
+        let miss = charge_read(4096, ReadOutcome::Miss);
+        let hit = charge_read(4096, ReadOutcome::NodeCacheHit);
+        let proxy = charge_read(4096, ReadOutcome::ProxyCacheHit);
         assert!((miss - 2.0).abs() < 1e-12);
         assert!((hit - 0.6).abs() < 1e-12); // 0.3 × 2 RU
         assert_eq!(proxy, 0.0);

@@ -33,6 +33,7 @@
 //! | 320  | [`rank::WAL_STATE`] | group-commit WAL buffer + LSN allocator |
 //! | 330  | [`rank::APPLY_PENDING`] | out-of-order apply-tracker park heap |
 //! | 400  | [`rank::CACHE_SHARD`] | block-cache SA-LRU shard |
+//! | 450  | [`rank::CORE_PIPELINE`] | request-pipeline partitions (quota + RU estimator) |
 //! | 500  | [`rank::OBS_FAMILY`] | labelled-metric member interning |
 //! | 510  | [`rank::OBS_REGISTRY`] | global metric registration map |
 //! | 520  | [`rank::OBS_SLOWLOG`] | slowlog ring |
@@ -108,6 +109,9 @@ pub mod rank {
     pub const APPLY_PENDING: Rank = Rank::new(330, "lavastore.apply_pending");
     /// A block-cache SA-LRU shard (acquired under stripe locks on reads).
     pub const CACHE_SHARD: Rank = Rank::new(400, "cache.shard");
+    /// A node's request-pipeline partitions (quotas and RU estimators): a
+    /// leaf, taken around admission and settling with nothing under it.
+    pub const CORE_PIPELINE: Rank = Rank::new(450, "core.pipeline");
     /// Labelled-metric family member interning.
     pub const OBS_FAMILY: Rank = Rank::new(500, "obs.family");
     /// The global metric registration map (first touch of a lazy metric can

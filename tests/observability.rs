@@ -156,10 +156,11 @@ fn command_counters_and_ru_charges_grow_monotonically() {
         roundtrip(&mut client, &cmd(&["AUTH", "4242"])),
         RespValue::ok()
     );
+    let value = "v".repeat(10 << 10);
     for i in 0..5 {
         let key = format!("k{i}");
         assert_eq!(
-            roundtrip(&mut client, &cmd(&["SET", &key, "value"])),
+            roundtrip(&mut client, &cmd(&["SET", &key, &value])),
             RespValue::ok()
         );
     }
@@ -172,9 +173,12 @@ fn command_counters_and_ru_charges_grow_monotonically() {
         ("abase_server_commands_total{SET}", 5.0),
         ("abase_server_commands_total{GET}", 3.0),
         ("abase_server_command_micros_count{SET}", 5.0),
-        // §4.1 RU floor: five 5-byte writes = five 1-RU charges; three reads.
-        ("abase_tenant_write_ru_total{4242}", 5.0),
-        ("abase_tenant_read_ru_total{4242}", 3.0),
+        // §4.1: a write costs its payload in 2 KiB units per copy — 5 RU
+        // for 10 KiB on a plain node; a read costs the bytes it returns,
+        // 0.3 of that when a cache answers — at least 1.5 RU here. The
+        // counters count whole RUs.
+        ("abase_tenant_write_ru_total{4242}", 25.0),
+        ("abase_tenant_read_ru_total{4242}", 4.0),
     ];
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     let delta = loop {

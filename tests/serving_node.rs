@@ -1,12 +1,13 @@
 //! The serving node's life cycle, in one process: what `shutdown()` leaves
-//! behind in every role, a follower node across its leader's restarts, and
-//! TTLs on the wall clock.
+//! behind in every role, a follower node across its leader's restarts, TTLs
+//! on the wall clock, and a housekeeping tick whose failures are counted.
 
 mod common;
 
 use abase::core::{NodeRole, ServingNode};
 use abase::lavastore::DbConfig;
 use abase::proto::RespValue;
+use abase::util::failpoint::{self, FaultAction};
 use abase::util::TestDir;
 use common::{eventually, Client};
 use std::net::TcpStream;
@@ -190,4 +191,22 @@ fn ttls_expire_on_the_wall_clock_across_restarts_and_replicas() {
     assert_eq!(client.get("brief"), RespValue::Bulk(None));
     assert_eq!(client.get("kept"), RespValue::bulk("v"));
     lead.shutdown().unwrap();
+}
+
+/// A WAL flush that fails on the tick is counted, not dropped: a WAL
+/// poisoned this way would otherwise fail every later write while `INFO`,
+/// `METRICS` and the log said nothing.
+#[test]
+fn failed_tick_steps_are_counted() {
+    let dir = TestDir::new("node-tick-errors");
+    let node = open("127.0.0.1:0", dir.path(), NodeRole::Plain);
+    let failed = || abase::obs::snapshot().value("abase_node_tick_errors_total{flush_wal}");
+    let before = failed();
+    let _injector = failpoint::ScopedInjector::enable();
+    let wal = dir.path().to_str().expect("a UTF-8 path");
+    failpoint::install("wal.flush", Some(wal), FaultAction::Error, 0, 3);
+    eventually("three failed flushes to be counted", || {
+        failed() >= before + 3.0
+    });
+    node.shutdown().unwrap();
 }
