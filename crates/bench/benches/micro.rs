@@ -13,6 +13,7 @@ use abase_core::{Pipeline, Request, Served, TableEngine};
 use abase_forecast::prophet::{ProphetConfig, ProphetModel};
 use abase_forecast::psd::dominant_period;
 use abase_lavastore::encoding::crc32;
+use abase_lavastore::lz;
 use abase_lavastore::record::Record;
 use abase_lavastore::sstable::{SstReader, SstWriter};
 use abase_lavastore::{BlockCache, Db, DbConfig};
@@ -231,6 +232,39 @@ fn bench_lavastore(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One data block of abench-shaped records (a 15-byte storage key, a 100-byte
+/// value repeating 16 hex digits), as the SST writer builds it: written as a
+/// one-block SST, then decoded back out of the file.
+fn abench_block() -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("abase-micro-block-{}.sst", std::process::id()));
+    let mut writer = SstWriter::create(&path, 64, 10, 1 << 20).unwrap();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for i in 0..38 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let pattern: Vec<u8> = (0..16)
+            .map(|d| b"0123456789abcdef"[(x >> (d * 4) & 0xF) as usize])
+            .collect();
+        let value: Vec<u8> = pattern.iter().cycle().take(100).copied().collect();
+        writer
+            .add(&Record::put(
+                format!("t1:user{:08}", i * 7),
+                value,
+                i + 1,
+                None,
+            ))
+            .unwrap();
+    }
+    writer.finish().unwrap();
+    let file = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let footer = &file[file.len() - 20..];
+    let blocks_end = u64::from_le_bytes(footer[..8].try_into().unwrap()) as usize;
+    // The block is stored compressed: its bytes less the trailer byte.
+    lz::decompress(&file[..blocks_end - 1]).unwrap().to_vec()
+}
+
 fn bench_encoding(c: &mut Criterion) {
     // The CRC every WAL append pays over its payload (129 B is abench's
     // record), and the one a per-block checksum would pay.
@@ -241,6 +275,21 @@ fn bench_encoding(c: &mut Criterion) {
     });
     group.bench_function("crc32_4KiB", |b| {
         b.iter(|| black_box(crc32(black_box(&data))));
+    });
+    // What a flush pays per data block, and what a disk read pays to decode
+    // one (a cache hit pays nothing).
+    let block = abench_block();
+    let mut compressor = lz::Compressor::default();
+    let mut compressed = Vec::with_capacity(block.len());
+    group.bench_function("lz_compress_4KiB", |b| {
+        b.iter(|| {
+            compressed.clear();
+            compressor.compress(black_box(&block), &mut compressed);
+            black_box(compressed.len());
+        });
+    });
+    group.bench_function("lz_decompress_4KiB", |b| {
+        b.iter(|| black_box(lz::decompress(black_box(&compressed)).unwrap()));
     });
     group.finish();
 }

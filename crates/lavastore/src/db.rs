@@ -414,6 +414,14 @@ impl Db {
     pub fn open(dir: impl AsRef<Path>, config: DbConfig) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        // A scrape lists the compression counters before the first flush (a
+        // lazy metric registers on first touch).
+        for counter in [
+            &crate::metrics::BLOCK_RAW_BYTES,
+            &crate::metrics::BLOCK_STORED_BYTES,
+        ] {
+            counter.add(0);
+        }
         // Sweep checkpoint pin directories a crashed process left behind:
         // their hard links would otherwise keep deleted SSTs' disk space
         // pinned forever.

@@ -37,6 +37,7 @@ pub mod db;
 pub mod encoding;
 pub mod error;
 pub mod iter;
+pub mod lz;
 pub mod memtable;
 pub mod metrics;
 pub mod record;

@@ -68,6 +68,18 @@ pub static COMPACTION_BYTES: LazyCounter = LazyCounter::new(
     "SST bytes written by compactions",
 );
 
+/// Uncompressed bytes of the data blocks flushes and compactions wrote.
+pub static BLOCK_RAW_BYTES: LazyCounter = LazyCounter::new(
+    "abase_lava_block_raw_bytes_total",
+    "Uncompressed bytes of the SST data blocks written by flushes and compactions",
+);
+
+/// Bytes those data blocks took on disk; over the raw bytes, the ratio.
+pub static BLOCK_STORED_BYTES: LazyCounter = LazyCounter::new(
+    "abase_lava_block_stored_bytes_total",
+    "Bytes the SST data blocks written by flushes and compactions took on disk, trailer included",
+);
+
 /// Block-cache lookups that found the block resident.
 pub static BLOCK_CACHE_HITS: LazyCounter = LazyCounter::new(
     "abase_block_cache_hits_total",

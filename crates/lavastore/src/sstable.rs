@@ -1,9 +1,11 @@
-//! Sorted string table (SST) files, format v2.
+//! Sorted string table (SST) files, format v3.
 //!
 //! Layout (fixed-width integers little-endian, `varint` = LEB128):
 //!
 //! ```text
-//! file:       [data block 0][data block 1]...[properties][footer]
+//! file:       [stored block 0][stored block 1]...[properties][footer]
+//! stored:     block | 0u8                         (raw)
+//!           | varint block_len | lz sequences | 1u8   (compressed, `lz.rs`)
 //! block:      [entry 0][entry 1]...[restart u32 × n][n u32]
 //! entry:      varint shared | varint unshared | key suffix | payload
 //! properties: varint record_count | varint len, min_key | varint len, max_key
@@ -21,9 +23,9 @@
 //! There is **one block format** with two payloads. In a *data block* the
 //! payload is the record tail ([`Record::encode_tail`]). The *index block* has
 //! one entry per data block — key = that block's last key, payload =
-//! `varint offset | varint len` — with a restart interval of 1, so every index
-//! key is whole. Both are built by one [`BlockBuilder`] and searched by one
-//! [`Block::seek`].
+//! `varint offset | varint stored len` — with a restart interval of 1, so
+//! every index key is whole. Both are built by one [`BlockBuilder`] and
+//! searched by one [`Block::seek`].
 //!
 //! The *properties* region is what a reader keeps **pinned** for its whole
 //! lifetime: the key range, the index block (searched in place, never
@@ -31,15 +33,23 @@
 //! therefore cost exactly **one block I/O** (or zero on a bloom miss or a
 //! block-cache hit), the constant the I/O-WFQ's Rule 1 relies on.
 //!
+//! **Compression.** Each data block is stored with a one-byte trailer naming
+//! how: compressed ([`lz`](crate::lz)) when that saves at least an eighth of
+//! the block, raw otherwise. The index handle is `(offset, stored length)`
+//! and the block target counts uncompressed bytes. A block is decoded on its
+//! disk read only: the block cache holds decoded blocks, so a cache hit and
+//! [`Block::seek`] never see the trailer.
+//!
 //! **Integrity.** The properties carry a CRC and the footer must describe
 //! the file exactly; data blocks carry no checksum yet, so every length and
-//! offset read from one is bounds-checked and damage surfaces as
-//! [`Error::Corruption`], never as a panic. The footer magic names the
-//! format: [`MAGIC`] is v2, and a file ending in the v1 magic (fixed-width
-//! record fields, one restart per record, index as a list in the properties)
-//! is refused by name rather than misread — as `version.rs` refuses a v1
-//! `MANIFEST`, which is what turns away a whole v1 directory, logs included.
-//! A later per-block trailer is a third magic, not a migration.
+//! offset read from one is bounds-checked, the decompressor is total, and
+//! damage surfaces as [`Error::Corruption`], never as a panic. The footer
+//! magic names the format: [`MAGIC`] is v3, and a file ending in the v2
+//! magic (no block trailer) or the v1 magic (fixed-width record fields, one
+//! restart per record, index as a list in the properties) is refused by name
+//! rather than misread — as `version.rs` refuses an older `MANIFEST`, which
+//! is what turns away a whole older directory, logs included. A block CRC32C
+//! goes before the trailer byte under a fourth magic.
 
 use crate::block_cache::BlockCache;
 use crate::bloom::BloomFilter;
@@ -48,9 +58,11 @@ use crate::encoding::{
     put_u64, put_varint,
 };
 use crate::error::{Error, Result};
+use crate::lz;
 use crate::memtable::MemEntry;
 use crate::record::Record;
 use bytes::Bytes;
+use std::cell::RefCell;
 use std::cmp::Ordering as KeyOrder;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -60,10 +72,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Footer magic of format v2.
-const MAGIC: u32 = 0xAB5E_5572;
-/// Footer magic of format v1, kept only to name it when refusing a file.
+/// Footer magic of format v3.
+const MAGIC: u32 = 0xAB5E_5573;
+/// Footer magics of formats v2 and v1, kept only to name them when refusing
+/// a file.
+const MAGIC_V2: u32 = 0xAB5E_5572;
 const MAGIC_V1: u32 = 0xAB5E_557A;
+/// Trailer byte of a data block stored as built.
+const BLOCK_RAW: u8 = 0;
+/// Trailer byte of a data block stored as [`lz::Compressor`] output.
+const BLOCK_LZ: u8 = 1;
 const FOOTER_LEN: usize = 20;
 /// Entries per restart point in a data block. Against 8 it saves a whole key
 /// and a restart offset per 16 records (0.7 % of the file) for a walk some
@@ -147,6 +165,9 @@ pub struct SstWriter {
     file: BufWriter<File>,
     data: BlockBuilder,
     index: BlockBuilder,
+    /// The compressed form of the block being finished, reused.
+    lz: lz::Compressor,
+    compressed: Vec<u8>,
     block_target: usize,
     /// File offset the current data block will land at.
     offset: u64,
@@ -170,6 +191,8 @@ impl SstWriter {
             file: BufWriter::with_capacity(WRITE_BUF_BYTES, file),
             data: BlockBuilder::new(RESTART_INTERVAL, block_target * 2),
             index: BlockBuilder::new(1, 0),
+            lz: lz::Compressor::default(),
+            compressed: Vec::new(),
             block_target,
             offset: 0,
             bloom: BloomFilter::with_capacity(expected_records, bloom_bits_per_key),
@@ -203,8 +226,21 @@ impl SstWriter {
         if self.data.buf.is_empty() {
             return Ok(());
         }
-        let len = self.data.finish().len() as u64;
-        self.file.write_all(&self.data.buf)?;
+        let raw = self.data.finish();
+        let raw_len = raw.len();
+        self.compressed.clear();
+        self.lz.compress(raw, &mut self.compressed);
+        let stored = if self.compressed.len() <= raw_len - raw_len / 8 {
+            self.compressed.push(BLOCK_LZ);
+            &self.compressed
+        } else {
+            self.data.buf.push(BLOCK_RAW);
+            &self.data.buf
+        };
+        let len = stored.len() as u64;
+        self.file.write_all(stored)?;
+        crate::metrics::BLOCK_RAW_BYTES.add(raw_len as u64);
+        crate::metrics::BLOCK_STORED_BYTES.add(len);
         let handle = self.index.add_key(&self.data.last_key);
         put_varint(handle, self.offset);
         put_varint(handle, len);
@@ -494,6 +530,21 @@ impl<'a> Block<'a> {
     }
 }
 
+thread_local! {
+    /// A data block as read from disk, before it is decoded.
+    static STORED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The block a stored data block holds (see the module docs).
+fn decode_stored(stored: &[u8]) -> Result<Arc<[u8]>> {
+    match stored.split_last() {
+        Some((&BLOCK_RAW, block)) => Ok(Arc::from(block)),
+        Some((&BLOCK_LZ, compressed)) => lz::decompress(compressed),
+        Some(_) => Err(corruption("unknown block trailer")),
+        None => Err(corruption("empty stored block")),
+    }
+}
+
 /// Reads point and range queries from one SST file.
 #[derive(Debug)]
 pub struct SstReader {
@@ -547,14 +598,15 @@ impl SstReader {
         let props_crc = get_u32(&footer, &mut pos)?;
         match get_u32(&footer, &mut pos)? {
             MAGIC => {}
-            MAGIC_V1 => {
+            old @ (MAGIC_V2 | MAGIC_V1) => {
+                let version = if old == MAGIC_V2 { 2 } else { 1 };
                 return Err(Error::Corruption(format!(
-                    "sst is format v1 (magic {MAGIC_V1:#010x}); this build reads only format v2"
-                )))
+                    "sst is format v{version} (magic {old:#010x}); this build reads only format v3"
+                )));
             }
             other => {
                 return Err(Error::Corruption(format!(
-                    "bad sst magic {other:#010x} (format v2 is {MAGIC:#010x})"
+                    "bad sst magic {other:#010x} (format v3 is {MAGIC:#010x})"
                 )))
             }
         }
@@ -662,12 +714,13 @@ impl SstReader {
                 return Ok((block, BlockIo { disk: 0, cached: 1 }));
             }
         }
-        // One allocation, read into in place: the cache and the caller share
-        // this `Arc`, and a `Vec` converted afterwards would copy the block.
-        let mut block: Arc<[u8]> = std::iter::repeat_n(0u8, len as usize).collect();
-        // INVARIANT: the `Arc` was created on the line above and not cloned.
-        let buf = Arc::get_mut(&mut block).expect("fresh allocation is unshared");
-        self.file.read_exact_at(buf, offset)?;
+        // The stored bytes land in a per-thread buffer; the decoded block is
+        // the one allocation, which the cache and the caller share.
+        let block = STORED.with_borrow_mut(|stored| -> Result<Arc<[u8]>> {
+            stored.resize(len as usize, 0);
+            self.file.read_exact_at(stored, offset)?;
+            decode_stored(stored)
+        })?;
         self.block_reads.fetch_add(1, Ordering::Relaxed);
         if fill {
             if let Some(cache) = &self.cache {
@@ -1013,9 +1066,10 @@ mod tests {
     /// interval 1), `varint offset | varint len` payloads, the restart array.
     #[test]
     fn index_block_matches_the_golden_bytes() {
-        // Each block is 41 bytes of entries + one restart + the count = 0x31.
-        const GOLDEN: &str = "0006616c706861320031\
-                              00066265746132323131\
+        // Each block is 41 bytes of entries + one restart + the count = 49,
+        // stored compressed in 34 bytes + the trailer = 0x23.
+        const GOLDEN: &str = "0006616c706861320023\
+                              00066265746132322323\
                               000000000a000000\
                               02000000";
         let path = temp_path("golden-index");
@@ -1032,6 +1086,48 @@ mod tests {
             .map(|b| format!("{b:02x}"))
             .collect();
         assert_eq!(hex, GOLDEN);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_block_is_compressed_only_when_that_saves_an_eighth() {
+        // One record per file: 300 bytes of noise, then a run of `run`
+        // bytes that compresses to almost nothing. The longer the run, the
+        // more compressing the block saves; the rule flips within the sweep.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let noise: Vec<u8> = (0..300)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        let path = temp_path("eighth");
+        let mut seen = [false; 2];
+        for run in (0..120).step_by(4) {
+            let record = Record::put("k", [&noise[..], &vec![b'r'; run]].concat(), 1, None);
+            let mut raw = BlockBuilder::new(RESTART_INTERVAL, 0);
+            record.encode_tail(raw.add_key(&record.key));
+            let raw = raw.finish().to_vec();
+            let mut lz = Vec::new();
+            lz::Compressor::default().compress(&raw, &mut lz);
+            let expected = if lz.len() <= raw.len() - raw.len() / 8 {
+                BLOCK_LZ
+            } else {
+                BLOCK_RAW
+            };
+
+            let mut w = SstWriter::create(&path, 1, 10, 4096).unwrap();
+            w.add(&record).unwrap();
+            w.finish().unwrap();
+            let r = SstReader::open(&path).unwrap();
+            let file = std::fs::read(&path).unwrap();
+            assert_eq!(file[r.data_len as usize - 1], expected, "run {run}");
+            seen[usize::from(expected)] = true;
+            assert_eq!(r.get(b"k").unwrap().0, Some(record));
+        }
+        assert_eq!(seen, [true, true], "the sweep did not cross the eighth");
         std::fs::remove_file(&path).ok();
     }
 

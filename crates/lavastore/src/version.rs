@@ -7,8 +7,8 @@
 //!
 //! The manifest's magic versions the **directory**, not just this file: WAL
 //! frames carry no format marker of their own, so a directory written in
-//! record/SST format v1 is turned away here, by name, before any log or SST
-//! in it is read under format v2's rules.
+//! format v1 or v2 is turned away here, by name, before any log or SST in it
+//! is read under format v3's rules.
 
 use crate::encoding::{
     crc32, get_len_prefixed, get_u32, get_u64, get_varint, put_len_prefixed, put_u32, put_u64,
@@ -18,9 +18,11 @@ use crate::error::{Error, Result};
 use bytes::Bytes;
 use std::path::Path;
 
-/// Manifest magic of a format-v2 directory (see `record.rs`, `sstable.rs`).
-const MANIFEST_MAGIC: u32 = 0xAB5E_3572;
-/// Manifest magic of format v1, kept only to name it when refusing one.
+/// Manifest magic of a format-v3 directory (see `record.rs`, `sstable.rs`).
+const MANIFEST_MAGIC: u32 = 0xAB5E_3573;
+/// Manifest magics of formats v2 and v1, kept only to name them when
+/// refusing one.
+const MANIFEST_MAGIC_V2: u32 = 0xAB5E_3572;
 const MANIFEST_MAGIC_V1: u32 = 0xAB5E_3514;
 
 /// Metadata for one live SST file.
@@ -172,15 +174,16 @@ impl Version {
         let mut pos = 0usize;
         match get_u32(data, &mut pos)? {
             MANIFEST_MAGIC => {}
-            MANIFEST_MAGIC_V1 => {
+            old @ (MANIFEST_MAGIC_V2 | MANIFEST_MAGIC_V1) => {
+                let version = if old == MANIFEST_MAGIC_V2 { 2 } else { 1 };
                 return Err(Error::Corruption(format!(
-                    "manifest is format v1 (magic {MANIFEST_MAGIC_V1:#010x}); \
-                     this build reads only format v2 directories"
-                )))
+                    "manifest is format v{version} (magic {old:#010x}); \
+                     this build reads only format v3 directories"
+                )));
             }
             other => {
                 return Err(Error::Corruption(format!(
-                    "bad manifest magic {other:#010x} (format v2 is {MANIFEST_MAGIC:#010x})"
+                    "bad manifest magic {other:#010x} (format v3 is {MANIFEST_MAGIC:#010x})"
                 )))
             }
         }

@@ -1,8 +1,9 @@
-//! The on-disk format (v2), pinned from outside the crate: golden bytes, a
+//! The on-disk format (v3), pinned from outside the crate: golden bytes, a
 //! model check of the SST reader, decoder totality over damaged files, the
-//! density the format is for, and refusal of the format it replaced.
+//! density the format is for, and refusal of the formats it replaced.
 //! TESTING.md ("On-disk format") says what each failure means.
 
+use abase_lavastore::encoding::{get_len_prefixed, get_varint};
 use abase_lavastore::record::Record;
 use abase_lavastore::sstable::{SstReader, SstWriter};
 use abase_lavastore::wal::{Wal, WalOptions};
@@ -103,6 +104,77 @@ fn sst_file_matches_the_golden_bytes() {
     check_golden("sst_six_records.hex", &std::fs::read(&path).unwrap());
     let reader = SstReader::open(&path).unwrap();
     assert_eq!(reader.scan_all().unwrap(), golden_records());
+    std::fs::remove_file(&path).ok();
+}
+
+/// abench's value: 16 hex digits of a hash of the key, repeated to `len`.
+fn abench_value(key: u64, len: usize) -> Vec<u8> {
+    let mut h = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 31;
+    let pattern: Vec<u8> = (0..16)
+        .map(|i| b"0123456789abcdef"[(h >> (i * 4) & 0xF) as usize])
+        .collect();
+    pattern.into_iter().cycle().take(len).collect()
+}
+
+/// `len` bytes that do not compress, the same for the same `seed`.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        })
+        .collect()
+}
+
+/// The trailer byte of every stored data block of the SST `file`, read
+/// through the footer, the properties and the index block.
+fn block_trailers(file: &[u8]) -> Vec<u8> {
+    let footer = &file[file.len() - 20..];
+    let props_offset = u64::from_le_bytes(footer[..8].try_into().unwrap()) as usize;
+    let props_len = u32::from_le_bytes(footer[8..12].try_into().unwrap()) as usize;
+    let props = &file[props_offset..props_offset + props_len];
+    let mut pos = 0;
+    get_varint(props, &mut pos).unwrap();
+    get_len_prefixed(props, &mut pos).unwrap();
+    get_len_prefixed(props, &mut pos).unwrap();
+    let index = get_len_prefixed(props, &mut pos).unwrap();
+    let restarts = u32::from_le_bytes(index[index.len() - 4..].try_into().unwrap()) as usize;
+    let entries = &index[..index.len() - 4 - 4 * restarts];
+    let (mut pos, mut trailers) = (0, Vec::new());
+    while pos < entries.len() {
+        get_varint(entries, &mut pos).unwrap();
+        get_len_prefixed(entries, &mut pos).unwrap();
+        let offset = get_varint(entries, &mut pos).unwrap();
+        let len = get_varint(entries, &mut pos).unwrap();
+        trailers.push(file[(offset + len - 1) as usize]);
+    }
+    trailers
+}
+
+/// Thirty-two abench records fill one 4 KiB block, which is stored
+/// compressed: this pins the compressed form byte for byte.
+#[test]
+fn a_compressed_block_matches_the_golden_bytes() {
+    let path = temp_path("golden-lz");
+    let records: Vec<Record> = (0..32u64)
+        .map(|i| Record::put(format!("t1:user{i:08}"), abench_value(i, 100), i + 1, None))
+        .collect();
+    let mut w = SstWriter::create(&path, records.len(), 10, 4096).unwrap();
+    for record in &records {
+        w.add(record).unwrap();
+    }
+    w.finish().unwrap();
+    let file = std::fs::read(&path).unwrap();
+    assert_eq!(block_trailers(&file), [1], "one block, stored compressed");
+    let props_offset = u64::from_le_bytes(file[file.len() - 20..][..8].try_into().unwrap());
+    check_golden("sst_abench_block.hex", &file[..props_offset as usize]);
+    assert_eq!(SstReader::open(&path).unwrap().scan_all().unwrap(), records);
     std::fs::remove_file(&path).ok();
 }
 
@@ -279,10 +351,17 @@ proptest! {
         cut in any::<u32>(),
     ) {
         let path = temp_path("damage");
-        let model = model_of(keys);
+        let mut model = model_of(keys);
+        // A record too noisy for its block to save an eighth, and one whose
+        // block compresses whatever shares it: both stored forms are read.
+        for (key, value) in [(b"noise".to_vec(), noise(7, 2000)), (b"run".to_vec(), vec![b'c'; 200])] {
+            model.insert(key.clone(), Record::put(key, value, 1, None));
+        }
         write_sst(&path, &model, 64);
         let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
         let good = std::fs::read(&path).unwrap();
+        let trailers = block_trailers(&good);
+        prop_assert!(trailers.contains(&0) && trailers.contains(&1), "{:?}", trailers);
         let mut data = good.clone();
         data[at as usize % good.len()] = byte;
         std::fs::write(&path, &data).unwrap();
@@ -301,11 +380,12 @@ proptest! {
 // Density, pinned by a count
 // ---------------------------------------------------------------------------
 
-#[test]
-fn ten_thousand_records_fit_the_bytes_the_format_promises() {
-    // abench's record: a 15-byte storage key and a 100-byte value.
+/// Bytes of SST and of WAL per record after 10 000 abench-shaped puts (a
+/// 15-byte storage key, a 100-byte `value(i)`) and a flush; every record is
+/// read back first.
+fn bytes_per_record(tag: &str, value: impl Fn(u64) -> Vec<u8>) -> (f64, f64) {
     const N: u64 = 10_000;
-    let dir = temp_path("density");
+    let dir = temp_path(tag);
     std::fs::remove_dir_all(&dir).ok();
     let config = DbConfig {
         // Keep every rotated log segment, so the directory holds all WAL
@@ -315,11 +395,15 @@ fn ten_thousand_records_fit_the_bytes_the_format_promises() {
     };
     {
         let db = Db::open(&dir, config).unwrap();
+        let key = |i: u64| format!("t1:user{i:08}");
         for i in 0..N {
-            let key = format!("t1:user{i:08}");
-            db.put(key.as_bytes(), &[b'x'; 100], None, 0).unwrap();
+            db.put(key(i).as_bytes(), &value(i), None, 0).unwrap();
         }
         db.flush().unwrap();
+        for i in 0..N {
+            let read = db.get(key(i).as_bytes(), 0).unwrap();
+            assert_eq!(read.value.as_deref(), Some(&value(i)[..]), "{}", key(i));
+        }
     }
     let (mut sst, mut wal) = (0u64, 0u64);
     for entry in std::fs::read_dir(&dir).unwrap().map(Result::unwrap) {
@@ -330,36 +414,47 @@ fn ten_thousand_records_fit_the_bytes_the_format_promises() {
             _ => {}
         }
     }
-    let (sst, wal) = (sst as f64 / N as f64, wal as f64 / N as f64);
-    println!("bytes per record: {sst:.1} SST (bloom and index included), {wal:.1} WAL");
-    // Format v1 took 140.4 and 142.0.
-    assert!(sst <= 114.0, "{sst:.1} bytes of SST per record");
-    assert!(wal <= 130.0, "{wal:.1} bytes of WAL per record");
-    assert!(
-        sst >= 100.0 && wal >= 115.0,
-        "records went missing: {sst} {wal}"
-    );
     std::fs::remove_dir_all(&dir).ok();
+    let (sst, wal) = (sst as f64 / N as f64, wal as f64 / N as f64);
+    println!("{tag}: bytes per record: {sst:.1} SST (bloom and index included), {wal:.1} WAL");
+    (sst, wal)
+}
+
+#[test]
+fn ten_thousand_records_fit_the_bytes_the_format_promises() {
+    // abench's values: a 16-hex-digit pattern repeated, the best case for
+    // block compression. Format v2 took 111.3 B of SST.
+    let (sst, wal) = bytes_per_record("density-abench", |i| abench_value(i, 100));
+    assert!(sst <= 40.0, "{sst:.1} bytes of SST per record");
+    assert!(wal <= 130.0, "{wal:.1} bytes of WAL per record");
+    // Values that do not compress: stored raw, at one trailer byte per block
+    // more than format v2's 114 (v1 took 140.4 and 142.0).
+    let (sst, wal) = bytes_per_record("density-noise", |i| noise(i, 100));
+    assert!(sst <= 115.0, "{sst:.1} bytes of SST per record");
+    assert!(wal <= 130.0, "{wal:.1} bytes of WAL per record");
 }
 
 // ---------------------------------------------------------------------------
-// Refusal of format v1
+// Refusal of formats v1 and v2
 // ---------------------------------------------------------------------------
 
-/// The magics format v1 wrote (`sstable.rs` and `version.rs` before PR 21).
-const SST_MAGIC_V1: u32 = 0xAB5E_557A;
-const MANIFEST_MAGIC_V1: u32 = 0xAB5E_3514;
+/// The magics formats v1 and v2 wrote (`sstable.rs` and `version.rs`), as
+/// `(format, sst magic, manifest magic)`.
+const OLD_MAGICS: [(&str, u32, u32); 2] = [
+    ("format v1", 0xAB5E_557A, 0xAB5E_3514),
+    ("format v2", 0xAB5E_5572, 0xAB5E_3572),
+];
 
-fn assert_names_v1<T: std::fmt::Debug>(result: Result<T, Error>) {
+fn assert_names<T: std::fmt::Debug>(format: &str, result: Result<T, Error>) {
     match result {
-        Err(Error::Corruption(msg)) => assert!(msg.contains("format v1"), "{msg}"),
-        other => panic!("expected a refusal naming format v1, got {other:?}"),
+        Err(Error::Corruption(msg)) => assert!(msg.contains(format), "{msg}"),
+        other => panic!("expected a refusal naming {format}, got {other:?}"),
     }
 }
 
 #[test]
 fn a_v1_directory_and_a_v1_sst_are_refused_by_name() {
-    let dir = temp_path("v1-dir");
+    let dir = temp_path("old-dir");
     std::fs::remove_dir_all(&dir).ok();
     {
         let db = Db::open(&dir, DbConfig::small_for_tests()).unwrap();
@@ -367,24 +462,28 @@ fn a_v1_directory_and_a_v1_sst_are_refused_by_name() {
         db.flush().unwrap();
     }
     let manifest = dir.join("MANIFEST");
-    let good = std::fs::read(&manifest).unwrap();
-    let mut v1 = good.clone();
-    v1[..4].copy_from_slice(&MANIFEST_MAGIC_V1.to_le_bytes());
-    std::fs::write(&manifest, &v1).unwrap();
-    assert_names_v1(Db::open(&dir, DbConfig::small_for_tests()));
-
-    // A v2 manifest over a v1 SST: the file is refused too.
-    std::fs::write(&manifest, &good).unwrap();
+    let good_manifest = std::fs::read(&manifest).unwrap();
     let sst = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|e| e == "sst"))
         .expect("the flush wrote an sst");
-    let mut data = std::fs::read(&sst).unwrap();
-    let n = data.len();
-    data[n - 4..].copy_from_slice(&SST_MAGIC_V1.to_le_bytes());
-    std::fs::write(&sst, &data).unwrap();
-    assert_names_v1(SstReader::open(&sst));
-    assert_names_v1(Db::open(&dir, DbConfig::small_for_tests()));
+    let good_sst = std::fs::read(&sst).unwrap();
+    for (format, sst_magic, manifest_magic) in OLD_MAGICS {
+        let mut old = good_manifest.clone();
+        old[..4].copy_from_slice(&manifest_magic.to_le_bytes());
+        std::fs::write(&manifest, &old).unwrap();
+        assert_names(format, Db::open(&dir, DbConfig::small_for_tests()));
+
+        // A current manifest over an old SST: the file is refused too.
+        std::fs::write(&manifest, &good_manifest).unwrap();
+        let mut old = good_sst.clone();
+        let n = old.len();
+        old[n - 4..].copy_from_slice(&sst_magic.to_le_bytes());
+        std::fs::write(&sst, &old).unwrap();
+        assert_names(format, SstReader::open(&sst));
+        assert_names(format, Db::open(&dir, DbConfig::small_for_tests()));
+        std::fs::write(&sst, &good_sst).unwrap();
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

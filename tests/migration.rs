@@ -157,8 +157,18 @@ fn migration_copy_time_matches_the_bandwidth_model() {
     let bw = 1.5e6;
     let (_d, mut c) = cluster_with("migrate-bandwidth", 4, Some(bw));
     c.create_partition(1, 0).unwrap();
+    // Values that do not compress, so the SSTs copied hold ~200 KB.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for i in 0..400 {
-        c.write(0, format!("k{i:05}").as_bytes(), &[5u8; 512], 0)
+        let value: Vec<u8> = (0..512)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        c.write(0, format!("k{i:05}").as_bytes(), &value, 0)
             .unwrap();
     }
     c.tick().unwrap();

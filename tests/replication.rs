@@ -101,10 +101,21 @@ fn quorum_writes_survive_leader_failure() {
     assert_eq!(r.value.as_deref(), Some(&b"v"[..]));
 }
 
+/// A source holding `keys` records of 256 bytes that do not compress, so the
+/// bytes copied are what the bandwidth model is fed.
 fn seeded_source(dir: &Path, keys: usize) -> Arc<Db> {
     let db = Db::open(dir, DbConfig::default()).unwrap();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for i in 0..keys {
-        db.put(format!("key-{i:05}").as_bytes(), &[5u8; 256], None, 0)
+        let value: Vec<u8> = (0..256)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        db.put(format!("key-{i:05}").as_bytes(), &value, None, 0)
             .unwrap();
     }
     db.flush().unwrap();
