@@ -62,7 +62,7 @@ use crate::lz;
 use crate::memtable::MemEntry;
 use crate::record::Record;
 use bytes::Bytes;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::cmp::Ordering as KeyOrder;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -531,9 +531,14 @@ impl<'a> Block<'a> {
 }
 
 thread_local! {
-    /// A data block as read from disk, before it is decoded.
-    static STORED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// A data block as read from disk, before it is decoded, kept between
+    /// reads so a disk read costs only the decoded block's allocation.
+    static STORED: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
+
+/// A read buffer that grew past this (a block holding one huge value) is
+/// freed, not kept.
+const KEPT_STORED_BYTES: usize = 64 << 10;
 
 /// The block a stored data block holds (see the module docs).
 fn decode_stored(stored: &[u8]) -> Result<Arc<[u8]>> {
@@ -715,12 +720,18 @@ impl SstReader {
             }
         }
         // The stored bytes land in a per-thread buffer; the decoded block is
-        // the one allocation, which the cache and the caller share.
-        let block = STORED.with_borrow_mut(|stored| -> Result<Arc<[u8]>> {
-            stored.resize(len as usize, 0);
-            self.file.read_exact_at(stored, offset)?;
-            decode_stored(stored)
-        })?;
+        // the one allocation, which the cache and the caller share. A raw
+        // block is copied out of the buffer where it used to be zero-filled.
+        let mut stored = STORED.take();
+        stored.resize(len as usize, 0);
+        let block = match self.file.read_exact_at(&mut stored, offset) {
+            Ok(()) => decode_stored(&stored),
+            Err(e) => Err(e.into()),
+        };
+        if stored.capacity() <= KEPT_STORED_BYTES {
+            STORED.set(stored);
+        }
+        let block = block?;
         self.block_reads.fetch_add(1, Ordering::Relaxed);
         if fill {
             if let Some(cache) = &self.cache {
@@ -854,6 +865,32 @@ mod tests {
             w.add(&Record::put(key, value, i as u64 + 1, None)).unwrap();
         }
         w.finish().unwrap()
+    }
+
+    #[test]
+    fn a_huge_block_read_is_not_kept_in_the_thread_buffer() {
+        let path = temp_path("huge-block");
+        let mut w = SstWriter::create(&path, 2, 10, 1).unwrap();
+        w.add(&Record::put("a", "small", 1, None)).unwrap();
+        // Noise, so the block is stored raw at its full size.
+        let mut x = 1u64;
+        let big: Vec<u8> = (0..2 * KEPT_STORED_BYTES)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 56) as u8
+            })
+            .collect();
+        w.add(&Record::put("b", big.clone(), 2, None)).unwrap();
+        w.finish().unwrap();
+        let r = SstReader::open(&path).unwrap();
+        assert_eq!(r.get(b"b").unwrap().0.unwrap().value, &big[..]);
+        assert_eq!(STORED.take().capacity(), 0, "a huge buffer was kept");
+        assert_eq!(r.get(b"a").unwrap().0.unwrap().value, &b"small"[..]);
+        assert!(
+            STORED.take().capacity() > 0,
+            "a block-sized buffer was freed"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
