@@ -3,7 +3,7 @@
 //! Run with `cargo bench -p abase-bench`. These cover the per-request-cost
 //! components (cache ops, WFQ scheduling, quota checks, admission and RU
 //! charging, RESP parsing, RU math) and the heavier periodic jobs (storage
-//! engine ops, forecasting fit, rescheduling rounds).
+//! engine ops, WAL drains, forecasting fit, rescheduling rounds).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -16,6 +16,7 @@ use abase_lavastore::encoding::crc32;
 use abase_lavastore::lz;
 use abase_lavastore::record::Record;
 use abase_lavastore::sstable::{SstReader, SstWriter};
+use abase_lavastore::wal::{self, Wal};
 use abase_lavastore::{BlockCache, Db, DbConfig};
 use abase_proto::{Command, RequestScanner, RespValue, Scanned};
 use abase_quota::{RuEstimator, TokenBucket};
@@ -266,8 +267,9 @@ fn abench_block() -> Vec<u8> {
 }
 
 fn bench_encoding(c: &mut Criterion) {
-    // The CRC every WAL append pays over its payload (129 B is abench's
-    // record), and the one a per-block checksum would pay.
+    // The CRC a WAL append paid over its payload while each record was its
+    // own frame (129 B is abench's record) — what `wal/seal_*` is weighed
+    // against per record — and the one a per-block checksum would pay.
     let data: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
     let mut group = c.benchmark_group("encoding");
     group.bench_function("crc32_129B", |b| {
@@ -292,6 +294,78 @@ fn bench_encoding(c: &mut Criterion) {
         b.iter(|| black_box(lz::decompress(black_box(&compressed)).unwrap()));
     });
     group.finish();
+}
+
+/// One 64 KiB group-commit drain: `set_stream`-shaped records (a 15-byte
+/// storage key, a 128-byte value), encoded back to back as the WAL buffers
+/// them, with values from `value(i)`; returns the buffer and its record count.
+fn wal_drain(value: impl Fn(u64) -> Vec<u8>) -> (Vec<u8>, u64) {
+    let (mut buf, mut n) = (Vec::new(), 0u64);
+    while buf.len() < 64 << 10 {
+        let key = format!("t1:user{:08}", n.wrapping_mul(7_919) % 1_000_000);
+        Record::put(key, value(n), n + 1, None).encode(&mut buf);
+        n += 1;
+    }
+    (buf, n)
+}
+
+fn bench_wal(c: &mut Criterion) {
+    // What a drain pays to seal its buffer into one frame (compress, then
+    // CRC the stored bytes), over abench's values — a 16-hex-digit pattern
+    // repeated — and over values that do not compress; per record, divide
+    // by the record count printed here.
+    let hex = |i: u64| -> Vec<u8> {
+        let h = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (0..128)
+            .map(|d| b"0123456789abcdef"[(h >> (d % 16 * 4) & 0xF) as usize])
+            .collect()
+    };
+    let noise = |i: u64| -> Vec<u8> {
+        let mut x = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (0..128)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    };
+    let mut group = c.benchmark_group("wal");
+    let mut lz = lz::Compressor::default();
+    let mut frame = Vec::new();
+    for (name, value) in [
+        ("seal_64KiB_abench", &hex as &dyn Fn(u64) -> Vec<u8>),
+        ("seal_64KiB_noise", &noise),
+    ] {
+        let (records, n) = wal_drain(value);
+        frame.clear();
+        wal::encode_frame(&records, &mut lz, &mut frame);
+        println!(
+            "wal/{name}: {n} records, {} B raw → {} B framed",
+            records.len(),
+            frame.len()
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                frame.clear();
+                wal::encode_frame(black_box(&records), &mut lz, &mut frame);
+                black_box(frame.len());
+            });
+        });
+    }
+    // Replay of that abench drain from a segment file: read, CRC, decode
+    // the frame, decode its records.
+    let path = std::env::temp_dir().join(format!("abase-micro-wal-{}.log", std::process::id()));
+    let (records, _) = wal_drain(hex);
+    frame.clear();
+    wal::encode_frame(&records, &mut lz, &mut frame);
+    std::fs::write(&path, &frame).unwrap();
+    group.bench_function("replay_64KiB", |b| {
+        b.iter(|| black_box(Wal::replay_from(&path, 0).unwrap()));
+    });
+    group.finish();
+    std::fs::remove_file(&path).ok();
 }
 
 fn bench_forecast(c: &mut Criterion) {
@@ -366,6 +440,7 @@ criterion_group!(
     bench_resp,
     bench_lavastore,
     bench_encoding,
+    bench_wal,
     bench_forecast,
     bench_rescheduler,
     bench_zipf

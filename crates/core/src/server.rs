@@ -903,6 +903,10 @@ fn info_reply(section: Option<&[u8]>, ctx: &ConnCtx) -> RespValue {
             "sst_bytes_written:{}\r\n",
             stats.sst_bytes_written
         ));
+        out.push_str(&format!(
+            "wal_bytes_written:{}\r\n",
+            stats.wal_bytes_written
+        ));
         out.push_str("\r\n");
     }
     if wanted("stats") {

@@ -188,6 +188,9 @@ pub struct DbStats {
     pub compactions: u64,
     /// Bytes written into SST files (flush + compaction).
     pub sst_bytes_written: u64,
+    /// Bytes written into WAL segment files: whole frames, after
+    /// compression.
+    pub wal_bytes_written: u64,
 }
 
 /// One engine stripe: a memtable plus this stripe's slice of the LSM tree.
@@ -414,11 +417,13 @@ impl Db {
     pub fn open(dir: impl AsRef<Path>, config: DbConfig) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        // A scrape lists the compression counters before the first flush (a
-        // lazy metric registers on first touch).
+        // A scrape lists the compression counters before the first flush or
+        // drain (a lazy metric registers on first touch).
         for counter in [
             &crate::metrics::BLOCK_RAW_BYTES,
             &crate::metrics::BLOCK_STORED_BYTES,
+            &crate::metrics::WAL_RAW_BYTES,
+            &crate::metrics::WAL_APPEND_BYTES,
         ] {
             counter.add(0);
         }
@@ -1259,6 +1264,7 @@ impl Db {
             flushes: self.stats.flushes.load(Ordering::Relaxed),
             compactions: self.stats.compactions.load(Ordering::Relaxed),
             sst_bytes_written: self.stats.sst_bytes_written.load(Ordering::Relaxed),
+            wal_bytes_written: self.log.bytes_written(),
         }
     }
 

@@ -1,4 +1,13 @@
-//! An LZ compressor for SST data blocks, in the LZ4 block format.
+//! An LZ compressor in the LZ4 block format, and the one stored-block format
+//! SST data blocks and WAL frames share.
+//!
+//! ```text
+//! stored:  raw | 0                          (STORED_RAW)
+//!        | varint raw_len | sequences | 1   (STORED_LZ, when that saves ≥ 1/8)
+//! ```
+//!
+//! [`store`] writes that form and [`load`] reads it back; the trailer byte is
+//! the only thing either caller sees of the codec.
 //!
 //! A compressed block is `varint raw_len | sequences`. A sequence is a token
 //! byte (high nibble: literal count, low nibble: match length − 4; 15 in
@@ -34,6 +43,38 @@ const MATCH_START_LIMIT: usize = 12;
 const LAST_LITERALS: usize = 5;
 const MAX_OFFSET: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 12;
+
+/// Trailer byte of a block stored as given.
+pub const STORED_RAW: u8 = 0;
+/// Trailer byte of a block stored as [`Compressor`] output.
+pub const STORED_LZ: u8 = 1;
+/// A reused buffer that grew past this holding one stored block (a block
+/// holding one huge value) is freed, not kept.
+pub const KEPT_STORED_BYTES: usize = 64 << 10;
+
+/// Append the stored form of `raw` to `out`: compressed when that saves at
+/// least an eighth of it, raw otherwise, then the trailer byte naming which.
+pub fn store(raw: &[u8], lz: &mut Compressor, out: &mut Vec<u8>) {
+    let start = out.len();
+    lz.compress(raw, out);
+    if out.len() - start <= raw.len() - raw.len() / 8 {
+        out.push(STORED_LZ);
+    } else {
+        out.truncate(start);
+        out.extend_from_slice(raw);
+        out.push(STORED_RAW);
+    }
+}
+
+/// The block a [`store`]d block holds, in one fresh allocation.
+pub fn load(stored: &[u8]) -> Result<Arc<[u8]>> {
+    match stored.split_last() {
+        Some((&STORED_RAW, raw)) => Ok(Arc::from(raw)),
+        Some((&STORED_LZ, compressed)) => decompress(compressed),
+        Some(_) => Err(corruption("unknown stored-block trailer")),
+        None => Err(corruption("empty stored block")),
+    }
+}
 
 /// Upper bound on what a compressed block of `stored_len` bytes can decode
 /// to; a `raw_len` claiming more is corruption.
@@ -369,6 +410,27 @@ mod tests {
         // An offset reaching before the block's start.
         assert!(decompress(&[8, 0x14, b'a', 9, 0]).is_err());
         assert!(decompress(&[8, 0x14, b'a', 0, 0]).is_err());
+    }
+
+    #[test]
+    fn store_compresses_only_what_saves_an_eighth_and_load_reads_both() {
+        let mut c = Compressor::default();
+        let noise: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for (raw, trailer) in [
+            (&noise[..], STORED_RAW),
+            (&[b'z'; 300][..], STORED_LZ),
+            (&[][..], STORED_RAW),
+        ] {
+            // `store` appends: what the buffer held before stays in front.
+            let mut out = vec![9];
+            store(raw, &mut c, &mut out);
+            assert_eq!((out[0], *out.last().unwrap()), (9, trailer));
+            assert_eq!(&load(&out[1..]).unwrap()[..], raw);
+        }
+        assert!(load(&[]).is_err());
+        assert!(load(b"x\x02").is_err());
     }
 
     #[test]

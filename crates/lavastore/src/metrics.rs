@@ -6,16 +6,23 @@
 
 use abase_obs::{LazyCounter, LazyGauge, LazyHisto};
 
-/// WAL append latency (frame build + buffered write + optional fsync).
+/// WAL append latency: encoding the record into the group-commit buffer.
 pub static WAL_APPEND_MICROS: LazyHisto = LazyHisto::new(
     "abase_lava_wal_append_micros",
-    "WAL append latency, including fsync when sync-on-append is set",
+    "WAL append latency: one record encoded into the group-commit buffer",
 );
 
-/// Total WAL bytes appended (frame bytes, including headers).
+/// WAL frame bytes written to segment files (headers included), after
+/// compression: what the log costs the disk.
 pub static WAL_APPEND_BYTES: LazyCounter = LazyCounter::new(
     "abase_lava_wal_append_bytes_total",
-    "WAL bytes appended, including frame headers",
+    "WAL frame bytes written to segment files, frame headers included, after compression",
+);
+
+/// Record bytes those frames hold; over them, the WAL's compression ratio.
+pub static WAL_RAW_BYTES: LazyCounter = LazyCounter::new(
+    "abase_lava_wal_raw_bytes_total",
+    "Uncompressed record bytes of the WAL frames written to segment files",
 );
 
 /// WAL fsync latency (the flush + sync_data pair on durable appends).
@@ -36,10 +43,11 @@ pub static GROUP_COMMIT_COMMITS: LazyCounter = LazyCounter::new(
     "Durable commits acknowledged by the group-commit WAL",
 );
 
-/// Frames covered per group-commit fsync (batch size).
+/// Records covered per group-commit fsync (batch size; the family name is
+/// from when each record was its own frame).
 pub static GROUP_COMMIT_BATCH_FRAMES: LazyHisto = LazyHisto::new(
     "abase_lava_group_commit_batch_frames",
-    "WAL frames made durable per group-commit fsync",
+    "WAL records made durable per group-commit fsync",
 );
 
 /// Memtable flushes completed.

@@ -34,9 +34,10 @@
 //! block-cache hit), the constant the I/O-WFQ's Rule 1 relies on.
 //!
 //! **Compression.** Each data block is stored with a one-byte trailer naming
-//! how: compressed ([`lz`](crate::lz)) when that saves at least an eighth of
-//! the block, raw otherwise. The index handle is `(offset, stored length)`
-//! and the block target counts uncompressed bytes. A block is decoded on its
+//! how: compressed when that saves at least an eighth of the block, raw
+//! otherwise ([`lz::store`], the stored form WAL frames share). The index
+//! handle is `(offset, stored length)` and the block target counts
+//! uncompressed bytes. A block is decoded on its
 //! disk read only: the block cache holds decoded blocks, so a cache hit and
 //! [`Block::seek`] never see the trailer.
 //!
@@ -78,10 +79,6 @@ const MAGIC: u32 = 0xAB5E_5573;
 /// a file.
 const MAGIC_V2: u32 = 0xAB5E_5572;
 const MAGIC_V1: u32 = 0xAB5E_557A;
-/// Trailer byte of a data block stored as built.
-const BLOCK_RAW: u8 = 0;
-/// Trailer byte of a data block stored as [`lz::Compressor`] output.
-const BLOCK_LZ: u8 = 1;
 const FOOTER_LEN: usize = 20;
 /// Entries per restart point in a data block. Against 8 it saves a whole key
 /// and a restart offset per 16 records (0.7 % of the file) for a walk some
@@ -165,9 +162,9 @@ pub struct SstWriter {
     file: BufWriter<File>,
     data: BlockBuilder,
     index: BlockBuilder,
-    /// The compressed form of the block being finished, reused.
+    /// The stored form of the block being finished, reused.
     lz: lz::Compressor,
-    compressed: Vec<u8>,
+    stored: Vec<u8>,
     block_target: usize,
     /// File offset the current data block will land at.
     offset: u64,
@@ -192,7 +189,7 @@ impl SstWriter {
             data: BlockBuilder::new(RESTART_INTERVAL, block_target * 2),
             index: BlockBuilder::new(1, 0),
             lz: lz::Compressor::default(),
-            compressed: Vec::new(),
+            stored: Vec::new(),
             block_target,
             offset: 0,
             bloom: BloomFilter::with_capacity(expected_records, bloom_bits_per_key),
@@ -228,17 +225,10 @@ impl SstWriter {
         }
         let raw = self.data.finish();
         let raw_len = raw.len();
-        self.compressed.clear();
-        self.lz.compress(raw, &mut self.compressed);
-        let stored = if self.compressed.len() <= raw_len - raw_len / 8 {
-            self.compressed.push(BLOCK_LZ);
-            &self.compressed
-        } else {
-            self.data.buf.push(BLOCK_RAW);
-            &self.data.buf
-        };
-        let len = stored.len() as u64;
-        self.file.write_all(stored)?;
+        self.stored.clear();
+        lz::store(raw, &mut self.lz, &mut self.stored);
+        let len = self.stored.len() as u64;
+        self.file.write_all(&self.stored)?;
         crate::metrics::BLOCK_RAW_BYTES.add(raw_len as u64);
         crate::metrics::BLOCK_STORED_BYTES.add(len);
         let handle = self.index.add_key(&self.data.last_key);
@@ -536,20 +526,6 @@ thread_local! {
     static STORED: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
-/// A read buffer that grew past this (a block holding one huge value) is
-/// freed, not kept.
-const KEPT_STORED_BYTES: usize = 64 << 10;
-
-/// The block a stored data block holds (see the module docs).
-fn decode_stored(stored: &[u8]) -> Result<Arc<[u8]>> {
-    match stored.split_last() {
-        Some((&BLOCK_RAW, block)) => Ok(Arc::from(block)),
-        Some((&BLOCK_LZ, compressed)) => lz::decompress(compressed),
-        Some(_) => Err(corruption("unknown block trailer")),
-        None => Err(corruption("empty stored block")),
-    }
-}
-
 /// Reads point and range queries from one SST file.
 #[derive(Debug)]
 pub struct SstReader {
@@ -725,10 +701,10 @@ impl SstReader {
         let mut stored = STORED.take();
         stored.resize(len as usize, 0);
         let block = match self.file.read_exact_at(&mut stored, offset) {
-            Ok(()) => decode_stored(&stored),
+            Ok(()) => lz::load(&stored),
             Err(e) => Err(e.into()),
         };
-        if stored.capacity() <= KEPT_STORED_BYTES {
+        if stored.capacity() <= lz::KEPT_STORED_BYTES {
             STORED.set(stored);
         }
         let block = block?;
@@ -874,7 +850,7 @@ mod tests {
         w.add(&Record::put("a", "small", 1, None)).unwrap();
         // Noise, so the block is stored raw at its full size.
         let mut x = 1u64;
-        let big: Vec<u8> = (0..2 * KEPT_STORED_BYTES)
+        let big: Vec<u8> = (0..2 * lz::KEPT_STORED_BYTES)
             .map(|_| {
                 x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                 (x >> 56) as u8
@@ -1150,9 +1126,9 @@ mod tests {
             let mut lz = Vec::new();
             lz::Compressor::default().compress(&raw, &mut lz);
             let expected = if lz.len() <= raw.len() - raw.len() / 8 {
-                BLOCK_LZ
+                lz::STORED_LZ
             } else {
-                BLOCK_RAW
+                lz::STORED_RAW
             };
 
             let mut w = SstWriter::create(&path, 1, 10, 4096).unwrap();

@@ -7,8 +7,9 @@
 //!
 //! The manifest's magic versions the **directory**, not just this file: WAL
 //! frames carry no format marker of their own, so a directory written in
-//! format v1 or v2 is turned away here, by name, before any log or SST in it
-//! is read under format v3's rules.
+//! format v1, v2 or v3 is turned away here, by name, before any log or SST in
+//! it is read under format v4's rules. (v4 changed only the WAL — one frame
+//! per drain, stored as an SST block is — so its SSTs keep the v3 magic.)
 
 use crate::encoding::{
     crc32, get_len_prefixed, get_u32, get_u64, get_varint, put_len_prefixed, put_u32, put_u64,
@@ -18,10 +19,12 @@ use crate::error::{Error, Result};
 use bytes::Bytes;
 use std::path::Path;
 
-/// Manifest magic of a format-v3 directory (see `record.rs`, `sstable.rs`).
-const MANIFEST_MAGIC: u32 = 0xAB5E_3573;
-/// Manifest magics of formats v2 and v1, kept only to name them when
+/// Manifest magic of a format-v4 directory (see `record.rs`, `sstable.rs`,
+/// `wal.rs`).
+const MANIFEST_MAGIC: u32 = 0xAB5E_3574;
+/// Manifest magics of formats v3, v2 and v1, kept only to name them when
 /// refusing one.
+const MANIFEST_MAGIC_V3: u32 = 0xAB5E_3573;
 const MANIFEST_MAGIC_V2: u32 = 0xAB5E_3572;
 const MANIFEST_MAGIC_V1: u32 = 0xAB5E_3514;
 
@@ -174,16 +177,20 @@ impl Version {
         let mut pos = 0usize;
         match get_u32(data, &mut pos)? {
             MANIFEST_MAGIC => {}
-            old @ (MANIFEST_MAGIC_V2 | MANIFEST_MAGIC_V1) => {
-                let version = if old == MANIFEST_MAGIC_V2 { 2 } else { 1 };
+            old @ (MANIFEST_MAGIC_V3 | MANIFEST_MAGIC_V2 | MANIFEST_MAGIC_V1) => {
+                let version = match old {
+                    MANIFEST_MAGIC_V3 => 3,
+                    MANIFEST_MAGIC_V2 => 2,
+                    _ => 1,
+                };
                 return Err(Error::Corruption(format!(
                     "manifest is format v{version} (magic {old:#010x}); \
-                     this build reads only format v3 directories"
+                     this build reads only format v4 directories"
                 )));
             }
             other => {
                 return Err(Error::Corruption(format!(
-                    "bad manifest magic {other:#010x} (format v3 is {MANIFEST_MAGIC:#010x})"
+                    "bad manifest magic {other:#010x} (format v4 is {MANIFEST_MAGIC:#010x})"
                 )))
             }
         }

@@ -1,42 +1,59 @@
 //! Group-commit write-ahead log.
 //!
-//! Each appended record is framed as `[crc32 u32][len u32][payload]`. Replay
-//! stops cleanly at a torn tail (a crash mid-append), recovering every fully
-//! written record — the standard contract an LSM needs from its log.
+//! An append encodes its record into one in-memory buffer — no header, no
+//! checksum. A **drain** (the byte-threshold or interval flush, a group-commit
+//! leader, an explicit flush, a rotation, a checkpoint cursor, an orderly
+//! close, a torn write) seals the whole buffer into **one frame** and writes
+//! it to the segment file. The frame's body is stored as an SST data block is
+//! ([`lz::store`]): compressed when that saves an eighth, raw otherwise, with
+//! a trailer byte naming which.
 //!
 //! ```text
-//! frame:   crc32(payload) u32 LE | payload len u32 LE | payload
-//! payload: one record, `Record::encode` (format v2):
-//!          varint klen | key | flags u8 | varint seq | [varint expires_at] | varint vlen | value
+//! frame:   crc32(stored) u32 LE | stored len u32 LE | stored
+//! stored:  records… | 0                           (raw)
+//!          varint raw_len | LZ4 sequences | 1     (when that saves ≥ 1/8)
+//! records: Record::encode, back to back, at least one, ending exactly at the end
+//! record:  varint klen | key | flags u8 | varint seq | [varint expires_at] | varint vlen | value
 //! ```
 //!
-//! The frame header and the torn-tail rules are what they were in format v1;
-//! only the payload changed (`record.rs`). A frame says nothing about which
-//! format its payload is in — the directory's `MANIFEST` magic does
-//! (`version.rs`) — so replay requires a payload to be exactly one record.
+//! A frame says nothing about which format it is in — the directory's
+//! `MANIFEST` magic does (`version.rs`) — so replay requires a frame's records
+//! to end exactly where the frame does. Replay stops cleanly at a torn tail
+//! (a short or CRC-bad *final* frame) and recovers every whole frame before
+//! it; a CRC-bad frame in mid-log, or a frame that ends mid-record, is
+//! corruption.
+//!
+//! **Durability.** A crash that tears a drain loses the whole drain, not one
+//! record, and the contract is what it was with a frame per record, because
+//! no record of a torn drain was ever promised. With `sync_on_append`, a
+//! record is acknowledged only by the fsync that follows its drain's write,
+//! so a drain torn before that fsync holds no acknowledged record. Without
+//! it nothing was promised; and `kill -9` never tears a `write(2)` that
+//! already reached the page cache — only losing the machine can.
 //!
 //! The writer side is shared by every stripe of the engine: concurrent
-//! writers append frames into one in-memory buffer under a short mutex, and
-//! durability is amortized by *group commit* — when `sync_on_append` is set,
-//! a committer that finds an fsync already in flight parks on a condvar and
-//! is covered by that fsync (or the next one) instead of issuing its own.
-//! Without `sync_on_append`, the buffer drains to the OS when it crosses a
-//! byte threshold or a flush interval elapses (writer-driven; no background
-//! thread), so the write path issues large sequential writes instead of one
-//! syscall per record.
+//! writers append into one buffer under a short mutex, and durability is
+//! amortized by *group commit* — when `sync_on_append` is set, a committer
+//! that finds an fsync already in flight parks on a condvar and is covered by
+//! that fsync (or the next one) instead of issuing its own; the leader seals
+//! and writes with the lock released. Without `sync_on_append`, the buffer
+//! drains to the OS when it crosses a byte threshold or a flush interval
+//! elapses (writer-driven; no background thread), so the write path issues
+//! large sequential writes instead of one syscall per record, and pays the
+//! compression and the checksum once per drain.
 //!
 //! The log is also the engine's **LSN allocator**: appends assign the next
-//! sequence number under the same lock that orders frames into the buffer,
-//! so the on-disk frame order always equals sequence order — the single
+//! sequence number under the same lock that orders records into the buffer,
+//! so the on-disk record order always equals sequence order — the single
 //! monotone LSN stream replication tailing depends on.
 //!
 //! Three watermarks, all *excluding* torn bytes:
 //!
-//! * `appended` — complete-frame bytes accepted into the log (buffer + file);
-//! * `flushed`  — complete-frame bytes written to the file, i.e. what a tail
+//! * `appended` — record bytes accepted into the segment (buffer + file);
+//! * `flushed`  — whole-frame bytes written to the file, i.e. what a tail
 //!   reader ([`Wal::replay_from`]) can observe; checkpoint cursors and
-//!   [`Wal::position`] report this, so a recorded offset can never land
-//!   inside a torn or still-buffered frame;
+//!   [`Wal::position`] report this, so a recorded offset is always a frame
+//!   boundary, never inside a torn or still-buffered frame;
 //! * `durable_seq` — the highest sequence number covered by an fsync.
 //!
 //! A failed fsync or a torn write **poisons** the log: the simulated (or
@@ -46,15 +63,19 @@
 
 use crate::encoding::crc32;
 use crate::error::{Error, Result};
+use crate::lz;
 use crate::metrics;
 use crate::record::Record;
 use abase_obs::Timer;
 use abase_util::failpoint::{self, FaultAction};
-use abase_util::lockrank::{rank, RankedCondvar, RankedMutex};
+use abase_util::lockrank::{rank, RankedCondvar, RankedMutex, RankedMutexGuard};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+
+/// Bytes of a frame before its stored body: the CRC and the length.
+const FRAME_HEADER: usize = 8;
 
 /// Tuning for the group-commit writer (subset of `DbConfig`).
 #[derive(Debug, Clone, Copy)]
@@ -78,6 +99,54 @@ impl Default for WalOptions {
     }
 }
 
+/// Append one frame holding `records` — [`Record::encode`]d back to back, at
+/// least one — to `out` (see the module docs); `lz` is only working space.
+pub fn encode_frame(records: &[u8], lz: &mut lz::Compressor, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    lz::store(records, lz, out);
+    let stored = &out[start + FRAME_HEADER..];
+    let (crc, len) = (crc32(stored), stored.len() as u32);
+    out[start..start + 4].copy_from_slice(&crc.to_le_bytes());
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Append the records a frame's stored body holds to `out`.
+fn decode_frame(stored: &[u8], out: &mut Vec<Record>) -> Result<()> {
+    let records = lz::load(stored)?;
+    if records.is_empty() {
+        return Err(Error::Corruption("wal frame holds no record".into()));
+    }
+    let mut pos = 0;
+    while pos < records.len() {
+        out.push(Record::decode(&records, &mut pos)?);
+    }
+    Ok(())
+}
+
+/// What a drain seals the buffer with, reused from drain to drain.
+#[derive(Debug, Default)]
+struct Sealer {
+    lz: lz::Compressor,
+    frame: Vec<u8>,
+}
+
+impl Sealer {
+    /// The frame holding `records`, valid until the next call.
+    fn seal(&mut self, records: &[u8]) -> &[u8] {
+        self.frame.clear();
+        encode_frame(records, &mut self.lz, &mut self.frame);
+        &self.frame
+    }
+}
+
+/// Free a reused buffer that one huge drain grew past `kept` bytes.
+fn trim(buf: &mut Vec<u8>, kept: usize) {
+    if buf.capacity() > kept {
+        *buf = Vec::new();
+    }
+}
+
 /// Mutable writer state, guarded by the log mutex.
 #[derive(Debug)]
 struct WalState {
@@ -87,18 +156,26 @@ struct WalState {
     /// The segment's path, used as fail-point context (chaos targets one
     /// replica's log by directory substring).
     context: String,
-    /// Encoded frames not yet written to the file, in sequence order.
+    /// Records appended since the last drain, encoded back to back, in
+    /// sequence order.
     buf: Vec<u8>,
-    /// Complete-frame bytes accepted into this segment (buffer + file).
+    /// The compressor and frame buffer drains seal `buf` with. A
+    /// group-commit leader takes it while it writes with the lock released;
+    /// every other drain waits for `syncing` to clear first, so it is
+    /// always here when one runs.
+    sealer: Option<Sealer>,
+    /// Record bytes accepted into this segment (buffer + file).
     appended: u64,
-    /// Complete-frame bytes written to this segment's file.
+    /// Whole-frame bytes written to this segment's file.
     flushed: u64,
+    /// Whole-frame bytes written to every segment over this log's life.
+    written: u64,
     /// Highest sequence number covered by an fsync (global, not per-segment).
     durable_seq: u64,
     /// Next sequence number to allocate — the engine's one LSN allocator.
     next_seq: u64,
-    /// Frames appended since the last successful fsync (batch-size metric).
-    frames_unsynced: u64,
+    /// Records appended since the last successful fsync (batch-size metric).
+    records_unsynced: u64,
     /// When the buffer last drained (interval trigger).
     last_flush: Instant,
     /// A group-commit leader is fsyncing with the lock released; file writes
@@ -107,6 +184,35 @@ struct WalState {
     /// Set after a torn write or failed fsync: the simulated process died
     /// mid-write, so every further append fails until reopen.
     poisoned: bool,
+}
+
+impl WalState {
+    /// Count a frame of `stored` bytes, sealed from `raw` record bytes, that
+    /// reached the file.
+    fn wrote_frame(&mut self, raw: usize, stored: usize) {
+        self.flushed += stored as u64;
+        self.written += stored as u64;
+        metrics::WAL_RAW_BYTES.add(raw as u64);
+        metrics::WAL_APPEND_BYTES.add(stored as u64);
+    }
+
+    /// Seal the (non-empty) buffer into one frame and write it: a drain. The
+    /// buffer is emptied whether or not the write succeeds.
+    fn drain(&mut self, kept: usize) -> std::io::Result<()> {
+        // INVARIANT: only a `syncing` leader takes the sealer, and every
+        // caller waits for `syncing` to clear (or holds `&mut Wal`).
+        let sealer = self.sealer.as_mut().expect("no drain runs beside a leader");
+        let frame = sealer.seal(&self.buf);
+        let (raw, stored) = (self.buf.len(), frame.len());
+        let result = self.file.write_all(frame);
+        trim(&mut sealer.frame, kept);
+        self.buf.clear();
+        trim(&mut self.buf, kept);
+        if result.is_ok() {
+            self.wrote_frame(raw, stored);
+        }
+        result
+    }
 }
 
 /// An append-only record log with group commit.
@@ -125,16 +231,6 @@ fn poisoned_err() -> Error {
     Error::Io(std::io::Error::other(
         "wal poisoned by earlier torn write or failed fsync",
     ))
-}
-
-fn encode_frame(record: &Record, frame: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(record.approximate_size());
-    record.encode(&mut payload);
-    let crc = crc32(&payload);
-    frame.reserve(8 + payload.len());
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
 }
 
 impl Wal {
@@ -174,11 +270,13 @@ impl Wal {
                     segment,
                     context: path.display().to_string(),
                     buf: Vec::new(),
+                    sealer: Some(Sealer::default()),
                     appended: 0,
                     flushed: 0,
+                    written: 0,
                     durable_seq: next_seq.saturating_sub(1),
                     next_seq,
-                    frames_unsynced: 0,
+                    records_unsynced: 0,
                     last_flush: Instant::now(),
                     syncing: false,
                     poisoned: false,
@@ -189,8 +287,16 @@ impl Wal {
         })
     }
 
+    /// A reused drain buffer that grew past this is freed: the stored-block
+    /// limit, or twice the drain threshold when that is larger, so a
+    /// threshold-sized drain of incompressible records keeps its buffers and
+    /// one holding a huge record does not.
+    fn kept_bytes(&self) -> usize {
+        lz::KEPT_STORED_BYTES.max(self.opts.group_commit_bytes.saturating_mul(2))
+    }
+
     /// Append a record, allocating the next sequence number into
-    /// `record.seq`. The frame enters the shared buffer in sequence order;
+    /// `record.seq`. The record enters the shared buffer in sequence order;
     /// call [`Wal::commit`] with the returned seq to make it durable. When
     /// not fsyncing, the append itself drains the buffer to the OS on the
     /// byte-threshold or interval trigger — no separate commit call needed.
@@ -234,44 +340,26 @@ impl Wal {
         Ok(true)
     }
 
-    fn append_locked(&self, state: &mut WalState, record: &Record) -> Result<()> {
+    fn append_locked(
+        &self,
+        state: &mut RankedMutexGuard<'_, WalState>,
+        record: &Record,
+    ) -> Result<()> {
         match failpoint::check("wal.append", &state.context) {
             Some(FaultAction::Error) => return Err(injected_io("wal append failed")),
             Some(FaultAction::TornWrite { keep_bytes }) => {
-                // Simulate a crash mid-append: earlier buffered frames reach
-                // the file (they were complete — a real crash loses only the
-                // in-flight frame), then part of this frame lands, then the
-                // log is dead until reopened. The torn bytes advance *no*
-                // watermark, so positions and checkpoint cursors can never
-                // point inside the tear. Replay/poll park before it.
-                let pending = std::mem::take(&mut state.buf);
-                state.file.write_all(&pending)?;
-                state.flushed += pending.len() as u64;
-                let mut frame = Vec::new();
-                encode_frame(record, &mut frame);
-                let keep = (keep_bytes as usize).min(frame.len().saturating_sub(1));
-                state.file.write_all(&frame[..keep])?;
-                state.poisoned = true;
-                self.cond.notify_all();
-                return Err(injected_io("torn wal append"));
+                return self.tear(state, record, keep_bytes as usize)
             }
             _ => {}
         }
         let timer = Timer::start();
-        // Encode straight into the shared buffer (header patched after the
-        // payload lands): the write path's critical section is one encode
-        // pass plus a CRC scan, with no per-record allocation.
+        // The write path's critical section is one encode into the shared
+        // buffer: the frame header, the compression and the CRC are paid
+        // once per drain.
         let start = state.buf.len();
-        state.buf.extend_from_slice(&[0u8; 8]);
         record.encode(&mut state.buf);
-        let payload_len = state.buf.len() - start - 8;
-        let crc = crc32(&state.buf[start + 8..]);
-        state.buf[start..start + 4].copy_from_slice(&crc.to_le_bytes());
-        state.buf[start + 4..start + 8].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        let frame_len = (payload_len + 8) as u64;
-        state.appended += frame_len;
-        state.frames_unsynced += 1;
-        metrics::WAL_APPEND_BYTES.add(frame_len);
+        state.appended += (state.buf.len() - start) as u64;
+        state.records_unsynced += 1;
         timer.observe(&metrics::WAL_APPEND_MICROS);
         // Non-durable group commit drains inside the append's lock hold (no
         // second lock acquisition on the write path) once the buffer crosses
@@ -283,6 +371,42 @@ impl Wal {
             self.flush_to_os_locked(state)?;
         }
         Ok(())
+    }
+
+    /// Simulate a crash mid-append (the `TornWrite` fail point): the pending
+    /// buffer lands as one whole frame — a real crash loses only the write in
+    /// flight — then `keep_bytes` of a frame holding `record`, then the log
+    /// is dead until reopened. The torn bytes advance *no* watermark, so
+    /// positions and checkpoint cursors never point inside the tear, and
+    /// replay and tail reads stop before it.
+    fn tear(
+        &self,
+        state: &mut RankedMutexGuard<'_, WalState>,
+        record: &Record,
+        keep_bytes: usize,
+    ) -> Result<()> {
+        // A group-commit leader's batch precedes the pending records.
+        while state.syncing {
+            self.cond.wait(state);
+        }
+        if state.poisoned {
+            return Err(poisoned_err());
+        }
+        let drained = if state.buf.is_empty() {
+            Ok(())
+        } else {
+            state.drain(self.kept_bytes())
+        };
+        let mut one = Vec::new();
+        record.encode(&mut one);
+        let mut sealer = Sealer::default();
+        let frame = sealer.seal(&one);
+        let keep = keep_bytes.min(frame.len() - 1);
+        let torn = drained.and_then(|()| state.file.write_all(&frame[..keep]));
+        state.poisoned = true;
+        self.cond.notify_all();
+        torn?;
+        Err(injected_io("torn wal append"))
     }
 
     /// Make everything up to `seq` durable (when `sync_on_append`), joining
@@ -319,43 +443,44 @@ impl Wal {
             // will cover this seq. Park instead of queueing a second fsync.
             self.cond.wait(&mut state);
         }
-        // Become the group leader: take the batch, release the lock, sync.
+        // Become the group leader: take the batch and the sealer, release
+        // the lock, seal, write and sync.
+        let file = state.file.try_clone()?;
         state.syncing = true;
         let batch = std::mem::take(&mut state.buf);
+        // INVARIANT: `syncing` was clear, so no other leader holds it.
+        let mut sealer = state.sealer.take().expect("the sealer is home");
         let end_seq = state.next_seq - 1;
-        let frames = state.frames_unsynced;
+        let records = state.records_unsynced;
         let context = state.context.clone();
-        let file = match state.file.try_clone() {
-            Ok(f) => f,
-            Err(e) => {
-                state.syncing = false;
-                self.cond.notify_all();
-                return Err(e.into());
-            }
-        };
         drop(state);
-        let sync_result: Result<()> = (|| {
+        let sync_result: Result<usize> = (|| {
             if let Some(FaultAction::Error) = failpoint::check("wal.sync", &context) {
                 return Err(injected_io("wal fsync failed"));
             }
+            let frame: &[u8] = if batch.is_empty() {
+                &[]
+            } else {
+                sealer.seal(&batch)
+            };
             let fsync_timer = Timer::start();
-            if !batch.is_empty() {
-                (&file).write_all(&batch)?;
-            }
+            (&file).write_all(frame)?;
             file.sync_data()?;
             fsync_timer.observe(&metrics::WAL_FSYNC_MICROS);
-            Ok(())
+            Ok(frame.len())
         })();
+        trim(&mut sealer.frame, self.kept_bytes());
         let mut state = self.state.lock();
         state.syncing = false;
+        state.sealer = Some(sealer);
         match sync_result {
-            Ok(()) => {
-                state.flushed += batch.len() as u64;
+            Ok(stored) => {
+                state.wrote_frame(batch.len(), stored);
                 state.durable_seq = state.durable_seq.max(end_seq);
-                state.frames_unsynced = 0;
+                state.records_unsynced = 0;
                 state.last_flush = Instant::now();
                 metrics::GROUP_COMMIT_FSYNCS.inc();
-                metrics::GROUP_COMMIT_BATCH_FRAMES.record(frames);
+                metrics::GROUP_COMMIT_BATCH_FRAMES.record(records);
                 metrics::GROUP_COMMIT_COMMITS.inc();
                 self.cond.notify_all();
                 Ok(())
@@ -373,9 +498,9 @@ impl Wal {
         }
     }
 
-    /// Flush buffered frames to the OS (without fsync), so tail readers can
-    /// observe them. A fail-point `Error` here is transient: it fails the
-    /// call without changing any state.
+    /// Drain buffered records to the OS (without fsync), so tail readers
+    /// can observe them. A fail-point `Error` here is transient: it fails
+    /// the call without changing any state.
     pub fn flush(&self) -> Result<()> {
         let context = self.state.lock().context.clone();
         // `check` sleeps internally for `DelayMs`; only `Error` fails here.
@@ -398,16 +523,13 @@ impl Wal {
     fn flush_to_os_locked(&self, state: &mut WalState) -> Result<()> {
         debug_assert!(!state.syncing);
         if !state.buf.is_empty() {
-            if let Err(e) = state.file.write_all(&state.buf) {
+            if let Err(e) = state.drain(self.kept_bytes()) {
                 // Partial writes leave the file tail unknowable; poison so
                 // no retry can interleave bytes out of order.
                 state.poisoned = true;
-                state.buf.clear();
                 self.cond.notify_all();
                 return Err(e.into());
             }
-            state.flushed += state.buf.len() as u64;
-            state.buf.clear();
         }
         state.last_flush = Instant::now();
         Ok(())
@@ -446,9 +568,8 @@ impl Wal {
     }
 
     /// `(segment, flushed bytes)`: where a tail reader that has applied
-    /// everything should resume. Reports only *flushed* complete-frame
-    /// bytes — never buffered or torn bytes a reader cannot (or must not)
-    /// observe.
+    /// everything should resume. Reports only *flushed* whole-frame bytes —
+    /// never buffered or torn bytes a reader cannot (or must not) observe.
     pub fn position(&self) -> (u64, u64) {
         let state = self.state.lock();
         (state.segment, state.flushed)
@@ -474,10 +595,16 @@ impl Wal {
         self.state.lock().segment
     }
 
-    /// Complete-frame bytes accepted into the current segment (buffered +
-    /// written; torn bytes never count).
+    /// Record bytes accepted into the current segment (buffered + written;
+    /// torn bytes never count).
     pub fn appended_bytes(&self) -> u64 {
         self.state.lock().appended
+    }
+
+    /// Frame bytes this log has written to its segment files, every segment
+    /// included (torn bytes never count).
+    pub fn bytes_written(&self) -> u64 {
+        self.state.lock().written
     }
 
     /// The next sequence number the allocator will hand out.
@@ -502,9 +629,10 @@ impl Wal {
 
     /// Replay a log file, returning every intact record in append order.
     ///
-    /// A torn tail (truncated frame or CRC mismatch on the final frame) ends
-    /// replay without error; a CRC mismatch in the middle of the log is real
-    /// corruption and is reported.
+    /// A torn tail (a short final frame, or a CRC mismatch on it) ends
+    /// replay without error; a CRC mismatch in the middle of the log, or a
+    /// frame whose records do not end where it does, is real corruption and
+    /// is reported.
     pub fn replay(path: &Path) -> Result<Vec<Record>> {
         match Self::replay_from(path, 0) {
             Ok((records, _)) => Ok(records),
@@ -513,12 +641,13 @@ impl Wal {
         }
     }
 
-    /// Replay a log file starting at byte `offset`, returning every intact
-    /// record after it plus the offset just past the last complete frame.
+    /// Replay a log file starting at byte `offset` (a frame boundary),
+    /// returning every record of the whole frames after it plus the offset
+    /// just past the last of them.
     ///
     /// This is the replication tail-read path: a [`crate::db::Db`] follower's
     /// binlog cursor remembers `(segment, offset)` and calls this repeatedly
-    /// to pick up frames the leader appended since the last poll. Only the
+    /// to pick up frames the leader drained since the last poll. Only the
     /// bytes past `offset` are read (the tail, not the whole segment), so a
     /// synchronous-replication write path polling after every append stays
     /// O(new data) rather than O(segment size). A torn tail ends the batch
@@ -538,42 +667,32 @@ impl Wal {
         file.read_to_end(&mut data)?;
         let mut out = Vec::new();
         let mut pos = 0usize;
-        while pos < data.len() {
-            if pos + 8 > data.len() {
-                break; // torn tail: header incomplete
-            }
-            let mut crc_bytes = [0u8; 4];
-            crc_bytes.copy_from_slice(&data[pos..pos + 4]);
-            let expect_crc = u32::from_le_bytes(crc_bytes);
-            let mut len_bytes = [0u8; 4];
-            len_bytes.copy_from_slice(&data[pos + 4..pos + 8]);
-            let len = u32::from_le_bytes(len_bytes) as usize;
-            let body_start = pos + 8;
-            let body_end = body_start + len;
-            if body_end > data.len() {
+        // A header cut short ends the loop: a torn tail.
+        while let Some(header) = data.get(pos..pos + FRAME_HEADER) {
+            let (crc, len) = header.split_at(4);
+            // INVARIANT: an 8-byte header splits into two 4-byte halves.
+            let expect_crc = u32::from_le_bytes(crc.try_into().expect("4 bytes"));
+            let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+            let end = pos + FRAME_HEADER + len;
+            let Some(stored) = data.get(pos + FRAME_HEADER..end) else {
                 break; // torn tail: body incomplete
-            }
-            let payload = &data[body_start..body_end];
-            if crc32(payload) != expect_crc {
-                if body_end == data.len() {
+            };
+            let frame_at = offset + pos as u64;
+            if crc32(stored) != expect_crc {
+                if end == data.len() {
                     break; // torn final frame
                 }
                 return Err(Error::Corruption(format!(
-                    "wal crc mismatch at offset {}",
-                    offset + pos as u64
+                    "wal crc mismatch at offset {frame_at}"
                 )));
             }
-            let mut rpos = 0usize;
-            let record = Record::decode(payload, &mut rpos)?;
-            if rpos != payload.len() {
-                return Err(Error::Corruption(format!(
-                    "wal frame at offset {} holds {} bytes beyond its record",
-                    offset + pos as u64,
-                    payload.len() - rpos
-                )));
-            }
-            out.push(record);
-            pos = body_end;
+            decode_frame(stored, &mut out).map_err(|e| match e {
+                Error::Corruption(msg) => {
+                    Error::Corruption(format!("wal frame at offset {frame_at}: {msg}"))
+                }
+                other => other,
+            })?;
+            pos = end;
         }
         Ok((out, offset + pos as u64))
     }
@@ -581,15 +700,13 @@ impl Wal {
 
 impl Drop for Wal {
     /// Best-effort drain on clean shutdown, matching what a buffered writer
-    /// would do: acknowledged frames reach the file so an orderly close
+    /// would do: acknowledged records reach the file so an orderly close
     /// loses nothing. A poisoned log stays as the "crash" left it.
     fn drop(&mut self) {
+        let kept = self.kept_bytes();
         let state = self.state.get_mut();
         if !state.poisoned && !state.buf.is_empty() {
-            if state.file.write_all(&state.buf).is_ok() {
-                state.flushed += state.buf.len() as u64;
-            }
-            state.buf.clear();
+            state.drain(kept).ok();
         }
     }
 }
@@ -624,6 +741,32 @@ mod tests {
         .unwrap()
     }
 
+    /// Append each record and drain after it: one frame per record.
+    fn one_frame_each(wal: &Wal, records: &[Record]) {
+        for r in records {
+            assert!(wal.append_at(r).unwrap());
+            wal.flush().unwrap();
+        }
+    }
+
+    fn a_and_b() -> [Record; 2] {
+        [
+            Record::put("a", "1", 1, None),
+            Record::put("b", "2", 2, None),
+        ]
+    }
+
+    /// The `(offset, stored len, trailer)` of every frame in `data`.
+    fn frames(data: &[u8]) -> Vec<(usize, usize, u8)> {
+        let (mut pos, mut out) = (0, Vec::new());
+        while pos < data.len() {
+            let len = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap()) as usize;
+            out.push((pos, len, data[pos + 8 + len - 1]));
+            pos += 8 + len;
+        }
+        out
+    }
+
     #[test]
     fn append_and_replay() {
         let path = temp_path("roundtrip");
@@ -640,6 +783,40 @@ mod tests {
             wal.flush().unwrap();
         }
         assert_eq!(Wal::replay(&path).unwrap(), records);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_drain_is_one_frame_stored_compressed_when_that_pays() {
+        let path = temp_path("one-frame");
+        let wal = new_wal(&path, false);
+        let records: Vec<Record> = (1..=3)
+            .map(|i| Record::put(format!("k{i}"), "v", i, None))
+            .collect();
+        for r in &records {
+            wal.append_at(r).unwrap();
+        }
+        wal.flush().unwrap();
+        // Three records too small to compress: one frame, stored raw.
+        let data = std::fs::read(&path).unwrap();
+        assert_eq!(frames(&data), [(0, data.len() - 8, lz::STORED_RAW)]);
+        // A drain of repetitive records: one frame, stored compressed.
+        let more: Vec<Record> = (4..=100)
+            .map(|i| Record::put(format!("user{i:08}"), "0123456789abcdef".repeat(6), i, None))
+            .collect();
+        let before = wal.appended_bytes();
+        for r in &more {
+            wal.append_at(r).unwrap();
+        }
+        let raw = (wal.appended_bytes() - before) as usize;
+        wal.flush().unwrap();
+        let data = std::fs::read(&path).unwrap();
+        let frames = frames(&data);
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[1].2, lz::STORED_LZ);
+        assert!(frames[1].1 * 4 < raw, "{} stored of {raw}", frames[1].1);
+        assert_eq!(wal.bytes_written(), data.len() as u64);
+        assert_eq!(Wal::replay(&path).unwrap(), [records, more].concat());
         std::fs::remove_file(&path).ok();
     }
 
@@ -684,9 +861,7 @@ mod tests {
         let path = temp_path("torn");
         {
             let wal = new_wal(&path, false);
-            wal.append_at(&Record::put("a", "1", 1, None)).unwrap();
-            wal.append_at(&Record::put("b", "2", 2, None)).unwrap();
-            wal.flush().unwrap();
+            one_frame_each(&wal, &a_and_b());
         }
         // Truncate mid-way through the second frame.
         let data = std::fs::read(&path).unwrap();
@@ -702,31 +877,36 @@ mod tests {
         let path = temp_path("corrupt");
         {
             let wal = new_wal(&path, false);
-            wal.append_at(&Record::put("a", "1", 1, None)).unwrap();
-            wal.append_at(&Record::put("b", "2", 2, None)).unwrap();
-            wal.flush().unwrap();
+            one_frame_each(&wal, &a_and_b());
         }
         let mut data = std::fs::read(&path).unwrap();
-        // Flip a payload byte in the FIRST frame (not the last).
+        // Flip a stored byte in the FIRST frame (not the last).
         data[10] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
-        assert!(Wal::replay(&path).is_err());
+        assert!(matches!(Wal::replay(&path), Err(Error::Corruption(_))));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn a_frame_holding_more_than_one_record_is_corruption() {
-        // What a payload in another record format would look like to this
-        // decoder: a valid CRC over bytes that do not end where a record does.
-        let path = temp_path("trailing");
-        let mut payload = Vec::new();
-        Record::put("a", "1", 1, None).encode(&mut payload);
-        payload.push(0);
-        let mut frame = crc32(&payload).to_le_bytes().to_vec();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        std::fs::write(&path, &frame).unwrap();
-        assert!(matches!(Wal::replay(&path), Err(Error::Corruption(_))));
+    fn a_frame_ending_mid_record_is_corruption() {
+        // A valid CRC over records that do not end where the frame does —
+        // what records in another format would look like to this decoder —
+        // and a frame holding no record at all.
+        let path = temp_path("mid-record");
+        let mut whole = Vec::new();
+        Record::put("a", "1", 1, None).encode(&mut whole);
+        Record::put("b", "2", 2, None).encode(&mut whole);
+        let mut lz = lz::Compressor::default();
+        for records in [&whole[..whole.len() - 1], &whole[..1], &[][..]] {
+            let mut frame = Vec::new();
+            encode_frame(records, &mut lz, &mut frame);
+            std::fs::write(&path, &frame).unwrap();
+            assert!(
+                matches!(Wal::replay(&path), Err(Error::Corruption(_))),
+                "{} record bytes",
+                records.len()
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -768,9 +948,7 @@ mod tests {
         let path = temp_path("tail-torn");
         {
             let wal = new_wal(&path, false);
-            wal.append_at(&Record::put("a", "1", 1, None)).unwrap();
-            wal.append_at(&Record::put("b", "2", 2, None)).unwrap();
-            wal.flush().unwrap();
+            one_frame_each(&wal, &a_and_b());
         }
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 3]).unwrap();
@@ -842,6 +1020,39 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_drain_does_not_keep_its_buffers() {
+        let path = temp_path("huge-drain");
+        let wal = new_wal(&path, false);
+        let kept = wal.kept_bytes();
+        // Noise, so the frame is stored raw at its full size.
+        let mut x = 1u64;
+        let big: Vec<u8> = (0..2 * kept)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 56) as u8
+            })
+            .collect();
+        let capacities = |wal: &Wal| {
+            let state = wal.state.lock();
+            (
+                state.buf.capacity(),
+                state.sealer.as_ref().unwrap().frame.capacity(),
+            )
+        };
+        wal.append_next(&mut Record::put("big", big, 0, None))
+            .unwrap();
+        wal.flush().unwrap();
+        assert_eq!(capacities(&wal), (0, 0), "a huge drain's buffers were kept");
+        wal.append_next(&mut Record::put("k", "v", 0, None))
+            .unwrap();
+        wal.flush().unwrap();
+        let (buf, frame) = capacities(&wal);
+        assert!(buf > 0 && frame > 0, "a small drain's buffers were freed");
+        assert_eq!(Wal::replay(&path).unwrap().len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn group_commit_fsync_covers_concurrent_writers() {
         let path = temp_path("group");
         let wal = std::sync::Arc::new(new_wal(&path, true));
@@ -864,6 +1075,7 @@ mod tests {
         assert_eq!(wal.durable_seq(), 100);
         // Everything committed is already in the file (no flush needed).
         assert_eq!(Wal::replay(&path).unwrap().len(), 100);
+        assert_eq!(wal.bytes_written(), std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).ok();
     }
 
@@ -901,13 +1113,16 @@ mod tests {
     #[test]
     fn torn_write_excluded_from_watermarks() {
         // Satellite regression: torn bytes reach the file but never advance
-        // `appended`/`flushed`, so positions stay on frame boundaries.
+        // `appended`/`flushed`, so positions stay on frame boundaries. The
+        // records still buffered land first, as one whole frame.
         let path = temp_path("torn-marks");
         let wal = new_wal(&path, false);
         let mut r = Record::put("ok", "1", 0, None);
         wal.append_next(&mut r).unwrap();
         wal.flush().unwrap();
         let (_, clean_offset) = wal.position();
+        let mut r = Record::put("pending", "2", 0, None);
+        wal.append_next(&mut r).unwrap();
         let _guard = ScopedInjector::enable();
         failpoint::install(
             "wal.append",
@@ -919,13 +1134,21 @@ mod tests {
         let mut r = Record::put("torn", "x", 0, None);
         assert!(wal.append_next(&mut r).is_err());
         assert!(wal.is_poisoned());
-        // File holds torn bytes past the watermark; position ignores them.
-        assert_eq!(wal.position(), (0, clean_offset));
-        assert!(std::fs::metadata(&path).unwrap().len() > clean_offset);
+        // The pending frame moved the watermark; the 5 torn bytes did not.
+        let (segment, frame_end) = wal.position();
+        assert_eq!(segment, 0);
+        assert!(frame_end > clean_offset);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), frame_end + 5);
         // A tail reader parked at the position sees nothing new and no error.
-        let (batch, parked) = Wal::replay_from(&path, clean_offset).unwrap();
+        let (batch, parked) = Wal::replay_from(&path, frame_end).unwrap();
         assert!(batch.is_empty());
-        assert_eq!(parked, clean_offset);
+        assert_eq!(parked, frame_end);
+        let keys: Vec<_> = Wal::replay(&path)
+            .unwrap()
+            .into_iter()
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(keys, [&b"ok"[..], &b"pending"[..]]);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,11 +1,14 @@
 //! Crash-recovery torture test: kill the engine mid-write and verify replay
 //! reconstructs exactly the pre-crash state.
 //!
-//! A crash mid-append leaves a torn frame at the WAL tail. Recovery must keep
-//! every fully framed record and drop the torn one — never erroring, never
-//! resurrecting dropped writes. This is the exact codepath replication
-//! followers reuse (`apply_replicated` funnels shipped records through the
-//! same WAL), so pinning it here pins the replication plane's durability too.
+//! The WAL writes one frame per drain, so a crash mid-write leaves a torn
+//! *frame* at the tail. Recovery must keep every record of every whole frame
+//! and drop the torn one — never erroring, never resurrecting dropped writes.
+//! The tests drain between puts so each log holds many frames, and check
+//! that a cut recovers exactly the records of the whole frames before it.
+//! This is the exact codepath replication followers reuse
+//! (`apply_replicated` funnels shipped records through the same WAL), so
+//! pinning it here pins the replication plane's durability too.
 
 use abase_lavastore::record::Record;
 use abase_lavastore::wal::{Wal, WalOptions};
@@ -32,30 +35,64 @@ fn cfg() -> DbConfig {
     }
 }
 
-/// Write `n` records without flushing, drop the engine (simulating a crash
-/// that lost nothing), then truncate the live WAL to `keep_bytes` (simulating
-/// how far the crashed append actually reached the disk).
+/// Where each frame of a log ends, with how many records the log holds up
+/// to that end.
+type FrameEnds = Vec<(u64, usize)>;
+
+/// Note the frame boundary `(end, records)` if a drain just made one.
+fn note_frame(ends: &mut FrameEnds, end: u64, records: usize) {
+    if ends.last().map_or(0, |&(last, _)| last) != end {
+        ends.push((end, records));
+    }
+}
+
+/// Records a log cut to `keep` bytes must recover: those of the whole frames
+/// it kept, and none of the torn one.
+fn whole_frame_records(ends: &FrameEnds, keep: usize) -> usize {
+    ends.iter()
+        .take_while(|&&(end, _)| end <= keep as u64)
+        .last()
+        .map_or(0, |&(_, records)| records)
+}
+
+/// Put `key-{i:04}` → `v{i}` for `i` in `0..n`, draining the WAL after every
+/// `per_frame` puts (and at the end); returns the log's frame ends.
+fn put_in_frames(db: &Db, n: usize, per_frame: usize) -> FrameEnds {
+    let mut ends = Vec::new();
+    for i in 0..n {
+        db.put(
+            format!("key-{i:04}").as_bytes(),
+            format!("v{i}").as_bytes(),
+            None,
+            0,
+        )
+        .unwrap();
+        if (i + 1) % per_frame == 0 || i + 1 == n {
+            db.flush_wal().unwrap();
+        }
+        // An interval drain inside a put makes a boundary too.
+        note_frame(&mut ends, db.wal_position().1, i + 1);
+    }
+    ends
+}
+
+/// Write `n` records in frames of four, drop the engine (simulating a crash
+/// that lost nothing), then truncate the live WAL to `keep_fraction` of its
+/// bytes (simulating how far the crashed drain actually reached the disk).
+/// Returns the directory and the records the cut log must recover.
 fn crash_after(tag: &str, n: usize, keep_fraction: f64) -> (TestDir, usize) {
     let dir = TestDir::new(tag);
-    let wal_path;
+    let (wal_path, ends);
     {
         let db = Db::open(dir.path(), cfg()).unwrap();
-        for i in 0..n {
-            db.put(
-                format!("key-{i:04}").as_bytes(),
-                format!("v{i}").as_bytes(),
-                None,
-                0,
-            )
-            .unwrap();
-        }
-        db.flush_wal().unwrap();
+        ends = put_in_frames(&db, n, 4);
         wal_path = live_wal(&db);
     }
+    assert!(ends.len() >= 5, "{} frames", ends.len());
     let data = std::fs::read(&wal_path).unwrap();
     let keep = (data.len() as f64 * keep_fraction) as usize;
     std::fs::write(&wal_path, &data[..keep]).unwrap();
-    (dir, keep)
+    (dir, whole_frame_records(&ends, keep))
 }
 
 /// How many of the first `n` sequential puts survive in `db`.
@@ -78,13 +115,15 @@ fn surviving_prefix(db: &Db, n: usize) -> usize {
 
 #[test]
 fn torn_tail_recovers_every_complete_record() {
-    // Truncate the WAL at many points; recovery must always yield a clean
-    // prefix of the write sequence — no holes, no phantom records, no error.
+    // Truncate the WAL at many points; recovery must always yield exactly the
+    // records of the whole frames kept — no holes, no phantom records, no
+    // error.
     for (i, fraction) in [0.15, 0.4, 0.63, 0.87, 0.999].iter().enumerate() {
         let n = 40;
-        let (dir, _) = crash_after(&format!("torn-{i}"), n, *fraction);
+        let (dir, expected) = crash_after(&format!("torn-{i}"), n, *fraction);
         let db = Db::open(dir.path(), cfg()).unwrap();
         let prefix = surviving_prefix(&db, n);
+        assert_eq!(prefix, expected, "fraction {fraction}");
         // A clean prefix: everything after the last survivor is absent.
         for j in prefix..n {
             assert!(
@@ -105,22 +144,19 @@ fn torn_tail_recovers_every_complete_record() {
 
 #[test]
 fn byte_exact_truncation_sweep() {
-    // Exhaustive sweep over every truncation point of a small WAL: recovery
-    // must never fail and always produce a prefix.
+    // Exhaustive sweep over every truncation point of a small WAL of six
+    // frames: recovery must never fail and always produce exactly the
+    // records of the whole frames kept.
     let n = 6;
     let dir = TestDir::new("sweep");
-    let wal_path;
+    let (wal_path, ends);
     {
         let db = Db::open(dir.path(), cfg()).unwrap();
-        for i in 0..n {
-            db.put(format!("key-{i:04}").as_bytes(), b"value", None, 0)
-                .unwrap();
-        }
-        db.flush_wal().unwrap();
+        ends = put_in_frames(&db, n, 1);
         wal_path = live_wal(&db);
     }
+    assert_eq!(ends.len(), n);
     let full = std::fs::read(&wal_path).unwrap();
-    let mut prefixes = Vec::new();
     for keep in 0..=full.len() {
         std::fs::write(&wal_path, &full[..keep]).unwrap();
         let records = Wal::replay(&wal_path).unwrap();
@@ -128,13 +164,12 @@ fn byte_exact_truncation_sweep() {
         for (idx, r) in records.iter().enumerate() {
             assert_eq!(r.seq, idx as u64 + 1, "non-prefix replay at keep={keep}");
         }
-        prefixes.push(records.len());
+        assert_eq!(
+            records.len(),
+            whole_frame_records(&ends, keep),
+            "keep={keep}"
+        );
     }
-    // Monotone: keeping more bytes never recovers fewer records, and the
-    // full file recovers everything.
-    assert!(prefixes.windows(2).all(|w| w[0] <= w[1]));
-    assert_eq!(*prefixes.last().unwrap(), n);
-    assert_eq!(prefixes[0], 0);
 }
 
 #[test]
@@ -154,8 +189,10 @@ fn crash_recovery_matches_model_state() {
                 db.put(key.as_bytes(), format!("v{i}").as_bytes(), None, 0)
                     .unwrap();
             }
+            if i % 3 == 2 {
+                db.flush_wal().unwrap();
+            }
         }
-        db.flush_wal().unwrap();
         wal_path = live_wal(&db);
     }
     // Crash 11 bytes into the final frame.
@@ -210,29 +247,33 @@ fn batch_records(ops: &[BatchOp]) -> Vec<Record> {
 
 proptest! {
     /// Prefix property at *every* byte offset: truncate a randomized
-    /// multi-record WAL batch (mixed puts/deletes/TTLs, value sizes from
-    /// empty to ~200 B) after each byte and replay. Recovery must never
-    /// error, must always yield records `1..=m` for some `m` (no holes, no
-    /// phantoms), and `m` must grow monotonically with the number of bytes
-    /// kept — the contract binlog tail readers and crash recovery share.
+    /// multi-frame WAL (mixed puts/deletes/TTLs, value sizes from empty to
+    /// ~200 B, one to three records a frame) after each byte and replay.
+    /// Recovery must never error and must yield records `1..=m` where `m`
+    /// counts the records of the whole frames kept (no holes, no phantoms) —
+    /// the contract binlog tail readers and crash recovery share.
     #[test]
     fn torn_tail_prefix_property_at_every_byte_offset(
         ops in prop::collection::vec(
             (any::<bool>(), 0u8..10, 0usize..200, any::<bool>()), 2..10),
+        per_frame in 1usize..4,
     ) {
         let dir = TestDir::new("prop-sweep");
         std::fs::create_dir_all(dir.path()).unwrap();
         let path = dir.join("batch.log");
         let records = batch_records(&ops);
+        let mut ends = Vec::new();
         {
             let wal = Wal::create(&path, 0, 1, WalOptions::default()).unwrap();
-            for r in &records {
+            for (i, r) in records.iter().enumerate() {
                 assert!(wal.append_at(r).unwrap());
+                if (i + 1) % per_frame == 0 || i + 1 == records.len() {
+                    wal.flush().unwrap();
+                }
+                note_frame(&mut ends, wal.position().1, i + 1);
             }
-            wal.flush().unwrap();
         }
         let full = std::fs::read(&path).unwrap();
-        let mut previous = 0usize;
         for keep in 0..=full.len() {
             std::fs::write(&path, &full[..keep]).unwrap();
             let survivors = Wal::replay(&path).unwrap();
@@ -240,14 +281,12 @@ proptest! {
                 prop_assert_eq!(r.seq, idx as u64 + 1, "hole at keep={}", keep);
                 prop_assert_eq!(&r.key, &records[idx].key, "phantom at keep={}", keep);
             }
-            prop_assert!(
-                survivors.len() >= previous,
-                "prefix shrank at keep={}: {} -> {}",
-                keep, previous, survivors.len()
+            prop_assert_eq!(
+                survivors.len(),
+                whole_frame_records(&ends, keep),
+                "keep={}", keep
             );
-            previous = survivors.len();
         }
-        prop_assert_eq!(previous, records.len(), "full batch must fully recover");
     }
 
     /// Torn tails of a *group-committed* batch: four writer threads append
@@ -345,8 +384,9 @@ proptest! {
                     )
                     .unwrap();
                 }
+                // One frame per op, so a cut can fall between records.
+                db.flush_wal().unwrap();
             }
-            db.flush_wal().unwrap();
             wal_path = live_wal(&db);
         }
         let data = std::fs::read(&wal_path).unwrap();
@@ -400,8 +440,10 @@ fn follower_crash_mid_apply_recovers_like_leader() {
                 None,
             );
             assert!(db.apply_replicated(&record).unwrap());
+            // A follower drains once per applying pass; here a pass is one
+            // record.
+            db.flush_wal().unwrap();
         }
-        db.flush_wal().unwrap();
         wal_path = live_wal(&db);
     }
     let data = std::fs::read(&wal_path).unwrap();
@@ -410,7 +452,7 @@ fn follower_crash_mid_apply_recovers_like_leader() {
     let recovered = db.last_seq();
     assert!(
         (1..20).contains(&recovered),
-        "torn tail must drop the last record"
+        "torn tail must drop the last frame"
     );
     // Re-shipping from the leader: duplicates are no-ops, the next LSN lands.
     for i in 0..20u64 {
@@ -450,6 +492,9 @@ fn concurrent_writer_crash_recovers_committed_prefix() {
                 for i in 0..25u64 {
                     db.put(format!("w{t}-{i:03}").as_bytes(), b"v", None, 0)
                         .unwrap();
+                    if i % 5 == 4 {
+                        db.flush_wal().unwrap();
+                    }
                 }
             }));
         }
@@ -489,10 +534,11 @@ fn concurrent_writer_crash_recovers_committed_prefix() {
 
 #[test]
 fn checkpoint_cursor_excludes_torn_frame_bytes() {
-    // A torn write (simulated crash mid-append) leaves partial-frame bytes in
-    // the live WAL file. A checkpoint taken afterwards must record a cursor
-    // on the last complete frame boundary — never mid-torn-frame — so the
-    // clone opens cleanly with exactly the pre-tear state.
+    // A torn write (simulated crash mid-append) drains the buffered records
+    // as one whole frame, then leaves partial-frame bytes in the live WAL
+    // file. A checkpoint taken afterwards must record a cursor on the last
+    // whole frame boundary — never mid-torn-frame — so the clone opens
+    // cleanly with exactly the pre-tear state.
     use abase_util::failpoint::{self, FaultAction, ScopedInjector};
     let dir = TestDir::new("ckpt-torn");
     let dest = TestDir::new("ckpt-torn-dest");
@@ -513,8 +559,9 @@ fn checkpoint_cursor_excludes_torn_frame_bytes() {
     assert!(db.put(b"torn", b"lost", None, 0).is_err());
     let info = db.checkpoint(dest.path()).unwrap();
     assert_eq!(info.last_seq, 10);
-    // The clone's live segment holds exactly the ten complete frames: the
-    // cursor excluded the torn bytes that follow them in the source file.
+    // The clone's live segment holds exactly the ten complete records: the
+    // cursor excluded the torn bytes that follow their frame in the source
+    // file.
     let clone_wal = Wal::segment_path(dest.path(), info.wal_segment);
     let records = Wal::replay(&clone_wal).unwrap();
     assert_eq!(records.len(), 10);

@@ -1,9 +1,11 @@
-//! The on-disk format (v3), pinned from outside the crate: golden bytes, a
-//! model check of the SST reader, decoder totality over damaged files, the
-//! density the format is for, and refusal of the formats it replaced.
+//! The on-disk format (v4: format v3's SSTs, one WAL frame per drain),
+//! pinned from outside the crate: golden bytes, a model check of the SST
+//! reader, decoder totality over damaged files and logs, the density the
+//! format is for, and refusal of the formats it replaced.
 //! TESTING.md ("On-disk format") says what each failure means.
 
 use abase_lavastore::encoding::{get_len_prefixed, get_varint};
+use abase_lavastore::lz;
 use abase_lavastore::record::Record;
 use abase_lavastore::sstable::{SstReader, SstWriter};
 use abase_lavastore::wal::{Wal, WalOptions};
@@ -73,18 +75,67 @@ fn check_golden(name: &str, actual: &[u8]) {
     }
 }
 
-#[test]
-fn wal_frames_match_the_golden_bytes() {
-    let path = temp_path("golden-wal");
+/// The shipped WAL options without the interval trigger: only an explicit
+/// flush drains, so where frames end does not depend on the machine's speed.
+fn drain_on_flush() -> WalOptions {
+    WalOptions {
+        group_commit_interval: std::time::Duration::from_secs(3600),
+        ..WalOptions::default()
+    }
+}
+
+/// Append `records` to a fresh log in one drain and return the file.
+fn one_drain(path: &Path, records: &[Record]) -> Vec<u8> {
     {
-        let wal = Wal::create(&path, 0, 16_382, WalOptions::default()).unwrap();
-        for record in golden_records() {
-            assert!(wal.append_at(&record).unwrap());
+        let wal = Wal::create(path, 0, records[0].seq, drain_on_flush()).unwrap();
+        for record in records {
+            assert!(wal.append_at(record).unwrap());
         }
         wal.flush().unwrap();
     }
-    check_golden("wal_six_records.hex", &std::fs::read(&path).unwrap());
+    std::fs::read(path).unwrap()
+}
+
+/// The trailer byte of every frame of the WAL `file`.
+fn frame_trailers(file: &[u8]) -> Vec<u8> {
+    let (mut pos, mut trailers) = (0, Vec::new());
+    while pos < file.len() {
+        let len = u32::from_le_bytes(file[pos + 4..pos + 8].try_into().unwrap()) as usize;
+        pos += 8 + len;
+        trailers.push(file[pos - 1]);
+    }
+    trailers
+}
+
+#[test]
+fn wal_frames_match_the_golden_bytes() {
+    // Six records in one drain: one frame, compressed (the 200-byte key is
+    // one run).
+    let path = temp_path("golden-wal");
+    let file = one_drain(&path, &golden_records());
+    assert_eq!(frame_trailers(&file), [lz::STORED_LZ]);
+    check_golden("wal_six_records.hex", &file);
     assert_eq!(Wal::replay(&path).unwrap(), golden_records());
+    std::fs::remove_file(&path).ok();
+}
+
+/// abench's records: a 15-byte storage key and a 100-byte value.
+fn abench_records(n: u64) -> Vec<Record> {
+    (0..n)
+        .map(|i| Record::put(format!("t1:user{i:08}"), abench_value(i, 100), i + 1, None))
+        .collect()
+}
+
+/// Thirty-two abench records drained at once: this pins a compressed WAL
+/// frame byte for byte.
+#[test]
+fn a_compressed_drain_matches_the_golden_bytes() {
+    let path = temp_path("golden-wal-lz");
+    let records = abench_records(32);
+    let file = one_drain(&path, &records);
+    assert_eq!(frame_trailers(&file), [lz::STORED_LZ]);
+    check_golden("wal_abench_drain.hex", &file);
+    assert_eq!(Wal::replay(&path).unwrap(), records);
     std::fs::remove_file(&path).ok();
 }
 
@@ -162,9 +213,7 @@ fn block_trailers(file: &[u8]) -> Vec<u8> {
 #[test]
 fn a_compressed_block_matches_the_golden_bytes() {
     let path = temp_path("golden-lz");
-    let records: Vec<Record> = (0..32u64)
-        .map(|i| Record::put(format!("t1:user{i:08}"), abench_value(i, 100), i + 1, None))
-        .collect();
+    let records = abench_records(32);
     let mut w = SstWriter::create(&path, records.len(), 10, 4096).unwrap();
     for record in &records {
         w.add(record).unwrap();
@@ -376,13 +425,84 @@ proptest! {
     }
 }
 
+/// A log of several drains, some compressed and some raw: the records, and
+/// where each frame ends with how many records the log holds up to it.
+fn multi_frame_log(path: &Path, drains: &[(u8, usize)]) -> (Vec<Record>, Vec<(usize, usize)>) {
+    let (mut records, mut ends) = (Vec::new(), Vec::new());
+    let wal = Wal::create(path, 0, 1, drain_on_flush()).unwrap();
+    for &(shape, n) in drains {
+        for _ in 0..n {
+            let seq = records.len() as u64 + 1;
+            let value = match shape % 3 {
+                0 => abench_value(seq, 100),
+                1 => noise(seq, 60),
+                _ => Vec::new(),
+            };
+            let record = Record::put(format!("key-{seq:04}"), value, seq, None);
+            assert!(wal.append_at(&record).unwrap());
+            records.push(record);
+        }
+        wal.flush().unwrap();
+        ends.push((wal.position().1 as usize, records.len()));
+    }
+    (records, ends)
+}
+
+proptest! {
+    /// Replay over a truncated or damaged multi-frame log never panics: it
+    /// yields the records of a run of whole frames from where it started,
+    /// or `Corruption`.
+    #[test]
+    fn replay_of_a_damaged_multi_frame_log_is_a_whole_frame_prefix_or_corruption(
+        drains in prop::collection::vec((any::<u8>(), 1usize..12), 2..8),
+        at in any::<u32>(),
+        byte in any::<u8>(),
+        cut in any::<u32>(),
+        from in any::<u8>(),
+    ) {
+        let path = temp_path("wal-damage");
+        let (records, ends) = multi_frame_log(&path, &drains);
+        let good = std::fs::read(&path).unwrap();
+        prop_assert_eq!(good.len(), ends.last().unwrap().0);
+        // Start at the log's head or at one of its frame boundaries.
+        let starts: Vec<(usize, usize)> =
+            [(0, 0)].into_iter().chain(ends.iter().copied()).collect();
+        let (start, before) = starts[usize::from(from) % starts.len()];
+        let check = |data: &[u8]| {
+            std::fs::write(&path, data).unwrap();
+            match Wal::replay_from(&path, start as u64) {
+                Ok((got, cursor)) => {
+                    let Some(&(_, upto)) =
+                        starts.iter().find(|&&(end, _)| end as u64 == cursor)
+                    else {
+                        panic!("cursor {cursor} is not a frame end");
+                    };
+                    assert_eq!(got, records[before..upto]);
+                }
+                Err(Error::Corruption(_)) => {}
+                Err(other) => panic!("damage surfaced as {other:?}"),
+            }
+        };
+        let mut flipped = good.clone();
+        flipped[at as usize % good.len()] = byte;
+        check(&flipped);
+        let cut = start + cut as usize % (good.len() - start + 1);
+        check(&good[..cut]);
+        // A clean cut never reports corruption.
+        std::fs::write(&path, &good[..cut]).unwrap();
+        prop_assert!(Wal::replay_from(&path, start as u64).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Density, pinned by a count
 // ---------------------------------------------------------------------------
 
 /// Bytes of SST and of WAL per record after 10 000 abench-shaped puts (a
 /// 15-byte storage key, a 100-byte `value(i)`) and a flush; every record is
-/// read back first.
+/// read back first, and the store's `wal_bytes_written` must be what its
+/// segment files hold.
 fn bytes_per_record(tag: &str, value: impl Fn(u64) -> Vec<u8>) -> (f64, f64) {
     const N: u64 = 10_000;
     let dir = temp_path(tag);
@@ -393,7 +513,7 @@ fn bytes_per_record(tag: &str, value: impl Fn(u64) -> Vec<u8>) -> (f64, f64) {
         wal_retention_segments: usize::MAX,
         ..DbConfig::default()
     };
-    {
+    let wal_bytes_written = {
         let db = Db::open(&dir, config).unwrap();
         let key = |i: u64| format!("t1:user{i:08}");
         for i in 0..N {
@@ -404,7 +524,8 @@ fn bytes_per_record(tag: &str, value: impl Fn(u64) -> Vec<u8>) -> (f64, f64) {
             let read = db.get(key(i).as_bytes(), 0).unwrap();
             assert_eq!(read.value.as_deref(), Some(&value(i)[..]), "{}", key(i));
         }
-    }
+        db.stats().wal_bytes_written
+    };
     let (mut sst, mut wal) = (0u64, 0u64);
     for entry in std::fs::read_dir(&dir).unwrap().map(Result::unwrap) {
         let len = entry.metadata().unwrap().len();
@@ -415,6 +536,7 @@ fn bytes_per_record(tag: &str, value: impl Fn(u64) -> Vec<u8>) -> (f64, f64) {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(wal_bytes_written, wal, "{tag}: counted WAL bytes vs files");
     let (sst, wal) = (sst as f64 / N as f64, wal as f64 / N as f64);
     println!("{tag}: bytes per record: {sst:.1} SST (bloom and index included), {wal:.1} WAL");
     (sst, wal)
@@ -423,26 +545,30 @@ fn bytes_per_record(tag: &str, value: impl Fn(u64) -> Vec<u8>) -> (f64, f64) {
 #[test]
 fn ten_thousand_records_fit_the_bytes_the_format_promises() {
     // abench's values: a 16-hex-digit pattern repeated, the best case for
-    // block compression. Format v2 took 111.3 B of SST.
+    // block and frame compression. Format v2 took 111.3 B of SST, and a WAL
+    // frame per record took 128.0 B.
     let (sst, wal) = bytes_per_record("density-abench", |i| abench_value(i, 100));
     assert!(sst <= 40.0, "{sst:.1} bytes of SST per record");
-    assert!(wal <= 130.0, "{wal:.1} bytes of WAL per record");
+    assert!(wal <= 40.0, "{wal:.1} bytes of WAL per record");
     // Values that do not compress: stored raw, at one trailer byte per block
-    // more than format v2's 114 (v1 took 140.4 and 142.0).
+    // more than format v2's 114 (v1 took 140.4 and 142.0), and per drain a
+    // header and a trailer instead of a header per record.
     let (sst, wal) = bytes_per_record("density-noise", |i| noise(i, 100));
     assert!(sst <= 115.0, "{sst:.1} bytes of SST per record");
-    assert!(wal <= 130.0, "{wal:.1} bytes of WAL per record");
+    assert!(wal <= 122.0, "{wal:.1} bytes of WAL per record");
 }
 
 // ---------------------------------------------------------------------------
-// Refusal of formats v1 and v2
+// Refusal of formats v1, v2 and v3
 // ---------------------------------------------------------------------------
 
-/// The magics formats v1 and v2 wrote (`sstable.rs` and `version.rs`), as
-/// `(format, sst magic, manifest magic)`.
-const OLD_MAGICS: [(&str, u32, u32); 2] = [
-    ("format v1", 0xAB5E_557A, 0xAB5E_3514),
-    ("format v2", 0xAB5E_5572, 0xAB5E_3572),
+/// The magics formats v1, v2 and v3 wrote (`sstable.rs` and `version.rs`),
+/// as `(format, sst magic, manifest magic)`. Format v3's SSTs are format
+/// v4's — only its log changed — so it has no SST magic to refuse.
+const OLD_MAGICS: [(&str, Option<u32>, u32); 3] = [
+    ("format v1", Some(0xAB5E_557A), 0xAB5E_3514),
+    ("format v2", Some(0xAB5E_5572), 0xAB5E_3572),
+    ("format v3", None, 0xAB5E_3573),
 ];
 
 fn assert_names<T: std::fmt::Debug>(format: &str, result: Result<T, Error>) {
@@ -477,6 +603,9 @@ fn a_v1_directory_and_a_v1_sst_are_refused_by_name() {
 
         // A current manifest over an old SST: the file is refused too.
         std::fs::write(&manifest, &good_manifest).unwrap();
+        let Some(sst_magic) = sst_magic else {
+            continue;
+        };
         let mut old = good_sst.clone();
         let n = old.len();
         old[n - 4..].copy_from_slice(&sst_magic.to_le_bytes());

@@ -192,6 +192,50 @@ mod tests {
     }
 
     #[test]
+    fn compressed_frames_ship_whole_and_replay_on_the_follower() {
+        // A leader whose drains compress, one flush (a WAL rotation) midway,
+        // and a follower that applies each poll and drains once per pass.
+        let config = DbConfig {
+            memtable_bytes: 1 << 20,
+            ..DbConfig::small_for_tests()
+        };
+        let (dir, follower_dir) = (TestDir::new("ship-lz"), TestDir::new("ship-lz-f"));
+        let db = Arc::new(Db::open(dir.path(), config).unwrap());
+        let follower = Db::open(follower_dir.path(), config).unwrap();
+        let mut binlog = Binlog::attach(Arc::clone(&db));
+        let (mut appended, mut shipped, mut raw_bytes) = (Vec::new(), Vec::new(), 0);
+        for pass in 0..4u64 {
+            for i in pass * 50..(pass + 1) * 50 {
+                let (key, value) = (format!("user{i:08}"), format!("{i:016x}").repeat(6));
+                let seq = db.put(key.as_bytes(), value.as_bytes(), None, 0).unwrap();
+                let record = Record::put(key, value, seq, None);
+                let mut encoded = Vec::new();
+                record.encode(&mut encoded);
+                raw_bytes += encoded.len() as u64;
+                appended.push(record);
+            }
+            if pass == 1 {
+                db.flush().unwrap();
+            }
+            db.flush_wal().unwrap();
+            let records = expect_records(binlog.poll().unwrap());
+            for r in &records {
+                assert!(follower.apply_replicated(r).unwrap());
+            }
+            follower.flush_wal().unwrap();
+            shipped.extend(records);
+        }
+        assert_eq!(shipped, appended);
+        let written = db.stats().wal_bytes_written;
+        assert!(
+            written * 2 < raw_bytes,
+            "{written} B of frames for {raw_bytes} B"
+        );
+        let follower_log = Wal::segment_path(follower_dir.path(), follower.current_wal_segment());
+        assert_eq!(Wal::replay(&follower_log).unwrap(), appended);
+    }
+
+    #[test]
     fn rotation_before_read_is_a_gap() {
         let dir = TestDir::new("gap");
         let db = Arc::new(Db::open(dir.path(), DbConfig::small_for_tests()).unwrap());
