@@ -2,8 +2,9 @@
 //!
 //! Run with `cargo bench -p abase-bench`. These cover the per-request-cost
 //! components (cache ops, WFQ scheduling, quota checks, admission and RU
-//! charging, RESP parsing, RU math) and the heavier periodic jobs (storage
-//! engine ops, WAL drains, forecasting fit, rescheduling rounds).
+//! charging, RESP parsing, RU math, metric recording) and the heavier
+//! periodic jobs (storage engine ops, WAL drains, forecasting fit,
+//! rescheduling rounds).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -18,6 +19,7 @@ use abase_lavastore::record::Record;
 use abase_lavastore::sstable::{SstReader, SstWriter};
 use abase_lavastore::wal::{self, Wal};
 use abase_lavastore::{BlockCache, Db, DbConfig};
+use abase_obs::{Histo, Span, Stage};
 use abase_proto::{Command, RequestScanner, RespValue, Scanned};
 use abase_quota::{RuEstimator, TokenBucket};
 use abase_scheduler::{LoadVector, NodeState, PoolState, ReplicaLoad, Rescheduler};
@@ -120,6 +122,30 @@ fn bench_pipeline(c: &mut Criterion) {
         let pipeline = Pipeline::new(1);
         pipeline.add_partition(7, 7, 1e12, 0);
         b.iter(|| admit_settle(&pipeline));
+    });
+    group.finish();
+}
+
+fn bench_obs(c: &mut Criterion) {
+    // What every served command pays to be measured: one histogram record
+    // per traversed stage and one for the command, inside `finish`.
+    let mut group = c.benchmark_group("obs");
+    group.bench_function("histo_record", |b| {
+        let histo = Histo::new();
+        let mut nanos = 0u64;
+        b.iter(|| {
+            nanos = (nanos + 97) & 0xFFFF;
+            histo.record_duration(std::time::Duration::from_nanos(black_box(nanos)));
+        });
+    });
+    group.bench_function("span_finish", |b| {
+        b.iter(|| {
+            let mut span = Span::begin();
+            span.enter(Stage::Admission);
+            span.enter(Stage::Engine);
+            span.enter(Stage::Respond);
+            black_box(span.finish());
+        });
     });
     group.finish();
 }
@@ -437,6 +463,7 @@ criterion_group!(
     bench_wfq,
     bench_quota,
     bench_pipeline,
+    bench_obs,
     bench_resp,
     bench_lavastore,
     bench_encoding,

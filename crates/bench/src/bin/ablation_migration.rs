@@ -29,7 +29,7 @@ use abase_core::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
 use abase_lavastore::DbConfig;
 use abase_replication::{ReadConsistency, WriteConcern};
 use abase_scheduler::{Rescheduler, ReschedulerConfig};
-use abase_util::{LatencyHistogram, TestDir};
+use abase_util::{Histogram, TestDir};
 
 const NODES: u32 = 5;
 /// Pool-view capacity headroom over the observed peak node load (see
@@ -112,17 +112,17 @@ fn build_cluster(tag: &str, sz: &Sizes) -> (TestDir, ReplicatedCluster, Vec<u64>
 
 /// One routed `Eventual` read phase; returns (p99 µs, errors).
 fn read_phase(cluster: &mut ReplicatedCluster, sz: &Sizes, partition: u64) -> (f64, usize) {
-    let mut hist = LatencyHistogram::for_latency_micros();
+    let mut hist = Histogram::new();
     let mut errors = 0usize;
     for i in 0..sz.reads_per_phase {
         let key = format!("p{partition}-k{:06}", i % sz.hot_keys);
         let t0 = std::time::Instant::now();
         match cluster.read_routed(partition, key.as_bytes(), ReadConsistency::Eventual, 0) {
-            Ok(_) => hist.record(t0.elapsed().as_secs_f64() * 1e6),
+            Ok(_) => hist.record(t0.elapsed().as_nanos() as u64),
             Err(_) => errors += 1,
         }
     }
-    (hist.quantile(0.99).unwrap_or(0.0), errors)
+    (hist.quantile(0.99).map_or(0.0, |ns| ns / 1e3), errors)
 }
 
 fn main() {
@@ -183,7 +183,7 @@ fn main() {
     cluster
         .enqueue_migration(partition, from, to)
         .expect("valid plan");
-    let mut p99_during = LatencyHistogram::for_latency_micros();
+    let mut p99_during = Histogram::new();
     let mut reads_during = 0usize;
     let mut errors_during = 0usize;
     let mut writes_during = Vec::new();
@@ -205,7 +205,7 @@ fn main() {
             let t0 = std::time::Instant::now();
             reads_during += 1;
             match cluster.read_routed(partition, key.as_bytes(), ReadConsistency::Eventual, 0) {
-                Ok(_) => p99_during.record(t0.elapsed().as_secs_f64() * 1e6),
+                Ok(_) => p99_during.record(t0.elapsed().as_nanos() as u64),
                 Err(_) => errors_during += 1,
             }
         }
@@ -284,7 +284,7 @@ fn main() {
         "    \"reads\": {{\"baseline_p99_us\": {p99_baseline_us:.1}, \
          \"during_move_p99_us\": {:.1}, \"during_move_reads\": {reads_during}, \
          \"baseline_errors\": {baseline_errors}, \"during_move_errors\": {errors_during}}}",
-        p99_during.quantile(0.99).unwrap_or(0.0)
+        p99_during.quantile(0.99).map_or(0.0, |ns| ns / 1e3)
     );
     println!("  }},");
     println!("  \"loss_trajectory\": {{");

@@ -30,7 +30,7 @@ use abase_replication::{
     reconstruct_parallel, reconstruct_single_source, GroupConfig, ReadConsistency,
     ReconstructionTask, ReplicaGroup, WriteConcern,
 };
-use abase_util::LatencyHistogram;
+use abase_util::Histogram;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -97,7 +97,7 @@ fn bench_concern(
     )
     .expect("bootstrap group");
     let value = vec![7u8; VALUE_BYTES];
-    let mut latencies = LatencyHistogram::for_latency_micros();
+    let mut latencies = Histogram::new();
     let started = Instant::now();
     let mut last_lsn = 0;
     for i in 0..writes {
@@ -106,7 +106,7 @@ fn bench_concern(
         last_lsn = group
             .put(key.as_bytes(), &value, None, 0)
             .expect("replicated write");
-        latencies.record(t0.elapsed().as_secs_f64() * 1e6);
+        latencies.record(t0.elapsed().as_nanos() as u64);
     }
     let elapsed = started.elapsed().as_secs_f64();
     // Async leaves followers behind by design; verify convergence afterwards.
@@ -116,8 +116,8 @@ fn bench_concern(
     ConcernResult {
         name,
         throughput: writes as f64 / elapsed,
-        p50_us: latencies.quantile(0.50).unwrap_or(0.0),
-        p99_us: latencies.quantile(0.99).unwrap_or(0.0),
+        p50_us: latencies.quantile(0.50).map_or(0.0, |ns| ns / 1e3),
+        p99_us: latencies.quantile(0.99).map_or(0.0, |ns| ns / 1e3),
         acked_all,
     }
 }
@@ -143,27 +143,27 @@ fn bench_reads(
         .map(|t| {
             let db = Arc::clone(&dbs[t % dbs.len()]);
             std::thread::spawn(move || {
-                let mut hist = LatencyHistogram::for_latency_micros();
+                let mut hist = Histogram::new();
                 for i in 0..reads_per_thread {
                     let key = format!("key-{:06}", (i * 31 + t * 7) % keys);
                     let t0 = Instant::now();
                     let r = db.get(key.as_bytes(), 0).expect("replica read");
                     assert!(r.value.is_some(), "seeded key missing on replica");
-                    hist.record(t0.elapsed().as_secs_f64() * 1e6);
+                    hist.record(t0.elapsed().as_nanos() as u64);
                 }
                 hist
             })
         })
         .collect();
-    let mut merged = LatencyHistogram::for_latency_micros();
+    let mut merged = Histogram::new();
     for handle in handles {
         merged.merge(&handle.join().expect("reader thread"));
     }
     let elapsed = started.elapsed().as_secs_f64();
     ReadModeResult {
         throughput: (threads * reads_per_thread) as f64 / elapsed,
-        p50_us: merged.quantile(0.50).unwrap_or(0.0),
-        p99_us: merged.quantile(0.99).unwrap_or(0.0),
+        p50_us: merged.quantile(0.50).map_or(0.0, |ns| ns / 1e3),
+        p99_us: merged.quantile(0.99).map_or(0.0, |ns| ns / 1e3),
     }
 }
 

@@ -78,11 +78,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         &self.stats
     }
 
-    /// Reset hit/miss counters (entries are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.clear();
-    }
-
     // INVARIANT: callers only pass indices obtained from `map`, which always
     // point at occupied slab slots (freed indices are removed from `map`).
     fn slot(&self, idx: usize) -> &Slot<K, V> {

@@ -134,11 +134,6 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
         &self.stats
     }
 
-    /// Reset hit/miss counters (entries untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.clear();
-    }
-
     fn class_of(&self, size: usize) -> u8 {
         self.bounds
             .iter()

@@ -42,11 +42,6 @@ impl CacheStats {
         self.evictions += other.evictions;
         self.expired += other.expired;
     }
-
-    /// Reset all counters to zero.
-    pub fn clear(&mut self) {
-        *self = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +76,5 @@ mod tests {
         a.merge(&a.clone());
         assert_eq!(a.hits, 2);
         assert_eq!(a.expired, 10);
-        a.clear();
-        assert_eq!(a, CacheStats::default());
     }
 }

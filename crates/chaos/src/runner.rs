@@ -137,17 +137,6 @@ pub struct ChaosReport {
     pub episodes: Vec<EpisodeReport>,
 }
 
-impl ChaosReport {
-    /// Seeds whose episodes violated an invariant.
-    pub fn failing_seeds(&self) -> Vec<u64> {
-        self.episodes
-            .iter()
-            .filter(|e| !e.ok())
-            .map(|e| e.seed)
-            .collect()
-    }
-}
-
 /// Per-episode fault-attribution state: which partitions currently carry an
 /// armed fault that explains a write/tick error.
 #[derive(Debug, Default)]

@@ -19,7 +19,7 @@ use abase_replication::{
     ReconstructionReport, ReconstructionTask, ReplicaGroup, Role, Throttle, WriteConcern,
 };
 use abase_util::clock::{mins, SimTime};
-use abase_util::LatencyHistogram;
+use abase_util::Histogram;
 use abase_workload::{KeyspaceConfig, RequestGen, TrafficShape};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -74,8 +74,8 @@ struct MinuteAcc {
     reads: u64,
     proxy_hits: u64,
     node_hits: u64,
-    latency: LatencyHistogram,
-    latency_sum: f64,
+    /// Success latencies, µs.
+    latency: Histogram,
 }
 
 impl MinuteAcc {
@@ -86,8 +86,7 @@ impl MinuteAcc {
             reads: 0,
             proxy_hits: 0,
             node_hits: 0,
-            latency: LatencyHistogram::for_latency_micros(),
-            latency_sum: 0.0,
+            latency: Histogram::new(),
         }
     }
 
@@ -98,21 +97,15 @@ impl MinuteAcc {
         self.proxy_hits = 0;
         self.node_hits = 0;
         self.latency.clear();
-        self.latency_sum = 0.0;
     }
 
     fn point(&self, minute: u64, tenant: TenantId, secs: f64) -> MinutePoint {
-        let mean_us = if self.success == 0 {
-            0.0
-        } else {
-            self.latency_sum / self.success as f64
-        };
         MinutePoint {
             minute,
             tenant,
             success_qps: self.success as f64 / secs,
             error_qps: self.errors as f64 / secs,
-            mean_latency_ms: mean_us / 1000.0,
+            mean_latency_ms: self.latency.mean() / 1000.0,
             p99_latency_ms: self.latency.quantile(0.99).unwrap_or(0.0) / 1000.0,
             cache_hit_ratio: if self.reads == 0 {
                 0.0
@@ -269,8 +262,7 @@ impl IsolationExperiment {
                         // Served at the proxy: no quota, no node traffic.
                         rt.acc.success += 1;
                         rt.acc.proxy_hits += 1;
-                        rt.acc.latency.record(PROXY_HIT_LATENCY as f64);
-                        rt.acc.latency_sum += PROXY_HIT_LATENCY as f64;
+                        rt.acc.latency.record(PROXY_HIT_LATENCY);
                     }
                     ProxyDecision::Rejected { .. } => {
                         rt.acc.errors += 1;
@@ -304,8 +296,7 @@ impl IsolationExperiment {
             } = disp
             {
                 rt.acc.success += 1;
-                rt.acc.latency.record(latency as f64);
-                rt.acc.latency_sum += latency as f64;
+                rt.acc.latency.record(latency);
                 if !req.is_write {
                     if served_from == ServedFrom::NodeCache {
                         rt.acc.node_hits += 1;

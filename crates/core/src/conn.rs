@@ -506,7 +506,7 @@ fn account(
         metrics::COMMAND_ERRORS.inc(label);
     }
     let report = span.finish();
-    micros.record(report.total_micros);
+    micros.record_duration(report.total);
     ctx.slowlog.observe(&report, argv);
     report.finished
 }

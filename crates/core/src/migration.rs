@@ -26,6 +26,7 @@
 
 use crate::types::{NodeId, PartitionId};
 use std::collections::{HashSet, VecDeque};
+use std::time::Duration;
 
 /// One planned replica move: take `partition`'s replica off `from`, land it
 /// on `to`. The scheduler's `Migration` maps onto this 1:1.
@@ -254,7 +255,9 @@ impl MigrationEngine {
     /// The staged copy completed and the destination joined the group.
     pub(crate) fn note_joined(&mut self, req: MigrationRequest, bytes_copied: u64, copy_secs: f64) {
         crate::metrics::MIGRATION_COPIED_BYTES.add(bytes_copied);
-        crate::metrics::MIGRATION_PHASE_MICROS.record("copy", (copy_secs * 1e6) as u64);
+        crate::metrics::MIGRATION_PHASE_MICROS
+            .with("copy")
+            .record_duration(Duration::from_secs_f64(copy_secs));
         self.inflight.push(ActiveMigration {
             req,
             joined_at_tick: self.tick,

@@ -152,14 +152,6 @@ impl ProxyPlane {
         self.config.cache_enabled = enabled;
     }
 
-    /// Reconfigure the group count (the Table 2 rollout "solely alters the
-    /// traffic routing proxy strategy").
-    pub fn set_groups(&mut self, n_groups: u32) {
-        assert!(n_groups >= 1 && n_groups <= self.config.n_proxies);
-        self.config.n_groups = n_groups;
-        self.group_size = (self.config.n_proxies / n_groups).max(1);
-    }
-
     /// Meta-server directive toward every proxy (boost on/off).
     pub fn set_boost(&mut self, allowed: bool, now: SimTime) {
         for p in &mut self.proxies {

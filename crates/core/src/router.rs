@@ -9,8 +9,9 @@
 //!
 //! * `Leader` — route to the partition's leader, always.
 //! * `Eventual` — spread over followers whose **reported** LSN lag is within
-//!   [`ReadRouterConfig::max_eventual_lag`], round-robin; fall back to the
-//!   leader when no follower is caught up enough.
+//!   [`ReadRouterConfig::max_eventual_lag`], least recently served first
+//!   ([`Rotation`]); fall back to the leader when no follower is caught up
+//!   enough.
 //! * `ReadYourWrites(lsn)` — route to a follower whose reported LSN has
 //!   reached the session's fence; fall back to the leader (which, as the
 //!   write's origin, always satisfies it).
@@ -24,7 +25,7 @@
 
 use crate::meta::MetaServer;
 use crate::types::{NodeId, PartitionId};
-use abase_replication::ReadConsistency;
+use abase_replication::{ReadConsistency, Rotation};
 use std::collections::HashMap;
 
 /// Router tuning.
@@ -68,38 +69,12 @@ pub struct RouterStats {
     pub leader_fallbacks: u64,
 }
 
-impl RouterStats {
-    /// Share of non-leader-consistency reads actually served by followers.
-    pub fn follower_share(&self) -> f64 {
-        let spreadable = self.follower_reads + self.leader_fallbacks;
-        if spreadable == 0 {
-            0.0
-        } else {
-            self.follower_reads as f64 / spreadable as f64
-        }
-    }
-}
-
-/// Per-partition rotation state: a logical clock and each follower's
-/// last-served tick.
-#[derive(Debug, Default)]
-struct Rotation {
-    clock: u64,
-    last_served: HashMap<NodeId, u64>,
-}
-
 /// The replica-aware read router.
 #[derive(Debug, Default)]
 pub struct ReadRouter {
     config: ReadRouterConfig,
     /// Per-partition rotation: each spread read goes to the
-    /// least-recently-served candidate. Unlike a `cursor % len` round-robin,
-    /// this stays balanced when the candidate set shrinks, grows, or
-    /// interleaves with differently filtered sets — e.g. RYW reads whose
-    /// fence admits one follower, interleaved 1:1 with Eventual reads over
-    /// two, used to advance the cursor so every Eventual read hit the same
-    /// node; least-recently-served sends them to whichever follower the
-    /// fenced traffic is *not* loading.
+    /// least-recently-served candidate.
     rotations: HashMap<PartitionId, Rotation>,
     stats: RouterStats,
 }
@@ -158,7 +133,8 @@ impl ReadRouter {
         };
         // Follower candidates: alive, fenced (RYW) or within the staleness
         // budget (Eventual). `read_candidates` lists the leader first.
-        let candidates: Vec<NodeId> = meta
+        let max_lag = self.config.max_eventual_lag;
+        let candidates = meta
             .read_candidates(partition, min_lsn)
             .into_iter()
             .filter(|&n| n != leader)
@@ -166,23 +142,16 @@ impl ReadRouter {
                 min_lsn.is_some()
                     || meta
                         .replica_lag(partition, n)
-                        .is_some_and(|lag| lag <= self.config.max_eventual_lag)
-            })
-            .collect();
-        if candidates.is_empty() {
+                        .is_some_and(|lag| lag <= max_lag)
+            });
+        let Some(node) = self
+            .rotations
+            .entry(partition)
+            .or_default()
+            .pick(candidates)
+        else {
             return Some(leader_decision(&mut self.stats, true));
-        }
-        // Least-recently-served rotation: independent of candidate-set size,
-        // so a set that shrank (or interleaves with differently fenced sets)
-        // still spreads load evenly instead of skewing onto one follower.
-        let rotation = self.rotations.entry(partition).or_default();
-        rotation.clock += 1;
-        let node = *candidates
-            .iter()
-            .min_by_key(|n| rotation.last_served.get(n).copied().unwrap_or(0))
-            // INVARIANT: the empty-candidates case returned `None` above.
-            .expect("candidates checked non-empty above");
-        rotation.last_served.insert(node, rotation.clock);
+        };
         self.stats.follower_reads += 1;
         Some(RouteDecision {
             node,

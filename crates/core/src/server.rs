@@ -926,11 +926,12 @@ fn info_reply(section: Option<&[u8]>, ctx: &ConnCtx) -> RespValue {
             if histo.count() == 0 {
                 continue;
             }
-            let q = |p: f64| histo.quantile(p).unwrap_or(0.0);
+            let scale = abase_obs::exposed_scale(&name);
+            let q = |p: f64| histo.quantile(p).unwrap_or(0.0) / scale;
             out.push_str(&format!(
-                "{name}:count={},mean_us={:.0},p50_us={:.0},p99_us={:.0}\r\n",
+                "{name}:count={},mean_us={:.3},p50_us={:.3},p99_us={:.3}\r\n",
                 histo.count(),
-                histo.mean(),
+                histo.mean() / scale,
                 q(0.5),
                 q(0.99),
             ));

@@ -582,10 +582,19 @@ impl Db {
             // write that was never made durable.
             self.log.commit(seq)?;
         }
+        self.apply_logged(&record)?;
+        Ok(seq)
+    }
+
+    /// Make a record already in the WAL visible — the one memtable-apply
+    /// path of local and replicated writes: apply it to its stripe, mark
+    /// the stripe's high-water seq, complete the seq for readers, and flush
+    /// the stripe once it crosses its share of the memtable budget.
+    fn apply_logged(&self, record: &Record) -> Result<()> {
         let s = self.stripe_of(&record.key);
         let over_threshold = {
             let mut stripe = self.stripes[s].write();
-            stripe.memtable.apply(&record);
+            stripe.memtable.apply(record);
             stripe.memtable.approximate_bytes() >= self.per_stripe_memtable_bytes()
         };
         self.marks[s]
@@ -593,12 +602,12 @@ impl Db {
             // ORDER: AcqRel; the Release half publishes the memtable apply
             // above to `advance_floor_locked`'s Acquire load, so a floor
             // computed from this mark never outruns the stripe's contents.
-            .fetch_max(seq, Ordering::AcqRel);
-        self.tracker.complete(seq);
+            .fetch_max(record.seq, Ordering::AcqRel);
+        self.tracker.complete(record.seq);
         if over_threshold {
             self.flush_stripe(s)?;
         }
-        Ok(seq)
+        Ok(())
     }
 
     /// Insert or overwrite `key` with `value`, optionally expiring at the
@@ -651,25 +660,11 @@ impl Db {
         if self.config.sync_wal {
             self.log.commit(record.seq)?;
         }
-        let s = self.stripe_of(&record.key);
-        let over_threshold = {
-            let mut stripe = self.stripes[s].write();
-            stripe.memtable.apply(record);
-            stripe.memtable.approximate_bytes() >= self.per_stripe_memtable_bytes()
-        };
-        self.marks[s]
-            .highest_applied
-            // ORDER: AcqRel; same pairing as `write_record` — publishes the
-            // apply to `advance_floor_locked`'s Acquire load.
-            .fetch_max(record.seq, Ordering::AcqRel);
-        self.tracker.complete(record.seq);
         match record.kind {
             RecordKind::Put => self.stats.puts.fetch_add(1, Ordering::Relaxed),
             RecordKind::Delete => self.stats.deletes.fetch_add(1, Ordering::Relaxed),
         };
-        if over_threshold {
-            self.flush_stripe(s)?;
-        }
+        self.apply_logged(record)?;
         Ok(true)
     }
 

@@ -2,7 +2,7 @@
 //! whole registry, [`validate`] is a strict well-formedness checker used by
 //! tests and the CI scrape gate.
 
-use crate::metric::Histo;
+use crate::metric::{exposed_scale, Histo};
 use crate::registry::{entries, Handle};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -14,25 +14,21 @@ fn escape_label(v: &str) -> String {
 }
 
 fn render_histo(out: &mut String, name: &str, labels: &str, h: &Histo) {
-    let counts = h.bucket_counts();
-    let mut cumulative = 0u64;
-    let mut sum = 0.0f64;
-    for (i, &c) in counts.iter().enumerate() {
-        sum += h.bucket_mid(i) * c as f64;
-        cumulative += c;
-        // Only materialise boundaries up to the last occupied bucket: the
-        // layout has ~332 buckets and emitting every empty tail would bloat
-        // the exposition ~50x for sparse histograms.
-        if c > 0 {
-            let sep = if labels.is_empty() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{{labels}{sep}le=\"{upper}\"}} {cumulative}",
-                upper = h.bucket_upper(i)
-            );
-        }
-    }
+    let h = h.snapshot();
+    let scale = exposed_scale(name);
     let sep = if labels.is_empty() { "" } else { "," };
+    let mut cumulative = 0u64;
+    // Only occupied buckets get a boundary: the layout has 544 buckets and
+    // emitting every empty one would bloat the exposition for sparse
+    // histograms.
+    for (max, c) in h.buckets() {
+        cumulative += c;
+        let le = max as f64 / scale;
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}"
+        );
+    }
     let _ = writeln!(
         out,
         "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
@@ -42,7 +38,7 @@ fn render_histo(out: &mut String, name: &str, labels: &str, h: &Histo) {
     } else {
         format!("{{{labels}}}")
     };
-    let _ = writeln!(out, "{name}_sum{brace} {sum}");
+    let _ = writeln!(out, "{name}_sum{brace} {}", h.sum() as f64 / scale);
     let _ = writeln!(out, "{name}_count{brace} {cumulative}");
 }
 
@@ -268,16 +264,24 @@ pub fn validate(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::registry::{LazyCounterFamily, LazyHisto};
+    use std::time::Duration;
 
     static EXPO_HISTO: LazyHisto = LazyHisto::new("test_expo_micros", "test");
     static EXPO_FAMILY: LazyCounterFamily =
         LazyCounterFamily::new("test_expo_ops_total", "op", "test");
 
+    /// The `name value` sample of `key` in `text`.
+    fn sample(text: &str, key: &str) -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(key)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample {key} in:\n{text}"))
+    }
+
     #[test]
     fn rendered_exposition_validates() {
-        EXPO_HISTO.record(150);
-        EXPO_HISTO.record(4_000);
-        EXPO_HISTO.record(250_000);
+        EXPO_HISTO.record_duration(Duration::from_micros(150));
+        EXPO_HISTO.record_duration(Duration::from_millis(4));
+        EXPO_HISTO.record_duration(Duration::from_millis(250));
         EXPO_FAMILY.inc("get");
         EXPO_FAMILY.inc("set");
         let text = render();
@@ -286,6 +290,27 @@ mod tests {
         assert!(text.contains("test_expo_micros_count 3"));
         assert!(text.contains("test_expo_micros_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("test_expo_ops_total{op=\"get\"} 1"));
+    }
+
+    #[test]
+    fn a_sub_microsecond_duration_is_exposed_in_fractional_micros() {
+        static SUB_US: LazyHisto = LazyHisto::new("test_expo_sub_us_micros", "test");
+        SUB_US.record_duration(Duration::from_nanos(1_300));
+        let text = render();
+        validate(&text).expect("well-formed");
+        let sum = sample(&text, "test_expo_sub_us_micros_sum");
+        assert!((sum - 1.3).abs() / 1.3 < 0.031, "_sum {sum}");
+        // The one occupied bucket's `le` is its largest value, 1 343 ns.
+        assert!(text.contains("test_expo_sub_us_micros_bucket{le=\"1.343\"} 1"));
+    }
+
+    #[test]
+    fn a_count_family_exposes_raw_counts() {
+        static BATCH: LazyHisto = LazyHisto::new("abase_pipeline_batch_commands", "test");
+        BATCH.record(1);
+        let text = render();
+        assert_eq!(sample(&text, "abase_pipeline_batch_commands_sum"), 1.0);
+        assert!(text.contains("abase_pipeline_batch_commands_bucket{le=\"1\"} 1"));
     }
 
     #[test]

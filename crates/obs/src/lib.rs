@@ -3,10 +3,14 @@
 //! One crate with four pieces, composed so the hot path pays one relaxed
 //! atomic op per event:
 //!
-//! - [`metric`]: wait-free [`Counter`]/[`Gauge`]/[`Histo`] primitives. The
-//!   histogram shares its log-bucket layout with
-//!   `abase_util::LatencyHistogram` (10 µs–100 s, 5 % growth) and shards its
-//!   buckets across threads, so recording is a single `fetch_add`.
+//! - [`metric`]: wait-free [`Counter`]/[`Gauge`]/[`Histo`] primitives.
+//!   [`Histo`] is the thread-sharded atomic form of
+//!   `abase_util::Histogram` (the one bucket layout: exact below 32,
+//!   1/16-wide log-linear buckets above, clamped at 2^37), so recording is a
+//!   single `fetch_add` and [`Histo::snapshot`] is a plain `Histogram`.
+//!   Durations are recorded in nanoseconds ([`Histo::record_duration`]);
+//!   [`exposed_scale`] is the one rule that shows a `_micros` family in
+//!   fractional microseconds and every other family in raw counts.
 //! - [`registry`]: the process-global name → metric table. Instrumentation
 //!   sites declare `static` [`LazyCounter`]-style handles that register on
 //!   first touch and stay `&'static` forever.
@@ -27,7 +31,7 @@ pub mod slowlog;
 pub mod span;
 
 pub use expo::{render, validate};
-pub use metric::{Counter, Gauge, Histo};
+pub use metric::{exposed_scale, Counter, Gauge, Histo};
 pub use registry::{
     entries, histograms, snapshot, Entry, Family, Handle, LazyCounter, LazyCounterFamily,
     LazyGauge, LazyGaugeFamily, LazyHisto, LazyHistoFamily, MetricKind, Snapshot, Timer,

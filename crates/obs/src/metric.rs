@@ -1,5 +1,5 @@
 //! The three metric primitives: atomic counters, gauges, and sharded
-//! log-bucketed latency histograms.
+//! histograms over [`abase_util::Histogram`]'s bucket layout.
 //!
 //! Everything here is wait-free on the record path: a counter increment or a
 //! histogram observation is **one relaxed atomic op** (the histogram derives
@@ -8,8 +8,9 @@
 //! their bucket arrays by thread so concurrent recorders on different cores
 //! do not fight over one cache line.
 
-use abase_util::LatencyHistogram;
+use abase_util::histogram::{Histogram, BUCKETS};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -75,25 +76,9 @@ impl Gauge {
     }
 }
 
-/// Bucket-layout parameters shared with
-/// [`LatencyHistogram::for_latency_micros`]: 10 µs .. 100 s at 5 % growth.
-/// Keeping the layouts identical means a [`Histo`] snapshot converts
-/// losslessly into a `LatencyHistogram`, whose quantile math (geometric
-/// bucket midpoints, bounded relative error) is reused rather than
-/// reimplemented.
-pub const HISTO_MIN: f64 = 10.0;
-/// Upper clamp of the layout (values beyond land in the last bucket).
-pub const HISTO_MAX: f64 = 100_000_000.0;
-/// Per-bucket growth factor (~5 % relative error).
-pub const HISTO_GROWTH: f64 = 1.05;
-
 /// Bucket shards: concurrent recorders hash their thread onto one of these
 /// so a hot histogram does not serialize every core on one cache line.
 pub const HISTO_SHARDS: usize = 8;
-
-fn n_buckets() -> usize {
-    ((HISTO_MAX / HISTO_MIN).ln() / HISTO_GROWTH.ln()).ceil() as usize + 1
-}
 
 /// A stable per-thread shard index (threads are striped round-robin).
 #[inline]
@@ -105,14 +90,15 @@ fn shard_index() -> usize {
     IDX.with(|i| *i) & (HISTO_SHARDS - 1)
 }
 
-/// A concurrent log-bucketed latency histogram (microsecond domain).
+/// A concurrent [`Histogram`]: the same buckets, one atomic per bucket per
+/// thread shard.
 ///
-/// Recording computes the bucket index (pure arithmetic) and performs a
-/// single relaxed `fetch_add` on the recorder thread's shard.
+/// Recording computes the bucket index (integer shifts) and performs a
+/// single relaxed `fetch_add` on the recorder thread's shard. Values are not
+/// kept, so [`Histo::snapshot`] takes the sum from bucket midpoints.
 #[derive(Debug)]
 pub struct Histo {
-    log_growth: f64,
-    shards: Box<[Box<[AtomicU64]>]>,
+    shards: Box<[[AtomicU64; BUCKETS]]>,
 }
 
 impl Default for Histo {
@@ -122,79 +108,61 @@ impl Default for Histo {
 }
 
 impl Histo {
-    /// An empty histogram with the shared latency layout.
+    /// An empty histogram.
     pub fn new() -> Self {
-        let buckets = n_buckets();
-        let shards = (0..HISTO_SHARDS)
-            .map(|_| {
-                (0..buckets)
-                    .map(|_| AtomicU64::new(0))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice()
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
-            log_growth: HISTO_GROWTH.ln(),
-            shards,
+            shards: (0..HISTO_SHARDS)
+                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
+                .collect(),
         }
     }
 
+    /// Record one observation of `value`: a count, for the families that
+    /// count things. One relaxed atomic op.
     #[inline]
-    fn bucket_index(&self, micros: u64) -> usize {
-        if micros as f64 <= HISTO_MIN {
-            return 0;
-        }
-        let idx = ((micros as f64 / HISTO_MIN).ln() / self.log_growth) as usize;
-        idx.min(self.shards[0].len() - 1)
+    pub fn record(&self, value: u64) {
+        self.shards[shard_index()][Histogram::index(value)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one observation of `micros`. One relaxed atomic op.
+    /// Record a duration, in nanoseconds: how every `_micros` family
+    /// records (exposition shows them in µs, see [`exposed_scale`]).
     #[inline]
-    pub fn record(&self, micros: u64) {
-        let idx = self.bucket_index(micros);
-        self.shards[shard_index()][idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-bucket totals summed across shards.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        let buckets = self.shards[0].len();
-        let mut out = vec![0u64; buckets];
-        for shard in self.shards.iter() {
-            for (total, cell) in out.iter_mut().zip(shard.iter()) {
-                *total += cell.load(Ordering::Relaxed);
-            }
-        }
-        out
-    }
-
-    /// The geometric midpoint of bucket `i` (the value quantiles report for
-    /// observations that landed there).
-    pub fn bucket_mid(&self, i: usize) -> f64 {
-        HISTO_MIN * (self.log_growth * (i as f64 + 0.5)).exp()
-    }
-
-    /// The upper bound of bucket `i` (Prometheus `le` boundary).
-    pub fn bucket_upper(&self, i: usize) -> f64 {
-        HISTO_MIN * (self.log_growth * (i as f64 + 1.0)).exp()
+    pub fn record_duration(&self, elapsed: Duration) {
+        self.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.bucket_counts().iter().sum()
+        self.shards
+            .iter()
+            .flatten()
+            .map(|cell| cell.load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Convert to a [`LatencyHistogram`] with the identical layout, reusing
-    /// its quantile math. Approximate sum/mean come from bucket midpoints
-    /// (bounded relative error, same contract as the quantiles).
-    pub fn to_latency_histogram(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new(HISTO_MIN, HISTO_MAX, HISTO_GROWTH);
-        for (i, &c) in self.bucket_counts().iter().enumerate() {
-            if c > 0 {
-                h.record_n(self.bucket_mid(i), c);
+    /// The shards merged into one [`Histogram`].
+    pub fn snapshot(&self) -> Histogram {
+        let mut counts = [0u64; BUCKETS];
+        for shard in self.shards.iter() {
+            for (total, cell) in counts.iter_mut().zip(shard) {
+                *total += cell.load(Ordering::Relaxed);
             }
         }
-        h
+        Histogram::from_counts(&counts)
+    }
+}
+
+/// The one unit rule of exposition: what a histogram's recorded values are
+/// divided by before `METRICS` (`_sum`, `le`) and `INFO latency` show them.
+/// A `_micros` family records nanoseconds and shows fractional
+/// microseconds; every other family (`_commands`, `_frames`) records and
+/// shows raw counts. `name` may carry a `{label}` suffix.
+pub fn exposed_scale(name: &str) -> f64 {
+    let family = name.split_once('{').map_or(name, |(family, _)| family);
+    if family.ends_with("_micros") {
+        1_000.0
+    } else {
+        1.0
     }
 }
 
@@ -216,30 +184,38 @@ mod tests {
 
     #[test]
     fn histo_layout_matches_latency_histogram() {
-        let h = Histo::new();
+        // The sharded form buckets exactly as the plain one does.
+        let (h, mut plain) = (Histo::new(), Histogram::new());
         for i in 1..=10_000u64 {
-            h.record(i * 10); // 10 µs .. 100 ms uniformly
+            h.record(i * 10_000); // 10 µs .. 100 ms uniformly, in ns
+            plain.record(i * 10_000);
         }
         assert_eq!(h.count(), 10_000);
-        let lat = h.to_latency_histogram();
-        assert_eq!(lat.count(), 10_000);
-        let p50 = lat.quantile(0.5).unwrap();
-        let p99 = lat.quantile(0.99).unwrap();
-        assert!((p50 - 50_000.0).abs() / 50_000.0 < 0.07, "p50={p50}");
-        assert!((p99 - 99_000.0).abs() / 99_000.0 < 0.07, "p99={p99}");
+        let snap = h.snapshot();
+        assert!(snap.buckets().eq(plain.buckets()));
+        assert_eq!(snap.quantile(0.5), plain.quantile(0.5));
+        assert_eq!(snap.quantile(0.99), plain.quantile(0.99));
+        let err = snap.sum().abs_diff(plain.sum()) as f64 / plain.sum() as f64;
+        assert!(err < 0.031, "midpoint sum off by {err}");
     }
 
     #[test]
     fn histo_midpoints_map_back_to_their_bucket() {
-        // Below bucket ~20 the bucket width drops under 1 µs, so integer
-        // micros cannot distinguish neighbours; recording is integer-valued,
-        // but the f64 midpoints used by `to_latency_histogram` must round-trip
-        // everywhere integers can represent the bucket.
+        // Sub-µs durations keep their own buckets, a value below 32 is its
+        // own midpoint, and every midpoint lies in its bucket.
         let h = Histo::new();
-        for i in [0usize, 30, 60, 100, 200, 331] {
-            let mid = h.bucket_mid(i);
-            assert_eq!(h.bucket_index(mid as u64), i, "bucket {i} mid {mid}");
+        h.record(1);
+        h.record_duration(Duration::from_nanos(90));
+        h.record_duration(Duration::from_nanos(1_300));
+        let snap = h.snapshot();
+        assert_eq!(snap.quantile(0.0), Some(1.0));
+        for (q, ns) in [(0.5, 90), (1.0, 1_300)] {
+            let mid = snap.quantile(q).unwrap();
+            let i = Histogram::index(mid.round() as u64);
+            assert_eq!(i, Histogram::index(ns), "{ns} ns reads {mid}");
         }
+        let rest = snap.sum() - 1;
+        assert!(rest.abs_diff(1_390) <= 1_390 / 33, "sum {rest}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::metric::{Counter, Gauge, Histo};
 use abase_util::lockrank::{rank, RankedMutex, RankedRwLock};
-use abase_util::LatencyHistogram;
+use abase_util::Histogram;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -20,7 +20,7 @@ pub enum MetricKind {
     Counter,
     /// Instantaneous value.
     Gauge,
-    /// Latency histogram (microseconds).
+    /// Histogram: durations (`_micros` families) or counts.
     Histogram,
 }
 
@@ -224,18 +224,15 @@ pub fn snapshot() -> Snapshot {
 
 /// Every histogram currently registered, as `(display-name, histogram)`
 /// pairs — `name` for plain histograms, `name{label}` for family members —
-/// converted to [`LatencyHistogram`]s so callers can query quantiles.
-pub fn histograms() -> Vec<(String, LatencyHistogram)> {
+/// in recorded units (divide by [`crate::exposed_scale`] to show them).
+pub fn histograms() -> Vec<(String, Histogram)> {
     let mut out = Vec::new();
     for entry in entries() {
         match entry.handle {
-            Handle::Histo(h) => out.push((entry.name.to_string(), h.to_latency_histogram())),
+            Handle::Histo(h) => out.push((entry.name.to_string(), h.snapshot())),
             Handle::HistoFamily(f) => {
                 for (label, h) in f.members() {
-                    out.push((
-                        format!("{}{{{label}}}", entry.name),
-                        h.to_latency_histogram(),
-                    ));
+                    out.push((format!("{}{{{label}}}", entry.name), h.snapshot()));
                 }
             }
             _ => {}
@@ -422,14 +419,6 @@ impl LazyGaugeFamily {
     }
 }
 
-impl LazyHistoFamily {
-    /// Record into `label`'s histogram.
-    #[inline]
-    pub fn record(&self, label: &str, micros: u64) {
-        self.with(label).record(micros);
-    }
-}
-
 /// A start/stop wall-clock timer feeding a [`LazyHisto`].
 #[derive(Debug)]
 pub struct Timer(Instant);
@@ -444,13 +433,14 @@ impl Timer {
     /// Record the elapsed time into `histo` and stop.
     #[inline]
     pub fn observe(self, histo: &LazyHisto) {
-        histo.record(self.0.elapsed().as_micros() as u64);
+        histo.record_duration(self.0.elapsed());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     static T_COUNTER: LazyCounter = LazyCounter::new("test_registry_counter_total", "test");
     static T_GAUGE: LazyGauge = LazyGauge::new("test_registry_gauge", "test");
@@ -463,7 +453,7 @@ mod tests {
         T_COUNTER.inc();
         T_COUNTER.add(2);
         T_GAUGE.set(5);
-        T_HISTO.record(1234);
+        T_HISTO.record_duration(Duration::from_micros(1234));
         T_FAMILY.inc("get");
         T_FAMILY.inc("get");
         T_FAMILY.inc("set");
@@ -487,14 +477,14 @@ mod tests {
     fn histograms_are_queryable_by_name() {
         static Q: LazyHisto = LazyHisto::new("test_registry_quantile_micros", "test");
         for _ in 0..100 {
-            Q.record(1000);
+            Q.record_duration(Duration::from_micros(1000));
         }
         let histos = histograms();
-        let (_, lat) = histos
+        let (name, lat) = histos
             .iter()
             .find(|(name, _)| name == "test_registry_quantile_micros")
             .expect("histogram registered");
-        let p50 = lat.quantile(0.5).unwrap();
-        assert!((p50 - 1000.0).abs() / 1000.0 < 0.06, "p50={p50}");
+        let p50 = lat.quantile(0.5).unwrap() / crate::exposed_scale(name);
+        assert!((p50 - 1000.0).abs() / 1000.0 < 0.031, "p50={p50}");
     }
 }

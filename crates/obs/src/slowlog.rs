@@ -77,7 +77,8 @@ impl SlowLog {
     /// closure so the fast path never allocates).
     pub fn observe(&self, report: &SpanReport, command: impl FnOnce() -> Vec<String>) {
         let threshold = self.threshold_micros();
-        if threshold < 0 || report.total_micros < threshold as u64 {
+        let micros = report.total.as_micros() as u64;
+        if threshold < 0 || micros < threshold as u64 {
             return;
         }
         let entry = SlowEntry {
@@ -86,7 +87,7 @@ impl SlowLog {
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
-            duration_micros: report.total_micros,
+            duration_micros: micros,
             command: command(),
             stages: report.stages().collect(),
         };
@@ -128,13 +129,15 @@ impl SlowLog {
 mod tests {
     use super::*;
     use crate::span::N_STAGES;
+    use std::time::Duration;
 
     fn report(total: u64) -> SpanReport {
-        let mut stage_micros = [0u64; N_STAGES];
-        stage_micros[2] = total; // all in Engine
+        let total = Duration::from_micros(total);
+        let mut stage = [Duration::ZERO; N_STAGES];
+        stage[2] = total; // all in Engine
         SpanReport {
-            total_micros: total,
-            stage_micros,
+            total,
+            stage,
             finished: std::time::Instant::now(),
         }
     }

@@ -3,14 +3,15 @@
 //!
 //! The stage model is the request pipeline of the RESP server:
 //! parse → admission → engine → replication-wait → respond. A span records
-//! the elapsed microseconds of each stage it passes through; when the whole
-//! operation exceeds the SLOWLOG threshold the per-stage breakdown is
-//! captured alongside the command (see [`crate::slowlog`]).
+//! the elapsed time of each stage it passes through, in nanoseconds, into
+//! `abase_server_stage_micros`; when the whole operation exceeds the SLOWLOG
+//! threshold the per-stage breakdown is captured alongside the command (see
+//! [`crate::slowlog`]).
 
 use crate::metric::Histo;
 use crate::registry::LazyHistoFamily;
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The stages of one served operation, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,9 +79,10 @@ fn stage_histos() -> &'static [&'static Histo; N_STAGES] {
 pub struct Span {
     stage_started: Instant,
     current: Stage,
-    /// Elapsed nanoseconds per stage: whole micros are taken once, in
-    /// [`Span::finish`], so sub-µs stages are not rounded away per entry.
-    stage_nanos: [u64; N_STAGES],
+    /// Elapsed time per stage, indexed by `Stage as usize`.
+    stage: [Duration; N_STAGES],
+    /// Bit `Stage as usize` is set once the stage has been entered.
+    traversed: u8,
 }
 
 impl Span {
@@ -98,7 +100,8 @@ impl Span {
         Span {
             stage_started: now,
             current: Stage::Parse,
-            stage_nanos: [0; N_STAGES],
+            stage: [Duration::ZERO; N_STAGES],
+            traversed: 1 << Stage::Parse as u8,
         }
     }
 
@@ -107,10 +110,10 @@ impl Span {
     #[inline]
     pub fn enter(&mut self, next: Stage) {
         let now = Instant::now();
-        self.stage_nanos[self.current as usize] +=
-            now.duration_since(self.stage_started).as_nanos() as u64;
+        self.stage[self.current as usize] += now.duration_since(self.stage_started);
         self.stage_started = now;
         self.current = next;
+        self.traversed |= 1 << next as u8;
     }
 
     /// Close the span: final stage is stamped, every traversed stage is
@@ -122,22 +125,14 @@ impl Span {
         // span's end.
         self.enter(self.current);
         let histos = stage_histos();
-        // Each stage gets the whole micros its running total crosses, so
-        // the stages add up to the total exactly.
-        let mut stage_micros = [0; N_STAGES];
-        let (mut nanos, mut total_micros) = (0, 0);
         for stage in STAGES {
-            nanos += self.stage_nanos[stage as usize];
-            let micros = nanos / 1_000 - total_micros;
-            total_micros += micros;
-            stage_micros[stage as usize] = micros;
-            if micros > 0 {
-                histos[stage as usize].record(micros);
+            if self.traversed & (1 << stage as u8) != 0 {
+                histos[stage as usize].record_duration(self.stage[stage as usize]);
             }
         }
         SpanReport {
-            total_micros,
-            stage_micros,
+            total: self.stage.iter().sum(),
+            stage: self.stage,
             finished: self.stage_started,
         }
     }
@@ -146,20 +141,29 @@ impl Span {
 /// The result of a finished span.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanReport {
-    /// End-to-end duration.
-    pub total_micros: u64,
-    /// Elapsed micros per stage, indexed by `Stage as usize`.
-    pub stage_micros: [u64; N_STAGES],
+    /// End-to-end duration: the sum of the stages.
+    pub total: Duration,
+    /// Elapsed time per stage, indexed by `Stage as usize`.
+    pub stage: [Duration; N_STAGES],
     /// When the span finished.
     pub finished: Instant,
 }
 
 impl SpanReport {
-    /// `(stage-name, micros)` pairs for stages that saw time.
+    /// `(stage-name, micros)` pairs for stages that saw time, in whole
+    /// micros. Each stage gets the whole micros its running total crosses,
+    /// so the stages add up to `total`'s whole micros exactly, however many
+    /// sub-µs stages the operation passed through.
     pub fn stages(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let (mut nanos, mut micros) = (0, 0);
         STAGES
             .iter()
-            .map(|&s| (s.name(), self.stage_micros[s as usize]))
+            .map(move |&s| {
+                nanos += self.stage[s as usize].as_nanos();
+                let crossed = (nanos / 1_000) as u64 - micros;
+                micros += crossed;
+                (s.name(), crossed)
+            })
             .filter(|&(_, us)| us > 0)
     }
 }
@@ -168,20 +172,27 @@ impl SpanReport {
 mod tests {
     use super::*;
 
+    fn micros(report: &SpanReport, stage: Stage) -> u128 {
+        report.stage[stage as usize].as_micros()
+    }
+
     #[test]
     fn span_accumulates_stage_times() {
         let mut span = Span::begin();
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
         span.enter(Stage::Engine);
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
         span.enter(Stage::Respond);
         let report = span.finish();
-        assert!(report.total_micros >= 4000, "total={}", report.total_micros);
-        assert!(report.stage_micros[Stage::Parse as usize] >= 2000);
-        assert!(report.stage_micros[Stage::Engine as usize] >= 2000);
+        assert!(report.total >= Duration::from_millis(4), "{report:?}");
+        assert!(micros(&report, Stage::Parse) >= 2000);
+        assert!(micros(&report, Stage::Engine) >= 2000);
         // Admission and replication-wait were skipped entirely.
-        assert_eq!(report.stage_micros[Stage::Admission as usize], 0);
-        assert_eq!(report.stage_micros[Stage::ReplicationWait as usize], 0);
+        assert_eq!(report.stage[Stage::Admission as usize], Duration::ZERO);
+        assert_eq!(
+            report.stage[Stage::ReplicationWait as usize],
+            Duration::ZERO
+        );
         let stages: Vec<_> = report.stages().collect();
         assert!(stages.iter().any(|&(name, _)| name == "parse"));
         assert!(!stages.iter().any(|&(name, _)| name == "admission"));
@@ -195,24 +206,47 @@ mod tests {
             span.enter([Stage::Engine, Stage::Respond][i % 2]);
         }
         let report = span.finish();
-        let sum: u64 = report.stage_micros.iter().sum();
-        assert!(report.total_micros > 1, "total={}", report.total_micros);
-        assert!(
-            sum.abs_diff(report.total_micros) <= 1,
-            "stages sum to {sum} us of a {} us total",
-            report.total_micros
-        );
+        let total = report.total.as_micros() as u64;
+        let sum: u64 = report.stages().map(|(_, us)| us).sum();
+        assert!(total > 1, "total={total}");
+        assert_eq!(sum, total, "stages sum to {sum} us of a {total} us total");
     }
 
     #[test]
     fn reentering_a_stage_accumulates() {
         let mut span = Span::begin();
         span.enter(Stage::Engine);
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(1));
         span.enter(Stage::ReplicationWait);
         span.enter(Stage::Engine);
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(1));
         let report = span.finish();
-        assert!(report.stage_micros[Stage::Engine as usize] >= 2000);
+        assert!(micros(&report, Stage::Engine) >= 2000);
+    }
+
+    #[test]
+    fn every_traversed_stage_of_a_sub_microsecond_span_is_counted() {
+        // Other tests in this binary finish spans too, so count deltas; the
+        // span below is the only one this thread finishes, and the counts
+        // only grow.
+        let before = stage_histos().map(|h| h.count());
+        let mut span = Span::begin();
+        span.enter(Stage::Admission);
+        span.enter(Stage::Engine);
+        span.enter(Stage::Respond);
+        span.finish();
+        let after = stage_histos().map(|h| h.count());
+        for stage in [
+            Stage::Parse,
+            Stage::Admission,
+            Stage::Engine,
+            Stage::Respond,
+        ] {
+            assert!(
+                after[stage as usize] > before[stage as usize],
+                "stage {} not counted",
+                stage.name()
+            );
+        }
     }
 }

@@ -121,11 +121,6 @@ impl RuEstimator {
         self.estimate_hlen_ru() + (scan_bytes * (1.0 - h) / UNIT_BYTES as f64).max(0.0)
     }
 
-    /// Current `E[S_read]` (bytes).
-    pub fn expected_read_size(&self) -> f64 {
-        self.read_size.mean()
-    }
-
     /// Current `E[R_hit]`.
     pub fn expected_hit_ratio(&self) -> f64 {
         self.hit_ratio.mean().clamp(0.0, 1.0)

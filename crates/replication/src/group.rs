@@ -22,6 +22,7 @@
 use crate::binlog::Binlog;
 use crate::failover::Throttle;
 use crate::follower::{Follower, PumpStatus};
+use crate::rotation::Rotation;
 use crate::transport::LogTransport;
 use crate::{Error, Lsn, Result};
 use abase_lavastore::{CheckpointInfo, Db, DbConfig, ReadResult};
@@ -269,8 +270,8 @@ pub struct ReplicaGroup {
     /// Followers in other processes, fed over sockets; they count toward
     /// write concerns and `WAIT` through their shared ack state.
     remotes: Vec<RemoteFollower>,
-    /// Round-robin cursor for `Eventual`/fenced reads.
-    read_cursor: usize,
+    /// Spreads `Eventual`/fenced reads over the replicas that qualify.
+    rotation: Rotation,
     /// Bumped on every leadership/membership change; an in-flight
     /// [`ResyncTicket`] from an older epoch is refused at install time.
     epoch: u64,
@@ -402,7 +403,7 @@ impl ReplicaGroup {
             config,
             replicas,
             remotes: Vec::new(),
-            read_cursor: 0,
+            rotation: Rotation::default(),
             epoch: 0,
         })
     }
@@ -549,12 +550,6 @@ impl ReplicaGroup {
             state: Arc::clone(&state),
         });
         Ok((state, generation))
-    }
-
-    /// Drop a remote follower from the registry entirely (it stops counting
-    /// in quorum denominators too).
-    pub fn unregister_remote_follower(&mut self, id: ReplicaId) {
-        self.remotes.retain(|r| r.id != id);
     }
 
     /// `(id, acked LSN, connected)` per registered remote follower.
@@ -843,18 +838,11 @@ impl ReplicaGroup {
         })
     }
 
-    /// Round-robin over live replicas passing `filter`.
+    /// The least recently served live replica passing `filter`.
     fn pick_replica(&mut self, filter: impl Fn(&Replica) -> bool) -> Option<usize> {
-        let n = self.replicas.len();
-        for step in 0..n {
-            let idx = (self.read_cursor + step) % n;
-            let r = &self.replicas[idx];
-            if r.alive && filter(r) {
-                self.read_cursor = (idx + 1) % n;
-                return Some(idx);
-            }
-        }
-        None
+        let candidates = self.replicas.iter().filter(|r| r.alive && filter(r));
+        let id = self.rotation.pick(candidates.map(|r| r.id))?;
+        self.find_index(id).ok()
     }
 
     /// Mark a replica unreachable (node failure). Writes and leader reads
@@ -1323,12 +1311,46 @@ mod tests {
         // All three replicas qualify; reads rotate across them.
         let mut served = std::collections::HashSet::new();
         for _ in 0..3 {
-            let before = g.read_cursor;
-            g.read(b"k", ReadConsistency::ReadYourWrites(lsn), 0)
+            let r = g
+                .read_routed(b"k", ReadConsistency::ReadYourWrites(lsn), 0)
                 .unwrap();
-            served.insert(before);
+            served.insert(r.replica);
         }
-        assert!(served.len() >= 2, "fenced reads did not spread load");
+        assert_eq!(served.len(), 3, "fenced reads did not spread load");
+    }
+
+    #[test]
+    fn interleaved_fenced_and_eventual_reads_rotate_over_every_qualifying_replica() {
+        // Quorum ships to one follower: 10 leads, 20 is caught up and 30 is
+        // behind the write's fence.
+        let (_d, mut g) = group("rotation", WriteConcern::Quorum);
+        let lsn = g.put(b"k", b"v", None, 0).unwrap();
+        assert!(matches!(
+            g.read_at(30, b"k", Some(lsn), 0),
+            Err(Error::StaleReplica { .. })
+        ));
+        let mut ryw = std::collections::BTreeMap::new();
+        let mut eventual = std::collections::BTreeMap::new();
+        for _ in 0..8 {
+            let r = g
+                .read_routed(b"k", ReadConsistency::ReadYourWrites(lsn), 0)
+                .unwrap();
+            *ryw.entry(r.replica).or_insert(0) += 1;
+            let r = g.read_routed(b"k", ReadConsistency::Eventual, 0).unwrap();
+            *eventual.entry(r.replica).or_insert(0) += 1;
+        }
+        // A shared `cursor % n` sent RYW → {10: 8} and Eventual → {20: 8}.
+        assert_eq!(ryw.keys().copied().collect::<Vec<_>>(), [10, 20], "{ryw:?}");
+        assert_eq!(
+            eventual.keys().copied().collect::<Vec<_>>(),
+            [10, 20, 30],
+            "{eventual:?}"
+        );
+        let mut total = ryw.clone();
+        for (id, n) in eventual {
+            *total.entry(id).or_insert(0) += n;
+        }
+        assert_eq!(total, [(10, 6), (20, 6), (30, 4)].into(), "{total:?}");
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //!   fencing, `Leader`) on the read path, leader failover that promotes the
 //!   most-caught-up follower without losing any acked write, and the
 //!   epoch-guarded [`ResyncTicket`] every placement change stages through.
+//! * [`rotation`] — [`Rotation`]: least-recently-served choice among the
+//!   replicas a spread read may go to, shared with `abase-core`'s router.
 //! * [`failover`] — parallel replica reconstruction after a node failure:
 //!   the surviving members of each affected group re-seed replacement
 //!   replicas concurrently, one stream per surviving node, turning the §3.3
@@ -59,6 +61,7 @@ pub mod failover;
 pub mod follower;
 pub mod group;
 pub mod metrics;
+pub mod rotation;
 pub mod socket;
 pub mod transport;
 
@@ -72,6 +75,7 @@ pub use group::{
     AdvanceStatus, GroupConfig, GroupStatus, ReadConsistency, RemoteFollowerState, ReplicaGroup,
     ReplicaId, ReplicaStatus, ResyncTicket, Role, RoutedRead, WriteConcern,
 };
+pub use rotation::Rotation;
 pub use socket::{serve_replica, AcceptedReplica, SocketTransport};
 pub use transport::LogTransport;
 

@@ -7,7 +7,10 @@
 //!   in virtual time instead of wall-clock time.
 //! * [`stats`] — moving averages (the paper's "moving average of the last *k* requests"
 //!   estimators, §4.1), EWMA, and Welford online mean/variance.
-//! * [`histogram`] — log-bucketed histograms for latency percentiles (Figure 4).
+//! * [`histogram`] — the one histogram: fixed integer log-linear buckets (exact
+//!   below 32, 1/16-wide above, ≤ 3.03 % midpoint error) with an exact sum. The
+//!   observability plane records nanoseconds into it, the simulator its
+//!   microsecond `SimTime`s (Figure 4's percentiles).
 //! * [`series`] — fixed-interval time series with the hourly resampling and
 //!   hour-of-day max aggregation used by the rescheduler's load vectors (§5.3).
 //! * [`testdir`] — self-cleaning temp directories shared by every crate's tests.
@@ -34,7 +37,7 @@ pub mod stats;
 pub mod testdir;
 
 pub use clock::{SimClock, SimTime, Ticks};
-pub use histogram::LatencyHistogram;
+pub use histogram::Histogram;
 pub use lockrank::{Rank, RankedCondvar, RankedMutex, RankedRwLock};
 pub use poller::{Event, Events, Interest, Poller, Waker};
 pub use series::{hour_of_day_profile, Aggregation, TimeSeries};

@@ -12,7 +12,7 @@
 //! * [`Poller`] — an epoll instance: `register`/`modify`/`deregister` a raw
 //!   fd with an [`Interest`] and a caller-chosen token, then [`Poller::poll`]
 //!   into an [`Events`] buffer.
-//! * [`Interest`] — readable/writable, level- (default) or edge-triggered.
+//! * [`Interest`] — readable/writable, level-triggered.
 //!   The front end registers connections writable **only while output is
 //!   pending**, so an idle connection costs one registered fd and nothing
 //!   else.
@@ -66,7 +66,6 @@ const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
-const EPOLLET: u32 = 1 << 31;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
 const RLIMIT_NOFILE: i32 = 7;
@@ -83,14 +82,13 @@ fn os_error() -> io::Error {
 
 /// What readiness a registration asks for.
 ///
-/// Level-triggered by default — the front end's drain loops are written so
+/// Level-triggered — the front end's drain loops are written so
 /// level semantics cannot starve a socket, and "writable only while output
 /// is pending" maps naturally onto level-triggered `EPOLLOUT`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
     readable: bool,
     writable: bool,
-    edge: bool,
 }
 
 impl Interest {
@@ -98,29 +96,19 @@ impl Interest {
     pub const READABLE: Interest = Interest {
         readable: true,
         writable: false,
-        edge: false,
     };
 
     /// Writable readiness only.
     pub const WRITABLE: Interest = Interest {
         readable: false,
         writable: true,
-        edge: false,
     };
 
     /// Both readable and writable readiness.
     pub const BOTH: Interest = Interest {
         readable: true,
         writable: true,
-        edge: false,
     };
-
-    /// The same interest, edge-triggered (`EPOLLET`): one notification per
-    /// readiness *transition*; the caller must drain to `WouldBlock`.
-    pub fn edge_triggered(mut self) -> Interest {
-        self.edge = true;
-        self
-    }
 
     fn mask(&self) -> u32 {
         let mut m = EPOLLRDHUP;
@@ -129,9 +117,6 @@ impl Interest {
         }
         if self.writable {
             m |= EPOLLOUT;
-        }
-        if self.edge {
-            m |= EPOLLET;
         }
         m
     }

@@ -193,12 +193,6 @@ impl<T> WfqQueue<T> {
         self.heap.peek().map(|e| &e.item)
     }
 
-    /// Drop every queued request, returning them in arbitrary order.
-    pub fn drain_all(&mut self) -> Vec<WfqItem<T>> {
-        self.tenant_depth.clear();
-        self.heap.drain().map(|e| e.item).collect()
-    }
-
     fn note_removed(&mut self, tenant: TenantId) {
         if let Some(d) = self.tenant_depth.get_mut(&tenant) {
             *d -= 1;

@@ -92,11 +92,6 @@ pub fn fig8a_disk_usage(days: usize, seed: u64) -> TimeSeries {
     .build()
 }
 
-/// A constant quota series aligned with `usage` (for co-spike denoising).
-pub fn flat_quota_like(usage: &TimeSeries, level: f64) -> TimeSeries {
-    TimeSeries::new(usage.start(), usage.interval(), vec![level; usage.len()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

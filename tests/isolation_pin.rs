@@ -8,7 +8,13 @@
 //! shows up here as a different number, not as a different-looking figure.
 //!
 //! The expected values are the series the simulator produced before its
-//! admission and charging moved into `abase_core::pipeline`.
+//! admission and charging moved into `abase_core::pipeline`, with one
+//! column re-pinned since: `p99_latency_ms` is a bucket midpoint, and the
+//! histogram's bucket layout changed (log buckets of 5 % growth became
+//! `abase_util::Histogram`'s 1/16-wide integer buckets). Each re-pinned p99
+//! is within 6 % of its old value — the two layouts' midpoint errors
+//! (2.47 % and 3.03 %) combined — and the other five columns, the mean
+//! latency among them (an exact sum over a count in both), did not move.
 
 use abase::core::cluster::{IsolationExperiment, MinutePoint, TenantSpec};
 use abase::core::node::{DataNodeConfig, DataNodeSim};
@@ -24,46 +30,46 @@ type Point = (u64, u32, [f64; 6]);
 
 #[rustfmt::skip]
 const FIG06: &[Point] = &[
-    (0, 1, [200.0, 0.0, 2.3, 2.3046599049511185, 0.0, 0.0]),
-    (0, 2, [400.0, 0.0, 1.6675, 2.3046599049511185, 0.31625, 0.0]),
-    (1, 1, [200.0, 0.0, 2.295, 2.3046599049511185, 0.0025, 0.0]),
-    (1, 2, [400.0, 0.0, 1.42, 2.3046599049511185, 0.44, 0.0]),
-    (2, 1, [200.0, 0.0, 2.295, 2.3046599049511185, 0.0025, 0.0]),
-    (2, 2, [400.0, 0.0, 1.2975, 2.3046599049511185, 0.50125, 0.0]),
-    (3, 1, [231.5, 5214.5, 94.66639956803455, 237.45988762492647, 0.00025, 0.0]),
-    (3, 2, [60.0, 0.0, 1.2666666666666668, 2.3046599049511185, 0.0775, 0.0]),
+    (0, 1, [200.0, 0.0, 2.3, 2.2376994864925206, 0.0, 0.0]),
+    (0, 2, [400.0, 0.0, 1.6675, 2.2376994864925206, 0.31625, 0.0]),
+    (1, 1, [200.0, 0.0, 2.295, 2.2376994864925206, 0.0025, 0.0]),
+    (1, 2, [400.0, 0.0, 1.42, 2.2376994864925206, 0.44, 0.0]),
+    (2, 1, [200.0, 0.0, 2.295, 2.2376994864925206, 0.0025, 0.0]),
+    (2, 2, [400.0, 0.0, 1.2975, 2.2376994864925206, 0.50125, 0.0]),
+    (3, 1, [231.5, 5214.5, 94.66639956803455, 233.39965773980978, 0.00025, 0.0]),
+    (3, 2, [60.0, 0.0, 1.2666666666666668, 2.2376994864925206, 0.0775, 0.0]),
     (4, 1, [0.0, 6072.0, 0.0, 0.0, 0.0, 0.0]),
     (4, 2, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
     (5, 1, [0.0, 6072.0, 0.0, 0.0, 0.0, 0.0]),
     (5, 2, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-    (6, 1, [783.0, 7422.0, 6744.960002554279, 7586.308367915906, 0.001375, 0.0]),
-    (6, 2, [1540.0, 0.0, 2776.239477272727, 5661.020107772129, 2.23, 0.0]),
-    (7, 1, [1475.5, 7374.0, 7665.638817011182, 8782.10022440864, 0.005375, 0.0]),
-    (7, 2, [400.0, 0.0, 1.105, 2.3046599049511185, 0.5975, 0.0]),
-    (8, 1, [1475.5, 7292.0, 7935.995108776686, 9221.20523562907, 0.0064375, 0.0]),
-    (8, 2, [400.0, 0.0, 1.04, 2.3046599049511185, 0.63, 0.0]),
+    (6, 1, [783.0, 7422.0, 6744.960002554279, 7731.025957483451, 0.001375, 0.0]),
+    (6, 2, [1540.0, 0.0, 2776.239477272727, 5633.047336938843, 2.23, 0.0]),
+    (7, 1, [1475.5, 7374.0, 7665.638817011182, 8642.807772268108, 0.005375, 0.0]),
+    (7, 2, [400.0, 0.0, 1.105, 2.2376994864925206, 0.5975, 0.0]),
+    (8, 1, [1475.5, 7292.0, 7935.995108776686, 9167.549699591811, 0.0064375, 0.0]),
+    (8, 2, [400.0, 0.0, 1.04, 2.2376994864925206, 0.63, 0.0]),
 ];
 
 #[rustfmt::skip]
 const FIG07: &[Point] = &[
-    (0, 1, [200.0, 0.0, 2.3, 2.3046599049511185, 0.0, 0.0]),
-    (0, 2, [300.0, 0.0, 1.1266666666666667, 2.3046599049511185, 0.5866666666666667, 0.0]),
-    (1, 1, [200.0, 0.0, 2.3, 2.3046599049511185, 0.0, 0.0]),
-    (1, 2, [300.0, 0.0, 0.8966666666666666, 2.3046599049511185, 0.7016666666666667, 0.0]),
-    (2, 1, [200.0, 0.0, 2.285, 2.3046599049511185, 0.0075, 0.0]),
-    (2, 2, [300.0, 0.0, 0.82, 2.3046599049511185, 0.74, 0.0]),
-    (3, 1, [1934.5, 0.0, 206.66078418195917, 386.79713502741765, 0.02125, 0.0]),
-    (3, 2, [300.0, 0.0, 0.7833333333333333, 2.3046599049511185, 0.7583333333333333, 0.0]),
-    (4, 1, [2007.5, 0.0, 569.3437601494396, 729.3636859175361, 0.04583333333333333, 0.0]),
-    (4, 2, [300.0, 0.0, 0.65, 2.3046599049511185, 0.825, 0.0]),
-    (5, 1, [1945.0, 404.5, 874.7644539845758, 977.4170959282714, 0.06541666666666666, 0.0]),
-    (5, 2, [300.0, 0.0, 0.65, 2.3046599049511185, 0.825, 0.0]),
-    (6, 1, [2006.5, 1092.5, 771.2108238225767, 1309.832389325825, 0.07458333333333333, 0.0]),
-    (6, 2, [300.0, 0.0, 0.6066666666666666, 2.3046599049511185, 0.8466666666666667, 0.0]),
-    (7, 1, [1563.5, 1046.0, 69.7313415414135, 350.83640365298703, 0.07020833333333333, 0.0]),
-    (7, 2, [300.0, 0.0, 0.63, 2.3046599049511185, 0.835, 0.0]),
-    (8, 1, [1378.0, 1022.0, 2.0590711175616834, 2.3046599049511185, 0.06916666666666667, 0.0]),
-    (8, 2, [300.0, 0.0, 0.66, 2.3046599049511185, 0.82, 0.0]),
+    (0, 1, [200.0, 0.0, 2.3, 2.2376994864925206, 0.0, 0.0]),
+    (0, 2, [300.0, 0.0, 1.1266666666666667, 2.2376994864925206, 0.5866666666666667, 0.0]),
+    (1, 1, [200.0, 0.0, 2.3, 2.2376994864925206, 0.0, 0.0]),
+    (1, 2, [300.0, 0.0, 0.8966666666666666, 2.2376994864925206, 0.7016666666666667, 0.0]),
+    (2, 1, [200.0, 0.0, 2.285, 2.2376994864925206, 0.0075, 0.0]),
+    (2, 2, [300.0, 0.0, 0.82, 2.2376994864925206, 0.74, 0.0]),
+    (3, 1, [1934.5, 0.0, 206.66078418195917, 384.84922317728655, 0.02125, 0.0]),
+    (3, 2, [300.0, 0.0, 0.7833333333333333, 2.2376994864925206, 0.7583333333333333, 0.0]),
+    (4, 1, [2007.5, 0.0, 569.3437601494396, 736.9154330860956, 0.04583333333333333, 0.0]),
+    (4, 2, [300.0, 0.0, 0.65, 2.2376994864925206, 0.825, 0.0]),
+    (5, 1, [1945.0, 404.5, 874.7644539845758, 966.3778218900115, 0.06541666666666666, 0.0]),
+    (5, 2, [300.0, 0.0, 0.65, 2.2376994864925206, 0.825, 0.0]),
+    (6, 1, [2006.5, 1092.5, 771.2108238225767, 1342.6883045804295, 0.07458333333333333, 0.0]),
+    (6, 2, [300.0, 0.0, 0.6066666666666666, 2.2376994864925206, 0.8466666666666667, 0.0]),
+    (7, 1, [1563.5, 1046.0, 69.7313415414135, 335.6717192140447, 0.07020833333333333, 0.0]),
+    (7, 2, [300.0, 0.0, 0.63, 2.2376994864925206, 0.835, 0.0]),
+    (8, 1, [1378.0, 1022.0, 2.0590711175616834, 2.2376994864925206, 0.06916666666666667, 0.0]),
+    (8, 2, [300.0, 0.0, 0.66, 2.2376994864925206, 0.82, 0.0]),
 ];
 
 fn proxy(quota_enabled: bool) -> ProxyPlaneConfig {
