@@ -6,7 +6,7 @@
 //! misses with and without active refresh — the passive cache shows a miss
 //! spike every TTL period, the active one refreshes ahead of expiry.
 
-use abase_bench::{banner, fmt, print_table, sparkline};
+use crate::{banner, fmt, print_table, sparkline};
 use abase_cache::aulru::{AuLruCache, AuLruConfig};
 use abase_util::clock::secs;
 use abase_workload::Zipf;
@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 /// Simulate `seconds` of 1000 req/s over 200 hot keys; returns per-second
 /// backend misses.
-fn run(active_refresh: bool, seconds: u64) -> Vec<u64> {
+fn simulate(active_refresh: bool, seconds: u64) -> Vec<u64> {
     let mut cache: AuLruCache<u64, ()> = AuLruCache::new(AuLruConfig {
         capacity_bytes: 10 << 20,
         ttl: secs(30),
@@ -47,15 +47,16 @@ fn run(active_refresh: bool, seconds: u64) -> Vec<u64> {
     misses_per_sec
 }
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Ablation: AU-LRU",
         "active refresh vs passive TTL expiry on a hot key set",
         "passive caches spike misses every TTL period; active refresh flattens them",
     );
     let seconds = 120;
-    let passive = run(false, seconds);
-    let active = run(true, seconds);
+    let passive = simulate(false, seconds);
+    let active = simulate(true, seconds);
     println!("backend misses per second (after warm-up):");
     println!(
         "  passive [{}]",
@@ -95,4 +96,5 @@ fn main() {
         "\nexpiry-spike reduction: {}x",
         fmt(p_peak as f64 / a_peak.max(1) as f64, 1)
     );
+    Ok(())
 }

@@ -6,7 +6,7 @@
 //! During hot key events, selecting a smaller n value facilitates load
 //! distribution across a larger number of proxies (= N/n)." (§4.4)
 
-use abase_bench::{banner, pct, print_table};
+use crate::{banner, pct, print_table};
 use abase_cache::aulru::AuLruConfig;
 use abase_core::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
 use abase_util::clock::secs;
@@ -16,7 +16,7 @@ const N_PROXIES: u32 = 16;
 
 /// Run a Zipf workload with one scorching hot key; returns
 /// (hit ratio, share of requests landing on the single busiest proxy).
-fn run(n_groups: u32) -> (f64, f64) {
+fn simulate(n_groups: u32) -> (f64, f64) {
     let mut plane = ProxyPlane::new(
         1,
         ProxyPlaneConfig {
@@ -61,7 +61,8 @@ fn run(n_groups: u32) -> (f64, f64) {
     (hits as f64 / total as f64, max_load / total as f64)
 }
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Ablation: limited fan-out",
         "group count n vs per-proxy hit ratio and hot-key pressure (N = 16)",
@@ -69,7 +70,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for n_groups in [1u32, 2, 4, 8, 16] {
-        let (hit, max_share) = run(n_groups);
+        let (hit, max_share) = simulate(n_groups);
         rows.push(vec![
             format!("{n_groups}"),
             format!("{}", N_PROXIES / n_groups),
@@ -88,4 +89,5 @@ fn main() {
     );
     println!("\nThe table is the paper's trade-off: read down for hit ratio, up for");
     println!("hot-key headroom; Table 2 tenants pick n per their bottleneck.");
+    Ok(())
 }

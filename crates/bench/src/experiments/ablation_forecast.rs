@@ -7,7 +7,7 @@
 //! (denoise + change points + PSD + blend + burst guard) on the paper's four
 //! workload archetypes.
 
-use abase_bench::{banner, fmt, print_table};
+use crate::{banner, fmt, print_table};
 use abase_forecast::histavg::HistoricalAverage;
 use abase_forecast::prophet::{ProphetConfig, ProphetModel};
 use abase_forecast::psd::dominant_period;
@@ -75,7 +75,8 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Ablation: forecasting",
         "ensemble vs prophet-only vs historical-average-only (7-day horizon sMAPE)",
@@ -115,4 +116,5 @@ fn main() {
     );
     println!("\nsMAPE: lower is better. The ensemble should track the best member per row");
     println!("(and beat both when denoising or the burst guard engages).");
+    Ok(())
 }

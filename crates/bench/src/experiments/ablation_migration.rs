@@ -21,11 +21,12 @@
 //! movement. The loss-function trajectory (per-node RU-utilization std/max)
 //! is reported before and after.
 //!
-//! Set `ABASE_BENCH_SMOKE=1` to shrink the workload for a CI smoke run — the
-//! JSON shape is identical.
+//! A smoke run shrinks the workload — the JSON shape is identical. Every run
+//! checks the facts `check` names.
 
-use abase_bench::banner;
+use crate::banner;
 use abase_core::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
+use abase_core::MigrationReport;
 use abase_lavastore::DbConfig;
 use abase_replication::{ReadConsistency, WriteConcern};
 use abase_scheduler::{Rescheduler, ReschedulerConfig};
@@ -47,8 +48,7 @@ struct Sizes {
     reads_per_phase: usize,
 }
 
-fn sizes() -> Sizes {
-    let smoke = std::env::var("ABASE_BENCH_SMOKE").is_ok_and(|v| v != "0");
+fn sizes(smoke: bool) -> Sizes {
     if smoke {
         Sizes {
             hot_keys: 80,
@@ -125,13 +125,58 @@ fn read_phase(cluster: &mut ReplicatedCluster, sz: &Sizes, partition: u64) -> (f
     (hist.quantile(0.99).map_or(0.0, |ns| ns / 1e3), errors)
 }
 
-fn main() {
+/// What every run is held to, from both arms.
+#[derive(Debug, Clone)]
+struct Facts {
+    flip_dest_holds_data: bool,
+    /// Bytes the routing flip copied: none, it only repoints the meta view.
+    flip_bytes_copied: u64,
+    dest_holds_data: bool,
+    bytes_copied: u64,
+    acked_writes_lost: usize,
+    during_move_errors: usize,
+    /// Observed copy bandwidth over the modelled throttle.
+    bandwidth_ratio: f64,
+    cutover_entry_lag: u64,
+    ru_util_std_before: f64,
+    ru_util_std_after: f64,
+}
+
+/// The flip moved nothing; the live move put data at the destination within
+/// the bandwidth model (ratio in `(0, 1.35]`) and a cut-over lag of at most
+/// 64 entries, lost no acked write, failed no read, and lowered the loss.
+fn check(f: &Facts) -> Result<(), String> {
+    ensure!(
+        !f.flip_dest_holds_data && f.flip_bytes_copied == 0,
+        "the routing flip moved bytes: {f:?}"
+    );
+    ensure!(
+        f.dest_holds_data && f.bytes_copied > 0,
+        "the live move left no data at the destination: {f:?}"
+    );
+    ensure!(f.acked_writes_lost == 0, "the live move lost acked writes: {f:?}");
+    ensure!(f.during_move_errors == 0, "reads failed during the move: {f:?}");
+    ensure!(
+        f.bandwidth_ratio > 0.0 && f.bandwidth_ratio <= 1.35,
+        "copy bandwidth off the throttle model: {f:?}"
+    );
+    ensure!(f.cutover_entry_lag <= 64, "cut-over entered too far behind: {f:?}");
+    ensure!(
+        f.ru_util_std_after < f.ru_util_std_before,
+        "migration did not reduce the loss: {f:?}"
+    );
+    Ok(())
+}
+
+/// Plan one move with Algorithm 2, run it both ways, print the JSON report,
+/// and check it.
+pub fn run(smoke: bool) -> Result<(), String> {
     banner(
         "ablation_migration",
         "routing-flip vs live-movement rescheduling on real replica groups",
         "live moves copy real bytes at the §3.3 bandwidth with zero acked-write loss",
     );
-    let sz = sizes();
+    let sz = sizes(smoke);
 
     // -- Plan the move with Algorithm 2 -----------------------------------
     let (_dir, mut cluster, hot) = build_cluster("abl-migr-live", &sz);
@@ -217,7 +262,6 @@ fn main() {
         1,
         "move not completed"
     );
-    let report = cluster.migrations().completed()[0].clone();
     // Zero acked-write loss across copy + catch-up + cut-over, and every
     // write is fenced-readable at its own LSN.
     let mut acked_lost = 0usize;
@@ -248,53 +292,108 @@ fn main() {
         })
         .unwrap_or(false);
     let pool_after = cluster.scheduler_pool_view(CAPACITY_HEADROOM);
-    let observed_bw = report.bytes_copied as f64 / report.copy_secs.max(1e-9);
+    let MigrationReport {
+        bytes_copied,
+        copy_secs,
+        catchup_ticks,
+        cutover_entry_lag,
+        was_leader,
+        ..
+    } = cluster.migrations().completed()[0].clone();
+    let observed_bw = bytes_copied as f64 / copy_secs.max(1e-9);
+    let (bandwidth_ratio, ru_util_std_after) = (observed_bw / DISK_BW, pool_after.ru_util_std());
 
     // -- JSON report -------------------------------------------------------
-    println!("{{");
-    println!("  \"nodes\": {NODES},");
-    println!("  \"partitions\": {PARTITIONS},");
-    println!("  \"hot_keys\": {},", sz.hot_keys);
-    println!("  \"value_bytes\": {VALUE_BYTES},");
+    let (hot_keys, acked_during) = (sz.hot_keys, writes_during.len());
+    let p99_during_us = p99_during.quantile(0.99).map_or(0.0, |ns| ns / 1e3);
+    let max_after = pool_after.max_ru_util();
     println!(
-        "  \"plan\": {{\"partition\": {partition}, \"from_node\": {from}, \"to_node\": {to}, \
-         \"planned_by_algorithm2\": {planned_by_algorithm2}}},"
+        r#"{{
+  "nodes": {NODES},
+  "partitions": {PARTITIONS},
+  "hot_keys": {hot_keys},
+  "value_bytes": {VALUE_BYTES},
+  "plan": {{"partition": {partition}, "from_node": {from}, "to_node": {to},
+    "planned_by_algorithm2": {planned_by_algorithm2}}},
+  "routing_flip": {{
+    "move_secs": 0.0,
+    "bytes_copied": 0,
+    "dest_holds_data": {flip_dest_holds_data},
+    "leader_read_failures": {flip_failures},
+    "routing_diverged_from_group": {flip_diverged}
+  }},
+  "live_migration": {{
+    "move_secs": {move_secs:.3},
+    "copy_secs": {copy_secs:.3},
+    "bytes_copied": {bytes_copied},
+    "observed_copy_bandwidth_bps": {observed_bw:.0},
+    "modeled_bandwidth_bps": {DISK_BW},
+    "bandwidth_ratio": {bandwidth_ratio:.3},
+    "catchup_ticks": {catchup_ticks},
+    "cutover_entry_lag": {cutover_entry_lag},
+    "was_leader": {was_leader},
+    "dest_holds_data": {dest_holds_data},
+    "acked_writes_during_move": {acked_during},
+    "acked_writes_lost": {acked_lost},
+    "reads": {{"baseline_p99_us": {p99_baseline_us:.1}, "during_move_p99_us": {p99_during_us:.1},
+      "during_move_reads": {reads_during}, "baseline_errors": {baseline_errors},
+      "during_move_errors": {errors_during}}}
+  }},
+  "loss_trajectory": {{
+    "ru_util_std_before": {std_before:.5},
+    "ru_util_std_after": {ru_util_std_after:.5},
+    "max_ru_util_before": {max_before:.5},
+    "max_ru_util_after": {max_after:.5}
+  }}
+}}"#
     );
-    println!("  \"routing_flip\": {{");
-    println!("    \"move_secs\": 0.0,");
-    println!("    \"bytes_copied\": 0,");
-    println!("    \"dest_holds_data\": {flip_dest_holds_data},");
-    println!("    \"leader_read_failures\": {flip_failures},");
-    println!("    \"routing_diverged_from_group\": {flip_diverged}");
-    println!("  }},");
-    println!("  \"live_migration\": {{");
-    println!("    \"move_secs\": {move_secs:.3},");
-    println!("    \"copy_secs\": {:.3},", report.copy_secs);
-    println!("    \"bytes_copied\": {},", report.bytes_copied);
-    println!("    \"observed_copy_bandwidth_bps\": {observed_bw:.0},");
-    println!("    \"modeled_bandwidth_bps\": {DISK_BW},");
-    println!("    \"bandwidth_ratio\": {:.3},", observed_bw / DISK_BW);
-    println!("    \"catchup_ticks\": {},", report.catchup_ticks);
-    println!("    \"cutover_entry_lag\": {},", report.cutover_entry_lag);
-    println!("    \"was_leader\": {},", report.was_leader);
-    println!("    \"dest_holds_data\": {dest_holds_data},");
-    println!("    \"acked_writes_during_move\": {},", writes_during.len());
-    println!("    \"acked_writes_lost\": {acked_lost},");
-    println!(
-        "    \"reads\": {{\"baseline_p99_us\": {p99_baseline_us:.1}, \
-         \"during_move_p99_us\": {:.1}, \"during_move_reads\": {reads_during}, \
-         \"baseline_errors\": {baseline_errors}, \"during_move_errors\": {errors_during}}}",
-        p99_during.quantile(0.99).map_or(0.0, |ns| ns / 1e3)
-    );
-    println!("  }},");
-    println!("  \"loss_trajectory\": {{");
-    println!("    \"ru_util_std_before\": {std_before:.5},");
-    println!(
-        "    \"ru_util_std_after\": {:.5},",
-        pool_after.ru_util_std()
-    );
-    println!("    \"max_ru_util_before\": {max_before:.5},");
-    println!("    \"max_ru_util_after\": {:.5}", pool_after.max_ru_util());
-    println!("  }}");
-    println!("}}");
+    check(&Facts {
+        flip_dest_holds_data,
+        flip_bytes_copied: 0,
+        dest_holds_data,
+        bytes_copied,
+        acked_writes_lost: acked_lost,
+        during_move_errors: errors_during,
+        bandwidth_ratio,
+        cutover_entry_lag,
+        ru_util_std_before: std_before,
+        ru_util_std_after,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_refuses_each_doctored_fact() {
+        let healthy = Facts {
+            flip_dest_holds_data: false,
+            flip_bytes_copied: 0,
+            dest_holds_data: true,
+            bytes_copied: 1 << 20,
+            acked_writes_lost: 0,
+            during_move_errors: 0,
+            bandwidth_ratio: 0.95,
+            cutover_entry_lag: 3,
+            ru_util_std_before: 0.2,
+            ru_util_std_after: 0.1,
+        };
+        crate::refuses_each(
+            healthy,
+            check,
+            &[
+                |f| f.flip_dest_holds_data = true,
+                |f| f.flip_bytes_copied = 1,
+                |f| f.dest_holds_data = false,
+                |f| f.bytes_copied = 0,
+                |f| f.acked_writes_lost = 1,
+                |f| f.during_move_errors = 1,
+                |f| f.bandwidth_ratio = 0.0,
+                |f| f.bandwidth_ratio = 1.4,
+                |f| f.cutover_entry_lag = 65,
+                |f| f.ru_util_std_after = 0.2,
+            ],
+        );
+    }
 }

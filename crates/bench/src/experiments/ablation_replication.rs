@@ -18,10 +18,10 @@
 //!    observed staleness (LSN lag at read time) of `Eventual` routed reads
 //!    under an async write trickle.
 //!
-//! Set `ABASE_BENCH_SMOKE=1` to shrink every workload for a CI smoke run —
-//! the JSON shape is identical, only the sample counts drop.
+//! A smoke run shrinks every workload — the JSON shape is identical, only the
+//! sample counts drop. Every run checks the follower-read facts `check` names.
 
-use abase_bench::banner;
+use crate::banner;
 use abase_core::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
 use abase_core::meta::RecoveryModel;
 use abase_core::node::DataNodeConfig;
@@ -43,7 +43,7 @@ const SURVIVORS: usize = 3;
 /// Replicas in the follower-read experiment's group.
 const READ_REPLICAS: usize = 3;
 
-/// Workload sizes, shrunk under `ABASE_BENCH_SMOKE=1`.
+/// Workload sizes, shrunk for a smoke run.
 struct Sizes {
     writes: usize,
     recovery_keys: usize,
@@ -52,8 +52,7 @@ struct Sizes {
     staleness_writes: usize,
 }
 
-fn sizes() -> Sizes {
-    let smoke = std::env::var("ABASE_BENCH_SMOKE").is_ok_and(|v| v != "0");
+fn sizes(smoke: bool) -> Sizes {
     if smoke {
         Sizes {
             writes: 60,
@@ -123,6 +122,7 @@ fn bench_concern(
 }
 
 /// Measured outcome of one read-routing mode.
+#[derive(Debug, Clone)]
 struct ReadModeResult {
     throughput: f64,
     p50_us: f64,
@@ -221,6 +221,7 @@ fn modeled_read_capacity(base: &Path, replicas: u32, reads: usize, leader_only: 
 /// Observed staleness of `Eventual` routed reads under an async write
 /// trickle: after each un-pumped write, one routed read records the serving
 /// replica's LSN lag. After a final pump the lag must collapse to zero.
+#[derive(Debug, Clone)]
 struct StalenessResult {
     reads: usize,
     mean_lag: f64,
@@ -286,13 +287,40 @@ fn recovery_tasks(base: &Path, sources: &[Arc<Db>], tag: &str) -> Vec<Reconstruc
         .collect()
 }
 
-fn main() {
+/// The follower-read facts: both routing modes served reads, routed reads
+/// were timed, the followers converged after the async trickle, and modelled
+/// read capacity grows from 2 to 4 replicas.
+fn check(
+    leader_only: &ReadModeResult,
+    routed: &ReadModeResult,
+    scaling: &[(u32, f64)],
+    staleness: &StalenessResult,
+) -> Result<(), String> {
+    ensure!(leader_only.throughput > 0.0, "leader-only reads stalled: {leader_only:?}");
+    ensure!(
+        routed.throughput > 0.0 && routed.p99_us > 0.0,
+        "routed reads stalled or went untimed: {routed:?}"
+    );
+    ensure!(
+        staleness.lag_after_converge == 0,
+        "followers did not converge: {staleness:?}"
+    );
+    let capacity = |n| scaling.iter().find(|&&(k, _)| k == n).map(|&(_, rps)| rps);
+    ensure!(
+        matches!((capacity(2), capacity(4)), (Some(two), Some(four)) if four > two),
+        "read capacity does not scale with replicas: {scaling:?}"
+    );
+    Ok(())
+}
+
+/// Run the three studies, print the JSON report, and check it.
+pub fn run(smoke: bool) -> Result<(), String> {
     banner(
         "ablation_replication",
         "write-concern cost, §3.3 recovery parallelism, follower-read routing",
         "parallel reconstruction is ≈N× faster; routed reads scale with replica count",
     );
-    let sz = sizes();
+    let sz = sizes(smoke);
     let base: PathBuf = std::env::temp_dir().join(format!("abase-ablrepl-{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();
     std::fs::create_dir_all(&base).expect("create bench dir");
@@ -370,74 +398,113 @@ fn main() {
         .map(|&n| (n, modeled_read_capacity(&base, n, capacity_reads, false)))
         .collect();
     let staleness = bench_staleness(&base, sz.staleness_writes);
+    std::fs::remove_dir_all(&base).ok();
 
     // -- JSON report ------------------------------------------------------
-    println!("{{");
-    println!("  \"writes\": {},", sz.writes);
-    println!("  \"value_bytes\": {VALUE_BYTES},");
-    println!("  \"write_concerns\": {{");
-    for (i, c) in concerns.iter().enumerate() {
-        let comma = if i + 1 < concerns.len() { "," } else { "" };
-        println!(
-            "    \"{}\": {{\"throughput_wps\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"converged\": {}}}{comma}",
-            c.name, c.throughput, c.p50_us, c.p99_us, c.acked_all
+    let write_concerns = concerns
+        .iter()
+        .map(|c| {
+            format!(
+                "    \"{}\": {{\"throughput_wps\": {:.1}, \"p50_us\": {:.1}, \
+                 \"p99_us\": {:.1}, \"converged\": {}}}",
+                c.name, c.throughput, c.p50_us, c.p99_us, c.acked_all
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let mode = |r: &ReadModeResult| {
+        format!(
+            "{{\"read_throughput_rps\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
+            r.throughput, r.p50_us, r.p99_us
+        )
+    };
+    let scaling_rps = scaling
+        .iter()
+        .map(|(n, rps)| format!("      \"{n}\": {rps:.1}"))
+        .collect::<Vec<_>>()
+        .join(",\n");
+    println!(
+        r#"{{
+  "writes": {writes},
+  "value_bytes": {VALUE_BYTES},
+  "write_concerns": {{
+{write_concerns}
+  }},
+  "recovery": {{
+    "disk_bandwidth_bytes_per_sec": {DISK_BW},
+    "bytes_per_replica": {per_replica},
+    "total_bytes": {total_bytes},
+    "single_source_secs": {single_secs:.3},
+    "parallel_secs": {parallel_secs:.3},
+    "parallel_sources": {sources},
+    "measured_speedup": {measured_speedup:.2},
+    "model_speedup": {model_speedup:.2},
+    "model_single_secs": {model_single:.3},
+    "model_parallel_secs": {model_parallel:.3}
+  }},
+  "follower_reads": {{
+    "replicas": {READ_REPLICAS},
+    "reads_per_mode": {reads_per_mode},
+    "leader_only": {leader_mode},
+    "routed": {routed_mode},
+    "model_leader_only_capacity_rps": {leader_capacity:.1},
+    "scaling_read_capacity_rps": {{
+{scaling_rps}
+    }},
+    "observed_staleness": {{"reads": {reads}, "mean_lag_records": {mean_lag:.2},
+      "max_lag_records": {max_lag}, "lag_after_converge": {lag_after_converge}}}
+  }}
+}}"#,
+        writes = sz.writes,
+        leader_mode = mode(&leader_only),
+        routed_mode = mode(&routed),
+        per_replica = single.bytes_copied / SURVIVORS as u64,
+        total_bytes = single.bytes_copied,
+        single_secs = single.elapsed.as_secs_f64(),
+        parallel_secs = parallel.elapsed.as_secs_f64(),
+        sources = parallel.distinct_sources,
+        model_single = model.single_node_recovery_secs(),
+        model_parallel = model.parallel_recovery_secs(),
+        reads_per_mode = READ_REPLICAS * sz.reads_per_thread,
+        reads = staleness.reads,
+        mean_lag = staleness.mean_lag,
+        max_lag = staleness.max_lag,
+        lag_after_converge = staleness.lag_after_converge,
+    );
+    check(&leader_only, &routed, &scaling, &staleness)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_refuses_each_doctored_fact() {
+        let mode = ReadModeResult {
+            throughput: 1e5,
+            p50_us: 2.0,
+            p99_us: 9.0,
+        };
+        let staleness = StalenessResult {
+            reads: 40,
+            mean_lag: 1.5,
+            max_lag: 3,
+            lag_after_converge: 0,
+        };
+        let scaling = vec![(2, 1e4), (3, 1.5e4), (4, 2e4)];
+        crate::refuses_each(
+            (mode.clone(), mode, scaling, staleness),
+            |(leader_only, routed, scaling, staleness)| {
+                check(leader_only, routed, scaling, staleness)
+            },
+            &[
+                |(leader_only, ..)| leader_only.throughput = 0.0,
+                |(_, routed, ..)| routed.throughput = 0.0,
+                |(_, routed, ..)| routed.p99_us = 0.0,
+                |(.., scaling, _)| scaling[2].1 = 1e4,
+                |(.., scaling, _)| scaling.truncate(2),
+                |(.., staleness)| staleness.lag_after_converge = 2,
+            ],
         );
     }
-    println!("  }},");
-    println!("  \"recovery\": {{");
-    println!("    \"disk_bandwidth_bytes_per_sec\": {DISK_BW},");
-    println!(
-        "    \"bytes_per_replica\": {},",
-        single.bytes_copied / SURVIVORS as u64
-    );
-    println!("    \"total_bytes\": {},", single.bytes_copied);
-    println!(
-        "    \"single_source_secs\": {:.3},",
-        single.elapsed.as_secs_f64()
-    );
-    println!(
-        "    \"parallel_secs\": {:.3},",
-        parallel.elapsed.as_secs_f64()
-    );
-    println!("    \"parallel_sources\": {},", parallel.distinct_sources);
-    println!("    \"measured_speedup\": {measured_speedup:.2},");
-    println!("    \"model_speedup\": {model_speedup:.2},");
-    println!(
-        "    \"model_single_secs\": {:.3},",
-        model.single_node_recovery_secs()
-    );
-    println!(
-        "    \"model_parallel_secs\": {:.3}",
-        model.parallel_recovery_secs()
-    );
-    println!("  }},");
-    println!("  \"follower_reads\": {{");
-    println!("    \"replicas\": {READ_REPLICAS},");
-    println!(
-        "    \"reads_per_mode\": {},",
-        READ_REPLICAS * sz.reads_per_thread
-    );
-    println!(
-        "    \"leader_only\": {{\"read_throughput_rps\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}},",
-        leader_only.throughput, leader_only.p50_us, leader_only.p99_us
-    );
-    println!(
-        "    \"routed\": {{\"read_throughput_rps\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}},",
-        routed.throughput, routed.p50_us, routed.p99_us
-    );
-    println!("    \"model_leader_only_capacity_rps\": {leader_capacity:.1},");
-    println!("    \"scaling_read_capacity_rps\": {{");
-    for (i, (n, throughput)) in scaling.iter().enumerate() {
-        let comma = if i + 1 < scaling.len() { "," } else { "" };
-        println!("      \"{n}\": {throughput:.1}{comma}");
-    }
-    println!("    }},");
-    println!(
-        "    \"observed_staleness\": {{\"reads\": {}, \"mean_lag_records\": {:.2}, \
-         \"max_lag_records\": {}, \"lag_after_converge\": {}}}",
-        staleness.reads, staleness.mean_lag, staleness.max_lag, staleness.lag_after_converge
-    );
-    println!("  }}");
-    println!("}}");
-    std::fs::remove_dir_all(&base).ok();
 }

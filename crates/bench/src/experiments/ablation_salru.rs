@@ -5,7 +5,7 @@
 //! items + a stream of large cold blobs, the Table-1 spread) through both
 //! policies at identical byte capacity.
 
-use abase_bench::{banner, pct, print_table};
+use crate::{banner, pct, print_table};
 use abase_cache::{LruCache, SaLruCache};
 use abase_workload::Zipf;
 use rand::rngs::StdRng;
@@ -28,7 +28,8 @@ fn stream(n: usize, seed: u64) -> Vec<(u64, usize)> {
         .collect()
 }
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Ablation: SA-LRU",
         "size-aware vs plain LRU at equal byte capacity",
@@ -81,6 +82,7 @@ fn main() {
     let lift = sa_hits as f64 / plain_hits.max(1) as f64;
     println!(
         "\nSA-LRU lifts the overall hit ratio by {}x on this mix.",
-        abase_bench::fmt(lift, 2)
+        crate::fmt(lift, 2)
     );
+    Ok(())
 }

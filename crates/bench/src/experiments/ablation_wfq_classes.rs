@@ -7,7 +7,7 @@
 //! This study floods a node with large reads and measures how long small
 //! reads wait in each design.
 
-use abase_bench::{banner, fmt, print_table};
+use crate::{banner, fmt, print_table};
 use abase_wfq::{CpuTickBudget, DualWfq, DualWfqConfig, WfqItem};
 
 /// Schedule `ticks` ticks of a mixed flood and return the mean scheduling
@@ -16,7 +16,7 @@ use abase_wfq::{CpuTickBudget, DualWfq, DualWfqConfig, WfqItem};
 /// `segregated == true` gives small reads their own queue + budget share
 /// (the 4-class design); `false` mixes everything into one queue with the
 /// full budget (the single-queue baseline).
-fn run(segregated: bool, ticks: usize) -> f64 {
+fn simulate(segregated: bool, ticks: usize) -> f64 {
     // Two queues exist in both designs; in the single-queue baseline the
     // small queue is unused and the mixed queue gets the whole budget.
     let mut small_q: DualWfq<usize> = DualWfq::new(DualWfqConfig::default());
@@ -82,15 +82,16 @@ fn run(segregated: bool, ticks: usize) -> f64 {
     }
 }
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Ablation: WFQ class split",
         "small-read scheduling delay under a large-read flood",
         "independent class queues keep lightweight requests from waiting behind heavyweight ones",
     );
     let ticks = 2_000;
-    let single = run(false, ticks);
-    let four_class = run(true, ticks);
+    let single = simulate(false, ticks);
+    let four_class = simulate(true, ticks);
     let rows = vec![vec![
         "mean small-read delay (ticks)".into(),
         fmt(single, 2),
@@ -109,4 +110,5 @@ fn main() {
             fmt(single / four_class, 1)
         );
     }
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! Connection-scaling: what an idle fleet costs the epoll front end.
 //!
 //! Holds a mostly-idle fleet of clients (1k, then 10k) against an in-process
-//! `RespServer` while a hot subset round-trips SET/GETs, and records:
+//! `ServingNode` while a hot subset round-trips SET/GETs, and records:
 //!
 //! - hot-path ops/s and p50/p99 latency with the idle fleet attached,
 //! - RSS and OS-thread deltas for carrying the fleet (the event loop adds
@@ -9,22 +9,21 @@
 //! - pipelined vs serial throughput on a single connection (the batch
 //!   executor + one write per batch must clear 2x).
 //!
-//! Writes `BENCH_conn.json` at the repo root. `ABASE_BENCH_SMOKE=1` shrinks
-//! fleet sizes and op counts for CI smoke runs (numbers are then noisy and
-//! only the JSON shape is asserted).
+//! A full run writes `BENCH_conn.json` at the repo root; a smoke run shrinks
+//! fleet sizes and op counts. Every run checks the facts `check` names.
 
-use abase_bench::banner;
-use abase_core::{RespServer, TableEngine};
+use crate::{banner, client, encode, publish};
+use abase_core::{NodeRole, RespServer, ServingNode};
 use abase_lavastore::DbConfig;
 use abase_util::poller::raise_nofile_limit;
 use abase_util::TestDir;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::time::Instant;
 
 const PIPELINE_BATCH: usize = 64;
 
+#[derive(Debug, Clone)]
 struct TierResult {
     idle_conns: usize,
     hot_clients: usize,
@@ -35,8 +34,27 @@ struct TierResult {
     thread_delta: i64,
 }
 
-fn main() {
-    let smoke = std::env::var("ABASE_BENCH_SMOKE").is_ok_and(|v| v == "1");
+/// Every tier held a fleet and made progress with ordered, non-zero
+/// latencies; pipelined and serial ops/s are both positive (so is their
+/// speedup).
+fn check(tiers: &[TierResult], pipelined: f64, serial: f64) -> Result<(), String> {
+    ensure!(!tiers.is_empty(), "no tier ran");
+    for r in tiers {
+        let (carried, timed) = (r.idle_conns > 0 && r.ops_per_sec > 0.0, r.p50_micros > 0);
+        ensure!(
+            carried && timed && r.p99_micros >= r.p50_micros,
+            "a tier carried no fleet, stalled, or has unordered latencies: {r:?}"
+        );
+    }
+    ensure!(
+        pipelined > 0.0 && serial > 0.0,
+        "a pipeline arm stalled: pipelined {pipelined}, serial {serial}"
+    );
+    Ok(())
+}
+
+/// Run both fleet tiers and the pipelining comparison, check, and publish.
+pub fn run(smoke: bool) -> Result<(), String> {
     banner(
         "CONN",
         "Connection scaling: epoll event-loop workers under an idle fleet",
@@ -79,6 +97,7 @@ fn main() {
     println!(
         "pipelined {pipelined:>9.0} ops/s  serial {serial:>9.0} ops/s  speedup {speedup:.2}x (batch {PIPELINE_BATCH})"
     );
+    check(&results, pipelined, serial)?;
 
     let rows = results
         .iter()
@@ -105,24 +124,35 @@ fn main() {
          \"pipelined_ops_per_sec\": {pipelined:.1}, \"serial_ops_per_sec\": {serial:.1}, \
          \"speedup\": {speedup:.3}}},\n  \"results\": [\n{rows}\n  ]\n}}\n"
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_conn.json");
-    std::fs::write(out, &json).expect("write BENCH_conn.json");
-    println!("wrote {out}");
+    publish("conn", &json, smoke)
+}
+
+/// A plain node on a fresh directory, its front end tuned by `tune`. The
+/// default (not small_for_tests) config: big memtables keep the SST count —
+/// and so the engine's fd usage — near zero at 10k connections.
+fn start_node(
+    tag: &str,
+    tune: impl FnOnce(RespServer) -> RespServer,
+) -> (TestDir, ServingNode) {
+    let dir = TestDir::new(tag);
+    let node = ServingNode::open_tuned(
+        "127.0.0.1:0",
+        dir.path(),
+        DbConfig::default(),
+        NodeRole::Plain,
+        tune,
+    )
+    .unwrap();
+    (dir, node)
 }
 
 /// One fleet tier: start a server, attach `idle` silent clients, then time
 /// `hot_clients` serial SET/GET round-trip loops against it.
 fn run_tier(idle: usize, hot_clients: usize, hot_ops: usize) -> TierResult {
-    let dir = TestDir::new(&format!("conn-bench-{idle}"));
-    // Default (not small_for_tests) config: big memtables keep the SST count
-    // — and so the engine's fd usage — near zero at 10k connections.
-    let engine = Arc::new(TableEngine::open(dir.path(), DbConfig::default()).unwrap());
-    let server = RespServer::bind(engine, "127.0.0.1:0")
-        .unwrap()
-        .max_clients(idle + hot_clients + 64);
-    let addr = server.local_addr().unwrap();
-    let handle = server.shutdown_handle();
-    let runner = std::thread::spawn(move || server.run());
+    let (_dir, node) = start_node(&format!("conn-bench-{idle}"), |server| {
+        server.max_clients(idle + hot_clients + 64)
+    });
+    let addr = node.local_addr();
 
     let (rss_before, threads_before) = proc_status();
     let fleet = connect_fleet(addr, idle);
@@ -170,8 +200,7 @@ fn run_tier(idle: usize, hot_clients: usize, hot_ops: usize) -> TierResult {
         thread_delta: threads_after - threads_before,
     };
     drop(fleet);
-    handle.shutdown();
-    let _ = runner.join();
+    node.shutdown().unwrap();
     result
 }
 
@@ -179,14 +208,8 @@ fn run_tier(idle: usize, hot_clients: usize, hot_ops: usize) -> TierResult {
 /// flights vs strictly serial request/response. Returns (pipelined, serial)
 /// ops/s.
 fn run_pipeline_comparison(ops: usize) -> (f64, f64) {
-    let dir = TestDir::new("conn-bench-pipeline");
-    let engine = Arc::new(TableEngine::open(dir.path(), DbConfig::default()).unwrap());
-    let server = RespServer::bind(engine, "127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.shutdown_handle();
-    let runner = std::thread::spawn(move || server.run());
-
-    let mut conn = client(addr);
+    let (_dir, node) = start_node("conn-bench-pipeline", |server| server);
+    let mut conn = client(node.local_addr());
     roundtrip(&mut conn, &encode(&["SET", "pk", "pv"]), b"+OK\r\n");
     let get = encode(&["GET", "pk"]);
     let get_reply: &[u8] = b"$2\r\npv\r\n";
@@ -204,16 +227,16 @@ fn run_pipeline_comparison(ops: usize) -> (f64, f64) {
         batch.extend_from_slice(&get);
     }
     let flights = ops / PIPELINE_BATCH;
+    let mut replies = vec![0u8; get_reply.len() * PIPELINE_BATCH];
     let started = Instant::now();
     for _ in 0..flights {
         conn.write_all(&batch).unwrap();
-        read_reply_bytes(&mut conn, get_reply.len() * PIPELINE_BATCH);
+        conn.read_exact(&mut replies).unwrap();
     }
     let pipelined = (flights * PIPELINE_BATCH) as f64 / started.elapsed().as_secs_f64();
 
     drop(conn);
-    handle.shutdown();
-    let _ = runner.join();
+    node.shutdown().unwrap();
     (pipelined, serial)
 }
 
@@ -242,28 +265,6 @@ fn connect_fleet(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
     })
 }
 
-fn client(addr: SocketAddr) -> TcpStream {
-    // EMFILE/backlog pressure at 10k: retry briefly instead of giving up.
-    for _ in 0..50 {
-        match TcpStream::connect(addr) {
-            Ok(conn) => {
-                conn.set_nodelay(true).unwrap();
-                return conn;
-            }
-            Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-        }
-    }
-    panic!("could not connect to {addr}");
-}
-
-fn encode(parts: &[&str]) -> Vec<u8> {
-    let mut out = format!("*{}\r\n", parts.len()).into_bytes();
-    for p in parts {
-        out.extend_from_slice(format!("${}\r\n{p}\r\n", p.len()).as_bytes());
-    }
-    out
-}
-
 /// Write `request` and read back exactly `reply` (every command in this
 /// bench has a fixed, known reply — byte-exact reads keep the timing loop
 /// free of parsing and immune to reply-boundary splits).
@@ -272,16 +273,6 @@ fn roundtrip(conn: &mut TcpStream, request: &[u8], reply: &[u8]) {
     let mut buf = vec![0u8; reply.len()];
     conn.read_exact(&mut buf).unwrap();
     assert_eq!(&buf[..], reply, "unexpected reply");
-}
-
-/// Drain exactly `total` reply bytes (a pipelined batch's worth).
-fn read_reply_bytes(conn: &mut TcpStream, mut total: usize) {
-    let mut chunk = [0u8; 64 * 1024];
-    while total > 0 {
-        let got = conn.read(&mut chunk[..total.min(64 * 1024)]).unwrap();
-        assert!(got > 0, "server closed with {total} reply bytes pending");
-        total -= got;
-    }
 }
 
 /// (VmRSS kB, thread count) from /proc/self/status.
@@ -296,4 +287,35 @@ fn proc_status() -> (i64, i64) {
             .unwrap_or(0)
     };
     (field("VmRSS:"), field("Threads:"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_refuses_each_doctored_fact() {
+        let tier = |idle_conns| TierResult {
+            idle_conns,
+            hot_clients: 4,
+            ops_per_sec: 1e4,
+            p50_micros: 40,
+            p99_micros: 90,
+            rss_delta_kb: 100,
+            thread_delta: 0,
+        };
+        crate::refuses_each(
+            (vec![tier(50), tier(200)], 2e5, 5e4),
+            |(tiers, pipelined, serial)| check(tiers, *pipelined, *serial),
+            &[
+                |(tiers, ..)| tiers.clear(),
+                |(tiers, ..)| tiers[0].idle_conns = 0,
+                |(tiers, ..)| tiers[1].ops_per_sec = 0.0,
+                |(tiers, ..)| tiers[0].p50_micros = 0,
+                |(tiers, ..)| tiers[1].p99_micros = 10,
+                |(_, pipelined, _)| *pipelined = 0.0,
+                |(.., serial)| *serial = 0.0,
+            ],
+        );
+    }
 }

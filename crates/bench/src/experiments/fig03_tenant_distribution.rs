@@ -5,10 +5,11 @@
 //! RU/storage characteristics. Tenants with a larger ratio of RU to storage
 //! tend to indicate a read-heavy workload."
 
-use abase_bench::{banner, fmt, pct, print_table};
+use crate::{banner, fmt, pct, print_table};
 use abase_workload::TenantPopulation;
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Figure 3",
         "tenant scatter over (RU, storage), colored by read ratio",
@@ -81,4 +82,5 @@ fn main() {
         ],
         &rows,
     );
+    Ok(())
 }

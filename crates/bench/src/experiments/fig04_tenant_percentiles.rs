@@ -13,7 +13,7 @@
 //! *claim* (every tenant well under SLA, long tail spanning ~6×) rather than
 //! the exact percentages.
 
-use abase_bench::{banner, fmt, pct, print_table};
+use crate::{banner, fmt, pct, print_table};
 use abase_workload::TenantPopulation;
 
 /// P99 latency from the DataNode cost model: 0.3 ms dispatch, 2 ms disk read
@@ -32,7 +32,8 @@ fn p99_latency_ms(hit_ratio: f64, kv_bytes: f64) -> f64 {
 
 const SLA_MS: f64 = 16.0;
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Figure 4",
         "per-tenant distributions: latency-to-SLA, cache hit, read ratio, KV size",
@@ -91,4 +92,5 @@ fn main() {
         pct(max_ratio),
         fmt(max_ratio / p50_ratio, 1)
     );
+    Ok(())
 }

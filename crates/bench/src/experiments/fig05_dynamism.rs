@@ -13,7 +13,7 @@
 //! The pool-level claim — "the latency for all tenants remained stable, still
 //! fully meeting the SLA" — is checked at the end.
 
-use abase_bench::{banner, fmt, pct, sparkline};
+use crate::{banner, fmt, pct, sparkline};
 use abase_core::cluster::{IsolationExperiment, MinutePoint, TenantSpec};
 use abase_core::node::{DataNodeConfig, DataNodeSim};
 use abase_core::proxy::ProxyPlaneConfig;
@@ -49,7 +49,8 @@ fn spec(id: u32, qps: f64, n_keys: usize, zipf: f64) -> TenantSpec {
     }
 }
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Figure 5",
         "Double-11 dynamism: six tenant panels over a 15-day window",
@@ -172,4 +173,5 @@ fn main() {
             "exceeds 50 ms ✗"
         }
     );
+    Ok(())
 }

@@ -7,13 +7,14 @@
 //! switched on; the proxy intercepts the excess, the node recovers, and both
 //! tenants return to low latency.
 
-use abase_bench::{banner, fmt, print_table};
+use crate::{banner, fmt, point, print_table};
 use abase_core::cluster::{IsolationExperiment, TenantSpec};
 use abase_core::node::{DataNodeConfig, DataNodeSim};
 use abase_core::proxy::ProxyPlaneConfig;
 use abase_workload::{KeyspaceConfig, TrafficShape};
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Figure 6",
         "proxy quota shields co-tenants from burst traffic",
@@ -83,27 +84,15 @@ fn main() {
 
     let mut rows = Vec::new();
     for minute in [0, 5, 9, 11, 15, 25, 34, 36, 40, 44] {
-        let p1 = all
-            .iter()
-            .find(|p| p.minute == minute && p.tenant == 1)
-            .expect("point");
-        let p2 = all
-            .iter()
-            .find(|p| p.minute == minute && p.tenant == 2)
-            .expect("point");
+        let (p1, p2) = (point(&all, minute, 1), point(&all, minute, 2));
+        let label = match minute {
+            9 => " (pre-burst)",
+            11 => " (burst)",
+            36 => " (proxy on)",
+            _ => "",
+        };
         rows.push(vec![
-            format!(
-                "{minute}{}",
-                if minute == 9 {
-                    " (pre-burst)"
-                } else if minute == 11 {
-                    " (burst)"
-                } else if minute == 36 {
-                    " (proxy on)"
-                } else {
-                    ""
-                }
-            ),
+            format!("{minute}{label}"),
             fmt(p1.success_qps, 0),
             fmt(p1.error_qps, 0),
             fmt(p1.p99_latency_ms, 1),
@@ -125,12 +114,7 @@ fn main() {
         &rows,
     );
 
-    let t2_at = |minute: u64| {
-        all.iter()
-            .find(|p| p.minute == minute && p.tenant == 2)
-            .map(|p| p.success_qps)
-            .unwrap_or(0.0)
-    };
+    let t2_at = |minute| point(&all, minute, 2).success_qps;
     println!("\nShape checks (paper: T2 → ~0 during burst; recovery after proxy on):");
     println!("  T2 pre-burst  (min 9) : {} qps", fmt(t2_at(9), 0));
     println!("  T2 mid-burst  (min 25): {} qps", fmt(t2_at(25), 0));
@@ -138,4 +122,5 @@ fn main() {
     let starved = t2_at(25) < t2_at(9) * 0.2;
     let recovered = t2_at(44) > t2_at(9) * 0.8;
     println!("  starvation during burst: {starved}; recovery after proxy on: {recovered}");
+    Ok(())
 }

@@ -8,13 +8,14 @@
 //! success drops to the partition cap (excess rejected as errors), tenant 2
 //! recovers fully, and success latencies stay low for both.
 
-use abase_bench::{banner, fmt, print_table};
+use crate::{banner, fmt, point, print_table};
 use abase_core::cluster::{IsolationExperiment, TenantSpec};
 use abase_core::node::{DataNodeConfig, DataNodeSim};
 use abase_core::proxy::ProxyPlaneConfig;
 use abase_workload::{KeyspaceConfig, TrafficShape};
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Figure 7",
         "partition quota + dual-layer WFQ under a skewed partition burst",
@@ -90,27 +91,15 @@ fn main() {
 
     let mut rows = Vec::new();
     for minute in [0, 5, 9, 11, 15, 25, 36, 38, 42, 44] {
-        let p1 = all
-            .iter()
-            .find(|p| p.minute == minute && p.tenant == 1)
-            .expect("point");
-        let p2 = all
-            .iter()
-            .find(|p| p.minute == minute && p.tenant == 2)
-            .expect("point");
+        let (p1, p2) = (point(&all, minute, 1), point(&all, minute, 2));
+        let label = match minute {
+            9 => " (pre-burst)",
+            11 => " (burst)",
+            38 => " (quota on)",
+            _ => "",
+        };
         rows.push(vec![
-            format!(
-                "{minute}{}",
-                if minute == 9 {
-                    " (pre-burst)"
-                } else if minute == 11 {
-                    " (burst)"
-                } else if minute == 38 {
-                    " (quota on)"
-                } else {
-                    ""
-                }
-            ),
+            format!("{minute}{label}"),
             fmt(p1.success_qps, 0),
             fmt(p1.error_qps, 0),
             fmt(p1.p99_latency_ms, 1),
@@ -130,12 +119,7 @@ fn main() {
         &rows,
     );
 
-    let at = |minute: u64, tenant: u32| {
-        all.iter()
-            .find(|p| p.minute == minute && p.tenant == tenant)
-            .cloned()
-            .expect("point")
-    };
+    let at = |minute, tenant| point(&all, minute, tenant);
     let t1_pre = at(9, 1);
     let t1_mid = at(25, 1);
     let t1_post = at(42, 1);
@@ -170,4 +154,5 @@ fn main() {
         fmt(t2_post.success_qps, 0),
         fmt(t1_post.p99_latency_ms, 1)
     );
+    Ok(())
 }

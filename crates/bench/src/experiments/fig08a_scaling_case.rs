@@ -6,12 +6,13 @@
 //! This adjustment matched actual usage, effectively preventing user
 //! throttling."
 
-use abase_bench::{banner, fmt, print_table};
+use crate::{banner, fmt, print_table};
 use abase_scheduler::{AutoscaleConfig, Autoscaler, ScalingDecision};
 use abase_util::clock::days;
 use abase_workload::series::fig8a_disk_usage;
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Figure 8a",
         "predictive disk-quota scaling on a growing 24h-periodic series",
@@ -84,4 +85,5 @@ fn main() {
         fmt(quota, 0),
         fmt(quota - final_max, 0)
     );
+    Ok(())
 }

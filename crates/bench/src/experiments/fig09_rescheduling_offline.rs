@@ -6,7 +6,7 @@
 //! in the standard deviation of RU usage and an 84.8 % decrease in storage
 //! usage variance."
 
-use abase_bench::{banner, fmt, pct, print_table};
+use crate::{banner, fmt, pct, print_table};
 use abase_scheduler::{LoadVector, NodeState, PoolState, ReplicaLoad, Rescheduler};
 use abase_workload::TenantPopulation;
 use rand::rngs::StdRng;
@@ -58,7 +58,8 @@ fn build_pool(n_nodes: u32, seed: u64) -> PoolState {
     PoolState::new(nodes)
 }
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Figure 9",
         "offline rescheduling of a 1000-node resource pool",
@@ -112,24 +113,12 @@ fn main() {
     // Rescheduling is real data movement, not a routing flip: price the plan
     // under the §3.3 per-disk copy model. Sources spread across the pool, so
     // the wall-clock cost is set by the busiest source disk, not the total.
-    let moved_storage: f64 = moves
-        .iter()
-        .filter_map(|m| {
-            pool.nodes
-                .iter()
-                .flat_map(|n| n.replicas.iter())
-                .find(|r| r.id == m.replica_id)
-                .map(|r| r.storage)
-        })
-        .sum();
+    let mut moved_storage = 0.0;
     let mut per_source: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
     for m in &moves {
-        if let Some(r) = pool
-            .nodes
-            .iter()
-            .flat_map(|n| n.replicas.iter())
-            .find(|r| r.id == m.replica_id)
-        {
+        let mut replicas = pool.nodes.iter().flat_map(|n| n.replicas.iter());
+        if let Some(r) = replicas.find(|r| r.id == m.replica_id) {
+            moved_storage += r.storage;
             *per_source.entry(m.from_node).or_default() += r.storage;
         }
     }
@@ -152,4 +141,5 @@ fn main() {
         pct(min),
         pct(max)
     );
+    Ok(())
 }

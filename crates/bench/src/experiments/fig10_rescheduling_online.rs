@@ -9,7 +9,7 @@
 //! that individual move completes — the same per-migration completion
 //! semantics the live `MigrationEngine` enforces.
 
-use abase_bench::{banner, pct, sparkline};
+use crate::{banner, pct, sparkline};
 use abase_scheduler::{LoadVector, Migration, NodeState, PoolState, ReplicaLoad, Rescheduler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +25,8 @@ struct InflightMove {
     done_hour: usize,
 }
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Figure 10",
         "online rescheduling (every 10 min) over 100 hours",
@@ -139,4 +140,5 @@ fn main() {
             pct(avg_series[hour])
         );
     }
+    Ok(())
 }

@@ -5,11 +5,12 @@
 //! mean KV size, and replayed through a node-sized SA-LRU cache to confirm
 //! the hit-ratio ordering the paper reports.
 
-use abase_bench::{banner, fmt, pct, print_table};
+use crate::{banner, fmt, pct, print_table};
 use abase_cache::SaLruCache;
 use abase_workload::{KeyspaceConfig, LogNormal, RequestGen, TABLE1_PROFILES};
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Table 1",
         "workload diversity across ByteDance business lines",
@@ -110,4 +111,5 @@ fn main() {
         "  - LLM profile: {} normalized throughput, {} normalized storage, cache bypassed",
         TABLE1_PROFILES[6].norm_throughput, TABLE1_PROFILES[6].norm_storage
     );
+    Ok(())
 }

@@ -7,7 +7,7 @@
 //! the whole keyspace, so a small per-proxy cache yields single-digit hit
 //! ratios; grouping concentrates each key on `N/n` proxies.
 
-use abase_bench::{banner, pct, print_table};
+use crate::{banner, pct, print_table};
 use abase_cache::aulru::AuLruConfig;
 use abase_core::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
 use abase_util::clock::secs;
@@ -92,7 +92,7 @@ const CASES: &[Case] = &[
 ];
 
 /// Run one configuration and return (hit ratio, ru saved fraction).
-fn run(case: &Case, n_groups: u32, seed: u64) -> (f64, f64) {
+fn simulate(case: &Case, n_groups: u32, seed: u64) -> (f64, f64) {
     let mut plane = ProxyPlane::new(
         1,
         ProxyPlaneConfig {
@@ -154,7 +154,8 @@ fn run(case: &Case, n_groups: u32, seed: u64) -> (f64, f64) {
     )
 }
 
-fn main() {
+/// Print this experiment's report; it has no smoke size.
+pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Table 2",
         "proxy cache benefit: hit ratio and RU saving per tenant",
@@ -165,9 +166,9 @@ fn main() {
     for (i, case) in CASES.iter().enumerate() {
         // Before: random routing — one group spanning every proxy, so each
         // proxy sees the whole keyspace (the paper's 5–24 % baseline).
-        let (before_hit, _) = run(case, 1, 1000 + i as u64);
+        let (before_hit, _) = simulate(case, 1, 1000 + i as u64);
         // After: the Table-2 grouping concentrates each key on N/n proxies.
-        let (after_hit, saving) = run(case, case.n_groups, 2000 + i as u64);
+        let (after_hit, saving) = simulate(case, case.n_groups, 2000 + i as u64);
         rows.push(vec![
             case.name.to_string(),
             format!("{}", case.n_proxies),
@@ -192,4 +193,5 @@ fn main() {
     );
     println!("\nMechanism check: grouping multiplies per-proxy keyspace locality by N/n;");
     println!("the before-state floor comes from each proxy seeing the full keyspace.");
+    Ok(())
 }

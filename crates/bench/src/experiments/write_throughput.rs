@@ -15,11 +15,10 @@
 //!   one writer can ever be inside the engine, so every put pays a private
 //!   fsync and throughput stays flat no matter how many writers pile up.
 //!
-//! Writes `BENCH_write.json` at the repo root. `ABASE_BENCH_SMOKE=1` shrinks
-//! the op counts for CI smoke runs (the numbers are then noisy and only the
-//! JSON shape is asserted).
+//! A full run writes `BENCH_write.json` at the repo root; a smoke run shrinks
+//! the op counts. Every run checks the facts `check` names.
 
-use abase_bench::banner;
+use crate::{banner, publish};
 use abase_lavastore::{Db, DbConfig};
 use abase_util::TestDir;
 use std::sync::Arc;
@@ -27,9 +26,28 @@ use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const VALUE_BYTES: usize = 256;
+/// Every put is durable: the bench measures group commit, not buffering.
+const SYNC_WAL: bool = true;
 
-fn main() {
-    let smoke = std::env::var("ABASE_BENCH_SMOKE").is_ok_and(|v| v == "1");
+/// Every thread count ran, in order; both arms made progress; and the WAL
+/// was synced on every put. A row is (threads, striped ops/s, single-lock
+/// ops/s).
+fn check(rows: &[(usize, f64, f64)], sync_wal: bool) -> Result<(), String> {
+    ensure!(sync_wal, "the bench measured writes without sync_wal");
+    let threads: Vec<usize> = rows.iter().map(|r| r.0).collect();
+    ensure!(
+        threads == THREAD_COUNTS,
+        "thread counts {threads:?}, not {THREAD_COUNTS:?}"
+    );
+    for r in rows {
+        // Both positive, so the speedup is too.
+        ensure!(r.1 > 0.0 && r.2 > 0.0, "an arm stalled: {r:?}");
+    }
+    Ok(())
+}
+
+/// Run both arms at every writer count, check, and publish.
+pub fn run(smoke: bool) -> Result<(), String> {
     let (ops, trials) = if smoke { (800, 1) } else { (24_000, 3) };
     banner(
         "WRITE",
@@ -45,8 +63,8 @@ fn main() {
         let mut striped = 0f64;
         let mut single = 0f64;
         for _ in 0..trials {
-            striped = striped.max(run(threads, ops, 8, false, "striped"));
-            single = single.max(run(threads, ops, 1, true, "single"));
+            striped = striped.max(measure(threads, ops, 8, false, "striped"));
+            single = single.max(measure(threads, ops, 1, true, "single"));
         }
         println!(
             "{threads} writer(s): striped {striped:>9.0} ops/s  single-lock {single:>9.0} ops/s  speedup {:.2}x",
@@ -54,6 +72,7 @@ fn main() {
         );
         rows.push((threads, striped, single));
     }
+    check(&rows, SYNC_WAL)?;
 
     let results = rows
         .iter()
@@ -69,21 +88,19 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"write_throughput\",\n  \"smoke\": {smoke},\n  \
          \"ops_per_config\": {ops},\n  \"value_bytes\": {VALUE_BYTES},\n  \
-         \"sync_wal\": true,\n  \"results\": [\n{results}\n  ]\n}}\n"
+         \"sync_wal\": {SYNC_WAL},\n  \"results\": [\n{results}\n  ]\n}}\n"
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_write.json");
-    std::fs::write(out, &json).expect("write BENCH_write.json");
-    println!("wrote {out}");
+    publish("write", &json, smoke)
 }
 
 /// `threads` writers split `ops` durable puts over disjoint key ranges;
 /// returns ops/s. With `global_lock` every put runs under one process-wide
 /// write lock, reproducing the seed engine's `RwLock<Inner>` serialization.
-fn run(threads: usize, ops: usize, n_stripes: u32, global_lock: bool, tag: &str) -> f64 {
+fn measure(threads: usize, ops: usize, n_stripes: u32, global_lock: bool, tag: &str) -> f64 {
     let dir = TestDir::new(&format!("write-bench-{tag}-{threads}"));
     let config = DbConfig {
         n_stripes,
-        sync_wal: true,
+        sync_wal: SYNC_WAL,
         ..DbConfig::default()
     };
     let db = Arc::new(Db::open(dir.path(), config).unwrap());
@@ -109,4 +126,24 @@ fn run(threads: usize, ops: usize, n_stripes: u32, global_lock: bool, tag: &str)
         }
     });
     (per * threads) as f64 / started.elapsed().as_secs_f64()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_refuses_each_doctored_fact() {
+        crate::refuses_each(
+            (THREAD_COUNTS.map(|threads| (threads, 2.0, 1.0)).to_vec(), true),
+            |(rows, sync_wal)| check(rows, *sync_wal),
+            &[
+                |(_, sync_wal)| *sync_wal = false,
+                |(rows, _)| rows.truncate(2),
+                |(rows, _)| rows.swap(0, 1),
+                |(rows, _)| rows[1].1 = 0.0,
+                |(rows, _)| rows[2].2 = 0.0,
+            ],
+        );
+    }
 }

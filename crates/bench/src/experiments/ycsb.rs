@@ -1,5 +1,5 @@
 //! YCSB-style macro benchmark: the six core workloads (A–F) against an
-//! in-process `RespServer`, run twice — block cache **on** vs **off** — to
+//! in-process `ServingNode`, run twice — block cache **on** vs **off** — to
 //! put a number on the read-path win from the sharded SA-LRU block cache.
 //!
 //! Workload mixes (key popularity is zipfian, s = 0.99, YCSB's default):
@@ -33,13 +33,11 @@
 //! - The memtable is flushed after each warm pass, so measured reads hit
 //!   SSTs (cache or disk), not the write buffer.
 //!
-//! Writes `BENCH_ycsb.json` at the repo root. `ABASE_BENCH_SMOKE=1` shrinks
-//! the dataset and op counts for CI smoke runs — numbers are then noisy and
-//! only the JSON shape (six workloads x two arms, a warm workload-C hit
-//! rate) is asserted.
+//! A full run writes `BENCH_ycsb.json` at the repo root; a smoke run shrinks
+//! the dataset and op counts. Every run checks the facts `check` names.
 
-use abase_bench::banner;
-use abase_core::{RespServer, TableEngine};
+use crate::{banner, client, encode_into, publish};
+use abase_core::{NodeRole, ServingNode};
 use abase_lavastore::{Db, DbConfig};
 use abase_util::TestDir;
 use abase_workload::dist::Zipf;
@@ -136,6 +134,7 @@ struct Flight {
     flush_after: bool,
 }
 
+#[derive(Debug, Clone)]
 struct ArmRun {
     ops_per_sec: f64,
     p50_micros: u64,
@@ -149,8 +148,27 @@ struct ArmRun {
     disk_block_reads: u64,
 }
 
-fn main() {
-    let smoke = std::env::var("ABASE_BENCH_SMOKE").is_ok_and(|v| v == "1");
+/// Every workload ran, in order, in both arms, each with positive ops/s and
+/// `0 < p50 <= p99`; the cache-off arm served no block or row hit; the
+/// warmed cache-on arm of workload C (read only) served block hits.
+fn check(off: &[ArmRun], on: &[ArmRun]) -> Result<(), String> {
+    let n = WORKLOADS.len();
+    ensure!(off.len() == n && on.len() == n, "not all {n} workloads ran in both arms");
+    for (i, &(w, _)) in WORKLOADS.iter().enumerate() {
+        for (arm, r) in [("cache_off", &off[i]), ("cache_on", &on[i])] {
+            let timed = r.p99_micros >= r.p50_micros && r.p50_micros > 0;
+            ensure!(r.ops_per_sec > 0.0 && timed, "{w} {arm} stalled or mistimed: {r:?}");
+        }
+        let off = &off[i];
+        ensure!(off.cache_hits == 0 && off.row_hits == 0, "{w} cache_off hit: {off:?}");
+    }
+    let c = &on[WORKLOADS.iter().position(|&(w, _)| w == 'C').expect("C")];
+    ensure!(c.hit_rate > 0.0, "warm C cache_on served no block hit: {c:?}");
+    Ok(())
+}
+
+/// Run every workload with the cache off, then on; check, and publish.
+pub fn run(smoke: bool) -> Result<(), String> {
     banner(
         "YCSB",
         "YCSB A-F against the RESP server: block cache on vs off",
@@ -200,9 +218,8 @@ fn main() {
         sizes.block_bytes,
         rows.join(",\n")
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ycsb.json");
-    std::fs::write(out, &json).expect("write BENCH_ycsb.json");
-    println!("wrote {out}");
+    check(&off, &on)?;
+    publish("ycsb", &json, smoke)
 }
 
 fn arm_json(arm: &str, r: &ArmRun) -> String {
@@ -231,12 +248,9 @@ fn run_arm(arm: &'static str, cache_bytes: usize, sizes: &Sizes) -> Vec<ArmRun> 
         block_cache_bytes: cache_bytes,
         ..DbConfig::default()
     };
-    let engine = Arc::new(TableEngine::open(dir.path(), config).unwrap());
-    let db = engine.db();
-    let server = RespServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.shutdown_handle();
-    let runner = std::thread::spawn(move || server.run());
+    let node = ServingNode::open("127.0.0.1:0", dir.path(), config, NodeRole::Plain).unwrap();
+    let db = node.engine().db();
+    let addr = node.local_addr();
 
     load(addr, sizes);
     // Settle the load into sorted, immutable SSTs so every workload starts
@@ -284,9 +298,7 @@ fn run_arm(arm: &'static str, cache_bytes: usize, sizes: &Sizes) -> Vec<ArmRun> 
             disk_block_reads: disk_after - disk_before,
         });
     }
-    handle.shutdown();
-    let _ = runner.join();
-    assert_eq!(results.len(), WORKLOADS.len());
+    node.shutdown().unwrap();
     results
 }
 
@@ -470,44 +482,25 @@ fn append_op(
 }
 
 /// Load phase: `records` string keys plus `bins` hash bins of
-/// `FIELDS_PER_BIN` fields each, pipelined over one connection.
+/// `FIELDS_PER_BIN` fields each, pipelined 256 commands a flight over one
+/// connection.
 fn load(addr: SocketAddr, sizes: &Sizes) {
-    let mut conn = client(addr);
-    let mut reply = Vec::new();
-    let mut buf = Vec::new();
-    let mut pending = 0;
-    let mut push = |conn: &mut TcpStream, buf: &mut Vec<u8>, pending: &mut usize, flush: bool| {
-        if *pending >= 256 || (flush && *pending > 0) {
-            conn.write_all(buf).unwrap();
-            drain(conn, *pending, &mut reply);
-            buf.clear();
-            *pending = 0;
+    let value = |id| value_for(id, sizes.value_bytes);
+    let sets = (0..sizes.records as u64).map(|id| vec!["SET".into(), user_key(id), value(id)]);
+    let hsets = (0..sizes.bins as u64).flat_map(|bin| {
+        let field = move |f| vec!["HSET".into(), bin_key(bin), format!("f{f}"), value(f)];
+        (0..FIELDS_PER_BIN).map(field)
+    });
+    let commands: Vec<Vec<String>> = sets.chain(hsets).collect();
+    let (mut conn, mut reply) = (client(addr), Vec::new());
+    for batch in commands.chunks(256) {
+        let mut buf = Vec::new();
+        for parts in batch {
+            encode_into(&mut buf, &parts.iter().map(String::as_str).collect::<Vec<_>>());
         }
-    };
-    for id in 0..sizes.records as u64 {
-        encode_into(
-            &mut buf,
-            &["SET", &user_key(id), &value_for(id, sizes.value_bytes)],
-        );
-        pending += 1;
-        push(&mut conn, &mut buf, &mut pending, false);
+        conn.write_all(&buf).unwrap();
+        drain(&mut conn, batch.len(), &mut reply);
     }
-    for bin in 0..sizes.bins as u64 {
-        for f in 0..FIELDS_PER_BIN {
-            encode_into(
-                &mut buf,
-                &[
-                    "HSET",
-                    &bin_key(bin),
-                    &format!("f{f}"),
-                    &value_for(f, sizes.value_bytes),
-                ],
-            );
-            pending += 1;
-            push(&mut conn, &mut buf, &mut pending, false);
-        }
-    }
-    push(&mut conn, &mut buf, &mut pending, true);
 }
 
 fn user_key(id: u64) -> String {
@@ -526,19 +519,6 @@ fn value_for(id: u64, len: usize) -> String {
     }
     v.truncate(len);
     v
-}
-
-fn client(addr: SocketAddr) -> TcpStream {
-    let conn = TcpStream::connect(addr).expect("connect to bench server");
-    conn.set_nodelay(true).unwrap();
-    conn
-}
-
-fn encode_into(out: &mut Vec<u8>, parts: &[&str]) {
-    out.extend_from_slice(format!("*{}\r\n", parts.len()).as_bytes());
-    for p in parts {
-        out.extend_from_slice(format!("${}\r\n{p}\r\n", p.len()).as_bytes());
-    }
 }
 
 /// Read until `expect` complete reply frames have arrived. Frames are
@@ -604,18 +584,40 @@ fn find_crlf(buf: &[u8]) -> Option<usize> {
 }
 
 fn ascii_int(digits: &[u8]) -> i64 {
-    let mut v: i64 = 0;
-    let mut neg = false;
-    for &d in digits {
-        match d {
-            b'-' => neg = true,
-            b'0'..=b'9' => v = v * 10 + i64::from(d - b'0'),
-            other => panic!("bad digit {other:#x} in RESP length"),
-        }
-    }
-    if neg {
-        -v
-    } else {
-        v
+    let parsed = std::str::from_utf8(digits).ok().and_then(|s| s.parse().ok());
+    parsed.unwrap_or_else(|| panic!("bad RESP length {digits:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_refuses_each_doctored_fact() {
+        let arm = |cache_hits, row_hits, hit_rate| ArmRun {
+            ops_per_sec: 1e4,
+            p50_micros: 100,
+            p99_micros: 300,
+            cache_hits,
+            cache_misses: 10,
+            hit_rate,
+            row_hits,
+            disk_block_reads: 10,
+        };
+        let n = WORKLOADS.len();
+        crate::refuses_each(
+            (vec![arm(0, 0, 0.0); n], vec![arm(30, 5, 0.75); n]),
+            |(off, on)| check(off, on),
+            &[
+                |(off, _)| off.truncate(5),
+                |(_, on)| on.truncate(5),
+                |(off, _)| off[0].ops_per_sec = 0.0,
+                |(_, on)| on[5].p50_micros = 0,
+                |(_, on)| on[1].p99_micros = 50,
+                |(off, _)| off[3].cache_hits = 1,
+                |(off, _)| off[4].row_hits = 1,
+                |(_, on)| on[2].hit_rate = 0.0,
+            ],
+        );
     }
 }

@@ -1,50 +1,58 @@
 //! # abase-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper's
-//! evaluation (§6) plus ablation studies, and criterion micro-benchmarks.
-//!
-//! Run a figure regenerator with e.g.
-//! `cargo run --release -p abase-bench --bin fig06_proxy_quota`, or all
-//! criterion micro-benches with `cargo bench -p abase-bench`.
-//!
-//! Every binary prints the paper's reference numbers next to the measured
-//! ones; EXPERIMENTS.md records a captured run.
+//! The paper's evaluation (§6) regenerated: each table, figure and ablation
+//! is a module of [`experiments`], run by name by one binary, `repro`
+//! (`repro` lists them; `repro fig06_proxy_quota ycsb` runs two at full
+//! size). The five with a JSON report check facts about their own results on
+//! every run; `--smoke` shrinks their workloads and writes no `BENCH_*.json`.
+//! Criterion micro-benchmarks: `cargo bench -p abase-bench`.
 
 #![deny(missing_docs)]
+
+use abase_core::MinutePoint;
+use std::net::{SocketAddr, TcpStream};
+
+/// Return `Err` naming the fact (a `format!` string) unless `cond` holds:
+/// how an experiment checks its own results.
+macro_rules! ensure {
+    ($cond:expr, $($fact:tt)+) => {
+        // Bound first: a negated float comparison reads as its opposite
+        // only when neither side is NaN, and NaN must fail the check too.
+        let holds: bool = $cond;
+        if !holds {
+            return Err(format!($($fact)+));
+        }
+    };
+}
+
+pub mod experiments;
 
 /// Print a fixed-width ASCII table.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let line = |ch: char| {
-        let mut s = String::from("+");
-        for w in &widths {
-            s.push_str(&ch.to_string().repeat(w + 2));
-            s.push('+');
-        }
-        s
+    let rule = |ch: &str| {
+        widths
+            .iter()
+            .fold("+".to_string(), |s, w| s + &ch.repeat(w + 2) + "+")
     };
-    println!("{}", line('-'));
-    let mut head = String::from("|");
-    for (h, w) in headers.iter().zip(&widths) {
-        head.push_str(&format!(" {h:<w$} |"));
-    }
-    println!("{head}");
-    println!("{}", line('='));
+    let line = |cells: Vec<&str>| {
+        let cells = cells.iter().zip(&widths);
+        cells.fold("|".to_string(), |s, (cell, w)| {
+            s + &format!(" {cell:<w$} |")
+        })
+    };
+    println!("{}", rule("-"));
+    println!("{}", line(headers.to_vec()));
+    println!("{}", rule("="));
     for row in rows {
-        let mut out = String::from("|");
-        for (cell, w) in row.iter().zip(&widths) {
-            out.push_str(&format!(" {cell:<w$} |"));
-        }
-        println!("{out}");
+        println!("{}", line(row.iter().map(String::as_str).collect()));
     }
-    println!("{}", line('-'));
+    println!("{}", rule("-"));
 }
 
 /// Render a compact unicode sparkline for a series (for time-series figures).
@@ -83,6 +91,73 @@ pub fn banner(id: &str, title: &str, paper_claim: &str) {
     println!("==============================================================");
 }
 
+/// The point of `tenant` at `minute` in a simulator series.
+pub fn point(series: &[MinutePoint], minute: u64, tenant: u32) -> &MinutePoint {
+    let at = |p: &&MinutePoint| p.minute == minute && p.tenant == tenant;
+    series
+        .iter()
+        .find(at)
+        .expect("a point per tenant and minute")
+}
+
+/// Publish a JSON report as `BENCH_<name>.json` at the repository root. A
+/// smoke run's numbers are noise: its report is printed, and the committed
+/// full-run file is left alone.
+pub fn publish(name: &str, json: &str, smoke: bool) -> Result<(), String> {
+    if smoke {
+        print!("smoke run, BENCH_{name}.json not written:\n{json}");
+        return Ok(());
+    }
+    let out = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&out, json).map_err(|e| format!("write {out}: {e}"))?;
+    println!("wrote {out}");
+    Ok(())
+}
+
+/// A loopback client with Nagle off. Under connect pressure (EMFILE, a full
+/// backlog while thousands connect) it retries briefly instead of failing.
+pub fn client(addr: SocketAddr) -> TcpStream {
+    for _ in 0..50 {
+        if let Ok(conn) = TcpStream::connect(addr) {
+            conn.set_nodelay(true).unwrap();
+            return conn;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    panic!("could not connect to {addr}");
+}
+
+/// Append one command, as a RESP array of bulk strings, to `out`.
+pub fn encode_into(out: &mut Vec<u8>, parts: &[&str]) {
+    out.extend_from_slice(format!("*{}\r\n", parts.len()).as_bytes());
+    for p in parts {
+        out.extend_from_slice(format!("${}\r\n{p}\r\n", p.len()).as_bytes());
+    }
+}
+
+/// One command as a RESP array of bulk strings.
+pub fn encode(parts: &[&str]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(&mut out, parts);
+    out
+}
+
+/// Assert `check` passes `healthy` and fails every copy of it that one of
+/// `doctors` altered: each fact an experiment checks can fail it.
+#[cfg(test)]
+fn refuses_each<T: Clone>(
+    healthy: T,
+    check: impl Fn(&T) -> Result<(), String>,
+    doctors: &[fn(&mut T)],
+) {
+    assert_eq!(check(&healthy), Ok(()));
+    for (i, doctor) in doctors.iter().enumerate() {
+        let mut doctored = healthy.clone();
+        doctor(&mut doctored);
+        assert!(check(&doctored).is_err(), "doctoring {i} passed the check");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,6 +174,7 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(fmt(1.23456, 2), "1.23");
         assert_eq!(pct(0.935), "93.5%");
+        assert_eq!(encode(&["GET", "k"]), b"*2\r\n$3\r\nGET\r\n$1\r\nk\r\n");
     }
 
     #[test]

@@ -32,9 +32,6 @@
 //!   plans executed as staged checkpoint copies (throttled by the §3.3
 //!   recovery-bandwidth model) + binlog catch-up + epoch-guarded cut-overs,
 //!   with one in-flight move per node.
-//! * [`oncall`] — the Figure 8b oncall model (reactive vs. predictive scaling).
-//! * [`placement`] — the §6.4 single-tenant vs multi-tenant utilization
-//!   comparison and the §3.3 robustness arithmetic.
 //! * [`server`] — a TCP front end speaking RESP2 over the table engine, so
 //!   any Redis client can talk to a node; supports `WAIT`/`REPLCONF`/`PSYNC`
 //!   against an attached replica group.
@@ -57,9 +54,7 @@ pub mod meta;
 pub mod metrics;
 pub mod migration;
 pub mod node;
-pub mod oncall;
 pub mod pipeline;
-pub mod placement;
 pub mod proxy;
 pub mod router;
 pub mod server;

@@ -70,7 +70,6 @@ use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Footer magic of format v3.
@@ -550,10 +549,6 @@ pub struct SstReader {
     cache: Option<Arc<BlockCache>>,
     /// Bytes of index + bloom pinned in memory for this reader's lifetime.
     pinned_bytes: usize,
-    /// Data-block reads served from disk by this reader (I/O accounting).
-    block_reads: AtomicU64,
-    /// Point lookups short-circuited by the bloom filter.
-    bloom_skips: AtomicU64,
 }
 
 impl SstReader {
@@ -636,8 +631,6 @@ impl SstReader {
             file_id: BlockCache::next_file_id(),
             cache,
             pinned_bytes,
-            block_reads: AtomicU64::new(0),
-            bloom_skips: AtomicU64::new(0),
         })
     }
 
@@ -654,16 +647,6 @@ impl SstReader {
     /// Largest user key in the file.
     pub fn max_key(&self) -> &Bytes {
         &self.max_key
-    }
-
-    /// Data-block reads performed so far.
-    pub fn block_reads(&self) -> u64 {
-        self.block_reads.load(Ordering::Relaxed)
-    }
-
-    /// Point lookups answered "absent" by the bloom filter alone.
-    pub fn bloom_skips(&self) -> u64 {
-        self.bloom_skips.load(Ordering::Relaxed)
     }
 
     /// True if `key` falls inside this file's `[min, max]` key range.
@@ -708,7 +691,6 @@ impl SstReader {
             STORED.set(stored);
         }
         let block = block?;
-        self.block_reads.fetch_add(1, Ordering::Relaxed);
         if fill {
             if let Some(cache) = &self.cache {
                 cache.insert(self.file_id, offset, Arc::clone(&block));
@@ -740,7 +722,6 @@ impl SstReader {
         }
         crate::metrics::BLOOM_CHECKS.inc();
         if !self.bloom.may_contain_hashed(hashes) {
-            self.bloom_skips.fetch_add(1, Ordering::Relaxed);
             crate::metrics::BLOOM_NEGATIVES.inc();
             return Ok((None, BlockIo::default()));
         }
@@ -911,7 +892,6 @@ mod tests {
             io_total += io.total();
         }
         assert!(io_total <= 20, "io_total={io_total}");
-        assert!(r.bloom_skips() >= 180);
         std::fs::remove_file(&path).ok();
     }
 
@@ -999,7 +979,6 @@ mod tests {
         let (rec, io) = r.get(b"key-000123").unwrap();
         assert_eq!(rec.unwrap().value, &b"value-123"[..]);
         assert_eq!(io, BlockIo { disk: 0, cached: 1 }, "second read not cached");
-        assert_eq!(r.block_reads(), 1, "disk read counted twice");
         assert!(cache.resident_bytes() > 0);
         std::fs::remove_file(&path).ok();
     }
