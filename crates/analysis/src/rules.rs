@@ -19,7 +19,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Crates whose `src/` trees are held to the A003 no-panic standard.
-pub const HOT_CRATES: &[&str] = &["lavastore", "replication", "core", "cache", "proto"];
+pub const HOT_CRATES: &[&str] = &["lavastore", "replication", "core", "sim", "cache", "proto"];
 
 /// How many preceding lines a justification comment may sit on.
 const SAFETY_WINDOW: usize = 6;

@@ -8,7 +8,7 @@
 
 use crate::{banner, pct, print_table};
 use abase_cache::aulru::AuLruConfig;
-use abase_core::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
+use abase_sim::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
 use abase_util::clock::secs;
 use abase_workload::{KeyspaceConfig, RequestGen};
 

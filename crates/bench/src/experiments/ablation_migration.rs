@@ -5,9 +5,10 @@
 //!
 //! 1. **Routing flip** (the pre-engine behavior): `MetaServer::move_partition`
 //!    repoints the partition instantly — zero seconds, zero bytes — and the
-//!    destination holds nothing. Leader reads against the new routing fail,
-//!    and the meta view diverges from the group's actual leadership: the
-//!    "migration" was fiction.
+//!    destination holds nothing, so the meta view diverges from the group's
+//!    actual leadership: the "migration" was fiction. Reads do not consult
+//!    the meta view (the group picks every read's replica), so
+//!    `leader_read_failures` stays 0.
 //! 2. **Live movement** (the `MigrationEngine` path): staged checkpoint copy
 //!    throttled by the §3.3 recovery-bandwidth model, binlog catch-up,
 //!    epoch-guarded cut-over — while a tenant keeps writing and reading.
@@ -25,8 +26,8 @@
 //! checks the facts `check` names.
 
 use crate::banner;
-use abase_core::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
-use abase_core::MigrationReport;
+use abase_sim::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
+use abase_sim::MigrationReport;
 use abase_lavastore::DbConfig;
 use abase_replication::{ReadConsistency, WriteConcern};
 use abase_scheduler::{Rescheduler, ReschedulerConfig};

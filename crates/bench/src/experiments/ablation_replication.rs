@@ -22,9 +22,9 @@
 //! sample counts drop. Every run checks the follower-read facts `check` names.
 
 use crate::banner;
-use abase_core::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
-use abase_core::meta::RecoveryModel;
-use abase_core::node::DataNodeConfig;
+use abase_sim::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
+use abase_sim::meta::RecoveryModel;
+use abase_sim::node::DataNodeConfig;
 use abase_lavastore::{Db, DbConfig};
 use abase_replication::{
     reconstruct_parallel, reconstruct_single_source, GroupConfig, ReadConsistency,
@@ -171,7 +171,7 @@ fn bench_reads(
 /// through a real cluster, then divide a node's RU/s budget by the *hottest*
 /// replica's share of the read RU — the node that saturates first caps the
 /// aggregate. Leader-only routing pins every read on one node; routed
-/// `Eventual` reads spread over the followers, so capacity grows with the
+/// `Eventual` reads rotate over every replica, so capacity grows with the
 /// replica count.
 fn modeled_read_capacity(base: &Path, replicas: u32, reads: usize, leader_only: bool) -> f64 {
     let dir = base.join(format!(
@@ -389,7 +389,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
     drop(read_group);
     // Scaling curve (cost model): sustainable aggregate read throughput
     // before the hottest replica saturates its node's RU budget, at growing
-    // replica counts — routed `Eventual` reads spread over the followers, so
+    // replica counts — routed `Eventual` reads rotate over every replica, so
     // the capacity grows where leader-only routing stays flat.
     let capacity_reads = sz.staleness_writes * 6;
     let leader_capacity = modeled_read_capacity(&base, 3, capacity_reads, true);

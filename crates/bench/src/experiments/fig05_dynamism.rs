@@ -14,9 +14,9 @@
 //! fully meeting the SLA" — is checked at the end.
 
 use crate::{banner, fmt, pct, sparkline};
-use abase_core::cluster::{IsolationExperiment, MinutePoint, TenantSpec};
-use abase_core::node::{DataNodeConfig, DataNodeSim};
-use abase_core::proxy::ProxyPlaneConfig;
+use abase_sim::isolation::{IsolationExperiment, MinutePoint, TenantSpec};
+use abase_sim::node::{DataNodeConfig, DataNodeSim};
+use abase_sim::proxy::ProxyPlaneConfig;
 use abase_workload::{KeyspaceConfig, TrafficShape};
 
 const DAY_SECS: u64 = 10; // one reported "day" = 10 virtual seconds

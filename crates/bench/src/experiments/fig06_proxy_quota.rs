@@ -7,10 +7,10 @@
 //! switched on; the proxy intercepts the excess, the node recovers, and both
 //! tenants return to low latency.
 
-use crate::{banner, fmt, point, print_table};
-use abase_core::cluster::{IsolationExperiment, TenantSpec};
-use abase_core::node::{DataNodeConfig, DataNodeSim};
-use abase_core::proxy::ProxyPlaneConfig;
+use crate::{banner, fmt, point, print_table, SIMULATED_PROXY};
+use abase_sim::isolation::{IsolationExperiment, TenantSpec};
+use abase_sim::node::{DataNodeConfig, DataNodeSim};
+use abase_sim::proxy::ProxyPlaneConfig;
 use abase_workload::{KeyspaceConfig, TrafficShape};
 
 /// Print this experiment's report; it has no smoke size.
@@ -20,6 +20,7 @@ pub fn run(_smoke: bool) -> Result<(), String> {
         "proxy quota shields co-tenants from burst traffic",
         "T1 burst at min 10 starves T2 (success→~0); proxy on at min 35 restores both",
     );
+    println!("{SIMULATED_PROXY}");
     let node = DataNodeSim::new(
         1,
         DataNodeConfig {

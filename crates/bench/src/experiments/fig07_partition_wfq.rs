@@ -9,9 +9,9 @@
 //! recovers fully, and success latencies stay low for both.
 
 use crate::{banner, fmt, point, print_table};
-use abase_core::cluster::{IsolationExperiment, TenantSpec};
-use abase_core::node::{DataNodeConfig, DataNodeSim};
-use abase_core::proxy::ProxyPlaneConfig;
+use abase_sim::isolation::{IsolationExperiment, TenantSpec};
+use abase_sim::node::{DataNodeConfig, DataNodeSim};
+use abase_sim::proxy::ProxyPlaneConfig;
 use abase_workload::{KeyspaceConfig, TrafficShape};
 
 /// Print this experiment's report; it has no smoke size.

@@ -7,9 +7,9 @@
 //! the whole keyspace, so a small per-proxy cache yields single-digit hit
 //! ratios; grouping concentrates each key on `N/n` proxies.
 
-use crate::{banner, pct, print_table};
+use crate::{banner, pct, print_table, SIMULATED_PROXY};
 use abase_cache::aulru::AuLruConfig;
-use abase_core::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
+use abase_sim::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
 use abase_util::clock::secs;
 use abase_workload::{KeyspaceConfig, RequestGen};
 
@@ -161,6 +161,7 @@ pub fn run(_smoke: bool) -> Result<(), String> {
         "proxy cache benefit: hit ratio and RU saving per tenant",
         "hit 5%→86% … 24%→60%; RU savings 38%–85%",
     );
+    println!("{SIMULATED_PROXY}");
     println!("(proxy fleets scaled down vs production; keys-per-group ratios preserved)\n");
     let mut rows = Vec::new();
     for (i, case) in CASES.iter().enumerate() {

@@ -16,7 +16,7 @@
 //! disk-heavy) and shares the failure headroom across the pool.
 
 use crate::{banner, pct, print_table};
-use abase_core::meta::RecoveryModel;
+use abase_sim::meta::RecoveryModel;
 use abase_workload::{Tenant, TenantPopulation};
 
 /// A machine's CPU capacity in normalized RU/s, the same in both deployments.

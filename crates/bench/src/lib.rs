@@ -9,7 +9,7 @@
 
 #![deny(missing_docs)]
 
-use abase_core::MinutePoint;
+use abase_sim::MinutePoint;
 use std::net::{SocketAddr, TcpStream};
 
 /// Return `Err` naming the fact (a `format!` string) unless `cond` holds:
@@ -26,6 +26,11 @@ macro_rules! ensure {
 }
 
 pub mod experiments;
+
+/// The line fig06 and Table 2 print: their proxy tier exists only in the
+/// simulator.
+pub const SIMULATED_PROXY: &str =
+    "(proxy tier simulated: abase-server has no AU-LRU proxy cache and no proxy quota)";
 
 /// Print a fixed-width ASCII table.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {

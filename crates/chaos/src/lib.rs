@@ -10,7 +10,7 @@
 //! failover paths consult.
 //!
 //! A [`ChaosRunner`] drives N episodes of mixed Table-1 tenant workload
-//! against a real [`abase_core::cluster::ReplicatedCluster`] and checks, per
+//! against a real [`abase_sim::cluster::ReplicatedCluster`] and checks, per
 //! episode: zero acked-write loss, no split brain, per-replica LSN
 //! monotonicity, read-your-writes fencing, the §3.3 recovery-bandwidth
 //! budget, and bounded-fault commit liveness. A failing episode prints a

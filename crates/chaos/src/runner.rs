@@ -13,8 +13,7 @@
 //!    except across an explicit full resync (counted) or replacement.
 //! 4. **Read-your-writes fencing** — a fenced read at an acked write's LSN
 //!    never observes earlier state. Fenced reads go through the cluster's
-//!    consistency-aware read router (proxy-route semantics): the invariant
-//!    therefore covers the routing layer, not just the group's own picker.
+//!    routed read, whose replica pick is the one `abase-server` runs.
 //! 5. **Recovery bandwidth** — parallel reconstruction never exceeds the
 //!    §3.3 multi-node budget (`per-node bandwidth × distinct sources`).
 //! 6. **Bounded-fault liveness** — a write-concern commit never fails while
@@ -25,9 +24,9 @@
 //! seeds live in the workspace's `tests/chaos.rs`.
 
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
-use abase_core::cluster::{FailoverOutcome, ReplicatedCluster, ReplicatedClusterConfig};
 use abase_lavastore::DbConfig;
 use abase_replication::{Error as ReplError, ReadConsistency, WriteConcern};
+use abase_sim::cluster::{FailoverOutcome, ReplicatedCluster, ReplicatedClusterConfig};
 use abase_util::failpoint::{self, FaultAction};
 use abase_util::TestDir;
 use abase_workload::{KeyspaceConfig, LogNormal, RequestGen, TABLE1_PROFILES};
@@ -94,7 +93,7 @@ pub struct EpisodeReport {
     pub writes_failed: u64,
     /// Reads issued.
     pub reads: u64,
-    /// Reads the router served from follower replicas.
+    /// Reads served from follower replicas.
     pub follower_reads: u64,
     /// `Eventual` reads that observed a value older than the key's last
     /// acked op (legal staleness, counted for the lag-attribution check).
@@ -860,10 +859,8 @@ impl ChaosRunner {
     }
 }
 
-/// Invariant 4: a fenced read at an acked LSN must observe the write — now
-/// through the cluster's read router, so the invariant holds end-to-end over
-/// the proxy route (meta health view → router decision → group fence check),
-/// whichever replica the router picked.
+/// Invariant 4: a fenced read at an acked LSN must observe the write,
+/// whichever replica the group picked.
 fn check_ryw(
     cluster: &mut ReplicatedCluster,
     partition: u64,

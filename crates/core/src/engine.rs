@@ -259,7 +259,7 @@ impl TableEngine {
                     reply: RespValue::Integer(i64::from(r.value.is_some())),
                     io_ops: r.io_ops,
                     bytes_returned: 8,
-                    from_cache: r.io_ops == r.cache_hits,
+                    from_cache: r.is_cache_hit(),
                 })
             }
             Command::Expire { key, secs } => {
@@ -275,7 +275,7 @@ impl TableEngine {
                     reply: RespValue::Integer(i64::from(r.value.is_some())),
                     io_ops: r.io_ops,
                     bytes_returned: 8,
-                    from_cache: r.io_ops == r.cache_hits,
+                    from_cache: r.is_cache_hit(),
                 })
             }
             Command::HSet { key, pairs } => {
@@ -341,11 +341,12 @@ impl TableEngine {
 
     fn bulk_outcome(r: ReadResult) -> ExecOutcome {
         let bytes_returned = r.value.as_ref().map(Bytes::len).unwrap_or(0);
+        let from_cache = r.is_cache_hit();
         ExecOutcome {
             reply: RespValue::Bulk(r.value),
             io_ops: r.io_ops,
             bytes_returned,
-            from_cache: r.io_ops == r.cache_hits,
+            from_cache,
         }
     }
 }

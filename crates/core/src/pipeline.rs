@@ -1,5 +1,5 @@
 //! Admission and charging, once for both DataNodes — the simulated one
-//! ([`crate::node`]) and the serving one ([`crate::serving`], where each
+//! (`abase_sim::node`) and the serving one ([`crate::serving`], where each
 //! tenant is one partition):
 //!
 //! ```text

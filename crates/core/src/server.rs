@@ -32,7 +32,7 @@ use crate::event_loop::{self, FrontEndConfig, Shutdown, ShutdownHandle};
 use crate::metrics;
 use crate::pipeline::{Pipeline, Request, Served};
 use crate::types::ConsistencyLevel;
-use abase_lavastore::Db;
+use abase_lavastore::{Db, ReadResult};
 use abase_obs::{Counter, LazyCounterFamily, SlowLog, Span, Stage, Timer};
 use abase_proto::{Argv, Command, RespValue, SlowlogSub};
 use abase_quota::ru::ReadOutcome;
@@ -152,15 +152,15 @@ pub trait ReplicationControl: Send + Sync {
     /// be met.
     fn commit_written(&self) -> Result<u64, String>;
     /// Serve a consistency-routed read of a storage-level key: `Eventual`
-    /// round-robins over caught-up replicas, `ReadYourWrites(lsn)` over
-    /// replicas at/above the fence, `Leader` pins to the leader. Returns the
-    /// value (if any) and the serving replica's LSN lag at read time.
+    /// round-robins over live, non-divergent replicas, `ReadYourWrites(lsn)`
+    /// over those at/above the fence, `Leader` pins to the leader. Returns
+    /// the serving replica's read.
     fn read_routed(
         &self,
         key: &[u8],
         consistency: ReadConsistency,
         now: u64,
-    ) -> Result<(Option<Vec<u8>>, u64), String>;
+    ) -> Result<ReadResult, String>;
 
     /// Followers (local and remote) whose durably applied LSN reaches `lsn`
     /// — the non-blocking half of `WAIT`. Unlike [`ReplicationControl::
@@ -241,12 +241,11 @@ impl ReplicationControl for RankedMutex<ReplicaGroup> {
         key: &[u8],
         consistency: ReadConsistency,
         now: u64,
-    ) -> Result<(Option<Vec<u8>>, u64), String> {
-        let routed = self
-            .lock()
+    ) -> Result<ReadResult, String> {
+        self.lock()
             .read_routed(key, consistency, now)
-            .map_err(|e| e.to_string())?;
-        Ok((routed.result.value.map(|v| v.to_vec()), routed.lag))
+            .map(|routed| routed.result)
+            .map_err(|e| e.to_string())
     }
 
     fn commit_written(&self) -> Result<u64, String> {
@@ -604,15 +603,20 @@ fn charge(served: Served, state: &mut ConnState, ctx: &ConnCtx) {
         .charge(matches!(served, Served::Write(_)), ru);
 }
 
+/// §4.1's name for whether the node cache answered a read.
+fn read_outcome(from_cache: bool) -> ReadOutcome {
+    if from_cache {
+        ReadOutcome::NodeCacheHit
+    } else {
+        ReadOutcome::Miss
+    }
+}
+
 /// What the engine's run of `request` comes to for §4.1: a write its
 /// payload, a read the bytes it returned and whether a cache answered.
 fn served(request: Request, outcome: &ExecOutcome) -> Served {
     let bytes = outcome.bytes_returned;
-    let read = if outcome.from_cache {
-        ReadOutcome::NodeCacheHit
-    } else {
-        ReadOutcome::Miss
-    };
+    let read = read_outcome(outcome.from_cache);
     match (request, &outcome.reply) {
         (Request::Write(payload), _) => Served::Write(payload),
         (Request::HashScan, RespValue::Array(Some(items))) => {
@@ -750,12 +754,11 @@ pub(crate) fn dispatch(
             let storage_key = TableEngine::storage_string_key(state.tenant, key);
             span.enter(Stage::Engine);
             return match repl.read_routed(&storage_key, consistency, now) {
-                Ok((value, _lag)) => {
-                    // The routed read does not report its cache outcome,
-                    // so it settles as a miss.
-                    let bytes = value.as_ref().map_or(0, |v| v.len());
-                    charge(Served::Read(bytes, ReadOutcome::Miss), state, ctx);
-                    RespValue::Bulk(value.map(bytes::Bytes::from))
+                Ok(read) => {
+                    let bytes = read.value.as_ref().map_or(0, |v| v.len());
+                    let outcome = read_outcome(read.is_cache_hit());
+                    charge(Served::Read(bytes, outcome), state, ctx);
+                    RespValue::Bulk(read.value)
                 }
                 Err(e) => RespValue::Error(format!("ERR replication: {e}")),
             };
@@ -1399,7 +1402,7 @@ mod tests {
             _key: &[u8],
             _consistency: ReadConsistency,
             _now: u64,
-        ) -> Result<(Option<Vec<u8>>, u64), String> {
+        ) -> Result<ReadResult, String> {
             Err("not under test".into())
         }
     }

@@ -156,6 +156,15 @@ pub struct ReadResult {
     pub from_row_cache: bool,
 }
 
+impl ReadResult {
+    /// True when the node cache served the read: no access reached the disk
+    /// (memtable, cached row, bloom filter or cached blocks answered). §4.1
+    /// charges such a read at the node-cache-hit discount.
+    pub fn is_cache_hit(&self) -> bool {
+        self.io_ops == self.cache_hits
+    }
+}
+
 /// Monotonic counters exposed by the engine.
 #[derive(Debug, Default)]
 struct StatsInner {

@@ -474,18 +474,6 @@ impl ReplicaGroup {
         Ok(leader.saturating_sub(self.acked_lsn(id)?))
     }
 
-    /// Replicas able to serve reads right now: alive, not awaiting a full
-    /// resync (divergent history must never be served), and — when `min_lsn`
-    /// is given — applied at least that LSN. Leader included.
-    pub fn readable_replicas(&self, min_lsn: Option<Lsn>) -> Vec<ReplicaId> {
-        self.replicas
-            .iter()
-            .filter(|r| r.alive && !r.needs_full_resync)
-            .filter(|r| min_lsn.is_none_or(|lsn| r.lsn() >= lsn))
-            .map(|r| r.id)
-            .collect()
-    }
-
     /// Live replicas (leader included) whose applied LSN is at least `lsn`,
     /// plus connected remote followers whose `REPLCONF ACK` reached it.
     ///
@@ -792,37 +780,6 @@ impl ReplicaGroup {
                 .ok_or(Error::NoQuorum { need: 1, acked: 0 })?,
         };
         self.serve_from(replica, key, now)
-    }
-
-    /// Read `key` from a *specific* replica — the entry point for an external
-    /// routing layer (the proxy plane's `ReadRouter`) that picked the replica
-    /// from the MetaServer's view. The group re-validates the choice against
-    /// its authoritative state: a dead or divergent replica is refused, and a
-    /// replica below `min_lsn` fails the fence instead of serving stale data
-    /// (the router's view may be a heartbeat behind).
-    pub fn read_at(
-        &self,
-        id: ReplicaId,
-        key: &[u8],
-        min_lsn: Option<Lsn>,
-        now: SimTime,
-    ) -> Result<RoutedRead> {
-        let idx = self.find_index(id)?;
-        let r = &self.replicas[idx];
-        if !r.alive || r.needs_full_resync {
-            return Err(Error::ReplicaUnavailable(id));
-        }
-        if let Some(need) = min_lsn {
-            let lsn = r.lsn();
-            if lsn < need {
-                return Err(Error::StaleReplica {
-                    replica: id,
-                    lsn,
-                    need,
-                });
-            }
-        }
-        self.serve_from(idx, key, now)
     }
 
     /// Serve a read from the replica at `idx`, stamping provenance.
@@ -1325,10 +1282,7 @@ mod tests {
         // behind the write's fence.
         let (_d, mut g) = group("rotation", WriteConcern::Quorum);
         let lsn = g.put(b"k", b"v", None, 0).unwrap();
-        assert!(matches!(
-            g.read_at(30, b"k", Some(lsn), 0),
-            Err(Error::StaleReplica { .. })
-        ));
+        assert!(g.acked_lsn(30).unwrap() < lsn);
         let mut ryw = std::collections::BTreeMap::new();
         let mut eventual = std::collections::BTreeMap::new();
         for _ in 0..8 {
@@ -1663,30 +1617,26 @@ mod tests {
     }
 
     #[test]
-    fn read_at_enforces_the_fence_against_stale_routing() {
-        let (_d, mut g) = group("read-at", WriteConcern::Async);
+    fn routed_reads_never_land_on_a_stale_or_dead_replica() {
+        let (_d, mut g) = group("read-routed-fence", WriteConcern::Async);
         let lsn = g.put(b"k", b"v", None, 0).unwrap();
-        // Followers have not applied the write: a router that still believes
-        // they are caught up must be refused, not served stale data.
-        match g.read_at(20, b"k", Some(lsn), 0) {
-            Err(Error::StaleReplica {
-                replica: 20,
-                lsn: 0,
-                need,
-            }) => assert_eq!(need, lsn),
-            other => panic!("expected StaleReplica, got {other:?}"),
+        // Followers have not applied the write: only the leader satisfies
+        // the fence, so every fenced read lands there and sees the write.
+        for _ in 0..4 {
+            let r = g
+                .read_routed(b"k", ReadConsistency::ReadYourWrites(lsn), 0)
+                .unwrap();
+            assert_eq!(r.replica, 10);
+            assert_eq!(r.result.value.as_deref(), Some(&b"v"[..]));
         }
-        // The leader satisfies the same fence.
-        let r = g.read_at(10, b"k", Some(lsn), 0).unwrap();
-        assert_eq!(r.result.value.as_deref(), Some(&b"v"[..]));
-        // A dead replica is refused outright.
+        // A dead replica never serves; the live ones share the reads.
         g.fail_replica(20).unwrap();
-        match g.read_at(20, b"k", None, 0) {
-            Err(Error::ReplicaUnavailable(20)) => {}
-            other => panic!("expected ReplicaUnavailable, got {other:?}"),
+        let mut served = std::collections::BTreeSet::new();
+        for _ in 0..6 {
+            let r = g.read_routed(b"k", ReadConsistency::Eventual, 0).unwrap();
+            served.insert(r.replica);
         }
-        assert_eq!(g.readable_replicas(None), vec![10, 30]);
-        assert_eq!(g.readable_replicas(Some(lsn)), vec![10]);
+        assert_eq!(served.into_iter().collect::<Vec<_>>(), [10, 30]);
     }
 
     #[test]
@@ -1813,9 +1763,9 @@ mod tests {
         let lsn = g.put(b"after", b"w", None, 0).unwrap();
         g.tick().unwrap();
         assert_eq!(g.acked_lsn(20).unwrap(), lsn);
-        match g.read_at(30, b"k", None, 0) {
-            Err(Error::UnknownReplica(30)) => {}
-            other => panic!("expected UnknownReplica, got {other:?}"),
+        for _ in 0..4 {
+            let r = g.read_routed(b"k", ReadConsistency::Eventual, 0).unwrap();
+            assert_ne!(r.replica, 30, "the departed member served a read");
         }
     }
 

@@ -22,12 +22,10 @@
 //!   fencing, `Leader`) on the read path, leader failover that promotes the
 //!   most-caught-up follower without losing any acked write, and the
 //!   epoch-guarded [`ResyncTicket`] every placement change stages through.
-//! * [`rotation`] — [`Rotation`]: least-recently-served choice among the
-//!   replicas a spread read may go to, shared with `abase-core`'s router.
 //! * [`failover`] — parallel replica reconstruction after a node failure:
 //!   the surviving members of each affected group re-seed replacement
 //!   replicas concurrently, one stream per surviving node, turning the §3.3
-//!   closed-form recovery model (`abase-core`'s `RecoveryModel`) into
+//!   closed-form recovery model (`abase-sim`'s `RecoveryModel`) into
 //!   measured behavior.
 //!
 //! The LSN is simply the storage engine's record sequence number: WAL
@@ -61,7 +59,7 @@ pub mod failover;
 pub mod follower;
 pub mod group;
 pub mod metrics;
-pub mod rotation;
+mod rotation;
 pub mod socket;
 pub mod transport;
 
@@ -75,7 +73,6 @@ pub use group::{
     AdvanceStatus, GroupConfig, GroupStatus, ReadConsistency, RemoteFollowerState, ReplicaGroup,
     ReplicaId, ReplicaStatus, ResyncTicket, Role, RoutedRead, WriteConcern,
 };
-pub use rotation::Rotation;
 pub use socket::{serve_replica, AcceptedReplica, SocketTransport};
 pub use transport::LogTransport;
 
@@ -102,12 +99,11 @@ pub enum Error {
     NoPromotionCandidate,
     /// The replica id is not a member of this group.
     UnknownReplica(u32),
-    /// The replica cannot serve reads right now (dead, or awaiting a full
-    /// resync of divergent history).
+    /// The replica cannot serve right now (dead, or awaiting a full resync
+    /// of divergent history).
     ReplicaUnavailable(u32),
-    /// A fenced read was routed to a replica that has not applied the fence
-    /// LSN — the router's view was stale; the caller re-routes (typically to
-    /// the leader) instead of serving data older than the session's write.
+    /// A replica has not applied the LSN it had to reach (a drain that could
+    /// not converge).
     StaleReplica {
         /// The replica that failed the fence.
         replica: u32,

@@ -1,6 +1,5 @@
-//! Least-recently-served rotation: how a spread read picks among the
-//! replicas that may serve it, for the [`crate::ReplicaGroup`] and for
-//! `abase-core`'s `ReadRouter` alike.
+//! Least-recently-served rotation: how the [`crate::ReplicaGroup`] picks
+//! among the replicas that may serve a spread read.
 
 use std::collections::HashMap;
 

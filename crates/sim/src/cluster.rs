@@ -1,344 +1,25 @@
-//! The discrete-time cluster simulation driver.
+//! The replicated cluster: real WAL-shipping replica groups placed across
+//! simulated DataNodes, with MetaServer-driven failover, parallel
+//! reconstruction and live migration.
 //!
-//! Ties together workload generators (per-tenant traffic shapes and key
-//! streams), the proxy plane, and a DataNode, advancing virtual time in fixed
-//! ticks and emitting per-minute metric points — the series plotted in
-//! Figures 5, 6, and 7.
+//! A read's replica is picked by the group itself
+//! ([`ReplicaGroup::read_routed`]), the decision `abase-server` runs; the
+//! cluster adds placement and per-replica RU accounting around it.
 
 use crate::meta::{MetaServer, ReplicaSet};
 use crate::migration::{MigrationConfig, MigrationEngine, MigrationError, MigrationRequest};
 use crate::node::{DataNodeConfig, DataNodeSim};
-use crate::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
-use crate::router::{ReadRouter, ReadRouterConfig, RouterStats};
-use crate::types::{Disposition, NodeId, PartitionId, ServedFrom, SimRequest, TenantId};
+use crate::types::NodeId;
+use abase_core::types::{PartitionId, TenantId};
 use abase_lavastore::DbConfig;
 use abase_quota::ru::{charge_read, write_ru, ReadOutcome};
-use abase_quota::TenantQuotaMonitor;
 use abase_replication::{
     reconstruct_parallel, Error as ReplError, GroupConfig, Lsn, ReadConsistency,
     ReconstructionReport, ReconstructionTask, ReplicaGroup, Role, Throttle, WriteConcern,
 };
 use abase_util::clock::{mins, SimTime};
-use abase_util::Histogram;
-use abase_workload::{KeyspaceConfig, RequestGen, TrafficShape};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-
-/// Latency charged to a proxy-cache hit (never reaches a data node).
-const PROXY_HIT_LATENCY: SimTime = 150;
-
-/// Everything needed to drive one tenant in an experiment.
-#[derive(Debug)]
-pub struct TenantSpec {
-    /// Tenant id.
-    pub id: TenantId,
-    /// Tenant quota in RU/s (the proxy plane divides it across proxies).
-    pub tenant_quota_ru: f64,
-    /// The tenant's (single) partition in the experiment node.
-    pub partition: PartitionId,
-    /// Partition quota in RU/s.
-    pub partition_quota_ru: f64,
-    /// Traffic intensity over time.
-    pub shape: TrafficShape,
-    /// Key popularity / sizes / read mix.
-    pub keyspace: KeyspaceConfig,
-    /// Proxy plane settings.
-    pub proxy: ProxyPlaneConfig,
-}
-
-/// One tenant's metrics for one minute of virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinutePoint {
-    /// Minute index from experiment start.
-    pub minute: u64,
-    /// Tenant.
-    pub tenant: TenantId,
-    /// Successful requests per second.
-    pub success_qps: f64,
-    /// Rejected requests per second (proxy + node).
-    pub error_qps: f64,
-    /// Mean success latency in milliseconds.
-    pub mean_latency_ms: f64,
-    /// P99 success latency in milliseconds.
-    pub p99_latency_ms: f64,
-    /// Combined cache hit ratio over reads (proxy hits + node-cache hits).
-    pub cache_hit_ratio: f64,
-    /// Share of reads answered by the proxy cache alone.
-    pub proxy_hit_ratio: f64,
-}
-
-#[derive(Debug)]
-struct MinuteAcc {
-    success: u64,
-    errors: u64,
-    reads: u64,
-    proxy_hits: u64,
-    node_hits: u64,
-    /// Success latencies, µs.
-    latency: Histogram,
-}
-
-impl MinuteAcc {
-    fn new() -> Self {
-        Self {
-            success: 0,
-            errors: 0,
-            reads: 0,
-            proxy_hits: 0,
-            node_hits: 0,
-            latency: Histogram::new(),
-        }
-    }
-
-    fn reset(&mut self) {
-        self.success = 0;
-        self.errors = 0;
-        self.reads = 0;
-        self.proxy_hits = 0;
-        self.node_hits = 0;
-        self.latency.clear();
-    }
-
-    fn point(&self, minute: u64, tenant: TenantId, secs: f64) -> MinutePoint {
-        MinutePoint {
-            minute,
-            tenant,
-            success_qps: self.success as f64 / secs,
-            error_qps: self.errors as f64 / secs,
-            mean_latency_ms: self.latency.mean() / 1000.0,
-            p99_latency_ms: self.latency.quantile(0.99).unwrap_or(0.0) / 1000.0,
-            cache_hit_ratio: if self.reads == 0 {
-                0.0
-            } else {
-                (self.proxy_hits + self.node_hits) as f64 / self.reads as f64
-            },
-            proxy_hit_ratio: if self.reads == 0 {
-                0.0
-            } else {
-                self.proxy_hits as f64 / self.reads as f64
-            },
-        }
-    }
-}
-
-struct TenantRuntime {
-    shape: TrafficShape,
-    gen: RequestGen,
-    plane: ProxyPlane,
-    partition: PartitionId,
-    carry: f64,
-    acc: MinuteAcc,
-}
-
-/// A single-node, multi-tenant isolation experiment (Figures 6–7) — also the
-/// engine behind the dynamism panels of Figure 5.
-pub struct IsolationExperiment {
-    node: DataNodeSim,
-    tenants: HashMap<TenantId, TenantRuntime>,
-    order: Vec<TenantId>,
-    monitor: TenantQuotaMonitor,
-    clock: SimTime,
-    tick_len: SimTime,
-    /// Virtual seconds per reported "minute" — figures compress time so a
-    /// 45-minute paper timeline replays in a few virtual minutes while keeping
-    /// the original minute labels.
-    minute_secs: u64,
-}
-
-impl IsolationExperiment {
-    /// Build an experiment over `node` and `specs`, with 100 ms ticks.
-    pub fn new(node: DataNodeSim, specs: Vec<TenantSpec>, seed: u64) -> Self {
-        let mut tenants = HashMap::new();
-        let mut order = Vec::new();
-        let mut monitor = TenantQuotaMonitor::new(mins(1));
-        for (i, spec) in specs.into_iter().enumerate() {
-            node.pipeline()
-                .add_partition(spec.partition, spec.id, spec.partition_quota_ru, 0);
-            monitor.set_tenant_quota(spec.id, spec.tenant_quota_ru);
-            let plane = ProxyPlane::new(
-                spec.id,
-                ProxyPlaneConfig {
-                    tenant_quota_ru: spec.tenant_quota_ru,
-                    ..spec.proxy
-                },
-                0,
-                seed ^ (i as u64).wrapping_mul(0x9E37_79B9),
-            );
-            order.push(spec.id);
-            tenants.insert(
-                spec.id,
-                TenantRuntime {
-                    shape: spec.shape,
-                    gen: RequestGen::new(spec.keyspace, seed.wrapping_add(i as u64)),
-                    plane,
-                    partition: spec.partition,
-                    carry: 0.0,
-                    acc: MinuteAcc::new(),
-                },
-            );
-        }
-        Self {
-            node,
-            tenants,
-            order,
-            monitor,
-            clock: 0,
-            tick_len: 100_000, // 100 ms
-            minute_secs: 60,
-        }
-    }
-
-    /// Compress each reported minute to `secs` virtual seconds (default 60).
-    pub fn set_minute_secs(&mut self, secs: u64) {
-        assert!(secs > 0);
-        self.minute_secs = secs;
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Mutable access to the node (phase toggles: partition quota on/off,
-    /// through its [`DataNodeSim::pipeline`]).
-    pub fn node_mut(&mut self) -> &mut DataNodeSim {
-        &mut self.node
-    }
-
-    /// Mutable access to a tenant's proxy plane (quota/cache toggles).
-    pub fn plane_mut(&mut self, tenant: TenantId) -> &mut ProxyPlane {
-        // INVARIANT: tenants are registered at construction and never removed.
-        &mut self.tenants.get_mut(&tenant).expect("known tenant").plane
-    }
-
-    /// Mutable access to a tenant's request generator (skew/window shifts).
-    pub fn gen_mut(&mut self, tenant: TenantId) -> &mut RequestGen {
-        // INVARIANT: tenants are registered at construction and never removed.
-        &mut self.tenants.get_mut(&tenant).expect("known tenant").gen
-    }
-
-    /// Replace a tenant's traffic shape (for multi-phase scenarios).
-    pub fn set_shape(&mut self, tenant: TenantId, shape: TrafficShape) {
-        // INVARIANT: tenants are registered at construction and never removed.
-        self.tenants.get_mut(&tenant).expect("known tenant").shape = shape;
-    }
-
-    /// Advance `n` minutes; returns one [`MinutePoint`] per tenant per minute.
-    pub fn run_minutes(&mut self, n: u64) -> Vec<MinutePoint> {
-        let mut out = Vec::new();
-        let minute_len = self.minute_secs * 1_000_000;
-        for _ in 0..n {
-            let minute_index = self.clock / minute_len;
-            let minute_end = (minute_index + 1) * minute_len;
-            while self.clock < minute_end {
-                self.run_tick();
-            }
-            self.end_of_minute(minute_index, &mut out);
-        }
-        out
-    }
-
-    fn run_tick(&mut self) {
-        let now = self.clock;
-        let tick_len = self.tick_len;
-        // 1. Generate and route this tick's requests, tenant by tenant.
-        for &tenant in &self.order {
-            // INVARIANT: `order` only holds tenants present in `tenants`.
-            let rt = self.tenants.get_mut(&tenant).expect("known tenant");
-            let want = rt.shape.requests_in_tick(now, tick_len) + rt.carry;
-            let count = want.floor() as u64;
-            rt.carry = want - count as f64;
-            for j in 0..count {
-                // Arrivals spread uniformly across the tick.
-                let issued_at = now + (j * tick_len) / count.max(1);
-                let spec = rt.gen.next_request();
-                let key = (u64::from(tenant) << 40) ^ spec.key_rank as u64;
-                if !spec.is_write {
-                    rt.acc.reads += 1;
-                }
-                let est_ru = rt.plane.estimate_ru(spec.is_write);
-                match rt.plane.submit(key, spec.is_write, now) {
-                    ProxyDecision::CacheHit { .. } => {
-                        // Served at the proxy: no quota, no node traffic.
-                        rt.acc.success += 1;
-                        rt.acc.proxy_hits += 1;
-                        rt.acc.latency.record(PROXY_HIT_LATENCY);
-                    }
-                    ProxyDecision::Rejected { .. } => {
-                        rt.acc.errors += 1;
-                    }
-                    ProxyDecision::Forward { proxy } => {
-                        self.monitor.record_traffic(tenant, now, est_ru);
-                        let req = SimRequest {
-                            tenant,
-                            partition: rt.partition,
-                            key,
-                            is_write: spec.is_write,
-                            value_bytes: spec.value_bytes,
-                            issued_at,
-                            proxy: Some(proxy),
-                        };
-                        if let Some(Disposition::RejectedAtNode) = self.node.submit(req, issued_at)
-                        {
-                            rt.acc.errors += 1;
-                        }
-                    }
-                }
-            }
-        }
-        // 2. Node advances one tick; completions feed proxy caches + metrics.
-        for (req, disp) in self.node.tick(now, tick_len) {
-            // INVARIANT: every request was generated for a registered tenant.
-            let rt = self.tenants.get_mut(&req.tenant).expect("known tenant");
-            if let Disposition::Success {
-                latency,
-                served_from,
-            } = disp
-            {
-                rt.acc.success += 1;
-                rt.acc.latency.record(latency);
-                if !req.is_write {
-                    if served_from == ServedFrom::NodeCache {
-                        rt.acc.node_hits += 1;
-                    }
-                    if let Some(proxy) = req.proxy {
-                        rt.plane.on_read_complete(
-                            proxy,
-                            req.key,
-                            req.value_bytes,
-                            served_from == ServedFrom::NodeCache,
-                            now,
-                        );
-                    }
-                }
-            }
-        }
-        self.clock += tick_len;
-    }
-
-    fn end_of_minute(&mut self, minute: u64, out: &mut Vec<MinutePoint>) {
-        let now = self.clock;
-        // Control-plane actions: boost clawback and active cache refresh.
-        for &tenant in &self.order {
-            let allowed = self.monitor.boost_allowed(tenant, now);
-            // INVARIANT: `order` only holds tenants present in `tenants`.
-            let rt = self.tenants.get_mut(&tenant).expect("known tenant");
-            rt.plane.set_boost(allowed, now);
-            for (proxy, key) in rt.plane.refresh_candidates(now) {
-                // The refresh re-read is an internal request; the simulator
-                // grants it the keyspace's typical size.
-                let size = 1024;
-                rt.plane.complete_refresh(proxy, key, size, now);
-            }
-            out.push(rt.acc.point(minute, tenant, self.minute_secs as f64));
-            rt.acc.reset();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Replicated cluster: real replica groups placed across DataNodes.
-// ---------------------------------------------------------------------------
 
 /// Configuration for a [`ReplicatedCluster`].
 #[derive(Debug, Clone, Copy)]
@@ -353,8 +34,6 @@ pub struct ReplicatedClusterConfig {
     pub recovery_bandwidth: Option<f64>,
     /// Commit retry budget per group (see `GroupConfig::wait_timeout`).
     pub wait_timeout: std::time::Duration,
-    /// Read-router tuning (staleness budget for `Eventual` follower reads).
-    pub router: ReadRouterConfig,
     /// Live-migration engine tuning (cut-over lag budget, catch-up cap).
     /// Migration copies are throttled by `recovery_bandwidth` — data
     /// movement and failover re-seeding charge the same §3.3 disk model.
@@ -369,7 +48,6 @@ impl Default for ReplicatedClusterConfig {
             db: DbConfig::default(),
             recovery_bandwidth: None,
             wait_timeout: std::time::Duration::from_millis(100),
-            router: ReadRouterConfig::default(),
             migration: MigrationConfig::default(),
         }
     }
@@ -395,10 +73,6 @@ pub struct ReplicatedCluster {
     node_ids: Vec<NodeId>,
     dead_nodes: std::collections::HashSet<NodeId>,
     groups: HashMap<PartitionId, ReplicaGroup>,
-    /// The consistency-aware read router (tentpole): every cluster read goes
-    /// through it, so `Eventual` reads spread over caught-up followers and
-    /// fenced reads pick a replica that holds the session's write.
-    router: ReadRouter,
     /// The live-migration engine: scheduler plans become staged checkpoint
     /// copies + binlog catch-up + epoch-guarded cut-overs, drained by `tick`.
     migrations: MigrationEngine,
@@ -444,7 +118,6 @@ impl ReplicatedCluster {
             node_ids,
             dead_nodes: std::collections::HashSet::new(),
             groups: HashMap::new(),
-            router: ReadRouter::new(config.router),
             migrations: MigrationEngine::new(config.migration),
             obs_baseline: abase_obs::snapshot(),
             obs_last: abase_obs::Snapshot::default(),
@@ -615,7 +288,6 @@ impl ReplicatedCluster {
                 .host_replica(partition, role);
         }
         self.groups.insert(partition, group);
-        self.sync_replica_state(partition);
         Ok(())
     }
 
@@ -646,12 +318,11 @@ impl ReplicatedCluster {
                 node.record_replica_write(partition, write_ru);
             }
         }
-        self.sync_replica_state(partition);
         Ok(lsn)
     }
 
-    /// Read from the partition at the requested consistency level, through
-    /// the read router (see [`ReplicatedCluster::read_routed`]).
+    /// Read from the partition at the requested consistency level (see
+    /// [`ReplicatedCluster::read_routed`]).
     pub fn read(
         &mut self,
         partition: PartitionId,
@@ -663,13 +334,10 @@ impl ReplicatedCluster {
             .map(|r| r.result)
     }
 
-    /// Read from the partition through the consistency-aware router: the
-    /// router picks a node from the MetaServer's replica health/LSN view,
-    /// the group re-validates the choice (fence + liveness) and serves, and
-    /// the read RU is charged to the serving node's replica ledger. A stale
-    /// routing decision (replica died or fell behind since its last health
-    /// report) re-routes to the leader instead of surfacing an error or a
-    /// stale value.
+    /// Read from the partition at `consistency`: the group picks the replica
+    /// ([`ReplicaGroup::read_routed`], the same decision `abase-server`
+    /// makes) and serves, and the read RU is charged to the serving node's
+    /// replica ledger.
     pub fn read_routed(
         &mut self,
         partition: PartitionId,
@@ -677,36 +345,11 @@ impl ReplicatedCluster {
         consistency: ReadConsistency,
         now: SimTime,
     ) -> abase_replication::Result<ClusterRead> {
-        self.sync_replica_state(partition);
-        let decision = self
-            .router
-            .route(&self.meta, partition, consistency)
-            .ok_or(ReplError::NoLeader)?;
-        let fence = match consistency {
-            ReadConsistency::ReadYourWrites(lsn) => Some(lsn),
-            ReadConsistency::Eventual | ReadConsistency::Leader => None,
-        };
-        let group = self.groups.get(&partition).ok_or(ReplError::NoLeader)?;
-        let (routed, is_leader) = match group.read_at(decision.node, key, fence, now) {
-            Ok(r) => (r, decision.is_leader),
-            // UnknownReplica covers a routing view that still names a
-            // migrated-away source: the cut-over removed the member between
-            // the router's decision and the group's check.
-            Err(ReplError::StaleReplica { .. })
-            | Err(ReplError::ReplicaUnavailable(_))
-            | Err(ReplError::UnknownReplica(_))
-                if !decision.is_leader =>
-            {
-                // The router's health view trailed reality; the leader holds
-                // every acked write, so it can always take the read.
-                self.router.note_fallback();
-                let leader = group.leader().ok_or(ReplError::NoLeader)?;
-                (group.read_at(leader, key, fence, now)?, true)
-            }
-            Err(e) => return Err(e),
-        };
-        let bytes = routed.result.value.as_ref().map(|v| v.len()).unwrap_or(0);
-        let outcome = if routed.result.from_memtable || routed.result.from_row_cache {
+        let group = self.groups.get_mut(&partition).ok_or(ReplError::NoLeader)?;
+        let routed = group.read_routed(key, consistency, now)?;
+        let is_leader = group.leader() == Some(routed.replica);
+        let bytes = routed.result.value.as_ref().map_or(0, |v| v.len());
+        let outcome = if routed.result.is_cache_hit() {
             ReadOutcome::NodeCacheHit
         } else {
             ReadOutcome::Miss
@@ -723,39 +366,14 @@ impl ReplicatedCluster {
         })
     }
 
-    /// The read router's counters (leader vs follower vs fallback).
-    pub fn router_stats(&self) -> RouterStats {
-        self.router.stats()
-    }
-
-    /// Push a group's authoritative replica state into the MetaServer's
-    /// health view — the simulator's stand-in for the production heartbeat.
-    fn sync_replica_state(&mut self, partition: PartitionId) {
-        let Some(group) = self.groups.get(&partition) else {
-            return;
-        };
-        // A replica awaiting a full resync reports dead for routing: its
-        // history may be divergent, so no read may land on it.
-        let readable = group.readable_replicas(None);
-        for replica in group.status().replicas {
-            let serving = replica.alive && readable.contains(&replica.id);
-            self.meta
-                .report_replica_health(partition, replica.id, serving, replica.acked_lsn);
-        }
-    }
-
     /// Ship pending log on every group (the per-tick replication pump that
-    /// drains `Async` writes to followers), drain the migration queue one
-    /// step, then refresh the meta server's replica health view.
+    /// drains `Async` writes to followers), then drain the migration queue
+    /// one step.
     pub fn tick(&mut self) -> abase_replication::Result<()> {
         for group in self.groups.values_mut() {
             group.tick()?;
         }
         self.step_migrations();
-        let partitions: Vec<PartitionId> = self.groups.keys().copied().collect();
-        for partition in partitions {
-            self.sync_replica_state(partition);
-        }
         // Observability hook: each tick republishes the registry view, so
         // anything driving the cluster can read a fresh snapshot without
         // knowing about the registry itself.
@@ -817,7 +435,7 @@ impl ReplicatedCluster {
                     self.migrations.note_joined(req, bytes, secs);
                     // The destination is a group member from here on: meta's
                     // set and the node registry learn about it immediately so
-                    // health reports and failover planning see it.
+                    // failover planning sees it.
                     self.meta.begin_migration(req.partition, req.to);
                     if let Some(node) = self.nodes.get_mut(&req.to) {
                         node.host_replica(req.partition, Role::Follower);
@@ -829,7 +447,6 @@ impl ReplicatedCluster {
                     if let Some(node) = self.nodes.get_mut(&req.to) {
                         node.record_copy_in(req.partition, copy_ru);
                     }
-                    self.sync_replica_state(req.partition);
                 }
                 Err(e) => {
                     // Copy or join failed before the destination became a
@@ -925,7 +542,7 @@ impl ReplicatedCluster {
 
     /// The atomic cut-over: drain the destination to lag 0, hand leadership
     /// over if the source led, retire the source member (epoch bump), and
-    /// switch the MetaServer's routing + replica set + health view together.
+    /// switch the MetaServer's routing and replica set together.
     /// Returns whether the moving replica led the group.
     fn cut_over(
         &mut self,
@@ -947,7 +564,6 @@ impl ReplicatedCluster {
             group.drain_to_leader(req.to)?;
         }
         let source_dir = group.remove_member(req.from)?;
-        let dest_lsn = group.acked_lsn(req.to)?;
         // The registry role comes from the group's *current* leadership, not
         // from `was_leader`: an unrelated failover during catch-up may have
         // promoted the (most-caught-up) staged destination already.
@@ -964,7 +580,7 @@ impl ReplicatedCluster {
         // carrying both sides would bias Algorithm 2 against the new home.
         std::fs::remove_dir_all(&source_dir).ok();
         self.meta
-            .complete_migration(req.partition, req.from, req.to, dest_lsn);
+            .complete_migration(req.partition, req.from, req.to);
         let copy_ru = write_ru(bytes_copied as usize, 1);
         let ledger = self
             .nodes
@@ -980,7 +596,6 @@ impl ReplicatedCluster {
             node.host_replica(req.partition, dest_role);
             node.absorb_replica_ru(req.partition, ledger);
         }
-        self.sync_replica_state(req.partition);
         Ok(was_leader)
     }
 
@@ -994,7 +609,6 @@ impl ReplicatedCluster {
     fn abort_staged_destination(&mut self, req: MigrationRequest) {
         if let Some(group) = self.groups.get_mut(&req.partition) {
             if group.leader() == Some(req.to) {
-                self.sync_replica_state(req.partition);
                 return;
             }
             if group.members().contains(&req.to) {
@@ -1007,7 +621,6 @@ impl ReplicatedCluster {
         if let Some(node) = self.nodes.get_mut(&req.to) {
             node.drop_replica(req.partition);
         }
-        self.sync_replica_state(req.partition);
     }
 
     /// Kill a DataNode: fail its replicas, let the meta server plan
@@ -1126,12 +739,6 @@ impl ReplicatedCluster {
                 node.host_replica(assignment.partition, Role::Follower);
             }
         }
-        // 6. Every partition's routing view reflects the new world before
-        //    the next read is routed.
-        let partitions: Vec<PartitionId> = self.groups.keys().copied().collect();
-        for partition in partitions {
-            self.sync_replica_state(partition);
-        }
         Ok(FailoverOutcome {
             plan,
             reconstruction,
@@ -1142,142 +749,7 @@ impl ReplicatedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::DataNodeConfig;
-    use abase_util::clock::mins;
     use abase_util::TestDir;
-
-    fn spec(id: TenantId, qps: f64) -> TenantSpec {
-        TenantSpec {
-            id,
-            tenant_quota_ru: 2_000.0,
-            partition: u64::from(id) * 100,
-            partition_quota_ru: 1_000.0,
-            shape: TrafficShape::Steady(qps),
-            keyspace: KeyspaceConfig {
-                n_keys: 5_000,
-                zipf_s: 0.99,
-                read_ratio: 0.9,
-                ..Default::default()
-            },
-            proxy: ProxyPlaneConfig {
-                n_proxies: 4,
-                n_groups: 2,
-                ..Default::default()
-            },
-        }
-    }
-
-    #[test]
-    fn steady_load_completes_with_low_latency() {
-        let node = DataNodeSim::new(1, DataNodeConfig::default());
-        let mut exp = IsolationExperiment::new(node, vec![spec(1, 500.0), spec(2, 500.0)], 7);
-        let points = exp.run_minutes(3);
-        assert_eq!(points.len(), 6); // 2 tenants × 3 minutes
-        for p in &points[2..] {
-            assert!(
-                (p.success_qps - 500.0).abs() < 50.0,
-                "minute {} tenant {} qps {}",
-                p.minute,
-                p.tenant,
-                p.success_qps
-            );
-            assert!(p.error_qps < 5.0, "errors {}", p.error_qps);
-            assert!(p.p99_latency_ms < 50.0, "p99 {}", p.p99_latency_ms);
-        }
-    }
-
-    #[test]
-    fn cache_hit_ratio_climbs_on_zipf_reads() {
-        let node = DataNodeSim::new(1, DataNodeConfig::default());
-        let mut exp = IsolationExperiment::new(node, vec![spec(1, 500.0)], 3);
-        let points = exp.run_minutes(4);
-        let last = points.last().unwrap();
-        assert!(
-            last.cache_hit_ratio > 0.5,
-            "hit ratio {} after warmup",
-            last.cache_hit_ratio
-        );
-    }
-
-    #[test]
-    fn burst_without_proxy_quota_starves_the_neighbour() {
-        // Figure 6's first phase in miniature.
-        let node = DataNodeSim::new(
-            1,
-            DataNodeConfig {
-                cpu_ru_per_sec: 2_000.0,
-                rejection_cost_ru: 0.5,
-                ..Default::default()
-            },
-        );
-        let mut t1 = spec(1, 200.0);
-        t1.proxy.quota_enabled = false; // proxy not intercepting
-        t1.proxy.cache_enabled = false;
-        t1.keyspace.read_ratio = 1.0;
-        let mut t2 = spec(2, 200.0);
-        t2.proxy.cache_enabled = false;
-        let mut exp = IsolationExperiment::new(node, vec![t1, t2], 11);
-        let warm = exp.run_minutes(2);
-        let t2_before: f64 = warm
-            .iter()
-            .filter(|p| p.tenant == 2 && p.minute == 1)
-            .map(|p| p.success_qps)
-            .sum();
-        // Tenant 1 bursts to 20k QPS — far over its quota.
-        exp.set_shape(1, TrafficShape::Steady(20_000.0));
-        let burst = exp.run_minutes(3);
-        let t2_during: f64 = burst
-            .iter()
-            .filter(|p| p.tenant == 2 && p.minute == 4)
-            .map(|p| p.success_qps)
-            .sum();
-        assert!(
-            t2_during < t2_before * 0.5,
-            "tenant 2 unaffected: {t2_before} -> {t2_during}"
-        );
-    }
-
-    #[test]
-    fn proxy_quota_shields_the_neighbour_from_bursts() {
-        // Figure 6's second phase: same burst, but the proxy intercepts.
-        let node = DataNodeSim::new(
-            1,
-            DataNodeConfig {
-                cpu_ru_per_sec: 2_000.0,
-                rejection_cost_ru: 0.5,
-                ..Default::default()
-            },
-        );
-        let mut t1 = spec(1, 200.0);
-        t1.proxy.cache_enabled = false;
-        t1.keyspace.read_ratio = 1.0;
-        t1.tenant_quota_ru = 800.0; // proxy caps tenant 1 below node capacity
-        let mut t2 = spec(2, 200.0);
-        t2.proxy.cache_enabled = false;
-        let mut exp = IsolationExperiment::new(node, vec![t1, t2], 11);
-        exp.run_minutes(2);
-        exp.set_shape(1, TrafficShape::Steady(20_000.0));
-        let burst = exp.run_minutes(3);
-        let t2_during: f64 = burst
-            .iter()
-            .filter(|p| p.tenant == 2 && p.minute == 4)
-            .map(|p| p.success_qps)
-            .sum();
-        assert!(
-            t2_during > 150.0,
-            "tenant 2 starved despite proxy quota: {t2_during}"
-        );
-    }
-
-    #[test]
-    fn minute_points_are_emitted_in_order() {
-        let node = DataNodeSim::new(1, DataNodeConfig::default());
-        let mut exp = IsolationExperiment::new(node, vec![spec(1, 100.0)], 5);
-        let points = exp.run_minutes(2);
-        assert_eq!(points[0].minute, 0);
-        assert_eq!(points[1].minute, 1);
-        assert_eq!(exp.now(), mins(2));
-    }
 
     fn small_cluster(tag: &str) -> (TestDir, ReplicatedCluster) {
         let dir = TestDir::new(tag);
@@ -1323,7 +795,7 @@ mod tests {
     }
 
     #[test]
-    fn eventual_reads_are_served_by_followers_with_split_accounting() {
+    fn eventual_reads_rotate_over_every_replica_with_split_accounting() {
         let (_d, mut cluster) = small_cluster("routed-reads");
         cluster.create_partition(1, 0).unwrap();
         for i in 0..10 {
@@ -1332,31 +804,27 @@ mod tests {
                 .unwrap();
         }
         cluster.tick().unwrap(); // all followers converge
-        let mut served = std::collections::HashSet::new();
+        let leader = cluster.meta().route(0).unwrap();
+        let mut served: HashMap<NodeId, u32> = HashMap::new();
         for i in 0..12 {
             let key = format!("k{}", i % 10);
             let r = cluster
                 .read_routed(0, key.as_bytes(), ReadConsistency::Eventual, 0)
                 .unwrap();
             assert!(r.result.value.is_some());
-            assert_eq!(r.lag, 0, "converged follower reported lag");
-            assert!(!r.is_leader, "eventual read went to the leader");
-            served.insert(r.node);
+            assert_eq!(r.lag, 0, "converged replica reported lag");
+            assert_eq!(r.is_leader, r.node == leader);
+            *served.entry(r.node).or_default() += 1;
         }
-        // Both followers took reads, and their replica ledgers show it.
-        assert_eq!(served.len(), 2, "reads did not spread: {served:?}");
-        let leader = cluster.meta().route(0).unwrap();
-        for node in served {
-            assert_ne!(node, leader);
+        // Every replica, the leader included, took its turn, and its replica
+        // ledger shows the reads beside the writes it applied.
+        assert_eq!(served.len(), 3, "reads did not spread: {served:?}");
+        for (&node, &reads) in &served {
+            assert_eq!(reads, 4, "uneven rotation: {served:?}");
             let split = cluster.node(node).unwrap().replica_ru_split(0);
-            assert!(split.read_ru > 0.0, "follower read RU not charged");
-            assert!(split.write_ru > 0.0, "replica write RU not charged");
+            assert!(split.read_ru > 0.0, "read RU not charged on {node}");
+            assert!(split.write_ru > 0.0, "write RU not charged on {node}");
         }
-        // The leader carried the writes but none of these reads.
-        let leader_split = cluster.node(leader).unwrap().replica_ru_split(0);
-        assert!(leader_split.write_ru > 0.0);
-        assert_eq!(leader_split.read_ru, 0.0);
-        assert_eq!(cluster.router_stats().follower_reads, 12);
     }
 
     #[test]
@@ -1402,7 +870,7 @@ mod tests {
         assert!(report.bytes_copied > 0);
         assert!(!report.was_leader);
         // Placement switched everywhere together: meta set, group members,
-        // node registries, health view.
+        // node registries.
         let set = cluster.meta().replica_set(0).unwrap();
         assert!(!set.contains(from));
         assert!(set.contains(to));
@@ -1417,7 +885,12 @@ mod tests {
             cluster.node(to).unwrap().replica_role(0),
             Some(Role::Follower)
         );
-        assert!(!cluster.meta().read_candidates(0, None).contains(&from));
+        for i in 0..6 {
+            let r = cluster
+                .read_routed(0, b"k0", ReadConsistency::Eventual, 0)
+                .unwrap();
+            assert_ne!(r.node, from, "read {i} served by the departed replica");
+        }
         // The moved bytes are really at the destination, and copy RU was
         // charged to both ends.
         let db = cluster.group(0).unwrap().db(to).unwrap();

@@ -9,7 +9,8 @@
 //! copies saturate many disks at once, the behavior [`RecoveryModel`] states
 //! in closed form and `abase-replication`'s failover module measures.
 
-use crate::types::{NodeId, PartitionId, TenantId};
+use crate::types::NodeId;
+use abase_core::types::{PartitionId, TenantId};
 use abase_quota::TenantQuotaMonitor;
 use abase_util::clock::SimTime;
 use std::collections::HashMap;
@@ -36,20 +37,6 @@ impl ReplicaSet {
     pub fn contains(&self, node: NodeId) -> bool {
         self.leader == node || self.followers.contains(&node)
     }
-}
-
-/// Runtime state of one replica as last reported to the meta server — the
-/// per-replica health/LSN view the [`crate::router::ReadRouter`] routes
-/// follower reads by. Reports arrive from the replica groups (heartbeats in
-/// production; the cluster simulator pushes them after every write/tick), so
-/// the view may trail the group's authoritative state by one report — which
-/// is why the group re-validates fences on `read_at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaHealth {
-    /// Reachability at last report.
-    pub alive: bool,
-    /// Applied LSN at last report.
-    pub acked_lsn: u64,
 }
 
 /// One leader promotion in a failover plan.
@@ -102,8 +89,6 @@ pub struct MetaServer {
     replica_sets: HashMap<PartitionId, ReplicaSet>,
     /// tenant → its partitions.
     tenant_partitions: HashMap<TenantId, Vec<PartitionId>>,
-    /// (partition, node) → last reported replica health/LSN.
-    replica_health: HashMap<(PartitionId, NodeId), ReplicaHealth>,
     /// Traffic monitor backing the proxy boost decision.
     pub monitor: TenantQuotaMonitor,
 }
@@ -115,7 +100,6 @@ impl MetaServer {
             routing: HashMap::new(),
             replica_sets: HashMap::new(),
             tenant_partitions: HashMap::new(),
-            replica_health: HashMap::new(),
             monitor: TenantQuotaMonitor::new(monitor_window),
         }
     }
@@ -173,21 +157,13 @@ impl MetaServer {
 
     /// Move a partition's routing to another node (the instant routing flip;
     /// live migrations go through [`MetaServer::begin_migration`] /
-    /// [`MetaServer::complete_migration`] instead). The departed node's
-    /// replica-health entry moves with the routing — `read_candidates` must
-    /// never offer a replica the flip just routed away from — and a tracked
-    /// replica set follows the flip.
+    /// [`MetaServer::complete_migration`] instead). A tracked replica set
+    /// follows the flip.
     pub fn move_partition(&mut self, partition: PartitionId, to: NodeId) {
         let from = self.routing.insert(partition, to);
         let Some(from) = from.filter(|&f| f != to) else {
             return;
         };
-        // Purge the source's health; the destination keeps its own report if
-        // it was already a member, otherwise it inherits the departed one
-        // (the flip asserts the data is there now).
-        if let Some(health) = self.replica_health.remove(&(partition, from)) {
-            self.replica_health.entry((partition, to)).or_insert(health);
-        }
         if let Some(set) = self.replica_sets.get_mut(&partition) {
             if set.leader == from {
                 set.leader = to;
@@ -210,9 +186,7 @@ impl MetaServer {
     }
 
     /// Start a live migration: the destination joins the partition's replica
-    /// set as a staging follower, so health reports for it land in the
-    /// routing view (read routing still gates it on reported lag/fences
-    /// until it catches up).
+    /// set as a staging follower, so failover planning sees it.
     pub fn begin_migration(&mut self, partition: PartitionId, dest: NodeId) {
         if let Some(set) = self.replica_sets.get_mut(&partition) {
             if !set.contains(dest) {
@@ -222,17 +196,9 @@ impl MetaServer {
     }
 
     /// Atomic cut-over of a live migration: the source leaves the replica
-    /// set (taking the leadership slot with it when it led), routing follows
-    /// the set's leader, the source's replica-health entry is purged — so
-    /// `read_candidates` can never again offer the departed replica — and
-    /// the destination's health is re-seeded at its applied LSN.
-    pub fn complete_migration(
-        &mut self,
-        partition: PartitionId,
-        from: NodeId,
-        to: NodeId,
-        dest_lsn: u64,
-    ) {
+    /// set (taking the leadership slot with it when it led), and routing
+    /// follows the set's leader.
+    pub fn complete_migration(&mut self, partition: PartitionId, from: NodeId, to: NodeId) {
         if let Some(set) = self.replica_sets.get_mut(&partition) {
             if set.leader == from {
                 set.leader = to;
@@ -247,71 +213,16 @@ impl MetaServer {
         } else {
             self.routing.insert(partition, to);
         }
-        self.replica_health.remove(&(partition, from));
-        self.replica_health.insert(
-            (partition, to),
-            ReplicaHealth {
-                alive: true,
-                acked_lsn: dest_lsn,
-            },
-        );
     }
 
     /// Abort a live migration: the staging destination leaves the replica
-    /// set and its health entry is purged (the source never moved).
+    /// set (the source never moved).
     pub fn abort_migration(&mut self, partition: PartitionId, dest: NodeId) {
         if let Some(set) = self.replica_sets.get_mut(&partition) {
             if set.leader != dest {
                 set.followers.retain(|&n| n != dest);
             }
         }
-        self.replica_health.remove(&(partition, dest));
-    }
-
-    /// Record a replica's reported health/LSN (the group heartbeat path).
-    pub fn report_replica_health(
-        &mut self,
-        partition: PartitionId,
-        node: NodeId,
-        alive: bool,
-        acked_lsn: u64,
-    ) {
-        self.replica_health
-            .insert((partition, node), ReplicaHealth { alive, acked_lsn });
-    }
-
-    /// The last reported health of `node`'s replica of `partition`.
-    pub fn replica_health(&self, partition: PartitionId, node: NodeId) -> Option<ReplicaHealth> {
-        self.replica_health.get(&(partition, node)).copied()
-    }
-
-    /// Records `node`'s replica trails the leader by, per the latest reports
-    /// (`None` when either side is unreported).
-    pub fn replica_lag(&self, partition: PartitionId, node: NodeId) -> Option<u64> {
-        let leader = self.routing.get(&partition)?;
-        let leader_lsn = self.replica_health(partition, *leader)?.acked_lsn;
-        let node_lsn = self.replica_health(partition, node)?.acked_lsn;
-        Some(leader_lsn.saturating_sub(node_lsn))
-    }
-
-    /// Nodes able to serve a read of `partition` under a fence of `min_lsn`:
-    /// the leader (always a candidate while routed), then every follower
-    /// reported alive with an applied LSN at or above the fence. Order:
-    /// leader first, followers in replica-set order.
-    pub fn read_candidates(&self, partition: PartitionId, min_lsn: Option<u64>) -> Vec<NodeId> {
-        let Some(set) = self.replica_sets.get(&partition) else {
-            return self.route(partition).into_iter().collect();
-        };
-        let mut out = vec![set.leader];
-        for &f in &set.followers {
-            let Some(health) = self.replica_health(partition, f) else {
-                continue; // never reported: not a read candidate yet
-            };
-            if health.alive && min_lsn.is_none_or(|lsn| health.acked_lsn >= lsn) {
-                out.push(f);
-            }
-        }
-        out
     }
 
     /// Plan recovery from the failure of `failed` and update the routing
@@ -335,8 +246,6 @@ impl MetaServer {
         acked_lsn: impl Fn(PartitionId, NodeId) -> Option<u64>,
         available_nodes: &[NodeId],
     ) -> FailoverPlan {
-        // The dead node's replicas must drop out of read routing immediately.
-        self.replica_health.retain(|&(_, node), _| node != failed);
         let mut affected: Vec<PartitionId> = self
             .replica_sets
             .iter()
@@ -556,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn move_partition_purges_source_health_and_follows_the_set() {
+    fn move_partition_follows_the_set() {
         let mut m = MetaServer::new(secs(1));
         m.assign_replica_group(
             1,
@@ -566,27 +475,9 @@ mod tests {
                 followers: vec![6, 7],
             },
         );
-        for n in [5u32, 6, 7] {
-            m.report_replica_health(100, n, true, 40);
-        }
         m.move_partition(100, 9);
         assert_eq!(m.route(100), Some(9));
-        // The departed leader's health entry moved with the flip: candidates
-        // never offer node 5 again, and node 9 inherits the report.
-        assert!(m.replica_health(100, 5).is_none());
-        assert_eq!(
-            m.replica_health(100, 9),
-            Some(ReplicaHealth {
-                alive: true,
-                acked_lsn: 40
-            })
-        );
-        let candidates = m.read_candidates(100, None);
-        assert!(
-            !candidates.contains(&5),
-            "departed replica offered: {candidates:?}"
-        );
-        assert_eq!(m.replica_set(100).unwrap().leader, 9);
+        assert_eq!(m.replica_set(100).unwrap().members(), vec![9, 6, 7]);
     }
 
     #[test]
@@ -600,27 +491,16 @@ mod tests {
                 followers: vec![6, 7],
             },
         );
-        m.report_replica_health(100, 5, true, 40);
-        m.report_replica_health(100, 6, true, 12);
-        // Flip onto follower 6: it becomes the leader, appears exactly once,
-        // and keeps its *own* health report (it has not applied LSN 40).
+        // Flip onto follower 6: it becomes the leader and appears exactly
+        // once.
         m.move_partition(100, 6);
         let set = m.replica_set(100).unwrap();
         assert_eq!(set.leader, 6);
         assert_eq!(set.members(), vec![6, 7]);
-        assert_eq!(
-            m.replica_health(100, 6),
-            Some(ReplicaHealth {
-                alive: true,
-                acked_lsn: 12
-            }),
-            "follower's own report clobbered by the departed leader's"
-        );
-        assert!(m.replica_health(100, 5).is_none());
     }
 
     #[test]
-    fn migration_cutover_swaps_membership_health_and_routing() {
+    fn migration_cutover_swaps_membership_and_routing() {
         let mut m = MetaServer::new(secs(1));
         m.assign_replica_group(
             1,
@@ -630,27 +510,21 @@ mod tests {
                 followers: vec![1, 2],
             },
         );
-        for n in [0u32, 1, 2] {
-            m.report_replica_health(7, n, true, 10);
-        }
-        // Stage node 3, report it catching up, then cut over follower 2 → 3.
+        // Stage node 3, then cut over follower 2 → 3.
         m.begin_migration(7, 3);
         assert!(m.replica_set(7).unwrap().contains(3));
-        m.report_replica_health(7, 3, true, 10);
-        m.complete_migration(7, 2, 3, 10);
+        m.complete_migration(7, 2, 3);
         let set = m.replica_set(7).unwrap();
         assert!(!set.contains(2), "source lingers in the set: {set:?}");
         assert!(set.contains(3));
         assert_eq!(set.members().len(), 3);
-        assert!(m.replica_health(7, 2).is_none(), "stale source health");
-        assert!(!m.read_candidates(7, None).contains(&2));
+        assert!(m.partitions_on_node(2).is_empty());
         assert_eq!(m.route(7), Some(0), "leader must not move");
         // Leader migration: routing follows the destination.
         m.begin_migration(7, 4);
-        m.report_replica_health(7, 4, true, 10);
-        m.complete_migration(7, 0, 4, 10);
+        m.complete_migration(7, 0, 4);
         assert_eq!(m.route(7), Some(4));
-        assert!(m.replica_health(7, 0).is_none());
+        assert!(!m.replica_set(7).unwrap().contains(0));
         assert_eq!(m.replica_set(7).unwrap().members().len(), 3);
     }
 
@@ -666,10 +540,9 @@ mod tests {
             },
         );
         m.begin_migration(7, 3);
-        m.report_replica_health(7, 3, true, 5);
         m.abort_migration(7, 3);
         assert!(!m.replica_set(7).unwrap().contains(3));
-        assert!(m.replica_health(7, 3).is_none());
+        assert!(m.partitions_on_node(3).is_empty());
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! a node stays busy until the engine's completion (or abort) callback
 //! clears it, not until an arbitrary round boundary.
 
-use crate::types::{NodeId, PartitionId};
+use crate::types::NodeId;
+use abase_core::types::PartitionId;
 use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 

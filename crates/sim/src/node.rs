@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Admission, charging and the WFQ weight are the serving node's own code
-//! ([`crate::pipeline`]); what is simulated here is the rest: the queues,
+//! ([`abase_core::pipeline`]); what is simulated here is the rest: the queues,
 //! the cache and the CPU and I/O budgets.
 //!
 //! The rejection-cost model implements the paper's Figure 6 observation: "the
@@ -21,9 +21,10 @@
 //! requests, which severely disrupted the processing of Tenant 2's legitimate
 //! requests" — every rejected request debits the next tick's CPU budget.
 
-use crate::pipeline::{Pipeline, Request, Served};
-use crate::types::{Disposition, NodeId, PartitionId, ServedFrom, SimRequest};
+use crate::types::{Disposition, NodeId, ServedFrom, SimRequest};
 use abase_cache::SaLruCache;
+use abase_core::pipeline::{Pipeline, Request, Served};
+use abase_core::types::PartitionId;
 use abase_quota::ru::ReadOutcome;
 use abase_replication::Role;
 use abase_util::clock::SimTime;
@@ -68,7 +69,7 @@ impl Default for DataNodeConfig {
 }
 
 /// Split read/write RU accumulated against one hosted replica — the
-/// per-replica load the read router spreads, Algorithm 2's loss function
+/// per-replica load replicated reads spread, Algorithm 2's loss function
 /// weighs, and the autoscaler's `LoadVector` aggregates: routing and
 /// rebalancing reason about replicas, not tenants.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -140,7 +141,7 @@ impl DataNodeSim {
     }
 
     /// Charge read RU against this node's replica of `partition` — the
-    /// routed-read path (proxy → router → follower) lands here, so follower
+    /// routed-read path (proxy → replica group → replica) lands here, so follower
     /// reads are visible to the same accounting the rebalancer reads.
     pub fn record_replica_read(&mut self, partition: PartitionId, ru: f64) {
         self.replica_ru.entry(partition).or_default().read_ru += ru;
@@ -368,7 +369,7 @@ impl DataNodeSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::TenantId;
+    use abase_core::types::TenantId;
     use abase_util::clock::ms;
 
     fn request(

@@ -12,10 +12,14 @@
 //! autonomously boosted 2×, clawed back by the meta server) and carry the
 //! **AU-LRU** cache whose hits are "directly returned without throttling or
 //! charges".
+//!
+//! The whole tier is simulated: `abase-server` has no proxy, so neither the
+//! AU-LRU cache nor the proxy quota has a shipped counterpart. Figure 6 and
+//! Table 2, which measure them, say so in their output.
 
-use crate::types::{ConsistencyLevel, TenantId};
 use abase_cache::aulru::AuLruConfig;
 use abase_cache::{AuLruCache, CacheStats};
+use abase_core::types::{ConsistencyLevel, TenantId};
 use abase_quota::ru::{write_ru, ReadOutcome};
 use abase_quota::{ProxyQuota, QuotaDecision, RuEstimator};
 use abase_util::clock::SimTime;
@@ -79,8 +83,8 @@ struct ProxySim {
     cache: AuLruCache<u64, usize>,
     /// Reads this proxy answered from its own cache.
     reads_local: u64,
-    /// Reads this proxy forwarded to the data plane (for the router to place
-    /// on a replica). Kept separate from `reads_local` so hit attribution
+    /// Reads this proxy forwarded to the data plane (for the replica group
+    /// to place on a replica). Kept separate from `reads_local` so hit attribution
     /// stays correct now that forwarded reads may be served by followers.
     reads_forwarded: u64,
     /// Reads the proxy quota rejected — still pressure on this proxy, so
@@ -205,7 +209,7 @@ impl ProxyPlane {
     /// Process a request carrying a consistency level. The proxy cache may
     /// only answer `Eventual` reads: it has no LSN to prove a fence, so
     /// `ReadYourWrites` and `Leader` reads always forward to the data plane
-    /// (where the read router picks a fenced replica or the leader).
+    /// (where the replica group picks a fenced replica or the leader).
     pub fn submit_with(
         &mut self,
         key: u64,
@@ -309,7 +313,7 @@ impl ProxyPlane {
     }
 
     /// Per-proxy split of reads served locally vs forwarded to the data
-    /// plane — what the read router's hit attribution consumes.
+    /// plane — what hit attribution consumes.
     pub fn per_proxy_read_split(&self) -> Vec<ProxyReadSplit> {
         self.proxies
             .iter()

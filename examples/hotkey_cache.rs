@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example hotkey_cache`
 
 use abase::cache::aulru::AuLruConfig;
-use abase::core::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
+use abase::sim::proxy::{ProxyDecision, ProxyPlane, ProxyPlaneConfig};
 use abase::util::clock::secs;
 use abase::workload::{KeyspaceConfig, RequestGen};
 

@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --release --example multi_tenant_isolation`
 
-use abase::core::cluster::{IsolationExperiment, TenantSpec};
-use abase::core::node::{DataNodeConfig, DataNodeSim};
-use abase::core::proxy::ProxyPlaneConfig;
+use abase::sim::isolation::{IsolationExperiment, TenantSpec};
+use abase::sim::node::{DataNodeConfig, DataNodeSim};
+use abase::sim::proxy::ProxyPlaneConfig;
 use abase::workload::{KeyspaceConfig, TrafficShape};
 
 fn tenant(id: u32, qps: f64, quota: f64) -> TenantSpec {
@@ -53,7 +53,7 @@ fn main() {
     exp.set_minute_secs(5);
 
     println!("minute | t1 ok/err | t2 ok/err | t3 ok/err | worst p99 (ms)");
-    let report = |points: &[abase::core::cluster::MinutePoint]| {
+    let report = |points: &[abase::sim::isolation::MinutePoint]| {
         let mut minutes: Vec<u64> = points.iter().map(|p| p.minute).collect();
         minutes.sort_unstable();
         minutes.dedup();

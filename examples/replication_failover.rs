@@ -9,10 +9,10 @@
 //!
 //! Run with: `cargo run --example replication_failover`
 
-use abase::core::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
-use abase::core::meta::RecoveryModel;
 use abase::lavastore::DbConfig;
 use abase::replication::{ReadConsistency, WriteConcern};
+use abase::sim::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
+use abase::sim::meta::RecoveryModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("abase-repl-example-{}", std::process::id()));

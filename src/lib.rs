@@ -8,7 +8,8 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `abase-core` | tenants, DataNodes, proxy plane, meta server, cluster simulator |
+//! | [`core`] | `abase-core` | the shipped DataNode: table engine, request pipeline, RESP front end, serving node |
+//! | [`sim`] | `abase-sim` | the paper-evaluation simulator: DataNode cost model, proxy plane, meta server, replicated cluster |
 //! | [`lavastore`] | `abase-lavastore` | the LSM storage engine substrate |
 //! | [`replication`] | `abase-replication` | WAL-shipping replica groups: write concerns, read consistency levels, failover, parallel reconstruction |
 //! | [`cache`] | `abase-cache` | LRU, SA-LRU (node), AU-LRU (proxy) |
@@ -49,6 +50,7 @@ pub use abase_proto as proto;
 pub use abase_quota as quota;
 pub use abase_replication as replication;
 pub use abase_scheduler as scheduler;
+pub use abase_sim as sim;
 pub use abase_util as util;
 pub use abase_wfq as wfq;
 pub use abase_workload as workload;

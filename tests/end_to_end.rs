@@ -1,12 +1,12 @@
 //! Cross-crate integration tests: the full request path and control loops.
 
-use abase::core::cluster::{IsolationExperiment, TenantSpec};
 use abase::core::engine::TableEngine;
-use abase::core::node::{DataNodeConfig, DataNodeSim};
-use abase::core::proxy::ProxyPlaneConfig;
 use abase::lavastore::DbConfig;
 use abase::proto::{Command, RespValue};
 use abase::scheduler::{AutoscaleConfig, Autoscaler, ScalingDecision};
+use abase::sim::isolation::{IsolationExperiment, TenantSpec};
+use abase::sim::node::{DataNodeConfig, DataNodeSim};
+use abase::sim::proxy::ProxyPlaneConfig;
 use abase::util::clock::days;
 use abase::util::TestDir;
 use abase::util::TimeSeries;

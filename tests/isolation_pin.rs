@@ -16,9 +16,9 @@
 //! (2.47 % and 3.03 %) combined — and the other five columns, the mean
 //! latency among them (an exact sum over a count in both), did not move.
 
-use abase::core::cluster::{IsolationExperiment, MinutePoint, TenantSpec};
-use abase::core::node::{DataNodeConfig, DataNodeSim};
-use abase::core::proxy::ProxyPlaneConfig;
+use abase::sim::isolation::{IsolationExperiment, MinutePoint, TenantSpec};
+use abase::sim::node::{DataNodeConfig, DataNodeSim};
+use abase::sim::proxy::ProxyPlaneConfig;
 use abase::workload::{KeyspaceConfig, LogNormal, TrafficShape};
 
 /// Virtual micros per reported minute.

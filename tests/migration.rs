@@ -5,11 +5,11 @@
 //! zero acked-write loss, RYW fences holding across the cut-over, and the
 //! measured copy time matching the `RecoveryModel`/`Throttle` prediction.
 
-use abase::core::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
-use abase::core::migration::MigrationError;
 use abase::lavastore::DbConfig;
 use abase::replication::{GroupConfig, ReadConsistency, ReplicaGroup, WriteConcern};
 use abase::scheduler::{Rescheduler, ReschedulerConfig};
+use abase::sim::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
+use abase::sim::migration::MigrationError;
 use abase::util::TestDir;
 
 fn cluster_with(tag: &str, nodes: u32, bandwidth: Option<f64>) -> (TestDir, ReplicatedCluster) {
@@ -85,7 +85,7 @@ fn migration_staging_and_failover_resync_share_one_api() {
 
 /// Concurrent quorum writes during copy + catch-up + cut-over: zero acked
 /// writes lost, and every session's RYW fence holds across the cut-over,
-/// wherever the router sends the read.
+/// whichever replica serves the read.
 #[test]
 fn quorum_writes_survive_a_live_migration_with_ryw_fences() {
     let (_d, mut c) = cluster_with("migrate-under-load", 4, None);
@@ -144,8 +144,8 @@ fn quorum_writes_survive_a_live_migration_with_ryw_fences() {
         assert_ne!(fenced.node, from, "departed replica served a fenced read");
     }
     // The departed replica is gone from every layer.
-    assert!(!c.meta().replica_set(0).unwrap().contains(from));
-    assert!(!c.meta().read_candidates(0, None).contains(&from));
+    let set = c.meta().replica_set(0).unwrap();
+    assert!(!set.contains(from) && set.contains(to), "{set:?}");
     assert!(!c.group(0).unwrap().members().contains(&from));
     assert!(c.node(from).unwrap().replica_role(0).is_none());
 }

@@ -136,3 +136,43 @@ fn hgetall_of_a_big_hash_is_admitted_above_a_get() {
     assert!(scan > get, "HGETALL admitted at {scan} RU, GET at {get} RU");
     node.shutdown().unwrap();
 }
+
+/// A GET routed by `CONSISTENCY eventual` is charged by the same §4.1 rule
+/// as a leader GET: the serving replica's cache outcome, not a flat miss.
+/// A 16 KiB value held in every replica's memtable costs 2.4 RU as a hit
+/// (8 RU as a miss), and each fresh connection counts the whole 2.
+#[test]
+fn an_eventual_get_is_charged_like_a_leader_get_of_the_same_key() {
+    const T: u32 = 3104;
+    let dir = TestDir::new("routed-get-ru");
+    let node = ServingNode::open(
+        "127.0.0.1:0",
+        dir.path(),
+        DbConfig::default(),
+        NodeRole::Leader { local_replicas: 3 },
+    )
+    .expect("open node");
+    let addr = node.local_addr();
+    let read_ru = || abase::obs::snapshot().value(&format!("abase_tenant_read_ru_total{{{T}}}"));
+    let value = "v".repeat(16 << 10);
+    let mut writer = Client::connect(addr);
+    assert_eq!(writer.cmd(&["AUTH", &T.to_string()]), RespValue::ok());
+    assert_eq!(writer.cmd(&["SET", "k", &value]), RespValue::ok());
+    // Every replica holds the value before any read is routed.
+    assert_eq!(writer.cmd(&["WAIT", "2", "1000"]), RespValue::Integer(2));
+    let get_on_a_fresh_connection = |consistency: &str| {
+        let mut client = Client::connect(addr);
+        assert_eq!(client.cmd(&["AUTH", &T.to_string()]), RespValue::ok());
+        assert_eq!(client.cmd(&["CONSISTENCY", consistency]), RespValue::ok());
+        let before = read_ru();
+        assert_eq!(client.get("k"), RespValue::bulk(value.clone()));
+        read_ru() - before
+    };
+    let leader = get_on_a_fresh_connection("leader");
+    assert_eq!(leader, 2.0, "a memtable hit on the leader");
+    // Eventual reads rotate over all three replicas.
+    for _ in 0..3 {
+        assert_eq!(get_on_a_fresh_connection("eventual"), leader);
+    }
+    node.shutdown().unwrap();
+}

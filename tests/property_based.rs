@@ -282,7 +282,7 @@ proptest! {
         followers in prop::collection::vec((1u64..6, any::<bool>()), 2..6),
         spare_count in 0usize..3)
     {
-        use abase::core::meta::{MetaServer, ReplicaSet};
+        use abase::sim::meta::{MetaServer, ReplicaSet};
 
         // Followers are nodes 1..=k with (lsn, gapped); duplicated LSNs are
         // the interesting (tie) case and the generator produces them often.

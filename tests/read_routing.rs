@@ -1,14 +1,14 @@
-//! Consistency-aware read routing across failover (the PR's acceptance
-//! scenarios): `Eventual` reads spread over follower replicas and drain to
-//! survivors with zero errors when a serving follower is killed; after a
-//! leader kill and promotion, `ReadYourWrites` sessions never observe a
-//! rollback of their last acked write; and follower reads land in the same
-//! per-replica split RU accounting the rescheduler's loss function reads.
+//! Consistency-aware reads across failover: `Eventual` reads rotate over
+//! every live replica and drain to survivors with zero errors when a serving
+//! follower is killed; after a leader kill and promotion, `ReadYourWrites`
+//! sessions never observe a rollback of their last acked write; and
+//! follower reads land in the same per-replica split RU accounting the
+//! rescheduler's loss function reads.
 
-use abase::core::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
 use abase::lavastore::DbConfig;
 use abase::replication::{ReadConsistency, WriteConcern};
 use abase::scheduler::{LoadVector, NodeState, PoolState, ReplicaLoad};
+use abase::sim::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
 use abase::util::TestDir;
 use std::collections::{HashMap, HashSet};
 
@@ -36,25 +36,29 @@ fn eventual_reads_drain_to_survivors_after_follower_kill() {
         c.write(0, format!("k{i}").as_bytes(), b"v", 0).unwrap();
     }
     c.tick().unwrap(); // converge every follower
-                       // Warm phase: eventual reads spread across both followers.
+    let leader_before = c.meta().route(0).unwrap();
+    // Warm phase: eventual reads spread across every replica.
     let mut served_before: HashSet<u32> = HashSet::new();
     for i in 0..20 {
         let key = format!("k{}", i % 30);
         let r = c
             .read_routed(0, key.as_bytes(), ReadConsistency::Eventual, 0)
             .unwrap();
-        assert!(!r.is_leader);
+        assert_eq!(r.is_leader, r.node == leader_before);
         served_before.insert(r.node);
     }
     assert_eq!(
         served_before.len(),
-        2,
+        3,
         "reads did not spread: {served_before:?}"
     );
     // Kill one follower that was serving reads.
-    let victim = *served_before.iter().min().unwrap();
-    let leader_before = c.meta().route(0).unwrap();
-    assert_ne!(victim, leader_before);
+    let victim = served_before
+        .iter()
+        .copied()
+        .filter(|&n| n != leader_before)
+        .min()
+        .unwrap();
     c.kill_node(victim).unwrap();
     // Every subsequent read succeeds and never lands on the dead node.
     let mut served_after: HashSet<u32> = HashSet::new();
@@ -174,28 +178,26 @@ fn follower_read_ru_feeds_the_reschedulers_loss_function() {
     }
     let leader = c.meta().route(0).unwrap();
     let pool = PoolState::new(pool_nodes);
-    // Followers carry read RU the leader never saw; every member carries the
+    // Eventual reads rotate over every member, and every member carries the
     // write RU. The loss function therefore sees follower reads: a follower
-    // node's RU load is nonzero even though it took no client writes.
+    // node's read load is nonzero even though it took no client writes.
     for state in &pool.nodes {
         assert!(
             state.ru_load() > 0.0,
             "node {} invisible to Algorithm 2",
             state.id
         );
-        if state.id != leader {
-            assert!(
-                state.read_ru_vector().peak() > 0.0,
-                "follower {} reads missing from the load view",
-                state.id
-            );
-        }
+        assert!(
+            state.read_ru_vector().peak() > 0.0,
+            "node {} reads missing from the load view",
+            state.id
+        );
     }
+    let total_read: f64 = pool.nodes.iter().map(|n| n.read_ru_vector().peak()).sum();
     let leader_state = pool.nodes.iter().find(|n| n.id == leader).unwrap();
-    assert_eq!(
-        leader_state.read_ru_vector().peak(),
-        0.0,
-        "eventual reads leaked to the leader despite healthy followers"
+    assert!(
+        leader_state.read_ru_vector().peak() < total_read / 2.0,
+        "eventual reads concentrated on the leader"
     );
     // And the optimal-point arithmetic consumes the combined vectors.
     let (r, s) = pool.optimal_load();

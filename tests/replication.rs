@@ -4,13 +4,13 @@
 //! replicas are reconstructed in parallel ≈N× faster than through a single
 //! source — matching the §3.3 `RecoveryModel` within tolerance.
 
-use abase::core::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
-use abase::core::meta::RecoveryModel;
 use abase::lavastore::{Db, DbConfig};
 use abase::replication::{
     reconstruct_parallel, reconstruct_single_source, ReadConsistency, ReconstructionTask,
     WriteConcern,
 };
+use abase::sim::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
+use abase::sim::meta::RecoveryModel;
 use abase::util::TestDir;
 use std::path::Path;
 use std::sync::Arc;
