@@ -113,13 +113,6 @@ impl Pipeline {
         self.bound.store(true, Ordering::Relaxed);
     }
 
-    /// Change `partition`'s quota (autoscaling applies here).
-    pub fn set_partition_quota(&self, partition: PartitionId, quota_ru: f64, now: SimTime) {
-        if let Some(p) = self.partitions.lock().get_mut(&partition) {
-            p.quota.set_partition_quota(quota_ru, now);
-        }
-    }
-
     /// Switch `partition`'s quota enforcement on or off (Figure 7's phases).
     pub fn set_partition_quota_enabled(&self, partition: PartitionId, enabled: bool) {
         if let Some(p) = self.partitions.lock().get_mut(&partition) {
@@ -258,8 +251,6 @@ mod tests {
         p.add_partition(2, 2, 100.0, 0);
         assert!((p.weight(1) - 0.75).abs() < 1e-12);
         assert!((p.weight(2) - 0.25).abs() < 1e-12);
-        p.set_partition_quota(2, 300.0, 0);
-        assert!((p.weight(2) - 0.5).abs() < 1e-12);
     }
 
     #[test]

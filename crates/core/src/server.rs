@@ -14,7 +14,9 @@
 //! group's write concern before `+OK` reaches the client (an unsatisfiable
 //! concern turns the reply into an error), and clients wanting an explicit
 //! fence issue Redis-style `WAIT numreplicas timeout-ms` — the server blocks
-//! until that many followers acked the connection's latest LSN. `REPLCONF`
+//! until that many followers acked the connection's latest LSN. Both run
+//! `abase_replication::catchup`, which re-seeds a local follower that fell
+//! off the log in `catchup::pump`, with the group unlocked. `REPLCONF`
 //! handshake chatter is accepted for client compatibility. A follower's
 //! server — only [`crate::serving::ServingNode`] builds one — refuses client
 //! writes and reports its link in `INFO replication`.
@@ -36,7 +38,7 @@ use abase_lavastore::{Db, ReadResult};
 use abase_obs::{Counter, LazyCounterFamily, SlowLog, Span, Stage, Timer};
 use abase_proto::{Argv, Command, RespValue, SlowlogSub};
 use abase_quota::ru::ReadOutcome;
-use abase_replication::{AcceptedReplica, ReadConsistency, ReplicaGroup};
+use abase_replication::{catchup, AcceptedReplica, ReadConsistency, ReplicaGroup};
 use abase_util::lockrank::RankedMutex;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -135,17 +137,14 @@ impl Role {
 /// [`ReplicaGroup`]; custom planes (tests, future geo-replication) can
 /// implement it too.
 pub trait ReplicationControl: Send + Sync {
-    /// The leader's current LSN (what a `WAIT` fences on), or `None` when
-    /// the group has no live leader — the caller must surface that rather
-    /// than fence on a made-up LSN.
-    fn last_lsn(&self) -> Option<u64>;
     /// Ship the log until `numreplicas` followers ack `lsn` or `timeout`
-    /// passes; returns how many followers have acked.
+    /// passes; returns how many followers have acked. Errors, rather than
+    /// fence on a made-up LSN, when the group has no live leader.
     fn wait_for(&self, lsn: u64, numreplicas: usize, timeout: Duration) -> Result<usize, String>;
     /// Enforce the group's write concern for everything the leader has
     /// written so far (called after each RESP write, before the client sees
-    /// its reply). Returns the LSN the commit fenced on — a single
-    /// lock-coherent bound covering the caller's write, which the connection
+    /// its reply). Returns the LSN the commit fenced on — the leader's LSN
+    /// read after the caller's write, so covering it, which the connection
     /// adopts as its `readyourwrites` session fence (it may include
     /// concurrent writers' later LSNs: a higher fence is always safe, just
     /// conservative for follower routing). Errors when the concern cannot
@@ -184,20 +183,14 @@ pub trait ReplicationControl: Send + Sync {
     fn repl_info(&self) -> ReplInfo {
         ReplInfo {
             role: "leader",
-            last_lsn: self.last_lsn().unwrap_or(0),
             ..ReplInfo::default()
         }
     }
 }
 
 impl ReplicationControl for RankedMutex<ReplicaGroup> {
-    fn last_lsn(&self) -> Option<u64> {
-        self.lock().leader_db().ok().map(|db| db.last_seq())
-    }
-
     fn wait_for(&self, lsn: u64, numreplicas: usize, timeout: Duration) -> Result<usize, String> {
-        let deadline = Instant::now() + timeout;
-        drive_followers(self, lsn, numreplicas, deadline)
+        catchup::wait(self, lsn, numreplicas, timeout).map_err(|e| e.to_string())
     }
 
     fn acked_followers(&self, lsn: u64) -> usize {
@@ -216,23 +209,17 @@ impl ReplicationControl for RankedMutex<ReplicaGroup> {
     }
 
     fn repl_info(&self) -> ReplInfo {
-        let group = self.lock();
-        let leader = group.leader();
-        let mut followers: Vec<(u32, u64, bool)> = group
-            .members()
+        let status = self.lock().status();
+        let (leader, locals): (Vec<_>, Vec<_>) = status
+            .replicas
             .into_iter()
-            .filter(|&id| Some(id) != leader)
-            .map(|id| (id, group.acked_lsn(id).unwrap_or(0), group.is_alive(id)))
-            .collect();
-        for (id, lsn, connected) in group.remote_followers() {
-            followers.push((id, lsn, connected));
-        }
+            .partition(|r| Some(r.id) == status.leader);
+        let locals = locals.into_iter().map(|r| (r.id, r.acked_lsn, r.alive));
         ReplInfo {
             role: "leader",
-            last_lsn: group.leader_db().map(|db| db.last_seq()).unwrap_or(0),
-            leader_addr: None,
-            link_status: "n/a",
-            followers,
+            last_lsn: leader.first().map_or(0, |r| r.acked_lsn),
+            followers: locals.chain(status.remote_followers).collect(),
+            ..ReplInfo::default()
         }
     }
 
@@ -249,67 +236,9 @@ impl ReplicationControl for RankedMutex<ReplicaGroup> {
     }
 
     fn commit_written(&self) -> Result<u64, String> {
-        // One lock acquisition covers both reading the fence LSN and the
-        // concern arithmetic, so a concurrent writer cannot slide the fence.
-        let (lsn, need, timeout) = {
-            let group = self.lock();
-            let lsn = group.leader_db().map_err(|e| e.to_string())?.last_seq();
-            if group.write_concern() == abase_replication::WriteConcern::Async {
-                return Ok(lsn);
-            }
-            (lsn, group.commit_need(), group.config().wait_timeout)
-        };
-        // The leader itself always counts toward the concern.
-        let follower_need = need.saturating_sub(1);
-        let acked = drive_followers(self, lsn, follower_need, Instant::now() + timeout)?;
-        if acked >= follower_need {
-            Ok(lsn)
-        } else {
-            Err(format!(
-                "write concern unsatisfied: {}/{} acks",
-                acked + 1,
-                need
-            ))
-        }
-    }
-}
-
-/// Pump a locked group until `numreplicas` followers ack `lsn` or `deadline`
-/// passes, returning the follower-ack count reached. Only bounded work runs
-/// under the lock: when a follower needs a full resync, the checkpoint copy
-/// streams with the group *unlocked*, so other connections' `WAIT`/commit on
-/// other keys proceed during the transfer.
-fn drive_followers(
-    group: &RankedMutex<ReplicaGroup>,
-    lsn: u64,
-    numreplicas: usize,
-    deadline: Instant,
-) -> Result<usize, String> {
-    loop {
-        let status = { group.lock().advance(lsn) }.map_err(|e| e.to_string())?;
-        if status.followers_acked >= numreplicas {
-            return Ok(status.followers_acked);
-        }
-        if let Some(&id) = status.needs_resync.first() {
-            let mut ticket = { group.lock().begin_resync(id) }.map_err(|e| e.to_string())?;
-            // The long copy happens without the lock, through the ticket's
-            // own cursor on the leader's log.
-            ticket.copy(None).map_err(|e| e.to_string())?;
-            match group.lock().complete_resync(ticket) {
-                Ok(()) => {}
-                // Leadership moved mid-copy: loop and retry from the top.
-                Err(abase_replication::Error::ResyncSuperseded) => {}
-                Err(e) => return Err(e.to_string()),
-            }
-            continue;
-        }
-        if Instant::now() >= deadline {
-            return Ok(status.followers_acked);
-        }
-        // This runs on an offload thread, never an event-loop worker, and
-        // the replication plane has no wakeup primitive to wait on yet.
-        #[allow(clippy::disallowed_methods)]
-        std::thread::sleep(Duration::from_millis(1));
+        let lsn = self.lock().leader_lsn().map_err(|e| e.to_string())?;
+        catchup::commit(self, lsn).map_err(|e| e.to_string())?;
+        Ok(lsn)
     }
 }
 
@@ -717,11 +646,6 @@ pub(crate) fn dispatch(
         if fence == 0 || acked >= want {
             return RespValue::Integer(acked as i64);
         }
-        // There is replication left to drive, which needs a live leader —
-        // fencing on a fabricated LSN would report phantom acks.
-        if repl.last_lsn().is_none() {
-            return RespValue::Error("ERR replication: no live leader".into());
-        }
         // `timeout 0` is documented as "no limit"; the server maps it to its
         // own cap instead of the historical single non-blocking pass (and
         // instead of parking the connection forever on a dead follower).
@@ -782,8 +706,8 @@ pub(crate) fn dispatch(
                     span.enter(Stage::ReplicationWait);
                     let wait_timer = Timer::start();
                     // The committed LSN becomes the session's read fence
-                    // (lock-coherent with the concern check, so it covers
-                    // this write without racing a later last_lsn read).
+                    // (read after this write, so it covers it even when
+                    // concurrent writers move the leader on).
                     let committed = repl.commit_written();
                     wait_timer.observe(&metrics::WAIT_MICROS);
                     match committed {
@@ -1382,9 +1306,6 @@ mod tests {
     }
 
     impl ReplicationControl for RecordingRepl {
-        fn last_lsn(&self) -> Option<u64> {
-            Some(42)
-        }
         fn wait_for(
             &self,
             lsn: u64,

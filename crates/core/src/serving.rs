@@ -12,9 +12,10 @@
 //! * the housekeeping tick, every [`TICK`]: it drives the server's clock from
 //!   the wall clock (expiries are persisted as instants of that clock, so it
 //!   must mean the same after a restart and on every member of a group),
-//!   flushes the WAL to the OS and, on a leader, pumps the local followers. A
-//!   step that fails is counted in `abase_node_tick_errors_total{kind}`, and
-//!   the first failure of each kind is logged;
+//!   flushes the WAL to the OS and, on a leader, runs `catchup::tick`, which
+//!   pumps the local followers and copies a re-seed outside the group lock.
+//!   A step that fails is counted in `abase_node_tick_errors_total{kind}`,
+//!   and the first failure of each kind is logged;
 //! * on a follower, the pump: poll → apply → ack against the leader, swapping
 //!   the engine's store when a full resync replaced it.
 //!
@@ -27,7 +28,7 @@ use crate::metrics;
 use crate::pipeline::Pipeline;
 use crate::server::{FollowerLink, ReplicationControl, RespServer};
 use abase_lavastore::DbConfig;
-use abase_replication::{Follower, GroupConfig, PumpStatus, ReplicaGroup, WriteConcern};
+use abase_replication::{catchup, Follower, GroupConfig, PumpStatus, ReplicaGroup, WriteConcern};
 use abase_util::lockrank::RankedMutex;
 use std::fmt::Display;
 use std::io;
@@ -197,7 +198,7 @@ impl ServingNode {
                 // Local followers converge on this cadence without a client's
                 // `WAIT`; remote ones are fed by their connections' threads.
                 if let Some(group) = &group {
-                    tick_step("group_tick", &mut logged[1], group.lock().tick());
+                    tick_step("group_tick", &mut logged[1], catchup::tick(&**group));
                 }
                 if last {
                     break;

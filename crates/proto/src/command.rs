@@ -594,30 +594,6 @@ impl<B> Command<B> {
     pub fn is_write(&self) -> bool {
         self.kind() == CommandKind::Write
     }
-
-    /// The primary key the command routes by (None for `PING`).
-    pub fn routing_key(&self) -> Option<&B> {
-        match self {
-            Command::Get { key }
-            | Command::Exists { key }
-            | Command::Expire { key, .. }
-            | Command::Set { key, .. }
-            | Command::HSet { key, .. }
-            | Command::HGet { key, .. }
-            | Command::HDel { key, .. }
-            | Command::HLen { key }
-            | Command::HGetAll { key } => Some(key),
-            Command::Del { keys } => keys.first(),
-            Command::Ping
-            | Command::Wait { .. }
-            | Command::ReplConf { .. }
-            | Command::PSync { .. }
-            | Command::Consistency { .. }
-            | Command::Info { .. }
-            | Command::Slowlog { .. }
-            | Command::Metrics => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -733,7 +709,6 @@ mod tests {
         assert!(parse(&["CONSISTENCY", "a", "b"]).is_err());
         let cmd = parse(&["CONSISTENCY", "ryw"]).unwrap();
         assert_eq!(cmd.kind(), CommandKind::Control);
-        assert_eq!(cmd.routing_key(), None);
         assert_eq!(Command::from_resp(&cmd.to_resp()).unwrap(), cmd);
     }
 
@@ -759,7 +734,6 @@ mod tests {
         ] {
             assert_eq!(Command::from_resp(&cmd.to_resp()).unwrap(), cmd);
             assert_eq!(cmd.kind(), CommandKind::Control);
-            assert_eq!(cmd.routing_key(), None);
         }
         let ack = Command::replconf_ack(99);
         assert_eq!(ack.replconf_ack_lsn(), Some(99));
@@ -823,7 +797,6 @@ mod tests {
         ] {
             assert_eq!(Command::from_resp(&cmd.to_resp()).unwrap(), cmd);
             assert_eq!(cmd.kind(), CommandKind::Control);
-            assert_eq!(cmd.routing_key(), None);
         }
     }
 
@@ -861,12 +834,8 @@ mod tests {
     }
 
     #[test]
-    fn routing_key_and_sizes() {
+    fn payload_size_counts_key_and_value() {
         let set = parse(&["SET", "key", "0123456789"]).unwrap();
-        assert_eq!(set.routing_key().unwrap(), &Bytes::from("key"));
         assert_eq!(set.payload_size(), 13);
-        assert_eq!(parse(&["PING"]).unwrap().routing_key(), None);
-        let del = parse(&["DEL", "a", "b"]).unwrap();
-        assert_eq!(del.routing_key().unwrap(), &Bytes::from("a"));
     }
 }

@@ -69,16 +69,6 @@ impl ProxyQuota {
         self.bucket.set_burst(rate.max(1.0), now);
     }
 
-    /// The standard (un-boosted) RU/s rate.
-    pub fn standard_rate(&self) -> f64 {
-        self.standard_rate
-    }
-
-    /// Whether the proxy is currently allowed the 2× boost.
-    pub fn is_boosted(&self) -> bool {
-        self.boosted
-    }
-
     /// Re-assign the standard rate (tenant quota changed or proxy fleet
     /// resized); preserves the current boost state.
     pub fn set_standard_rate(&mut self, rate: f64, now: SimTime) {
@@ -136,14 +126,6 @@ impl PartitionQuota {
     /// The partition's share of the tenant quota (RU/s, before the 3× slack).
     pub fn partition_quota(&self) -> f64 {
         self.partition_quota
-    }
-
-    /// Update the quota after tenant scaling or a partition split.
-    pub fn set_partition_quota(&mut self, quota: f64, now: SimTime) {
-        self.partition_quota = quota;
-        let cap = quota * PARTITION_SLACK_FACTOR;
-        self.bucket.set_rate(cap, now);
-        self.bucket.set_burst(cap.max(1.0), now);
     }
 
     /// Enable/disable enforcement (ablation experiments).
@@ -237,7 +219,6 @@ mod tests {
     #[test]
     fn proxy_allows_double_when_boosted() {
         let mut p = ProxyQuota::new(100.0, 0);
-        assert!(p.is_boosted());
         // Drain the initial burst, then measure steady-state over one second.
         p.admit(0, 200.0);
         let mut admitted = 0.0f64;

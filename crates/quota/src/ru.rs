@@ -120,11 +120,6 @@ impl RuEstimator {
         let h = self.hit_ratio.mean().clamp(0.0, 1.0);
         self.estimate_hlen_ru() + (scan_bytes * (1.0 - h) / UNIT_BYTES as f64).max(0.0)
     }
-
-    /// Current `E[R_hit]`.
-    pub fn expected_hit_ratio(&self) -> f64 {
-        self.hit_ratio.mean().clamp(0.0, 1.0)
-    }
 }
 
 impl Default for RuEstimator {
@@ -166,7 +161,6 @@ mod tests {
             e.record_read(4096, ReadOutcome::NodeCacheHit);
         }
         assert!(e.estimate_read_ru() < 0.1, "got {}", e.estimate_read_ru());
-        assert!(e.expected_hit_ratio() > 0.95);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::Result;
 use abase_lavastore::record::Record;
 use abase_lavastore::wal::Wal;
 use abase_lavastore::{CheckpointInfo, Db, Error as StorageError};
+use abase_util::lockrank;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -121,12 +122,19 @@ impl LogTransport for Binlog {
 
     /// Stream a checkpoint of the tailed store into `staging` (pinned files,
     /// no store lock held across the byte copy). A failed copy leaves no
-    /// staging tree behind.
+    /// staging tree behind. Every in-process copy, a resync ticket's or a
+    /// failover reconstruction's, comes through here, so with lock-order
+    /// checking on this panics when the calling thread holds the group lock.
     fn fetch_checkpoint(
         &mut self,
         staging: &Path,
         on_chunk: &mut dyn FnMut(usize),
     ) -> Result<CheckpointInfo> {
+        let held = lockrank::held_lock_names();
+        assert!(
+            !held.contains(&lockrank::rank::REPLICA_GROUP.name()),
+            "checkpoint copy under the group lock; held, outermost first: {held:?}"
+        );
         std::fs::remove_dir_all(staging).ok();
         let info = self
             .db
@@ -254,6 +262,17 @@ mod tests {
             Poll::Gap => {}
             Poll::Records(r) => panic!("expected gap, got {} records", r.len()),
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "checkpoint copy under the group lock")]
+    fn a_checkpoint_copy_under_the_group_lock_panics() {
+        let (dir, staging) = (TestDir::new("ckpt-locked"), TestDir::new("ckpt-locked-to"));
+        let db = Arc::new(Db::open(dir.path(), DbConfig::small_for_tests()).unwrap());
+        let group = lockrank::RankedMutex::new(lockrank::rank::REPLICA_GROUP, ());
+        let _held = group.lock();
+        let _ = Binlog::attach(db).fetch_checkpoint(staging.path(), &mut |_| {});
     }
 
     #[test]

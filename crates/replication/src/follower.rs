@@ -8,9 +8,9 @@
 //! itself (`abase-server follow`) calls [`Follower::pump`], which on a gap
 //! stages a checkpoint through its own transport. A member of a
 //! [`ReplicaGroup`](crate::ReplicaGroup) is pumped shallowly and reports
-//! [`PumpStatus::NeedsResync`]; its checkpoint is staged by a
-//! [`ResyncTicket`](crate::ResyncTicket) with the group unlocked and then
-//! installed here, by the same routine.
+//! [`PumpStatus::NeedsResync`]; [`catchup::pump`](crate::catchup::pump)
+//! then stages its checkpoint through a [`ResyncTicket`](crate::ResyncTicket),
+//! with the group unlocked, and installs it here, by the same routine.
 //!
 //! What the pass guarantees, for every transport:
 //! * applied records leave the follower's WAL buffer before they are acked,

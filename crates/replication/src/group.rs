@@ -5,7 +5,8 @@
 //! Writes go to the leader; every other member is a [`Follower`] tailing the
 //! leader's WAL through a [`Binlog`] and applying records with their original
 //! sequence numbers, so a follower's acked LSN *is* its `Db::last_seq`. The
-//! write path enforces a [`WriteConcern`]; the read path picks a replica per
+//! write path enforces a [`WriteConcern`] through the one catch-up routine,
+//! [`crate::catchup`]; the read path picks a replica per
 //! [`ReadConsistency`]; failover promotes the most-caught-up live follower,
 //! which — because WAL shipping applies records in order (prefix property) —
 //! retains every write any follower ever acked below its LSN.
@@ -20,6 +21,7 @@
 //! takes the ticket's cursor over, already at the checkpoint's edge.
 
 use crate::binlog::Binlog;
+use crate::catchup;
 use crate::failover::Throttle;
 use crate::follower::{Follower, PumpStatus};
 use crate::rotation::Rotation;
@@ -31,7 +33,7 @@ use abase_util::failpoint::{self, FaultAction};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Replica identifier (the DataNode hosting it, in cluster terms).
 pub type ReplicaId = u32;
@@ -277,30 +279,21 @@ pub struct ReplicaGroup {
     epoch: u64,
 }
 
-/// Outcome of one [`ReplicaGroup::advance`] pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdvanceStatus {
-    /// Live followers whose applied LSN has reached the fence.
-    pub followers_acked: usize,
-    /// Followers that cannot proceed without a full resync; the caller may
-    /// run those copies through [`ReplicaGroup::begin_resync`] /
-    /// [`ReplicaGroup::complete_resync`] without holding its group lock.
-    pub needs_resync: Vec<ReplicaId>,
-}
-
 /// A prepared, staged replica-placement change whose (long) checkpoint copy
 /// runs without borrowing the group: [`ReplicaGroup::begin_resync`] (refresh
 /// an existing follower) or [`ReplicaGroup::begin_join`] (stage a new member
 /// — migration and failover re-seeding) hands one out, [`ResyncTicket::copy`]
 /// streams a checkpoint of the source member into a staging directory, and
 /// [`ReplicaGroup::complete_resync`] / [`ReplicaGroup::complete_join`]
-/// atomically installs it. Callers that guard the group with a mutex (the
-/// RESP server) drop the lock around `copy`, so `WAIT`/commit on other keys
-/// are not blocked for the duration of the transfer.
+/// atomically installs it. [`catchup::pump`] runs `copy` without the group,
+/// so behind the server's mutex no `WAIT` or commit waits for the transfer.
 #[derive(Debug)]
 pub struct ResyncTicket {
     follower: ReplicaId,
     epoch: u64,
+    /// The follower's resync count at issue: a copy that another ticket's
+    /// install overtook is refused, never installed over the newer one.
+    resyncs: u64,
     /// The ticket's own cursor on the source member's log.
     source: Binlog,
     /// Does `source` tail the leader? Only then does the checkpoint's edge
@@ -358,11 +351,11 @@ impl std::fmt::Debug for ReplicaGroup {
 }
 
 impl ReplicaGroup {
-    /// Wrap the group in its ranked mutex ([`rank::REPLICA_GROUP`]): the
-    /// group lock is held across follower pumps that apply into their
-    /// stores, so it sits *outside* every storage-engine lock in the global
-    /// lock order. Every shared `Mutex<ReplicaGroup>` in the workspace is
-    /// built through this so the rank is declared in exactly one place.
+    /// Wrap the group in its ranked mutex ([`rank::REPLICA_GROUP`]): held
+    /// across shallow follower pumps into their stores (never across a
+    /// checkpoint copy), it sits *outside* every storage-engine lock in the
+    /// global lock order. Every shared `Mutex<ReplicaGroup>` in the workspace
+    /// is built through this so the rank is declared in exactly one place.
     ///
     /// [`rank::REPLICA_GROUP`]: abase_util::lockrank::rank::REPLICA_GROUP
     pub fn into_mutex(self) -> abase_util::lockrank::RankedMutex<ReplicaGroup> {
@@ -563,7 +556,7 @@ impl ReplicaGroup {
         // momentarily behind this write's seq (or ahead of it, crediting us
         // with someone else's write).
         let lsn = leader.put(key, value, expires_at, now)?;
-        self.commit(lsn)?;
+        catchup::commit(&mut *self, lsn)?;
         Ok(lsn)
     }
 
@@ -571,7 +564,7 @@ impl ReplicaGroup {
     pub fn delete(&mut self, key: &[u8], now: SimTime) -> Result<Lsn> {
         let leader = self.leader_db()?;
         let lsn = leader.delete(key, now)?;
-        self.commit(lsn)?;
+        catchup::commit(&mut *self, lsn)?;
         Ok(lsn)
     }
 
@@ -596,92 +589,15 @@ impl ReplicaGroup {
         }
     }
 
-    /// Enforce the configured write concern for everything up to `lsn` (used
-    /// directly when writes went to [`ReplicaGroup::leader_db`] out-of-band,
-    /// e.g. through a table engine executing RESP commands). Retries the pump
-    /// until the concern holds or `wait_timeout` expires; a dead follower
-    /// therefore bounds the wait instead of failing the write outright while
-    /// a transiently stalled one still gets time to catch up.
-    pub fn commit(&mut self, lsn: Lsn) -> Result<usize> {
-        if self.config.write_concern == WriteConcern::Async {
-            return Ok(1);
-        }
-        let need = self.commit_need();
-        let deadline = Instant::now() + self.config.wait_timeout;
-        self.replicate_until(lsn, need, deadline)
-    }
-
-    /// Ship the leader's log to followers until `need` replicas (leader
-    /// included) have applied `lsn`, pumping as few followers as possible and
-    /// retrying until `deadline`.
-    fn replicate_until(&mut self, lsn: Lsn, need: usize, deadline: Instant) -> Result<usize> {
-        self.leader_db()?.flush_wal()?;
-        loop {
-            let acked = self.acked_count(lsn);
-            if acked >= need {
-                return Ok(acked);
-            }
-            let progressed = self.pump_lagging(lsn, need)?;
-            let acked = self.acked_count(lsn);
-            if acked >= need {
-                return Ok(acked);
-            }
-            if Instant::now() >= deadline {
-                return Err(Error::NoQuorum { need, acked });
-            }
-            if !progressed {
-                // Nothing moved this pass; yield briefly while waiting out
-                // the timeout (a stalled follower may recover, and once
-                // followers sit across a real network, acks arrive async).
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-
-    /// One pump pass over live followers below `lsn`, stopping early once
-    /// `need` replicas ack. Returns whether any follower made progress
-    /// (applied records or completed a resync).
-    fn pump_lagging(&mut self, lsn: Lsn, need: usize) -> Result<bool> {
-        let mut progressed = false;
-        for id in self.lagging(lsn) {
-            progressed |= self.pump_follower(id)? != PumpStatus::Idle;
-            if self.acked_count(lsn) >= need {
-                break;
-            }
-        }
-        Ok(progressed)
-    }
-
     /// Live followers that have not applied `lsn`. A divergent (needs-resync)
     /// follower is lagging regardless of its raw LSN: it cannot ack until a
     /// resync replaces its history.
-    fn lagging(&self, lsn: Lsn) -> Vec<ReplicaId> {
+    pub(crate) fn lagging(&self, lsn: Lsn) -> Vec<ReplicaId> {
         self.replicas
             .iter()
             .filter(|r| r.follows() && (r.lsn() < lsn || r.needs_full_resync))
             .map(|r| r.id)
             .collect()
-    }
-
-    /// Pump until at least `numreplicas` *followers* have applied `lsn` or
-    /// `timeout` expires (Redis `WAIT` semantics: the leader itself is not
-    /// counted, and falling short of the ask is the answer — the returned
-    /// count — not an error). `Duration::ZERO` makes a single pass.
-    pub fn wait(&mut self, lsn: Lsn, numreplicas: usize, timeout: Duration) -> Result<usize> {
-        let deadline = Instant::now() + timeout;
-        let members = self.replicas.len()
-            + self
-                .remotes
-                .iter()
-                .filter(|r| r.state.is_connected())
-                .count();
-        // Falling short of the ask is the answer (the returned count), but a
-        // real storage fault must not masquerade as replication lag.
-        match self.replicate_until(lsn, (numreplicas + 1).min(members), deadline) {
-            Ok(_) | Err(Error::NoQuorum { .. }) => {}
-            Err(e) => return Err(e),
-        }
-        Ok(self.followers_acked(lsn))
     }
 
     /// Followers (local and remote, the leader excluded) that have durably
@@ -694,41 +610,15 @@ impl ReplicaGroup {
             + self.remote_acked(lsn)
     }
 
-    /// One non-blocking advance pass toward `lsn`: flush the leader's log and
-    /// shallow-pump every lagging live follower, *without* running full
-    /// resyncs. Lock-holding callers use this plus the resync ticket API to
-    /// keep long checkpoint copies outside their critical section.
-    pub fn advance(&mut self, lsn: Lsn) -> Result<AdvanceStatus> {
-        self.leader_db()?.flush_wal()?;
-        let mut needs_resync = Vec::new();
-        for id in self.lagging(lsn) {
-            if self.pump_follower_shallow(id)? == PumpStatus::NeedsResync {
-                needs_resync.push(id);
-            }
-        }
-        Ok(AdvanceStatus {
-            followers_acked: self.followers_acked(lsn),
-            needs_resync,
-        })
-    }
-
-    /// Ship pending log to every live follower (the periodic `Async`
-    /// catch-up; cluster simulators call this once per tick).
+    /// [`catchup::tick`]: pump every live follower once. `abase-server`
+    /// runs it through the group's mutex every 100 ms.
     pub fn tick(&mut self) -> Result<()> {
-        if let Ok(leader) = self.leader_db() {
-            leader.flush_wal()?;
-        }
-        // Every live follower: none has applied `Lsn::MAX`.
-        for id in self.lagging(Lsn::MAX) {
-            self.pump_follower(id)?;
-        }
-        self.refresh_lag_gauges();
-        Ok(())
+        catchup::tick(self)
     }
 
     /// Publish the per-follower LSN lag gauges (local replicas and remote
     /// socket followers alike) from the current group state.
-    pub fn refresh_lag_gauges(&self) {
+    pub(crate) fn refresh_lag_gauges(&self) {
         let Ok(leader_lsn) = self.leader_lsn() else {
             return;
         };
@@ -894,29 +784,10 @@ impl ReplicaGroup {
         Ok(())
     }
 
-    /// Pump one follower: apply newly shipped records; on a gap, full-resync
-    /// from a leader checkpoint and continue tailing from there.
-    pub fn pump_follower(&mut self, id: ReplicaId) -> Result<PumpStatus> {
-        let status = self.pump_follower_shallow(id)?;
-        if status != PumpStatus::NeedsResync {
-            return Ok(status);
-        }
-        // Staged: a copy that fails mid-stream leaves the follower untouched
-        // on its old (valid prefix) state.
-        let mut ticket = self.begin_resync(id)?;
-        ticket.copy(None)?;
-        self.complete_resync(ticket)?;
-        // The cursor sits at the checkpoint's edge: pick up what the leader
-        // appended while the copy ran.
-        self.pump_follower_shallow(id)?;
-        Ok(PumpStatus::Resynced)
-    }
-
     /// One [`Follower`] pass for member `id`, *without* resolving gaps:
-    /// [`PumpStatus::NeedsResync`] tells the caller a full resync is due
-    /// (which [`ReplicaGroup::pump_follower`] runs inline and lock-holding
-    /// callers run through the ticket API).
-    pub fn pump_follower_shallow(&mut self, id: ReplicaId) -> Result<PumpStatus> {
+    /// [`PumpStatus::NeedsResync`] tells [`catchup::pump`] a full resync is
+    /// due.
+    pub(crate) fn pump_shallow(&mut self, id: ReplicaId) -> Result<PumpStatus> {
         let r = self.find_mut(id)?;
         let Node::Follower(follower) = &mut r.node else {
             return Ok(PumpStatus::Idle);
@@ -991,6 +862,7 @@ impl ReplicaGroup {
         Ok(ResyncTicket {
             follower: id,
             epoch: self.epoch,
+            resyncs: self.find(id).map_or(0, |r| r.resyncs),
             source: Binlog::attach(Arc::clone(source.db())),
             source_leads: source.id == leader,
             staging,
@@ -1019,14 +891,17 @@ impl ReplicaGroup {
     /// Atomically install a completed resync copy: swap the staged checkpoint
     /// into the follower's directory, reopen it, and tail on from where the
     /// checkpoint ends. Refuses a ticket from an older epoch (the leadership
-    /// or membership changed while the copy ran) — the caller simply retries
-    /// against the new leader.
+    /// or membership changed while the copy ran), or one another ticket's
+    /// install overtook — the caller simply retries against the new state.
     pub fn complete_resync(&mut self, ticket: ResyncTicket) -> Result<()> {
         let cursor = self.admit(&ticket)?;
         let r = self.find_mut(ticket.follower)?;
         let Node::Follower(follower) = &mut r.node else {
             return Err(Error::ResyncSuperseded);
         };
+        if r.resyncs != ticket.resyncs {
+            return Err(Error::ResyncSuperseded);
+        }
         follower.install(&ticket.staging, Some(cursor))?;
         r.needs_full_resync = false;
         r.resyncs += 1;
@@ -1130,7 +1005,7 @@ impl ReplicaGroup {
             if self.acked_lsn(id)? >= need {
                 return Ok(());
             }
-            self.pump_follower(id)?;
+            catchup::pump(&mut *self, id)?;
         }
         let lsn = self.acked_lsn(id)?;
         if lsn >= need {
@@ -1194,6 +1069,11 @@ pub fn replica_dir(base: &Path, partition: u64, id: ReplicaId) -> PathBuf {
 mod tests {
     use super::*;
     use abase_util::TestDir;
+    use std::time::Instant;
+
+    /// The failpoint registry is process-global: tests arming it run one at
+    /// a time.
+    static FAILPOINTS: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     fn group(tag: &str, concern: WriteConcern) -> (TestDir, ReplicaGroup) {
         let dir = TestDir::new(tag);
@@ -1326,7 +1206,7 @@ mod tests {
         }
         // Ship everything to follower 20 only; 30 stays at LSN 0.
         g.leader_db().unwrap().flush_wal().unwrap();
-        g.pump_follower(20).unwrap();
+        catchup::pump(&mut g, 20).unwrap();
         assert_eq!(g.acked_lsn(20).unwrap(), 10);
         assert_eq!(g.acked_lsn(30).unwrap(), 0);
         g.fail_replica(10).unwrap();
@@ -1448,11 +1328,12 @@ mod tests {
         g.fail_replica(30).unwrap();
         // Asking for 2 follower acks with one follower dead: a single pass
         // reports 1 immediately...
-        assert_eq!(g.wait(lsn, 2, Duration::ZERO).unwrap(), 1);
+        assert_eq!(catchup::wait(&mut g, lsn, 2, Duration::ZERO).unwrap(), 1);
         // ...and a bounded wait returns the same count once the timeout
         // expires rather than blocking forever.
         let start = Instant::now();
-        assert_eq!(g.wait(lsn, 2, Duration::from_millis(30)).unwrap(), 1);
+        let waited = catchup::wait(&mut g, lsn, 2, Duration::from_millis(30));
+        assert_eq!(waited.unwrap(), 1);
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_millis(25), "returned early");
         assert!(elapsed < Duration::from_secs(5), "did not respect timeout");
@@ -1543,7 +1424,49 @@ mod tests {
     }
 
     #[test]
+    fn a_tick_pumps_every_follower_past_a_failing_one() {
+        let _serial = FAILPOINTS.lock();
+        let _guard = failpoint::ScopedInjector::enable();
+        let (dir, mut g) = group("tick-past-failure", WriteConcern::Async);
+        let lsn = g.put(b"k", b"v", None, 0).unwrap();
+        // Member 2's disk refuses the record; member 3's is fine.
+        let member2 = dir.path().join("p1-r20");
+        let member2 = member2.to_str().unwrap();
+        failpoint::install("wal.append", Some(member2), FaultAction::Error, 0, 1);
+        match g.tick() {
+            Err(Error::Storage(_)) => {}
+            other => panic!("expected member 2's storage error, got {other:?}"),
+        }
+        assert_eq!(
+            g.acked_lsn(30).unwrap(),
+            lsn,
+            "the tick stopped at member 2 and left member 3 unpumped"
+        );
+    }
+
+    #[test]
+    fn an_overtaken_resync_ticket_is_refused() {
+        let (_d, mut g) = group("overtaken-ticket", WriteConcern::Async);
+        g.put(b"k1", b"v", None, 0).unwrap();
+        g.tick().unwrap();
+        // Two callers stage copies of follower 30, and the newer installs
+        // first: the older one must not roll 30 back.
+        let mut older = g.begin_resync(30).unwrap();
+        older.copy(None).unwrap();
+        let lsn = g.put(b"k2", b"v", None, 0).unwrap();
+        let mut newer = g.begin_resync(30).unwrap();
+        newer.copy(None).unwrap();
+        g.complete_resync(newer).unwrap();
+        match g.complete_resync(older) {
+            Err(Error::ResyncSuperseded) => {}
+            other => panic!("expected ResyncSuperseded, got {other:?}"),
+        }
+        assert_eq!(g.acked_lsn(30).unwrap(), lsn);
+    }
+
+    #[test]
     fn failed_resync_copy_leaves_follower_intact() {
+        let _serial = FAILPOINTS.lock();
         let _guard = failpoint::ScopedInjector::enable();
         let (dir, mut g) = group("resync-fp", WriteConcern::Async);
         for i in 0..8 {
@@ -1567,7 +1490,7 @@ mod tests {
             0,
             1,
         );
-        let err = g.pump_follower(20);
+        let err = catchup::pump(&mut g, 20);
         assert!(err.is_err(), "injected checkpoint failure must surface");
         // The follower's previous state survived the failed copy (the old
         // code deleted the live directory before copying).

@@ -16,6 +16,8 @@
 //! * [`follower`] — [`Follower`]: the one poll → apply → ack pass and the one
 //!   install of a staged checkpoint, for a follower process and for a group
 //!   member alike.
+//! * [`catchup`] — the one catch-up routine for a group's local followers,
+//!   for write concerns, `WAIT` and the tick alike.
 //! * [`group`] — [`ReplicaGroup`]: per-follower acked-LSN tracking,
 //!   configurable [`WriteConcern`] (`Async`, `Quorum`, `All`) on the write
 //!   path and [`ReadConsistency`] (`Eventual`, `ReadYourWrites` via LSN
@@ -55,6 +57,7 @@
 #![deny(missing_docs)]
 
 pub mod binlog;
+pub mod catchup;
 pub mod failover;
 pub mod follower;
 pub mod group;
@@ -70,8 +73,8 @@ pub use failover::{
 };
 pub use follower::{Follower, PumpStatus};
 pub use group::{
-    AdvanceStatus, GroupConfig, GroupStatus, ReadConsistency, RemoteFollowerState, ReplicaGroup,
-    ReplicaId, ReplicaStatus, ResyncTicket, Role, RoutedRead, WriteConcern,
+    GroupConfig, GroupStatus, ReadConsistency, RemoteFollowerState, ReplicaGroup, ReplicaId,
+    ReplicaStatus, ResyncTicket, Role, RoutedRead, WriteConcern,
 };
 pub use socket::{serve_replica, AcceptedReplica, SocketTransport};
 pub use transport::LogTransport;

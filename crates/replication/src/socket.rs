@@ -1087,7 +1087,8 @@ mod tests {
         };
         let waiter = {
             let group = Arc::clone(&group);
-            std::thread::spawn(move || group.lock().wait(lsn, 1, Duration::from_secs(10)))
+            let wait = move || crate::catchup::wait(&*group, lsn, 1, Duration::from_secs(10));
+            std::thread::spawn(wait)
         };
         let deadline = Instant::now() + Duration::from_secs(10);
         while follower.last_seq() < lsn {

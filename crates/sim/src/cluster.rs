@@ -14,7 +14,7 @@ use abase_core::types::{PartitionId, TenantId};
 use abase_lavastore::DbConfig;
 use abase_quota::ru::{charge_read, write_ru, ReadOutcome};
 use abase_replication::{
-    reconstruct_parallel, Error as ReplError, GroupConfig, Lsn, ReadConsistency,
+    catchup, reconstruct_parallel, Error as ReplError, GroupConfig, Lsn, ReadConsistency,
     ReconstructionReport, ReconstructionTask, ReplicaGroup, Role, Throttle, WriteConcern,
 };
 use abase_util::clock::{mins, SimTime};
@@ -368,17 +368,20 @@ impl ReplicatedCluster {
 
     /// Ship pending log on every group (the per-tick replication pump that
     /// drains `Async` writes to followers), then drain the migration queue
-    /// one step.
+    /// one step. A group whose tick fails stops nothing: every group ticks
+    /// and the migrations step, and the first failure is returned.
     pub fn tick(&mut self) -> abase_replication::Result<()> {
-        for group in self.groups.values_mut() {
-            group.tick()?;
-        }
+        let ticked = self
+            .groups
+            .values_mut()
+            .map(ReplicaGroup::tick)
+            .fold(Ok(()), Result::and);
         self.step_migrations();
         // Observability hook: each tick republishes the registry view, so
         // anything driving the cluster can read a fresh snapshot without
         // knowing about the registry itself.
         self.obs_last = abase_obs::snapshot();
-        Ok(())
+        ticked
     }
 
     /// Accept a live migration of `partition`'s replica off `from` onto
@@ -501,7 +504,7 @@ impl ReplicatedCluster {
                 self.migrations.note_aborted(req, "partition dropped");
                 continue;
             };
-            if let Err(e) = group.pump_follower(req.to) {
+            if let Err(e) = catchup::pump(&mut *group, req.to) {
                 self.migrations
                     .note_aborted(req, format!("catch-up pump failed: {e}"));
                 self.abort_staged_destination(req);
@@ -734,7 +737,7 @@ impl ReplicatedCluster {
                 .expect("planned partition exists");
             group.complete_join(ticket)?;
             group.remove_member(failed)?;
-            group.pump_follower(assignment.dest)?;
+            catchup::pump(&mut *group, assignment.dest)?;
             if let Some(node) = self.nodes.get_mut(&assignment.dest) {
                 node.host_replica(assignment.partition, Role::Follower);
             }
@@ -844,6 +847,34 @@ mod tests {
                 r.node
             );
         }
+    }
+
+    #[test]
+    fn a_failing_group_tick_does_not_skip_the_migration_step() {
+        use abase_util::failpoint::{self, FaultAction};
+        let _guard = failpoint::ScopedInjector::enable();
+        let (dir, mut cluster) = small_cluster("tick-failure");
+        cluster.create_partition(1, 0).unwrap();
+        cluster.create_partition(1, 1).unwrap();
+        // Quorum shipped partition 1's write to one follower; the other
+        // catches up on the tick, and its disk refuses the record.
+        cluster.write(1, b"k", b"v", 0).unwrap();
+        let partition1 = dir.path().join("p1-r");
+        let partition1 = partition1.to_str().unwrap();
+        failpoint::install("wal.append", Some(partition1), FaultAction::Error, 0, 1);
+        let set = cluster.meta().replica_set(0).unwrap().clone();
+        let to = (0..4u32).find(|n| !set.contains(*n)).unwrap();
+        cluster.enqueue_migration(0, set.followers[0], to).unwrap();
+        assert!(
+            cluster.tick().is_err(),
+            "the follower's failure is returned"
+        );
+        assert_eq!(failpoint::fired("wal.append"), 1);
+        assert_eq!(
+            cluster.migrations().in_flight().len(),
+            1,
+            "the failing group skipped the migration step"
+        );
     }
 
     #[test]

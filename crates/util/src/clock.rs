@@ -3,7 +3,7 @@
 //! ABase's published evaluation runs on a production fleet over hours or days. To
 //! reproduce the *shape* of those experiments deterministically and quickly, every
 //! time-dependent component in this workspace takes a [`SimTime`] instead of reading
-//! a wall clock. [`SimClock`] is the single source of truth a simulation advances.
+//! a wall clock.
 //!
 //! The base unit is **microseconds**: fine enough to resolve sub-millisecond request
 //! latencies, while a `u64` still spans ~584 000 years of virtual time.
@@ -50,50 +50,6 @@ pub const fn hours(v: u64) -> SimTime {
 #[inline]
 pub const fn days(v: u64) -> SimTime {
     v * MICROS_PER_DAY
-}
-
-/// A monotonically advancing virtual clock.
-///
-/// The clock never goes backwards; [`SimClock::advance_to`] with an earlier time is
-/// a no-op rather than an error, which lets independent event sources feed it
-/// out-of-order timestamps safely.
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now: SimTime,
-}
-
-impl SimClock {
-    /// Create a clock at virtual time zero.
-    pub fn new() -> Self {
-        Self { now: 0 }
-    }
-
-    /// Create a clock at a given starting time.
-    pub fn starting_at(now: SimTime) -> Self {
-        Self { now }
-    }
-
-    /// The current virtual time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance the clock by `delta` microseconds and return the new time.
-    #[inline]
-    pub fn advance(&mut self, delta: SimTime) -> SimTime {
-        self.now += delta;
-        self.now
-    }
-
-    /// Move the clock forward to `t` if `t` is in the future; never rewinds.
-    #[inline]
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        if t > self.now {
-            self.now = t;
-        }
-        self.now
-    }
 }
 
 /// An iterator over fixed-width ticks of virtual time: yields the start of each tick.
@@ -149,25 +105,6 @@ impl ExactSizeIterator for Ticks {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_starts_at_zero_and_advances() {
-        let mut c = SimClock::new();
-        assert_eq!(c.now(), 0);
-        c.advance(ms(5));
-        assert_eq!(c.now(), 5_000);
-        c.advance(secs(1));
-        assert_eq!(c.now(), 1_005_000);
-    }
-
-    #[test]
-    fn clock_never_rewinds() {
-        let mut c = SimClock::starting_at(secs(10));
-        c.advance_to(secs(5));
-        assert_eq!(c.now(), secs(10));
-        c.advance_to(secs(20));
-        assert_eq!(c.now(), secs(20));
-    }
 
     #[test]
     fn unit_conversions_compose() {

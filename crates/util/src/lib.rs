@@ -36,7 +36,7 @@ pub mod series;
 pub mod stats;
 pub mod testdir;
 
-pub use clock::{SimClock, SimTime, Ticks};
+pub use clock::{SimTime, Ticks};
 pub use histogram::Histogram;
 pub use lockrank::{Rank, RankedCondvar, RankedMutex, RankedRwLock};
 pub use poller::{Event, Events, Interest, Poller, Waker};

@@ -26,7 +26,7 @@
 //! | 100  | [`rank::EVENT_WAKERS`] | event-loop shutdown waker registry |
 //! | 110  | [`rank::EVENT_INJECT`] | event-loop per-worker connection mailbox |
 //! | 120  | [`rank::EVENT_OFFLOADED`] | sockets of connections on offload threads |
-//! | 200  | [`rank::REPLICA_GROUP`] | `ReplicaGroup` (held across follower pumps into dbs) |
+//! | 200  | [`rank::REPLICA_GROUP`] | `ReplicaGroup` (held across shallow follower pumps, never across a checkpoint copy) |
 //! | 250  | [`rank::ENGINE_DB`] | `TableEngine`'s swappable `Arc<Db>` handle |
 //! | 300  | [`rank::LAVASTORE_STRIPE`] | per-stripe memtable + LSM view |
 //! | 310  | [`rank::LAVASTORE_SHARED`] | cross-stripe manifest / WAL bookkeeping |
@@ -93,8 +93,9 @@ pub mod rank {
     pub const EVENT_INJECT: Rank = Rank::new(110, "event_loop.inject");
     /// Sockets of the connections offload threads hold (`Shutdown::offloaded`).
     pub const EVENT_OFFLOADED: Rank = Rank::new(120, "event_loop.offloaded");
-    /// `ReplicaGroup`: held while pumping followers into their stores, so it
-    /// must sit outside every storage-engine lock.
+    /// `ReplicaGroup`: held while shallow-pumping followers into their
+    /// stores, so it must sit outside every storage-engine lock; never held
+    /// across a checkpoint copy (`Binlog::fetch_checkpoint` checks).
     pub const REPLICA_GROUP: Rank = Rank::new(200, "replication.group");
     /// `TableEngine`'s swappable `Arc<Db>` handle.
     pub const ENGINE_DB: Rank = Rank::new(250, "core.engine_db");

@@ -12,7 +12,7 @@ use abase::core::{NodeRole, ReplicationControl, RespServer, ServingNode, TableEn
 use abase::lavastore::DbConfig;
 use abase::obs::SlowLog;
 use abase::proto::RespValue;
-use abase::replication::{GroupConfig, ReplicaGroup, WriteConcern};
+use abase::replication::{catchup, GroupConfig, ReplicaGroup, WriteConcern};
 use abase::util::failpoint::{self, FaultAction};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -130,7 +130,7 @@ fn info_replication_on_a_leader_lists_followers_and_lsn() {
     std::thread::spawn(move || server.run());
     let ticker = Arc::clone(&group);
     std::thread::spawn(move || loop {
-        let _ = ticker.lock().tick();
+        let _ = catchup::tick(&*ticker);
         std::thread::sleep(std::time::Duration::from_millis(2));
     });
 
