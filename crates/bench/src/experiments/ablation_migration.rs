@@ -1,20 +1,12 @@
-//! Migration ablation: routing-flip vs live-movement rescheduling.
+//! Migration ablation: an Algorithm-2 plan executed as live movement.
 //!
-//! The same Algorithm-2 plan applied two ways against real 3-replica
-//! WAL-shipping groups, emitting one JSON object:
-//!
-//! 1. **Routing flip** (the pre-engine behavior): `MetaServer::move_partition`
-//!    repoints the partition instantly — zero seconds, zero bytes — and the
-//!    destination holds nothing, so the meta view diverges from the group's
-//!    actual leadership: the "migration" was fiction. Reads do not consult
-//!    the meta view (the group picks every read's replica), so
-//!    `leader_read_failures` stays 0.
-//! 2. **Live movement** (the `MigrationEngine` path): staged checkpoint copy
-//!    throttled by the §3.3 recovery-bandwidth model, binlog catch-up,
-//!    epoch-guarded cut-over — while a tenant keeps writing and reading.
-//!    Reports tenant read p99 before vs during the move, observed copy
-//!    bandwidth vs the modeled throttle, the cut-over lag, and zero acked
-//!    writes lost.
+//! One move applied to real 3-replica WAL-shipping groups through the
+//! `MigrationEngine`, emitting one JSON object: staged checkpoint copy
+//! throttled by the §3.3 recovery-bandwidth model, binlog catch-up,
+//! epoch-guarded cut-over — while a tenant keeps writing and reading. It
+//! reports tenant read p99 before vs during the move, observed copy
+//! bandwidth vs the modeled throttle, the cut-over lag, and zero acked
+//! writes lost.
 //!
 //! The move itself comes out of Algorithm 2: the pool view is built from the
 //! cluster's per-replica split RU ledgers, `Rescheduler::reschedule_round`
@@ -85,10 +77,10 @@ fn build_cluster(tag: &str, sz: &Sizes) -> (TestDir, ReplicatedCluster, Vec<u64>
         },
     );
     for p in 0..PARTITIONS {
-        cluster.create_partition(1, p).expect("partition placement");
+        cluster.create_partition(p).expect("partition placement");
     }
     let hot: Vec<u64> = (0..PARTITIONS)
-        .filter(|&p| !cluster.meta().replica_set(p).expect("placed").contains(0))
+        .filter(|&p| !cluster.replica_set(p).expect("placed").contains(0))
         .collect();
     for p in 0..PARTITIONS {
         let keys = if hot.contains(&p) {
@@ -126,12 +118,9 @@ fn read_phase(cluster: &mut ReplicatedCluster, sz: &Sizes, partition: u64) -> (f
     (hist.quantile(0.99).map_or(0.0, |ns| ns / 1e3), errors)
 }
 
-/// What every run is held to, from both arms.
+/// What every run is held to.
 #[derive(Debug, Clone)]
 struct Facts {
-    flip_dest_holds_data: bool,
-    /// Bytes the routing flip copied: none, it only repoints the meta view.
-    flip_bytes_copied: u64,
     dest_holds_data: bool,
     bytes_copied: u64,
     acked_writes_lost: usize,
@@ -143,14 +132,10 @@ struct Facts {
     ru_util_std_after: f64,
 }
 
-/// The flip moved nothing; the live move put data at the destination within
-/// the bandwidth model (ratio in `(0, 1.35]`) and a cut-over lag of at most
-/// 64 entries, lost no acked write, failed no read, and lowered the loss.
+/// The live move put data at the destination within the bandwidth model
+/// (ratio in `(0, 1.35]`) and a cut-over lag of at most 64 entries, lost no
+/// acked write, failed no read, and lowered the loss.
 fn check(f: &Facts) -> Result<(), String> {
-    ensure!(
-        !f.flip_dest_holds_data && f.flip_bytes_copied == 0,
-        "the routing flip moved bytes: {f:?}"
-    );
     ensure!(
         f.dest_holds_data && f.bytes_copied > 0,
         "the live move left no data at the destination: {f:?}"
@@ -169,12 +154,12 @@ fn check(f: &Facts) -> Result<(), String> {
     Ok(())
 }
 
-/// Plan one move with Algorithm 2, run it both ways, print the JSON report,
-/// and check it.
+/// Plan one move with Algorithm 2, run it, print the JSON report, and check
+/// it.
 pub fn run(smoke: bool) -> Result<(), String> {
     banner(
         "ablation_migration",
-        "routing-flip vs live-movement rescheduling on real replica groups",
+        "live-movement rescheduling on real replica groups",
         "live moves copy real bytes at the §3.3 bandwidth with zero acked-write loss",
     );
     let sz = sizes(smoke);
@@ -198,33 +183,13 @@ pub fn run(smoke: bool) -> Result<(), String> {
         }
         None => {
             let p = hot[0];
-            let set = cluster.meta().replica_set(p).expect("placed").clone();
+            let set = cluster.replica_set(p).expect("placed");
             let spare = (0..NODES).find(|n| !set.contains(*n)).expect("spare node");
             (p, set.followers[0], spare, false)
         }
     };
 
-    // -- Arm 1: routing flip (the pre-engine fiction) ----------------------
-    let (flip_failures, flip_diverged, flip_dest_holds_data) = {
-        let (_d, mut flip, _hot) = build_cluster("abl-migr-flip", &sz);
-        let t = to;
-        flip.meta_mut().move_partition(partition, t);
-        let mut failures = 0usize;
-        for i in 0..sz.reads_per_phase.min(200) {
-            let key = format!("p{partition}-k{:06}", i % sz.hot_keys);
-            if flip
-                .read(partition, key.as_bytes(), ReadConsistency::Leader, 0)
-                .is_err()
-            {
-                failures += 1;
-            }
-        }
-        let diverged = flip.meta().route(partition) != flip.group(partition).unwrap().leader();
-        let holds = flip.group(partition).unwrap().members().contains(&t);
-        (failures, diverged, holds)
-    };
-
-    // -- Arm 2: live movement ---------------------------------------------
+    // -- Live movement ----------------------------------------------------
     let (p99_baseline_us, baseline_errors) = read_phase(&mut cluster, &sz, partition);
     cluster
         .enqueue_migration(partition, from, to)
@@ -316,13 +281,6 @@ pub fn run(smoke: bool) -> Result<(), String> {
   "value_bytes": {VALUE_BYTES},
   "plan": {{"partition": {partition}, "from_node": {from}, "to_node": {to},
     "planned_by_algorithm2": {planned_by_algorithm2}}},
-  "routing_flip": {{
-    "move_secs": 0.0,
-    "bytes_copied": 0,
-    "dest_holds_data": {flip_dest_holds_data},
-    "leader_read_failures": {flip_failures},
-    "routing_diverged_from_group": {flip_diverged}
-  }},
   "live_migration": {{
     "move_secs": {move_secs:.3},
     "copy_secs": {copy_secs:.3},
@@ -349,8 +307,6 @@ pub fn run(smoke: bool) -> Result<(), String> {
 }}"#
     );
     check(&Facts {
-        flip_dest_holds_data,
-        flip_bytes_copied: 0,
         dest_holds_data,
         bytes_copied,
         acked_writes_lost: acked_lost,
@@ -369,8 +325,6 @@ mod tests {
     #[test]
     fn check_refuses_each_doctored_fact() {
         let healthy = Facts {
-            flip_dest_holds_data: false,
-            flip_bytes_copied: 0,
             dest_holds_data: true,
             bytes_copied: 1 << 20,
             acked_writes_lost: 0,
@@ -384,8 +338,6 @@ mod tests {
             healthy,
             check,
             &[
-                |f| f.flip_dest_holds_data = true,
-                |f| f.flip_bytes_copied = 1,
                 |f| f.dest_holds_data = false,
                 |f| f.bytes_copied = 0,
                 |f| f.acked_writes_lost = 1,

@@ -190,7 +190,7 @@ fn modeled_read_capacity(base: &Path, replicas: u32, reads: usize, leader_only: 
             ..Default::default()
         },
     );
-    cluster.create_partition(1, 0).expect("partition");
+    cluster.create_partition(0).expect("partition");
     let keys = 64usize;
     for i in 0..keys {
         cluster
@@ -208,7 +208,7 @@ fn modeled_read_capacity(base: &Path, replicas: u32, reads: usize, leader_only: 
             .read_routed(0, format!("key-{:03}", i % keys).as_bytes(), consistency, 0)
             .expect("routed read");
     }
-    let members = cluster.meta().replica_set(0).expect("set").members();
+    let members = cluster.replica_set(0).expect("set").members();
     let max_node_read_ru = members
         .iter()
         .map(|&n| cluster.node(n).expect("node").replica_ru_split(0).read_ru)

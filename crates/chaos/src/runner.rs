@@ -7,8 +7,8 @@
 //! 1. **Zero acked-write loss** — every write acknowledged under the group
 //!    write concern is still readable (at-or-after its op) from the leader
 //!    after all faults and failovers.
-//! 2. **No split brain** — every group has exactly one live leader and the
-//!    MetaServer routes to it.
+//! 2. **No split brain** — every group has exactly one live leader, every
+//!    tick.
 //! 3. **LSN monotonicity** — a replica's applied LSN never goes backwards
 //!    except across an explicit full resync (counted) or replacement.
 //! 4. **Read-your-writes fencing** — a fenced read at an acked write's LSN
@@ -25,7 +25,7 @@
 
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use abase_lavastore::DbConfig;
-use abase_replication::{Error as ReplError, ReadConsistency, WriteConcern};
+use abase_replication::{Error as ReplError, ReadConsistency, ReplicaGroup, WriteConcern};
 use abase_sim::cluster::{FailoverOutcome, ReplicatedCluster, ReplicatedClusterConfig};
 use abase_util::failpoint::{self, FaultAction};
 use abase_util::TestDir;
@@ -217,10 +217,7 @@ impl ChaosRunner {
         );
         let mut gens: Vec<RequestGen> = Vec::new();
         for p in 0..cfg.partitions {
-            let tenant = (p % 3 + 1) as u32;
-            cluster
-                .create_partition(tenant, p)
-                .expect("partition placement");
+            cluster.create_partition(p).expect("partition placement");
             // Mixed tenant workload: cycle diverse Table-1 profiles (pure
             // reads, write-heavy joiner, mixed dedup), clamped to chaos-sized
             // values and enough writes to exercise durability.
@@ -449,7 +446,7 @@ impl ChaosRunner {
     ) {
         match event.kind {
             FaultKind::KillLeader { partition } => {
-                if let Some(node) = cluster.meta().route(partition) {
+                if let Some(node) = cluster.group(partition).and_then(ReplicaGroup::leader) {
                     self.kill(cluster, node, active, report);
                 }
             }
@@ -554,7 +551,7 @@ impl ChaosRunner {
         rng: &mut StdRng,
         report: &mut EpisodeReport,
     ) -> Option<(u32, u32)> {
-        let set = cluster.meta().replica_set(partition)?.clone();
+        let set = cluster.replica_set(partition)?;
         let members = set.members();
         let from = members[rng.gen_range(0..members.len())];
         let spares: Vec<u32> = cluster
@@ -577,8 +574,9 @@ impl ChaosRunner {
         }
     }
 
-    /// Kill a node through the MetaServer path and check the §3.3 recovery
-    /// invariant on the resulting reconstruction.
+    /// Kill a node through the cluster's failover (plan, promote, re-seed)
+    /// and check the §3.3 recovery invariant on the resulting
+    /// reconstruction.
     fn kill(
         &self,
         cluster: &mut ReplicatedCluster,
@@ -651,7 +649,7 @@ impl ChaosRunner {
                     // The planned escalation: the broken leader dies, the
                     // group fails over against a torn log / half-copied
                     // checkpoint.
-                    if let Some(node) = cluster.meta().route(partition) {
+                    if let Some(node) = cluster.group(partition).and_then(ReplicaGroup::leader) {
                         self.kill(cluster, node, active, report);
                     }
                 } else {
@@ -698,7 +696,7 @@ impl ChaosRunner {
         }
         if let Some(&partition) = active.ckpt_fail.iter().next() {
             active.ckpt_fail.remove(&partition);
-            if let Some(node) = cluster.meta().route(partition) {
+            if let Some(node) = cluster.group(partition).and_then(ReplicaGroup::leader) {
                 self.kill(cluster, node, active, report);
             }
             return;
@@ -709,8 +707,8 @@ impl ChaosRunner {
     }
 
     /// Invariants 2 and 3, checked every tick: exactly one live leader per
-    /// group routed by the MetaServer, and per-replica LSNs that only move
-    /// backwards across an explicit resync or replacement.
+    /// group, and per-replica LSNs that only move backwards across an
+    /// explicit resync or replacement.
     fn check_tick_invariants(
         &self,
         cluster: &ReplicatedCluster,
@@ -733,13 +731,6 @@ impl ChaosRunner {
                     "split brain on p{p} at tick {tick}: {live_leaders} live leaders"
                 ));
             }
-            if cluster.meta().route(p) != status.leader {
-                report.violations.push(format!(
-                    "routing diverged on p{p} at tick {tick}: meta={:?} group={:?}",
-                    cluster.meta().route(p),
-                    status.leader
-                ));
-            }
             for r in &status.replicas {
                 match watermarks.get(&(p, r.id)) {
                     Some(&(last_lsn, last_resyncs))
@@ -754,40 +745,6 @@ impl ChaosRunner {
                     _ => {}
                 }
                 watermarks.insert((p, r.id), (r.acked_lsn, r.resyncs));
-            }
-            // Migration invariant: the partition is never double-served. The
-            // MetaServer's replica set and the group's *live* membership must
-            // agree exactly (migrations switch both atomically at
-            // join/cut-over; a dead member may linger in the group awaiting
-            // adoption, but the meta set drops it at failover), and no node
-            // outside the set may still claim to host a replica — a
-            // migrated-away source that lingered anywhere could serve reads
-            // for a partition it no longer owns.
-            let group_members: BTreeSet<u32> = status
-                .replicas
-                .iter()
-                .filter(|r| r.alive)
-                .map(|r| r.id)
-                .collect();
-            let meta_members: BTreeSet<u32> = cluster
-                .meta()
-                .replica_set(p)
-                .map(|s| s.members().into_iter().collect())
-                .unwrap_or_default();
-            if group_members != meta_members {
-                report.violations.push(format!(
-                    "DOUBLE-SERVE RISK on p{p} at tick {tick}: meta set {meta_members:?} \
-                     != live group members {group_members:?}"
-                ));
-            }
-            for node in 0..self.config.nodes {
-                let hosts = cluster.node(node).and_then(|n| n.replica_role(p)).is_some();
-                if hosts && !meta_members.contains(&node) {
-                    report.violations.push(format!(
-                        "DOUBLE-SERVE RISK on p{p} at tick {tick}: node {node} still \
-                         hosts a replica outside the replica set {meta_members:?}"
-                    ));
-                }
             }
         }
     }

@@ -89,7 +89,8 @@ pub static TENANT_REJECTED: LazyCounterFamily = LazyCounterFamily::new(
 
 // --- Serving node -----------------------------------------------------------
 
-/// Failed housekeeping-tick steps (`flush_wal`, `group_tick`).
+/// Failed housekeeping-tick steps (`flush_wal`, `group_tick`) and follower
+/// pump passes (`follower_pump`).
 pub static TICK_ERRORS: LazyCounterFamily = LazyCounterFamily::new(
     "abase_node_tick_errors_total",
     "kind",

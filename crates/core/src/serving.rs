@@ -17,7 +17,9 @@
 //!   A step that fails is counted in `abase_node_tick_errors_total{kind}`,
 //!   and the first failure of each kind is logged;
 //! * on a follower, the pump: poll → apply → ack against the leader, swapping
-//!   the engine's store when a full resync replaced it.
+//!   the engine's store when a full resync replaced it. A failed pass is
+//!   counted in the same family under `follower_pump`; only the first is
+//!   logged.
 //!
 //! A follower's server refuses client writes by construction: the read-only
 //! role is attached here, after any front-end tuning, and nowhere else.
@@ -92,8 +94,9 @@ fn unix_micros() -> u64 {
         .map_or(0, |d| d.as_micros() as u64)
 }
 
-/// Count a failed tick step of `kind`, and log it if it is the first: a
-/// poisoned WAL fails every tick after.
+/// Count a failed tick step (or follower pump pass) of `kind`, and log it if
+/// it is the first: a poisoned WAL fails every tick after, and a follower
+/// whose leader is not up fails every pass.
 fn tick_step<E: Display>(kind: &'static str, logged: &mut bool, result: Result<(), E>) {
     if let Err(e) = result {
         metrics::TICK_ERRORS.inc(kind);
@@ -209,20 +212,20 @@ impl ServingNode {
         if let Some((mut follower, link)) = pump {
             let stop = Arc::clone(&node.stop);
             node.upkeep.push(thread("abase-pump").spawn(move || {
+                let mut logged = false;
                 while !stop.load(Ordering::Relaxed) {
-                    let nap = match follower.pump() {
-                        // A full resync replaced the store wholesale: the
-                        // serving engine switches to the fresh handle.
-                        Ok(PumpStatus::Resynced) => {
-                            engine.swap_db(follower.db());
-                            PUMP_NAP
-                        }
-                        Ok(_) => PUMP_NAP,
-                        Err(e) => {
-                            eprintln!("follower pump: {e}");
-                            PUMP_ERROR_NAP
-                        }
+                    let pumped = follower.pump();
+                    // A full resync replaced the store wholesale: the serving
+                    // engine switches to the fresh handle.
+                    if let Ok(PumpStatus::Resynced) = pumped {
+                        engine.swap_db(follower.db());
+                    }
+                    let nap = if pumped.is_ok() {
+                        PUMP_NAP
+                    } else {
+                        PUMP_ERROR_NAP
                     };
+                    tick_step("follower_pump", &mut logged, pumped.map(drop));
                     // The transport tracks socket liveness; pump results
                     // cannot (a dead link polls as "no records", like an
                     // idle leader).

@@ -2,10 +2,10 @@
 //!
 //! When a DataNode fails, every replica it hosted must be rebuilt elsewhere.
 //! A single-tenant deployment restores them one after another through a
-//! single replacement node's disk; ABase's MetaServer instead spreads the
+//! single replacement node's disk; ABase's failover plan instead spreads the
 //! copies across the *surviving* members of each affected group, "effectively
 //! utilizing multi-node disk I/O bandwidth": with N distinct source nodes,
-//! recovery runs ≈N× faster — the claim `abase-core`'s `RecoveryModel`
+//! recovery runs ≈N× faster — the claim `abase-sim`'s `RecoveryModel`
 //! states in closed form and these functions measure.
 //!
 //! Bandwidth is modeled by a per-node [`Throttle`] applied to each copied
@@ -108,7 +108,8 @@ pub fn reconstruct_single_source(
 }
 
 /// Rebuild the tasks in parallel, one worker per distinct source node, each
-/// with its own disk-bandwidth throttle — the MetaServer-coordinated strategy.
+/// with its own disk-bandwidth throttle — the strategy a failover plan's
+/// spread sources call for.
 /// With balanced assignments over N source nodes this is ≈N× faster than
 /// [`reconstruct_single_source`].
 pub fn reconstruct_parallel(

@@ -709,8 +709,8 @@ impl ReplicaGroup {
     /// A replica's LSN for promotion planning: `None` when it is dead or
     /// carries unreconciled (divergent) history — its `last_seq` counts
     /// records the group never acked, so electing it could resurrect writes
-    /// the current history already replaced. The MetaServer's failover
-    /// planner skips `None` candidates.
+    /// the current history already replaced. A failover plan never promotes
+    /// a `None` candidate.
     pub fn promotable_lsn(&self, id: ReplicaId) -> Option<Lsn> {
         self.find(id)
             .ok()

@@ -1,23 +1,27 @@
 //! The replicated cluster: real WAL-shipping replica groups placed across
-//! simulated DataNodes, with MetaServer-driven failover, parallel
-//! reconstruction and live migration.
+//! simulated DataNodes, with planned failover, parallel reconstruction and
+//! live migration.
 //!
-//! A read's replica is picked by the group itself
-//! ([`ReplicaGroup::read_routed`]), the decision `abase-server` runs; the
-//! cluster adds placement and per-replica RU accounting around it.
+//! The groups are the only placement record: a partition's leader is its
+//! group's [`ReplicaGroup::leader`], its replica set a view of the group's
+//! live members ([`ReplicatedCluster::replica_set`]), and a node's load is
+//! the groups it is a member of. A read's replica is picked by the group
+//! itself ([`ReplicaGroup::read_routed`]), the decision `abase-server` runs;
+//! the cluster adds placement, the §3.3 failover plan
+//! ([`plan_node_failure`]) and per-replica RU accounting around it.
 
-use crate::meta::{MetaServer, ReplicaSet};
+use crate::meta::{plan_node_failure, FailoverPlan, ReplicaSet};
 use crate::migration::{MigrationConfig, MigrationEngine, MigrationError, MigrationRequest};
 use crate::node::{DataNodeConfig, DataNodeSim};
 use crate::types::NodeId;
-use abase_core::types::{PartitionId, TenantId};
+use abase_core::types::PartitionId;
 use abase_lavastore::DbConfig;
 use abase_quota::ru::{charge_read, write_ru, ReadOutcome};
 use abase_replication::{
     catchup, reconstruct_parallel, Error as ReplError, GroupConfig, Lsn, ReadConsistency,
-    ReconstructionReport, ReconstructionTask, ReplicaGroup, Role, Throttle, WriteConcern,
+    ReconstructionReport, ReconstructionTask, ReplicaGroup, Throttle, WriteConcern,
 };
-use abase_util::clock::{mins, SimTime};
+use abase_util::clock::SimTime;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -56,19 +60,19 @@ impl Default for ReplicatedClusterConfig {
 /// What [`ReplicatedCluster::kill_node`] did, for assertions and reports.
 #[derive(Debug)]
 pub struct FailoverOutcome {
-    /// The meta server's decisions (promotions + copy assignments).
-    pub plan: crate::meta::FailoverPlan,
+    /// The planned promotions and copy assignments.
+    pub plan: FailoverPlan,
     /// Measured parallel-reconstruction run, when replicas were re-seeded.
     pub reconstruction: Option<ReconstructionReport>,
 }
 
 /// A multi-node cluster where every partition is served by a real
-/// WAL-shipping [`ReplicaGroup`], placed and failed over by the
-/// [`MetaServer`] — the live counterpart of the closed-form §3.3 model.
+/// WAL-shipping [`ReplicaGroup`], placed on the least-loaded nodes and failed
+/// over by [`plan_node_failure`] — the live counterpart of the closed-form
+/// §3.3 model.
 pub struct ReplicatedCluster {
     base_dir: PathBuf,
     config: ReplicatedClusterConfig,
-    meta: MetaServer,
     nodes: HashMap<NodeId, DataNodeSim>,
     node_ids: Vec<NodeId>,
     dead_nodes: std::collections::HashSet<NodeId>,
@@ -113,7 +117,6 @@ impl ReplicatedCluster {
         Self {
             base_dir: base_dir.as_ref().to_path_buf(),
             config,
-            meta: MetaServer::new(mins(1)),
             nodes,
             node_ids,
             dead_nodes: std::collections::HashSet::new(),
@@ -144,16 +147,6 @@ impl ReplicatedCluster {
             .copied()
             .filter(|n| !self.dead_nodes.contains(n))
             .collect()
-    }
-
-    /// The meta server (routing tables, failover planning).
-    pub fn meta(&self) -> &MetaServer {
-        &self.meta
-    }
-
-    /// Mutable meta-server access (routing experiments, ablation baselines).
-    pub fn meta_mut(&mut self) -> &mut MetaServer {
-        &mut self.meta
     }
 
     /// The live-migration engine's state (queue, in-flight, history).
@@ -238,29 +231,42 @@ impl ReplicatedCluster {
         self.groups.get_mut(&partition)
     }
 
+    /// Who serves `partition`, read off its group: the live members, leader
+    /// first, then the rest in group order.
+    pub fn replica_set(&self, partition: PartitionId) -> Option<ReplicaSet> {
+        let status = self.groups.get(&partition)?.status();
+        let followers = status
+            .replicas
+            .iter()
+            .filter(|r| r.alive && Some(r.id) != status.leader)
+            .map(|r| r.id)
+            .collect();
+        Some(ReplicaSet {
+            leader: status.leader,
+            followers,
+        })
+    }
+
     /// Create a replicated partition, placing its replicas on the
     /// least-loaded nodes (leaders additionally balance across nodes so the
     /// write path spreads).
-    pub fn create_partition(
-        &mut self,
-        tenant: TenantId,
-        partition: PartitionId,
-    ) -> abase_replication::Result<()> {
-        // Least-loaded placement over *live* nodes by hosted replica count,
-        // ties by id.
+    pub fn create_partition(&mut self, partition: PartitionId) -> abase_replication::Result<()> {
+        // Least-loaded placement over *live* nodes by the number of groups
+        // each is a member of, ties by id.
         let mut candidates: Vec<NodeId> = self.live_nodes();
         assert!(
             candidates.len() >= self.config.replication_factor,
             "not enough live nodes to place a {}-replica group",
             self.config.replication_factor
         );
-        candidates.sort_by_key(|id| (self.nodes[id].hosted_replica_count(), *id));
+        let groups = || self.groups.values();
+        candidates.sort_by_key(|&id| (groups().filter(|g| g.members().contains(&id)).count(), id));
         let mut chosen: Vec<NodeId> = candidates
             .into_iter()
             .take(self.config.replication_factor)
             .collect();
         // Leader = the chosen node with the fewest leaders.
-        chosen.sort_by_key(|id| (self.nodes[id].hosted_leader_count(), *id));
+        chosen.sort_by_key(|&id| (groups().filter(|g| g.leader() == Some(id)).count(), id));
         let group = ReplicaGroup::bootstrap(
             partition,
             &self.base_dir,
@@ -271,22 +277,6 @@ impl ReplicatedCluster {
                 wait_timeout: self.config.wait_timeout,
             },
         )?;
-        self.meta.assign_replica_group(
-            tenant,
-            partition,
-            ReplicaSet {
-                leader: chosen[0],
-                followers: chosen[1..].to_vec(),
-            },
-        );
-        for (i, id) in chosen.iter().enumerate() {
-            let role = if i == 0 { Role::Leader } else { Role::Follower };
-            self.nodes
-                .get_mut(id)
-                // INVARIANT: `chosen` was drawn from `self.nodes` keys above.
-                .expect("placed on known node")
-                .host_replica(partition, role);
-        }
         self.groups.insert(partition, group);
         Ok(())
     }
@@ -435,14 +425,9 @@ impl ReplicatedCluster {
         for req in self.migrations.take_startable() {
             match self.stage_migration(req, throttle.as_ref()) {
                 Ok((bytes, secs)) => {
-                    self.migrations.note_joined(req, bytes, secs);
-                    // The destination is a group member from here on: meta's
-                    // set and the node registry learn about it immediately so
+                    // The destination is a group member from here on, so
                     // failover planning sees it.
-                    self.meta.begin_migration(req.partition, req.to);
-                    if let Some(node) = self.nodes.get_mut(&req.to) {
-                        node.host_replica(req.partition, Role::Follower);
-                    }
+                    self.migrations.note_joined(req, bytes, secs);
                     let copy_ru = write_ru(bytes as usize, 1);
                     if let Some(node) = self.nodes.get_mut(&req.from) {
                         node.record_copy_out(req.partition, copy_ru);
@@ -544,8 +529,7 @@ impl ReplicatedCluster {
     }
 
     /// The atomic cut-over: drain the destination to lag 0, hand leadership
-    /// over if the source led, retire the source member (epoch bump), and
-    /// switch the MetaServer's routing and replica set together.
+    /// over if the source led, and retire the source member (epoch bump).
     /// Returns whether the moving replica led the group.
     fn cut_over(
         &mut self,
@@ -567,14 +551,6 @@ impl ReplicatedCluster {
             group.drain_to_leader(req.to)?;
         }
         let source_dir = group.remove_member(req.from)?;
-        // The registry role comes from the group's *current* leadership, not
-        // from `was_leader`: an unrelated failover during catch-up may have
-        // promoted the (most-caught-up) staged destination already.
-        let dest_role = if group.leader() == Some(req.to) {
-            Role::Leader
-        } else {
-            Role::Follower
-        };
         // Source teardown: the bytes moved; reclaim the disk. The replica's
         // RU ledger moves with it — deleting it would make the (hot) replica
         // look freshly cold at the destination and invite a second move —
@@ -582,8 +558,6 @@ impl ReplicatedCluster {
         // the transfer: the destination already paid its own copy-in, and
         // carrying both sides would bias Algorithm 2 against the new home.
         std::fs::remove_dir_all(&source_dir).ok();
-        self.meta
-            .complete_migration(req.partition, req.from, req.to);
         let copy_ru = write_ru(bytes_copied as usize, 1);
         let ledger = self
             .nodes
@@ -591,24 +565,22 @@ impl ReplicatedCluster {
             .map(|node| {
                 let mut ledger = node.take_replica_ru(req.partition);
                 ledger.read_ru = (ledger.read_ru - copy_ru).max(0.0);
-                node.drop_replica(req.partition);
                 ledger
             })
             .unwrap_or_default();
         if let Some(node) = self.nodes.get_mut(&req.to) {
-            node.host_replica(req.partition, dest_role);
             node.absorb_replica_ru(req.partition, ledger);
         }
         Ok(was_leader)
     }
 
     /// Tear a staged (joined but not cut-over) destination back out of the
-    /// group and the meta view after an abort — the source replica still
-    /// serves, so the move simply never happened. Exception: if an unrelated
-    /// failover already *promoted* the staged destination (it was the
-    /// most-caught-up candidate), the group depends on it — the migration is
-    /// abandoned as a migration but the destination stays a full member with
-    /// its leader role intact.
+    /// group, and drop its RU ledger, after an abort — the source replica
+    /// still serves, so the move simply never happened. Exception: if an
+    /// unrelated failover already *promoted* the staged destination (it was
+    /// the most-caught-up candidate), the group depends on it — the
+    /// migration is abandoned as a migration but the destination stays a
+    /// full member with its leader role intact.
     fn abort_staged_destination(&mut self, req: MigrationRequest) {
         if let Some(group) = self.groups.get_mut(&req.partition) {
             if group.leader() == Some(req.to) {
@@ -620,15 +592,15 @@ impl ReplicatedCluster {
                 }
             }
         }
-        self.meta.abort_migration(req.partition, req.to);
         if let Some(node) = self.nodes.get_mut(&req.to) {
             node.drop_replica(req.partition);
         }
     }
 
-    /// Kill a DataNode: fail its replicas, let the meta server plan
-    /// promotions and reconstruction, execute the promotions, and re-seed the
-    /// lost replicas **in parallel** from the planned sources.
+    /// Kill a DataNode: fail its replicas, plan promotions and
+    /// reconstruction over the replica sets it served, execute the
+    /// promotions, and re-seed the lost replicas **in parallel** from the
+    /// planned sources.
     pub fn kill_node(&mut self, failed: NodeId) -> abase_replication::Result<FailoverOutcome> {
         self.dead_nodes.insert(failed);
         // 0. Cancel every pending migration touching the dead node. An
@@ -647,28 +619,35 @@ impl ReplicatedCluster {
                 self.abort_staged_destination(req);
             }
         }
-        // 1. The node's replicas become unreachable.
-        for group in self.groups.values_mut() {
-            if group.members().contains(&failed) {
-                group.fail_replica(failed)?;
+        // 1. The replica sets the node served, as they stand, and then its
+        //    replicas become unreachable (their RU ledgers leave with them).
+        let sets: Vec<(PartitionId, ReplicaSet)> = self
+            .groups
+            .keys()
+            .filter_map(|&p| Some((p, self.replica_set(p)?)))
+            .filter(|(_, set)| set.contains(failed))
+            .collect();
+        for (partition, _) in &sets {
+            // INVARIANT: `sets` was built from this map's keys above.
+            self.groups
+                .get_mut(partition)
+                .expect("affected partition exists")
+                .fail_replica(failed)?;
+            if let Some(node) = self.nodes.get_mut(&failed) {
+                node.drop_replica(*partition);
             }
         }
-        if let Some(node) = self.nodes.get_mut(&failed) {
-            for partition in self.meta.partitions_on_node(failed) {
-                node.drop_replica(partition);
-            }
-        }
-        // 2. The meta server plans from real acked LSNs, re-seeding only
-        //    onto nodes that are still alive.
-        let alive: Vec<NodeId> = self.live_nodes();
+        // 2. Plan from real acked LSNs, re-seeding only onto nodes that are
+        //    still alive.
         let groups = &self.groups;
-        let plan = self.meta.plan_node_failure(
+        let plan = plan_node_failure(
             failed,
+            &sets,
             // `promotable_lsn` is None for dead or divergent replicas, so the
             // plan can never elect a follower whose LSN counts unacked
             // history (the group's own `promote` applies the same filter).
             |partition, node| groups.get(&partition).and_then(|g| g.promotable_lsn(node)),
-            &alive,
+            &self.live_nodes(),
         );
         // 3. Execute promotions (the group elects by the same max-LSN rule).
         for promotion in &plan.promotions {
@@ -679,9 +658,6 @@ impl ReplicatedCluster {
                 .expect("planned partition exists");
             let elected = group.promote()?;
             debug_assert_eq!(elected, promotion.new_leader, "plan/group disagree");
-            if let Some(node) = self.nodes.get_mut(&elected) {
-                node.host_replica(promotion.partition, Role::Leader);
-            }
         }
         // 4. Parallel reconstruction from the planned sources: each rebuilt
         //    replica is a staged join whose source is the planned surviving
@@ -738,9 +714,6 @@ impl ReplicatedCluster {
             group.complete_join(ticket)?;
             group.remove_member(failed)?;
             catchup::pump(&mut *group, assignment.dest)?;
-            if let Some(node) = self.nodes.get_mut(&assignment.dest) {
-                node.host_replica(assignment.partition, Role::Follower);
-            }
         }
         Ok(FailoverOutcome {
             plan,
@@ -752,6 +725,7 @@ impl ReplicatedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::ReplicaRuSplit;
     use abase_util::TestDir;
 
     fn small_cluster(tag: &str) -> (TestDir, ReplicatedCluster) {
@@ -774,40 +748,35 @@ mod tests {
     fn placement_spreads_replicas_and_leaders() {
         let (_d, mut cluster) = small_cluster("placement");
         for p in 0..4u64 {
-            cluster.create_partition(1, p).unwrap();
+            cluster.create_partition(p).unwrap();
         }
         // 4 partitions × 3 replicas over 4 nodes → 3 replicas per node.
         for n in 0..4u32 {
-            assert_eq!(
-                cluster.node(n).unwrap().hosted_replica_count(),
-                3,
-                "node {n}"
-            );
+            let hosted = (0..4u64)
+                .filter(|&p| cluster.replica_set(p).unwrap().contains(n))
+                .count();
+            assert_eq!(hosted, 3, "node {n}");
         }
-        // Leaders spread: no node leads more than... 4 leaders over 4 nodes.
+        // Leaders spread: 4 leaders over 4 nodes, no node leads more than 2.
         for n in 0..4u32 {
-            assert!(
-                cluster.node(n).unwrap().hosted_leader_count() <= 2,
-                "node {n}"
-            );
-        }
-        // Meta routing agrees with group leadership.
-        for p in 0..4u64 {
-            assert_eq!(cluster.meta().route(p), cluster.group(p).unwrap().leader());
+            let led = (0..4u64)
+                .filter(|&p| cluster.group(p).unwrap().leader() == Some(n))
+                .count();
+            assert!(led <= 2, "node {n}");
         }
     }
 
     #[test]
     fn eventual_reads_rotate_over_every_replica_with_split_accounting() {
         let (_d, mut cluster) = small_cluster("routed-reads");
-        cluster.create_partition(1, 0).unwrap();
+        cluster.create_partition(0).unwrap();
         for i in 0..10 {
             cluster
                 .write(0, format!("k{i}").as_bytes(), b"v", 0)
                 .unwrap();
         }
         cluster.tick().unwrap(); // all followers converge
-        let leader = cluster.meta().route(0).unwrap();
+        let leader = cluster.group(0).unwrap().leader().unwrap();
         let mut served: HashMap<NodeId, u32> = HashMap::new();
         for i in 0..12 {
             let key = format!("k{}", i % 10);
@@ -833,7 +802,7 @@ mod tests {
     #[test]
     fn ryw_reads_fence_on_the_session_lsn() {
         let (_d, mut cluster) = small_cluster("routed-ryw");
-        cluster.create_partition(1, 0).unwrap();
+        cluster.create_partition(0).unwrap();
         // Quorum write: one follower has it, one may lag.
         let lsn = cluster.write(0, b"k", b"v1", 0).unwrap();
         for _ in 0..6 {
@@ -854,15 +823,15 @@ mod tests {
         use abase_util::failpoint::{self, FaultAction};
         let _guard = failpoint::ScopedInjector::enable();
         let (dir, mut cluster) = small_cluster("tick-failure");
-        cluster.create_partition(1, 0).unwrap();
-        cluster.create_partition(1, 1).unwrap();
+        cluster.create_partition(0).unwrap();
+        cluster.create_partition(1).unwrap();
         // Quorum shipped partition 1's write to one follower; the other
         // catches up on the tick, and its disk refuses the record.
         cluster.write(1, b"k", b"v", 0).unwrap();
         let partition1 = dir.path().join("p1-r");
         let partition1 = partition1.to_str().unwrap();
         failpoint::install("wal.append", Some(partition1), FaultAction::Error, 0, 1);
-        let set = cluster.meta().replica_set(0).unwrap().clone();
+        let set = cluster.replica_set(0).unwrap();
         let to = (0..4u32).find(|n| !set.contains(*n)).unwrap();
         cluster.enqueue_migration(0, set.followers[0], to).unwrap();
         assert!(
@@ -880,13 +849,13 @@ mod tests {
     #[test]
     fn live_migration_moves_a_follower_replica() {
         let (_d, mut cluster) = small_cluster("migrate-follower");
-        cluster.create_partition(1, 0).unwrap();
+        cluster.create_partition(0).unwrap();
         for i in 0..20 {
             cluster
                 .write(0, format!("k{i}").as_bytes(), b"v", 0)
                 .unwrap();
         }
-        let set = cluster.meta().replica_set(0).unwrap().clone();
+        let set = cluster.replica_set(0).unwrap();
         let from = set.followers[0];
         let to = (0..4u32).find(|n| !set.contains(*n)).unwrap();
         cluster.enqueue_migration(0, from, to).unwrap();
@@ -900,21 +869,20 @@ mod tests {
         let report = &cluster.migrations().completed()[0];
         assert!(report.bytes_copied > 0);
         assert!(!report.was_leader);
-        // Placement switched everywhere together: meta set, group members,
-        // node registries.
-        let set = cluster.meta().replica_set(0).unwrap();
+        // Placement switched: the destination follows, the source left the
+        // group, and its RU ledger went with it.
+        let set = cluster.replica_set(0).unwrap();
         assert!(!set.contains(from));
-        assert!(set.contains(to));
+        assert!(set.followers.contains(&to));
         assert_eq!(
             cluster.group(0).unwrap().members().len(),
             3,
             "group not back to full strength"
         );
         assert!(!cluster.group(0).unwrap().members().contains(&from));
-        assert!(cluster.node(from).unwrap().replica_role(0).is_none());
         assert_eq!(
-            cluster.node(to).unwrap().replica_role(0),
-            Some(Role::Follower)
+            cluster.node(from).unwrap().replica_ru_split(0),
+            ReplicaRuSplit::default()
         );
         for i in 0..6 {
             let r = cluster
@@ -945,26 +913,22 @@ mod tests {
     #[test]
     fn live_migration_of_a_leader_hands_over_leadership() {
         let (_d, mut cluster) = small_cluster("migrate-leader");
-        cluster.create_partition(1, 0).unwrap();
+        cluster.create_partition(0).unwrap();
         for i in 0..10 {
             cluster
                 .write(0, format!("k{i}").as_bytes(), b"v", 0)
                 .unwrap();
         }
-        let set = cluster.meta().replica_set(0).unwrap().clone();
-        let from = set.leader;
+        let set = cluster.replica_set(0).unwrap();
+        let from = set.leader.unwrap();
         let to = (0..4u32).find(|n| !set.contains(*n)).unwrap();
         cluster.enqueue_migration(0, from, to).unwrap();
         cluster.tick().unwrap();
         cluster.tick().unwrap();
         assert_eq!(cluster.migrations().completed().len(), 1);
         assert!(cluster.migrations().completed()[0].was_leader);
-        assert_eq!(cluster.meta().route(0), Some(to));
         assert_eq!(cluster.group(0).unwrap().leader(), Some(to));
-        assert_eq!(
-            cluster.node(to).unwrap().replica_role(0),
-            Some(Role::Leader)
-        );
+        assert_eq!(cluster.replica_set(0).unwrap().leader, Some(to));
         // No acked write lost across the handover, and writes continue.
         for i in 0..10 {
             let r = cluster
@@ -979,7 +943,7 @@ mod tests {
     fn cluster_failover_preserves_quorum_writes() {
         let (_d, mut cluster) = small_cluster("failover");
         for p in 0..3u64 {
-            cluster.create_partition(1, p).unwrap();
+            cluster.create_partition(p).unwrap();
         }
         let mut lsns = Vec::new();
         for p in 0..3u64 {
@@ -991,7 +955,7 @@ mod tests {
             }
         }
         // Kill the node leading partition 0.
-        let victim = cluster.meta().route(0).unwrap();
+        let victim = cluster.group(0).unwrap().leader().unwrap();
         let outcome = cluster.kill_node(victim).unwrap();
         assert!(!outcome.plan.promotions.is_empty());
         // Every partition still serves every acked write.
@@ -1004,14 +968,57 @@ mod tests {
                 assert!(r.value.is_some(), "acked write lost: {key}");
             }
         }
-        // The dead node is out of every routing entry and every set is full
+        // The dead node is out of every replica set and every set is full
         // strength again.
         for p in 0..3u64 {
-            let set = cluster.meta().replica_set(p).unwrap();
+            let set = cluster.replica_set(p).unwrap();
             assert!(!set.contains(victim));
             assert_eq!(set.members().len(), 3);
             // And writes keep flowing.
             cluster.write(p, b"after-failover", b"v", 0).unwrap();
+        }
+    }
+
+    /// After a leader handover the group's order (old followers, then the
+    /// migrated-in leader) differs from the order the replicas were placed
+    /// in; a failover of that leader still promotes whom the group elects,
+    /// and the view lists the new leader first.
+    #[test]
+    fn failover_after_a_leader_handover_follows_the_group() {
+        let (_d, mut cluster) = small_cluster("handover-failover");
+        cluster.create_partition(0).unwrap();
+        let mut acked = Vec::new();
+        for i in 0..20 {
+            let key = format!("k{i}");
+            cluster.write(0, key.as_bytes(), b"v", 0).unwrap();
+            acked.push(key);
+        }
+        let set = cluster.replica_set(0).unwrap();
+        let from = set.leader.unwrap();
+        let to = (0..4u32).find(|n| !set.contains(*n)).unwrap();
+        cluster.enqueue_migration(0, from, to).unwrap();
+        while !cluster.migrations().idle() {
+            cluster.tick().unwrap();
+        }
+        assert_eq!(cluster.group(0).unwrap().leader(), Some(to));
+        assert_eq!(cluster.group(0).unwrap().members().last(), Some(&to));
+        for i in 20..30 {
+            let key = format!("k{i}");
+            cluster.write(0, key.as_bytes(), b"v", 0).unwrap();
+            acked.push(key);
+        }
+        let outcome = cluster.kill_node(to).unwrap();
+        let leader = cluster.group(0).unwrap().leader();
+        assert_eq!(outcome.plan.promotions.len(), 1);
+        assert_eq!(Some(outcome.plan.promotions[0].new_leader), leader);
+        let set = cluster.replica_set(0).unwrap();
+        assert_eq!(set.members()[0], leader.unwrap());
+        assert!(!set.contains(to));
+        for key in &acked {
+            let r = cluster
+                .read(0, key.as_bytes(), ReadConsistency::Leader, 0)
+                .unwrap();
+            assert!(r.value.is_some(), "acked write lost: {key}");
         }
     }
 }

@@ -1,10 +1,10 @@
 //! # abase-sim
 //!
 //! The paper-evaluation simulator: minutes of virtual time and many tenants
-//! over cost models of ABase's DataNode, proxy plane and meta server, plus
-//! an in-process replicated cluster of real replica groups. The figures,
-//! chaos's Table-1 episodes and the cluster tests drive it. `abase-server`
-//! runs none of it; admission and charging come from `abase-core`'s shipped
+//! over cost models of ABase's DataNode and proxy plane, plus an in-process
+//! replicated cluster of real replica groups. The figures, chaos's Table-1
+//! episodes and the cluster tests drive it. `abase-server` runs none of it;
+//! admission and charging come from `abase-core`'s shipped
 //! [`abase_core::pipeline`], and a replicated read's replica pick from
 //! `abase-replication`'s [`abase_replication::ReplicaGroup::read_routed`].
 //!
@@ -16,14 +16,15 @@
 //! * [`proxy`] — the tenant proxy plane: AU-LRU proxy cache, proxy quotas with
 //!   meta-server clawback, and limited fan-out hash routing over proxy groups.
 //!   `abase-server` has no counterpart.
-//! * [`meta`] — the meta server: tenant traffic monitoring, replica-set
-//!   routing, failover planning, and the §3.3 parallel-recovery model.
+//! * [`meta`] — the meta server's §3.3 decisions: the failover planner over
+//!   replica sets, and the parallel-recovery model.
 //! * [`isolation`] — `IsolationExperiment`, the driver tying workload
 //!   generators, proxies and a node together; produces the per-minute series
 //!   behind Figures 5–7.
 //! * [`cluster`] — `ReplicatedCluster`: real WAL-shipping replica groups
-//!   (via `abase-replication`) placed across DataNodes, with
-//!   MetaServer-driven failover and parallel reconstruction.
+//!   (via `abase-replication`) placed across DataNodes — each group is the
+//!   only record of who serves its partition — with planned failover and
+//!   parallel reconstruction.
 //! * [`migration`] — the live-migration engine: Algorithm-2 `Migration`
 //!   plans executed as staged checkpoint copies (throttled by the §3.3
 //!   recovery-bandwidth model) + binlog catch-up + epoch-guarded cut-overs,
@@ -43,7 +44,7 @@ pub mod types;
 
 pub use cluster::{ClusterRead, FailoverOutcome, ReplicatedCluster, ReplicatedClusterConfig};
 pub use isolation::{IsolationExperiment, MinutePoint, TenantSpec};
-pub use meta::{FailoverPlan, MetaServer, RecoveryModel, ReplicaSet};
+pub use meta::{plan_node_failure, FailoverPlan, RecoveryModel, ReplicaSet};
 pub use migration::{
     MigrationConfig, MigrationEngine, MigrationError, MigrationReport, MigrationRequest,
 };

@@ -11,14 +11,14 @@
 //!     copy RU charged to both nodes) → complete_join
 //!   ──▶ [catch-up] binlog tailing until lag ≤ cut-over budget
 //!   ──▶ cut-over: drain to lag 0, epoch-bumped membership swap
-//!       (handover first when the source led), MetaServer routing +
-//!       health + read candidates switch together
+//!       (handover first when the source led): placement, health and
+//!       read candidates are the group's, so they switch together
 //!   ──▶ source teardown (directory reclaimed) ──▶ [done]
 //! ```
 //!
 //! The engine itself is pure bookkeeping — queue, per-node in-flight caps,
-//! and reports; [`crate::cluster::ReplicatedCluster`] owns the groups, meta
-//! server, and nodes, and drives the state machine from its `tick`. At most
+//! and reports; [`crate::cluster::ReplicatedCluster`] owns the groups and
+//! nodes, and drives the state machine from its `tick`. At most
 //! **one in-flight move per node** (source or destination side): this is
 //! what gives the scheduler's `is_migrating` back-pressure real semantics —
 //! a node stays busy until the engine's completion (or abort) callback

@@ -26,7 +26,6 @@ use abase_cache::SaLruCache;
 use abase_core::pipeline::{Pipeline, Request, Served};
 use abase_core::types::PartitionId;
 use abase_quota::ru::ReadOutcome;
-use abase_replication::Role;
 use abase_util::clock::SimTime;
 use abase_wfq::{NodeScheduler, NodeSchedulerConfig, WfqItem};
 use std::collections::HashMap;
@@ -97,9 +96,6 @@ pub struct DataNodeSim {
     cache: SaLruCache<u64, usize>,
     /// Admission, charging and the WFQ weight of the hosted partitions.
     pipeline: Pipeline,
-    /// Replicas this node hosts (partition → role), maintained by the
-    /// replicated-cluster placement so the §3.3 failure math has real counts.
-    hosted_replicas: HashMap<PartitionId, Role>,
     /// Split read/write RU charged per hosted replica: the simulated request
     /// pipeline and the routed-read path both feed it.
     replica_ru: HashMap<PartitionId, ReplicaRuSplit>,
@@ -120,23 +116,15 @@ impl DataNodeSim {
             config,
             scheduler,
             cache,
-            hosted_replicas: HashMap::new(),
             replica_ru: HashMap::new(),
             rejection_overhead_ru: 0.0,
             migration_copy_ru: 0.0,
         }
     }
 
-    /// Record that this node hosts a replica of `partition` in `role`
-    /// (placement bookkeeping for the replication plane).
-    pub fn host_replica(&mut self, partition: PartitionId, role: Role) {
-        self.hosted_replicas.insert(partition, role);
-    }
-
-    /// Remove the hosted-replica record for `partition` (its accumulated RU
-    /// ledger leaves with it — the load moves to wherever the replica went).
+    /// Drop the RU ledger of this node's replica of `partition` (the replica
+    /// left the node, or the node died).
     pub fn drop_replica(&mut self, partition: PartitionId) {
-        self.hosted_replicas.remove(&partition);
         self.replica_ru.remove(&partition);
     }
 
@@ -204,25 +192,6 @@ impl DataNodeSim {
         let mut out: Vec<_> = self.replica_ru.iter().map(|(&p, &s)| (p, s)).collect();
         out.sort_unstable_by_key(|&(p, _)| p);
         out
-    }
-
-    /// This node's role for `partition`, if it hosts a replica.
-    pub fn replica_role(&self, partition: PartitionId) -> Option<Role> {
-        self.hosted_replicas.get(&partition).copied()
-    }
-
-    /// Number of replicas hosted (leaders + followers) — the placement load
-    /// the meta server balances.
-    pub fn hosted_replica_count(&self) -> usize {
-        self.hosted_replicas.len()
-    }
-
-    /// Number of leader replicas hosted (leaders carry the write path).
-    pub fn hosted_leader_count(&self) -> usize {
-        self.hosted_replicas
-            .values()
-            .filter(|&&r| r == Role::Leader)
-            .count()
     }
 
     /// The hosted partitions' admission and charging: partitions are

@@ -1,9 +1,9 @@
 //! Replication walkthrough: leader/follower groups, consistency levels, and
-//! MetaServer-driven failover with parallel reconstruction (paper §3.2–§3.3).
+//! planned failover with parallel reconstruction (paper §3.2–§3.3).
 //!
 //! A four-node cluster hosts three partitions at replication factor 3. The
 //! example writes at `Quorum`, shows LSN-fenced reads, kills the busiest
-//! node, and walks through what the MetaServer did: who got promoted, where
+//! node, and walks through what the failover plan did: who got promoted, where
 //! each lost replica was re-seeded from, and how the parallel copy compares
 //! to the closed-form §3.3 recovery model.
 //!
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
     for partition in 0..3u64 {
-        cluster.create_partition(1, partition)?;
+        cluster.create_partition(partition)?;
         let group = cluster.group(partition).unwrap();
         println!(
             "partition {partition}: leader node {:?}, members {:?}",
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Kill the node that leads partition 0. ---
-    let victim = cluster.meta().route(0).unwrap();
+    let victim = cluster.group(0).unwrap().leader().unwrap();
     println!("\nkilling node {victim} …");
     let outcome = cluster.kill_node(victim)?;
     for p in &outcome.plan.promotions {

@@ -89,14 +89,14 @@ fn migration_staging_and_failover_resync_share_one_api() {
 #[test]
 fn quorum_writes_survive_a_live_migration_with_ryw_fences() {
     let (_d, mut c) = cluster_with("migrate-under-load", 4, None);
-    c.create_partition(1, 0).unwrap();
+    c.create_partition(0).unwrap();
     let mut acked: Vec<(String, u64)> = Vec::new();
     for i in 0..40 {
         let key = format!("pre-{i}");
         let lsn = c.write(0, key.as_bytes(), &[9u8; 256], 0).unwrap();
         acked.push((key, lsn));
     }
-    let set = c.meta().replica_set(0).unwrap().clone();
+    let set = c.replica_set(0).unwrap();
     let from = set.followers[0];
     let to = (0..4u32).find(|n| !set.contains(*n)).unwrap();
     c.enqueue_migration(0, from, to).unwrap();
@@ -143,11 +143,12 @@ fn quorum_writes_survive_a_live_migration_with_ryw_fences() {
         );
         assert_ne!(fenced.node, from, "departed replica served a fenced read");
     }
-    // The departed replica is gone from every layer.
-    let set = c.meta().replica_set(0).unwrap();
+    // The departed replica is gone: from the group, and its RU ledger from
+    // the source node.
+    let set = c.replica_set(0).unwrap();
     assert!(!set.contains(from) && set.contains(to), "{set:?}");
     assert!(!c.group(0).unwrap().members().contains(&from));
-    assert!(c.node(from).unwrap().replica_role(0).is_none());
+    assert_eq!(c.node(from).unwrap().replica_ru_split(0).total(), 0.0);
 }
 
 /// The staged copy's measured wall-clock matches the §3.3
@@ -156,7 +157,7 @@ fn quorum_writes_survive_a_live_migration_with_ryw_fences() {
 fn migration_copy_time_matches_the_bandwidth_model() {
     let bw = 1.5e6;
     let (_d, mut c) = cluster_with("migrate-bandwidth", 4, Some(bw));
-    c.create_partition(1, 0).unwrap();
+    c.create_partition(0).unwrap();
     // Values that do not compress, so the SSTs copied hold ~200 KB.
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for i in 0..400 {
@@ -172,7 +173,7 @@ fn migration_copy_time_matches_the_bandwidth_model() {
             .unwrap();
     }
     c.tick().unwrap();
-    let set = c.meta().replica_set(0).unwrap().clone();
+    let set = c.replica_set(0).unwrap();
     let to = (0..4u32).find(|n| !set.contains(*n)).unwrap();
     c.enqueue_migration(0, set.followers[0], to).unwrap();
     let mut ticks = 0;
@@ -208,8 +209,8 @@ fn in_flight_migration_blocks_a_second_move_from_the_same_node() {
     // 5 nodes × 2 partitions × 3 replicas: some node hosts both partitions,
     // so two moves can contend for it.
     let (_d, mut c) = cluster_with("migrate-backpressure", 5, None);
-    c.create_partition(1, 0).unwrap();
-    c.create_partition(1, 1).unwrap();
+    c.create_partition(0).unwrap();
+    c.create_partition(1).unwrap();
     for p in 0..2u64 {
         for i in 0..20 {
             c.write(p, format!("p{p}-k{i}").as_bytes(), &[7u8; 128], 0)
@@ -217,18 +218,17 @@ fn in_flight_migration_blocks_a_second_move_from_the_same_node() {
         }
     }
     let shared = c
-        .meta()
         .replica_set(0)
         .unwrap()
         .members()
         .into_iter()
-        .find(|&n| c.meta().replica_set(1).unwrap().contains(n))
+        .find(|&n| c.replica_set(1).unwrap().contains(n))
         .expect("partitions share a node on a 5-node cluster");
     let spare0 = (0..5u32)
-        .find(|n| !c.meta().replica_set(0).unwrap().contains(*n))
+        .find(|n| !c.replica_set(0).unwrap().contains(*n))
         .unwrap();
     let spare1 = (0..5u32)
-        .find(|n| !c.meta().replica_set(1).unwrap().contains(*n) && *n != spare0)
+        .find(|n| !c.replica_set(1).unwrap().contains(*n) && *n != spare0)
         .unwrap();
     c.enqueue_migration(0, shared, spare0).unwrap();
     c.enqueue_migration(1, shared, spare1).unwrap();
@@ -285,13 +285,13 @@ fn scheduler_planned_migration_moves_real_bytes() {
     let nodes = 5u32;
     let (_d, mut c) = cluster_with("migrate-planned", nodes, None);
     for p in 0..5u64 {
-        c.create_partition(1, p).unwrap();
+        c.create_partition(p).unwrap();
     }
     // Heat exactly the partitions node 0 does NOT host: node 0 stays cold,
     // at least one other node co-hosts two hot replicas — a feasible,
     // positive-gain Algorithm-2 move must exist.
     let hot: Vec<u64> = (0..5u64)
-        .filter(|&p| !c.meta().replica_set(p).unwrap().contains(0))
+        .filter(|&p| !c.replica_set(p).unwrap().contains(0))
         .collect();
     assert_eq!(hot.len(), 2, "each node misses exactly two partitions");
     for &p in &hot {

@@ -282,7 +282,7 @@ proptest! {
         followers in prop::collection::vec((1u64..6, any::<bool>()), 2..6),
         spare_count in 0usize..3)
     {
-        use abase::sim::meta::{MetaServer, ReplicaSet};
+        use abase::sim::meta::{plan_node_failure, ReplicaSet};
 
         // Followers are nodes 1..=k with (lsn, gapped); duplicated LSNs are
         // the interesting (tie) case and the generator produces them often.
@@ -293,15 +293,8 @@ proptest! {
         };
         let spares: Vec<u32> = (0..spare_count as u32).map(|i| 100 + i).collect();
         let available: Vec<u32> = ids.iter().copied().chain(spares).collect();
-        let plan = |_: ()| {
-            let mut meta = MetaServer::new(1_000_000);
-            meta.assign_replica_group(
-                1,
-                77,
-                ReplicaSet { leader: 0, followers: ids.clone() },
-            );
-            meta.plan_node_failure(0, |_, n| lsn_of(n), &available)
-        };
+        let sets = [(77, ReplicaSet { leader: Some(0), followers: ids.clone() })];
+        let plan = |_: ()| plan_node_failure(0, &sets, |_, n| lsn_of(n), &available);
         let a = plan(());
         let b = plan(());
         prop_assert_eq!(&a, &b, "identical state must yield identical plans");

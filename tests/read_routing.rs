@@ -31,12 +31,12 @@ fn cluster(tag: &str, nodes: u32) -> (TestDir, ReplicatedCluster) {
 #[test]
 fn eventual_reads_drain_to_survivors_after_follower_kill() {
     let (_d, mut c) = cluster("reroute-follower-kill", 4);
-    c.create_partition(1, 0).unwrap();
+    c.create_partition(0).unwrap();
     for i in 0..30 {
         c.write(0, format!("k{i}").as_bytes(), b"v", 0).unwrap();
     }
     c.tick().unwrap(); // converge every follower
-    let leader_before = c.meta().route(0).unwrap();
+    let leader_before = c.group(0).unwrap().leader().unwrap();
     // Warm phase: eventual reads spread across every replica.
     let mut served_before: HashSet<u32> = HashSet::new();
     for i in 0..20 {
@@ -79,13 +79,13 @@ fn eventual_reads_drain_to_survivors_after_follower_kill() {
     );
     assert!(!served_after.is_empty());
     // Leadership never moved (only a follower died).
-    assert_eq!(c.meta().route(0), Some(leader_before));
+    assert_eq!(c.group(0).unwrap().leader(), Some(leader_before));
 }
 
 #[test]
 fn ryw_sessions_survive_leader_kill_and_promotion() {
     let (_d, mut c) = cluster("reroute-leader-kill", 5);
-    c.create_partition(1, 0).unwrap();
+    c.create_partition(0).unwrap();
     // Several "sessions", each remembering the LSN of its last acked write.
     let mut sessions: HashMap<u32, (String, u64, u64)> = HashMap::new();
     let mut op = 0u64;
@@ -99,7 +99,7 @@ fn ryw_sessions_survive_leader_kill_and_promotion() {
             sessions.insert(s, (key, lsn, op));
         }
     }
-    let leader = c.meta().route(0).unwrap();
+    let leader = c.group(0).unwrap().leader().unwrap();
     c.kill_node(leader).unwrap();
     // After promotion, every session's fenced read observes a value at or
     // after its last acked write — never a rollback.
@@ -144,7 +144,7 @@ fn ryw_sessions_survive_leader_kill_and_promotion() {
 #[test]
 fn follower_read_ru_feeds_the_reschedulers_loss_function() {
     let (_d, mut c) = cluster("reroute-accounting", 4);
-    c.create_partition(1, 0).unwrap();
+    c.create_partition(0).unwrap();
     for i in 0..10 {
         c.write(0, format!("k{i}").as_bytes(), &[7u8; 256], 0)
             .unwrap();
@@ -157,7 +157,7 @@ fn follower_read_ru_feeds_the_reschedulers_loss_function() {
     }
     // Build the scheduler's pool view straight from the cluster's split
     // ledgers: one NodeState per node, one ReplicaLoad per hosted replica.
-    let members = c.meta().replica_set(0).unwrap().members();
+    let members = c.replica_set(0).unwrap().members();
     let mut pool_nodes = Vec::new();
     let mut replica_id = 0u64;
     for &node_id in &members {
@@ -176,7 +176,7 @@ fn follower_read_ru_feeds_the_reschedulers_loss_function() {
         }
         pool_nodes.push(state);
     }
-    let leader = c.meta().route(0).unwrap();
+    let leader = c.group(0).unwrap().leader().unwrap();
     let pool = PoolState::new(pool_nodes);
     // Eventual reads rotate over every member, and every member carries the
     // write RU. The loss function therefore sees follower reads: a follower

@@ -29,7 +29,7 @@ fn quorum_writes_survive_leader_failure() {
             ..Default::default()
         },
     );
-    cluster.create_partition(1, 100).unwrap();
+    cluster.create_partition(100).unwrap();
 
     // Quorum writes: every returned LSN is acked by ≥2 of 3 replicas.
     let mut acked = Vec::new();
@@ -55,7 +55,7 @@ fn quorum_writes_survive_leader_failure() {
         .max()
         .unwrap();
 
-    // Kill the leader's node: the MetaServer promotes, reconstructs, reroutes.
+    // Kill the leader's node: the failover plan promotes and reconstructs.
     let outcome = cluster.kill_node(old_leader).unwrap();
     let promotion = outcome
         .plan
@@ -73,7 +73,10 @@ fn quorum_writes_survive_leader_failure() {
             >= best_lsn,
         "promotion must pick a most-caught-up follower"
     );
-    assert_eq!(cluster.meta().route(100), Some(promotion.new_leader));
+    assert_eq!(
+        cluster.group(100).unwrap().leader(),
+        Some(promotion.new_leader)
+    );
 
     // Zero acked-write loss: every quorum-acked key reads back at Leader
     // consistency from the new leader.
@@ -85,7 +88,7 @@ fn quorum_writes_survive_leader_failure() {
     }
 
     // The group is back at full strength and keeps serving writes at quorum.
-    let set = cluster.meta().replica_set(100).unwrap();
+    let set = cluster.replica_set(100).unwrap();
     assert_eq!(set.members().len(), 3);
     assert!(!set.contains(old_leader));
     let lsn = cluster.write(100, b"post-failover", b"v", 0).unwrap();
@@ -200,7 +203,7 @@ fn async_cluster_converges_on_tick_and_fences_reads() {
             ..Default::default()
         },
     );
-    cluster.create_partition(7, 1).unwrap();
+    cluster.create_partition(1).unwrap();
     let lsn = cluster.write(1, b"k", b"v", 0).unwrap();
     // Fenced read routes around stale followers (only the leader qualifies).
     let r = cluster

@@ -13,7 +13,7 @@ use common::{eventually, Client};
 use std::net::TcpStream;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn open(addr: &str, dir: &Path, role: NodeRole) -> ServingNode {
     ServingNode::open(addr, dir, DbConfig::small_for_tests(), role).expect("open node")
@@ -209,4 +209,26 @@ fn failed_tick_steps_are_counted() {
         failed() >= before + 3.0
     });
     node.shutdown().unwrap();
+}
+
+/// A follower aimed at a node that refuses `PSYNC` fails every pump pass:
+/// each failure is counted, and the log does not repeat it 20 times a
+/// second.
+#[test]
+fn failed_follower_pump_passes_are_counted() {
+    let dir = TestDir::new("node-pump-errors");
+    let plain = open("127.0.0.1:0", &dir.join("plain"), NodeRole::Plain);
+    let failed = || abase::obs::snapshot().value("abase_node_tick_errors_total{follower_pump}");
+    let before = failed();
+    let follower = open("127.0.0.1:0", &dir.join("follower"), follower_of(&plain));
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while failed() < before + 1.0 {
+        assert!(
+            Instant::now() < deadline,
+            "no follower pump failure counted within 1 s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    follower.shutdown().unwrap();
+    plain.shutdown().unwrap();
 }
