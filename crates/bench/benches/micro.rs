@@ -9,13 +9,14 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use abase_cache::aulru::{AuLruCache, AuLruConfig};
-use abase_cache::{LruCache, SaLruCache};
+use abase_cache::{LruCache, SaLruCache, ShardedCache};
 use abase_core::{Pipeline, Request, Served, TableEngine};
 use abase_forecast::prophet::{ProphetConfig, ProphetModel};
 use abase_forecast::psd::dominant_period;
+use abase_lavastore::block_cache::CachedRow;
 use abase_lavastore::encoding::crc32;
 use abase_lavastore::lz;
-use abase_lavastore::record::Record;
+use abase_lavastore::record::{Record, NO_EXPIRY};
 use abase_lavastore::sstable::{SstReader, SstWriter};
 use abase_lavastore::wal::{self, Wal};
 use abase_lavastore::{BlockCache, Db, DbConfig};
@@ -27,6 +28,7 @@ use abase_wfq::{CpuTickBudget, DualWfq, DualWfqConfig, WfqItem};
 use abase_workload::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn bench_caches(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
@@ -56,6 +58,53 @@ fn bench_caches(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             black_box(cache.get(&(i % 1_000), 1_000));
+            i += 1;
+        });
+    });
+
+    // The node cache under lavastore: block hits with `(file, offset)` keys,
+    // row hits through `BlockCache` with the caller's borrowed key, and 4 KiB
+    // block inserts into a full cache, each evicting one block.
+    let block: Arc<[u8]> = vec![0u8; 4096].into();
+    let blocks = 1_024u64;
+    group.bench_function("sharded_block_get_hit", |b| {
+        let cache: ShardedCache<(u64, u64), Arc<[u8]>> = ShardedCache::new(64 << 20, 16);
+        for i in 0..blocks {
+            cache.insert((1, i), Arc::clone(&block), block.len());
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            black_box(cache.get(&(1, (i * 7) % blocks)));
+            i += 1;
+        });
+    });
+    group.bench_function("block_cache_row_get_hit", |b| {
+        let cache = BlockCache::new(64 << 20);
+        let keys: Vec<Vec<u8>> = (0..1_024)
+            .map(|i| format!("user{i:012}").into_bytes())
+            .collect();
+        for key in &keys {
+            let row = CachedRow {
+                value: bytes::Bytes::from(vec![7u8; 100]),
+                expires_at: NO_EXPIRY,
+            };
+            cache.insert_row(bytes::Bytes::copy_from_slice(key), row);
+        }
+        let mut i = 0usize;
+        b.iter(|| {
+            black_box(cache.get_row(&keys[(i * 7) % keys.len()]));
+            i += 1;
+        });
+    });
+    group.bench_function("sharded_insert_evict", |b| {
+        let cache: ShardedCache<(u64, u64), Arc<[u8]>> =
+            ShardedCache::new(blocks as usize * block.len(), 16);
+        for i in 0..blocks {
+            cache.insert((1, i), Arc::clone(&block), block.len());
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            black_box(cache.insert((2, i), Arc::clone(&block), block.len()));
             i += 1;
         });
     });

@@ -2,8 +2,8 @@
 //!
 //! An intrusive doubly-linked list over a slab gives O(1) get/insert/evict with
 //! no per-operation allocation once the slab has grown. This is both the plain
-//! baseline measured in the SA-LRU ablation bench and the per-size-class
-//! building block inside [`crate::salru::SaLruCache`].
+//! baseline measured in the SA-LRU ablation bench and the store under
+//! [`crate::aulru::AuLruCache`].
 
 use crate::stats::CacheStats;
 use std::borrow::Borrow;

@@ -10,12 +10,26 @@
 //!    (decayed hits per byte), i.e. "data that occupies more memory while
 //!    yielding fewer cache hits", which naturally prioritizes retaining small
 //!    entries whose access cost is lowest.
+//!
+//! # Layout: one index, one slab
+//!
+//! Every entry lives in one slot of one slab, which holds the key (its only
+//! copy), the value, the size, the key's hash and three links: `prev`/`next`
+//! thread the slot into its class's recency list, and `chain` links the
+//! slots whose keys share a hash. A class is only the head and tail of its
+//! list and its byte, entry and decayed-hit counts. The one index maps a
+//! hash to the first slot of its chain, through a hasher that passes the
+//! `u64` on, so a lookup hashes the key once and probes one table, and
+//! eviction and removal unlink a slot by its stored hash without hashing
+//! again. [`crate::ShardedCache`] hashes the key itself, to pick a shard,
+//! and hands the hash to the shard's `*_hashed` operations.
 
-use crate::lru::LruCache;
+use crate::sharded::InsertOutcome;
 use crate::stats::CacheStats;
 use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Default size-class upper bounds in bytes (last class is unbounded).
 pub const DEFAULT_CLASS_BOUNDS: &[usize] = &[
@@ -34,9 +48,56 @@ const DECAY_INTERVAL: u64 = 4096;
 /// Multiplier applied to per-class hit counters at each decay.
 const DECAY_FACTOR: f64 = 0.5;
 
+/// The end of a list or a chain.
+const NIL: u32 = u32::MAX;
+
+/// The index's hasher: its keys are already keyed hashes (`RandomState`,
+/// the owner's or [`crate::ShardedCache`]'s), so it hands them on unchanged
+/// and the table keeps their protection against crafted keys.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // The index hashes only `u64`s (`write_u64` below); fold anything
+        // else rather than panic.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 #[derive(Debug)]
-struct ClassShard<K, V> {
-    lru: LruCache<K, V>,
+struct Slot<K, V> {
+    key: K,
+    value: V,
+    hash: u64,
+    size: usize,
+    /// Toward the most recently used end of the class's list.
+    prev: u32,
+    /// Toward the least recently used end.
+    next: u32,
+    /// The next slot whose key has the same hash.
+    chain: u32,
+    class: u8,
+}
+
+#[derive(Debug)]
+struct Class {
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot: the class's next victim.
+    tail: u32,
+    bytes: usize,
+    entries: usize,
     /// Exponentially decayed hit count — the "yield" half of hit density.
     hits: f64,
 }
@@ -57,16 +118,20 @@ pub struct ClassInfo {
 /// Size-Aware LRU cache bounded by total byte size.
 #[derive(Debug)]
 pub struct SaLruCache<K, V> {
-    classes: Vec<ClassShard<K, V>>,
+    /// Hash → first slot of the chain of keys with that hash.
+    index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    slots: Vec<Option<Slot<K, V>>>,
+    free: Vec<u32>,
+    classes: Vec<Class>,
     bounds: Vec<usize>,
-    key_class: HashMap<K, u8>,
+    hasher: RandomState,
     capacity_bytes: usize,
     used_bytes: usize,
     stats: CacheStats,
     lookups_since_decay: u64,
 }
 
-impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
+impl<K: Hash + Eq, V> SaLruCache<K, V> {
     /// An SA-LRU with the default size classes.
     pub fn new(capacity_bytes: usize) -> Self {
         Self::with_class_bounds(capacity_bytes, DEFAULT_CLASS_BOUNDS)
@@ -91,17 +156,21 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
         );
         let classes = bounds
             .iter()
-            .map(|_| ClassShard {
-                // Shards are individually unbounded; SaLruCache enforces the
-                // global budget itself.
-                lru: LruCache::new(usize::MAX),
+            .map(|_| Class {
+                head: NIL,
+                tail: NIL,
+                bytes: 0,
+                entries: 0,
                 hits: 0.0,
             })
             .collect();
         Self {
+            index: HashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
             classes,
             bounds: bounds.to_vec(),
-            key_class: HashMap::new(),
+            hasher: RandomState::new(),
             capacity_bytes,
             used_bytes: 0,
             stats: CacheStats::default(),
@@ -121,12 +190,12 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
 
     /// Live entry count across all classes.
     pub fn len(&self) -> usize {
-        self.key_class.len()
+        self.slots.len() - self.free.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.key_class.is_empty()
+        self.len() == 0
     }
 
     /// Global hit/miss counters.
@@ -143,21 +212,68 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
             .expect("last bound is usize::MAX") as u8
     }
 
+    fn hash<Q: Hash + ?Sized>(&self, key: &Q) -> u64 {
+        self.hasher.hash_one(key)
+    }
+
+    fn slot(&self, idx: u32) -> &Slot<K, V> {
+        // INVARIANT: lists, chains and the index only ever hold live slots;
+        // `release` unlinks a slot from all three before freeing it.
+        self.slots[idx as usize].as_ref().expect("live slot")
+    }
+
+    fn slot_mut(&mut self, idx: u32) -> &mut Slot<K, V> {
+        // INVARIANT: same contract as `slot` above.
+        self.slots[idx as usize].as_mut().expect("live slot")
+    }
+
+    /// The slot holding `key`, whose hash is `hash`.
+    fn find<Q>(&self, hash: u64, key: &Q) -> Option<u32>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        let mut idx = *self.index.get(&hash)?;
+        loop {
+            let slot = self.slot(idx);
+            if slot.key.borrow() == key {
+                return Some(idx);
+            }
+            if slot.chain == NIL {
+                return None;
+            }
+            idx = slot.chain;
+        }
+    }
+
     /// Look up `key`, promoting it within its class on a hit. Lookups take
-    /// any borrowed form of the key, as [`LruCache::get`] does.
+    /// any borrowed form of the key, as [`crate::LruCache::get`] does.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        self.get_hashed(self.hash(key), key)
+    }
+
+    /// [`SaLruCache::get`] for a key whose hash the caller has taken.
+    pub(crate) fn get_hashed<Q>(&mut self, hash: u64, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
         self.maybe_decay();
         self.lookups_since_decay += 1;
-        match self.key_class.get(key).copied() {
-            Some(class) => {
+        match self.find(hash, key) {
+            Some(idx) => {
                 self.stats.hits += 1;
-                let shard = &mut self.classes[class as usize];
-                shard.hits += 1.0;
-                shard.lru.get(key)
+                let class = self.slot(idx).class as usize;
+                self.classes[class].hits += 1.0;
+                if self.classes[class].head != idx {
+                    self.unlink(idx);
+                    self.push_front(idx);
+                }
+                Some(&self.slot(idx).value)
             }
             None => {
                 self.stats.misses += 1;
@@ -172,8 +288,8 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let class = *self.key_class.get(key)?;
-        self.classes[class as usize].lru.peek(key)
+        let idx = self.find(self.hash(key), key)?;
+        Some(&self.slot(idx).value)
     }
 
     /// True if `key` is cached.
@@ -182,36 +298,102 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.key_class.contains_key(key)
+        self.contains_hashed(self.hash(key), key)
+    }
+
+    /// [`SaLruCache::contains`] for a key whose hash the caller has taken.
+    pub(crate) fn contains_hashed<Q>(&self, hash: u64, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        self.find(hash, key).is_some()
     }
 
     /// Insert an entry of `size` bytes, evicting per the size-aware policy.
     /// Returns evicted `(key, value)` pairs. Entries larger than the total
-    /// capacity are not admitted.
+    /// capacity are not admitted, and a re-insert that is not admitted
+    /// evicts the key's old entry.
     pub fn insert(&mut self, key: K, value: V, size: usize) -> Vec<(K, V)> {
+        let hash = self.hash(&key);
+        self.insert_hashed(hash, key, value, size).evicted
+    }
+
+    /// [`SaLruCache::insert`] for a key whose hash is `hash`, with the whole
+    /// outcome.
+    pub(crate) fn insert_hashed(
+        &mut self,
+        hash: u64,
+        key: K,
+        value: V,
+        size: usize,
+    ) -> InsertOutcome<K, V> {
         self.stats.insertions += 1;
+        let existing = self.find(hash, &key);
         if size > self.capacity_bytes {
-            return Vec::new();
+            // Not admitted, and the key's old value must not outlive the
+            // write that replaced it: it leaves like any other eviction.
+            let evicted = existing.map(|idx| self.evict(idx)).into_iter().collect();
+            return InsertOutcome {
+                evicted,
+                admitted: false,
+                created: false,
+            };
         }
         let class = self.class_of(size);
-        // Handle a re-insert whose size moved it to a different class.
-        if let Some(&old_class) = self.key_class.get(&key) {
-            let old_shard = &mut self.classes[old_class as usize];
-            // INVARIANT: `key_class` and the per-class LRUs are updated in
-            // lockstep; a mapped key is always present in its class.
-            let old_size = old_shard.lru.size_of(&key).expect("key tracked in class");
-            if old_class == class {
+        let idx = match existing {
+            Some(idx) => {
+                // A re-insert keeps its slot; the size may move it to
+                // another class.
+                self.unlink(idx);
+                let slot = self.slot_mut(idx);
+                let old_size = std::mem::replace(&mut slot.size, size);
+                slot.value = value;
+                slot.class = class;
                 self.used_bytes = self.used_bytes - old_size + size;
-                old_shard.lru.insert(key, value, size);
-                return self.evict_to_fit();
+                idx
             }
-            old_shard.lru.remove(&key);
-            self.used_bytes -= old_size;
+            None => {
+                let slot = Slot {
+                    key,
+                    value,
+                    hash,
+                    size,
+                    prev: NIL,
+                    next: NIL,
+                    chain: NIL,
+                    class,
+                };
+                let idx = match self.free.pop() {
+                    Some(idx) => {
+                        self.slots[idx as usize] = Some(slot);
+                        idx
+                    }
+                    None => {
+                        // INVARIANT: 2^32 - 1 live entries would take
+                        // hundreds of GiB of slots alone.
+                        let idx = u32::try_from(self.slots.len()).expect("fewer than 2^32 slots");
+                        self.slots.push(Some(slot));
+                        idx
+                    }
+                };
+                // The new slot heads its hash's chain.
+                if let Some(next) = self.index.insert(hash, idx) {
+                    self.slot_mut(idx).chain = next;
+                }
+                self.used_bytes += size;
+                idx
+            }
+        };
+        self.push_front(idx);
+        let evicted = self.evict_to_fit();
+        InsertOutcome {
+            evicted,
+            // The policy may have chosen the new entry's own class; nothing
+            // reuses a freed slot while evicting.
+            admitted: self.slots[idx as usize].is_some(),
+            created: existing.is_none(),
         }
-        self.key_class.insert(key.clone(), class);
-        self.classes[class as usize].lru.insert(key, value, size);
-        self.used_bytes += size;
-        self.evict_to_fit()
     }
 
     /// Remove `key`, returning its value.
@@ -220,14 +402,17 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let class = self.key_class.remove(key)?;
-        let shard = &mut self.classes[class as usize];
-        // INVARIANT: `key_class` and the per-class LRUs are updated in
-        // lockstep; a mapped key is always present in its class.
-        let size = shard.lru.size_of(key).expect("key tracked in class");
-        let value = shard.lru.remove(key).expect("key tracked in class");
-        self.used_bytes -= size;
-        Some(value)
+        self.remove_hashed(self.hash(key), key)
+    }
+
+    /// [`SaLruCache::remove`] for a key whose hash the caller has taken.
+    pub(crate) fn remove_hashed<Q>(&mut self, hash: u64, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        let idx = self.find(hash, key)?;
+        Some(self.release(idx).1)
     }
 
     /// Diagnostic snapshot of every size class.
@@ -235,19 +420,103 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
         self.bounds
             .iter()
             .zip(&self.classes)
-            .map(|(&upper_bound, shard)| ClassInfo {
+            .map(|(&upper_bound, class)| ClassInfo {
                 upper_bound,
-                bytes: shard.lru.used_bytes(),
-                entries: shard.lru.len(),
-                decayed_hits: shard.hits,
+                bytes: class.bytes,
+                entries: class.entries,
+                decayed_hits: class.hits,
             })
             .collect()
     }
 
+    /// Make `idx` its class's most recently used slot.
+    fn push_front(&mut self, idx: u32) {
+        let (class, size) = {
+            let slot = self.slot(idx);
+            (slot.class as usize, slot.size)
+        };
+        let list = &mut self.classes[class];
+        let old_head = std::mem::replace(&mut list.head, idx);
+        if list.tail == NIL {
+            list.tail = idx;
+        }
+        list.bytes += size;
+        list.entries += 1;
+        let slot = self.slot_mut(idx);
+        slot.prev = NIL;
+        slot.next = old_head;
+        if old_head != NIL {
+            self.slot_mut(old_head).prev = idx;
+        }
+    }
+
+    /// Take `idx` out of its class's list (the slot stays indexed).
+    fn unlink(&mut self, idx: u32) {
+        let (prev, next, class, size) = {
+            let slot = self.slot(idx);
+            (slot.prev, slot.next, slot.class as usize, slot.size)
+        };
+        if prev == NIL {
+            self.classes[class].head = next;
+        } else {
+            self.slot_mut(prev).next = next;
+        }
+        if next == NIL {
+            self.classes[class].tail = prev;
+        } else {
+            self.slot_mut(next).prev = prev;
+        }
+        let list = &mut self.classes[class];
+        list.bytes -= size;
+        list.entries -= 1;
+    }
+
+    /// Drop `idx` from its list, its chain and the slab.
+    fn release(&mut self, idx: u32) -> (K, V) {
+        self.unlink(idx);
+        let (hash, chain) = {
+            let slot = self.slot(idx);
+            (slot.hash, slot.chain)
+        };
+        let mut prev = match self.index.entry(hash) {
+            Entry::Occupied(mut first) if *first.get() == idx => {
+                if chain == NIL {
+                    first.remove();
+                } else {
+                    first.insert(chain);
+                }
+                NIL
+            }
+            Entry::Occupied(first) => *first.get(),
+            // INVARIANT: a live slot is on its hash's chain, so the hash is
+            // indexed; this arm is never taken.
+            Entry::Vacant(_) => NIL,
+        };
+        while prev != NIL {
+            let next = self.slot(prev).chain;
+            if next == idx {
+                self.slot_mut(prev).chain = chain;
+                break;
+            }
+            prev = next;
+        }
+        // INVARIANT: `idx` was live on entry; only this line frees it.
+        let slot = self.slots[idx as usize].take().expect("live slot");
+        self.free.push(idx);
+        self.used_bytes -= slot.size;
+        (slot.key, slot.value)
+    }
+
+    /// Release `idx` as an eviction.
+    fn evict(&mut self, idx: u32) -> (K, V) {
+        self.stats.evictions += 1;
+        self.release(idx)
+    }
+
     /// Hit density of a class: decayed hits per byte (+1 smoothing on both
     /// sides so empty/new classes compare sanely).
-    fn hit_density(shard: &ClassShard<K, V>) -> f64 {
-        (shard.hits + 1.0) / (shard.lru.used_bytes() as f64 + 1.0)
+    fn hit_density(class: &Class) -> f64 {
+        (class.hits + 1.0) / (class.bytes as f64 + 1.0)
     }
 
     fn evict_to_fit(&mut self) -> Vec<(K, V)> {
@@ -261,7 +530,7 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
                 .classes
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| !s.lru.is_empty())
+                .filter(|(_, c)| c.entries > 0)
                 .min_by(|(ia, a), (ib, b)| {
                     Self::hit_density(a)
                         // INVARIANT: hit_density divides by a clamped non-zero
@@ -270,25 +539,19 @@ impl<K: Hash + Eq + Clone, V> SaLruCache<K, V> {
                         .expect("hit density is finite")
                         .then(ib.cmp(ia))
                 })
-                .map(|(i, _)| i)
+                .map(|(_, c)| c.tail)
                 // INVARIANT: used_bytes > capacity implies some class holds an
                 // entry, and the filter keeps exactly those classes.
                 .expect("over capacity implies a non-empty class");
-            let shard = &mut self.classes[victim];
-            // INVARIANT: the victim passed the `!is_empty` filter above.
-            let (key, value, size) = shard.lru.pop_lru().expect("victim class non-empty");
-            self.used_bytes -= size;
-            self.key_class.remove(&key);
-            self.stats.evictions += 1;
-            evicted.push((key, value));
+            evicted.push(self.evict(victim));
         }
         evicted
     }
 
     fn maybe_decay(&mut self) {
         if self.lookups_since_decay >= DECAY_INTERVAL {
-            for shard in &mut self.classes {
-                shard.hits *= DECAY_FACTOR;
+            for class in &mut self.classes {
+                class.hits *= DECAY_FACTOR;
             }
             self.lookups_since_decay = 0;
         }
@@ -395,6 +658,55 @@ mod tests {
         c.insert("big", 0u32, 101);
         assert!(!c.contains(&"big"));
         assert_eq!(c.used_bytes(), 0);
+    }
+
+    #[test]
+    fn oversized_reinsert_evicts_the_old_value() {
+        let mut c = SaLruCache::new(100);
+        c.insert("k", 1u32, 10);
+        assert_eq!(c.insert("k", 2u32, 101), vec![("k", 1)]);
+        assert_eq!(c.get(&"k"), None);
+        assert_eq!((c.len(), c.used_bytes()), (0, 0));
+        assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn slot_layout() {
+        // The sizes the node cache's row charge is derived from (lavastore's
+        // `ROW_OVERHEAD_BYTES`), for a 24 B key and value.
+        assert_eq!(std::mem::size_of::<Slot<[u64; 3], [u64; 3]>>(), 80);
+        assert_eq!(std::mem::size_of::<(u64, u32)>(), 16);
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_chain_through_their_slots() {
+        // One size class of 300 B; a, b, c share hash 7 (chain c → b → a).
+        let mut c = SaLruCache::with_class_bounds(300, &[usize::MAX]);
+        for (key, value) in [("a", 1u32), ("b", 2), ("c", 3)] {
+            let out = c.insert_hashed(7, key, value, 100);
+            assert!(out.admitted && out.created && out.evicted.is_empty());
+        }
+        assert_eq!(c.index.len(), 1);
+        for (key, value) in [("a", 1u32), ("b", 2), ("c", 3)] {
+            assert_eq!(c.get_hashed(7, &key), Some(&value), "{key}");
+        }
+        assert!(!c.contains_hashed(7, &"d"));
+        // The middle of the chain.
+        assert_eq!(c.remove_hashed(7, &"b"), Some(2));
+        assert!(!c.contains_hashed(7, &"b"));
+        assert_eq!(c.get_hashed(7, &"a"), Some(&1));
+        assert_eq!(c.get_hashed(7, &"c"), Some(&3));
+        // The head of the chain, evicted: `a` was read last, so `c` is the
+        // least recently used.
+        assert_eq!(c.get_hashed(7, &"a"), Some(&1));
+        let out = c.insert_hashed(9, "d", 4, 150);
+        assert_eq!(out.evicted, vec![("c", 3)]);
+        assert_eq!(c.get_hashed(7, &"a"), Some(&1));
+        assert_eq!(c.get_hashed(9, &"d"), Some(&4));
+        assert!(!c.contains_hashed(7, &"c"));
+        assert_eq!(c.remove_hashed(7, &"a"), Some(1));
+        assert_eq!(c.index.len(), 1);
+        assert_eq!((c.len(), c.used_bytes()), (1, 150));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! reader threads can hit concurrently. `ShardedCache` splits the byte budget
 //! across a power-of-two number of shards, each an independent
 //! `Mutex<SaLruCache>`; a key's shard is chosen by hash, so unrelated lookups
-//! take unrelated locks and the hot path is one short critical section.
+//! take unrelated locks and the hot path is one short critical section. The
+//! key is hashed once per operation, with the cache's keyed `RandomState`
+//! (row keys are chosen by clients): the hash picks the shard and is handed
+//! to the shard, whose index is keyed by it.
 //!
 //! Values are required to be `Clone`: callers store `Arc<[u8]>`-style handles
 //! so a hit clones a pointer, never the payload.
@@ -30,7 +33,8 @@ pub struct InsertOutcome<K, V> {
     /// Entries displaced by the size-aware policy to make room.
     pub evicted: Vec<(K, V)>,
     /// False when the entry was larger than its shard's budget and was not
-    /// admitted at all.
+    /// admitted at all (a key it would have replaced loses its old entry,
+    /// which comes back in `evicted`), or when the policy evicted it at once.
     pub admitted: bool,
     /// True when the call added an entry for a key that had none; false when
     /// it replaced the key's entry or the entry was too large to go in. Every
@@ -53,7 +57,7 @@ pub struct ShardedCache<K, V> {
     capacity_bytes: usize,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
+impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     /// A cache of `capacity_bytes` split over `shards` lock stripes.
     ///
     /// `shards` is rounded up to the next power of two (minimum 1). Each
@@ -74,46 +78,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         }
     }
 
-    /// `Borrow` guarantees `Q` hashes as `K` does, so a borrowed probe lands
-    /// on the shard its owned key was inserted into.
-    fn shard_for<Q>(&self, key: &Q) -> &RankedMutex<SaLruCache<K, V>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + ?Sized,
-    {
-        let idx = self.hasher.hash_one(key) as usize & self.mask;
-        &self.shards[idx]
+    /// The one keyed hash of `key` and the shard it picks. The shard's index
+    /// takes its bucket from the hash's low bits and its control byte from
+    /// the top seven, so the shard comes from bits 32 and up, which neither
+    /// uses. `Borrow` guarantees `Q` hashes as `K` does, so a borrowed probe
+    /// lands on the shard its owned key was inserted into.
+    fn locate<Q: Hash + ?Sized>(&self, key: &Q) -> (u64, &RankedMutex<SaLruCache<K, V>>) {
+        let hash = self.hasher.hash_one(key);
+        (hash, &self.shards[(hash >> 32) as usize & self.mask])
     }
 
-    /// Look up `key`, promoting it within its shard on a hit. Returns a clone
-    /// of the stored value (an `Arc` handle for block-cache use).
-    pub fn get<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.shard_for(key).lock().get(key).cloned()
-    }
-
-    /// True if `key` is currently cached (no promotion, no stats).
-    pub fn contains<Q>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.shard_for(key).lock().contains(key)
-    }
-
-    /// Insert an entry of `size` bytes, evicting per the size-aware policy.
-    pub fn insert(&self, key: K, value: V, size: usize) -> InsertOutcome<K, V> {
-        let shard = self.shard_for(&key);
-        let mut guard = shard.lock();
-        let (before, len_before) = (guard.used_bytes(), guard.len());
-        let evicted = guard.insert(key.clone(), value, size);
-        let admitted = guard.contains(&key);
-        let created = guard.len() + evicted.len() > len_before;
-        let after = guard.used_bytes();
-        drop(guard);
+    fn settle_resident(&self, before: usize, after: usize) {
         match after.cmp(&before) {
             std::cmp::Ordering::Greater => {
                 self.resident.fetch_add(after - before, Ordering::Relaxed);
@@ -123,11 +98,39 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             }
             std::cmp::Ordering::Equal => {}
         }
-        InsertOutcome {
-            evicted,
-            admitted,
-            created,
-        }
+    }
+
+    /// Look up `key`, promoting it within its shard on a hit. Returns a clone
+    /// of the stored value (an `Arc` handle for block-cache use).
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let (hash, shard) = self.locate(key);
+        shard.lock().get_hashed(hash, key).cloned()
+    }
+
+    /// True if `key` is currently cached (no promotion, no stats).
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let (hash, shard) = self.locate(key);
+        shard.lock().contains_hashed(hash, key)
+    }
+
+    /// Insert an entry of `size` bytes, evicting per the size-aware policy.
+    pub fn insert(&self, key: K, value: V, size: usize) -> InsertOutcome<K, V> {
+        let (hash, shard) = self.locate(&key);
+        let mut guard = shard.lock();
+        let before = guard.used_bytes();
+        let outcome = guard.insert_hashed(hash, key, value, size);
+        let after = guard.used_bytes();
+        drop(guard);
+        self.settle_resident(before, after);
+        outcome
     }
 
     /// Remove `key`, returning its value.
@@ -136,15 +139,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let shard = self.shard_for(key);
+        let (hash, shard) = self.locate(key);
         let mut guard = shard.lock();
         let before = guard.used_bytes();
-        let value = guard.remove(key);
+        let value = guard.remove_hashed(hash, key);
         let after = guard.used_bytes();
         drop(guard);
-        if before > after {
-            self.resident.fetch_sub(before - after, Ordering::Relaxed);
-        }
+        self.settle_resident(before, after);
         value
     }
 
@@ -248,6 +249,47 @@ mod tests {
         assert!(!out.admitted);
         assert_eq!(c.get(&7), None);
         assert_eq!(c.used_bytes(), 0);
+    }
+
+    #[test]
+    fn oversized_reinsert_is_not_admitted_and_drops_the_old_entry() {
+        let c = ShardedCache::new(100, 1);
+        c.insert("k", 1u32, 10);
+        let out = c.insert("k", 2u32, 101);
+        assert!(!out.admitted && !out.created);
+        assert_eq!(out.evicted, vec![("k", 1)]);
+        assert_eq!(c.get(&"k"), None);
+        assert_eq!(c.used_bytes(), 0);
+    }
+
+    #[test]
+    fn each_operation_hashes_the_key_once() {
+        thread_local! {
+            static HASHES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+        }
+        /// A key that counts how often it is hashed.
+        #[derive(Debug, PartialEq, Eq)]
+        struct Key(u64);
+        impl Hash for Key {
+            fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+                HASHES.with(|h| h.set(h.get() + 1));
+                self.0.hash(state);
+            }
+        }
+        let hashes = |op: &dyn Fn()| {
+            HASHES.with(|h| h.set(0));
+            op();
+            HASHES.with(|h| h.get())
+        };
+        // 1 KiB per shard: most of these inserts evict.
+        let c = ShardedCache::new(4 << 10, 4);
+        for i in 0..64u64 {
+            assert_eq!(hashes(&|| _ = c.insert(Key(i), i, 100)), 1);
+        }
+        assert!(c.stats().evictions > 0);
+        assert_eq!(hashes(&|| _ = c.get(&Key(63))), 1);
+        assert_eq!(hashes(&|| _ = c.contains(&Key(1))), 1);
+        assert_eq!(hashes(&|| _ = c.remove(&Key(63))), 1);
     }
 
     #[test]

@@ -54,6 +54,7 @@
 
 use crate::metrics;
 use abase_cache::{CacheStats, InsertOutcome, ShardedCache};
+use abase_obs::Counter;
 use bytes::Bytes;
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
@@ -69,19 +70,23 @@ const DEFAULT_SHARDS: usize = 16;
 
 /// Bytes a resident row occupies beyond `key.len() + value.len()`; a row is
 /// charged its real footprint so that a budget full of rows is a budget's
-/// worth of memory. From the entry layout in `abase_cache::{salru, lru}`:
+/// worth of memory. From the entry layout in `abase_cache::salru` (one
+/// index, one slab):
 ///
-/// - the key and the value are one `Arc<[u8]>` allocation each (the three
-///   copies of the key share theirs): a 16 B reference-count header plus
-///   about 16 B of allocator header and rounding — 2 × 32 = 64;
-/// - the entry's slot in its class's LRU slab: key 24 + value 24 + size,
-///   prev, next 24 — 72;
-/// - its bucket in `key_class` and in the LRU's index: a 24 B key, an 8 B
-///   payload and a control byte, at the table's 7/8 maximum load factor —
-///   2 × 38 = 76.
+/// - the key and the value are one `Arc<[u8]>` allocation each (the key has
+///   one copy, in its slot): a 16 B reference-count header plus about 16 B
+///   of allocator header and rounding — 2 × 32 = 64;
+/// - the entry's slot in the slab: key 24 + value 24 + hash 8 + size 8 +
+///   three `u32` links 12 + class 1, padded — 80 (the slab's `Option` fits
+///   in `EntryKey`'s tag);
+/// - its one bucket in the index: a `(u64, u32)` of 16 B and a control
+///   byte, at the table's 7/8 maximum load factor — 20.
 ///
-/// 212, rounded up to the allocator's 16 B granule. (`entry_layout` below
-/// pins the two `size_of`s this depends on.)
+/// That is 164, 176 rounded up to the allocator's 16 B granule, so 224 is
+/// an upper bound. It stays 224 because the charge sets the split between
+/// rows and blocks in a shared budget, and moving that split wants its own
+/// measurement. (`entry_layout` below and `abase_cache::salru`'s
+/// `slot_layout` pin the `size_of`s this depends on.)
 const ROW_OVERHEAD_BYTES: usize = 224;
 
 /// Owned key of a cache entry.
@@ -198,10 +203,10 @@ fn row_charge(key: &[u8], row: &CachedRow) -> usize {
 /// from the shards' merged counters to report blocks alone.
 #[derive(Debug, Default)]
 struct RowCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    insertions: Counter,
+    evictions: Counter,
 }
 
 /// A thread-safe, byte-bounded cache of SST data blocks and rows.
@@ -277,12 +282,12 @@ impl BlockCache {
         match self.entries.get(probe) {
             Some(Entry::Row(row)) => {
                 metrics::ROW_CACHE_HITS.inc();
-                self.row_counters.hits.fetch_add(1, Ordering::Relaxed);
+                self.row_counters.hits.inc();
                 Some(row)
             }
             _ => {
                 metrics::ROW_CACHE_MISSES.inc();
-                self.row_counters.misses.fetch_add(1, Ordering::Relaxed);
+                self.row_counters.misses.inc();
                 None
             }
         }
@@ -297,7 +302,7 @@ impl BlockCache {
         let outcome = self
             .entries
             .insert(EntryKey::Row(key), Entry::Row(row), size);
-        self.row_counters.insertions.fetch_add(1, Ordering::Relaxed);
+        self.row_counters.insertions.inc();
         if outcome.admitted {
             metrics::ROW_CACHE_INSERTIONS.inc();
         }
@@ -343,7 +348,7 @@ impl BlockCache {
             match (key, entry) {
                 (EntryKey::Row(key), Entry::Row(row)) => {
                     self.row_left(row_charge(key, row));
-                    self.row_counters.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.row_counters.evictions.inc();
                 }
                 _ => blocks += 1,
             }
@@ -386,10 +391,10 @@ impl BlockCache {
     pub fn row_stats(&self) -> CacheStats {
         let c = &self.row_counters;
         CacheStats {
-            hits: c.hits.load(Ordering::Relaxed),
-            misses: c.misses.load(Ordering::Relaxed),
-            insertions: c.insertions.load(Ordering::Relaxed),
-            evictions: c.evictions.load(Ordering::Relaxed),
+            hits: c.hits.get(),
+            misses: c.misses.get(),
+            insertions: c.insertions.get(),
+            evictions: c.evictions.get(),
             expired: 0,
         }
     }

@@ -4,6 +4,8 @@
 //! atomic op per event:
 //!
 //! - [`metric`]: wait-free [`Counter`]/[`Gauge`]/[`Histo`] primitives.
+//!   A [`Counter`] is striped per thread, one padded cell per shard, and
+//!   summed on read.
 //!   [`Histo`] is the thread-sharded atomic form of
 //!   `abase_util::Histogram` (the one bucket layout: exact below 32,
 //!   1/16-wide log-linear buckets above, clamped at 2^37), so recording is a

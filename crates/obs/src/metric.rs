@@ -1,46 +1,55 @@
-//! The three metric primitives: atomic counters, gauges, and sharded
+//! The three metric primitives: striped counters, gauges, and sharded
 //! histograms over [`abase_util::Histogram`]'s bucket layout.
 //!
 //! Everything here is wait-free on the record path: a counter increment or a
 //! histogram observation is **one relaxed atomic op** (the histogram derives
 //! its total count and approximate sum from the buckets at scrape time, so
-//! recording touches exactly one bucket cell). Histograms additionally shard
-//! their bucket arrays by thread so concurrent recorders on different cores
-//! do not fight over one cache line.
+//! recording touches exactly one bucket cell). Counters and histograms
+//! shard by thread, so concurrent recorders on different cores do not fight
+//! over one cache line; a read sums the shards.
 
 use abase_util::histogram::{Histogram, BUCKETS};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// A monotonically increasing counter.
+/// One counter shard on a cache line of its own.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct CounterCell(AtomicU64);
+
+/// A monotonically increasing counter: one cache-line-padded cell per
+/// thread shard (the [`Histo`] striping), summed on read. 512 B each.
 #[derive(Debug, Default)]
 pub struct Counter {
-    value: AtomicU64,
+    cells: [CounterCell; HISTO_SHARDS],
 }
 
 impl Counter {
     /// A counter at zero.
     pub const fn new() -> Self {
         Self {
-            value: AtomicU64::new(0),
+            cells: [const { CounterCell(AtomicU64::new(0)) }; HISTO_SHARDS],
         }
     }
 
     /// Add one.
     #[inline]
     pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.cells[shard_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value.
+    /// Current value: the sum of the shards.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.cells
+            .iter()
+            .map(|cell| cell.0.load(Ordering::Relaxed))
+            .sum()
     }
 }
 
@@ -76,8 +85,9 @@ impl Gauge {
     }
 }
 
-/// Bucket shards: concurrent recorders hash their thread onto one of these
-/// so a hot histogram does not serialize every core on one cache line.
+/// Counter and histogram shards: concurrent recorders hash their thread
+/// onto one of these so a hot metric does not serialize every core on one
+/// cache line.
 pub const HISTO_SHARDS: usize = 8;
 
 /// A stable per-thread shard index (threads are striped round-robin).
@@ -180,6 +190,28 @@ mod tests {
         g.set(7);
         g.add(-3);
         assert_eq!(g.get(), 4);
+    }
+
+    #[test]
+    fn counter_shards_sum_exactly_across_threads() {
+        static C: crate::LazyCounter =
+            crate::LazyCounter::new("test_metric_striped_counter_total", "test");
+        assert_eq!(std::mem::size_of::<Counter>(), 512);
+        C.touch();
+        let before = crate::snapshot();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..100_000 {
+                        C.inc();
+                    }
+                });
+            }
+        });
+        assert_eq!(C.get(), 800_000);
+        C.add(5);
+        let delta = crate::snapshot().delta(&before);
+        assert_eq!(delta.value("test_metric_striped_counter_total"), 800_005.0);
     }
 
     #[test]

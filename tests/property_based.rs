@@ -8,13 +8,14 @@
 
 use proptest::prelude::*;
 
-use abase::cache::{LruCache, SaLruCache};
+use abase::cache::salru::{ClassInfo, DEFAULT_CLASS_BOUNDS};
+use abase::cache::{CacheStats, LruCache, SaLruCache};
 use abase::lavastore::{Db, DbConfig};
 use abase::proto::RespValue;
 use abase::quota::TokenBucket;
 use abase::util::TimeSeries;
 use abase::wfq::{WfqItem, WfqQueue};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 // ---------- LRU / SA-LRU ----------
 
@@ -68,6 +69,179 @@ proptest! {
                 prop_assert_eq!(cache.peek(&key), Some(&key));
             }
         }
+    }
+}
+
+/// A reference SA-LRU, written for clarity: one recency deque per size class
+/// (front = most recently used), the same victim rule (fewest decayed hits
+/// per byte, ties to the larger class) and the same decay (halve every
+/// class's hits before the lookup that follows each 4 096).
+/// One class's `(key, value, size)` entries, most recently used first.
+type Recency = VecDeque<(u64, u64, usize)>;
+
+struct ModelSaLru {
+    capacity: usize,
+    /// Per class: its entries and its decayed hit count.
+    classes: Vec<(Recency, f64)>,
+    lookups_since_decay: u64,
+    stats: CacheStats,
+    /// Re-inserts that moved a key to another class, and decays run: the
+    /// property checks that both paths were exercised.
+    moves: u64,
+    decays: u64,
+}
+
+impl ModelSaLru {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            classes: DEFAULT_CLASS_BOUNDS
+                .iter()
+                .map(|_| (VecDeque::new(), 0.0))
+                .collect(),
+            lookups_since_decay: 0,
+            stats: CacheStats::default(),
+            moves: 0,
+            decays: 0,
+        }
+    }
+
+    fn class_of(size: usize) -> usize {
+        DEFAULT_CLASS_BOUNDS
+            .iter()
+            .position(|&b| size <= b)
+            .unwrap()
+    }
+
+    fn bytes(list: &Recency) -> usize {
+        list.iter().map(|e| e.2).sum()
+    }
+
+    fn used_bytes(&self) -> usize {
+        self.classes.iter().map(|(list, _)| Self::bytes(list)).sum()
+    }
+
+    fn len(&self) -> usize {
+        self.classes.iter().map(|(list, _)| list.len()).sum()
+    }
+
+    /// `(class, position)` of `key`.
+    fn find(&self, key: u64) -> Option<(usize, usize)> {
+        self.classes
+            .iter()
+            .enumerate()
+            .find_map(|(c, (list, _))| list.iter().position(|e| e.0 == key).map(|p| (c, p)))
+    }
+
+    fn get(&mut self, key: u64) -> Option<u64> {
+        if self.lookups_since_decay >= 4096 {
+            for (_, hits) in &mut self.classes {
+                *hits *= 0.5;
+            }
+            self.lookups_since_decay = 0;
+            self.decays += 1;
+        }
+        self.lookups_since_decay += 1;
+        let Some((c, p)) = self.find(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let (list, hits) = &mut self.classes[c];
+        *hits += 1.0;
+        let entry = list.remove(p).unwrap();
+        list.push_front(entry);
+        Some(entry.1)
+    }
+
+    fn remove(&mut self, key: u64) -> Option<(u64, u64, usize)> {
+        let (c, p) = self.find(key)?;
+        self.classes[c].0.remove(p)
+    }
+
+    fn insert(&mut self, key: u64, value: u64, size: usize) -> Vec<(u64, u64)> {
+        self.stats.insertions += 1;
+        if size > self.capacity {
+            // Not admitted; the key's old entry leaves as an eviction.
+            let old = self.remove(key).map(|(k, v, _)| (k, v));
+            self.stats.evictions += old.iter().count() as u64;
+            return old.into_iter().collect();
+        }
+        let class = Self::class_of(size);
+        if let Some((c, p)) = self.find(key) {
+            self.classes[c].0.remove(p);
+            self.moves += u64::from(c != class);
+        }
+        self.classes[class].0.push_front((key, value, size));
+        let mut evicted = Vec::new();
+        while self.used_bytes() > self.capacity {
+            let mut victim = None;
+            let mut best = f64::INFINITY;
+            for (c, (list, hits)) in self.classes.iter().enumerate() {
+                let density = (hits + 1.0) / (Self::bytes(list) as f64 + 1.0);
+                if !list.is_empty() && density <= best {
+                    (victim, best) = (Some(c), density);
+                }
+            }
+            let (k, v, _) = self.classes[victim.unwrap()].0.pop_back().unwrap();
+            self.stats.evictions += 1;
+            evicted.push((k, v));
+        }
+        evicted
+    }
+
+    fn class_infos(&self) -> Vec<ClassInfo> {
+        DEFAULT_CLASS_BOUNDS
+            .iter()
+            .zip(&self.classes)
+            .map(|(&upper_bound, (list, hits))| ClassInfo {
+                upper_bound,
+                bytes: Self::bytes(list),
+                entries: list.len(),
+                decayed_hits: *hits,
+            })
+            .collect()
+    }
+}
+
+proptest! {
+    /// SA-LRU is the reference model, operation for operation: the same
+    /// reads, the same evictions in the same order, the same accounting,
+    /// the same per-class state. Sizes span five classes (some larger than
+    /// the cache), re-inserts move keys between classes, and each case makes
+    /// more than 4 096 lookups, so decay runs.
+    #[test]
+    fn salru_matches_a_reference_model(ops in prop::collection::vec(
+        (0u8..10, 0u64..40, 1usize..24_000, 0u32..8), 8_000..8_500),
+        capacity in 16_384usize..65_536)
+    {
+        let mut cache: SaLruCache<u64, u64> = SaLruCache::new(capacity);
+        let mut model = ModelSaLru::new(capacity);
+        for (step, (op, key, base, shift)) in ops.into_iter().enumerate() {
+            let size = (base >> shift).max(1);
+            match op {
+                0..=2 => prop_assert_eq!(
+                    cache.insert(key, step as u64, size),
+                    model.insert(key, step as u64, size),
+                    "insert at step {}", step
+                ),
+                3 => prop_assert_eq!(
+                    cache.remove(&key),
+                    model.remove(key).map(|e| e.1),
+                    "remove at step {}", step
+                ),
+                _ => prop_assert_eq!(
+                    cache.get(&key).copied(),
+                    model.get(key),
+                    "get at step {}", step
+                ),
+            }
+            prop_assert_eq!(cache.len(), model.len());
+            prop_assert_eq!(cache.used_bytes(), model.used_bytes());
+            prop_assert_eq!(cache.class_infos(), model.class_infos(), "step {}", step);
+            prop_assert_eq!(cache.stats(), &model.stats);
+        }
+        prop_assert!(model.moves > 0 && model.decays > 0);
     }
 }
 
