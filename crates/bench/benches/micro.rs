@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use abase_cache::aulru::{AuLruCache, AuLruConfig};
-use abase_cache::{LruCache, SaLruCache, ShardedCache};
+use abase_cache::{SaLruCache, ShardedCache};
 use abase_core::{Pipeline, Request, Served, TableEngine};
 use abase_forecast::prophet::{ProphetConfig, ProphetModel};
 use abase_forecast::psd::dominant_period;
@@ -32,15 +32,6 @@ use std::sync::Arc;
 
 fn bench_caches(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
-    group.bench_function("lru_insert_get", |b| {
-        let mut cache: LruCache<u64, u64> = LruCache::new(1 << 20);
-        let mut i = 0u64;
-        b.iter(|| {
-            cache.insert(i % 10_000, i, 64);
-            black_box(cache.get(&((i * 7) % 10_000)));
-            i += 1;
-        });
-    });
     group.bench_function("salru_insert_get", |b| {
         let mut cache: SaLruCache<u64, u64> = SaLruCache::new(1 << 20);
         let mut i = 0u64;

@@ -1,7 +1,7 @@
 //! Ablation — AU-LRU active refresh vs passive TTL expiry.
 //!
-//! DESIGN.md design choice: "an active-update mechanism is applied to address
-//! potential spikes in requests due to expired cache entries." This study
+//! Paper §4.4: "an active-update mechanism is applied to address potential
+//! spikes in requests due to expired cache entries." This study
 //! hammers a hot key set through a TTL'd proxy cache and counts the back-end
 //! misses with and without active refresh — the passive cache shows a miss
 //! spike every TTL period, the active one refreshes ahead of expiry.
@@ -47,7 +47,25 @@ fn simulate(active_refresh: bool, seconds: u64) -> Vec<u64> {
     misses_per_sec
 }
 
-/// Print this experiment's report; it has no smoke size.
+/// Active refresh misses less often than passive TTL, and spikes lower:
+/// each arm's steady-state backend misses, `(total, peak in 1 s)`.
+fn check(passive: (u64, u64), active: (u64, u64)) -> Result<(), String> {
+    ensure!(
+        active.0 < passive.0,
+        "active refresh missed {} times in steady state, passive TTL {}",
+        active.0,
+        passive.0
+    );
+    ensure!(
+        active.1 < passive.1,
+        "active refresh peaked at {} misses in 1 s, passive TTL at {}",
+        active.1,
+        passive.1
+    );
+    Ok(())
+}
+
+/// Print this experiment's report and check it; it has no smoke size.
 pub fn run(_smoke: bool) -> Result<(), String> {
     banner(
         "Ablation: AU-LRU",
@@ -96,5 +114,22 @@ pub fn run(_smoke: bool) -> Result<(), String> {
         "\nexpiry-spike reduction: {}x",
         fmt(p_peak as f64 / a_peak.max(1) as f64, 1)
     );
-    Ok(())
+    check((p_total, p_peak), (a_total, a_peak))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_refuses_each_doctored_fact() {
+        crate::refuses_each(
+            ((600, 132), (0, 0)),
+            |&(passive, active)| check(passive, active),
+            &[
+                |(passive, active)| active.0 = passive.0,
+                |(passive, active)| active.1 = passive.1,
+            ],
+        );
+    }
 }

@@ -10,7 +10,7 @@
 //! from the data node and calling [`AuLruCache::update`], re-arming the TTL
 //! without ever serving a miss.
 
-use crate::lru::LruCache;
+use crate::salru::SaLruCache;
 use crate::stats::CacheStats;
 use abase_util::clock::SimTime;
 use std::cmp::Reverse;
@@ -67,7 +67,8 @@ impl Default for AuLruConfig {
 /// Active-Update LRU cache with TTL entries and hot-key refresh.
 #[derive(Debug)]
 pub struct AuLruCache<K, V> {
-    lru: LruCache<K, Entry<V>>,
+    /// A plain byte-LRU: SA-LRU with one size class.
+    lru: SaLruCache<K, Entry<V>>,
     /// Min-heap of (expiry, generation, key) — lazily invalidated.
     expiry_heap: BinaryHeap<Reverse<(SimTime, u64, K)>>,
     config: AuLruConfig,
@@ -81,7 +82,7 @@ impl<K: Hash + Eq + Clone + Ord, V> AuLruCache<K, V> {
     /// A cache with the given configuration.
     pub fn new(config: AuLruConfig) -> Self {
         Self {
-            lru: LruCache::new(config.capacity_bytes),
+            lru: SaLruCache::with_class_bounds(config.capacity_bytes, &[usize::MAX]),
             expiry_heap: BinaryHeap::new(),
             config,
             next_generation: 0,
@@ -144,15 +145,10 @@ impl<K: Hash + Eq + Clone + Ord, V> AuLruCache<K, V> {
             return None;
         }
         self.stats.hits += 1;
-        // INVARIANT: the hit path above just promoted this key; neither
-        // `get_mut` nor `peek` can miss before the next mutation.
-        let entry = self
-            .lru
-            .get_mut(key)
-            .expect("peeked entry still present after promotion");
+        // INVARIANT: `peek` found the key above and nothing removed it since.
+        let entry = self.lru.get_mut(key).expect("peeked entry present");
         entry.period_accesses = entry.period_accesses.saturating_add(1);
-        // Reborrow immutably for the return value.
-        Some(&self.lru.peek(key).expect("entry present").value)
+        Some(&entry.value)
     }
 
     /// Insert a value fetched from the data node; arms a fresh TTL.
@@ -337,6 +333,23 @@ mod tests {
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.get(&"a", SEC), None);
         assert_eq!(c.get(&"b", SEC), Some(&2));
+    }
+
+    #[test]
+    fn oversized_update_evicts_only_its_own_entry() {
+        let mut c = AuLruCache::new(AuLruConfig {
+            capacity_bytes: 30,
+            ..config()
+        });
+        c.insert("a", 1u32, 10, 0);
+        c.insert("b", 2u32, 10, 0);
+        c.insert("c", 3u32, 10, 0);
+        c.update("b", 4u32, 31, SEC);
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!((c.len(), c.used_bytes()), (2, 20));
+        assert_eq!(c.get(&"a", SEC), Some(&1));
+        assert_eq!(c.get(&"b", SEC), None);
+        assert_eq!(c.get(&"c", SEC), Some(&3));
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! ABase's dual-layer caching mechanism (paper §4.4):
 //!
-//! * [`lru`] — a classic byte-capacity LRU cache. This is the baseline the paper's
-//!   size-aware strategy improves on, and the store under AU-LRU.
 //! * [`salru`] — **Size-Aware LRU (SA-LRU)**, the DataNode-layer cache: items are
 //!   segregated into size classes with individual eviction policies, and eviction
 //!   prefers classes that "occupy more memory while yielding fewer cache hits".
 //!   It keeps one index and one slab: each size class is a recency list threaded
 //!   through the slab, so a key is stored once and a lookup hashes it once.
+//!   A plain byte-LRU — the baseline the paper's size-aware strategy improves
+//!   on, and the store under AU-LRU — is SA-LRU with one size class:
+//!   `SaLruCache::with_class_bounds(capacity, &[usize::MAX])`.
 //! * [`aulru`] — **Active-Update LRU (AU-LRU)**, the proxy-layer cache: entries carry
 //!   a TTL, and hot entries are proactively refreshed shortly before they expire so
 //!   that the expiry of a hot key never produces a thundering herd on the data node.
@@ -25,13 +26,11 @@
 #![deny(missing_docs)]
 
 pub mod aulru;
-pub mod lru;
 pub mod salru;
 pub mod sharded;
 pub mod stats;
 
 pub use aulru::{AuLruCache, RefreshCandidate};
-pub use lru::LruCache;
 pub use salru::SaLruCache;
 pub use sharded::{InsertOutcome, ShardedCache};
 pub use stats::CacheStats;

@@ -246,8 +246,8 @@ impl<K: Hash + Eq, V> SaLruCache<K, V> {
         }
     }
 
-    /// Look up `key`, promoting it within its class on a hit. Lookups take
-    /// any borrowed form of the key, as [`crate::LruCache::get`] does.
+    /// Look up `key`, promoting it within its class on a hit. Like
+    /// `HashMap::get`, lookups take any borrowed form of the key.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
@@ -280,6 +280,19 @@ impl<K: Hash + Eq, V> SaLruCache<K, V> {
                 None
             }
         }
+    }
+
+    /// [`SaLruCache::get`], returning the value mutably: the same promotion
+    /// and the same counts.
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let hash = self.hash(key);
+        self.get_hashed(hash, key)?;
+        let idx = self.find(hash, key)?;
+        Some(&mut self.slot_mut(idx).value)
     }
 
     /// Look up without promotion or statistics.
@@ -614,8 +627,9 @@ mod tests {
     #[test]
     fn plain_lru_would_have_evicted_small_entries() {
         // Contrast case documenting the baseline behaviour SA-LRU avoids:
-        // in a byte-LRU the large inserts evict everything older.
-        let mut lru = crate::lru::LruCache::new(10 << 10);
+        // in a byte-LRU (one size class) the large inserts evict everything
+        // older.
+        let mut lru = SaLruCache::with_class_bounds(10 << 10, &[usize::MAX]);
         for i in 0..40u32 {
             lru.insert(format!("small{i}"), i, 100);
         }
@@ -637,6 +651,21 @@ mod tests {
         let evicted = c.insert("d", 4u32, 100);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].0, "b");
+    }
+
+    #[test]
+    fn get_mut_promotes_and_counts_like_get() {
+        let mut c = SaLruCache::with_class_bounds(300, &[usize::MAX]);
+        c.insert("a", 1u32, 100);
+        c.insert("b", 2u32, 100);
+        c.insert("c", 3u32, 100);
+        *c.get_mut(&"a").expect("cached") += 10;
+        assert_eq!(c.get_mut(&"missing"), None);
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
+        assert_eq!(c.class_infos()[0].decayed_hits, 1.0);
+        assert_eq!(c.peek(&"a"), Some(&11));
+        // `a` was promoted, so `b` is the least recently used.
+        assert_eq!(c.insert("d", 4u32, 100), vec![("b", 2)]);
     }
 
     #[test]

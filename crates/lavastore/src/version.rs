@@ -139,11 +139,6 @@ impl Version {
         (0..self.levels.len()).map(|l| self.level_bytes(l)).sum()
     }
 
-    /// Total live files.
-    pub fn file_count(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
-    }
-
     /// Serialize the version.
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Vec::new();
@@ -321,7 +316,6 @@ mod tests {
         v.add_file(meta(1, 0, "a", "b"));
         assert!(v.remove_file(1));
         assert!(!v.remove_file(1));
-        assert_eq!(v.file_count(), 0);
     }
 
     #[test]

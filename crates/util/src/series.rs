@@ -99,15 +99,6 @@ impl TimeSeries {
         }
     }
 
-    /// Keep only the trailing `n` samples (adjusting `start` accordingly).
-    pub fn truncate_to_last(&mut self, n: usize) {
-        if self.values.len() > n {
-            let drop = self.values.len() - n;
-            self.values.drain(..drop);
-            self.start += drop as u64 * self.interval;
-        }
-    }
-
     /// Resample to a coarser interval by aggregating whole groups.
     ///
     /// `factor` source samples are combined into one output sample using `agg`
@@ -222,14 +213,6 @@ mod tests {
         assert_eq!(s.max(), Some(3.0));
         assert_eq!(s.min(), Some(1.0));
         assert!((s.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn truncate_to_last_adjusts_start() {
-        let mut s = TimeSeries::new(0, 10, vec![1.0, 2.0, 3.0, 4.0]);
-        s.truncate_to_last(2);
-        assert_eq!(s.values(), &[3.0, 4.0]);
-        assert_eq!(s.start(), 20);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl WorkloadProfile {
     pub fn throughput_storage_ratio(&self) -> f64 {
         self.norm_throughput / self.norm_storage
     }
-
-    /// True when reads dominate (> 50 %).
-    pub fn is_read_heavy(&self) -> bool {
-        self.read_ratio > 0.5
-    }
 }
 
 /// Table 1, row by row.
@@ -146,7 +141,7 @@ mod tests {
     #[test]
     fn advertisement_is_write_heavy_low_hit() {
         let ad = profile_by_workload("For message joiner").unwrap();
-        assert!(!ad.is_read_heavy());
+        assert!(ad.read_ratio <= 0.5);
         assert!(ad.cache_hit_ratio < 0.2);
         assert_eq!(ad.common_ttl, Some(hours(3)));
     }

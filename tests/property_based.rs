@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use abase::cache::salru::{ClassInfo, DEFAULT_CLASS_BOUNDS};
-use abase::cache::{CacheStats, LruCache, SaLruCache};
+use abase::cache::{CacheStats, SaLruCache};
 use abase::lavastore::{Db, DbConfig};
 use abase::proto::RespValue;
 use abase::quota::TokenBucket;
@@ -17,44 +17,10 @@ use abase::util::TimeSeries;
 use abase::wfq::{WfqItem, WfqQueue};
 use std::collections::{HashMap, VecDeque};
 
-// ---------- LRU / SA-LRU ----------
+// ---------- SA-LRU ----------
 
 proptest! {
-    /// The byte-LRU never exceeds its capacity and its accounting matches the
-    /// sum of live entry sizes, under arbitrary insert/get/remove interleaving.
-    #[test]
-    fn lru_capacity_and_accounting(ops in prop::collection::vec(
-        (0u8..3, 0u64..200, 1usize..600), 1..400), capacity in 64usize..4096)
-    {
-        let mut cache: LruCache<u64, usize> = LruCache::new(capacity);
-        let mut live: HashMap<u64, usize> = HashMap::new();
-        for (op, key, size) in ops {
-            match op {
-                0 => {
-                    let evicted = cache.insert(key, size, size);
-                    if size <= capacity {
-                        live.insert(key, size);
-                    } else {
-                        live.remove(&key);
-                    }
-                    for (k, _) in evicted {
-                        live.remove(&k);
-                    }
-                }
-                1 => { cache.get(&key); }
-                _ => {
-                    cache.remove(&key);
-                    live.remove(&key);
-                }
-            }
-            prop_assert!(cache.used_bytes() <= capacity);
-            let expect: usize = live.values().sum();
-            prop_assert_eq!(cache.used_bytes(), expect);
-            prop_assert_eq!(cache.len(), live.len());
-        }
-    }
-
-    /// SA-LRU obeys the same capacity bound and finds exactly the keys it
+    /// SA-LRU never exceeds its capacity and finds exactly the keys it
     /// holds regardless of size-class churn.
     #[test]
     fn salru_capacity_invariant(ops in prop::collection::vec(
@@ -72,15 +38,17 @@ proptest! {
     }
 }
 
-/// A reference SA-LRU, written for clarity: one recency deque per size class
-/// (front = most recently used), the same victim rule (fewest decayed hits
-/// per byte, ties to the larger class) and the same decay (halve every
-/// class's hits before the lookup that follows each 4 096).
 /// One class's `(key, value, size)` entries, most recently used first.
 type Recency = VecDeque<(u64, u64, usize)>;
 
+/// A reference SA-LRU, written for clarity: one recency deque per size class
+/// (front = most recently used), the same victim rule (fewest decayed hits
+/// per byte, ties to the larger class) and the same decay (halve every
+/// class's hits before the lookup that follows each 4 096). With one size
+/// class it is a plain byte-LRU.
 struct ModelSaLru {
     capacity: usize,
+    bounds: &'static [usize],
     /// Per class: its entries and its decayed hit count.
     classes: Vec<(Recency, f64)>,
     lookups_since_decay: u64,
@@ -92,13 +60,11 @@ struct ModelSaLru {
 }
 
 impl ModelSaLru {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, bounds: &'static [usize]) -> Self {
         Self {
             capacity,
-            classes: DEFAULT_CLASS_BOUNDS
-                .iter()
-                .map(|_| (VecDeque::new(), 0.0))
-                .collect(),
+            bounds,
+            classes: bounds.iter().map(|_| (VecDeque::new(), 0.0)).collect(),
             lookups_since_decay: 0,
             stats: CacheStats::default(),
             moves: 0,
@@ -106,11 +72,8 @@ impl ModelSaLru {
         }
     }
 
-    fn class_of(size: usize) -> usize {
-        DEFAULT_CLASS_BOUNDS
-            .iter()
-            .position(|&b| size <= b)
-            .unwrap()
+    fn class_of(&self, size: usize) -> usize {
+        self.bounds.iter().position(|&b| size <= b).unwrap()
     }
 
     fn bytes(list: &Recency) -> usize {
@@ -167,7 +130,7 @@ impl ModelSaLru {
             self.stats.evictions += old.iter().count() as u64;
             return old.into_iter().collect();
         }
-        let class = Self::class_of(size);
+        let class = self.class_of(size);
         if let Some((c, p)) = self.find(key) {
             self.classes[c].0.remove(p);
             self.moves += u64::from(c != class);
@@ -191,7 +154,7 @@ impl ModelSaLru {
     }
 
     fn class_infos(&self) -> Vec<ClassInfo> {
-        DEFAULT_CLASS_BOUNDS
+        self.bounds
             .iter()
             .zip(&self.classes)
             .map(|(&upper_bound, (list, hits))| ClassInfo {
@@ -204,44 +167,58 @@ impl ModelSaLru {
     }
 }
 
+/// Run `ops` (`(op, key, base size, shift)`) through SA-LRU with `bounds`
+/// and through the reference model, asserting they agree at every step.
+fn assert_matches_the_model(
+    ops: &[(u8, u64, usize, u32)],
+    capacity: usize,
+    bounds: &'static [usize],
+) {
+    let mut cache: SaLruCache<u64, u64> = SaLruCache::with_class_bounds(capacity, bounds);
+    let mut model = ModelSaLru::new(capacity, bounds);
+    for (step, &(op, key, base, shift)) in ops.iter().enumerate() {
+        let size = (base >> shift).max(1);
+        match op {
+            0..=2 => assert_eq!(
+                cache.insert(key, step as u64, size),
+                model.insert(key, step as u64, size),
+                "insert at step {step}"
+            ),
+            3 => assert_eq!(
+                cache.remove(&key),
+                model.remove(key).map(|e| e.1),
+                "remove at step {step}"
+            ),
+            _ => assert_eq!(
+                cache.get(&key).copied(),
+                model.get(key),
+                "get at step {step}"
+            ),
+        }
+        assert_eq!(cache.len(), model.len());
+        assert!(cache.used_bytes() <= capacity);
+        assert_eq!(cache.used_bytes(), model.used_bytes());
+        assert_eq!(cache.class_infos(), model.class_infos(), "step {step}");
+        assert_eq!(cache.stats(), &model.stats);
+    }
+    assert!((model.moves > 0 || bounds.len() == 1) && model.decays > 0);
+}
+
 proptest! {
     /// SA-LRU is the reference model, operation for operation: the same
-    /// reads, the same evictions in the same order, the same accounting,
-    /// the same per-class state. Sizes span five classes (some larger than
-    /// the cache), re-inserts move keys between classes, and each case makes
-    /// more than 4 096 lookups, so decay runs.
+    /// reads, the same evictions in the same order, the same accounting
+    /// within the capacity, the same per-class state. It runs with the
+    /// default classes and with one class, a plain byte-LRU. Sizes span
+    /// five default classes (some larger than the cache), re-inserts move
+    /// keys between classes, and each case makes more than 4 096 lookups,
+    /// so decay runs.
     #[test]
     fn salru_matches_a_reference_model(ops in prop::collection::vec(
         (0u8..10, 0u64..40, 1usize..24_000, 0u32..8), 8_000..8_500),
         capacity in 16_384usize..65_536)
     {
-        let mut cache: SaLruCache<u64, u64> = SaLruCache::new(capacity);
-        let mut model = ModelSaLru::new(capacity);
-        for (step, (op, key, base, shift)) in ops.into_iter().enumerate() {
-            let size = (base >> shift).max(1);
-            match op {
-                0..=2 => prop_assert_eq!(
-                    cache.insert(key, step as u64, size),
-                    model.insert(key, step as u64, size),
-                    "insert at step {}", step
-                ),
-                3 => prop_assert_eq!(
-                    cache.remove(&key),
-                    model.remove(key).map(|e| e.1),
-                    "remove at step {}", step
-                ),
-                _ => prop_assert_eq!(
-                    cache.get(&key).copied(),
-                    model.get(key),
-                    "get at step {}", step
-                ),
-            }
-            prop_assert_eq!(cache.len(), model.len());
-            prop_assert_eq!(cache.used_bytes(), model.used_bytes());
-            prop_assert_eq!(cache.class_infos(), model.class_infos(), "step {}", step);
-            prop_assert_eq!(cache.stats(), &model.stats);
-        }
-        prop_assert!(model.moves > 0 && model.decays > 0);
+        assert_matches_the_model(&ops, capacity, DEFAULT_CLASS_BOUNDS);
+        assert_matches_the_model(&ops, capacity, &[usize::MAX]);
     }
 }
 
