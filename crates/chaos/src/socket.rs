@@ -22,6 +22,10 @@
 //! * **Convergence** — an episode whose leader survives must end with the
 //!   follower at the leader's LSN (frame faults heal through dedup or a
 //!   `FULLRESYNC`), within a bounded drive loop.
+//! * **No stranded checkpoint residue** — once both ends are gone, neither
+//!   the leader's nor the follower's directory holds a checkpoint pin or
+//!   leader-side copy (a name with `ckpt-`) or a resync staging tree (a
+//!   name with `.resync-`): a severed `FILE` stream cleans up on both sides.
 //!
 //! The fault *schedule* is a pure function of the seed; socket scheduling is
 //! not, so a failing seed replays the same misfortune against real-network
@@ -36,6 +40,7 @@ use abase_util::TestDir;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -316,7 +321,48 @@ pub fn run_socket_episode(seed: u64) -> SocketEpisodeReport {
             None => {}
         }
     }
+
+    // Both ends go away; whatever checkpoint stream was in flight fails and
+    // must take its pin and its staging tree with it.
+    drop(follower);
+    if let Some(node) = leader.take() {
+        let _ = node.shutdown();
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let mut stranded = checkpoint_residue(leader_dir.path());
+        stranded.extend(checkpoint_residue(follower_dir.path()));
+        if stranded.is_empty() {
+            break;
+        }
+        if Instant::now() > deadline {
+            report
+                .violations
+                .push(format!("stranded checkpoint residue: {stranded:?}"));
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
     report
+}
+
+/// Every entry under `dir` (recursively) named like a checkpoint pin or
+/// copy (`ckpt-`) or a resync staging tree (`.resync-`).
+fn checkpoint_residue(dir: &Path) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return found;
+    };
+    for entry in entries.filter_map(|e| e.ok()) {
+        let path = entry.path();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.contains("ckpt-") || name.contains(".resync-") {
+            found.push(path);
+        } else if path.is_dir() {
+            found.extend(checkpoint_residue(&path));
+        }
+    }
+    found
 }
 
 #[cfg(test)]

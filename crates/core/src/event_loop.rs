@@ -45,8 +45,8 @@ pub(crate) struct FrontEndConfig {
     /// `-ERR max number of clients reached` (Redis semantics).
     pub(crate) max_clients: usize,
     /// Close connections idle longer than this (`None` disables the
-    /// reaper). Driven by the event loop's timer wheel; granularity is
-    /// `timeout / 32`, floored at 1 ms.
+    /// reaper). Each worker sweeps its connections every `timeout / 32`,
+    /// floored at 1 ms.
     pub(crate) idle_timeout: Option<Duration>,
 }
 
@@ -344,13 +344,15 @@ fn worker_loop(
         return;
     }
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut wheel = idle_timeout.map(TimerWheel::new);
+    // The idle reaper's `(timeout, sweep period)`.
+    let reaper = idle_timeout.map(|t| (t, (t / 32).max(Duration::from_millis(1))));
+    let mut next_sweep = Instant::now();
     let mut events = Events::with_capacity(1024);
     loop {
-        let timeout = wheel
-            .as_ref()
-            .map(|w| w.poll_timeout())
-            .unwrap_or(Duration::from_millis(400));
+        let timeout = match reaper {
+            Some(_) => next_sweep.saturating_duration_since(Instant::now()),
+            None => Duration::from_millis(400),
+        };
         if poller.poll(&mut events, Some(timeout)).is_err() {
             break;
         }
@@ -369,7 +371,7 @@ fn worker_loop(
                 continue;
             };
             let step = conn.on_event(ev.readable, ev.writable, &ctx);
-            settle(step, conn, &poller, &mut conns, &mut wheel, &ctx, &workers);
+            settle(step, conn, &poller, &mut conns, &ctx, &workers);
         }
         if woke {
             shared.waker.drain();
@@ -379,11 +381,15 @@ fn worker_loop(
                 // unread socket bytes: drive it once before (re-)registering
                 // so nothing waits for a readiness edge that already passed.
                 let step = conn.on_event(true, true, &ctx);
-                settle(step, conn, &poller, &mut conns, &mut wheel, &ctx, &workers);
+                settle(step, conn, &poller, &mut conns, &ctx, &workers);
             }
         }
-        if let Some(wheel) = wheel.as_mut() {
-            reap_idle(wheel, &mut conns, &poller, &ctx, label);
+        if let Some((timeout, every)) = reaper {
+            let now = Instant::now();
+            if now >= next_sweep {
+                reap_idle(timeout, now, &mut conns, &poller, &ctx, label);
+                next_sweep = now + every;
+            }
         }
     }
     // Shutdown: deregister and drop every connection (guards decrement the
@@ -400,7 +406,6 @@ fn settle(
     mut conn: Conn,
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
-    wheel: &mut Option<TimerWheel>,
     ctx: &Arc<ConnCtx>,
     workers: &[Arc<WorkerShared>],
 ) {
@@ -427,9 +432,6 @@ fn settle(
             }
             conn.registered = true;
             conn.installed_interest = want;
-            if let Some(wheel) = wheel.as_mut() {
-                wheel.schedule(token);
-            }
             conns.insert(token, conn);
         }
         Step::Close => {
@@ -472,103 +474,31 @@ fn offload_batch(mut conn: Conn, ctx: Arc<ConnCtx>, home: Arc<WorkerShared>) {
     }
 }
 
-/// Reap connections idle past the timeout. Lazy timer wheel: tokens are
-/// re-scheduled on their slot's expiry if they were active since.
+/// Close every connection silent for at least `timeout` as of `now`: one
+/// pass over the worker's map, so the sweep's cost tracks open connections,
+/// never request rate.
 fn reap_idle(
-    wheel: &mut TimerWheel,
+    timeout: Duration,
+    now: Instant,
     conns: &mut HashMap<u64, Conn>,
     poller: &Poller,
     ctx: &ConnCtx,
     label: &'static str,
 ) {
-    let now = Instant::now();
-    let due = wheel.advance(now);
-    for token in due {
-        let Some(conn) = conns.get(&token) else {
-            continue; // closed since it was scheduled
-        };
-        if now.duration_since(conn.last_active) >= wheel.timeout {
-            let Some(conn) = conns.remove(&token) else {
-                continue;
-            };
-            let _ = poller.deregister(conn.stream.as_raw_fd());
-            ctx.stats.evicted.fetch_add(1, Ordering::Relaxed);
-            metrics::CONN_EVICTED.inc(label);
-        } else {
-            wheel.schedule(token);
+    conns.retain(|_, conn| {
+        if now.duration_since(conn.last_active) < timeout {
+            return true;
         }
-    }
-}
-
-/// A coarse hashed timer wheel driving the idle reaper: 64 slots, tick =
-/// `timeout / 32` (floored at 1 ms). Insertions are O(1); expiry checks are
-/// lazy (a still-active connection is just pushed one timeout further).
-pub(crate) struct TimerWheel {
-    timeout: Duration,
-    tick: Duration,
-    slots: Vec<Vec<u64>>,
-    cursor: usize,
-    last_advance: Instant,
-}
-
-impl TimerWheel {
-    const SLOTS: usize = 64;
-
-    pub(crate) fn new(timeout: Duration) -> Self {
-        let tick = (timeout / 32).max(Duration::from_millis(1));
-        TimerWheel {
-            timeout,
-            tick,
-            slots: (0..Self::SLOTS).map(|_| Vec::new()).collect(),
-            cursor: 0,
-            last_advance: Instant::now(),
-        }
-    }
-
-    /// Schedule `token` to be checked one timeout from now.
-    pub(crate) fn schedule(&mut self, token: u64) {
-        let ticks = ((self.timeout.as_micros() / self.tick.as_micros().max(1)) as usize + 1)
-            .min(Self::SLOTS - 1);
-        let slot = (self.cursor + ticks) % Self::SLOTS;
-        self.slots[slot].push(token);
-    }
-
-    /// How long a poll may sleep before the next tick is due.
-    pub(crate) fn poll_timeout(&self) -> Duration {
-        let since = self.last_advance.elapsed();
-        if since >= self.tick {
-            Duration::from_millis(1)
-        } else {
-            self.tick - since
-        }
-    }
-
-    /// Advance the wheel to `now`, returning every token whose slot came due.
-    pub(crate) fn advance(&mut self, now: Instant) -> Vec<u64> {
-        let mut due = Vec::new();
-        while now.duration_since(self.last_advance) >= self.tick {
-            self.last_advance += self.tick;
-            self.cursor = (self.cursor + 1) % Self::SLOTS;
-            due.append(&mut self.slots[self.cursor]);
-        }
-        due
-    }
+        let _ = poller.deregister(conn.stream.as_raw_fd());
+        ctx.stats.evicted.fetch_add(1, Ordering::Relaxed);
+        metrics::CONN_EVICTED.inc(label);
+        false
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_wheel_fires_after_a_full_timeout() {
-        let mut wheel = TimerWheel::new(Duration::from_millis(64));
-        wheel.schedule(7);
-        // Immediately: nothing due.
-        assert!(wheel.advance(Instant::now()).is_empty());
-        // After 2x the timeout every scheduled token has come due.
-        let later = Instant::now() + Duration::from_millis(128);
-        assert_eq!(wheel.advance(later), vec![7]);
-    }
 
     #[test]
     fn shutdown_handle_is_idempotent() {

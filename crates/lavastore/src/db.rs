@@ -379,7 +379,7 @@ pub struct CheckpointInfo {
     pub wal_segment: u64,
     /// Byte offset within that segment covered by the snapshot.
     pub wal_offset: u64,
-    /// Total bytes copied (SSTs + WALs).
+    /// Bytes of SSTs and WALs in the snapshot (the `MANIFEST` excluded).
     pub bytes_copied: u64,
 }
 
@@ -714,29 +714,34 @@ impl Db {
         &self.dir
     }
 
-    /// Copy a crash-consistent snapshot of the database into `dest_dir`
-    /// (manifest, SSTs, and WALs), returning where the copy ends in the log.
+    /// Stream a crash-consistent snapshot of the database (SSTs, WALs and
+    /// manifest) to `sink`, returning where the snapshot ends in the log.
     ///
     /// Used for full resynchronization: a follower too far behind for WAL
     /// shipping (its segments were rotated away) reopens from a checkpoint and
     /// resumes tailing at the returned `(wal_segment, wal_offset)` position.
-    /// `on_chunk` is invoked with each copied chunk's size — reconstruction
-    /// uses it to model per-node disk bandwidth.
+    ///
+    /// `sink` receives `(file name, chunk)` pairs: every SST, then the WAL
+    /// segments at or above the floor, then the encoded `MANIFEST`, last.
+    /// Each file's chunks come back to back; an empty file is one empty
+    /// chunk. [`Staging`](crate::Staging) lands such a stream on disk; the
+    /// socket leader ships it as `FILE` frames.
     ///
     /// Only the cross-stripe `shared` lock is held to *pin* the snapshot:
     /// live files are hard-linked into a private pin directory and the log
     /// cursor recorded, all O(files) — writers keep writing to every stripe
-    /// during the pin. The byte copy then streams **without any lock**,
-    /// reading the pinned inodes (a deleted original stays readable through
-    /// its link), so seeding a replica does not stall the write path. The
-    /// live WAL segment is copied only up to the recorded offset — which
-    /// counts only flushed complete frames, so the cursor can never point
-    /// into a torn or still-buffered frame — keeping the clone byte-exact
-    /// with the returned cursor even while the leader keeps appending.
+    /// during the pin. The bytes then stream **without any lock**, reading
+    /// the pinned inodes (a deleted original stays readable through its
+    /// link), so seeding a replica does not stall the write path. The pin
+    /// lives until the last chunk is through the sink, and goes on every
+    /// exit, a sink error included. The live WAL segment is streamed only up
+    /// to the recorded offset — which counts only flushed complete frames, so
+    /// the cursor can never point into a torn or still-buffered frame —
+    /// keeping the snapshot byte-exact with the returned cursor even while
+    /// the leader keeps appending.
     pub fn checkpoint_with(
         &self,
-        dest_dir: &Path,
-        on_chunk: &mut dyn FnMut(usize),
+        sink: &mut dyn FnMut(&str, &[u8]) -> Result<()>,
     ) -> Result<CheckpointInfo> {
         static PIN_SEQ: AtomicU64 = AtomicU64::new(0);
         let pin_timer = abase_obs::Timer::start();
@@ -753,8 +758,8 @@ impl Db {
             wal_segment: u64,
             wal_offset: u64,
             last_seq: u64,
-            /// `(pinned link, destination path)` per live file.
-            files: Vec<(PathBuf, PathBuf)>,
+            /// `(pinned link, file name)` per live file, in stream order.
+            files: Vec<(PathBuf, String)>,
         }
         let phase1 = || -> Result<PinSnapshot> {
             let shared = self.shared.lock();
@@ -763,29 +768,30 @@ impl Db {
             // pinned SST or in pinned WAL bytes at or below wal_offset.
             let (wal_segment, wal_offset, last_seq) = self.log.checkpoint_cursor()?;
             std::fs::create_dir_all(&pin_dir)?;
-            let mut pinned: Vec<(PathBuf, PathBuf)> = Vec::new(); // (pin, dest name)
-            let mut pin = |src: PathBuf, dest_name: PathBuf| -> Result<()> {
+            let mut pinned: Vec<(PathBuf, String)> = Vec::new();
+            let mut pin = |src: PathBuf| -> Result<()> {
                 // INVARIANT: every pinned path is built by sst_path/wal_path,
-                // which always append a file name component.
-                let pinned_path = pin_dir.join(src.file_name().expect("data files have names"));
+                // which always append an ASCII file name component.
+                let name = src.file_name().expect("data files have names");
+                let pinned_path = pin_dir.join(name);
                 std::fs::hard_link(&src, &pinned_path)?;
-                pinned.push((pinned_path, dest_name));
+                pinned.push((pinned_path, name.to_string_lossy().into_owned()));
                 Ok(())
             };
             for files in &shared.version.levels {
                 for meta in files {
-                    pin(sst_path(&self.dir, meta.id), sst_path(dest_dir, meta.id))?;
+                    pin(sst_path(&self.dir, meta.id))?;
                 }
             }
             for id in Wal::list_segments(&self.dir)? {
                 // Segments below the floor are retained backlog for tail
                 // readers; their records are already in the pinned SSTs and
-                // the clone would never replay them — copying them wastes
+                // the clone would never replay them — streaming them wastes
                 // recovery bandwidth.
                 if id < shared.version.wal_floor {
                     continue;
                 }
-                pin(wal_path(&self.dir, id), wal_path(dest_dir, id))?;
+                pin(wal_path(&self.dir, id))?;
             }
             let mut version = shared.version.clone();
             version.next_seq = last_seq + 1;
@@ -812,24 +818,22 @@ impl Db {
         };
         // Phase 2 — stream the pinned bytes, lock-free.
         let result = (|| -> Result<u64> {
-            std::fs::create_dir_all(dest_dir)?;
             let mut bytes_copied = 0u64;
             let fp_context = self.dir.display().to_string();
             let live_wal_name = wal_path(&self.dir, wal_segment);
-            for (pinned_path, dest) in &pinned {
+            let mut chunk = vec![0u8; 64 << 10];
+            for (pinned_path, name) in &pinned {
                 // Cap the live segment at the recorded cursor; appends that
                 // landed after the pin belong to the tail the follower ships.
-                let limit = if pinned_path.file_name() == live_wal_name.file_name() {
-                    Some(wal_offset)
+                let mut remaining = if pinned_path.file_name() == live_wal_name.file_name() {
+                    wal_offset
                 } else {
-                    None
+                    u64::MAX
                 };
                 let mut reader = std::fs::File::open(pinned_path)?;
-                let mut writer = std::fs::File::create(dest)?;
-                let mut remaining = limit.unwrap_or(u64::MAX);
-                let mut chunk = vec![0u8; 64 << 10];
+                let mut emitted = false;
                 while remaining > 0 {
-                    // Chaos site: a checkpoint source dying mid-copy (each
+                    // Chaos site: a checkpoint source dying mid-stream (each
                     // chunk may be the one that fails or stalls).
                     if let Some(abase_util::failpoint::FaultAction::Error) =
                         abase_util::failpoint::check("db.checkpoint", &fp_context)
@@ -843,13 +847,16 @@ impl Db {
                     if n == 0 {
                         break;
                     }
-                    std::io::Write::write_all(&mut writer, &chunk[..n])?;
+                    sink(name, &chunk[..n])?;
+                    emitted = true;
                     bytes_copied += n as u64;
                     remaining = remaining.saturating_sub(n as u64);
-                    on_chunk(n);
+                }
+                if !emitted {
+                    sink(name, &[])?;
                 }
             }
-            version.save(dest_dir)?;
+            sink("MANIFEST", &version.encode())?;
             Ok(bytes_copied)
         })();
         std::fs::remove_dir_all(&pin_dir).ok();
@@ -864,9 +871,13 @@ impl Db {
         })
     }
 
-    /// [`Db::checkpoint_with`] without a progress callback.
+    /// Stage a checkpoint into `dest_dir` (replacing whatever was there)
+    /// through [`Staging`](crate::Staging); on error nothing is left there.
     pub fn checkpoint(&self, dest_dir: &Path) -> Result<CheckpointInfo> {
-        self.checkpoint_with(dest_dir, &mut |_| {})
+        let mut staging = crate::Staging::create(dest_dir)?;
+        let info = self.checkpoint_with(&mut |name, chunk| staging.write(name, chunk))?;
+        staging.keep();
+        Ok(info)
     }
 
     /// Point read at virtual time `now` (TTL-expired records read as absent).
@@ -1855,12 +1866,30 @@ mod tests {
             db.put(format!("key-{i:04}").as_bytes(), &[7u8; 64], None, 0)
                 .unwrap();
         }
-        let mut chunks = 0usize;
+        // The stream: SSTs, then WALs, then the MANIFEST alone at the end.
+        let mut names: Vec<String> = Vec::new();
+        let mut data_bytes = 0usize;
+        let mut staging = crate::Staging::create(dst_dir.path()).unwrap();
         let info = db
-            .checkpoint_with(dst_dir.path(), &mut |n| chunks += n)
+            .checkpoint_with(&mut |name, chunk| {
+                if names.last().map(String::as_str) != Some(name) {
+                    names.push(name.to_string());
+                }
+                if name != "MANIFEST" {
+                    data_bytes += chunk.len();
+                }
+                staging.write(name, chunk)
+            })
             .unwrap();
+        staging.keep();
+        assert_eq!(names.last().map(String::as_str), Some("MANIFEST"));
+        let first_wal = names.iter().position(|n| n.starts_with("wal-")).unwrap();
+        assert!(names[..first_wal].iter().all(|n| n.ends_with(".sst")));
+        assert!(names[first_wal..names.len() - 1]
+            .iter()
+            .all(|n| n.starts_with("wal-")));
         assert_eq!(info.last_seq, db.last_seq());
-        assert_eq!(info.bytes_copied, chunks as u64);
+        assert_eq!(info.bytes_copied, data_bytes as u64);
         assert!(info.bytes_copied > 0);
         let clone = Db::open(dst_dir.path(), DbConfig::small_for_tests()).unwrap();
         assert_eq!(clone.last_seq(), db.last_seq());

@@ -32,6 +32,7 @@
 
 pub mod block_cache;
 pub mod bloom;
+pub mod checkpoint;
 pub mod compaction;
 pub mod db;
 pub mod encoding;
@@ -46,6 +47,7 @@ pub mod version;
 pub mod wal;
 
 pub use block_cache::BlockCache;
+pub use checkpoint::Staging;
 pub use db::{CheckpointInfo, Db, DbConfig, DbStats, ReadResult};
 pub use error::{Error, Result};
 pub use sstable::BlockIo;

@@ -10,14 +10,14 @@
 //! live only in SSTs — the poll reports [`Poll::Gap`] and the follower must
 //! full-resync from a checkpoint, exactly like a Redis replica falling off
 //! the backlog and taking a full sync. The cursor holds the store it tails,
-//! so it stages that checkpoint itself ([`Db::checkpoint_with`]) and resumes
-//! at the checkpoint's edge.
+//! so it stages that checkpoint itself ([`Db::checkpoint_with`] into a
+//! [`Staging`] directory) and resumes at the checkpoint's edge.
 
 use crate::transport::LogTransport;
 use crate::Result;
 use abase_lavastore::record::Record;
 use abase_lavastore::wal::Wal;
-use abase_lavastore::{CheckpointInfo, Db, Error as StorageError};
+use abase_lavastore::{CheckpointInfo, Db, Error as StorageError, Staging};
 use abase_util::lockrank;
 use std::path::Path;
 use std::sync::Arc;
@@ -121,10 +121,11 @@ impl LogTransport for Binlog {
     }
 
     /// Stream a checkpoint of the tailed store into `staging` (pinned files,
-    /// no store lock held across the byte copy). A failed copy leaves no
-    /// staging tree behind. Every in-process copy, a resync ticket's or a
-    /// failover reconstruction's, comes through here, so with lock-order
-    /// checking on this panics when the calling thread holds the group lock.
+    /// no store lock held across the byte copy) through the one
+    /// [`Staging`] writer. A failed copy leaves no staging tree behind.
+    /// Every in-process copy, a resync ticket's or a failover
+    /// reconstruction's, comes through here, so with lock-order checking on
+    /// this panics when the calling thread holds the group lock.
     fn fetch_checkpoint(
         &mut self,
         staging: &Path,
@@ -135,13 +136,13 @@ impl LogTransport for Binlog {
             !held.contains(&lockrank::rank::REPLICA_GROUP.name()),
             "checkpoint copy under the group lock; held, outermost first: {held:?}"
         );
-        std::fs::remove_dir_all(staging).ok();
-        let info = self
-            .db
-            .checkpoint_with(staging, on_chunk)
-            .inspect_err(|_| {
-                std::fs::remove_dir_all(staging).ok();
-            })?;
+        let mut staged = Staging::create(staging)?;
+        let info = self.db.checkpoint_with(&mut |name, chunk| {
+            staged.write(name, chunk)?;
+            on_chunk(chunk.len());
+            Ok(())
+        })?;
+        staged.keep();
         self.seek(info.wal_segment, info.wal_offset);
         Ok(info)
     }

@@ -49,10 +49,10 @@ pub static BATCH_BYTES: LazyCounter = LazyCounter::new(
     "Serialized bytes of BATCH frames shipped over replica sockets",
 );
 
-/// Checkpoint bytes a leader staged to ship over a replica socket.
+/// Checkpoint bytes a leader streamed over a replica socket.
 pub static STAGED_BYTES: LazyCounter = LazyCounter::new(
     "abase_repl_staged_bytes_total",
-    "Checkpoint bytes staged by a leader for FULLRESYNC streams",
+    "Checkpoint bytes streamed by a leader for FULLRESYNC",
 );
 
 /// Per-follower replication lag in LSNs, labelled by replica id; refreshed

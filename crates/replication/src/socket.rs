@@ -28,10 +28,13 @@
 //! version and negotiates nothing: **both ends of a link run one build**.
 //! Checkpoint `FILE` frames ship files byte for byte and do not care.
 //!
-//! A follower that receives `+FULLRESYNC` pulls the checkpoint into a
-//! staging directory ([`LogTransport::fetch_checkpoint`]), re-issues `PSYNC`
-//! at the checkpoint's edge, and installs the staged tree like any other
-//! [`Follower`](crate::Follower).
+//! For a checkpoint the leader streams its pinned files straight from
+//! [`Db::checkpoint_with`] into `FILE` frames: nothing is staged on the
+//! leader's disk. A follower that receives `+FULLRESYNC` pulls the
+//! checkpoint into a staging directory ([`LogTransport::fetch_checkpoint`],
+//! through the same [`Staging`] writer an in-process copy uses), re-issues
+//! `PSYNC` at the checkpoint's edge, and installs the staged tree like any
+//! other [`Follower`](crate::Follower).
 //!
 //! Chaos sites: `socket.ship` (leader's outbound batch frames — drop,
 //! duplicate, reorder, disconnect) and `socket.ack` (follower's outbound
@@ -43,12 +46,12 @@ use crate::transport::LogTransport;
 use crate::{Error, Result};
 use abase_lavastore::record::Record;
 use abase_lavastore::wal::Wal;
-use abase_lavastore::{CheckpointInfo, Db};
+use abase_lavastore::{checkpoint, CheckpointInfo, Db, Staging};
 use abase_proto::{Command, RespValue};
 use abase_util::failpoint::{self, FaultAction};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,8 +59,6 @@ use std::time::{Duration, Instant};
 /// Records per BATCH frame: bounds frame size (and makes drop/reorder chaos
 /// meaningful — a fault hits a bounded slice of the stream, not all of it).
 const BATCH_RECORDS: usize = 256;
-/// Checkpoint FILE frame chunk size.
-const FILE_CHUNK: usize = 64 << 10;
 /// How long a handshake reply (OK/CONTINUE/FULLRESYNC) may take.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Overall budget for pulling one full checkpoint.
@@ -193,12 +194,8 @@ pub fn decode_stream_frame(value: &RespValue) -> Result<StreamFrame> {
                     let name = std::str::from_utf8(name)
                         .map_err(|e| transport_err("FILE name", e))?
                         .to_string();
-                    // A hostile or corrupted name must never escape staging.
-                    if name.contains('/') || name.contains('\\') || name.contains("..") {
-                        return Err(Error::Transport(format!(
-                            "FILE name escapes the staging dir: {name}"
-                        )));
-                    }
+                    checkpoint::check_file_name(&name)
+                        .map_err(|e| transport_err("FILE frame", e))?;
                     Ok(StreamFrame::File {
                         name,
                         chunk: chunk.clone(),
@@ -228,14 +225,16 @@ pub fn decode_stream_frame(value: &RespValue) -> Result<StreamFrame> {
 // Shared socket plumbing
 // ---------------------------------------------------------------------------
 
-/// Read one RESP frame from `stream` via `buffer`, waiting up to `timeout`.
-/// `Ok(None)` means no complete frame arrived in time.
+/// Read one RESP frame from `stream` via `buffer`, waiting up to `wait`.
+/// `Ok(None)` means no complete frame arrived in time. A zero `wait` never
+/// blocks: it parses what is buffered, pulls in whatever bytes the socket
+/// already holds, and returns `None` the moment nothing more is there.
 fn read_frame(
     stream: &mut TcpStream,
     buffer: &mut Vec<u8>,
-    timeout: Duration,
+    wait: Duration,
 ) -> std::io::Result<Option<RespValue>> {
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now() + wait;
     loop {
         if let Some((value, used)) = RespValue::parse(buffer)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
@@ -244,12 +243,19 @@ fn read_frame(
             return Ok(Some(value));
         }
         let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
+        if wait.is_zero() {
+            stream.set_nonblocking(true)?;
+        } else if remaining.is_zero() {
             return Ok(None);
+        } else {
+            stream.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
         }
-        stream.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
         let mut chunk = [0u8; 16 << 10];
-        match stream.read(&mut chunk) {
+        let read = stream.read(&mut chunk);
+        if wait.is_zero() {
+            stream.set_nonblocking(false)?;
+        }
+        match read {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
@@ -263,38 +269,6 @@ fn read_frame(
             {
                 return Ok(None)
             }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Like [`read_frame`] but never waits: parse what is buffered, pull in
-/// whatever bytes the socket already holds, and return `None` the moment
-/// nothing more is immediately available.
-fn read_frame_nonblocking(
-    stream: &mut TcpStream,
-    buffer: &mut Vec<u8>,
-) -> std::io::Result<Option<RespValue>> {
-    loop {
-        if let Some((value, used)) = RespValue::parse(buffer)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-        {
-            buffer.drain(..used);
-            return Ok(Some(value));
-        }
-        stream.set_nonblocking(true)?;
-        let mut chunk = [0u8; 16 << 10];
-        let read = stream.read(&mut chunk);
-        stream.set_nonblocking(false)?;
-        match read {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed the replication stream",
-                ))
-            }
-            Ok(n) => buffer.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
             Err(e) => return Err(e),
         }
     }
@@ -418,7 +392,7 @@ fn serve_replica_stream(
         //    granularity, and a follower acking every few milliseconds would
         //    keep every read inside the window — the drain would starve the
         //    ship path for entire commit windows.
-        while let Some(frame) = read_frame_nonblocking(&mut stream, &mut buffer)? {
+        while let Some(frame) = read_frame(&mut stream, &mut buffer, Duration::ZERO)? {
             match Command::from_resp(&frame) {
                 Ok(cmd) => {
                     if let Some(lsn) = cmd.replconf_ack_lsn() {
@@ -528,54 +502,20 @@ fn serve_replica_stream(
     }
 }
 
-/// Stream a full leader checkpoint over the socket: stage it next to the
-/// leader's directory (the same `Db::checkpoint_with` pin-and-stream the
-/// resync tickets use — concurrent writes never stall), ship every file in
-/// `FILE` chunks, close with the `CKPT` frame, and clean the staging tree.
+/// Stream a full leader checkpoint over the socket: the pinned files go
+/// straight from [`Db::checkpoint_with`] into `FILE` frames, closed by the
+/// `CKPT` frame. Nothing is staged on the leader's disk. The pin is held
+/// until the last frame is written, so a stalled follower stalls only its
+/// own connection (concurrent writes never do), and a follower that goes
+/// away fails the write, which drops the pin.
 fn send_checkpoint(stream: &mut TcpStream, source: &Db) -> Result<()> {
-    static CKPT_SEQ: AtomicU64 = AtomicU64::new(0);
-    let staging = source.dir().with_extension(format!(
-        "psync-ckpt-{}-{}",
-        std::process::id(),
-        CKPT_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let result = (|| -> Result<()> {
-        let info = source.checkpoint_with(&staging, &mut |_| {})?;
-        crate::metrics::STAGED_BYTES.add(info.bytes_copied);
-        let mut names: Vec<PathBuf> = std::fs::read_dir(&staging)
-            .map_err(|e| transport_err("checkpoint staging", e))?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .collect();
-        // Deterministic ship order (and MANIFEST last would not matter: the
-        // follower only opens the staged tree after CKPT).
-        names.sort();
-        for path in names {
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .ok_or_else(|| Error::Transport("unnameable checkpoint file".into()))?
-                .to_string();
-            let data = std::fs::read(&path).map_err(|e| transport_err("checkpoint read", e))?;
-            // Empty files still need announcing so the follower creates them.
-            if data.is_empty() {
-                stream
-                    .write_all(&file_frame(&name, &[]).to_bytes())
-                    .map_err(|e| transport_err("checkpoint ship", e))?;
-            }
-            for chunk in data.chunks(FILE_CHUNK) {
-                stream
-                    .write_all(&file_frame(&name, chunk).to_bytes())
-                    .map_err(|e| transport_err("checkpoint ship", e))?;
-            }
-        }
-        stream
-            .write_all(&ckpt_frame(&info).to_bytes())
-            .map_err(|e| transport_err("checkpoint ship", e))?;
-        Ok(())
-    })();
-    std::fs::remove_dir_all(&staging).ok();
-    result
+    let info = source.checkpoint_with(&mut |name, chunk| {
+        Ok(stream.write_all(&file_frame(name, chunk).to_bytes())?)
+    })?;
+    crate::metrics::STAGED_BYTES.add(info.bytes_copied);
+    stream
+        .write_all(&ckpt_frame(&info).to_bytes())
+        .map_err(|e| transport_err("checkpoint ship", e))
 }
 
 // ---------------------------------------------------------------------------
@@ -874,8 +814,7 @@ impl LogTransport for SocketTransport {
                 }
             }
         }
-        std::fs::remove_dir_all(staging).ok();
-        std::fs::create_dir_all(staging).map_err(|e| transport_err("staging dir", e))?;
+        let mut staged = Staging::create(staging)?;
         let result = (|| -> Result<CheckpointInfo> {
             loop {
                 let stream = self
@@ -889,14 +828,7 @@ impl LogTransport for SocketTransport {
                 match read_frame(stream, &mut self.buffer, remaining).map_err(self_heal_err)? {
                     Some(value) => match decode_stream_frame(&value)? {
                         StreamFrame::File { name, chunk } => {
-                            use std::io::Write as _;
-                            let mut f = std::fs::OpenOptions::new()
-                                .create(true)
-                                .append(true)
-                                .open(staging.join(&name))
-                                .map_err(|e| transport_err("staging file", e))?;
-                            f.write_all(&chunk)
-                                .map_err(|e| transport_err("staging write", e))?;
+                            staged.write(&name, &chunk)?;
                             on_chunk(chunk.len());
                         }
                         StreamFrame::Ckpt(info) => return Ok(info),
@@ -907,19 +839,12 @@ impl LogTransport for SocketTransport {
                 }
             }
         })();
-        match result {
-            Ok(info) => {
-                self.seek(info.wal_segment, info.wal_offset);
-                // Resume the incremental stream at the edge.
-                self.request_stream()?;
-                Ok(info)
-            }
-            Err(e) => {
-                std::fs::remove_dir_all(staging).ok();
-                self.drop_stream();
-                Err(e)
-            }
-        }
+        let info = result.inspect_err(|_| self.drop_stream())?;
+        self.seek(info.wal_segment, info.wal_offset);
+        // Resume the incremental stream at the edge.
+        self.request_stream()?;
+        staged.keep();
+        Ok(info)
     }
 }
 
@@ -1036,18 +961,147 @@ mod tests {
     }
 
     fn test_group(dir: &TestDir) -> Arc<Mutex<ReplicaGroup>> {
+        test_group_with(dir, DbConfig::small_for_tests())
+    }
+
+    fn test_group_with(dir: &TestDir, db: DbConfig) -> Arc<Mutex<ReplicaGroup>> {
         let group = ReplicaGroup::bootstrap(
             1,
             dir.path(),
             &[1],
             GroupConfig {
                 write_concern: WriteConcern::Quorum,
-                db: DbConfig::small_for_tests(),
+                db,
                 wait_timeout: Duration::from_secs(5),
             },
         )
         .unwrap();
         Arc::new(group.into_mutex())
+    }
+
+    /// Names of the entries directly under `dir`, sorted.
+    fn entry_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn pin_dirs(dir: &Path) -> usize {
+        entry_names(dir)
+            .iter()
+            .filter(|n| n.starts_with(".ckpt-pin-"))
+            .count()
+    }
+
+    #[test]
+    fn a_stalled_follower_holds_one_pin_and_no_leader_side_copy() {
+        let dir = TestDir::new("socket-stall-leader");
+        // A large memtable keeps the load in one WAL segment: no flush or
+        // compaction work, and still every byte of it is in the snapshot.
+        let group = test_group_with(&dir, DbConfig::default());
+        let addr = spawn_leader_endpoint(Arc::clone(&group));
+        let db = group.lock().leader_db().unwrap();
+        // Incompressible values, well past what loopback buffers hold.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut value = vec![0u8; 4 << 10];
+        for i in 0..5 * 1024 {
+            for b in value.iter_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *b = x as u8;
+            }
+            db.put(format!("k{i:05}").as_bytes(), &value, None, 0)
+                .unwrap();
+        }
+        db.flush_wal().unwrap();
+        let parent = db.dir().parent().unwrap().to_path_buf();
+        let before = entry_names(&parent);
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(
+                &Command::<bytes::Bytes>::PSync { position: None }
+                    .to_resp()
+                    .to_bytes(),
+            )
+            .unwrap();
+        let mut buffer = Vec::new();
+        loop {
+            let frame = read_frame(&mut stream, &mut buffer, HANDSHAKE_TIMEOUT)
+                .unwrap()
+                .expect("the leader answers a full resync");
+            match decode_stream_frame(&frame).unwrap() {
+                StreamFrame::FullResync => {}
+                StreamFrame::File { .. } => break,
+                other => panic!("expected FULLRESYNC then FILE, got {other:?}"),
+            }
+        }
+        // Stop reading: the leader fills the socket buffers and blocks
+        // mid-stream, with its pin held.
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(
+            entry_names(&parent),
+            before,
+            "the leader staged a copy beside its data dir"
+        );
+        assert!(pin_dirs(db.dir()) <= 1, "more than one checkpoint pin");
+
+        // The follower goes away: the leader's write fails and the pin goes.
+        drop(stream);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pin_dirs(db.dir()) > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "a severed checkpoint stream stranded its pin"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn local_and_socket_checkpoints_stage_identical_trees() {
+        let dir = TestDir::new("socket-sinks-leader");
+        let local = TestDir::new("socket-sinks-local");
+        let remote = TestDir::new("socket-sinks-remote");
+        let group = test_group(&dir);
+        let addr = spawn_leader_endpoint(Arc::clone(&group));
+        let db = group.lock().leader_db().unwrap();
+        for i in 0..200 {
+            db.put(format!("k{i:04}").as_bytes(), &[i as u8; 48], None, 0)
+                .unwrap();
+        }
+        // The flush leaves the live WAL segment empty; the leader is quiet
+        // from here on.
+        db.flush().unwrap();
+
+        let (mut local_bytes, mut remote_bytes) = (0usize, 0usize);
+        let local_info = Binlog::attach(Arc::clone(&db))
+            .fetch_checkpoint(local.path(), &mut |n| local_bytes += n)
+            .unwrap();
+        let remote_info = SocketTransport::new(addr.to_string(), 102)
+            .fetch_checkpoint(remote.path(), &mut |n| remote_bytes += n)
+            .unwrap();
+        assert_eq!(local_info, remote_info);
+        assert_eq!(local_bytes, remote_bytes);
+
+        let names = entry_names(local.path());
+        assert_eq!(names, entry_names(remote.path()));
+        assert!(names.iter().any(|n| n.ends_with(".sst")));
+        assert!(names.iter().any(|n| n == "MANIFEST"));
+        let empty_wal = Wal::segment_path(local.path(), local_info.wal_segment);
+        assert_eq!(local_info.wal_offset, 0);
+        assert_eq!(std::fs::metadata(&empty_wal).unwrap().len(), 0);
+        for name in &names {
+            assert_eq!(
+                std::fs::read(local.path().join(name)).unwrap(),
+                std::fs::read(remote.path().join(name)).unwrap(),
+                "{name} differs between the two sinks"
+            );
+        }
     }
 
     #[test]
@@ -1210,6 +1264,18 @@ mod tests {
                 "{name} should be refused"
             );
         }
+        // The same names on the local path: the staging writer refuses them
+        // and writes nothing outside its directory.
+        let root = TestDir::new("hostile-staging");
+        let mut staging = Staging::create(&root.path().join("stage")).unwrap();
+        for name in ["../x", "a/b", "a\\b"] {
+            assert!(
+                staging.write(name, b"x").is_err(),
+                "{name} should be refused by the staging writer"
+            );
+        }
+        assert_eq!(entry_names(root.path()), ["stage"]);
+        assert!(entry_names(&root.path().join("stage")).is_empty());
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //!   explicit time parameter so that cluster-scale experiments run deterministically
 //!   in virtual time instead of wall-clock time.
 //! * [`stats`] — moving averages (the paper's "moving average of the last *k* requests"
-//!   estimators, §4.1), EWMA, and Welford online mean/variance.
+//!   estimators, §4.1), windowed rates and percentiles.
 //! * [`histogram`] — the one histogram: fixed integer log-linear buckets (exact
 //!   below 32, 1/16-wide above, ≤ 3.03 % midpoint error) with an exact sum. The
 //!   observability plane records nanoseconds into it, the simulator its
 //!   microsecond `SimTime`s (Figure 4's percentiles).
-//! * [`series`] — fixed-interval time series with the hourly resampling and
-//!   hour-of-day max aggregation used by the rescheduler's load vectors (§5.3).
+//! * [`series`] — fixed-interval time series with the hourly resampling the
+//!   control plane's metrics use (§5.2).
 //! * [`testdir`] — self-cleaning temp directories shared by every crate's tests.
 //! * [`failpoint`] — deterministic fault injection: named fail points in the
 //!   storage and replication planes that a chaos harness arms from a seeded
@@ -40,6 +40,6 @@ pub use clock::{SimTime, Ticks};
 pub use histogram::Histogram;
 pub use lockrank::{Rank, RankedCondvar, RankedMutex, RankedRwLock};
 pub use poller::{Event, Events, Interest, Poller, Waker};
-pub use series::{hour_of_day_profile, Aggregation, TimeSeries};
-pub use stats::{percentile, percentile_sorted, Ewma, MovingAverage, OnlineStats, WindowedRate};
+pub use series::{Aggregation, TimeSeries};
+pub use stats::{percentile, percentile_sorted, MovingAverage, WindowedRate};
 pub use testdir::TestDir;

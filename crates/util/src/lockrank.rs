@@ -382,23 +382,6 @@ impl<T: ?Sized> RankedRwLock<T> {
         }
     }
 
-    /// Non-blocking read (recorded, never rejected — see
-    /// [`RankedMutex::try_lock`]).
-    #[track_caller]
-    pub fn try_read(&self) -> Option<RankedRwLockReadGuard<'_, T>> {
-        let guard = self.inner.try_read()?;
-        let token = acquire(self.rank, Mode::Shared, false);
-        Some(RankedRwLockReadGuard { guard, token })
-    }
-
-    /// Non-blocking write (recorded, never rejected).
-    #[track_caller]
-    pub fn try_write(&self) -> Option<RankedRwLockWriteGuard<'_, T>> {
-        let guard = self.inner.try_write()?;
-        let token = acquire(self.rank, Mode::Exclusive, false);
-        Some(RankedRwLockWriteGuard { guard, token })
-    }
-
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut()
@@ -478,11 +461,6 @@ impl RankedCondvar {
     /// Block until notified or `timeout` elapses; true if it timed out.
     pub fn wait_for<T>(&self, guard: &mut RankedMutexGuard<'_, T>, timeout: Duration) -> bool {
         self.inner.wait_for(&mut guard.guard, timeout)
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
     }
 
     /// Wake every waiter.

@@ -1,9 +1,7 @@
 //! Fixed-interval time series.
 //!
 //! The control plane consumes 30 days of resource metrics downsampled to 1-hour
-//! intervals (§5.2) and the rescheduler aggregates replica load "by taking the
-//! maximum value within the hour-of-day dimension" into a 24-slot vector (§5.3).
-//! [`TimeSeries`] provides exactly those operations.
+//! intervals (§5.2); [`TimeSeries`] holds such a series and resamples it.
 
 /// A time series sampled at a fixed interval.
 ///
@@ -116,27 +114,6 @@ impl TimeSeries {
         TimeSeries::new(self.start, self.interval * factor as u64, out)
     }
 
-    /// Element-wise sum of two aligned series.
-    ///
-    /// # Panics
-    /// Panics if the series have different `start`, `interval`, or length.
-    pub fn zip_add(&self, other: &TimeSeries) -> TimeSeries {
-        assert_eq!(self.start, other.start, "series start mismatch");
-        assert_eq!(self.interval, other.interval, "series interval mismatch");
-        assert_eq!(
-            self.values.len(),
-            other.values.len(),
-            "series length mismatch"
-        );
-        let values = self
-            .values
-            .iter()
-            .zip(&other.values)
-            .map(|(a, b)| a + b)
-            .collect();
-        TimeSeries::new(self.start, self.interval, values)
-    }
-
     /// Scale every sample by `factor`.
     pub fn scaled(&self, factor: f64) -> TimeSeries {
         TimeSeries::new(
@@ -177,31 +154,9 @@ impl Aggregation {
     }
 }
 
-/// The rescheduler's 24-slot hour-of-day load profile (§5.3).
-///
-/// Given an hourly series, fold it into 24 slots by taking, for each hour of
-/// day, the **maximum** across all days in the window. The series must be
-/// hourly-sampled; `start` is interpreted as hour-of-day `(start / 1h) % 24`.
-pub fn hour_of_day_profile(hourly: &TimeSeries) -> [f64; 24] {
-    const HOUR: u64 = 3_600_000_000;
-    assert_eq!(
-        hourly.interval(),
-        HOUR,
-        "hour_of_day_profile requires hourly sampling"
-    );
-    let mut profile = [0.0_f64; 24];
-    let base_hour = (hourly.start() / HOUR) as usize;
-    for (i, &v) in hourly.values().iter().enumerate() {
-        let slot = (base_hour + i) % 24;
-        profile[slot] = profile[slot].max(v);
-    }
-    profile
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    const HOUR: u64 = 3_600_000_000;
 
     #[test]
     fn basic_accessors() {
@@ -226,48 +181,12 @@ mod tests {
     }
 
     #[test]
-    fn zip_add_requires_alignment() {
-        let a = TimeSeries::new(0, 1, vec![1.0, 2.0]);
-        let b = TimeSeries::new(0, 1, vec![10.0, 20.0]);
-        assert_eq!(a.zip_add(&b).values(), &[11.0, 22.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn zip_add_rejects_length_mismatch() {
-        let a = TimeSeries::new(0, 1, vec![1.0]);
-        let b = TimeSeries::new(0, 1, vec![1.0, 2.0]);
-        let _ = a.zip_add(&b);
-    }
-
-    #[test]
     fn split_at_preserves_timestamps() {
         let s = TimeSeries::new(0, 5, vec![1.0, 2.0, 3.0, 4.0]);
         let (head, tail) = s.split_at(3);
         assert_eq!(head.values(), &[1.0, 2.0, 3.0]);
         assert_eq!(tail.start(), 15);
         assert_eq!(tail.values(), &[4.0]);
-    }
-
-    #[test]
-    fn hour_of_day_profile_takes_daily_max() {
-        // Two days of hourly data; second day doubles hour 5.
-        let mut vals = vec![1.0; 48];
-        vals[5] = 10.0;
-        vals[24 + 5] = 20.0;
-        let s = TimeSeries::new(0, HOUR, vals);
-        let p = hour_of_day_profile(&s);
-        assert_eq!(p[5], 20.0);
-        assert_eq!(p[6], 1.0);
-    }
-
-    #[test]
-    fn hour_of_day_profile_respects_start_offset() {
-        // Series starting at hour 23: first sample lands in slot 23.
-        let s = TimeSeries::new(23 * HOUR, HOUR, vec![7.0, 9.0]);
-        let p = hour_of_day_profile(&s);
-        assert_eq!(p[23], 7.0);
-        assert_eq!(p[0], 9.0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Streaming statistics.
 //!
 //! The paper estimates upcoming read sizes `E[S_read]` and cache hit ratios
-//! `E[R_hit]` with "a moving average of the last *k* requests" (§4.1). These
-//! estimators — plus EWMA and Welford online variance used across the workload
-//! management experiments — live here.
+//! `E[R_hit]` with "a moving average of the last *k* requests" (§4.1). That
+//! estimator, a windowed rate and percentiles live here.
 
 use std::collections::VecDeque;
 
@@ -64,131 +63,6 @@ impl MovingAverage {
     /// True when no samples have been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.window.is_empty()
-    }
-}
-
-/// Exponentially weighted moving average.
-///
-/// Used where a fixed-window queue would be needlessly memory-hungry, e.g. the
-/// per-partition hit-ratio feedback in the data node cache.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// A new EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < alpha <= 1`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Self { alpha, value: None }
-    }
-
-    /// Record an observation.
-    pub fn record(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-        });
-    }
-
-    /// Current estimate, or `default` if nothing was recorded yet.
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-}
-
-/// Welford's online mean and variance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record an observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of the observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (+inf when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (-inf when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -297,52 +171,6 @@ mod tests {
         ma.record(10.0); // evicts 1.0
         assert!((ma.mean() - 5.0).abs() < 1e-12);
         assert_eq!(ma.len(), 3);
-    }
-
-    #[test]
-    fn ewma_converges_toward_constant_input() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value_or(7.0), 7.0);
-        for _ in 0..50 {
-            e.record(10.0);
-        }
-        assert!((e.value_or(0.0) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_match_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), whole.count());
     }
 
     #[test]
