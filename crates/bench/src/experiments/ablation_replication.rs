@@ -27,8 +27,8 @@ use abase_sim::meta::RecoveryModel;
 use abase_sim::node::DataNodeConfig;
 use abase_lavastore::{Db, DbConfig};
 use abase_replication::{
-    reconstruct_parallel, reconstruct_single_source, GroupConfig, ReadConsistency,
-    ReconstructionTask, ReplicaGroup, WriteConcern,
+    reconstruct_parallel, reconstruct_single_source, GroupConfig, ReadConsistency, ReplicaGroup,
+    ReplicaId, ResyncTicket, WriteConcern,
 };
 use abase_util::Histogram;
 use std::path::{Path, PathBuf};
@@ -264,26 +264,34 @@ fn bench_staleness(base: &Path, writes: usize) -> StalenessResult {
     }
 }
 
-fn seeded_source(dir: &Path, keys: usize) -> Arc<Db> {
-    let db = Db::open(dir, DbConfig::default()).expect("open source");
+/// A one-member group on node `node` (partition `node`) holding `keys`
+/// records: a survivor whose replica of a dead node's partition is re-seeded.
+fn seeded_source(base: &Path, node: ReplicaId, keys: usize) -> ReplicaGroup {
+    let config = GroupConfig::new(WriteConcern::Quorum, DbConfig::default());
+    let mut group =
+        ReplicaGroup::bootstrap(u64::from(node), base, &[node], config).expect("open source");
     for i in 0..keys {
-        db.put(format!("key-{i:06}").as_bytes(), &[3u8; 512], None, 0)
+        group
+            .put(format!("key-{i:06}").as_bytes(), &[3u8; 512], None, 0)
             .expect("seed put");
     }
-    db.flush().expect("seed flush");
-    Arc::new(db)
+    group
+        .db(node)
+        .expect("source db")
+        .flush()
+        .expect("seed flush");
+    group
 }
 
-fn recovery_tasks(base: &Path, sources: &[Arc<Db>], tag: &str) -> Vec<ReconstructionTask> {
-    sources
-        .iter()
-        .enumerate()
-        .map(|(i, src)| ReconstructionTask {
-            partition: i as u64,
-            source: Arc::clone(src),
-            source_node: i as u32,
-            dest_dir: base.join(format!("rebuilt-{tag}-{i}")),
-        })
+/// One staged join per survivor's group, onto node `dest_base + i`.
+fn recovery_tickets(
+    base: &Path,
+    sources: &mut [ReplicaGroup],
+    dest_base: ReplicaId,
+) -> Vec<ResyncTicket> {
+    (dest_base..)
+        .zip(sources.iter_mut())
+        .map(|(dest, group)| group.begin_join(dest, base, None).expect("stage join"))
         .collect()
 }
 
@@ -333,14 +341,15 @@ pub fn run(smoke: bool) -> Result<(), String> {
     ];
 
     // -- Experiment 2: recovery parallelism ------------------------------
-    let sources: Vec<Arc<Db>> = (0..SURVIVORS)
-        .map(|i| seeded_source(&base.join(format!("src-{i}")), sz.recovery_keys))
+    let recovery_dir = base.join("recovery");
+    let mut sources: Vec<ReplicaGroup> = (0..SURVIVORS as ReplicaId)
+        .map(|i| seeded_source(&recovery_dir, i, sz.recovery_keys))
         .collect();
-    let single =
-        reconstruct_single_source(recovery_tasks(&base, &sources, "single"), Some(DISK_BW))
-            .expect("single-source reconstruction");
-    let parallel = reconstruct_parallel(recovery_tasks(&base, &sources, "par"), Some(DISK_BW))
-        .expect("parallel reconstruction");
+    let mut tickets = |dest_base| recovery_tickets(&recovery_dir, &mut sources, dest_base);
+    let single = reconstruct_single_source(&mut tickets(10), Some(DISK_BW))
+        .expect("single-source reconstruction");
+    let parallel =
+        reconstruct_parallel(&mut tickets(20), Some(DISK_BW)).expect("parallel reconstruction");
     let measured_speedup = single.elapsed.as_secs_f64() / parallel.elapsed.as_secs_f64();
     let model = RecoveryModel {
         failed_node_bytes: single.bytes_copied as f64,

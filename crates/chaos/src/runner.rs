@@ -610,10 +610,11 @@ impl ChaosRunner {
         let Some(rec) = &outcome.reconstruction else {
             return;
         };
-        if rec.distinct_sources > rec.replicas.max(1) {
+        if rec.distinct_sources > rec.copies.len().max(1) {
             report.violations.push(format!(
                 "reconstruction claims {} sources for {} replicas",
-                rec.distinct_sources, rec.replicas
+                rec.distinct_sources,
+                rec.copies.len()
             ));
         }
         let budget = self.config.recovery_bandwidth * rec.distinct_sources as f64;

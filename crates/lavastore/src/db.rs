@@ -40,7 +40,7 @@ use abase_util::clock::SimTime;
 use abase_util::lockrank::{rank, RankedMutex, RankedRwLock};
 use bytes::Bytes;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -439,19 +439,34 @@ impl Db {
         ] {
             counter.add(0);
         }
-        // Sweep checkpoint pin directories a crashed process left behind:
-        // their hard links would otherwise keep deleted SSTs' disk space
-        // pinned forever.
+        let loaded = Version::load(&dir)?;
+        // Sweep what a crashed or failed process left behind: checkpoint pin
+        // directories, whose hard links would otherwise keep deleted SSTs'
+        // disk space pinned forever, and, once a MANIFEST is loaded, every
+        // SST it does not list (a flush or compaction that failed or crashed
+        // before its `save`, or inputs whose unlink after it never ran).
+        let listed: Option<HashSet<PathBuf>> = loaded.as_ref().map(|v| {
+            v.levels
+                .iter()
+                .flatten()
+                .map(|m| sst_path(&dir, m.id))
+                .collect()
+        });
         for entry in std::fs::read_dir(&dir)?.filter_map(|e| e.ok()) {
+            let path = entry.path();
             if entry
                 .file_name()
                 .to_string_lossy()
                 .starts_with(".ckpt-pin-")
             {
-                std::fs::remove_dir_all(entry.path()).ok();
+                std::fs::remove_dir_all(&path).ok();
+            } else if path.extension().is_some_and(|e| e == "sst")
+                && listed.as_ref().is_some_and(|ids| !ids.contains(&path))
+            {
+                std::fs::remove_file(&path).ok();
             }
         }
-        let mut version = match Version::load(&dir)? {
+        let mut version = match loaded {
             Some(v) => v,
             None => {
                 let mut v = Version::new(config.compaction.n_levels);
@@ -1899,6 +1914,45 @@ mod tests {
                 clone.get(key.as_bytes(), 0).unwrap().value.is_some(),
                 "{key} missing"
             );
+        }
+    }
+
+    #[test]
+    fn open_removes_ssts_the_manifest_does_not_list() {
+        let dir = TestDir::new("orphan-sst");
+        let ssts = |dir: &Path| -> Vec<PathBuf> {
+            let mut v: Vec<PathBuf> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|e| e == "sst"))
+                .collect();
+            v.sort();
+            v
+        };
+        {
+            let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
+            for i in 0..200 {
+                db.put(format!("key-{i:04}").as_bytes(), b"value", None, 0)
+                    .unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let live = ssts(dir.path());
+        assert!(!live.is_empty());
+        // A flush that died between `finish` and `Version::save` leaves a
+        // whole SST under an id the manifest never listed; a failed write
+        // leaves anything at all.
+        let orphan = sst_path(dir.path(), 4_242_424);
+        std::fs::copy(&live[0], &orphan).unwrap();
+        let junk = dir.path().join("junk.sst");
+        std::fs::write(&junk, b"not an sstable").unwrap();
+        let db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
+        assert!(!orphan.exists(), "the unlisted copy survived the open");
+        assert!(!junk.exists(), "the junk file survived the open");
+        assert_eq!(ssts(dir.path()), live);
+        for i in 0..200 {
+            let key = format!("key-{i:04}");
+            assert!(db.get(key.as_bytes(), 0).unwrap().value.is_some(), "{key}");
         }
     }
 

@@ -409,25 +409,13 @@ impl Wal {
         Err(injected_io("torn wal append"))
     }
 
-    /// Make everything up to `seq` durable (when `sync_on_append`), joining
-    /// an in-flight group fsync when one already covers it; otherwise drain
-    /// the buffer to the OS if it crossed the byte threshold or the flush
-    /// interval elapsed.
+    /// The durable path of a `sync_on_append` log: make everything up to
+    /// `seq` durable, joining an in-flight group fsync when one already
+    /// covers it. A log without `sync_on_append` promises no durability and
+    /// drains on append instead, so it never commits.
     pub fn commit(&self, seq: u64) -> Result<()> {
+        debug_assert!(self.opts.sync_on_append, "commit on a non-durable log");
         let mut state = self.state.lock();
-        if !self.opts.sync_on_append {
-            if state.poisoned {
-                // The torn-write path already drained the buffer; there is
-                // nothing left to lose and no durability was promised.
-                return Ok(());
-            }
-            if state.buf.len() >= self.opts.group_commit_bytes
-                || state.last_flush.elapsed() >= self.opts.group_commit_interval
-            {
-                self.flush_to_os_locked(&mut state)?;
-            }
-            return Ok(());
-        }
         loop {
             if state.poisoned {
                 return Err(poisoned_err());

@@ -8,14 +8,15 @@
 //! recovery runs ≈N× faster — the claim `abase-sim`'s `RecoveryModel`
 //! states in closed form and these functions measure.
 //!
-//! Bandwidth is modeled by a per-node [`Throttle`] applied to each copied
-//! chunk, so wall-clock comparisons between the two strategies reflect disk
-//! parallelism rather than incidental filesystem noise.
+//! Each rebuilt replica is a staged join, and what runs here is the tickets'
+//! own [`ResyncTicket::copy`]. Bandwidth is modeled by a per-node
+//! [`Throttle`] applied to each copied chunk, so wall-clock comparisons
+//! between the two strategies reflect disk parallelism rather than
+//! incidental filesystem noise.
 
-use crate::{Binlog, Error, LogTransport, Result};
-use abase_lavastore::Db;
-use std::path::PathBuf;
-use std::sync::Arc;
+use crate::{Error, ReplicaId, Result, ResyncTicket};
+use abase_lavastore::CheckpointInfo;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// A per-disk bandwidth limiter: sleeps long enough after each chunk that the
@@ -39,26 +40,11 @@ impl Throttle {
     }
 }
 
-/// One replica to rebuild: stage a checkpoint of `source` into `dest_dir` —
-/// the replica's final directory for a raw store, a
-/// [`ResyncTicket::staging`](crate::ResyncTicket::staging) directory for a
-/// group member (whose install then goes through the ticket's epoch guard).
-pub struct ReconstructionTask {
-    /// The partition whose replica is being rebuilt.
-    pub partition: u64,
-    /// A surviving group member to copy from.
-    pub source: Arc<Db>,
-    /// The node hosting `source` — tasks sharing a node share its disk.
-    pub source_node: u32,
-    /// Directory the checkpoint is staged into (replaced if it exists).
-    pub dest_dir: PathBuf,
-}
-
 /// What a reconstruction run did.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconstructionReport {
-    /// Replicas rebuilt.
-    pub replicas: usize,
+    /// Each ticket's copy, in the order the tickets were passed.
+    pub copies: Vec<CheckpointInfo>,
     /// Total bytes copied.
     pub bytes_copied: u64,
     /// Wall-clock duration of the whole run.
@@ -74,73 +60,65 @@ impl ReconstructionReport {
     }
 }
 
-fn run_tasks(tasks: Vec<ReconstructionTask>, throttle: Option<Throttle>) -> Result<(usize, u64)> {
-    let mut replicas = 0usize;
-    let mut bytes = 0u64;
-    for task in tasks {
-        let mut on_chunk = |n: usize| {
-            if let Some(t) = throttle {
-                t.on_chunk(n);
-            }
-        };
-        let info = Binlog::attach(task.source).fetch_checkpoint(&task.dest_dir, &mut on_chunk)?;
-        replicas += 1;
-        bytes += info.bytes_copied;
-    }
-    Ok((replicas, bytes))
-}
-
-/// Rebuild every task through **one** node's disk, sequentially — the
+/// Copy every ticket through **one** node's disk, sequentially — the
 /// single-tenant replacement-node strategy the paper's §3.3 argues against.
 /// `per_node_bandwidth` is the modeled disk bandwidth (None = unthrottled).
 pub fn reconstruct_single_source(
-    tasks: Vec<ReconstructionTask>,
+    tickets: &mut [ResyncTicket],
     per_node_bandwidth: Option<f64>,
 ) -> Result<ReconstructionReport> {
-    let start = Instant::now();
-    let (replicas, bytes_copied) = run_tasks(tasks, per_node_bandwidth.map(Throttle::new))?;
-    Ok(ReconstructionReport {
-        replicas,
-        bytes_copied,
-        elapsed: start.elapsed(),
-        distinct_sources: 1,
-    })
+    reconstruct(tickets, per_node_bandwidth, |_| 0)
 }
 
-/// Rebuild the tasks in parallel, one worker per distinct source node, each
-/// with its own disk-bandwidth throttle — the strategy a failover plan's
-/// spread sources call for.
-/// With balanced assignments over N source nodes this is ≈N× faster than
-/// [`reconstruct_single_source`].
+/// Copy the tickets in parallel, one worker per distinct source member
+/// ([`ResyncTicket::source`]; in a cluster, the node whose disk serves the
+/// copy), each with its own disk-bandwidth throttle — the strategy a
+/// failover plan's spread sources call for. With balanced assignments over N
+/// source nodes this is ≈N× faster than [`reconstruct_single_source`].
 pub fn reconstruct_parallel(
-    tasks: Vec<ReconstructionTask>,
+    tickets: &mut [ResyncTicket],
     per_node_bandwidth: Option<f64>,
 ) -> Result<ReconstructionReport> {
+    reconstruct(tickets, per_node_bandwidth, ResyncTicket::source)
+}
+
+/// Run each ticket's copy on the worker of the disk `disk` names for it,
+/// one ticket after another per disk, each disk under its own throttle.
+fn reconstruct(
+    tickets: &mut [ResyncTicket],
+    per_node_bandwidth: Option<f64>,
+    disk: fn(&ResyncTicket) -> ReplicaId,
+) -> Result<ReconstructionReport> {
     let start = Instant::now();
-    // Partition tasks by the node whose disk serves them.
-    let mut by_node: std::collections::BTreeMap<u32, Vec<ReconstructionTask>> =
-        std::collections::BTreeMap::new();
-    for task in tasks {
-        by_node.entry(task.source_node).or_default().push(task);
+    let mut by_disk: BTreeMap<ReplicaId, Vec<(usize, &mut ResyncTicket)>> = BTreeMap::new();
+    for (i, ticket) in tickets.iter_mut().enumerate() {
+        by_disk.entry(disk(ticket)).or_default().push((i, ticket));
     }
-    let distinct_sources = by_node.len();
+    let distinct_sources = by_disk.len();
     let throttle = per_node_bandwidth.map(Throttle::new);
-    let mut handles = Vec::with_capacity(distinct_sources);
-    for (_node, node_tasks) in by_node {
-        handles.push(std::thread::spawn(move || run_tasks(node_tasks, throttle)));
-    }
-    let mut replicas = 0usize;
-    let mut bytes_copied = 0u64;
-    for handle in handles {
-        let (r, b) = handle
-            .join()
-            .map_err(|_| Error::Transport("reconstruction worker panicked".into()))??;
-        replicas += r;
-        bytes_copied += b;
-    }
+    let mut copies = std::thread::scope(|scope| {
+        let workers: Vec<_> = by_disk
+            .into_values()
+            .map(|turn| {
+                scope.spawn(move || {
+                    let copy =
+                        |(i, t): (usize, &mut ResyncTicket)| Ok((i, t.copy(throttle.as_ref())?));
+                    turn.into_iter().map(copy).collect::<Result<Vec<_>>>()
+                })
+            })
+            .collect();
+        let panicked = || Error::Transport("reconstruction worker panicked".into());
+        workers
+            .into_iter()
+            .map(|worker| worker.join().unwrap_or_else(|_| Err(panicked())))
+            .collect::<Result<Vec<_>>>()
+    })?
+    .concat();
+    copies.sort_unstable_by_key(|&(i, _)| i);
+    let copies: Vec<CheckpointInfo> = copies.into_iter().map(|(_, info)| info).collect();
     Ok(ReconstructionReport {
-        replicas,
-        bytes_copied,
+        bytes_copied: copies.iter().map(|c| c.bytes_copied).sum(),
+        copies,
         elapsed: start.elapsed(),
         distinct_sources,
     })
@@ -149,49 +127,46 @@ pub fn reconstruct_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GroupConfig, ReplicaGroup, WriteConcern};
     use abase_lavastore::DbConfig;
     use abase_util::TestDir;
     use std::path::Path;
 
-    fn seeded_db(dir: &Path, keys: usize) -> Arc<Db> {
-        let db = Db::open(dir, DbConfig::small_for_tests()).unwrap();
+    /// A one-member group on node `node` (partition `node`) holding `keys`
+    /// records, flushed to disk.
+    fn seeded_group(dir: &Path, node: ReplicaId, keys: usize) -> ReplicaGroup {
+        let config = GroupConfig::new(WriteConcern::Quorum, DbConfig::small_for_tests());
+        let mut group = ReplicaGroup::bootstrap(u64::from(node), dir, &[node], config).unwrap();
         for i in 0..keys {
-            db.put(format!("key-{i:05}").as_bytes(), &[9u8; 128], None, 0)
+            group
+                .put(format!("key-{i:05}").as_bytes(), &[9u8; 128], None, 0)
                 .unwrap();
         }
-        db.flush().unwrap();
-        Arc::new(db)
+        group.db(node).unwrap().flush().unwrap();
+        group
     }
 
-    fn tasks(base: &Path, sources: &[Arc<Db>]) -> Vec<ReconstructionTask> {
-        sources
-            .iter()
-            .enumerate()
-            .map(|(i, src)| ReconstructionTask {
-                partition: i as u64,
-                source: Arc::clone(src),
-                source_node: i as u32,
-                dest_dir: base.join(format!("rebuilt-{i}")),
-            })
+    /// One join ticket per group, staging a new member `dest_base + i` from
+    /// its leader.
+    fn tickets(dir: &Path, groups: &mut [ReplicaGroup], dest_base: ReplicaId) -> Vec<ResyncTicket> {
+        (0..)
+            .zip(groups.iter_mut())
+            .map(|(i, g)| g.begin_join(dest_base + i, dir, None).unwrap())
             .collect()
     }
 
     #[test]
     fn rebuilt_replicas_are_complete() {
         let dir = TestDir::new("complete");
-        let sources: Vec<_> = (0..2)
-            .map(|i| seeded_db(&dir.join(format!("src-{i}")), 50))
-            .collect();
-        let report = reconstruct_parallel(tasks(dir.path(), &sources), None).unwrap();
-        assert_eq!(report.replicas, 2);
+        let mut groups: Vec<_> = (0..2).map(|i| seeded_group(dir.path(), i, 50)).collect();
+        let mut staged = tickets(dir.path(), &mut groups, 10);
+        let report = reconstruct_parallel(&mut staged, None).unwrap();
+        assert_eq!(report.copies.len(), 2);
         assert_eq!(report.distinct_sources, 2);
         assert!(report.bytes_copied > 0);
-        for i in 0..2 {
-            let db = Db::open(
-                dir.join(format!("rebuilt-{i}")),
-                DbConfig::small_for_tests(),
-            )
-            .unwrap();
+        for ((group, ticket), dest) in groups.iter_mut().zip(staged).zip(10..) {
+            group.complete_join(ticket).unwrap();
+            let db = group.db(dest).unwrap();
             for k in 0..50 {
                 let key = format!("key-{k:05}");
                 assert!(db.get(key.as_bytes(), 0).unwrap().value.is_some(), "{key}");
@@ -204,12 +179,11 @@ mod tests {
         let dir = TestDir::new("speedup");
         // Enough data that the bandwidth throttle's sleeps dominate the
         // wall-clock even when the test suite saturates every core.
-        let sources: Vec<_> = (0..3)
-            .map(|i| seeded_db(&dir.join(format!("src-{i}")), 1200))
-            .collect();
+        let mut groups: Vec<_> = (0..3).map(|i| seeded_group(dir.path(), i, 1200)).collect();
         let bw = Some(1e6);
-        let single = reconstruct_single_source(tasks(dir.path(), &sources), bw).unwrap();
-        let parallel = reconstruct_parallel(tasks(dir.path(), &sources), bw).unwrap();
+        let single =
+            reconstruct_single_source(&mut tickets(dir.path(), &mut groups, 10), bw).unwrap();
+        let parallel = reconstruct_parallel(&mut tickets(dir.path(), &mut groups, 20), bw).unwrap();
         assert_eq!(single.bytes_copied, parallel.bytes_copied);
         let ratio = single.elapsed.as_secs_f64() / parallel.elapsed.as_secs_f64();
         assert!(

@@ -294,8 +294,10 @@ pub struct ResyncTicket {
     /// The follower's resync count at issue: a copy that another ticket's
     /// install overtook is refused, never installed over the newer one.
     resyncs: u64,
+    /// The member the checkpoint is copied from.
+    source: ReplicaId,
     /// The ticket's own cursor on the source member's log.
-    source: Binlog,
+    cursor: Binlog,
     /// Does `source` tail the leader? Only then does the checkpoint's edge
     /// name a position in the log the installed follower will tail.
     source_leads: bool,
@@ -311,8 +313,13 @@ impl ResyncTicket {
         self.follower
     }
 
-    /// Where the copy is staged — what a [`crate::ReconstructionTask`] that
-    /// runs this ticket's copy on a failover worker names as its `dest_dir`.
+    /// The member the checkpoint is copied from — in a cluster, the node
+    /// whose disk serves the copy.
+    pub fn source(&self) -> ReplicaId {
+        self.source
+    }
+
+    /// Where the copy is staged until the ticket is installed.
     pub fn staging(&self) -> &Path {
         &self.staging
     }
@@ -324,7 +331,7 @@ impl ResyncTicket {
     /// failure mid-copy (source died, disk error) leaves the follower exactly
     /// as it was, still serving its (valid prefix) history.
     pub fn copy(&mut self, throttle: Option<&Throttle>) -> Result<CheckpointInfo> {
-        self.source.fetch_checkpoint(&self.staging, &mut |chunk| {
+        self.cursor.fetch_checkpoint(&self.staging, &mut |chunk| {
             if let Some(t) = throttle {
                 t.on_chunk(chunk);
             }
@@ -863,7 +870,8 @@ impl ReplicaGroup {
             follower: id,
             epoch: self.epoch,
             resyncs: self.find(id).map_or(0, |r| r.resyncs),
-            source: Binlog::attach(Arc::clone(source.db())),
+            source: source.id,
+            cursor: Binlog::attach(Arc::clone(source.db())),
             source_leads: source.id == leader,
             staging,
             install_dir,
@@ -882,7 +890,7 @@ impl ReplicaGroup {
             return Err(Error::ResyncSuperseded);
         }
         Ok(Box::new(if ticket.source_leads {
-            ticket.source.clone()
+            ticket.cursor.clone()
         } else {
             Binlog::attach(self.leader_db()?)
         }))
@@ -1634,7 +1642,7 @@ mod tests {
 
     #[test]
     fn failover_reseed_is_refused_when_leadership_changes_mid_copy() {
-        use crate::failover::{reconstruct_parallel, ReconstructionTask};
+        use crate::failover::reconstruct_parallel;
         let (dir, mut g) = group("reseed-epoch", WriteConcern::All);
         for i in 0..10 {
             g.put(format!("k{i}").as_bytes(), b"v", None, 0).unwrap();
@@ -1647,16 +1655,12 @@ mod tests {
             Err(Error::ReplicaUnavailable(30)) => {}
             other => panic!("expected ReplicaUnavailable, got {other:?}"),
         }
-        let ticket = g.begin_join(40, dir.path(), Some(20)).unwrap();
-        let staging = ticket.staging().to_path_buf();
-        let task = ReconstructionTask {
-            partition: 1,
-            source: g.db(20).unwrap(),
-            source_node: 20,
-            dest_dir: staging.clone(),
-        };
-        reconstruct_parallel(vec![task], None).unwrap();
+        let mut tickets = [g.begin_join(40, dir.path(), Some(20)).unwrap()];
+        assert_eq!(tickets[0].source(), 20);
+        let staging = tickets[0].staging().to_path_buf();
+        reconstruct_parallel(&mut tickets, None).unwrap();
         assert!(staging.is_dir(), "the copy must land in staging");
+        let [ticket] = tickets;
         // Leadership moves while the copy ran: the staged bytes may descend
         // from a deposed leader, so the install is refused — nothing joins,
         // nothing appears at the final path, nothing is left in staging.

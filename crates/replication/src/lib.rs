@@ -25,10 +25,10 @@
 //!   most-caught-up follower without losing any acked write, and the
 //!   epoch-guarded [`ResyncTicket`] every placement change stages through.
 //! * [`failover`] — parallel replica reconstruction after a node failure:
-//!   the surviving members of each affected group re-seed replacement
-//!   replicas concurrently, one stream per surviving node, turning the §3.3
-//!   closed-form recovery model (`abase-sim`'s `RecoveryModel`) into
-//!   measured behavior.
+//!   it schedules the replacement replicas' join tickets' own copies from the
+//!   surviving members of each affected group, one worker per surviving
+//!   node, turning the §3.3 closed-form recovery model (`abase-sim`'s
+//!   `RecoveryModel`) into measured behavior.
 //!
 //! The LSN is simply the storage engine's record sequence number: WAL
 //! shipping preserves it end to end ([`abase_lavastore::Db::apply_replicated`]),
@@ -68,8 +68,7 @@ pub mod transport;
 
 pub use binlog::{Binlog, Poll};
 pub use failover::{
-    reconstruct_parallel, reconstruct_single_source, ReconstructionReport, ReconstructionTask,
-    Throttle,
+    reconstruct_parallel, reconstruct_single_source, ReconstructionReport, Throttle,
 };
 pub use follower::{Follower, PumpStatus};
 pub use group::{

@@ -12,14 +12,13 @@
 
 use crate::meta::{plan_node_failure, FailoverPlan, ReplicaSet};
 use crate::migration::{MigrationConfig, MigrationEngine, MigrationError, MigrationRequest};
-use crate::node::{DataNodeConfig, DataNodeSim};
 use crate::types::NodeId;
 use abase_core::types::PartitionId;
 use abase_lavastore::DbConfig;
 use abase_quota::ru::{charge_read, write_ru, ReadOutcome};
 use abase_replication::{
     catchup, reconstruct_parallel, Error as ReplError, GroupConfig, Lsn, ReadConsistency,
-    ReconstructionReport, ReconstructionTask, ReplicaGroup, Throttle, WriteConcern,
+    ReconstructionReport, ReplicaGroup, Throttle, WriteConcern,
 };
 use abase_util::clock::SimTime;
 use std::collections::HashMap;
@@ -66,6 +65,56 @@ pub struct FailoverOutcome {
     pub reconstruction: Option<ReconstructionReport>,
 }
 
+/// Split read/write RU accumulated against one hosted replica — the
+/// per-replica load replicated reads spread, Algorithm 2's loss function
+/// weighs, and the autoscaler's `LoadVector` aggregates: routing and
+/// rebalancing reason about replicas, not tenants.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ReplicaRuSplit {
+    /// RU charged for reads served by this replica (leader or follower).
+    pub read_ru: f64,
+    /// RU charged for writes applied by this replica.
+    pub write_ru: f64,
+}
+
+impl ReplicaRuSplit {
+    /// Combined RU.
+    pub fn total(&self) -> f64 {
+        self.read_ru + self.write_ru
+    }
+}
+
+/// One node's RU ledger: the split RU charged against each replica it hosts
+/// (§4.1: each replica pays a write once, a read is paid by the replica that
+/// served it), and what its migration and reconstruction copies cost.
+#[derive(Debug, Default)]
+pub struct NodeLedger {
+    replicas: HashMap<PartitionId, ReplicaRuSplit>,
+    copy_ru: f64,
+}
+
+impl NodeLedger {
+    /// The split RU charged against this node's replica of `partition` so
+    /// far (zero when nothing was charged).
+    pub fn replica_ru_split(&self, partition: PartitionId) -> ReplicaRuSplit {
+        self.replicas.get(&partition).copied().unwrap_or_default()
+    }
+
+    /// Every hosted replica's split RU, ascending by partition.
+    pub fn replica_ru_splits(&self) -> Vec<(PartitionId, ReplicaRuSplit)> {
+        let mut out: Vec<_> = self.replicas.iter().map(|(&p, &s)| (p, s)).collect();
+        out.sort_unstable_by_key(|&(p, _)| p);
+        out
+    }
+
+    /// Total RU this node has spent on migration and reconstruction copy
+    /// traffic (both directions) — the share of the §3.3 bandwidth model
+    /// that data movement, rather than tenant traffic, consumed.
+    pub fn migration_copy_ru(&self) -> f64 {
+        self.copy_ru
+    }
+}
+
 /// A multi-node cluster where every partition is served by a real
 /// WAL-shipping [`ReplicaGroup`], placed on the least-loaded nodes and failed
 /// over by [`plan_node_failure`] — the live counterpart of the closed-form
@@ -73,7 +122,7 @@ pub struct FailoverOutcome {
 pub struct ReplicatedCluster {
     base_dir: PathBuf,
     config: ReplicatedClusterConfig,
-    nodes: HashMap<NodeId, DataNodeSim>,
+    nodes: HashMap<NodeId, NodeLedger>,
     node_ids: Vec<NodeId>,
     dead_nodes: std::collections::HashSet<NodeId>,
     groups: HashMap<PartitionId, ReplicaGroup>,
@@ -84,8 +133,6 @@ pub struct ReplicatedCluster {
     /// [`ReplicatedCluster::metrics_delta`] subtracts, so one process can
     /// run many clusters and still ask "what did *this* one do".
     obs_baseline: abase_obs::Snapshot,
-    /// Registry snapshot refreshed by each [`ReplicatedCluster::tick`].
-    obs_last: abase_obs::Snapshot,
 }
 
 /// One routed cluster read, with serving provenance.
@@ -112,7 +159,7 @@ impl ReplicatedCluster {
         let node_ids: Vec<NodeId> = (0..n_nodes).collect();
         let nodes = node_ids
             .iter()
-            .map(|&id| (id, DataNodeSim::new(id, DataNodeConfig::default())))
+            .map(|&id| (id, NodeLedger::default()))
             .collect();
         Self {
             base_dir: base_dir.as_ref().to_path_buf(),
@@ -123,14 +170,7 @@ impl ReplicatedCluster {
             groups: HashMap::new(),
             migrations: MigrationEngine::new(config.migration),
             obs_baseline: abase_obs::snapshot(),
-            obs_last: abase_obs::Snapshot::default(),
         }
-    }
-
-    /// The registry snapshot captured by the last [`ReplicatedCluster::tick`]
-    /// (empty before the first tick).
-    pub fn metrics(&self) -> &abase_obs::Snapshot {
-        &self.obs_last
     }
 
     /// Monotone-counter growth since this cluster was constructed. Counters
@@ -216,8 +256,8 @@ impl ReplicatedCluster {
         }
     }
 
-    /// A node's placement bookkeeping.
-    pub fn node(&self, id: NodeId) -> Option<&DataNodeSim> {
+    /// A node's RU ledger.
+    pub fn node(&self, id: NodeId) -> Option<&NodeLedger> {
         self.nodes.get(&id)
     }
 
@@ -304,9 +344,7 @@ impl ReplicatedCluster {
             .filter(|&m| group.is_alive(m))
             .collect();
         for member in live {
-            if let Some(node) = self.nodes.get_mut(&member) {
-                node.record_replica_write(partition, write_ru);
-            }
+            self.charge(member, partition, 0.0, write_ru);
         }
         Ok(lsn)
     }
@@ -344,10 +382,7 @@ impl ReplicatedCluster {
         } else {
             ReadOutcome::Miss
         };
-        let read_ru = charge_read(bytes, outcome);
-        if let Some(node) = self.nodes.get_mut(&routed.replica) {
-            node.record_replica_read(partition, read_ru);
-        }
+        self.charge(routed.replica, partition, charge_read(bytes, outcome), 0.0);
         Ok(ClusterRead {
             node: routed.replica,
             is_leader,
@@ -367,10 +402,6 @@ impl ReplicatedCluster {
             .map(ReplicaGroup::tick)
             .fold(Ok(()), Result::and);
         self.step_migrations();
-        // Observability hook: each tick republishes the registry view, so
-        // anything driving the cluster can read a fresh snapshot without
-        // knowing about the registry itself.
-        self.obs_last = abase_obs::snapshot();
         ticked
     }
 
@@ -428,13 +459,7 @@ impl ReplicatedCluster {
                     // The destination is a group member from here on, so
                     // failover planning sees it.
                     self.migrations.note_joined(req, bytes, secs);
-                    let copy_ru = write_ru(bytes as usize, 1);
-                    if let Some(node) = self.nodes.get_mut(&req.from) {
-                        node.record_copy_out(req.partition, copy_ru);
-                    }
-                    if let Some(node) = self.nodes.get_mut(&req.to) {
-                        node.record_copy_in(req.partition, copy_ru);
-                    }
+                    self.charge_copy(req.partition, req.from, req.to, bytes);
                 }
                 Err(e) => {
                     // Copy or join failed before the destination became a
@@ -559,18 +584,9 @@ impl ReplicatedCluster {
         // carrying both sides would bias Algorithm 2 against the new home.
         std::fs::remove_dir_all(&source_dir).ok();
         let copy_ru = write_ru(bytes_copied as usize, 1);
-        let ledger = self
-            .nodes
-            .get_mut(&req.from)
-            .map(|node| {
-                let mut ledger = node.take_replica_ru(req.partition);
-                ledger.read_ru = (ledger.read_ru - copy_ru).max(0.0);
-                ledger
-            })
-            .unwrap_or_default();
-        if let Some(node) = self.nodes.get_mut(&req.to) {
-            node.absorb_replica_ru(req.partition, ledger);
-        }
+        let moved = self.take_ledger(req.from, req.partition);
+        let read_ru = (moved.read_ru - copy_ru).max(0.0);
+        self.charge(req.to, req.partition, read_ru, moved.write_ru);
         Ok(was_leader)
     }
 
@@ -592,9 +608,41 @@ impl ReplicatedCluster {
                 }
             }
         }
-        if let Some(node) = self.nodes.get_mut(&req.to) {
-            node.drop_replica(req.partition);
+        self.take_ledger(req.to, req.partition);
+    }
+
+    /// Charge `read_ru` and `write_ru` against `node`'s replica of
+    /// `partition`.
+    fn charge(&mut self, node: NodeId, partition: PartitionId, read_ru: f64, write_ru: f64) {
+        if let Some(ledger) = self.nodes.get_mut(&node) {
+            let split = ledger.replicas.entry(partition).or_default();
+            split.read_ru += read_ru;
+            split.write_ru += write_ru;
         }
+    }
+
+    /// Charge a checkpoint copy of `bytes` to both ends: the source streams
+    /// them off its disk (read RU), the destination ingests them (write RU),
+    /// and both count them as copy traffic — how migration and re-seed copies
+    /// become visible to Algorithm 2's loss function.
+    fn charge_copy(&mut self, partition: PartitionId, from: NodeId, to: NodeId, bytes: u64) {
+        let copy_ru = write_ru(bytes as usize, 1);
+        self.charge(from, partition, copy_ru, 0.0);
+        self.charge(to, partition, 0.0, copy_ru);
+        for node in [from, to] {
+            if let Some(ledger) = self.nodes.get_mut(&node) {
+                ledger.copy_ru += copy_ru;
+            }
+        }
+    }
+
+    /// Remove and return `node`'s ledger for its replica of `partition`: the
+    /// replica moved off the node, was aborted, or died with it.
+    fn take_ledger(&mut self, node: NodeId, partition: PartitionId) -> ReplicaRuSplit {
+        let ledger = self.nodes.get_mut(&node);
+        ledger
+            .and_then(|l| l.replicas.remove(&partition))
+            .unwrap_or_default()
     }
 
     /// Kill a DataNode: fail its replicas, plan promotions and
@@ -633,9 +681,7 @@ impl ReplicatedCluster {
                 .get_mut(partition)
                 .expect("affected partition exists")
                 .fail_replica(failed)?;
-            if let Some(node) = self.nodes.get_mut(&failed) {
-                node.drop_replica(*partition);
-            }
+            self.take_ledger(failed, *partition);
         }
         // 2. Plan from real acked LSNs, re-seeding only onto nodes that are
         //    still alive.
@@ -661,46 +707,37 @@ impl ReplicatedCluster {
         }
         // 4. Parallel reconstruction from the planned sources: each rebuilt
         //    replica is a staged join whose source is the planned surviving
-        //    member, copied into the ticket's staging directory by one
-        //    worker per source node.
-        let mut tickets = Vec::with_capacity(plan.reconstructions.len());
-        let mut tasks = Vec::with_capacity(plan.reconstructions.len());
-        for assignment in &plan.reconstructions {
-            let group = self
-                .groups
-                .get_mut(&assignment.partition)
-                // INVARIANT: the plan was built from this map's entries.
-                .expect("planned partition exists");
-            let ticket =
-                group.begin_join(assignment.dest, &self.base_dir, Some(assignment.source))?;
-            tasks.push(ReconstructionTask {
-                partition: assignment.partition,
-                source: group.db(assignment.source)?,
-                source_node: assignment.source,
-                dest_dir: ticket.staging().to_path_buf(),
-            });
-            tickets.push(ticket);
-        }
-        let reconstruction = if tasks.is_empty() {
+        //    member, and the tickets' own copies run on one worker per
+        //    source node.
+        let mut tickets = plan
+            .reconstructions
+            .iter()
+            .map(|assignment| {
+                self.groups
+                    .get_mut(&assignment.partition)
+                    // INVARIANT: the plan was built from this map's entries.
+                    .expect("planned partition exists")
+                    .begin_join(assignment.dest, &self.base_dir, Some(assignment.source))
+            })
+            .collect::<abase_replication::Result<Vec<_>>>()?;
+        let reconstruction = if tickets.is_empty() {
             None
         } else {
-            Some(reconstruct_parallel(tasks, self.config.recovery_bandwidth)?)
+            Some(reconstruct_parallel(
+                &mut tickets,
+                self.config.recovery_bandwidth,
+            )?)
         };
-        // Re-seed copies consume the same disks migrations do: charge the
-        // copy RU to both ends of every reconstruction (per-task bytes
-        // approximated as an even share of the run), so a pool view built
-        // after a failover sees the recovery traffic in the loss function.
-        if let Some(rec) = &reconstruction {
-            let per_task = rec.bytes_copied / rec.replicas.max(1) as u64;
-            let copy_ru = write_ru(per_task as usize, 1);
-            for assignment in &plan.reconstructions {
-                if let Some(node) = self.nodes.get_mut(&assignment.source) {
-                    node.record_copy_out(assignment.partition, copy_ru);
-                }
-                if let Some(node) = self.nodes.get_mut(&assignment.dest) {
-                    node.record_copy_in(assignment.partition, copy_ru);
-                }
-            }
+        // Re-seed copies consume the same disks migrations do: charge each
+        // copy's RU to both of its ends, so a pool view built after a
+        // failover sees the recovery traffic in the loss function.
+        for (assignment, copy) in plan
+            .reconstructions
+            .iter()
+            .zip(reconstruction.iter().flat_map(|rec| &rec.copies))
+        {
+            let (source, dest) = (assignment.source, assignment.dest);
+            self.charge_copy(assignment.partition, source, dest, copy.bytes_copied);
         }
         // 5. Rebuilt replicas join their groups in the dead member's stead
         //    (the join is refused if the group's epoch moved under the copy)
@@ -725,7 +762,6 @@ impl ReplicatedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::ReplicaRuSplit;
     use abase_util::TestDir;
 
     fn small_cluster(tag: &str) -> (TestDir, ReplicatedCluster) {
@@ -976,6 +1012,54 @@ mod tests {
             assert_eq!(set.members().len(), 3);
             // And writes keep flowing.
             cluster.write(p, b"after-failover", b"v", 0).unwrap();
+        }
+    }
+
+    #[test]
+    fn each_reseed_is_charged_its_own_copy() {
+        let (_d, mut cluster) = small_cluster("reseed-ru");
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for (p, keys) in [(0u64, 10), (1, 200), (2, 800)] {
+            cluster.create_partition(p).unwrap();
+            for i in 0..keys {
+                // Values that do not compress, so the copies differ in size.
+                let value: Vec<u8> = (0..256)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x as u8
+                    })
+                    .collect();
+                cluster
+                    .write(p, format!("k{i}").as_bytes(), &value, 0)
+                    .unwrap();
+            }
+        }
+        let victim = (0..4u32)
+            .max_by_key(|&n| {
+                (0..3)
+                    .filter(|&p| cluster.replica_set(p).unwrap().contains(n))
+                    .count()
+            })
+            .unwrap();
+        let outcome = cluster.kill_node(victim).unwrap();
+        let copies = &outcome.reconstruction.as_ref().unwrap().copies;
+        assert!(copies.len() >= 2, "the victim hosted several partitions");
+        assert_eq!(copies.len(), outcome.plan.reconstructions.len());
+        assert!(
+            copies
+                .iter()
+                .any(|c| c.bytes_copied != copies[0].bytes_copied),
+            "the partitions must differ in size"
+        );
+        for (assignment, copy) in outcome.plan.reconstructions.iter().zip(copies) {
+            let p = assignment.partition;
+            let copy_ru = write_ru(copy.bytes_copied as usize, 1);
+            let dest = cluster.node(assignment.dest).unwrap().replica_ru_split(p);
+            assert_eq!(dest.write_ru, copy_ru, "p{p}'s destination");
+            let source = cluster.node(assignment.source).unwrap().replica_ru_split(p);
+            assert_eq!(source.read_ru, copy_ru, "p{p}'s source");
         }
     }
 

@@ -11,8 +11,9 @@
 //! Module map:
 //!
 //! * [`types`] — node and proxy ids, and the simulated request types.
-//! * [`node`] — `DataNodeSim`: the pipeline's admission → four dual-layer
-//!   WFQs → SA-LRU cache → I/O cost model, driven in virtual-time ticks.
+//! * [`node`] — `DataNodeSim`, the Figure-2 cost model behind Figures 5–7:
+//!   the pipeline's admission → four dual-layer WFQs → SA-LRU cache → I/O
+//!   cost model, driven in virtual-time ticks.
 //! * [`proxy`] — the tenant proxy plane: AU-LRU proxy cache, proxy quotas with
 //!   meta-server clawback, and limited fan-out hash routing over proxy groups.
 //!   `abase-server` has no counterpart.
@@ -23,8 +24,9 @@
 //!   behind Figures 5–7.
 //! * [`cluster`] — `ReplicatedCluster`: real WAL-shipping replica groups
 //!   (via `abase-replication`) placed across DataNodes — each group is the
-//!   only record of who serves its partition — with planned failover and
-//!   parallel reconstruction.
+//!   only record of who serves its partition — with planned failover,
+//!   parallel reconstruction, and the per-replica RU ledger Algorithm 2
+//!   reads.
 //! * [`migration`] — the live-migration engine: Algorithm-2 `Migration`
 //!   plans executed as staged checkpoint copies (throttled by the §3.3
 //!   recovery-bandwidth model) + binlog catch-up + epoch-guarded cut-overs,
@@ -42,12 +44,15 @@ pub mod node;
 pub mod proxy;
 pub mod types;
 
-pub use cluster::{ClusterRead, FailoverOutcome, ReplicatedCluster, ReplicatedClusterConfig};
+pub use cluster::{
+    ClusterRead, FailoverOutcome, NodeLedger, ReplicaRuSplit, ReplicatedCluster,
+    ReplicatedClusterConfig,
+};
 pub use isolation::{IsolationExperiment, MinutePoint, TenantSpec};
 pub use meta::{plan_node_failure, FailoverPlan, RecoveryModel, ReplicaSet};
 pub use migration::{
     MigrationConfig, MigrationEngine, MigrationError, MigrationReport, MigrationRequest,
 };
-pub use node::{DataNodeConfig, DataNodeSim, ReplicaRuSplit};
+pub use node::{DataNodeConfig, DataNodeSim};
 pub use proxy::{ProxyPlane, ProxyPlaneConfig, ProxyReadSplit};
 pub use types::{NodeId, ProxyId};

@@ -24,11 +24,9 @@
 use crate::types::{Disposition, NodeId, ServedFrom, SimRequest};
 use abase_cache::SaLruCache;
 use abase_core::pipeline::{Pipeline, Request, Served};
-use abase_core::types::PartitionId;
 use abase_quota::ru::ReadOutcome;
 use abase_util::clock::SimTime;
 use abase_wfq::{NodeScheduler, NodeSchedulerConfig, WfqItem};
-use std::collections::HashMap;
 
 /// DataNode tuning.
 #[derive(Debug, Clone)]
@@ -67,25 +65,6 @@ impl Default for DataNodeConfig {
     }
 }
 
-/// Split read/write RU accumulated against one hosted replica — the
-/// per-replica load replicated reads spread, Algorithm 2's loss function
-/// weighs, and the autoscaler's `LoadVector` aggregates: routing and
-/// rebalancing reason about replicas, not tenants.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ReplicaRuSplit {
-    /// RU charged for reads served by this replica (leader or follower).
-    pub read_ru: f64,
-    /// RU charged for writes applied by this replica.
-    pub write_ru: f64,
-}
-
-impl ReplicaRuSplit {
-    /// Combined RU.
-    pub fn total(&self) -> f64 {
-        self.read_ru + self.write_ru
-    }
-}
-
 /// The simulated DataNode.
 #[derive(Debug)]
 pub struct DataNodeSim {
@@ -96,13 +75,8 @@ pub struct DataNodeSim {
     cache: SaLruCache<u64, usize>,
     /// Admission, charging and the WFQ weight of the hosted partitions.
     pipeline: Pipeline,
-    /// Split read/write RU charged per hosted replica: the simulated request
-    /// pipeline and the routed-read path both feed it.
-    replica_ru: HashMap<PartitionId, ReplicaRuSplit>,
     /// RU owed to rejection processing, debited from the next tick's budget.
     rejection_overhead_ru: f64,
-    /// RU spent streaming/ingesting migration and reconstruction copies.
-    migration_copy_ru: f64,
 }
 
 impl DataNodeSim {
@@ -116,82 +90,8 @@ impl DataNodeSim {
             config,
             scheduler,
             cache,
-            replica_ru: HashMap::new(),
             rejection_overhead_ru: 0.0,
-            migration_copy_ru: 0.0,
         }
-    }
-
-    /// Drop the RU ledger of this node's replica of `partition` (the replica
-    /// left the node, or the node died).
-    pub fn drop_replica(&mut self, partition: PartitionId) {
-        self.replica_ru.remove(&partition);
-    }
-
-    /// Charge read RU against this node's replica of `partition` — the
-    /// routed-read path (proxy → replica group → replica) lands here, so follower
-    /// reads are visible to the same accounting the rebalancer reads.
-    pub fn record_replica_read(&mut self, partition: PartitionId, ru: f64) {
-        self.replica_ru.entry(partition).or_default().read_ru += ru;
-    }
-
-    /// Charge write RU against this node's replica of `partition` (each
-    /// replica of a group pays the write once — §4.1's write amplification).
-    pub fn record_replica_write(&mut self, partition: PartitionId, ru: f64) {
-        self.replica_ru.entry(partition).or_default().write_ru += ru;
-    }
-
-    /// Charge the outbound side of a migration/reconstruction checkpoint
-    /// copy: the source node streams the bytes off its disk, so the cost
-    /// lands as read RU against its replica of `partition` — which is how
-    /// copy traffic becomes visible to Algorithm 2's loss function.
-    pub fn record_copy_out(&mut self, partition: PartitionId, ru: f64) {
-        self.replica_ru.entry(partition).or_default().read_ru += ru;
-        self.migration_copy_ru += ru;
-    }
-
-    /// Charge the inbound side of a migration/reconstruction checkpoint
-    /// copy: the destination node ingests the bytes, so the cost lands as
-    /// write RU against its (new) replica of `partition`.
-    pub fn record_copy_in(&mut self, partition: PartitionId, ru: f64) {
-        self.replica_ru.entry(partition).or_default().write_ru += ru;
-        self.migration_copy_ru += ru;
-    }
-
-    /// Total RU this node has spent on migration/reconstruction copy traffic
-    /// (both directions) — the share of the §3.3 bandwidth model that data
-    /// movement, rather than tenant traffic, consumed.
-    pub fn migration_copy_ru(&self) -> f64 {
-        self.migration_copy_ru
-    }
-
-    /// Remove and return the RU ledger accumulated against this node's
-    /// replica of `partition`. A migration's cut-over moves the ledger with
-    /// the replica — the load history follows the data to the destination,
-    /// so the moved replica never looks freshly cold to Algorithm 2.
-    pub fn take_replica_ru(&mut self, partition: PartitionId) -> ReplicaRuSplit {
-        self.replica_ru.remove(&partition).unwrap_or_default()
-    }
-
-    /// Fold a migrated replica's RU ledger into this node's entry for
-    /// `partition` (the receiving side of [`DataNodeSim::take_replica_ru`]).
-    pub fn absorb_replica_ru(&mut self, partition: PartitionId, split: ReplicaRuSplit) {
-        let entry = self.replica_ru.entry(partition).or_default();
-        entry.read_ru += split.read_ru;
-        entry.write_ru += split.write_ru;
-    }
-
-    /// The split read/write RU charged against this node's replica of
-    /// `partition` so far (zero when nothing was charged).
-    pub fn replica_ru_split(&self, partition: PartitionId) -> ReplicaRuSplit {
-        self.replica_ru.get(&partition).copied().unwrap_or_default()
-    }
-
-    /// Every hosted replica's split RU, ascending by partition.
-    pub fn replica_ru_splits(&self) -> Vec<(PartitionId, ReplicaRuSplit)> {
-        let mut out: Vec<_> = self.replica_ru.iter().map(|(&p, &s)| (p, s)).collect();
-        out.sort_unstable_by_key(|&(p, _)| p);
-        out
     }
 
     /// The hosted partitions' admission and charging: partitions are
@@ -260,7 +160,7 @@ impl DataNodeSim {
         self.rejection_overhead_ru = 0.0;
         let budget = gross_budget - overhead;
         // Phase 1: decide what completes this tick.
-        let mut done: Vec<(SimRequest, ServedFrom, f64)> = Vec::new();
+        let mut done: Vec<(SimRequest, ServedFrom)> = Vec::new();
         for (_class, item) in self.scheduler.drain_cpu_tick(budget) {
             let req = item.payload;
             let (bytes, partition) = (req.value_bytes, req.partition);
@@ -269,12 +169,12 @@ impl DataNodeSim {
                 // so subsequent reads hit ("frequent access to recently-
                 // updated data", §1 challenge 1).
                 self.cache.insert(req.key, bytes, bytes);
-                let charged = self.pipeline.settle(partition, Served::Write(bytes));
-                done.push((req, ServedFrom::NodeCache, charged));
+                self.pipeline.settle(partition, Served::Write(bytes));
+                done.push((req, ServedFrom::NodeCache));
             } else if self.cache.get(&req.key).is_some() {
                 let hit = Served::Read(bytes, ReadOutcome::NodeCacheHit);
-                let charged = self.pipeline.settle(partition, hit);
-                done.push((req, ServedFrom::NodeCache, charged));
+                self.pipeline.settle(partition, hit);
+                done.push((req, ServedFrom::NodeCache));
             } else {
                 // Miss: descend to the I/O layer (Rule 1: IOPS cost).
                 let io_cost = 1.0 + (bytes as f64 / (64.0 * 1024.0)).floor();
@@ -294,15 +194,15 @@ impl DataNodeSim {
             let req = item.payload;
             let bytes = req.value_bytes;
             let miss = Served::Read(bytes, ReadOutcome::Miss);
-            let charged = self.pipeline.settle(req.partition, miss);
+            self.pipeline.settle(req.partition, miss);
             self.cache.insert(req.key, bytes, bytes);
-            done.push((req, ServedFrom::Storage, charged));
+            done.push((req, ServedFrom::Storage));
         }
         // Phase 2: assign completion instants spread across the tick (work is
-        // served continuously, not at tick boundaries) and charge replicas.
+        // served continuously, not at tick boundaries).
         let n = done.len() as u64;
         let mut completions = Vec::with_capacity(done.len());
-        for (idx, (req, served_from, ru)) in done.into_iter().enumerate() {
+        for (idx, (req, served_from)) in done.into_iter().enumerate() {
             let completion_at = now + (tick_len * (idx as u64 + 1)) / (n + 1);
             // A request served within its arrival tick experiences only the
             // service time (sub-tick queueing is below the model's
@@ -316,12 +216,6 @@ impl DataNodeSim {
             let mut latency = queueing + self.config.base_service_micros;
             if served_from == ServedFrom::Storage {
                 latency += self.config.io_service_micros;
-            }
-            let split = self.replica_ru.entry(req.partition).or_default();
-            if req.is_write {
-                split.write_ru += ru;
-            } else {
-                split.read_ru += ru;
             }
             completions.push((
                 req,
@@ -338,7 +232,7 @@ impl DataNodeSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abase_core::types::TenantId;
+    use abase_core::types::{PartitionId, TenantId};
     use abase_util::clock::ms;
 
     fn request(
@@ -524,26 +418,5 @@ mod tests {
         assert!(total > 0);
         let share = success[0] as f64 / total as f64;
         assert!((share - 0.5).abs() < 0.15, "share={share}");
-    }
-
-    #[test]
-    fn replica_ru_splits_reads_from_writes() {
-        let mut n = node();
-        n.submit(request(1, 10, 1, true, 0), 0);
-        n.submit(request(1, 10, 2, false, 0), 0);
-        n.tick(0, ms(100));
-        let split = n.replica_ru_split(10);
-        assert!(split.write_ru > 0.0, "write RU not charged: {split:?}");
-        assert!(split.read_ru > 0.0, "read RU not charged: {split:?}");
-        // §4.1: a 1 KiB write costs half an RU per replica; the cold read
-        // missed, so it pays its bytes in full.
-        assert!((split.write_ru - 1.5).abs() < 1e-12, "{split:?}");
-        assert!((split.read_ru - 0.5).abs() < 1e-12, "{split:?}");
-        // Routed follower reads land in the same ledger the rebalancer reads.
-        n.record_replica_read(10, 2.5);
-        assert!(n.replica_ru_split(10).read_ru >= split.read_ru + 2.5);
-        assert_eq!(n.replica_ru_splits().len(), 1);
-        n.drop_replica(10);
-        assert_eq!(n.replica_ru_split(10), ReplicaRuSplit::default());
     }
 }

@@ -5,7 +5,9 @@
 //! example writes at `Quorum`, shows LSN-fenced reads, kills the busiest
 //! node, and walks through what the failover plan did: who got promoted, where
 //! each lost replica was re-seeded from, and how the parallel copy compares
-//! to the closed-form §3.3 recovery model.
+//! to the closed-form §3.3 recovery model. It exits with an error if an acked
+//! key is lost, a re-seeded replica is not a caught-up member of its group,
+//! or the first write after the failover misses its write concern.
 //!
 //! Run with: `cargo run --example replication_failover`
 
@@ -89,6 +91,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  re-seeded partition {} replica onto node {} from node {}",
             r.partition, r.dest, r.source
         );
+        let group = cluster.group(r.partition).unwrap();
+        if !group.members().contains(&r.dest) || !group.is_alive(r.dest) {
+            return Err(format!("node {} is not a live member of p{}", r.dest, r.partition).into());
+        }
+        let (lsn, leader_lsn) = (group.acked_lsn(r.dest)?, group.leader_lsn()?);
+        if lsn != leader_lsn {
+            return Err(format!(
+                "p{} re-seed at lsn {lsn}, leader at {leader_lsn}",
+                r.partition
+            )
+            .into());
+        }
     }
     if let Some(rec) = &outcome.reconstruction {
         let model = RecoveryModel {
@@ -98,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         println!(
             "  parallel reconstruction: {} replicas, {:.1} MB in {:.2}s from {} source disks",
-            rec.replicas,
+            rec.copies.len(),
             rec.bytes_copied as f64 / 1e6,
             rec.elapsed.as_secs_f64(),
             rec.distinct_sources,
@@ -124,11 +138,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("\nafter failover: {survivors}/500 quorum-acked keys still readable");
+    if survivors != 500 {
+        return Err(format!("{} acked keys lost in the failover", 500 - survivors).into());
+    }
     let lsn = cluster.write(0, b"back-in-business", b"yes", 0)?;
-    println!(
-        "new write at lsn {lsn} acked by {} replicas",
-        cluster.group(0).unwrap().acked_count(lsn)
-    );
+    let group = cluster.group(0).unwrap();
+    let (acked, need) = (group.acked_count(lsn), group.commit_need());
+    println!("new write at lsn {lsn} acked by {acked} replicas");
+    if acked < need {
+        return Err(
+            format!("the new write has {acked} acks, its write concern needs {need}").into(),
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
     Ok(())

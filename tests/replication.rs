@@ -4,16 +4,15 @@
 //! replicas are reconstructed in parallel ≈N× faster than through a single
 //! source — matching the §3.3 `RecoveryModel` within tolerance.
 
-use abase::lavastore::{Db, DbConfig};
+use abase::lavastore::DbConfig;
 use abase::replication::{
-    reconstruct_parallel, reconstruct_single_source, ReadConsistency, ReconstructionTask,
-    WriteConcern,
+    reconstruct_parallel, reconstruct_single_source, GroupConfig, ReadConsistency, ReplicaGroup,
+    ReplicaId, ResyncTicket, WriteConcern,
 };
 use abase::sim::cluster::{ReplicatedCluster, ReplicatedClusterConfig};
 use abase::sim::meta::RecoveryModel;
 use abase::util::TestDir;
 use std::path::Path;
-use std::sync::Arc;
 
 #[test]
 fn quorum_writes_survive_leader_failure() {
@@ -104,10 +103,12 @@ fn quorum_writes_survive_leader_failure() {
     assert_eq!(r.value.as_deref(), Some(&b"v"[..]));
 }
 
-/// A source holding `keys` records of 256 bytes that do not compress, so the
-/// bytes copied are what the bandwidth model is fed.
-fn seeded_source(dir: &Path, keys: usize) -> Arc<Db> {
-    let db = Db::open(dir, DbConfig::default()).unwrap();
+/// A one-member group on node `node` (partition `node`) holding `keys`
+/// records of 256 bytes that do not compress, so the bytes copied are what
+/// the bandwidth model is fed.
+fn seeded_source(dir: &Path, node: ReplicaId, keys: usize) -> ReplicaGroup {
+    let config = GroupConfig::new(WriteConcern::Quorum, DbConfig::default());
+    let mut group = ReplicaGroup::bootstrap(u64::from(node), dir, &[node], config).unwrap();
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for i in 0..keys {
         let value: Vec<u8> = (0..256)
@@ -118,11 +119,12 @@ fn seeded_source(dir: &Path, keys: usize) -> Arc<Db> {
                 x as u8
             })
             .collect();
-        db.put(format!("key-{i:05}").as_bytes(), &value, None, 0)
+        group
+            .put(format!("key-{i:05}").as_bytes(), &value, None, 0)
             .unwrap();
     }
-    db.flush().unwrap();
-    Arc::new(db)
+    group.db(node).unwrap().flush().unwrap();
+    group
 }
 
 #[test]
@@ -131,24 +133,21 @@ fn parallel_reconstruction_matches_recovery_model() {
     std::fs::create_dir_all(dir.path()).unwrap();
     const SURVIVORS: usize = 3;
     const DISK_BW: f64 = 3e6;
-    let sources: Vec<Arc<Db>> = (0..SURVIVORS)
-        .map(|i| seeded_source(&dir.join(format!("src-{i}")), 500))
+    // Each survivor leads a one-member group; a dead node's replica of it is
+    // re-seeded by a staged join onto node `dest_base + i`.
+    let mut sources: Vec<ReplicaGroup> = (0..SURVIVORS as ReplicaId)
+        .map(|i| seeded_source(dir.path(), i, 500))
         .collect();
-    let tasks = |tag: &str| -> Vec<ReconstructionTask> {
-        sources
-            .iter()
-            .enumerate()
-            .map(|(i, src)| ReconstructionTask {
-                partition: i as u64,
-                source: Arc::clone(src),
-                source_node: i as u32,
-                dest_dir: dir.join(format!("rebuilt-{tag}-{i}")),
-            })
+    let tickets = |sources: &mut [ReplicaGroup], dest_base: ReplicaId| -> Vec<ResyncTicket> {
+        (dest_base..)
+            .zip(sources.iter_mut())
+            .map(|(dest, group)| group.begin_join(dest, dir.path(), None).unwrap())
             .collect()
     };
 
-    let single = reconstruct_single_source(tasks("single"), Some(DISK_BW)).unwrap();
-    let parallel = reconstruct_parallel(tasks("par"), Some(DISK_BW)).unwrap();
+    let single = reconstruct_single_source(&mut tickets(&mut sources, 10), Some(DISK_BW)).unwrap();
+    let mut rebuilt = tickets(&mut sources, 20);
+    let parallel = reconstruct_parallel(&mut rebuilt, Some(DISK_BW)).unwrap();
     assert_eq!(single.bytes_copied, parallel.bytes_copied);
     assert_eq!(parallel.distinct_sources, SURVIVORS);
 
@@ -182,9 +181,10 @@ fn parallel_reconstruction_matches_recovery_model() {
     );
 
     // Rebuilt replicas are complete databases.
-    for (i, source) in sources.iter().enumerate() {
-        let db = Db::open(dir.join(format!("rebuilt-par-{i}")), DbConfig::default()).unwrap();
-        assert_eq!(db.last_seq(), source.last_seq());
+    for ((group, ticket), (i, dest)) in sources.iter_mut().zip(rebuilt).zip((0..).zip(20..)) {
+        group.complete_join(ticket).unwrap();
+        let db = group.db(dest).unwrap();
+        assert_eq!(db.last_seq(), group.db(i).unwrap().last_seq());
         assert!(db.get(b"key-00499", 0).unwrap().value.is_some());
     }
 }
