@@ -1,6 +1,6 @@
 // Fixture: unsafe block with no SAFETY justification anywhere nearby.
 
-pub fn read_raw(ptr: *const u8) -> u8 {
+pub(crate) fn read_raw(ptr: *const u8) -> u8 {
     unsafe { *ptr }
 }
 

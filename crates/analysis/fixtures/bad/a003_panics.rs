@@ -3,10 +3,10 @@
 
 use std::collections::BTreeMap;
 
-pub fn lookup(map: &BTreeMap<u32, String>, key: u32) -> &String {
+pub(crate) fn lookup(map: &BTreeMap<u32, String>, key: u32) -> &String {
     map.get(&key).unwrap()
 }
 
-pub fn first(values: &[u8]) -> u8 {
+pub(crate) fn first(values: &[u8]) -> u8 {
     *values.first().expect("caller promised a non-empty slice")
 }

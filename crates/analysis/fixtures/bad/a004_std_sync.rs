@@ -7,7 +7,7 @@ pub struct State {
     table: std::sync::RwLock<Vec<u8>>,
 }
 
-pub fn bump(s: &State) {
+pub(crate) fn bump(s: &State) {
     if let Ok(mut g) = s.inner.lock() {
         *g += 1;
     }

@@ -2,7 +2,7 @@
 
 use abase_util::failpoint::{self, FaultAction};
 
-pub fn inject() {
+pub(crate) fn inject() {
     failpoint::install("wal.append", None, FaultAction::Error, 0, 1);
     failpoint::install("ghost.point", None, FaultAction::Error, 0, 1);
 }

@@ -1,6 +1,6 @@
 // Fixture: every unsafe site argues its safety.
 
-pub fn read_raw(ptr: *const u8) -> u8 {
+pub(crate) fn read_raw(ptr: *const u8) -> u8 {
     // SAFETY: callers pass a pointer into a live, aligned buffer.
     unsafe { *ptr }
 }
@@ -12,7 +12,7 @@ pub struct Wrapper(*mut u8);
 unsafe impl Send for Wrapper {}
 
 /// Doc text mentioning unsafe code and `.unwrap()` must not trip anything.
-pub fn doc_only() {
+pub(crate) fn doc_only() {
     let s = "unsafe in a string is not code";
     let _ = s;
 }

@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-pub fn publish(flag: &AtomicBool, seq: &AtomicU64) {
+pub(crate) fn publish(flag: &AtomicBool, seq: &AtomicU64) {
     // ORDER: SeqCst pairs with the SeqCst load in `drain` (not shown); the
     // counter orders against the flag publication below.
     seq.fetch_add(1, Ordering::SeqCst);
@@ -11,12 +11,12 @@ pub fn publish(flag: &AtomicBool, seq: &AtomicU64) {
     flag.store(true, Ordering::Release);
 }
 
-pub fn consume(flag: &AtomicBool) -> bool {
+pub(crate) fn consume(flag: &AtomicBool) -> bool {
     // ORDER: Acquire pairs with the Release store in `publish`.
     flag.load(Ordering::Acquire)
 }
 
-pub fn relaxed_is_fine(seq: &AtomicU64) -> u64 {
+pub(crate) fn relaxed_is_fine(seq: &AtomicU64) -> u64 {
     seq.load(Ordering::Relaxed)
 }
 

@@ -2,17 +2,17 @@
 
 use std::collections::BTreeMap;
 
-pub fn lookup(map: &BTreeMap<u32, String>, key: u32) -> Option<&String> {
+pub(crate) fn lookup(map: &BTreeMap<u32, String>, key: u32) -> Option<&String> {
     map.get(&key)
 }
 
-pub fn first(values: &[u8]) -> u8 {
+pub(crate) fn first(values: &[u8]) -> u8 {
     // INVARIANT: the dispatcher only calls this with a frame it already
     // length-checked; an empty slice cannot reach here.
     *values.first().expect("caller promised a non-empty slice")
 }
 
-pub fn waived(values: &[u8]) -> u8 {
+pub(crate) fn waived(values: &[u8]) -> u8 {
     // LINT: allow(A003): benchmark-only helper, panicking is the right call.
     *values.first().unwrap()
 }

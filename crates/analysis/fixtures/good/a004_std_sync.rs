@@ -10,11 +10,11 @@ pub struct State {
     ticks: AtomicU64,
 }
 
-pub fn bump(s: &Arc<State>) {
+pub(crate) fn bump(s: &Arc<State>) {
     *s.inner.lock() += 1;
     s.ticks.fetch_add(1, Ordering::Relaxed);
 }
 
-pub fn channel() -> (mpsc::Sender<u64>, mpsc::Receiver<u64>) {
+pub(crate) fn channel() -> (mpsc::Sender<u64>, mpsc::Receiver<u64>) {
     mpsc::channel()
 }

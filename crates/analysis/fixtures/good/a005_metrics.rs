@@ -2,18 +2,18 @@
 
 use abase_obs::{LazyCounter, LazyCounterFamily, LazyGauge, LazyHisto};
 
-pub static OPS: LazyCounter = LazyCounter::new("abase_server_ops_total", "ops served");
+pub(crate) static OPS: LazyCounter = LazyCounter::new("abase_server_ops_total", "ops served");
 
-pub static BYTES: LazyCounter =
+pub(crate) static BYTES: LazyCounter =
     LazyCounter::new("abase_server_rx_bytes_total", "bytes received");
 
-pub static LATENCY: LazyHisto =
+pub(crate) static LATENCY: LazyHisto =
     LazyHisto::new("abase_server_latency_micros", "request latency");
 
-pub static BATCH: LazyHisto =
+pub(crate) static BATCH: LazyHisto =
     LazyHisto::new("abase_server_batch_frames", "frames per batch");
 
-pub static QUEUE: LazyGauge = LazyGauge::new("abase_queue_depth", "queue depth");
+pub(crate) static QUEUE: LazyGauge = LazyGauge::new("abase_queue_depth", "queue depth");
 
-pub static PER_OP: LazyCounterFamily =
+pub(crate) static PER_OP: LazyCounterFamily =
     LazyCounterFamily::new("abase_server_op_total", "op", "per-op counters");

@@ -2,7 +2,7 @@
 
 use abase_util::failpoint::{self, FaultAction};
 
-pub fn inject() {
+pub(crate) fn inject() {
     failpoint::install("wal.append", None, FaultAction::Error, 0, 1);
     failpoint::install(
         "db.checkpoint",
@@ -13,7 +13,7 @@ pub fn inject() {
     );
 }
 
-pub fn hot_path(context: &str) {
+pub(crate) fn hot_path(context: &str) {
     if failpoint::check("wal.append", context).is_some() {
         return;
     }

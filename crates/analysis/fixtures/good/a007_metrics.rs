@@ -4,12 +4,12 @@
 
 use abase_obs::{LazyCounter, LazyGaugeFamily, LazyHisto};
 
-pub static OPS: LazyCounter = LazyCounter::new("abase_demo_ops_total", "ops served");
+pub(crate) static OPS: LazyCounter = LazyCounter::new("abase_demo_ops_total", "ops served");
 
-pub static LAG: LazyGaugeFamily =
+pub(crate) static LAG: LazyGaugeFamily =
     LazyGaugeFamily::new("abase_demo_lag", "replica", "lag by replica");
 
-pub static PUMP: LazyHisto = LazyHisto::new(
+pub(crate) static PUMP: LazyHisto = LazyHisto::new(
     "abase_demo_pump_micros",
     "pump latency",
 );

@@ -57,7 +57,8 @@ enum State {
     RawStr(usize),
 }
 
-fn is_ident(c: char) -> bool {
+/// True for a char that can appear in an identifier.
+pub fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 

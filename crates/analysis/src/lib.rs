@@ -15,7 +15,9 @@
 //! * metric names follow the `abase_*` registry conventions (A005);
 //! * every failpoint the chaos harness installs has a live fire site (A006);
 //! * the metric tables in `crates/obs/README.md` name exactly the families
-//!   the code declares (A007).
+//!   the code declares (A007);
+//! * every bare `pub fn`/`const`/`static` of a library crate is named by
+//!   non-test code outside its own file (A008).
 //!
 //! There is no `syn`, no proc-macro machinery, and no crates.io dependency:
 //! a small line lexer ([`lexer`]) blanks comments and strings so the rules
@@ -56,6 +58,7 @@ pub fn analyze(files: &[(PathBuf, String)]) -> Vec<Finding> {
     }
     findings.extend(check_failpoints(&cross));
     findings.extend(rules::check_metric_docs(&cross));
+    findings.extend(rules::check_unused_api(&cross));
     findings.sort();
     findings
 }

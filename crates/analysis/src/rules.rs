@@ -1,8 +1,9 @@
 //! The lint rules.
 //!
-//! Every rule has a stable id (`A001`..`A007`), reports `file:line`
+//! Every rule has a stable id (`A001`..`A008`), reports `file:line`
 //! diagnostics, and can be silenced at a site with a
 //! `// LINT: allow(A00x): reason` comment within the rule's lookback window.
+//! A waiver without a reason waives nothing.
 //!
 //! | id   | rule |
 //! |------|------|
@@ -13,13 +14,20 @@
 //! | A005 | metric names follow the `abase_*` naming conventions |
 //! | A006 | every installed failpoint name has a `failpoint::check` fire site |
 //! | A007 | the metric tables in `crates/obs/README.md` and the metrics declared in code name the same families |
+//! | A008 | every bare `pub fn`/`const`/`static` of a library crate is named by non-test code outside its file |
 
-use crate::lexer::{first_string_after, has_word, test_regions, Lexed};
+use crate::lexer::{first_string_after, has_word, is_ident, test_regions, Lexed};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Crates whose `src/` trees are held to the A003 no-panic standard.
 pub const HOT_CRATES: &[&str] = &["lavastore", "replication", "core", "sim", "cache", "proto"];
+
+/// Crates whose public items A008 does not hold to a caller: the offline
+/// stand-ins for crates.io packages (their surface mirrors the real crate),
+/// the experiment driver and this tool.
+const API_EXEMPT_CRATES: &[&str] = &["shims", "bench", "analysis"];
 
 /// How many preceding lines a justification comment may sit on.
 const SAFETY_WINDOW: usize = 6;
@@ -66,12 +74,15 @@ pub struct FileCtx {
     pub rel: PathBuf,
     /// The `crates/<name>` component, if any.
     pub crate_name: Option<String>,
-    /// Whole-file test/bench/example code (rules A002/A003/A005 skip it).
+    /// Whole-file test/bench/example code (rules A002/A003/A005/A008 skip it).
     pub is_test_file: bool,
     /// Inside `crates/shims` (exempt from A004 — the shims wrap std::sync).
     pub is_shims: bool,
     /// A hot crate's `src/` tree (subject to A003).
     pub is_hot_src: bool,
+    /// A library source under `crates/*/src` whose public items A008 checks
+    /// (not a binary, and not in [`API_EXEMPT_CRATES`]).
+    pub is_api_src: bool,
 }
 
 impl FileCtx {
@@ -96,12 +107,21 @@ impl FileCtx {
             .is_some_and(|n| HOT_CRATES.contains(&n))
             && comps.iter().any(|c| c == "src")
             && !is_test_file;
+        let is_binary = comps.get(3).map(String::as_str) == Some("bin")
+            || (comps.len() == 4 && comps[3] == "main.rs");
+        let is_api_src = crate_name
+            .as_deref()
+            .is_some_and(|n| !API_EXEMPT_CRATES.contains(&n))
+            && comps.get(2).map(String::as_str) == Some("src")
+            && !is_binary
+            && !is_test_file;
         FileCtx {
             rel: rel.to_path_buf(),
             crate_name,
             is_test_file,
             is_shims,
             is_hot_src,
+            is_api_src,
         }
     }
 }
@@ -134,21 +154,50 @@ pub struct CrossFile {
     /// Metric families named in the README's tables; `None` until the README
     /// has been seen (A007 has nothing to compare against without it).
     pub metric_docs: Option<Vec<NamedSite>>,
+    /// Bare `pub fn`/`const`/`static` items of library sources (A008).
+    pub pub_items: Vec<NamedSite>,
+    /// Every identifier that non-test, non-`use` code names, with the files
+    /// that name it (A008).
+    pub named_in: BTreeMap<String, BTreeSet<PathBuf>>,
 }
 
 /// True if any comment in the `window` lines ending at `line` (1-based)
-/// contains `marker`.
-fn comment_nearby(lexed: &Lexed, line: usize, window: usize, marker: &str) -> bool {
+/// satisfies `found`.
+fn comment_nearby(lexed: &Lexed, line: usize, window: usize, found: impl Fn(&str) -> bool) -> bool {
     let lo = line.saturating_sub(window);
     (lo..=line)
         .filter_map(|n| n.checked_sub(1).and_then(|i| lexed.lines.get(i)))
-        .any(|info| info.comment.contains(marker))
+        .any(|info| found(&info.comment))
 }
 
-/// True if an explicit `LINT: allow(<rule>)` waiver is in scope for `line`.
+/// True if `comment` holds a `LINT: allow(<rule>): <reason>` waiver. A
+/// waiver whose reason is blank does not count.
+fn has_waiver(comment: &str, rule: &str) -> bool {
+    let marker = format!("LINT: allow({rule}):");
+    comment
+        .split(marker.as_str())
+        .skip(1)
+        .any(|reason| !reason.trim().is_empty())
+}
+
+/// True if an explicit waiver for `rule` is in scope for `line`.
 fn lint_allowed(lexed: &Lexed, line: usize, rule: &str) -> bool {
-    let marker = format!("LINT: allow({rule})");
-    comment_nearby(lexed, line, INVARIANT_WINDOW, &marker)
+    comment_nearby(lexed, line, INVARIANT_WINDOW, |c| has_waiver(c, rule))
+}
+
+/// True if a waiver for `rule` sits on the item at `line` or among the
+/// comment and attribute lines directly above it, so that it waives that
+/// item and not its neighbours.
+fn item_waived(lexed: &Lexed, line: usize, rule: &str) -> bool {
+    lexed.lines[..line]
+        .iter()
+        .rev()
+        .enumerate()
+        .take_while(|(k, info)| {
+            let code = info.code.trim();
+            *k == 0 || code.is_empty() || code.starts_with("#[")
+        })
+        .any(|(_, info)| has_waiver(&info.comment, rule))
 }
 
 /// Byte offsets of every word-bounded occurrence of `needle` in `hay`.
@@ -174,6 +223,7 @@ fn word_positions(hay: &str, needle: &str) -> Vec<usize> {
 pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     let in_test = test_regions(&lexed.lines);
+    let mut in_use = false;
     let push = |findings: &mut Vec<Finding>, line: usize, rule: &'static str, msg: String| {
         findings.push(Finding {
             path: ctx.rel.clone(),
@@ -190,7 +240,7 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
 
         // A001: every `unsafe` keyword needs a SAFETY comment nearby.
         if has_word(code, "unsafe")
-            && !comment_nearby(lexed, line, SAFETY_WINDOW, "SAFETY:")
+            && !comment_nearby(lexed, line, SAFETY_WINDOW, |c| c.contains("SAFETY:"))
             && !lint_allowed(lexed, line, "A001")
         {
             push(
@@ -208,7 +258,7 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
             for variant in ["Acquire", "Release", "AcqRel", "SeqCst"] {
                 let pat = format!("Ordering::{variant}");
                 if code.contains(pat.as_str())
-                    && !comment_nearby(lexed, line, ORDER_WINDOW, "ORDER:")
+                    && !comment_nearby(lexed, line, ORDER_WINDOW, |c| c.contains("ORDER:"))
                     && !lint_allowed(lexed, line, "A002")
                 {
                     push(
@@ -235,7 +285,7 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
                 );
             }
             if code.contains(".expect(")
-                && !comment_nearby(lexed, line, INVARIANT_WINDOW, "INVARIANT:")
+                && !comment_nearby(lexed, line, INVARIANT_WINDOW, |c| c.contains("INVARIANT:"))
                 && !lint_allowed(lexed, line, "A003")
             {
                 push(
@@ -301,6 +351,32 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
             }
         }
 
+        // A008 (collection): the file's public items, and the names its
+        // non-test code uses. A `use` line (or a multi-line `use` block)
+        // imports a name without calling it, so it names nothing.
+        if !test_code {
+            let trimmed = code.trim_start();
+            in_use |= ["use ", "pub use ", "pub(crate) use "]
+                .iter()
+                .any(|p| trimmed.starts_with(p));
+            if in_use {
+                in_use = !code.contains(';');
+            } else {
+                record_names(code, &ctx.rel, &mut cross.named_in);
+                if ctx.is_api_src {
+                    if let Some(name) = pub_item_name(trimmed) {
+                        if !item_waived(lexed, line, "A008") {
+                            cross.pub_items.push(NamedSite {
+                                name: name.to_string(),
+                                path: ctx.rel.clone(),
+                                line,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+
         // A006 (collection): record failpoint install/check names. Installs
         // inside `#[cfg(test)]` mods are skipped (a test may install a point
         // it also defines locally), but whole-file tests count — the chaos
@@ -325,6 +401,47 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
         }
     }
     findings
+}
+
+/// Identifier tokens of one line of blanked code.
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !is_ident(c))
+        .filter(|w| w.chars().next().is_some_and(|c| !c.is_ascii_digit()))
+}
+
+/// Record every identifier `code` uses. The name an `fn`, `const` or
+/// `static` keyword declares is a definition, not a use, so it is skipped.
+fn record_names(code: &str, rel: &Path, named_in: &mut BTreeMap<String, BTreeSet<PathBuf>>) {
+    let mut declares = false;
+    for word in idents(code) {
+        let keyword = matches!(word, "fn" | "const" | "static");
+        if declares && !keyword && !matches!(word, "unsafe" | "mut") {
+            declares = false;
+            continue;
+        }
+        declares |= keyword;
+        named_in
+            .entry(word.to_string())
+            .or_default()
+            .insert(rel.to_path_buf());
+    }
+}
+
+/// The name of a bare `pub fn`, `pub const` or `pub static` item declared
+/// on this (trimmed, blanked) line; `pub(crate)` and friends do not count.
+fn pub_item_name(trimmed: &str) -> Option<&str> {
+    let mut words = idents(trimmed.strip_prefix("pub ")?);
+    let mut word = words.next()?;
+    let mut item = false;
+    loop {
+        match word {
+            "const" | "static" | "fn" => item = true,
+            "unsafe" | "async" | "extern" | "mut" => {}
+            name if item => return Some(name),
+            _ => return None,
+        }
+        word = words.next()?;
+    }
 }
 
 /// Check one metric name against the conventions; `None` means clean.
@@ -379,6 +496,34 @@ pub fn check_failpoints(cross: &CrossFile) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// A008: every bare public item of a library crate is named by non-test
+/// code outside its defining file. One that is not is surface nobody uses:
+/// delete it, narrow it to its file or crate, or make it a test helper.
+/// An integration test, bench or example that needs it keeps it `pub`
+/// under a waiver naming that file.
+pub fn check_unused_api(cross: &CrossFile) -> Vec<Finding> {
+    cross
+        .pub_items
+        .iter()
+        .filter(|item| {
+            cross
+                .named_in
+                .get(&item.name)
+                .is_none_or(|files| files.iter().all(|f| *f == item.path))
+        })
+        .map(|item| Finding {
+            path: item.path.clone(),
+            line: item.line,
+            rule: "A008",
+            message: format!(
+                "`pub` item `{}` is named by no non-test code outside this file; \
+                 delete it, narrow its visibility, or make it `#[cfg(test)]`",
+                item.name
+            ),
+        })
+        .collect()
 }
 
 /// A007 (collection): the metric families the README's tables name — every

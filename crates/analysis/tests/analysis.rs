@@ -212,6 +212,90 @@ fn a007_accepts_matching_tables_and_is_silent_without_a_readme() {
 }
 
 #[test]
+fn a_waiver_without_a_reason_waives_nothing() {
+    let findings = run_at(
+        "crates/lavastore/src/fixture.rs",
+        "bad/waiver_without_reason.rs",
+    );
+    assert_eq!(rules_of(&findings), vec!["A003"], "{findings:?}");
+    assert_eq!(findings.len(), 2, "bare and blank waivers: {findings:?}");
+}
+
+/// Analyze an A008 twin: the API file at `api_at`, next to its callers.
+fn run_a008(twin: &str, api_at: &str) -> Vec<Finding> {
+    let mut files = vec![
+        (
+            PathBuf::from(api_at),
+            fixture(&format!("{twin}/a008_api.rs")),
+        ),
+        (
+            PathBuf::from("crates/other/src/lib.rs"),
+            fixture(&format!("{twin}/a008_callers.rs")),
+        ),
+    ];
+    let extra = match twin {
+        "bad" => ("crates/demo/tests/it.rs", "bad/a008_it.rs"),
+        _ => ("abench/src/layers.rs", "good/a008_layers.rs"),
+    };
+    files.push((PathBuf::from(extra.0), fixture(extra.1)));
+    analyze(&files)
+}
+
+/// The item names A008 flagged, in line order.
+fn a008_names(findings: &[Finding]) -> Vec<&str> {
+    findings
+        .iter()
+        .filter(|f| f.rule == "A008")
+        .filter_map(|f| f.message.split('`').nth(3))
+        .collect()
+}
+
+#[test]
+fn a008_trips_on_public_items_no_non_test_code_elsewhere_calls() {
+    let findings = run_a008("bad", "crates/demo/src/api.rs");
+    assert_eq!(rules_of(&findings), vec!["A008"], "{findings:?}");
+    assert_eq!(
+        a008_names(&findings),
+        vec![
+            "only_imported",
+            "only_in_cfg_test",
+            "only_in_tests_dir",
+            "only_in_own_file",
+            "REASONLESS_WAIVER",
+            "BLANK_REASON",
+        ],
+        "{findings:?}"
+    );
+    assert!(findings
+        .iter()
+        .all(|f| f.path == Path::new("crates/demo/src/api.rs")));
+}
+
+#[test]
+fn a008_accepts_callers_waivers_and_narrow_items() {
+    let findings = run_a008("good", "crates/demo/src/api.rs");
+    assert!(
+        findings.is_empty(),
+        "clean twin must be silent: {findings:?}"
+    );
+}
+
+#[test]
+fn a008_skips_shims_bench_analysis_and_binaries() {
+    for api_at in [
+        "crates/shims/demo/src/lib.rs",
+        "crates/bench/src/api.rs",
+        "crates/analysis/src/api.rs",
+        "crates/demo/src/main.rs",
+        "crates/demo/src/bin/tool.rs",
+        "src/lib.rs",
+    ] {
+        let findings = run_a008("bad", api_at);
+        assert!(a008_names(&findings).is_empty(), "{api_at}: {findings:?}");
+    }
+}
+
+#[test]
 fn the_workspace_itself_is_clean() {
     // The committed tree must stay lint-clean: this is the same invariant CI
     // enforces with `--deny` against the (empty) baseline.

@@ -74,8 +74,6 @@ pub struct AuLruCache<K, V> {
     config: AuLruConfig,
     next_generation: u64,
     stats: CacheStats,
-    /// Count of refresh candidates emitted (for RU-saving accounting).
-    refreshes_emitted: u64,
 }
 
 impl<K: Hash + Eq + Clone + Ord, V> AuLruCache<K, V> {
@@ -87,7 +85,6 @@ impl<K: Hash + Eq + Clone + Ord, V> AuLruCache<K, V> {
             config,
             next_generation: 0,
             stats: CacheStats::default(),
-            refreshes_emitted: 0,
         }
     }
 
@@ -100,11 +97,6 @@ impl<K: Hash + Eq + Clone + Ord, V> AuLruCache<K, V> {
     /// *and* increment `expired`.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Number of refresh candidates handed out so far.
-    pub fn refreshes_emitted(&self) -> u64 {
-        self.refreshes_emitted
     }
 
     /// Live entries (may include entries that have expired but not yet been
@@ -208,7 +200,6 @@ impl<K: Hash + Eq + Clone + Ord, V> AuLruCache<K, V> {
                 // mutation happened since.
                 let e = self.lru.get_mut(&key).expect("entry present");
                 e.refresh_pending = true;
-                self.refreshes_emitted += 1;
                 out.push(RefreshCandidate { key, expires_at });
             } else if expires_at <= now {
                 // Cold and already expired: reap eagerly to free memory.
@@ -267,7 +258,6 @@ mod tests {
         assert_eq!(cands[0].key, "hot");
         // Emitted only once.
         assert!(c.refresh_candidates(57 * SEC).is_empty());
-        assert_eq!(c.refreshes_emitted(), 1);
     }
 
     #[test]

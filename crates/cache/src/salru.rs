@@ -32,6 +32,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Default size-class upper bounds in bytes (last class is unbounded).
+// LINT: allow(A008): tests/property_based.rs
 pub const DEFAULT_CLASS_BOUNDS: &[usize] = &[
     256,
     1 << 10,
@@ -429,6 +430,7 @@ impl<K: Hash + Eq, V> SaLruCache<K, V> {
     }
 
     /// Diagnostic snapshot of every size class.
+    // LINT: allow(A008): tests/property_based.rs
     pub fn class_infos(&self) -> Vec<ClassInfo> {
         self.bounds
             .iter()

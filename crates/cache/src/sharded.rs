@@ -159,11 +159,6 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         self.resident.load(Ordering::Relaxed)
     }
 
-    /// Number of lock stripes (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Live entries across all shards. Locks each shard in turn; diagnostic
     /// use only.
     pub fn len(&self) -> usize {
@@ -206,9 +201,9 @@ mod tests {
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let c: ShardedCache<u64, u64> = ShardedCache::new(1 << 20, 5);
-        assert_eq!(c.shard_count(), 8);
+        assert_eq!(c.shards.len(), 8);
         let c: ShardedCache<u64, u64> = ShardedCache::new(1 << 20, 0);
-        assert_eq!(c.shard_count(), 1);
+        assert_eq!(c.shards.len(), 1);
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Total lookups observed.
+    // LINT: allow(A008): examples/hotkey_cache.rs
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
     }

@@ -219,7 +219,8 @@ impl FaultPlan {
 
     /// How many events in the plan kill a node (directly, via torn-tail /
     /// mid-resync escalation, or as a migration's delayed node death).
-    pub fn planned_kills(&self) -> usize {
+    #[cfg(test)]
+    fn planned_kills(&self) -> usize {
         self.events
             .iter()
             .filter(|e| {

@@ -179,11 +179,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.inner.trigger();
     }
-
-    /// Whether shutdown has been signalled.
-    pub fn is_shutdown(&self) -> bool {
-        self.inner.is_set()
-    }
 }
 
 /// One worker's cross-thread mailbox: the accept loop and offload threads
@@ -506,9 +501,9 @@ mod tests {
         let handle = ShutdownHandle {
             inner: Arc::clone(&shutdown),
         };
-        assert!(!handle.is_shutdown());
+        assert!(!handle.inner.is_set());
         handle.shutdown();
         handle.shutdown();
-        assert!(handle.is_shutdown());
+        assert!(handle.inner.is_set());
     }
 }

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 /// The cap substituted when a client sends `WAIT n 0` ("no limit"): the
 /// server never parks a connection forever on a dead follower, it parks it
 /// for at most this long and replies with the acks reached.
-pub const WAIT_UNBOUNDED_CAP: Duration = Duration::from_secs(30);
+const WAIT_UNBOUNDED_CAP: Duration = Duration::from_secs(30);
 
 /// Replication identity as reported by `INFO replication` — built by the
 /// attached replication plane on a leader, or from the link state a

@@ -11,7 +11,7 @@
 //! while the gain exceeds `penalty · σ²_global`.
 
 /// Detected change points (indices where a new segment starts), ascending.
-pub fn detect_changepoints(values: &[f64], penalty: f64, min_segment: usize) -> Vec<usize> {
+fn detect_changepoints(values: &[f64], penalty: f64, min_segment: usize) -> Vec<usize> {
     let mut out = Vec::new();
     let global_var = variance(values).max(1e-12);
     segment(

@@ -76,12 +76,6 @@ impl HistoricalAverage {
             .map(|h| self.phase_means[(self.n_train + h) % p])
             .collect()
     }
-
-    /// In-sample fitted values (phase means replayed over the training window).
-    pub fn fitted(&self) -> Vec<f64> {
-        let p = self.phase_means.len();
-        (0..self.n_train).map(|t| self.phase_means[t % p]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -136,13 +130,5 @@ mod tests {
     fn empty_series_is_safe() {
         let m = HistoricalAverage::fit(&[], None, 1.0);
         assert_eq!(m.forecast(2), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn fitted_replays_phases() {
-        let pattern = [5.0, 15.0];
-        let values: Vec<f64> = (0..8).map(|t| pattern[t % 2]).collect();
-        let m = HistoricalAverage::fit(&values, Some(2), 1.0);
-        assert_eq!(m.fitted(), values);
     }
 }

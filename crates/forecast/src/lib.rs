@@ -32,4 +32,4 @@ pub mod prophet;
 pub mod psd;
 
 pub use ensemble::{EnsembleConfig, EnsembleForecaster, ForecastOutput, ModelChoice};
-pub use metrics::{mape, max_error, smape};
+pub use metrics::smape;

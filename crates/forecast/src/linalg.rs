@@ -7,7 +7,7 @@
 /// Solve `A x = b` for symmetric positive-definite `A` (row-major `p × p`)
 /// by Gaussian elimination with partial pivoting. Returns `None` if singular.
 #[allow(clippy::needless_range_loop)]
-pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     assert!(a.len() == n && a.iter().all(|row| row.len() == n));
     for col in 0..n {

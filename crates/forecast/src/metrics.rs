@@ -2,7 +2,8 @@
 
 /// Mean absolute percentage error, skipping points where `actual == 0`.
 /// Returns 0 for empty/degenerate input.
-pub fn mape(actual: &[f64], predicted: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn mape(actual: &[f64], predicted: &[f64]) -> f64 {
     assert_eq!(actual.len(), predicted.len());
     let mut sum = 0.0;
     let mut n = 0usize;
@@ -35,16 +36,6 @@ pub fn smape(actual: &[f64], predicted: &[f64]) -> f64 {
     sum / actual.len() as f64
 }
 
-/// Largest absolute error.
-pub fn max_error(actual: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(actual.len(), predicted.len());
-    actual
-        .iter()
-        .zip(predicted)
-        .map(|(a, p)| (a - p).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +45,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         assert_eq!(mape(&a, &a), 0.0);
         assert_eq!(smape(&a, &a), 0.0);
-        assert_eq!(max_error(&a, &a), 0.0);
     }
 
     #[test]
@@ -62,7 +52,6 @@ mod tests {
         let actual = [100.0, 200.0];
         let predicted = [110.0, 180.0];
         assert!((mape(&actual, &predicted) - 0.1).abs() < 1e-12);
-        assert!((max_error(&actual, &predicted) - 20.0).abs() < 1e-12);
     }
 
     #[test]

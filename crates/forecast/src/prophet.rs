@@ -110,21 +110,6 @@ impl ProphetModel {
             })
             .collect()
     }
-
-    /// In-sample fitted values (for backtest weighting).
-    pub fn fitted(&self) -> Vec<f64> {
-        (0..self.n_train)
-            .map(|t| {
-                let row = design_row(
-                    t as f64,
-                    &self.changepoints,
-                    self.period,
-                    self.fourier_order,
-                );
-                predict_row(&row, &self.beta)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -203,14 +188,5 @@ mod tests {
             None,
             "one cycle of evidence must not fit seasonality"
         );
-    }
-
-    #[test]
-    fn fitted_matches_training_shape() {
-        let values: Vec<f64> = (0..100).map(|t| 10.0 + t as f64).collect();
-        let m = ProphetModel::fit(&values, None, ProphetConfig::default()).unwrap();
-        let fitted = m.fitted();
-        assert_eq!(fitted.len(), 100);
-        assert!(mape(&values, &fitted) < 0.02);
     }
 }

@@ -44,7 +44,7 @@ fn periodogram(values: &[f64]) -> Vec<f64> {
 /// `min_strength` is the required ratio between a peak's power and the median
 /// spectral power (e.g. 20.0); `min_cycles` requires the series to contain at
 /// least that many full cycles of any reported period.
-pub fn detect_periods(
+fn detect_periods(
     values: &[f64],
     max_periods: usize,
     min_strength: f64,

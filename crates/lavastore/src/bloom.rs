@@ -61,7 +61,8 @@ impl BloomFilter {
     }
 
     /// True if the key *may* be present; false proves absence.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
+    #[cfg(test)]
+    fn may_contain(&self, key: &[u8]) -> bool {
         self.may_contain_hashed(Self::hash_pair(key))
     }
 

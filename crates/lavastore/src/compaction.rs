@@ -60,7 +60,7 @@ pub struct CompactionTask {
 }
 
 /// Byte budget for level `n ≥ 1`.
-pub fn level_target_bytes(config: &CompactionConfig, level: usize) -> u64 {
+fn level_target_bytes(config: &CompactionConfig, level: usize) -> u64 {
     debug_assert!(level >= 1);
     config.level_base_bytes * config.level_growth.pow(level as u32 - 1)
 }

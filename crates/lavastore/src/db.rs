@@ -710,6 +710,7 @@ impl Db {
     }
 
     /// Id of the WAL segment currently receiving appends.
+    // LINT: allow(A008): crates/lavastore/tests/crash_recovery.rs
     pub fn current_wal_segment(&self) -> u64 {
         self.log.segment()
     }
@@ -1173,6 +1174,7 @@ impl Db {
     /// Run at most one compaction round (first stripe with work wins).
     /// Returns true if one executed. Expired records are dropped using
     /// virtual time `now`.
+    // LINT: allow(A008): tests/block_cache.rs
     pub fn compact_once(&self, now: SimTime) -> Result<bool> {
         for s in 0..self.n_stripes {
             let mut stripe = self.stripes[s].write();
@@ -1300,12 +1302,14 @@ impl Db {
     }
 
     /// Total live SST bytes (storage utilization for the rescheduler).
-    pub fn total_sst_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn total_sst_bytes(&self) -> u64 {
         self.shared.lock().version.total_bytes()
     }
 
     /// Live files per level across all stripes, for diagnostics.
-    pub fn level_file_counts(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn level_file_counts(&self) -> Vec<usize> {
         self.shared
             .lock()
             .version

@@ -28,7 +28,7 @@
 //!
 //! [`decompress`] is total: any input gives the block back or
 //! [`Error::Corruption`], never a panic, and it allocates at most
-//! [`max_decoded_len`] of its input's length — whatever `raw_len` claims —
+//! `max_decoded_len` of its input's length — whatever `raw_len` claims —
 //! because no sequence can expand by more than 255× (one extra length byte
 //! adds at most 255 output bytes).
 
@@ -45,8 +45,9 @@ const MAX_OFFSET: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 12;
 
 /// Trailer byte of a block stored as given.
-pub const STORED_RAW: u8 = 0;
+pub(crate) const STORED_RAW: u8 = 0;
 /// Trailer byte of a block stored as [`Compressor`] output.
+// LINT: allow(A008): crates/lavastore/tests/format.rs
 pub const STORED_LZ: u8 = 1;
 /// A reused buffer that grew past this holding one stored block (a block
 /// holding one huge value) is freed, not kept.
@@ -78,7 +79,7 @@ pub fn load(stored: &[u8]) -> Result<Arc<[u8]>> {
 
 /// Upper bound on what a compressed block of `stored_len` bytes can decode
 /// to; a `raw_len` claiming more is corruption.
-pub fn max_decoded_len(stored_len: usize) -> usize {
+fn max_decoded_len(stored_len: usize) -> usize {
     stored_len.saturating_mul(255).saturating_add(16)
 }
 
@@ -160,6 +161,7 @@ fn put_sequence(out: &mut Vec<u8>, literals: &[u8], matched: Option<(usize, usiz
 
 impl Compressor {
     /// Append `varint src.len() | sequences` to `out`.
+    // LINT: allow(A008): crates/bench/benches/micro.rs
     pub fn compress(&mut self, src: &[u8], out: &mut Vec<u8>) {
         put_varint(out, src.len() as u64);
         self.table.fill(0);
@@ -270,6 +272,7 @@ fn decode(src: &[u8], dst: &mut [u8]) -> Result<()> {
 }
 
 /// Decode a block [`Compressor::compress`] wrote into one fresh allocation.
+// LINT: allow(A008): crates/bench/benches/micro.rs
 pub fn decompress(src: &[u8]) -> Result<Arc<[u8]>> {
     let mut pos = 0;
     let raw_len = get_varint(src, &mut pos)?;

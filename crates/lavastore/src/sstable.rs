@@ -650,7 +650,7 @@ impl SstReader {
     }
 
     /// True if `key` falls inside this file's `[min, max]` key range.
-    pub fn key_in_range(&self, key: &[u8]) -> bool {
+    fn key_in_range(&self, key: &[u8]) -> bool {
         key >= &self.min_key[..] && key <= &self.max_key[..]
     }
 

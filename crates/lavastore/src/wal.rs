@@ -101,6 +101,7 @@ impl Default for WalOptions {
 
 /// Append one frame holding `records` — [`Record::encode`]d back to back, at
 /// least one — to `out` (see the module docs); `lz` is only working space.
+// LINT: allow(A008): crates/bench/benches/micro.rs
 pub fn encode_frame(records: &[u8], lz: &mut lz::Compressor, out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&[0; FRAME_HEADER]);
@@ -601,11 +602,13 @@ impl Wal {
     }
 
     /// Highest sequence number allocated so far (0 when none).
+    // LINT: allow(A008): crates/lavastore/tests/crash_recovery.rs
     pub fn last_allocated(&self) -> u64 {
         self.state.lock().next_seq - 1
     }
 
     /// Highest sequence number covered by an fsync.
+    // LINT: allow(A008): crates/lavastore/tests/crash_recovery.rs
     pub fn durable_seq(&self) -> u64 {
         self.state.lock().durable_seq
     }

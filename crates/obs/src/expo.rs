@@ -179,6 +179,7 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
 /// Check `text` is well-formed Prometheus exposition: every sample parses,
 /// every sample's family has a `# TYPE`, histogram bucket series are
 /// cumulative, terminated by `le="+Inf"`, and agree with `_count`.
+// LINT: allow(A008): tests/observability.rs
 pub fn validate(text: &str) -> Result<(), String> {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     // (family, non-le labels) -> (last cumulative, saw +Inf, last le)

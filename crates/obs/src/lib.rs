@@ -38,5 +38,5 @@ pub use registry::{
     entries, histograms, snapshot, Entry, Family, Handle, LazyCounter, LazyCounterFamily,
     LazyGauge, LazyGaugeFamily, LazyHisto, LazyHistoFamily, MetricKind, Snapshot, Timer,
 };
-pub use slowlog::{SlowEntry, SlowLog, DEFAULT_THRESHOLD_MICROS};
-pub use span::{Span, SpanReport, Stage, N_STAGES, STAGES};
+pub use slowlog::{SlowEntry, SlowLog};
+pub use span::{Span, SpanReport, Stage};

@@ -88,7 +88,7 @@ impl Gauge {
 /// Counter and histogram shards: concurrent recorders hash their thread
 /// onto one of these so a hot metric does not serialize every core on one
 /// cache line.
-pub const HISTO_SHARDS: usize = 8;
+const HISTO_SHARDS: usize = 8;
 
 /// A stable per-thread shard index (threads are striped round-robin).
 #[inline]
@@ -197,7 +197,7 @@ mod tests {
         static C: crate::LazyCounter =
             crate::LazyCounter::new("test_metric_striped_counter_total", "test");
         assert_eq!(std::mem::size_of::<Counter>(), 512);
-        C.touch();
+        C.add(0); // registers the family before the first snapshot
         let before = crate::snapshot();
         std::thread::scope(|s| {
             for _ in 0..8 {

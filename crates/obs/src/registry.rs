@@ -277,12 +277,6 @@ macro_rules! lazy_handle {
                     }
                 })
             }
-
-            /// Force registration (so exposition lists the family even
-            /// before the first event).
-            pub fn touch(&self) {
-                self.metric();
-            }
         }
 
         /// Record and read through the handle as through the metric itself.
@@ -363,11 +357,6 @@ macro_rules! lazy_family {
                         ),
                     }
                 })
-            }
-
-            /// Force registration.
-            pub fn touch(&self) {
-                self.family();
             }
 
             /// The member for `label` (interned on first use).

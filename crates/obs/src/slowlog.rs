@@ -15,10 +15,10 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Default capture threshold: 10 ms, Redis's default `slowlog-log-slower-than`.
-pub const DEFAULT_THRESHOLD_MICROS: i64 = 10_000;
+const DEFAULT_THRESHOLD_MICROS: i64 = 10_000;
 
 /// Default ring capacity (Redis `slowlog-max-len` default is 128).
-pub const DEFAULT_CAPACITY: usize = 128;
+const DEFAULT_CAPACITY: usize = 128;
 
 /// One captured slow operation.
 #[derive(Debug, Clone)]

@@ -31,10 +31,10 @@ pub enum Stage {
 }
 
 /// Number of stages (length of the per-span timing array).
-pub const N_STAGES: usize = 5;
+pub(crate) const N_STAGES: usize = 5;
 
 /// All stages in pipeline order.
-pub const STAGES: [Stage; N_STAGES] = [
+const STAGES: [Stage; N_STAGES] = [
     Stage::Parse,
     Stage::Admission,
     Stage::Engine,

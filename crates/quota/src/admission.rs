@@ -31,10 +31,10 @@ pub enum QuotaDecision {
 }
 
 /// The boost multiplier proxies may apply autonomously ("up to double").
-pub const PROXY_BOOST_FACTOR: f64 = 2.0;
+const PROXY_BOOST_FACTOR: f64 = 2.0;
 /// The partition-level slack multiplier ("no single partition surpasses three
 /// times its partition_quota").
-pub const PARTITION_SLACK_FACTOR: f64 = 3.0;
+const PARTITION_SLACK_FACTOR: f64 = 3.0;
 
 /// Per-proxy quota enforcement with autonomous 2× boost.
 #[derive(Debug, Clone)]
@@ -196,7 +196,7 @@ impl TenantQuotaMonitor {
     }
 
     /// Observed aggregate RU/s for `tenant` over the trailing window.
-    pub fn observed_rate(&mut self, tenant: u32, now: SimTime) -> f64 {
+    fn observed_rate(&mut self, tenant: u32, now: SimTime) -> f64 {
         self.rates
             .get_mut(&tenant)
             .map(|r| r.rate_per_sec(now))

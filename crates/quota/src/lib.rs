@@ -19,4 +19,4 @@ pub mod ru;
 
 pub use admission::{PartitionQuota, ProxyQuota, QuotaDecision, TenantQuotaMonitor};
 pub use bucket::TokenBucket;
-pub use ru::{RuEstimator, UNIT_BYTES};
+pub use ru::RuEstimator;

@@ -16,7 +16,7 @@
 use abase_util::stats::MovingAverage;
 
 /// The unit byte size `U`, "empirically set to 2KB".
-pub const UNIT_BYTES: usize = 2048;
+const UNIT_BYTES: usize = 2048;
 /// Window length `k` of the moving-average estimators.
 const WINDOW: usize = 128;
 /// Minimum RU charged for any request that reaches a data node — the pure

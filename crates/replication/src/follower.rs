@@ -90,6 +90,7 @@ impl Follower {
     }
 
     /// Open (or create) the local replica at `dir`, fed by `transport`.
+    // LINT: allow(A008): tests/socket_replication.rs
     pub fn with_transport(
         dir: impl AsRef<Path>,
         config: DbConfig,

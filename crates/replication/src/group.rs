@@ -151,7 +151,7 @@ impl RemoteFollowerState {
     }
 
     /// Is the replica connection currently up?
-    pub fn is_connected(&self) -> bool {
+    fn is_connected(&self) -> bool {
         // ORDER: SeqCst; pairs with the stores in `disconnect` and
         // `register_remote_follower` so liveness flips are totally ordered
         // against generation bumps.
@@ -708,7 +708,8 @@ impl ReplicaGroup {
 
     /// Mark a previously failed replica reachable again. Its next pump either
     /// resumes WAL tailing or, if it fell off the log, full-resyncs.
-    pub fn revive_replica(&mut self, id: ReplicaId) -> Result<()> {
+    #[cfg(test)]
+    fn revive_replica(&mut self, id: ReplicaId) -> Result<()> {
         self.find_mut(id)?.alive = true;
         Ok(())
     }

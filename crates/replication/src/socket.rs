@@ -78,7 +78,7 @@ fn bulk(data: &[u8]) -> RespValue {
 
 /// `BATCH seg off payload` — `(seg, off)` is the shipping cursor *after*
 /// these records, so the follower can resume there on reconnect.
-pub fn batch_frame(segment: u64, offset: u64, records: &[Record]) -> RespValue {
+fn batch_frame(segment: u64, offset: u64, records: &[Record]) -> RespValue {
     let mut payload = Vec::new();
     for r in records {
         r.encode(&mut payload);
@@ -92,7 +92,7 @@ pub fn batch_frame(segment: u64, offset: u64, records: &[Record]) -> RespValue {
 }
 
 /// `FILE name chunk` — checkpoint bytes appended to `name` in arrival order.
-pub fn file_frame(name: &str, chunk: &[u8]) -> RespValue {
+fn file_frame(name: &str, chunk: &[u8]) -> RespValue {
     RespValue::array(vec![bulk(b"FILE"), bulk(name.as_bytes()), bulk(chunk)])
 }
 
@@ -101,12 +101,12 @@ pub fn file_frame(name: &str, chunk: &[u8]) -> RespValue {
 /// knows frames were lost (TCP never reorders, but a buggy/chaos sender can
 /// drop) and recovers through a full resync instead of waiting for traffic
 /// that will never come.
-pub fn ping_frame(lsn: u64) -> RespValue {
+fn ping_frame(lsn: u64) -> RespValue {
     RespValue::array(vec![bulk(b"PING"), RespValue::Integer(lsn as i64)])
 }
 
 /// `CKPT last_seq seg off bytes` — end of a checkpoint stream.
-pub fn ckpt_frame(info: &CheckpointInfo) -> RespValue {
+fn ckpt_frame(info: &CheckpointInfo) -> RespValue {
     RespValue::array(vec![
         bulk(b"CKPT"),
         RespValue::Integer(info.last_seq as i64),
@@ -147,7 +147,7 @@ pub enum StreamFrame {
 
 /// Decode one leader→follower frame; `Err` on malformed frames, so a
 /// corrupted stream surfaces instead of being skipped.
-pub fn decode_stream_frame(value: &RespValue) -> Result<StreamFrame> {
+fn decode_stream_frame(value: &RespValue) -> Result<StreamFrame> {
     let as_int = |v: &RespValue| -> Result<u64> {
         match v {
             RespValue::Integer(i) if *i >= 0 => Ok(*i as u64),

@@ -97,7 +97,7 @@ impl Autoscaler {
     }
 
     /// Pure Algorithm 1: decide from an already-forecast `u_max`.
-    pub fn decide(
+    fn decide(
         &mut self,
         tenant: u32,
         now: SimTime,

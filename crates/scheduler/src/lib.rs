@@ -10,16 +10,17 @@
 //! * [`load`] — the load indicators: 24-slot hour-of-day load vectors for
 //!   replicas, data nodes, and resource pools; the optimal load point `⟨R,S⟩`;
 //!   the L2-norm deviation loss; and the migration gain function.
-//! * [`reschedule`] — intra-pool rescheduling: replica-count balancing
-//!   (phase 1) and gain-maximizing replica migration between high- and
-//!   low-load nodes (phase 2, Algorithm 2 verbatim).
-//! * [`interpool`] — the inter-pool extension: vacate low-utilization nodes
-//!   from an underloaded pool and reassign them to an overloaded pool.
+//! * [`reschedule`] — intra-pool rescheduling: gain-maximizing replica
+//!   migration between high- and low-load nodes (Algorithm 2 verbatim).
+//!
+//! Two §5.3 mechanisms are not reproduced, because no experiment runs them:
+//! the per-tenant replica-count balancing that precedes Algorithm 2, and the
+//! inter-pool extension of the section's last paragraph (vacate nodes of an
+//! underloaded pool and reassign them to an overloaded one).
 
 #![deny(missing_docs)]
 
 pub mod autoscale;
-pub mod interpool;
 pub mod load;
 pub mod reschedule;
 

@@ -13,7 +13,7 @@ pub struct LoadVector(pub [f64; 24]);
 
 impl LoadVector {
     /// The zero vector.
-    pub fn zero() -> Self {
+    fn zero() -> Self {
         LoadVector([0.0; 24])
     }
 
@@ -195,13 +195,9 @@ impl NodeState {
 
     /// The node's read-RU load vector — what follower-read routing adds to a
     /// node and what a read-aware autoscaler watches.
+    // LINT: allow(A008): tests/read_routing.rs
     pub fn read_ru_vector(&self) -> LoadVector {
         self.read_ru_load
-    }
-
-    /// The node's write-RU load vector.
-    pub fn write_ru_vector(&self) -> LoadVector {
-        self.write_ru_load
     }
 
     /// True if the node hosts a replica of `partition`.
@@ -209,23 +205,14 @@ impl NodeState {
         self.replicas.iter().any(|r| r.partition == partition)
     }
 
-    /// Replicas of `tenant` hosted here.
-    pub fn tenant_replica_count(&self, tenant: u32) -> usize {
-        self.replicas.iter().filter(|r| r.tenant == tenant).count()
-    }
-
     /// Peak-hour RU load (read + write).
+    // LINT: allow(A008): tests/read_routing.rs
     pub fn ru_load(&self) -> f64 {
         if self.replicas.is_empty() {
             0.0
         } else {
             self.ru_load_vector().peak()
         }
-    }
-
-    /// Storage load in bytes.
-    pub fn storage_load(&self) -> f64 {
-        self.storage_load
     }
 
     /// RU utilization in `[0, …)`.
@@ -413,7 +400,7 @@ mod tests {
         let mut n = NodeState::new(1, 100.0, 100.0);
         n.add_replica(follower);
         assert_eq!(n.read_ru_vector().peak(), 30.0);
-        assert_eq!(n.write_ru_vector().peak(), 5.0);
+        assert_eq!(n.write_ru_load.peak(), 5.0);
         assert_eq!(n.ru_load(), 35.0);
     }
 
@@ -423,7 +410,7 @@ mod tests {
         n.add_replica(replica(1, 7, 70, 40.0, 500.0));
         n.add_replica(replica(2, 8, 80, 20.0, 100.0));
         assert_eq!(n.ru_load(), 60.0);
-        assert_eq!(n.storage_load(), 600.0);
+        assert_eq!(n.storage_load, 600.0);
         assert!((n.ru_util() - 0.6).abs() < 1e-12);
         assert!(n.hosts_partition(70));
         let r = n.remove_replica(1).unwrap();

@@ -1,14 +1,8 @@
-//! Intra-pool workload rescheduling — Algorithm 2, plus the replica-count
-//! balance phase (paper §5.3).
+//! Intra-pool workload rescheduling — Algorithm 2 (paper §5.3).
 //!
-//! Phase 1 balances each tenant's replica *count* across nodes ("distributing
-//! the count of a tenant's replicas across DataNodes as evenly as possible,
-//! thus enhancing elasticity and robustness against failures").
-//!
-//! Phase 2 is Algorithm 2: for each resource (RU, then Storage), divide nodes
-//! into S_L / S_M / S_H by utilization against the optimal point; for each
-//! non-migrating high-load node, find the replica and low-load destination
-//! maximizing the gain
+//! For each resource (RU, then Storage), divide nodes into S_L / S_M / S_H by
+//! utilization against the optimal point; for each non-migrating high-load
+//! node, find the replica and low-load destination maximizing the gain
 //! `G = max(L(src), L(dst)) − max(L(src−RE), L(dst+RE))`,
 //! and migrate when the gain is positive. `CanPlace` enforces that the
 //! destination neither takes a second replica of the same partition nor gets
@@ -71,70 +65,7 @@ impl Rescheduler {
         Self { config }
     }
 
-    /// Phase 1: balance per-tenant replica counts. Moves one replica at a
-    /// time from the node holding the most replicas of a tenant to the node
-    /// holding the fewest (that can accept it), until every tenant's spread
-    /// (max − min) is ≤ 1. Returns the migrations performed.
-    pub fn balance_replica_counts(&self, pool: &mut PoolState) -> Vec<Migration> {
-        let mut out = Vec::new();
-        let tenants: Vec<u32> = {
-            let mut t: Vec<u32> = pool
-                .nodes
-                .iter()
-                .flat_map(|n| n.replicas.iter().map(|r| r.tenant))
-                .collect();
-            t.sort_unstable();
-            t.dedup();
-            t
-        };
-        for tenant in tenants {
-            // Bounded loop: each move strictly reduces the spread.
-            for _ in 0..pool.replica_count() {
-                let counts: Vec<usize> = pool
-                    .nodes
-                    .iter()
-                    .map(|n| n.tenant_replica_count(tenant))
-                    .collect();
-                let (max_i, &max_c) = counts
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &c)| c)
-                    .expect("pool has nodes");
-                let (min_i, &min_c) = counts
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &c)| c)
-                    .expect("pool has nodes");
-                if max_c <= min_c + 1 {
-                    break;
-                }
-                // Pick any replica of the tenant on max_i that min_i can host.
-                let candidate = pool.nodes[max_i]
-                    .replicas
-                    .iter()
-                    .filter(|r| r.tenant == tenant)
-                    .find(|r| !pool.nodes[min_i].hosts_partition(r.partition))
-                    .map(|r| r.id);
-                let Some(id) = candidate else { break };
-                let replica = pool.nodes[max_i]
-                    .remove_replica(id)
-                    .expect("candidate present");
-                let from = pool.nodes[max_i].id;
-                let to = pool.nodes[min_i].id;
-                pool.nodes[min_i].add_replica(replica);
-                out.push(Migration {
-                    replica_id: id,
-                    from_node: from,
-                    to_node: to,
-                    resource: Resource::Ru,
-                    gain: 0.0,
-                });
-            }
-        }
-        out
-    }
-
-    /// Phase 2: one round of Algorithm 2 over both resources. At most one
+    /// One round of Algorithm 2 over both resources. At most one
     /// migration is started per source node per round (`IsMigrating` guards),
     /// mirroring the production constraint that migrations are slow.
     pub fn reschedule_round(&self, pool: &mut PoolState) -> Vec<Migration> {
@@ -420,27 +351,6 @@ mod tests {
         let before = pool.storage_util_std();
         Rescheduler::default().rebalance_to_convergence(&mut pool, 50);
         assert!(pool.storage_util_std() < before * 0.5);
-    }
-
-    #[test]
-    fn replica_count_balance_spreads_tenant() {
-        let mut n1 = NodeState::new(1, 1000.0, 10_000.0);
-        for i in 0..6 {
-            n1.add_replica(replica(i, 42, i, 1.0, 1.0));
-        }
-        let n2 = NodeState::new(2, 1000.0, 10_000.0);
-        let n3 = NodeState::new(3, 1000.0, 10_000.0);
-        let mut pool = PoolState::new(vec![n1, n2, n3]);
-        let moves = Rescheduler::default().balance_replica_counts(&mut pool);
-        assert!(!moves.is_empty());
-        let counts: Vec<usize> = pool
-            .nodes
-            .iter()
-            .map(|n| n.tenant_replica_count(42))
-            .collect();
-        let max = counts.iter().max().unwrap();
-        let min = counts.iter().min().unwrap();
-        assert!(max - min <= 1, "counts={counts:?}");
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use migration::{
     MigrationConfig, MigrationEngine, MigrationError, MigrationReport, MigrationRequest,
 };
 pub use node::{DataNodeConfig, DataNodeSim};
-pub use proxy::{ProxyPlane, ProxyPlaneConfig, ProxyReadSplit};
+pub use proxy::{ProxyPlane, ProxyPlaneConfig};
 pub use types::{NodeId, ProxyId};

@@ -179,6 +179,7 @@ impl MigrationEngine {
     }
 
     /// Queued (not yet started) moves, FIFO.
+    // LINT: allow(A008): tests/migration.rs
     pub fn queued(&self) -> Vec<MigrationRequest> {
         self.queue.iter().copied().collect()
     }

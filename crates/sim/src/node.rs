@@ -101,13 +101,9 @@ impl DataNodeSim {
     }
 
     /// Total CPU-layer queue depth.
-    pub fn queue_depth(&self) -> usize {
+    #[cfg(test)]
+    fn queue_depth(&self) -> usize {
         self.scheduler.cpu_depth() + self.scheduler.io_depth()
-    }
-
-    /// Node-cache statistics.
-    pub fn cache_stats(&self) -> &abase_cache::CacheStats {
-        self.cache.stats()
     }
 
     /// Submit a request at `now`. Rejections are immediate; admissions queue.

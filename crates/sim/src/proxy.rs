@@ -93,15 +93,6 @@ struct ProxySim {
     reads_rejected: u64,
 }
 
-/// One proxy's read-serving split: answered locally vs forwarded downstream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProxyReadSplit {
-    /// Reads served from the proxy's own cache.
-    pub local: u64,
-    /// Reads forwarded to the data plane.
-    pub forwarded: u64,
-}
-
 /// One tenant's proxy fleet.
 #[derive(Debug)]
 pub struct ProxyPlane {
@@ -151,11 +142,6 @@ impl ProxyPlane {
         self.config.quota_enabled = enabled;
     }
 
-    /// Toggle the proxy cache (Table 2's before/after).
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.config.cache_enabled = enabled;
-    }
-
     /// Meta-server directive toward every proxy (boost on/off).
     pub fn set_boost(&mut self, allowed: bool, now: SimTime) {
         for p in &mut self.proxies {
@@ -182,7 +168,7 @@ impl ProxyPlane {
     }
 
     /// Limited fan-out hash routing: key → group → random member.
-    pub fn route(&mut self, key: u64) -> u32 {
+    fn route(&mut self, key: u64) -> u32 {
         let group = (mix64(key) % u64::from(self.config.n_groups)) as u32;
         let member = self.rng.gen_range(0..self.group_size);
         (group * self.group_size + member).min(self.config.n_proxies - 1)
@@ -190,27 +176,16 @@ impl ProxyPlane {
 
     /// Process a request at `now`. Reads may be served by the proxy cache;
     /// everything else is admission-checked against the proxy quota. Reads
-    /// run at [`ConsistencyLevel::Eventual`] — the historical behavior; use
-    /// [`ProxyPlane::submit_read`] to carry a stronger level.
+    /// run at [`ConsistencyLevel::Eventual`].
     pub fn submit(&mut self, key: u64, is_write: bool, now: SimTime) -> ProxyDecision {
         self.submit_with(key, is_write, ConsistencyLevel::Eventual, now)
-    }
-
-    /// Submit a read at an explicit consistency level.
-    pub fn submit_read(
-        &mut self,
-        key: u64,
-        consistency: ConsistencyLevel,
-        now: SimTime,
-    ) -> ProxyDecision {
-        self.submit_with(key, false, consistency, now)
     }
 
     /// Process a request carrying a consistency level. The proxy cache may
     /// only answer `Eventual` reads: it has no LSN to prove a fence, so
     /// `ReadYourWrites` and `Leader` reads always forward to the data plane
     /// (where the replica group picks a fenced replica or the leader).
-    pub fn submit_with(
+    fn submit_with(
         &mut self,
         key: u64,
         is_write: bool,
@@ -292,6 +267,7 @@ impl ProxyPlane {
     }
 
     /// Aggregate proxy-cache statistics across the fleet.
+    // LINT: allow(A008): examples/hotkey_cache.rs
     pub fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for p in &self.proxies {
@@ -310,28 +286,6 @@ impl ProxyPlane {
             .iter()
             .map(|p| p.reads_local + p.reads_forwarded + p.reads_rejected)
             .collect()
-    }
-
-    /// Per-proxy split of reads served locally vs forwarded to the data
-    /// plane — what hit attribution consumes.
-    pub fn per_proxy_read_split(&self) -> Vec<ProxyReadSplit> {
-        self.proxies
-            .iter()
-            .map(|p| ProxyReadSplit {
-                local: p.reads_local,
-                forwarded: p.reads_forwarded,
-            })
-            .collect()
-    }
-
-    /// Fleet-wide read split (sums of [`ProxyPlane::per_proxy_read_split`]).
-    pub fn read_split(&self) -> ProxyReadSplit {
-        let mut total = ProxyReadSplit::default();
-        for p in &self.proxies {
-            total.local += p.reads_local;
-            total.forwarded += p.reads_forwarded;
-        }
-        total
     }
 }
 
@@ -434,7 +388,6 @@ mod tests {
     fn disabled_quota_forwards_everything() {
         let mut p = plane(2, 1);
         p.set_quota_enabled(false);
-        p.set_cache_enabled(false);
         for i in 0..10_000u64 {
             assert!(matches!(
                 p.submit(i, false, 0),
@@ -493,17 +446,17 @@ mod tests {
         }
         // Cached for Eventual...
         assert!(matches!(
-            p.submit_read(key, ConsistencyLevel::Eventual, secs(1)),
+            p.submit_with(key, false, ConsistencyLevel::Eventual, secs(1)),
             ProxyDecision::CacheHit { .. }
         ));
         // ...but the cache cannot prove an LSN fence: RYW and Leader reads
         // must reach the data plane.
         assert!(matches!(
-            p.submit_read(key, ConsistencyLevel::ReadYourWrites, secs(1)),
+            p.submit_with(key, false, ConsistencyLevel::ReadYourWrites, secs(1)),
             ProxyDecision::Forward { .. }
         ));
         assert!(matches!(
-            p.submit_read(key, ConsistencyLevel::Leader, secs(1)),
+            p.submit_with(key, false, ConsistencyLevel::Leader, secs(1)),
             ProxyDecision::Forward { .. }
         ));
     }
@@ -524,23 +477,19 @@ mod tests {
                 p.on_read_complete(proxy, key, 64, false, secs(1));
             }
         }
-        let split = p.read_split();
-        assert_eq!(split.local + split.forwarded, 21);
-        assert!(split.forwarded <= 2, "split={split:?}");
-        assert!(split.local >= 19, "split={split:?}");
-        let per_proxy = p.per_proxy_read_split();
-        let sum: u64 = per_proxy.iter().map(|s| s.local + s.forwarded).sum();
-        assert_eq!(sum, 21);
-        assert_eq!(
-            p.per_proxy_lookups(),
-            per_proxy
-                .iter()
-                .map(|s| s.local + s.forwarded)
-                .collect::<Vec<_>>()
-        );
+        let split = |p: &ProxyPlane| -> (u64, u64) {
+            let local = p.proxies.iter().map(|x| x.reads_local).sum();
+            (local, p.proxies.iter().map(|x| x.reads_forwarded).sum())
+        };
+        let (local, forwarded) = split(&p);
+        assert_eq!(local + forwarded, 21);
+        assert!(forwarded <= 2, "forwarded={forwarded}");
+        assert!(local >= 19, "local={local}");
+        assert_eq!(p.per_proxy_lookups().iter().sum::<u64>(), 21);
         // Writes are not part of the read split.
         p.submit(key, true, secs(2));
-        assert_eq!(p.read_split().local + p.read_split().forwarded, 21);
+        let (local, forwarded) = split(&p);
+        assert_eq!(local + forwarded, 21);
     }
 
     #[test]

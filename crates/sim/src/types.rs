@@ -58,7 +58,8 @@ pub enum Disposition {
 
 impl Disposition {
     /// True for successful completions.
-    pub fn is_success(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_success(&self) -> bool {
         matches!(self, Disposition::Success { .. })
     }
 }

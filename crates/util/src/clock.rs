@@ -12,15 +12,15 @@
 pub type SimTime = u64;
 
 /// Microseconds in one millisecond.
-pub const MICROS_PER_MS: SimTime = 1_000;
+const MICROS_PER_MS: SimTime = 1_000;
 /// Microseconds in one second.
-pub const MICROS_PER_SEC: SimTime = 1_000_000;
+const MICROS_PER_SEC: SimTime = 1_000_000;
 /// Microseconds in one minute.
-pub const MICROS_PER_MIN: SimTime = 60 * MICROS_PER_SEC;
+const MICROS_PER_MIN: SimTime = 60 * MICROS_PER_SEC;
 /// Microseconds in one hour.
-pub const MICROS_PER_HOUR: SimTime = 60 * MICROS_PER_MIN;
+const MICROS_PER_HOUR: SimTime = 60 * MICROS_PER_MIN;
 /// Microseconds in one day.
-pub const MICROS_PER_DAY: SimTime = 24 * MICROS_PER_HOUR;
+const MICROS_PER_DAY: SimTime = 24 * MICROS_PER_HOUR;
 
 /// Convert milliseconds to [`SimTime`].
 #[inline]

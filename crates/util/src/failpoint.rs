@@ -107,7 +107,7 @@ fn injector() -> &'static FaultInjector {
 
 impl FaultInjector {
     /// Is fault injection active at all?
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 }

@@ -113,7 +113,7 @@ impl Histogram {
     }
 
     /// Record `n` identical observations.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         self.counts[Self::index(value)] += n;
         self.total += n;
         self.sum = self.sum.saturating_add(value.saturating_mul(n));

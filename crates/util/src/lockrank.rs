@@ -53,7 +53,7 @@ use std::time::Duration;
 /// Whether acquisitions are checked in this build. `debug_assertions` covers
 /// every `cargo test`; the `lock-order-check` feature arms release builds
 /// (the CI `lock-order` job and chaos sweeps).
-pub const CHECK_ENABLED: bool = cfg!(any(debug_assertions, feature = "lock-order-check"));
+const CHECK_ENABLED: bool = cfg!(any(debug_assertions, feature = "lock-order-check"));
 
 /// A lock's position in the global acquisition order. Lower ranks are
 /// outermost: a thread holding rank *r* may only block on ranks `> r`

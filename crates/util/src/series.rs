@@ -69,7 +69,7 @@ impl TimeSeries {
     }
 
     /// Timestamp of sample `i`.
-    pub fn time_at(&self, i: usize) -> u64 {
+    fn time_at(&self, i: usize) -> u64 {
         self.start + i as u64 * self.interval
     }
 
@@ -105,6 +105,7 @@ impl TimeSeries {
     ///
     /// # Panics
     /// Panics if `factor == 0`.
+    // LINT: allow(A008): tests/property_based.rs
     pub fn resample(&self, factor: usize, agg: Aggregation) -> TimeSeries {
         assert!(factor > 0, "resample factor must be positive");
         let mut out = Vec::with_capacity(self.values.len().div_ceil(factor));
@@ -112,15 +113,6 @@ impl TimeSeries {
             out.push(agg.apply(chunk));
         }
         TimeSeries::new(self.start, self.interval * factor as u64, out)
-    }
-
-    /// Scale every sample by `factor`.
-    pub fn scaled(&self, factor: f64) -> TimeSeries {
-        TimeSeries::new(
-            self.start,
-            self.interval,
-            self.values.iter().map(|v| v * factor).collect(),
-        )
     }
 
     /// Split at sample index `i`: `(self[..i], self[i..])`.
@@ -187,11 +179,5 @@ mod tests {
         assert_eq!(head.values(), &[1.0, 2.0, 3.0]);
         assert_eq!(tail.start(), 15);
         assert_eq!(tail.values(), &[4.0]);
-    }
-
-    #[test]
-    fn scaled_multiplies_values() {
-        let s = TimeSeries::new(0, 1, vec![1.0, -2.0]).scaled(3.0);
-        assert_eq!(s.values(), &[3.0, -6.0]);
     }
 }

@@ -52,7 +52,7 @@ impl QueueClass {
     }
 
     /// True for the two read classes.
-    pub fn is_read(self) -> bool {
+    fn is_read(self) -> bool {
         matches!(self, QueueClass::SmallRead | QueueClass::LargeRead)
     }
 

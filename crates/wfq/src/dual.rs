@@ -79,7 +79,7 @@ pub struct IoThreadPool {
 
 impl IoThreadPool {
     /// The per-tick budget this pool provides.
-    pub fn tick_budget(&self) -> IoTickBudget {
+    fn tick_budget(&self) -> IoTickBudget {
         IoTickBudget {
             basic_iops: self.basic_threads as f64 * self.iops_per_thread,
             extra_iops: self.extra_threads as f64 * self.iops_per_thread,
@@ -128,7 +128,7 @@ impl<T> DualWfq<T> {
     }
 
     /// Requests waiting in the CPU layer.
-    pub fn cpu_depth(&self) -> usize {
+    fn cpu_depth(&self) -> usize {
         self.cpu.len()
     }
 
@@ -138,7 +138,7 @@ impl<T> DualWfq<T> {
     }
 
     /// Requests waiting in the I/O layer.
-    pub fn io_depth(&self) -> usize {
+    fn io_depth(&self) -> usize {
         self.io.len()
     }
 
@@ -192,7 +192,7 @@ impl<T> DualWfq<T> {
     /// Returns the scheduled requests and the IOPS consumed. Rule 4: extra
     /// capacity is granted only to tenants other than the one that monopolized
     /// the basic threads.
-    pub fn drain_io(&mut self, budget: IoTickBudget) -> (Vec<WfqItem<T>>, f64) {
+    fn drain_io(&mut self, budget: IoTickBudget) -> (Vec<WfqItem<T>>, f64) {
         let mut out = Vec::new();
         let mut consumed: HashMap<TenantId, f64> = HashMap::new();
         let mut total = 0.0_f64;
@@ -300,6 +300,7 @@ impl<T> NodeScheduler<T> {
     }
 
     /// Total queued requests in the CPU layers.
+    // LINT: allow(A008): crates/sim/src/node.rs (its tests)
     pub fn cpu_depth(&self) -> usize {
         self.classes.iter().map(DualWfq::cpu_depth).sum()
     }
@@ -313,6 +314,7 @@ impl<T> NodeScheduler<T> {
     }
 
     /// Total queued requests in the I/O layers.
+    // LINT: allow(A008): crates/sim/src/node.rs (its tests)
     pub fn io_depth(&self) -> usize {
         self.classes.iter().map(DualWfq::io_depth).sum()
     }

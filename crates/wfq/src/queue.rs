@@ -117,6 +117,7 @@ impl<T> WfqQueue<T> {
     }
 
     /// Current queue virtual time.
+    // LINT: allow(A008): tests/property_based.rs
     pub fn virtual_time(&self) -> f64 {
         self.virtual_time
     }

@@ -46,7 +46,8 @@ impl Zipf {
     }
 
     /// Probability mass of rank `i`.
-    pub fn pmf(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, i: usize) -> f64 {
         if i == 0 {
             self.cdf[0]
         } else {

@@ -110,7 +110,8 @@ pub const TABLE1_PROFILES: &[WorkloadProfile] = &[
 ];
 
 /// Look up a profile by its workload name.
-pub fn profile_by_workload(name: &str) -> Option<&'static WorkloadProfile> {
+#[cfg(test)]
+fn profile_by_workload(name: &str) -> Option<&'static WorkloadProfile> {
     TABLE1_PROFILES.iter().find(|p| p.workload == name)
 }
 

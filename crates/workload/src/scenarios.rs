@@ -50,7 +50,7 @@ pub enum TrafficShape {
 
 impl TrafficShape {
     /// QPS at virtual time `t`.
-    pub fn qps_at(&self, t: SimTime) -> f64 {
+    fn qps_at(&self, t: SimTime) -> f64 {
         match self {
             TrafficShape::Steady(q) => *q,
             TrafficShape::StepBurst {
