@@ -4,7 +4,10 @@
 //! is testable in isolation; [`crate::db::Db`] executes the chosen task. The
 //! striped engine runs the policy independently over each stripe's levels —
 //! the slice passed in is one stripe's view, and the resulting task never
-//! crosses stripes. Two triggers:
+//! crosses stripes. A task executes as one streaming merge (see
+//! [`crate::iter`]) whose memory is bounded by inputs × block size; a read
+//! that fails mid-merge fails the round, and its outputs are removed. Two
+//! triggers:
 //!
 //! * **L0 trigger** — when L0 accumulates `l0_trigger` files, all of L0 plus
 //!   the overlapping span of L1 compacts into fresh L1 files.
@@ -19,7 +22,7 @@
 //! advertisement joins, 1-day LLM caches) reclaim space purely through this
 //! path.
 
-use crate::version::SstMeta;
+use crate::version::{level_bytes, SstMeta};
 
 /// Compaction tuning knobs (subset of [`crate::db::DbConfig`]).
 #[derive(Debug, Clone, Copy)]
@@ -86,7 +89,7 @@ pub fn pick_compaction(
         }
         let mut input_ids: Vec<u64> = l0.iter().map(|m| m.id).collect();
         if levels.len() > 1 {
-            input_ids.extend(overlapping(levels, 1, &min, &max).map(|m| m.id));
+            input_ids.extend(overlapping(&levels[1], &min, &max));
         }
         let output_level = 1.min(levels.len() - 1);
         return Some(CompactionTask {
@@ -99,7 +102,7 @@ pub fn pick_compaction(
     }
     // Priority 2: oversized intermediate level.
     for level in 1..levels.len().saturating_sub(1) {
-        if level_bytes(levels, level) > level_target_bytes(config, level)
+        if level_bytes(&levels[level]) > level_target_bytes(config, level)
             && !levels[level].is_empty()
         {
             // Oldest file (smallest id) rotates down, plus next-level overlap.
@@ -107,9 +110,11 @@ pub fn pick_compaction(
                 continue;
             };
             let mut input_ids = vec![victim.id];
-            input_ids.extend(
-                overlapping(levels, level + 1, &victim.min_key, &victim.max_key).map(|m| m.id),
-            );
+            input_ids.extend(overlapping(
+                &levels[level + 1],
+                &victim.min_key,
+                &victim.max_key,
+            ));
             let output_level = level + 1;
             return Some(CompactionTask {
                 from_level: level,
@@ -123,19 +128,16 @@ pub fn pick_compaction(
     None
 }
 
-/// Files at `level` intersecting `[min, max]`.
+/// Ids of the files of one level intersecting `[min, max]`.
 fn overlapping<'a>(
-    levels: &'a [Vec<SstMeta>],
-    level: usize,
+    files: &'a [SstMeta],
     min: &'a [u8],
     max: &'a [u8],
-) -> impl Iterator<Item = &'a SstMeta> {
-    levels[level].iter().filter(move |m| m.overlaps(min, max))
-}
-
-/// Total bytes at `level`.
-fn level_bytes(levels: &[Vec<SstMeta>], level: usize) -> u64 {
-    levels[level].iter().map(|m| m.file_size).sum()
+) -> impl Iterator<Item = u64> + 'a {
+    files
+        .iter()
+        .filter(move |m| m.overlaps(min, max))
+        .map(|m| m.id)
 }
 
 /// True when every level strictly below `level` holds no files — a record
@@ -148,7 +150,7 @@ fn deeper_levels_empty(levels: &[Vec<SstMeta>], level: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::version::Version;
+    use crate::version::{add_file, Version};
     use bytes::Bytes;
 
     fn meta(id: u64, level: u32, min: &str, max: &str, size: u64) -> SstMeta {
@@ -181,10 +183,10 @@ mod tests {
     #[test]
     fn l0_trigger_fires_at_threshold() {
         let mut v = Version::new(4);
-        v.add_file(meta(1, 0, "a", "m", 100));
-        v.add_file(meta(2, 0, "b", "n", 100));
+        add_file(&mut v.levels, meta(1, 0, "a", "m", 100));
+        add_file(&mut v.levels, meta(2, 0, "b", "n", 100));
         assert!(pick_compaction(&v.levels, &config()).is_none());
-        v.add_file(meta(3, 0, "c", "o", 100));
+        add_file(&mut v.levels, meta(3, 0, "c", "o", 100));
         let task = pick_compaction(&v.levels, &config()).unwrap();
         assert_eq!(task.from_level, 0);
         assert_eq!(task.output_level, 1);
@@ -194,24 +196,33 @@ mod tests {
     #[test]
     fn l0_compaction_pulls_overlapping_l1() {
         let mut v = Version::new(4);
-        v.add_file(meta(1, 0, "c", "f", 100));
-        v.add_file(meta(2, 0, "d", "g", 100));
-        v.add_file(meta(3, 0, "e", "h", 100));
-        v.add_file(meta(10, 1, "a", "d", 100)); // overlaps
-        v.add_file(meta(11, 1, "x", "z", 100)); // disjoint
+        add_file(&mut v.levels, meta(1, 0, "c", "f", 100));
+        add_file(&mut v.levels, meta(2, 0, "d", "g", 100));
+        add_file(&mut v.levels, meta(3, 0, "e", "h", 100));
+        add_file(&mut v.levels, meta(10, 1, "a", "d", 100)); // overlaps
+        add_file(&mut v.levels, meta(11, 1, "x", "z", 100)); // disjoint
         let task = pick_compaction(&v.levels, &config()).unwrap();
         assert!(task.input_ids.contains(&10));
         assert!(!task.input_ids.contains(&11));
     }
 
     #[test]
+    fn overlap_queries() {
+        let mut v = Version::new(2);
+        add_file(&mut v.levels, meta(1, 1, "a", "f", 1000));
+        add_file(&mut v.levels, meta(2, 1, "g", "p", 1000));
+        assert_eq!(overlapping(&v.levels[1], b"e", b"h").count(), 2);
+        assert_eq!(overlapping(&v.levels[1], b"q", b"z").count(), 0);
+    }
+
+    #[test]
     fn size_trigger_compacts_oversized_level() {
         let mut v = Version::new(4);
         // L1 budget is 1000 bytes; stuff 3 files of 600.
-        v.add_file(meta(1, 1, "a", "c", 600));
-        v.add_file(meta(2, 1, "d", "f", 600));
-        v.add_file(meta(3, 1, "g", "i", 600));
-        v.add_file(meta(9, 2, "a", "e", 100)); // overlaps file 1 and 2
+        add_file(&mut v.levels, meta(1, 1, "a", "c", 600));
+        add_file(&mut v.levels, meta(2, 1, "d", "f", 600));
+        add_file(&mut v.levels, meta(3, 1, "g", "i", 600));
+        add_file(&mut v.levels, meta(9, 2, "a", "e", 100)); // overlaps file 1 and 2
         let task = pick_compaction(&v.levels, &config()).unwrap();
         assert_eq!(task.from_level, 1);
         assert_eq!(task.output_level, 2);
@@ -222,7 +233,7 @@ mod tests {
     #[test]
     fn bottom_level_flag_allows_tombstone_gc() {
         let mut v = Version::new(3);
-        v.add_file(meta(1, 1, "a", "c", 5000));
+        add_file(&mut v.levels, meta(1, 1, "a", "c", 5000));
         let task = pick_compaction(&v.levels, &config()).unwrap();
         assert_eq!(task.output_level, 2);
         assert!(task.is_bottom_level);
@@ -232,7 +243,7 @@ mod tests {
     fn l0_to_l1_is_bottom_when_deeper_levels_empty() {
         let mut v = Version::new(4);
         for i in 0..3 {
-            v.add_file(meta(i + 1, 0, "a", "z", 100));
+            add_file(&mut v.levels, meta(i + 1, 0, "a", "z", 100));
         }
         let task = pick_compaction(&v.levels, &config()).unwrap();
         assert!(task.is_bottom_level, "no deeper data ⇒ GC tombstones");

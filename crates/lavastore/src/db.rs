@@ -27,13 +27,13 @@
 
 use crate::block_cache::{BlockCache, CachedRow};
 use crate::bloom::BloomFilter;
-use crate::compaction::{pick_compaction, CompactionConfig};
+use crate::compaction::{pick_compaction, CompactionConfig, CompactionTask};
 use crate::error::{Error, Result};
-use crate::iter::MergeIterator;
+use crate::iter::{dedup_newest, MergeIterator};
 use crate::memtable::{MemEntry, MemTable};
 use crate::record::{Record, RecordKind, NO_EXPIRY};
 use crate::sstable::{BlockIo, SstReader, SstWriter};
-use crate::version::{SstMeta, Version};
+use crate::version::{self, SstMeta, Version};
 use crate::wal::{Wal, WalOptions};
 use abase_obs::Counter;
 use abase_util::clock::SimTime;
@@ -208,8 +208,8 @@ pub struct DbStats {
 /// One engine stripe: a memtable plus this stripe's slice of the LSM tree.
 struct Stripe {
     memtable: MemTable,
-    /// This stripe's files per level (same ordering rules as
-    /// [`Version::add_file`]); the union across stripes equals the manifest.
+    /// This stripe's files per level (kept by [`version::add_file`], as the
+    /// manifest's are); the union across stripes equals the manifest.
     levels: Vec<Vec<SstMeta>>,
     readers: HashMap<u64, Arc<SstReader>>,
 }
@@ -225,23 +225,11 @@ impl Stripe {
 
     fn add_file(&mut self, meta: SstMeta, reader: Arc<SstReader>) {
         self.readers.insert(meta.id, reader);
-        let level = meta.level as usize;
-        let files = &mut self.levels[level];
-        files.push(meta);
-        if level == 0 {
-            // L0: newest (largest id) first — read path checks newest first.
-            files.sort_by_key(|m| Reverse(m.id));
-        } else {
-            files.sort_by(|a, b| a.min_key.cmp(&b.min_key));
-        }
+        version::add_file(&mut self.levels, meta);
     }
 
     fn remove_file(&mut self, id: u64) {
-        for files in &mut self.levels {
-            if let Some(pos) = files.iter().position(|m| m.id == id) {
-                files.remove(pos);
-            }
-        }
+        version::remove_file(&mut self.levels, id);
         self.readers.remove(&id);
     }
 }
@@ -986,47 +974,37 @@ impl Db {
     ///
     /// Takes every stripe's read lock (in index order, so concurrent scans
     /// cannot deadlock) to get a point-in-time view across stripes, then
-    /// merges by key with newest-seq-wins — sequence numbers are globally
-    /// unique, so the merge is unambiguous regardless of source order.
+    /// merges every memtable's range and every SST's cursor lazily by key
+    /// with newest-seq-wins — sequence numbers are globally unique, so the
+    /// merge is unambiguous regardless of source order. Each source stops at
+    /// its first key past the prefix: no file is read beyond that key's
+    /// block.
     pub fn scan_prefix(
         &self,
         prefix: &[u8],
         now: SimTime,
     ) -> Result<(Vec<(Bytes, Bytes)>, BlockIo)> {
         let guards: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
-        let mut sources = Vec::new();
-        let mut io = BlockIo::default();
-        let upper = upper_bound_for_prefix(prefix);
+        let mut cursors = Vec::new();
         for stripe in &guards {
-            sources.push(
-                stripe
-                    .memtable
-                    .scan_prefix(prefix)
-                    .map(|(k, e)| Record {
-                        key: k.clone(),
-                        seq: e.seq,
-                        kind: e.kind,
-                        expires_at: e.expires_at,
-                        value: e.value.clone(),
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            for level in 0..stripe.levels.len() {
-                for meta in &stripe.levels[level] {
-                    if !meta.overlaps(prefix, upper.as_ref()) {
-                        continue;
-                    }
-                    let reader = &stripe.readers[&meta.id];
-                    let (records, file_io) = reader.scan_prefix(prefix)?;
-                    io.absorb(file_io);
-                    sources.push(records);
-                }
+            for reader in stripe.readers.values() {
+                cursors.push(reader.cursor(prefix, true)?);
             }
         }
+        type Source<'a> = Box<dyn Iterator<Item = Result<Record>> + 'a>;
+        let memtables = guards
+            .iter()
+            .map(|s| Box::new(s.memtable.range(prefix).map(Ok)) as Source<'_>);
+        let ssts = cursors.iter_mut().map(|c| Box::new(c) as Source<'_>);
+        let pairs = dedup_newest(MergeIterator::new(memtables.chain(ssts))?, now, true)
+            .map(|r| r.map(|r| (r.key, r.value)))
+            .collect::<Result<Vec<_>>>()?;
+        let mut io = BlockIo::default();
+        for cursor in &cursors {
+            io.absorb(cursor.io());
+        }
         self.stats.block_reads.add(u64::from(io.disk));
-        let merged = MergeIterator::new(sources).dedup_newest(now, true);
-        let out = merged.into_iter().map(|r| (r.key, r.value)).collect();
-        Ok((out, io))
+        Ok((pairs, io))
     }
 
     /// Force a memtable flush of every stripe (no-op for empty stripes).
@@ -1068,7 +1046,7 @@ impl Db {
         // while the write lock keeps readers (and their admissions) out. A
         // cache that holds no rows — a write-only load — skips the probes.
         let rows = self.block_cache.as_deref().filter(|c| c.row_count() > 0);
-        for record in stripe.memtable.iter_records() {
+        for record in stripe.memtable.range(b"") {
             writer.add(&record)?;
             if let Some(cache) = rows {
                 cache.invalidate_row(&record.key);
@@ -1091,7 +1069,7 @@ impl Db {
         let reader = Arc::new(SstReader::open_cached(&path, self.block_cache.clone())?);
         {
             let mut shared = self.shared.lock();
-            shared.version.add_file(meta.clone());
+            version::add_file(&mut shared.version.levels, meta.clone());
             // Rotate the shared WAL so the flushed records' segment can age
             // out once every stripe catches up. Skip when nothing was
             // appended (another stripe's flush just rotated) or the log is
@@ -1181,82 +1159,29 @@ impl Db {
             let Some(task) = pick_compaction(&stripe.levels, &self.config.compaction) else {
                 continue;
             };
-            // Collect input streams. Input ids arrive with the from-level
-            // files first (newest sources first for L0), which matches the
-            // merge iterator's tie-breaking contract.
-            let mut sources = Vec::with_capacity(task.input_ids.len());
-            for id in &task.input_ids {
-                let reader = stripe
-                    .readers
-                    .get(id)
-                    .ok_or_else(|| Error::InvalidState(format!("missing reader for sst {id}")))?;
-                sources.push(reader.scan_all()?);
-            }
-            let merged = MergeIterator::new(sources).dedup_newest(now, task.is_bottom_level);
-            // Write merged output, splitting at the target file size. File
-            // ids come from the shared counter (brief lock); the writes
-            // themselves run under only this stripe's lock.
-            let mut new_metas = Vec::new();
-            let mut writer: Option<(u64, SstWriter, u64)> = None; // (id, writer, bytes)
-            let finish = |id: u64, w: SstWriter, new_metas: &mut Vec<SstMeta>| -> Result<()> {
-                let info = w.finish()?;
-                self.stats
-                    .sst_bytes_written
-                    .fetch_add(info.file_size, Ordering::Relaxed);
-                new_metas.push(SstMeta {
-                    id,
-                    level: task.output_level as u32,
-                    stripe: s as u32,
-                    min_key: info.min_key,
-                    max_key: info.max_key,
-                    file_size: info.file_size,
-                    record_count: info.record_count,
-                });
-                Ok(())
+            let mut written = Vec::new();
+            let outputs = match self.write_compaction(s, &stripe, &task, now, &mut written) {
+                Ok(outputs) => outputs,
+                Err(e) => {
+                    // The manifest never named these files; nothing reads
+                    // them.
+                    for id in written {
+                        std::fs::remove_file(sst_path(&self.dir, id)).ok();
+                    }
+                    return Err(e);
+                }
             };
-            for record in &merged {
-                if writer.is_none() {
-                    let id = self.shared.lock().version.allocate_file_id();
-                    let w = SstWriter::create(
-                        &sst_path(&self.dir, id),
-                        merged.len(),
-                        self.config.bloom_bits_per_key,
-                        self.config.block_bytes,
-                    )?;
-                    writer = Some((id, w, 0));
-                }
-                // INVARIANT: the block above creates the writer when None;
-                // it is Some on every path reaching here.
-                let (_, w, bytes) = writer.as_mut().expect("writer just ensured");
-                w.add(record)?;
-                *bytes += record.approximate_size() as u64;
-                if *bytes >= self.config.target_sst_bytes {
-                    // INVARIANT: guarded by the same writer.is_some() flow.
-                    let (id, w, _) = writer.take().expect("writer present");
-                    finish(id, w, &mut new_metas)?;
-                }
-            }
-            if let Some((id, w, _)) = writer.take() {
-                finish(id, w, &mut new_metas)?;
-            }
             // Install: update the manifest under the shared lock (input
             // deletion also happens there, so a concurrent checkpoint pin
             // can never see a version whose files are already unlinked),
             // then mirror into this stripe's view.
-            let mut new_readers = Vec::with_capacity(new_metas.len());
-            for meta in &new_metas {
-                new_readers.push(Arc::new(SstReader::open_cached(
-                    &sst_path(&self.dir, meta.id),
-                    self.block_cache.clone(),
-                )?));
-            }
             {
                 let mut shared = self.shared.lock();
                 for id in &task.input_ids {
-                    shared.version.remove_file(*id);
+                    version::remove_file(&mut shared.version.levels, *id);
                 }
-                for meta in &new_metas {
-                    shared.version.add_file(meta.clone());
+                for (meta, _) in &outputs {
+                    version::add_file(&mut shared.version.levels, meta.clone());
                 }
                 shared.version.save(&self.dir)?;
                 for id in &task.input_ids {
@@ -1266,15 +1191,90 @@ impl Db {
             for id in &task.input_ids {
                 stripe.remove_file(*id);
             }
-            for (meta, reader) in new_metas.iter().zip(new_readers) {
-                stripe.add_file(meta.clone(), reader);
+            let bytes = outputs.iter().map(|(meta, _)| meta.file_size).sum();
+            for (meta, reader) in outputs {
+                stripe.add_file(meta, reader);
             }
             self.stats.compactions.fetch_add(1, Ordering::Relaxed);
             crate::metrics::COMPACTIONS.inc();
-            crate::metrics::COMPACTION_BYTES.add(new_metas.iter().map(|m| m.file_size).sum());
+            crate::metrics::COMPACTION_BYTES.add(bytes);
             return Ok(true);
         }
         Ok(false)
+    }
+
+    /// Stream the merge of `task`'s inputs in stripe `s` into new files at
+    /// its output level, split at the target file size, and open each.
+    /// Every output id goes into `written` before its file is created, so
+    /// the caller can remove them all if the round fails.
+    fn write_compaction(
+        &self,
+        s: usize,
+        stripe: &Stripe,
+        task: &CompactionTask,
+        now: SimTime,
+        written: &mut Vec<u64>,
+    ) -> Result<Vec<(SstMeta, Arc<SstReader>)>> {
+        let inputs = task.input_ids.iter().map(|id| &stripe.readers[id]);
+        // The inputs' record count bounds the merge's: it sizes each
+        // output's bloom filter.
+        let expected: u64 = inputs.clone().map(|r| r.record_count()).sum();
+        // Input ids come from-level first (newest first for L0): the
+        // merge's tie-breaking order.
+        let cursors = inputs
+            .map(|r| r.cursor(b"", false))
+            .collect::<Result<Vec<_>>>()?;
+        let merged = dedup_newest(MergeIterator::new(cursors)?, now, task.is_bottom_level);
+        let finish = |id: u64, w: SstWriter| -> Result<(SstMeta, Arc<SstReader>)> {
+            let info = w.finish()?;
+            self.stats
+                .sst_bytes_written
+                .fetch_add(info.file_size, Ordering::Relaxed);
+            let reader = SstReader::open_cached(&info.path, self.block_cache.clone())?;
+            let meta = SstMeta {
+                id,
+                level: task.output_level as u32,
+                stripe: s as u32,
+                min_key: info.min_key,
+                max_key: info.max_key,
+                file_size: info.file_size,
+                record_count: info.record_count,
+            };
+            Ok((meta, Arc::new(reader)))
+        };
+        let mut outputs = Vec::new();
+        // The output being written: its id, writer and bytes so far.
+        let mut open: Option<(u64, SstWriter, u64)> = None;
+        for record in merged {
+            let record = record?;
+            let (id, mut w, mut bytes) = match open.take() {
+                Some(open) => open,
+                None => {
+                    // File ids come from the shared counter (brief lock);
+                    // the writes run under only this stripe's lock.
+                    let id = self.shared.lock().version.allocate_file_id();
+                    written.push(id);
+                    let w = SstWriter::create(
+                        &sst_path(&self.dir, id),
+                        expected as usize,
+                        self.config.bloom_bits_per_key,
+                        self.config.block_bytes,
+                    )?;
+                    (id, w, 0)
+                }
+            };
+            w.add(&record)?;
+            bytes += record.approximate_size() as u64;
+            if bytes >= self.config.target_sst_bytes {
+                outputs.push(finish(id, w)?);
+            } else {
+                open = Some((id, w, bytes));
+            }
+        }
+        if let Some((id, w, _)) = open {
+            outputs.push(finish(id, w)?);
+        }
+        Ok(outputs)
     }
 
     /// Run compactions until the tree is shaped (bounded rounds).
@@ -1304,7 +1304,13 @@ impl Db {
     /// Total live SST bytes (storage utilization for the rescheduler).
     #[cfg(test)]
     fn total_sst_bytes(&self) -> u64 {
-        self.shared.lock().version.total_bytes()
+        let shared = self.shared.lock();
+        shared
+            .version
+            .levels
+            .iter()
+            .map(|l| version::level_bytes(l))
+            .sum()
     }
 
     /// Live files per level across all stripes, for diagnostics.
@@ -1324,22 +1330,6 @@ impl Db {
 /// that has not expired by `now`.
 fn is_live(kind: RecordKind, expires_at: u64, now: SimTime) -> bool {
     kind == RecordKind::Put && (expires_at == NO_EXPIRY || expires_at > now)
-}
-
-/// Smallest byte string strictly greater than every key with `prefix`
-/// (used to bound overlap checks). Falls back to 0xFF-padding when the prefix
-/// is all 0xFF.
-fn upper_bound_for_prefix(prefix: &[u8]) -> Bytes {
-    let mut upper = prefix.to_vec();
-    while let Some(last) = upper.last_mut() {
-        if *last < 0xFF {
-            *last += 1;
-            return Bytes::from(upper);
-        }
-        upper.pop();
-    }
-    // All-0xFF prefix: unbounded above; use a long max sentinel.
-    Bytes::from(vec![0xFFu8; prefix.len() + 8])
 }
 
 #[cfg(test)]
@@ -1470,6 +1460,93 @@ mod tests {
         db.compact_to_quiescence(200).unwrap();
         assert_eq!(db.get(b"k", 200).unwrap().value, None);
         assert_eq!(db.scan_prefix(b"", 200).unwrap().0.len(), 2);
+    }
+
+    #[test]
+    fn an_input_read_failing_mid_merge_fails_the_compaction_cleanly() {
+        let dir = TestDir::new("compact-read-fails");
+        let config = DbConfig {
+            n_stripes: 1,
+            memtable_bytes: 1 << 20,
+            // Outputs of a few KiB: several are on disk before the failure.
+            target_sst_bytes: 4 << 10,
+            compaction: CompactionConfig {
+                l0_trigger: 4,
+                ..DbConfig::small_for_tests().compaction
+            },
+            ..DbConfig::small_for_tests()
+        };
+        let db = Db::open(dir.path(), config).unwrap();
+        let key = |i: usize, input: usize| format!("key-{i:04}-{input}");
+        for input in 0..4 {
+            for i in 0..200 {
+                db.put(key(i, input).as_bytes(), &[b'v'; 100], None, 0)
+                    .unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let ssts = |dir: &Path| -> HashSet<PathBuf> {
+            std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|e| e == "sst"))
+                .collect()
+        };
+        let listed = |dir: &Path| -> HashSet<PathBuf> {
+            let version = Version::load(dir).unwrap().unwrap();
+            version
+                .levels
+                .iter()
+                .flatten()
+                .map(|m| sst_path(dir, m.id))
+                .collect()
+        };
+        let counts = db.level_file_counts();
+        assert_eq!(counts[0], 4);
+        let written = db.stats().sst_bytes_written;
+        // Cut the oldest input's data in half under its open reader: its
+        // first blocks read, a later one does not. A point read finds every
+        // other input's keys before it reaches this file.
+        let oldest = db.shared.lock().version.levels[0].last().unwrap().id;
+        let path = sst_path(dir.path(), oldest);
+        let whole = std::fs::read(&path).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(whole.len() as u64 / 2).unwrap();
+
+        assert!(db.compact_once(0).is_err());
+        assert!(
+            db.stats().sst_bytes_written > written,
+            "no output was finished before the failure"
+        );
+        assert_eq!(db.level_file_counts(), counts);
+        let manifest = Version::load(dir.path()).unwrap().unwrap();
+        assert_eq!(
+            manifest.levels.iter().map(Vec::len).collect::<Vec<_>>(),
+            counts
+        );
+        // The outputs went with the failed round.
+        assert_eq!(ssts(dir.path()), listed(dir.path()));
+        for input in 1..4 {
+            for i in 0..200 {
+                let k = key(i, input);
+                assert!(db.get(k.as_bytes(), 0).unwrap().value.is_some(), "{k}");
+            }
+        }
+        drop(db);
+
+        // Once the fault has passed, a reopen finds nothing stray and the
+        // compaction runs.
+        std::fs::write(&path, &whole).unwrap();
+        let db = Db::open(dir.path(), config).unwrap();
+        assert_eq!(ssts(dir.path()), listed(dir.path()));
+        assert!(db.compact_once(0).unwrap());
+        assert_eq!(db.level_file_counts()[0], 0);
+        for input in 0..4 {
+            for i in 0..200 {
+                let k = key(i, input);
+                assert!(db.get(k.as_bytes(), 0).unwrap().value.is_some(), "{k}");
+            }
+        }
     }
 
     #[test]
@@ -1958,16 +2035,5 @@ mod tests {
             let key = format!("key-{i:04}");
             assert!(db.get(key.as_bytes(), 0).unwrap().value.is_some(), "{key}");
         }
-    }
-
-    #[test]
-    fn upper_bound_helper() {
-        assert_eq!(upper_bound_for_prefix(b"abc"), Bytes::from("abd"));
-        assert_eq!(
-            upper_bound_for_prefix(&[0x01, 0xFF]),
-            Bytes::from(vec![0x02])
-        );
-        let ub = upper_bound_for_prefix(&[0xFF, 0xFF]);
-        assert!(ub.as_ref() > &[0xFFu8, 0xFF][..]);
     }
 }

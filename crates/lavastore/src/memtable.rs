@@ -81,25 +81,20 @@ impl MemTable {
         self.approximate_bytes
     }
 
-    /// Iterate entries in key order as [`Record`]s (for flushing).
-    pub fn iter_records(&self) -> impl Iterator<Item = Record> + '_ {
-        self.entries.iter().map(|(key, e)| Record {
-            key: key.clone(),
-            seq: e.seq,
-            kind: e.kind,
-            expires_at: e.expires_at,
-            value: e.value.clone(),
-        })
-    }
-
-    /// Entries whose key starts with `prefix`, in key order.
-    pub fn scan_prefix<'a>(
-        &'a self,
-        prefix: &'a [u8],
-    ) -> impl Iterator<Item = (&'a Bytes, &'a MemEntry)> + 'a {
+    /// The records whose key starts with `prefix` (every record for an
+    /// empty prefix), in key order: what a flush writes and a prefix scan
+    /// merges.
+    pub fn range<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = Record> + 'a {
         self.entries
             .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
+            .take_while(move |(key, _)| key.starts_with(prefix))
+            .map(|(key, e)| Record {
+                key: key.clone(),
+                seq: e.seq,
+                kind: e.kind,
+                expires_at: e.expires_at,
+                value: e.value.clone(),
+            })
     }
 
     /// Drop everything (after a successful flush).
@@ -157,24 +152,25 @@ mod tests {
     }
 
     #[test]
-    fn iter_records_sorted_by_key() {
+    fn range_of_the_empty_prefix_is_every_record_by_key() {
         let mut m = MemTable::new();
         m.apply(&Record::put("b", "2", 2, None));
         m.apply(&Record::put("a", "1", 1, None));
         m.apply(&Record::put("c", "3", 3, None));
-        let keys: Vec<_> = m.iter_records().map(|r| r.key).collect();
+        let keys: Vec<_> = m.range(b"").map(|r| r.key).collect();
         assert_eq!(keys, vec![&b"a"[..], &b"b"[..], &b"c"[..]]);
     }
 
     #[test]
-    fn scan_prefix_selects_range() {
+    fn range_selects_a_prefix() {
         let mut m = MemTable::new();
         m.apply(&Record::put("user:1", "a", 1, None));
         m.apply(&Record::put("user:2", "b", 2, None));
         m.apply(&Record::put("video:1", "c", 3, None));
-        let hits: Vec<_> = m.scan_prefix(b"user:").map(|(k, _)| k.clone()).collect();
+        let hits: Vec<_> = m.range(b"user:").collect();
         assert_eq!(hits.len(), 2);
-        assert!(hits.iter().all(|k| k.starts_with(b"user:")));
+        assert!(hits.iter().all(|r| r.key.starts_with(b"user:")));
+        assert_eq!(hits[1], Record::put("user:2", "b", 2, None));
     }
 
     #[test]

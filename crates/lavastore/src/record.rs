@@ -25,7 +25,6 @@ use crate::encoding::{corruption, get_len_prefixed, get_varint, put_len_prefixed
 use crate::error::{Error, Result};
 use crate::memtable::MemEntry;
 use bytes::Bytes;
-use std::cmp::Ordering;
 
 /// Monotonic sequence number assigned by the engine per write.
 pub type SeqNo = u64;
@@ -132,14 +131,6 @@ impl Record {
     /// True if the record carries a TTL that has lapsed by `now`.
     pub fn is_expired(&self, now: u64) -> bool {
         self.expires_at != NO_EXPIRY && self.expires_at <= now
-    }
-
-    /// Internal ordering: key ascending, then sequence descending (newest
-    /// version of a key sorts first).
-    pub fn internal_cmp(&self, other: &Record) -> Ordering {
-        self.key
-            .cmp(&other.key)
-            .then_with(|| other.seq.cmp(&self.seq))
     }
 
     /// Serialized size estimate in bytes (used for memtable accounting).
@@ -265,15 +256,6 @@ mod tests {
         assert_eq!(len(Record::put("k", "v", 200_000, None)), 6);
         assert_eq!(len(Record::put("k", "v", 1, Some(1_000_000))), 7);
         assert_eq!(len(Record::delete("k", 1)), 3);
-    }
-
-    #[test]
-    fn internal_ordering_newest_first_per_key() {
-        let old = Record::put("a", "1", 1, None);
-        let new = Record::put("a", "2", 2, None);
-        let other = Record::put("b", "x", 1, None);
-        assert_eq!(new.internal_cmp(&old), Ordering::Less);
-        assert_eq!(old.internal_cmp(&other), Ordering::Less);
     }
 
     #[test]

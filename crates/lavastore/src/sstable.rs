@@ -25,7 +25,9 @@
 //! one entry per data block — key = that block's last key, payload =
 //! `varint offset | varint stored len` — with a restart interval of 1, so
 //! every index key is whole. Both are built by one [`BlockBuilder`] and
-//! searched by one [`Block::seek`].
+//! searched by one [`Block::seek`]; [`SstCursor`], the one range reader
+//! behind compaction and prefix scans, walks a data block an entry at a time
+//! with [`Block::next_entry`].
 //!
 //! The *properties* region is what a reader keeps **pinned** for its whole
 //! lifetime: the key range, the index block (searched in place, never
@@ -487,35 +489,23 @@ impl<'a> Block<'a> {
         }
     }
 
-    /// Visit entries in order from restart point `from`, rebuilding each key
-    /// in `key` (one buffer, reused); `visit` returns `false` to stop.
-    /// Returns whether the block was walked to its end.
-    fn for_each<T>(
+    /// Decode the entry at `pos` — its key, rebuilt in `key` over the
+    /// previous entry's, and its payload — advancing `pos` past it.
+    fn next_entry<T>(
         &self,
-        from: usize,
+        pos: &mut usize,
         key: &mut Vec<u8>,
         payload: impl Fn(&'a [u8], &mut usize) -> Result<T>,
-        mut visit: impl FnMut(&[u8], T) -> Result<bool>,
-    ) -> Result<bool> {
-        if self.n_restarts() == 0 {
-            return Ok(true);
+    ) -> Result<T> {
+        let (shared, suffix) = self.entry_key(pos)?;
+        if shared > key.len() as u64 {
+            return Err(corruption(
+                "entry shares more bytes than the previous key has",
+            ));
         }
-        let mut pos = self.restart(from)?;
-        key.clear();
-        while pos < self.entries.len() {
-            let (shared, suffix) = self.entry_key(&mut pos)?;
-            if shared > key.len() as u64 {
-                return Err(corruption(
-                    "entry shares more bytes than the previous key has",
-                ));
-            }
-            key.truncate(shared as usize);
-            key.extend_from_slice(suffix);
-            if !visit(key, payload(self.entries, &mut pos)?)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        key.truncate(shared as usize);
+        key.extend_from_slice(suffix);
+        payload(self.entries, pos)
     }
 }
 
@@ -739,58 +729,30 @@ impl SstReader {
         Ok((None, io))
     }
 
-    /// Scan every record in key order (used by compaction and range reads).
-    /// Reads check the cache but do not populate it (`fill = false`): a
-    /// compaction input is about to be deleted.
-    pub fn scan_all(&self) -> Result<Vec<Record>> {
-        // A record is at least five bytes of block, whatever the count says.
-        let mut out = Vec::with_capacity(self.record_count.min(self.data_len / 5) as usize);
-        let (mut last_key, mut key) = (Vec::new(), Vec::new());
-        self.index_block()?
-            .for_each(0, &mut last_key, decode_handle, |_, handle| {
-                let (block, _) = self.read_block(handle, false)?;
-                Block::parse(&block)?.for_each(0, &mut key, Record::decode_tail, |key, tail| {
-                    out.push(tail.to_record(Bytes::copy_from_slice(key)));
-                    Ok(true)
-                })
-            })?;
-        Ok(out)
-    }
-
-    /// Records whose key starts with `prefix`, in key order, plus the block
-    /// accesses used.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Result<(Vec<Record>, BlockIo)> {
-        if prefix > &self.max_key[..] || !self.prefix_may_overlap(prefix) {
-            return Ok((Vec::new(), BlockIo::default()));
-        }
-        let mut out = Vec::new();
-        let mut io = BlockIo::default();
-        let (mut last_key, mut key) = (Vec::new(), Vec::new());
-        let index = self.index_block()?;
-        // Every index entry is a restart point, so the first one at or above
-        // `prefix` is the first block that can hold a match.
-        let start = index.search_restarts(prefix)?.at_or_above;
-        if start == index.n_restarts() {
-            return Ok((out, io));
-        }
-        index.for_each(start, &mut last_key, decode_handle, |_, handle| {
-            let (block, block_io) = self.read_block(handle, true)?;
-            io.absorb(block_io);
-            Block::parse(&block)?.for_each(0, &mut key, Record::decode_tail, |key, tail| {
-                if key.starts_with(prefix) {
-                    out.push(tail.to_record(Bytes::copy_from_slice(key)));
-                }
-                // Past the prefix's range: stop this block and the scan.
-                Ok(key <= prefix || key.starts_with(prefix))
-            })
-        })?;
-        Ok((out, io))
-    }
-
-    fn prefix_may_overlap(&self, prefix: &[u8]) -> bool {
-        // max_key >= prefix and min_key's first |prefix| bytes <= prefix.
+    /// A cursor over the records whose key starts with `prefix` (every
+    /// record for an empty prefix), in key order. `fill` says whether its
+    /// disk reads populate the block cache: a prefix scan's do, and a
+    /// compaction's do not, since its inputs are about to be deleted.
+    pub fn cursor<'a>(&'a self, prefix: &'a [u8], fill: bool) -> Result<SstCursor<'a>> {
+        // Past the file's range when `prefix` sorts above its largest key or
+        // below the head of its smallest. Otherwise the first index entry
+        // at or above `prefix` names the first block that can hold a match
+        // (every index entry is a restart point).
         let head = &self.min_key[..self.min_key.len().min(prefix.len())];
-        head <= prefix
+        let next_block = if prefix > &self.max_key[..] || head > prefix {
+            usize::MAX
+        } else {
+            self.index_block()?.search_restarts(prefix)?.at_or_above
+        };
+        Ok(SstCursor {
+            reader: self,
+            prefix,
+            fill,
+            next_block,
+            block: None,
+            key: Vec::new(),
+            io: BlockIo::default(),
+        })
     }
 }
 
@@ -799,6 +761,77 @@ impl Drop for SstReader {
         if let Some(cache) = &self.cache {
             cache.sub_pinned(self.pinned_bytes);
         }
+    }
+}
+
+/// Records of one SST in key order (see [`SstReader::cursor`]). It holds one
+/// decoded data block at a time and reads the next only when the walk
+/// reaches it; it stops at the first key past its prefix, so no block beyond
+/// that key's is read.
+pub struct SstCursor<'a> {
+    reader: &'a SstReader,
+    prefix: &'a [u8],
+    fill: bool,
+    /// Index entry of the next data block to read.
+    next_block: usize,
+    /// The data block being walked, and the offset of its next entry.
+    block: Option<(Arc<[u8]>, usize)>,
+    /// The last entry's key.
+    key: Vec<u8>,
+    io: BlockIo,
+}
+
+impl SstCursor<'_> {
+    /// The block accesses made so far.
+    pub fn io(&self) -> BlockIo {
+        self.io
+    }
+
+    fn step(&mut self) -> Result<Option<Record>> {
+        loop {
+            if let Some((block, pos)) = &mut self.block {
+                let block = Block::parse(&block[..])?;
+                if *pos < block.entries.len() {
+                    let tail = block.next_entry(pos, &mut self.key, Record::decode_tail)?;
+                    // Only the first block holds keys below the prefix.
+                    if self.key.as_slice() < self.prefix {
+                        continue;
+                    }
+                    if !self.key.starts_with(self.prefix) {
+                        return Ok(None);
+                    }
+                    return Ok(Some(tail.to_record(Bytes::copy_from_slice(&self.key))));
+                }
+            }
+            // The block is spent: let it go before reading the next.
+            self.block = None;
+            let index = self.reader.index_block()?;
+            if self.next_block >= index.n_restarts() {
+                return Ok(None);
+            }
+            let (_, mut pos) = index.restart_key(self.next_block)?;
+            let handle = decode_handle(index.entries, &mut pos)?;
+            let (block, io) = self.reader.read_block(handle, self.fill)?;
+            self.io.absorb(io);
+            self.next_block += 1;
+            // A block's first entry shares nothing with the last block's.
+            self.key.clear();
+            self.block = Some((block, 0));
+        }
+    }
+}
+
+impl Iterator for SstCursor<'_> {
+    type Item = Result<Record>;
+
+    /// The next record; after the last one, a key past the prefix or an
+    /// error, `None` for good.
+    fn next(&mut self) -> Option<Result<Record>> {
+        let step = self.step().transpose();
+        if !matches!(step, Some(Ok(_))) {
+            (self.block, self.next_block) = (None, usize::MAX);
+        }
+        step
     }
 }
 
@@ -895,14 +928,22 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every record the cursor yields for `prefix`, and the accesses it made.
+    fn scan(r: &SstReader, prefix: &[u8], fill: bool) -> (Vec<Record>, BlockIo) {
+        let mut cursor = r.cursor(prefix, fill).unwrap();
+        let records = cursor.by_ref().collect::<Result<Vec<_>>>().unwrap();
+        (records, cursor.io())
+    }
+
     #[test]
-    fn scan_all_returns_sorted_records() {
+    fn an_empty_prefix_walks_every_record_in_order() {
         let path = temp_path("scan");
         build_sst(&path, 300);
         let r = SstReader::open(&path).unwrap();
-        let records = r.scan_all().unwrap();
+        let (records, io) = scan(&r, b"", false);
         assert_eq!(records.len(), 300);
         assert!(records.windows(2).all(|w| w[0].key < w[1].key));
+        assert!(io.disk > 1, "one block held at a time, so several read");
         std::fs::remove_file(&path).ok();
     }
 
@@ -915,9 +956,56 @@ mod tests {
         }
         w.finish().unwrap();
         let r = SstReader::open(&path).unwrap();
-        let (records, _) = r.scan_prefix(b"b:").unwrap();
+        let (records, _) = scan(&r, b"b:", true);
         assert_eq!(records.len(), 2);
         assert!(records.iter().all(|rec| rec.key.starts_with(b"b:")));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_prefix_scan_reads_no_block_past_the_first_key_beyond_it() {
+        // One record per block: the blocks read are the prefix's records,
+        // plus the one holding the first key after them.
+        let path = temp_path("prefix-stop");
+        let mut w = SstWriter::create(&path, 100, 10, 1).unwrap();
+        for i in 0..100u64 {
+            w.add(&Record::put(format!("k{i:03}"), "v", i + 1, None))
+                .unwrap();
+        }
+        w.finish().unwrap();
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        let r = SstReader::open_cached(&path, Some(Arc::clone(&cache))).unwrap();
+        let (records, io) = scan(&r, b"k01", true);
+        assert_eq!(records.len(), 10);
+        assert_eq!(
+            io,
+            BlockIo {
+                disk: 11,
+                cached: 0
+            }
+        );
+        // A prefix scan fills the cache; a compaction's walk fills nothing.
+        let (_, io) = scan(&r, b"k01", true);
+        assert_eq!(
+            io,
+            BlockIo {
+                disk: 0,
+                cached: 11
+            }
+        );
+        let resident = cache.resident_bytes();
+        let (records, io) = scan(&r, b"", false);
+        assert_eq!((records.len(), io.disk, io.cached), (100, 89, 11));
+        assert_eq!(cache.resident_bytes(), resident);
+        // A prefix outside the file's range reads nothing; one between two
+        // keys reads the block of the key after it, and no further.
+        for prefix in [&b"a"[..], b"z"] {
+            assert_eq!(scan(&r, prefix, true), (Vec::new(), BlockIo::default()));
+        }
+        assert_eq!(
+            scan(&r, b"k0005", false),
+            (Vec::new(), BlockIo { disk: 1, cached: 0 })
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1178,7 +1266,7 @@ mod tests {
 
         proptest! {
             #[test]
-            fn seek_and_for_each_match_a_sorted_vec(keys in sorted_keys()) {
+            fn seek_and_next_entry_match_a_sorted_vec(keys in sorted_keys()) {
                 for interval in [1, 2, 3, RESTART_INTERVAL] {
                     let bytes = build(&keys, interval);
                     let block = Block::parse(&bytes).unwrap();
@@ -1189,14 +1277,12 @@ mod tests {
                         let found = block.seek(&probe, get_varint).unwrap();
                         prop_assert_eq!(found, expected, "interval {} probe {:?}", interval, probe);
                     }
-                    let mut key = Vec::new();
                     for from in 0..block.n_restarts() {
-                        let mut seen = Vec::new();
-                        let walked = block.for_each(from, &mut key, get_varint, |k, i| {
-                            seen.push((k.to_vec(), i));
-                            Ok(true)
-                        });
-                        prop_assert!(walked.unwrap());
+                        let (mut pos, mut key, mut seen) = (block.restart(from).unwrap(), Vec::new(), Vec::new());
+                        while pos < block.entries.len() {
+                            let i = block.next_entry(&mut pos, &mut key, get_varint).unwrap();
+                            seen.push((key.clone(), i));
+                        }
                         let expected: Vec<_> = (from * interval..keys.len())
                             .map(|i| (keys[i].clone(), i as u64))
                             .collect();
@@ -1212,15 +1298,24 @@ mod tests {
             let Ok(block) = Block::parse(bytes) else {
                 return;
             };
-            let mut key = Vec::new();
             for probe in probes {
                 let _ = block.seek(probe, Record::decode_tail);
                 let _ = block.seek(probe, decode_handle);
                 let _ = block.search_restarts(probe);
             }
+            // Walk from each restart point until the end or an error.
+            let mut key = Vec::new();
             for from in 0..block.n_restarts().min(4) {
-                let _ = block.for_each(from, &mut key, Record::decode_tail, |_, _| Ok(true));
-                let _ = block.for_each(from, &mut key, decode_handle, |_, _| Ok(true));
+                for payload in [
+                    |b: &[u8], pos: &mut usize| Record::decode_tail(b, pos).map(drop),
+                    |b: &[u8], pos: &mut usize| decode_handle(b, pos).map(drop),
+                ] {
+                    let mut pos = block.restart(from).unwrap_or(usize::MAX);
+                    while pos < block.entries.len()
+                        && block.next_entry(&mut pos, &mut key, payload).is_ok()
+                    {
+                    }
+                }
             }
         }
 

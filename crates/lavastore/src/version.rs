@@ -56,6 +56,37 @@ impl SstMeta {
     }
 }
 
+/// Register a file at its level of `levels` — a [`Version`]'s, or one
+/// stripe's. L0 is kept newest (largest id) first, the order a read probes
+/// it in; L1+ levels are sorted by `min_key`.
+pub(crate) fn add_file(levels: &mut [Vec<SstMeta>], meta: SstMeta) {
+    let level = meta.level as usize;
+    assert!(level < levels.len(), "level out of range");
+    let files = &mut levels[level];
+    files.push(meta);
+    if level == 0 {
+        files.sort_by_key(|m| std::cmp::Reverse(m.id));
+    } else {
+        files.sort_by(|a, b| a.min_key.cmp(&b.min_key));
+    }
+}
+
+/// Remove a file by id from whichever level holds it; returns true if found.
+pub(crate) fn remove_file(levels: &mut [Vec<SstMeta>], id: u64) -> bool {
+    for files in levels {
+        if let Some(pos) = files.iter().position(|m| m.id == id) {
+            files.remove(pos);
+            return true;
+        }
+    }
+    false
+}
+
+/// Total bytes of one level's files.
+pub(crate) fn level_bytes(files: &[SstMeta]) -> u64 {
+    files.iter().map(|m| m.file_size).sum()
+}
+
 /// The live file set and engine counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Version {
@@ -94,49 +125,6 @@ impl Version {
         let id = self.next_file_id;
         self.next_file_id += 1;
         id
-    }
-
-    /// Register a file at its level. L1+ levels are kept sorted by `min_key`.
-    pub fn add_file(&mut self, meta: SstMeta) {
-        let level = meta.level as usize;
-        assert!(level < self.levels.len(), "level out of range");
-        let files = &mut self.levels[level];
-        files.push(meta);
-        if level == 0 {
-            // L0: newest (largest id) first — read path must check newest first.
-            files.sort_by_key(|m| std::cmp::Reverse(m.id));
-        } else {
-            files.sort_by(|a, b| a.min_key.cmp(&b.min_key));
-        }
-    }
-
-    /// Remove a file by id from any level; returns true if found.
-    pub fn remove_file(&mut self, id: u64) -> bool {
-        for files in &mut self.levels {
-            if let Some(pos) = files.iter().position(|m| m.id == id) {
-                files.remove(pos);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// All files at `level` intersecting `[min, max]`.
-    pub fn overlapping(&self, level: usize, min: &[u8], max: &[u8]) -> Vec<&SstMeta> {
-        self.levels[level]
-            .iter()
-            .filter(|m| m.overlaps(min, max))
-            .collect()
-    }
-
-    /// Total bytes at `level`.
-    pub fn level_bytes(&self, level: usize) -> u64 {
-        self.levels[level].iter().map(|m| m.file_size).sum()
-    }
-
-    /// Total live SST bytes.
-    pub fn total_bytes(&self) -> u64 {
-        (0..self.levels.len()).map(|l| self.level_bytes(l)).sum()
     }
 
     /// Serialize the version.
@@ -273,49 +261,50 @@ mod tests {
         }
     }
 
+    /// A version holding `files`.
+    fn version(n_levels: usize, files: Vec<SstMeta>) -> Version {
+        let mut v = Version::new(n_levels);
+        for m in files {
+            add_file(&mut v.levels, m);
+        }
+        v
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let mut v = Version::new(4);
+        let mut v = version(
+            4,
+            vec![
+                meta(1, 0, "a", "m"),
+                meta(2, 0, "c", "z"),
+                meta(3, 1, "a", "f"),
+                meta(4, 1, "g", "p"),
+            ],
+        );
         v.next_seq = 42;
-        v.add_file(meta(1, 0, "a", "m"));
-        v.add_file(meta(2, 0, "c", "z"));
-        v.add_file(meta(3, 1, "a", "f"));
-        v.add_file(meta(4, 1, "g", "p"));
         let decoded = Version::decode(&v.encode()).unwrap();
         assert_eq!(decoded, v);
     }
 
     #[test]
     fn l0_sorted_newest_first_l1_by_key() {
-        let mut v = Version::new(2);
-        v.add_file(meta(1, 0, "a", "b"));
-        v.add_file(meta(5, 0, "a", "b"));
-        v.add_file(meta(3, 0, "a", "b"));
-        let ids: Vec<_> = v.levels[0].iter().map(|m| m.id).collect();
+        let mut levels = vec![Vec::new(); 2];
+        add_file(&mut levels, meta(1, 0, "a", "b"));
+        add_file(&mut levels, meta(5, 0, "a", "b"));
+        add_file(&mut levels, meta(3, 0, "a", "b"));
+        let ids: Vec<_> = levels[0].iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![5, 3, 1]);
-        v.add_file(meta(10, 1, "m", "p"));
-        v.add_file(meta(11, 1, "a", "c"));
-        let mins: Vec<_> = v.levels[1].iter().map(|m| m.min_key.clone()).collect();
+        add_file(&mut levels, meta(10, 1, "m", "p"));
+        add_file(&mut levels, meta(11, 1, "a", "c"));
+        let mins: Vec<_> = levels[1].iter().map(|m| m.min_key.clone()).collect();
         assert_eq!(mins, vec![Bytes::from("a"), Bytes::from("m")]);
     }
 
     #[test]
-    fn overlap_queries() {
-        let mut v = Version::new(2);
-        v.add_file(meta(1, 1, "a", "f"));
-        v.add_file(meta(2, 1, "g", "p"));
-        let hits = v.overlapping(1, b"e", b"h");
-        assert_eq!(hits.len(), 2);
-        let hits = v.overlapping(1, b"q", b"z");
-        assert!(hits.is_empty());
-    }
-
-    #[test]
     fn remove_file_works() {
-        let mut v = Version::new(2);
-        v.add_file(meta(1, 0, "a", "b"));
-        assert!(v.remove_file(1));
-        assert!(!v.remove_file(1));
+        let mut v = version(2, vec![meta(1, 0, "a", "b")]);
+        assert!(remove_file(&mut v.levels, 1));
+        assert!(!remove_file(&mut v.levels, 1));
     }
 
     #[test]
@@ -326,8 +315,7 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut v = Version::new(3);
-        v.add_file(meta(7, 1, "k1", "k9"));
+        let v = version(3, vec![meta(7, 1, "k1", "k9")]);
         v.save(&dir).unwrap();
         let loaded = Version::load(&dir).unwrap().unwrap();
         assert_eq!(loaded, v);
@@ -348,8 +336,7 @@ mod tests {
 
     #[test]
     fn corrupt_manifest_detected() {
-        let mut v = Version::new(1);
-        v.add_file(meta(1, 0, "a", "b"));
+        let v = version(1, vec![meta(1, 0, "a", "b")]);
         let mut data = v.encode();
         let n = data.len();
         data[n - 1] ^= 0xFF;
@@ -358,10 +345,8 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let mut v = Version::new(2);
-        v.add_file(meta(1, 0, "a", "b"));
-        v.add_file(meta(2, 1, "c", "d"));
-        assert_eq!(v.level_bytes(0), 1000);
-        assert_eq!(v.total_bytes(), 2000);
+        let v = version(2, vec![meta(1, 0, "a", "b"), meta(2, 1, "c", "d")]);
+        assert_eq!(level_bytes(&v.levels[0]), 1000);
+        assert_eq!(v.levels.iter().map(|l| level_bytes(l)).sum::<u64>(), 2000);
     }
 }

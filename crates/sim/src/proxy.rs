@@ -19,7 +19,7 @@
 
 use abase_cache::aulru::AuLruConfig;
 use abase_cache::{AuLruCache, CacheStats};
-use abase_core::types::{ConsistencyLevel, TenantId};
+use abase_core::types::TenantId;
 use abase_quota::ru::{write_ru, ReadOutcome};
 use abase_quota::{ProxyQuota, QuotaDecision, RuEstimator};
 use abase_util::clock::SimTime;
@@ -175,28 +175,14 @@ impl ProxyPlane {
     }
 
     /// Process a request at `now`. Reads may be served by the proxy cache;
-    /// everything else is admission-checked against the proxy quota. Reads
-    /// run at [`ConsistencyLevel::Eventual`].
+    /// everything else is admission-checked against the proxy quota. A
+    /// proxy-served read is an eventual read: the cache holds no LSN, so it
+    /// could not prove a read-your-writes or leader fence.
     pub fn submit(&mut self, key: u64, is_write: bool, now: SimTime) -> ProxyDecision {
-        self.submit_with(key, is_write, ConsistencyLevel::Eventual, now)
-    }
-
-    /// Process a request carrying a consistency level. The proxy cache may
-    /// only answer `Eventual` reads: it has no LSN to prove a fence, so
-    /// `ReadYourWrites` and `Leader` reads always forward to the data plane
-    /// (where the replica group picks a fenced replica or the leader).
-    fn submit_with(
-        &mut self,
-        key: u64,
-        is_write: bool,
-        consistency: ConsistencyLevel,
-        now: SimTime,
-    ) -> ProxyDecision {
         let proxy = self.route(key);
         let est = self.estimate_ru(is_write);
         let p = &mut self.proxies[proxy as usize];
-        let cacheable = !is_write && consistency == ConsistencyLevel::Eventual;
-        if cacheable && self.config.cache_enabled && p.cache.get(&key, now).is_some() {
+        if !is_write && self.config.cache_enabled && p.cache.get(&key, now).is_some() {
             p.reads_local += 1;
             crate::metrics::PROXY_CACHE_HITS.inc();
             return ProxyDecision::CacheHit { proxy };
@@ -434,30 +420,6 @@ mod tests {
         assert!(matches!(
             p.submit(key, false, secs(70)),
             ProxyDecision::CacheHit { .. }
-        ));
-    }
-
-    #[test]
-    fn stronger_consistency_bypasses_the_proxy_cache() {
-        let mut p = plane(4, 4);
-        let key = 11u64;
-        if let ProxyDecision::Forward { proxy } = p.submit(key, false, 0) {
-            p.on_read_complete(proxy, key, 128, false, 0);
-        }
-        // Cached for Eventual...
-        assert!(matches!(
-            p.submit_with(key, false, ConsistencyLevel::Eventual, secs(1)),
-            ProxyDecision::CacheHit { .. }
-        ));
-        // ...but the cache cannot prove an LSN fence: RYW and Leader reads
-        // must reach the data plane.
-        assert!(matches!(
-            p.submit_with(key, false, ConsistencyLevel::ReadYourWrites, secs(1)),
-            ProxyDecision::Forward { .. }
-        ));
-        assert!(matches!(
-            p.submit_with(key, false, ConsistencyLevel::Leader, secs(1)),
-            ProxyDecision::Forward { .. }
         ));
     }
 

@@ -4,7 +4,10 @@
 //! commands, tenant namespacing, TTLs against virtual time, hash tables, and
 //! the LSM engine's flush/compaction lifecycle underneath.
 //!
-//! Run with: `cargo run --example quickstart`
+//! Run with: `cargo run --example quickstart`. It exits non-zero if no
+//! compaction round runs, a bulk key reads back wrong after compaction, or
+//! `HGETALL` returns a different number of fields after compaction than
+//! before it.
 
 use abase::core::engine::TableEngine;
 use abase::lavastore::DbConfig;
@@ -103,13 +106,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         0,
     )?;
-    let all = engine.execute(
-        1,
-        &Command::HGetAll {
-            key: "video:1001".into(),
-        },
-        0,
-    )?;
+    let hgetall = || {
+        engine.execute(
+            1,
+            &Command::HGetAll {
+                key: "video:1001".into(),
+            },
+            0,
+        )
+    };
+    // HGETALL replies field, value, field, value, ...
+    let fields = |reply: &RespValue| match reply {
+        RespValue::Array(Some(items)) => items.len() / 2,
+        _ => 0,
+    };
+    let all = hgetall()?;
     println!(
         "video:1001 has {:?} fields; HGETALL returned {} bytes",
         hlen.reply, all.bytes_returned
@@ -132,6 +143,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "after {} compaction rounds: bulk:013337 -> {:?} (cost {} block I/Os)",
         compactions, check.reply, check.io_ops
     );
+    let all_after = hgetall()?;
+    println!(
+        "HGETALL video:1001 after compaction: {} fields (before: {})",
+        fields(&all_after.reply),
+        fields(&all.reply)
+    );
     let stats = engine.db().stats();
     println!(
         "engine stats: {} puts, {} gets, {} flushes, {} compactions, {} SST bytes written",
@@ -139,5 +156,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+    if compactions == 0 {
+        return Err("no compaction round ran".into());
+    }
+    if check.reply != RespValue::Bulk(Some("value-13337".into())) {
+        return Err(format!("bulk:013337 read back as {:?}", check.reply).into());
+    }
+    if fields(&all_after.reply) != fields(&all.reply) {
+        return Err("HGETALL lost or gained fields across compaction".into());
+    }
     Ok(())
 }

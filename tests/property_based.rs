@@ -351,7 +351,8 @@ proptest! {
 
 proptest! {
     /// LavaStore agrees with a HashMap model under random puts, deletes,
-    /// flushes, and compactions (sequential consistency of the LSM).
+    /// flushes, and compactions (sequential consistency of the LSM), key by
+    /// key and through one prefix scan.
     #[test]
     fn lavastore_matches_model(ops in prop::collection::vec(
         (0u8..4, 0u16..40, 0usize..3), 1..120))
@@ -396,6 +397,17 @@ proptest! {
                 prop_assert!(db.get(&key, 0).unwrap().value.is_none());
             }
         }
+        // A prefix scan merges every memtable and SST into the model's pairs.
+        let mut expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+        expected.sort();
+        let scanned: Vec<(Vec<u8>, Vec<u8>)> = db
+            .scan_prefix(b"key-", 0)
+            .unwrap()
+            .0
+            .into_iter()
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect();
+        prop_assert_eq!(scanned, expected);
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
     }
