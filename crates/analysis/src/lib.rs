@@ -17,7 +17,10 @@
 //! * the metric tables in `crates/obs/README.md` name exactly the families
 //!   the code declares (A007);
 //! * every bare `pub fn`/`const`/`static` of a library crate is named by
-//!   non-test code outside its own file (A008).
+//!   non-test code outside its own file (A008);
+//! * every `pub enum` variant of a library crate is constructed, and no
+//!   library fn parameter is passed the same literal by every non-test call
+//!   site (A009).
 //!
 //! There is no `syn`, no proc-macro machinery, and no crates.io dependency:
 //! a small line lexer ([`lexer`]) blanks comments and strings so the rules
@@ -59,6 +62,7 @@ pub fn analyze(files: &[(PathBuf, String)]) -> Vec<Finding> {
     findings.extend(check_failpoints(&cross));
     findings.extend(rules::check_metric_docs(&cross));
     findings.extend(rules::check_unused_api(&cross));
+    findings.extend(rules::check_unreached(&cross));
     findings.sort();
     findings
 }

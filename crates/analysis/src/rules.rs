@@ -1,6 +1,6 @@
 //! The lint rules.
 //!
-//! Every rule has a stable id (`A001`..`A008`), reports `file:line`
+//! Every rule has a stable id (`A001`..`A009`), reports `file:line`
 //! diagnostics, and can be silenced at a site with a
 //! `// LINT: allow(A00x): reason` comment within the rule's lookback window.
 //! A waiver without a reason waives nothing.
@@ -15,8 +15,9 @@
 //! | A006 | every installed failpoint name has a `failpoint::check` fire site |
 //! | A007 | the metric tables in `crates/obs/README.md` and the metrics declared in code name the same families |
 //! | A008 | every bare `pub fn`/`const`/`static` of a library crate is named by non-test code outside its file |
+//! | A009 | (a) every variant of a library crate's `pub enum` is constructed by non-test code; (b) no parameter of a library fn is passed the same literal by every non-test call site |
 
-use crate::lexer::{first_string_after, has_word, is_ident, test_regions, Lexed};
+use crate::lexer::{first_string_after, has_word, is_ident, test_regions, Lexed, LineInfo};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -74,7 +75,8 @@ pub struct FileCtx {
     pub rel: PathBuf,
     /// The `crates/<name>` component, if any.
     pub crate_name: Option<String>,
-    /// Whole-file test/bench/example code (rules A002/A003/A005/A008 skip it).
+    /// Whole-file test/bench/example code (rules A002/A003/A005/A008/A009
+    /// skip it).
     pub is_test_file: bool,
     /// Inside `crates/shims` (exempt from A004 — the shims wrap std::sync).
     pub is_shims: bool,
@@ -159,6 +161,40 @@ pub struct CrossFile {
     /// Every identifier that non-test, non-`use` code names, with the files
     /// that name it (A008).
     pub named_in: BTreeMap<String, BTreeSet<PathBuf>>,
+    /// Variants of library sources' `pub enum`s, named `Enum::Variant` (A009a).
+    pub variants: Vec<NamedSite>,
+    /// What non-test code constructs, as `(qualifier, variant)`: the path
+    /// segment before the variant (an enum, `Self`, or empty when bare).
+    pub constructed: BTreeSet<(String, String)>,
+    /// How often each fn name is defined anywhere, tests included (A009b).
+    pub fn_defs: BTreeMap<String, usize>,
+    /// Signatures of the fns of library sources (A009b).
+    pub fn_sigs: Vec<FnSig>,
+    /// Non-test call sites, by callee name (A009b).
+    pub calls: BTreeMap<String, Vec<CallSite>>,
+    /// Names non-test code mentions other than as a callee or a definition,
+    /// such as a fn passed as a value: its arguments are out of sight.
+    pub uncalled: BTreeSet<String>,
+}
+
+/// A fn whose parameters A009b holds to its call sites.
+#[derive(Debug, Clone)]
+pub struct FnSig {
+    /// The fn's name and the line that defines it.
+    pub site: NamedSite,
+    /// Parameter names in order, a `self` receiver included.
+    pub params: Vec<String>,
+    /// True if the first parameter is a `self` receiver.
+    pub has_self: bool,
+}
+
+/// One non-test call of a name.
+#[derive(Debug, Clone)]
+pub struct CallSite {
+    /// A method call (`.name(`), whose receiver is no argument.
+    pub method: bool,
+    /// Each argument's literal value, `None` for anything but a literal.
+    pub args: Vec<Option<String>>,
 }
 
 /// True if any comment in the `window` lines ending at `line` (1-based)
@@ -224,6 +260,7 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
     let mut findings = Vec::new();
     let in_test = test_regions(&lexed.lines);
     let mut in_use = false;
+    let mut live = vec![false; lexed.lines.len()];
     let push = |findings: &mut Vec<Finding>, line: usize, rule: &'static str, msg: String| {
         findings.push(Finding {
             path: ctx.rel.clone(),
@@ -362,6 +399,7 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
             if in_use {
                 in_use = !code.contains(';');
             } else {
+                live[idx] = true;
                 record_names(code, &ctx.rel, &mut cross.named_in);
                 if ctx.is_api_src {
                     if let Some(name) = pub_item_name(trimmed) {
@@ -400,13 +438,32 @@ pub fn check_file(ctx: &FileCtx, lexed: &Lexed, cross: &mut CrossFile) -> Vec<Fi
             }
         }
     }
+    collect_reach(ctx, lexed, &live, cross);
     findings
+}
+
+/// Identifier tokens of one line of blanked code, with their byte offsets.
+fn ident_spans(code: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut start = None;
+    for (i, c) in code.char_indices().chain([(code.len(), ' ')]) {
+        match (start, is_ident(c)) {
+            (None, true) => start = Some(i),
+            (Some(s), false) => {
+                if !code[s..].starts_with(|c: char| c.is_ascii_digit()) {
+                    out.push((s, &code[s..i]));
+                }
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Identifier tokens of one line of blanked code.
 fn idents(code: &str) -> impl Iterator<Item = &str> {
-    code.split(|c: char| !is_ident(c))
-        .filter(|w| w.chars().next().is_some_and(|c| !c.is_ascii_digit()))
+    ident_spans(code).into_iter().map(|(_, w)| w)
 }
 
 /// Record every identifier `code` uses. The name an `fn`, `const` or
@@ -442,6 +499,451 @@ fn pub_item_name(trimmed: &str) -> Option<&str> {
         }
         word = words.next()?;
     }
+}
+
+/// How many lines a parameter or argument list may span before A009 gives
+/// up on it.
+const LIST_LINES: usize = 60;
+
+/// The blanked code of `lines` from byte `col` of line `line` on, as
+/// `(line, byte, char)`, with a `'\n'` at the end of each line.
+fn code_from(
+    lines: &[LineInfo],
+    line: usize,
+    col: usize,
+) -> impl Iterator<Item = (usize, usize, char)> + '_ {
+    lines[line..].iter().enumerate().flat_map(move |(k, info)| {
+        let from = if k == 0 { col } else { 0 };
+        info.code[from..]
+            .char_indices()
+            .map(move |(b, c)| (line + k, from + b, c))
+            .chain([(line + k, info.code.len(), '\n')])
+    })
+}
+
+/// Where the `(` sits that opens the argument or parameter list of the
+/// name ending at byte `end` of line `line`: right after the name, or after
+/// a `<..>` generic list or `::<..>` turbofish. `None` if there is none.
+fn open_paren(lines: &[LineInfo], line: usize, end: usize) -> Option<(usize, usize)> {
+    let rest = &lines[line].code[end..];
+    if rest.starts_with('(') {
+        return Some((line, end));
+    }
+    let generics = rest.strip_prefix("::").unwrap_or(rest);
+    if !generics.starts_with('<') {
+        return None;
+    }
+    let mut chars = code_from(lines, line, end + rest.len() - generics.len());
+    let (mut depth, mut prev) = (0i32, ' ');
+    for (_, _, c) in chars.by_ref() {
+        match c {
+            '<' => depth += 1,
+            '>' if prev != '-' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            break;
+        }
+        prev = c;
+    }
+    match chars.next() {
+        Some((l, b, '(')) => Some((l, b)),
+        _ => None,
+    }
+}
+
+/// The top-level items of the list whose `(` sits at byte `col` of line
+/// `line`: each item's text and the `(line, byte)` of its first non-blank
+/// char. Angle brackets nest only in a parameter list (`angles`), since an
+/// argument may compare with `<`. `None` if the list does not close within
+/// [`LIST_LINES`] lines.
+fn split_list(
+    lines: &[LineInfo],
+    line: usize,
+    col: usize,
+    angles: bool,
+) -> Option<Vec<(String, (usize, usize))>> {
+    let mut items = Vec::new();
+    let (mut cur, mut at) = (String::new(), None);
+    let (mut depth, mut closure, mut prev) = (0usize, false, ' ');
+    let mut push = |cur: &mut String, at: &mut Option<(usize, usize)>| {
+        if let Some(at) = at.take() {
+            items.push((std::mem::take(cur), at));
+        }
+        cur.clear();
+    };
+    for (l, b, c) in code_from(lines, line, col).skip(1) {
+        if l > line + LIST_LINES {
+            return None;
+        }
+        let arrow = prev == '-';
+        prev = c;
+        match c {
+            // A closure's parameters are one list item with the closure.
+            '|' if depth == 0 && (closure || matches!(cur.trim(), "" | "move")) => {
+                closure = !closure;
+            }
+            '(' | '[' | '{' => depth += 1,
+            '<' if angles => depth += 1,
+            '>' if angles && !arrow => depth = depth.saturating_sub(1),
+            ')' | ']' | '}' if depth == 0 => {
+                push(&mut cur, &mut at);
+                return Some(items);
+            }
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 && !closure => {
+                push(&mut cur, &mut at);
+                continue;
+            }
+            _ => {}
+        }
+        if at.is_none() && !c.is_whitespace() {
+            at = Some((l, b));
+        }
+        cur.push(c);
+    }
+    None
+}
+
+/// The literal an argument is, spelt without blanks: a number, `true`,
+/// `false`, `None`, a (byte) string with its contents, or a unit path whose
+/// last segment is capitalised (`Foo::Bar`). `None` for anything else.
+fn literal(lexed: &Lexed, text: &str, (line, byte): (usize, usize)) -> Option<String> {
+    let compact: String = text.chars().filter(|c| !c.is_whitespace()).collect();
+    let digits = compact.strip_prefix('-').unwrap_or(&compact);
+    let is_number = digits.starts_with(|c: char| c.is_ascii_digit())
+        && digits.chars().all(|c| is_ident(c) || c == '.');
+    let segments: Vec<&str> = compact.split("::").collect();
+    let is_unit_path = segments.len() > 1
+        && segments
+            .iter()
+            .all(|s| !s.is_empty() && s.chars().all(is_ident))
+        && segments[segments.len() - 1].starts_with(|c: char| c.is_uppercase());
+    match compact.as_str() {
+        "true" | "false" | "None" => Some(compact),
+        _ if is_number || is_unit_path => Some(compact),
+        "\"\"" | "b\"\"" | "r\"\"" | "br\"\"" => {
+            let col = lexed.lines[line].code[..byte].chars().count();
+            let lit = lexed
+                .strings
+                .iter()
+                .find(|s| s.line == line + 1 && s.col == col)?;
+            Some(format!("{}{:?}", &compact[..compact.len() - 2], lit.value))
+        }
+        _ => None,
+    }
+}
+
+/// Where the code resumes after a `(..)` or `{..}` group that opens it at
+/// byte `col` of line `line`, which may close lines later: the line and the
+/// rest of it. Without a group, the code at `col` itself.
+fn skip_group(lines: &[LineInfo], line: usize, col: usize) -> (usize, &str) {
+    let code = &lines[line].code[col..];
+    if !code.trim_start().starts_with(['(', '{']) {
+        return (line, code);
+    }
+    let mut depth = 0usize;
+    for (l, b, c) in code_from(lines, line, col) {
+        if l > line + LIST_LINES {
+            break;
+        }
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return (l, &lines[l].code[b + 1..]);
+                }
+            }
+            _ => {}
+        }
+    }
+    (line, "")
+}
+
+/// True if `=>` follows in `rest` before a `,` or `;` or the end of the
+/// enclosing brackets.
+fn arrow_follows(rest: &str) -> bool {
+    let mut depth = 0usize;
+    let mut chars = rest.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' if depth == 0 => return false,
+            ')' | ']' | '}' => depth -= 1,
+            ',' | ';' if depth == 0 => return false,
+            '=' if depth == 0 && chars.peek() == Some(&'>') => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
+/// True if `code` holds an assignment `=` (not `==`, `=>`, `!=`, `<=`, `>=`).
+fn has_assign(code: &str) -> bool {
+    let b = code.as_bytes();
+    (0..b.len()).any(|i| {
+        b[i] == b'='
+            && !matches!(b.get(i + 1), Some(b'=' | b'>'))
+            && !(i > 0 && matches!(b[i - 1], b'=' | b'!' | b'<' | b'>'))
+    })
+}
+
+/// True if the variant path at `start..end` of line `line` is tested rather
+/// than built: left of `=>`, in a `let` pattern, inside `matches!(`, in a
+/// `|` list, or an operand of `==` or `!=`.
+fn tests_variant(lines: &[LineInfo], line: usize, start: usize, end: usize) -> bool {
+    let code = lines[line].code.as_str();
+    let before = code[..start].trim_end().trim_end_matches('&').trim_end();
+    let (last, rest) = skip_group(lines, line, end);
+    let after = rest.trim_start();
+    let next = lines.get(last + 1).map_or("", |l| l.code.trim_start());
+    let in_let = ident_spans(before)
+        .iter()
+        .rev()
+        .find(|(_, w)| *w == "let")
+        .is_some_and(|&(at, _)| !has_assign(&code[at..start]));
+    let in_matches = before
+        .rfind("matches!(")
+        .is_some_and(|m| code[m..start].matches('(').count() > code[m..start].matches(')').count());
+    let in_or_list = (after.starts_with('|') && !after.starts_with("||"))
+        || (after.is_empty() && next.starts_with("| "))
+        || (code.trim_start().starts_with("| ") && !before.contains("=>"));
+    ["==", "!="]
+        .iter()
+        .any(|op| before.ends_with(op) || after.starts_with(op))
+        || in_or_list
+        || in_let
+        || in_matches
+        || arrow_follows(rest)
+}
+
+/// Words after which a capitalised name is declared, not constructed.
+const DECLARES: &[&str] = &[
+    "struct", "enum", "type", "trait", "union", "impl", "mod", "const", "static", "for",
+];
+
+/// A009 (collection): every fn definition (tests included); a library
+/// source's fn signatures and `pub enum` variants; and the calls and
+/// variant constructions on the file's live lines (non-test, non-`use`).
+fn collect_reach(ctx: &FileCtx, lexed: &Lexed, live: &[bool], cross: &mut CrossFile) {
+    let lines = &lexed.lines;
+    let site = |name: String, line: usize| NamedSite {
+        name,
+        path: ctx.rel.clone(),
+        line,
+    };
+    let mut enum_body = vec![false; lines.len()];
+    for (idx, info) in lines.iter().enumerate() {
+        let api = ctx.is_api_src && live[idx];
+        for pair in ident_spans(&info.code).windows(2) {
+            let ((kw_at, kw), (at, name)) = (pair[0], pair[1]);
+            if !info.code[kw_at + kw.len()..at].trim().is_empty() {
+                continue;
+            }
+            let end = at + name.len();
+            if kw == "fn" {
+                *cross.fn_defs.entry(name.to_string()).or_default() += 1;
+                // A fn without a body (an `extern` declaration) has a
+                // foreign signature.
+                let bodiless = code_from(lines, idx, end)
+                    .map(|(_, _, c)| c)
+                    .find(|c| matches!(c, '{' | ';'))
+                    == Some(';');
+                if !api || bodiless || item_waived(lexed, idx + 1, "A009") {
+                    continue;
+                }
+                let Some(params) =
+                    open_paren(lines, idx, end).and_then(|(l, b)| split_list(lines, l, b, true))
+                else {
+                    continue;
+                };
+                let params: Vec<String> = params
+                    .into_iter()
+                    .map(|(text, _)| {
+                        let name = text.split(':').next().unwrap_or_default().trim();
+                        name.strip_prefix("mut ").unwrap_or(name).to_string()
+                    })
+                    .collect();
+                let has_self = params
+                    .first()
+                    .is_some_and(|p| has_word(p, "self") && !p.contains('('));
+                cross.fn_sigs.push(FnSig {
+                    site: site(name.to_string(), idx + 1),
+                    params,
+                    has_self,
+                });
+            } else if kw == "enum" && !enum_body[idx] {
+                let public = api && info.code.trim_start().starts_with("pub enum ");
+                // `expect`: a variant name comes next.
+                let (mut depth, mut expect) = (0usize, false);
+                for (l, b, c) in code_from(lines, idx, end) {
+                    enum_body[l] = true;
+                    match c {
+                        '{' | '(' | '[' => {
+                            depth += 1;
+                            expect |= depth == 1;
+                        }
+                        '}' | ')' | ']' => {
+                            depth = depth.saturating_sub(1);
+                            if depth == 0 {
+                                break;
+                            }
+                        }
+                        ',' if depth == 1 => expect = true,
+                        c if depth == 1 && expect && is_ident(c) => {
+                            expect = false;
+                            let code = &lines[l].code[b..];
+                            let variant =
+                                &code[..code.find(|c| !is_ident(c)).unwrap_or(code.len())];
+                            if public && !item_waived(lexed, l + 1, "A009") {
+                                cross
+                                    .variants
+                                    .push(site(format!("{name}::{variant}"), l + 1));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+
+    for (idx, info) in lines.iter().enumerate() {
+        if !live[idx] || enum_body[idx] {
+            continue;
+        }
+        let code = info.code.as_str();
+        let toks = ident_spans(code);
+        for (k, &(at, word)) in toks.iter().enumerate() {
+            let (before, end) = (&code[..at], at + word.len());
+            let prev_word = k
+                .checked_sub(1)
+                .map(|p| toks[p])
+                .filter(|&(p, w)| code[p + w.len()..at].trim().is_empty())
+                .map(|(_, w)| w);
+            if prev_word == Some("fn") {
+                continue;
+            }
+            match open_paren(lines, idx, end).and_then(|(l, b)| split_list(lines, l, b, false)) {
+                Some(args) => cross
+                    .calls
+                    .entry(word.to_string())
+                    .or_default()
+                    .push(CallSite {
+                        method: before.ends_with('.'),
+                        args: args
+                            .iter()
+                            .map(|(text, at)| literal(lexed, text, *at))
+                            .collect(),
+                    }),
+                None if !code[end..].starts_with('!') => {
+                    cross.uncalled.insert(word.to_string());
+                }
+                None => {}
+            }
+            if !word.starts_with(|c: char| c.is_uppercase())
+                || code[end..].starts_with("::")
+                || before.ends_with('.')
+                || prev_word.is_some_and(|w| DECLARES.contains(&w))
+            {
+                continue;
+            }
+            let qualifier = before
+                .strip_suffix("::")
+                .map(|b| &b[b.trim_end_matches(is_ident).len()..])
+                .unwrap_or_default();
+            let mut start = at;
+            while let Some(b) = code[..start].strip_suffix("::") {
+                let seg = b.trim_end_matches(is_ident);
+                if seg.len() == b.len() {
+                    break;
+                }
+                start = seg.len();
+            }
+            if !tests_variant(lines, idx, start, end) {
+                cross
+                    .constructed
+                    .insert((qualifier.to_string(), word.to_string()));
+            }
+        }
+    }
+}
+
+/// A009: behaviour that no caller reaches.
+///
+/// (a) A variant of a library crate's `pub enum` that no non-test code
+/// constructs: the arms that test for it run only in tests. A mention counts
+/// as a construction unless it is left of `=>`, in a `let` pattern, inside
+/// `matches!(`, in a `|` list, or an operand of `==`/`!=`.
+///
+/// (b) A parameter of a library fn that every non-test call site passes the
+/// same literal: the other values run only in tests. Only fns whose name is
+/// defined once in the workspace are checked, so that a call site can be
+/// matched by its name, and only when every call fits the signature and the
+/// name is never passed as a value.
+pub fn check_unreached(cross: &CrossFile) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for v in &cross.variants {
+        let (enum_name, variant) = v.name.split_once("::").unwrap_or(("", &v.name));
+        let built = [enum_name, "Self", ""].iter().any(|q| {
+            cross
+                .constructed
+                .contains(&(q.to_string(), variant.to_string()))
+        });
+        if !built {
+            findings.push(Finding {
+                path: v.path.clone(),
+                line: v.line,
+                rule: "A009",
+                message: format!(
+                    "variant `{}` is constructed by no non-test code; delete it and the \
+                     arms that test for it, or make it `#[cfg(test)]`",
+                    v.name
+                ),
+            });
+        }
+    }
+    for sig in &cross.fn_sigs {
+        let name = &sig.site.name;
+        let Some(calls) = cross.calls.get(name) else {
+            continue;
+        };
+        let receiver = |c: &CallSite| usize::from(sig.has_self && c.method);
+        let fits = |c: &CallSite| {
+            (sig.has_self || !c.method) && c.args.len() + receiver(c) == sig.params.len()
+        };
+        if cross.fn_defs.get(name) != Some(&1)
+            || cross.uncalled.contains(name)
+            || !calls.iter().all(fits)
+        {
+            continue;
+        }
+        for (p, param) in sig
+            .params
+            .iter()
+            .enumerate()
+            .skip(usize::from(sig.has_self))
+        {
+            let mut values = calls.iter().map(|c| c.args[p - receiver(c)].as_deref());
+            let Some(Some(first)) = values.next() else {
+                continue;
+            };
+            if values.all(|v| v == Some(first)) {
+                findings.push(Finding {
+                    path: sig.site.path.clone(),
+                    line: sig.site.line,
+                    rule: "A009",
+                    message: format!(
+                        "parameter `{param}` of `{name}` is `{first}` at every non-test call \
+                         site ({}); delete it and the branches its other values select",
+                        calls.len()
+                    ),
+                });
+            }
+        }
+    }
+    findings
 }
 
 /// Check one metric name against the conventions; `None` means clean.

@@ -295,6 +295,109 @@ fn a008_skips_shims_bench_analysis_and_binaries() {
     }
 }
 
+/// Analyze an A009 twin: the enum and the fns, beside the benchmark's probe
+/// surface for the good twin.
+fn run_a009(twin: &str) -> Vec<Finding> {
+    let mut files = vec![
+        (
+            PathBuf::from("crates/demo/src/kinds.rs"),
+            fixture(&format!("{twin}/a009_variants.rs")),
+        ),
+        (
+            PathBuf::from("crates/demo/src/params.rs"),
+            fixture(&format!("{twin}/a009_params.rs")),
+        ),
+    ];
+    if twin == "good" {
+        files.push((
+            PathBuf::from("abench/src/layers.rs"),
+            fixture("good/a009_layers.rs"),
+        ));
+    }
+    analyze(&files)
+}
+
+/// The variant or parameter each A009 finding names, in file and line order.
+fn a009_names(findings: &[Finding]) -> Vec<&str> {
+    findings
+        .iter()
+        .filter(|f| f.rule == "A009")
+        .filter_map(|f| f.message.split('`').nth(1))
+        .collect()
+}
+
+#[test]
+fn a009a_trips_on_variants_only_tests_construct_or_test_for() {
+    let findings = run_a009("bad");
+    assert_eq!(rules_of(&findings), vec!["A009"], "{findings:?}");
+    let variants: Vec<_> = a009_names(&findings)
+        .into_iter()
+        .filter(|n| n.starts_with("Served::"))
+        .collect();
+    assert_eq!(
+        variants,
+        vec![
+            "Served::OnlyInCfgTest",
+            "Served::OnlyMatched",
+            "Served::OnlyCompared",
+            "Served::BlankReason",
+        ],
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn a009b_trips_on_parameters_every_non_test_caller_passes_alike() {
+    let findings = run_a009("bad");
+    let params: Vec<_> = findings
+        .iter()
+        .filter(|f| f.message.starts_with("parameter"))
+        .map(|f| {
+            let ticks: Vec<&str> = f.message.split('`').collect();
+            (ticks[1], ticks[3], ticks[5])
+        })
+        .collect();
+    assert_eq!(
+        params,
+        vec![
+            ("level", "configure", "3"),
+            ("name", "configure", "\"wal\""),
+            ("mode", "submit", "Mode::Fast"),
+        ],
+        "{findings:?}"
+    );
+    assert!(findings
+        .iter()
+        .filter(|f| f.message.starts_with("parameter"))
+        .all(|f| f.path == Path::new("crates/demo/src/params.rs")));
+}
+
+#[test]
+fn a009_accepts_constructed_variants_differing_callers_and_waivers() {
+    let findings = run_a009("good");
+    assert!(
+        findings.is_empty(),
+        "clean twin must be silent: {findings:?}"
+    );
+}
+
+#[test]
+fn a009_skips_shims_bench_analysis_binaries_and_tests() {
+    for at in [
+        "crates/shims/demo/src/lib.rs",
+        "crates/bench/src/api.rs",
+        "crates/analysis/src/api.rs",
+        "crates/demo/src/main.rs",
+        "crates/demo/tests/it.rs",
+        "src/lib.rs",
+    ] {
+        for twin in ["bad/a009_variants.rs", "bad/a009_params.rs"] {
+            let findings = run_at(at, twin);
+            assert!(a009_names(&findings).is_empty(), "{at}: {findings:?}");
+        }
+    }
+}
+
 #[test]
 fn the_workspace_itself_is_clean() {
     // The committed tree must stay lint-clean: this is the same invariant CI

@@ -160,7 +160,7 @@ fn bench_pipeline(c: &mut Criterion) {
     });
     group.bench_function("admit_settle_quota_not_binding", |b| {
         let pipeline = Pipeline::new(1);
-        pipeline.add_partition(7, 7, 1e12, 0);
+        pipeline.add_partition(7, 7, 1e12);
         b.iter(|| admit_settle(&pipeline));
     });
     group.finish();
@@ -474,7 +474,6 @@ fn bench_rescheduler(c: &mut Criterion) {
                         (id % 50) as u32,
                         id,
                         LoadVector::flat(rng.gen_range(5.0..40.0)),
-                        0.7,
                         rng.gen_range(50.0..400.0),
                     ));
                 }

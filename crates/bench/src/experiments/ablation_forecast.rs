@@ -95,7 +95,7 @@ pub fn run(_smoke: bool) -> Result<(), String> {
             .unwrap_or_else(|| vec![0.0; horizon]);
         let hist_fc = HistoricalAverage::fit(&train_values, period, 0.7).forecast(horizon);
         let train_ts = TimeSeries::new(0, HOUR, train_values);
-        let ens = ensemble.forecast(&train_ts, None, horizon);
+        let ens = ensemble.forecast(&train_ts, horizon);
         rows.push(vec![
             scenario.name.to_string(),
             fmt(smape(test.values(), &prophet_fc), 3),

@@ -19,7 +19,7 @@ pub fn run(_smoke: bool) -> Result<(), String> {
         "day-10 forecast breaches 85% of quota ⇒ quota raised to peak/0.65; no throttling",
     );
     // The full 21-day ground truth; the autoscaler sees a growing prefix.
-    let truth = fig8a_disk_usage(21, 8);
+    let truth = fig8a_disk_usage();
     let mut autoscaler = Autoscaler::new(AutoscaleConfig {
         partition_quota_upper: f64::INFINITY, // storage quotas do not split here
         ..Default::default()
@@ -38,7 +38,7 @@ pub fn run(_smoke: bool) -> Result<(), String> {
             throttled_days += 1;
         }
         let (decision, output) =
-            autoscaler.forecast_and_decide(1, days(day as u64), &observed, None, quota, 8);
+            autoscaler.forecast_and_decide(1, days(day as u64), &observed, quota, 8);
         let mut action = "-".to_string();
         if let ScalingDecision::ScaleUp {
             new_tenant_quota, ..

@@ -81,7 +81,7 @@ fn run_oncall_study(tenants: usize, weeks: usize, mode: ScalingMode) -> Vec<u32>
                 let series = TimeSeries::new(0, HOUR, history.clone());
                 let now = days(week as u64 * 7);
                 let (decision, _) =
-                    autoscaler.forecast_and_decide(tenant as u32, now, &series, None, quota, 4);
+                    autoscaler.forecast_and_decide(tenant as u32, now, &series, quota, 4);
                 match decision {
                     ScalingDecision::ScaleUp {
                         new_tenant_quota, ..

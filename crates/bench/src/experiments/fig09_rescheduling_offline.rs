@@ -48,7 +48,6 @@ fn build_pool(n_nodes: u32, seed: u64) -> PoolState {
                 tenant.id,
                 partition_id + u64::from(r / 2),
                 LoadVector(ru),
-                0.7,
                 4_000.0 * tenant.storage / replicas as f64,
             ));
             replica_id += 1;
@@ -76,7 +75,7 @@ pub fn run(_smoke: bool) -> Result<(), String> {
         fmt(s, 3)
     );
     let start = std::time::Instant::now();
-    let moves = Rescheduler::default().rebalance_to_convergence(&mut pool, 400);
+    let moves = Rescheduler::default().rebalance_to_convergence(&mut pool);
     let elapsed = start.elapsed();
     let ru_std_after = pool.ru_util_std();
     let sto_std_after = pool.storage_util_std();

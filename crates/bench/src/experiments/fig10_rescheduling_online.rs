@@ -54,7 +54,6 @@ pub fn run(_smoke: bool) -> Result<(), String> {
             (id % 40) as u32,
             id,
             LoadVector(ru),
-            0.7,
             rng.gen_range(100.0..900.0),
         ));
     }

@@ -163,6 +163,7 @@ impl TableEngine {
     /// the current store. Generic over how the command holds its arguments:
     /// the server passes a `Command<&[u8]>` borrowed from its input buffer,
     /// so a value is copied once, by the store, into the record it keeps.
+    // LINT: allow(A009): abench/src/layers.rs pins this signature
     pub fn execute<B: AsRef<[u8]>>(
         &self,
         tenant: TenantId,

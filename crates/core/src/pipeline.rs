@@ -98,15 +98,9 @@ impl Pipeline {
     }
 
     /// Register `partition`, owned by `tenant`, with a quota of `quota_ru`
-    /// RU/s from `now` (enforced at three times that, §4.2).
-    pub fn add_partition(
-        &self,
-        partition: PartitionId,
-        tenant: TenantId,
-        quota_ru: f64,
-        now: SimTime,
-    ) {
-        let quota = PartitionQuota::new(quota_ru, now);
+    /// RU/s from time 0 (enforced at three times that, §4.2).
+    pub fn add_partition(&self, partition: PartitionId, tenant: TenantId, quota_ru: f64) {
+        let quota = PartitionQuota::new(quota_ru, 0);
         let ru = RuEstimator::default();
         let entry = Partition { tenant, quota, ru };
         self.partitions.lock().insert(partition, entry);
@@ -215,7 +209,7 @@ mod tests {
     #[test]
     fn the_quota_throttles_past_three_times_and_refills() {
         let p = Pipeline::new(1);
-        p.add_partition(1, 9, 10.0, 0);
+        p.add_partition(1, 9, 10.0);
         assert_eq!(p.tenant(1), Some(9));
         // 30 RU of burst, one 2 KiB write (1 RU) at a time.
         let admitted = (0..100)
@@ -231,7 +225,7 @@ mod tests {
     #[test]
     fn settled_reads_and_hash_shapes_move_the_estimates() {
         let p = Pipeline::new(1);
-        p.add_partition(1, 9, 1e9, 0);
+        p.add_partition(1, 9, 1e9);
         let read = |p: &Pipeline| p.admit(1, Request::Read, 0).unwrap();
         let scan = |p: &Pipeline| p.admit(1, Request::HashScan, 0).unwrap();
         assert!(scan(&p) < read(&p), "priors: a small hash, a 2 KiB read");
@@ -247,8 +241,8 @@ mod tests {
     #[test]
     fn weight_is_the_share_of_registered_quota() {
         let p = Pipeline::new(1);
-        p.add_partition(1, 1, 300.0, 0);
-        p.add_partition(2, 2, 100.0, 0);
+        p.add_partition(1, 1, 300.0);
+        p.add_partition(2, 2, 100.0);
         assert!((p.weight(1) - 0.75).abs() < 1e-12);
         assert!((p.weight(2) - 0.25).abs() < 1e-12);
     }

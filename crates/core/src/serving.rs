@@ -254,7 +254,7 @@ impl ServingNode {
     }
 
     /// The node's admission and charging. A tenant's quota is set with
-    /// [`Pipeline::add_partition`]`(tenant, tenant, quota_ru, now)`, as the
+    /// [`Pipeline::add_partition`]`(tenant, tenant, quota_ru)`, as the
     /// simulator registers a partition.
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline

@@ -1,97 +1,49 @@
 //! Preprocessing: spike denoising (paper §5.2, Issue 1).
 //!
-//! Two heuristics from the paper:
-//!
-//! * **Multi-metric collaboration** — "if Usage and Quota metrics
-//!   simultaneously show spikes, these are considered noise and filtered out,
-//!   as such simultaneous occurrences are nearly impossible in practice"
-//!   (quota changes are human/autoscaler actions; usage spikes are traffic —
-//!   their exact coincidence indicates a metrics-pipeline glitch, e.g. during
-//!   partition migration or master transition).
-//! * **Sporadic peak removal** — peaks "appearing only once in the past 10
-//!   days" are accidental events and must not drive scale-up decisions.
+//! **Sporadic peak removal** — peaks "appearing only once in the past 10
+//! days" are accidental events and must not drive scale-up decisions.
 
 use abase_util::TimeSeries;
 
-/// A point `i` is a *spike* when it exceeds `threshold ×` the median of its
-/// surrounding window (window of ±3 samples, excluding the point itself).
-fn spike_mask(values: &[f64], threshold: f64) -> Vec<bool> {
-    let n = values.len();
-    let mut mask = vec![false; n];
-    let mut window: Vec<f64> = Vec::with_capacity(7);
-    for i in 0..n {
-        window.clear();
-        let lo = i.saturating_sub(3);
-        let hi = (i + 4).min(n);
-        for (j, &v) in values[lo..hi].iter().enumerate() {
-            if lo + j != i {
-                window.push(v);
-            }
-        }
-        if window.is_empty() {
-            continue;
-        }
-        window.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-        let median = window[window.len() / 2];
-        if values[i] > threshold * median.max(f64::EPSILON) {
-            mask[i] = true;
-        }
-    }
-    mask
-}
+/// How close to a spike's height a spike on another day must come for the
+/// first to count as recurring.
+const SIMILARITY: f64 = 0.6;
 
-/// Replace a point with the median of its neighbours.
-fn local_median(values: &[f64], i: usize) -> f64 {
+/// The median of the samples within ±3 of `i`, excluding `i` itself; `None`
+/// when `i` has no neighbour.
+fn window_median(values: &[f64], i: usize) -> Option<f64> {
     let lo = i.saturating_sub(3);
-    let hi = (i + 4).min(values.len());
-    let mut window: Vec<f64> = values[lo..hi]
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| lo + j != i)
-        .map(|(_, &v)| v)
-        .collect();
-    if window.is_empty() {
-        return values[i];
-    }
-    window.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    window[window.len() / 2]
-}
-
-/// Multi-metric collaborative denoise: points where **both** `usage` and
-/// `quota` spike simultaneously are metric noise; the usage point is replaced
-/// with its local median. Returns the cleaned usage series and the number of
-/// points repaired.
-pub fn co_spike_filter(
-    usage: &TimeSeries,
-    quota: &TimeSeries,
-    threshold: f64,
-) -> (TimeSeries, usize) {
-    assert_eq!(usage.len(), quota.len(), "usage/quota must align");
-    let usage_mask = spike_mask(usage.values(), threshold);
-    let quota_mask = spike_mask(quota.values(), threshold);
-    let mut cleaned = usage.values().to_vec();
-    let mut repaired = 0;
-    for i in 0..cleaned.len() {
-        if usage_mask[i] && quota_mask[i] {
-            cleaned[i] = local_median(usage.values(), i);
-            repaired += 1;
+    let mut window = [0.0; 6];
+    let mut n = 0;
+    for (j, &v) in values[lo..(i + 4).min(values.len())].iter().enumerate() {
+        if lo + j != i {
+            window[n] = v;
+            n += 1;
         }
     }
-    (
-        TimeSeries::new(usage.start(), usage.interval(), cleaned),
-        repaired,
-    )
+    let window = &mut window[..n];
+    window.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    window.get(n / 2).copied()
+}
+
+/// A point `i` is a *spike* when it exceeds `threshold ×` its
+/// [`window_median`].
+fn spike_mask(values: &[f64], threshold: f64) -> Vec<bool> {
+    (0..values.len())
+        .map(|i| {
+            window_median(values, i).is_some_and(|m| values[i] > threshold * m.max(f64::EPSILON))
+        })
+        .collect()
 }
 
 /// Sporadic peak removal: a spike is kept only if a comparable spike (within
-/// `similarity` ratio of its height) occurs on a *different day* of the
-/// trailing `lookback_days`. One-off peaks are flattened to the local median.
+/// [`SIMILARITY`] of its height) occurs on a *different day* of the trailing
+/// `lookback_days`. One-off peaks are flattened to the local median.
 ///
 /// The series must be hourly-sampled.
 pub fn sporadic_peak_filter(
     series: &TimeSeries,
     threshold: f64,
-    similarity: f64,
     lookback_days: usize,
 ) -> (TimeSeries, usize) {
     const HOUR: u64 = 3_600_000_000;
@@ -109,10 +61,10 @@ pub fn sporadic_peak_filter(
         let day_i = i / samples_per_day;
         let lo = i.saturating_sub(lookback);
         let has_sibling = (lo..values.len().min(i + lookback)).any(|j| {
-            j != i && j / samples_per_day != day_i && mask[j] && values[j] >= values[i] * similarity
+            j != i && j / samples_per_day != day_i && mask[j] && values[j] >= values[i] * SIMILARITY
         });
         if !has_sibling {
-            cleaned[i] = local_median(values, i);
+            cleaned[i] = window_median(values, i).unwrap_or(values[i]);
             removed += 1;
         }
     }
@@ -132,32 +84,10 @@ mod tests {
     }
 
     #[test]
-    fn co_spike_removed_when_both_series_jump() {
-        let mut usage = vec![10.0; 48];
-        let mut quota = vec![100.0; 48];
-        usage[20] = 500.0;
-        quota[20] = 5000.0;
-        let (cleaned, repaired) = co_spike_filter(&hourly(usage), &hourly(quota), 3.0);
-        assert_eq!(repaired, 1);
-        assert!((cleaned.values()[20] - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn usage_only_spike_is_kept() {
-        // A genuine traffic burst: usage spikes but quota does not.
-        let mut usage = vec![10.0; 48];
-        usage[20] = 500.0;
-        let quota = vec![100.0; 48];
-        let (cleaned, repaired) = co_spike_filter(&hourly(usage), &hourly(quota), 3.0);
-        assert_eq!(repaired, 0);
-        assert_eq!(cleaned.values()[20], 500.0);
-    }
-
-    #[test]
     fn sporadic_single_peak_removed() {
         let mut v = vec![10.0; 24 * 10];
         v[100] = 400.0; // appears once in 10 days
-        let (cleaned, removed) = sporadic_peak_filter(&hourly(v), 3.0, 0.6, 10);
+        let (cleaned, removed) = sporadic_peak_filter(&hourly(v), 3.0, 10);
         assert_eq!(removed, 1);
         assert!((cleaned.values()[100] - 10.0).abs() < 1e-9);
     }
@@ -170,16 +100,8 @@ mod tests {
         for day in 0..10 {
             v[day * 24 + 7 + (day % 3)] = 400.0; // wandering daily burst
         }
-        let (cleaned, removed) = sporadic_peak_filter(&hourly(v), 3.0, 0.6, 10);
+        let (cleaned, removed) = sporadic_peak_filter(&hourly(v), 3.0, 10);
         assert_eq!(removed, 0);
         assert_eq!(cleaned.values().iter().filter(|&&x| x > 300.0).count(), 10);
-    }
-
-    #[test]
-    fn flat_series_untouched() {
-        let v = vec![5.0; 100];
-        let (cleaned, repaired) = co_spike_filter(&hourly(v.clone()), &hourly(v.clone()), 3.0);
-        assert_eq!(repaired, 0);
-        assert_eq!(cleaned.values(), &v[..]);
     }
 }

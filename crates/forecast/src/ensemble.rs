@@ -1,7 +1,7 @@
 //! The ensemble forecaster: the full §5.2 pipeline.
 //!
 //! ```text
-//! usage, quota ── co-spike denoise ─┐
+//! usage ────────────────────────────┐
 //!                                   ├─ sporadic-peak removal
 //!                                   ├─ change-point truncation (recent regime)
 //!                                   ├─ PSD periodicity
@@ -17,7 +17,7 @@
 //! historical data for predictions to avoid unnecessary downscaling."
 
 use crate::changepoint::last_regime_start;
-use crate::denoise::{co_spike_filter, sporadic_peak_filter};
+use crate::denoise::sporadic_peak_filter;
 use crate::histavg::HistoricalAverage;
 use crate::metrics::smape;
 use crate::prophet::{ProphetConfig, ProphetModel};
@@ -88,7 +88,7 @@ pub struct ForecastOutput {
     pub period: Option<usize>,
     /// Which model produced the output.
     pub model: ModelChoice,
-    /// Number of denoised points (co-spike + sporadic).
+    /// Number of sporadic peaks removed before fitting.
     pub denoised_points: usize,
 }
 
@@ -104,31 +104,16 @@ impl EnsembleForecaster {
         Self { config }
     }
 
-    /// Forecast `horizon` samples of `usage`, using `quota` for co-spike
-    /// denoising when provided (must align with `usage`).
-    pub fn forecast(
-        &self,
-        usage: &TimeSeries,
-        quota: Option<&TimeSeries>,
-        horizon: usize,
-    ) -> ForecastOutput {
+    /// Forecast `horizon` samples of `usage`.
+    pub fn forecast(&self, usage: &TimeSeries, horizon: usize) -> ForecastOutput {
         let cfg = &self.config;
         // ---- Preprocess (Issue 1) ----
         let mut denoised_points = 0usize;
         let mut series = usage.clone();
-        if let Some(quota) = quota {
-            let (cleaned, repaired) = co_spike_filter(&series, quota, cfg.spike_threshold);
-            series = cleaned;
-            denoised_points += repaired;
-        }
         const HOUR: u64 = 3_600_000_000;
         if series.interval() == HOUR && series.len() >= 48 {
-            let (cleaned, removed) = sporadic_peak_filter(
-                &series,
-                cfg.spike_threshold,
-                0.6,
-                cfg.sporadic_lookback_days,
-            );
+            let (cleaned, removed) =
+                sporadic_peak_filter(&series, cfg.spike_threshold, cfg.sporadic_lookback_days);
             series = cleaned;
             denoised_points += removed;
         }
@@ -262,7 +247,7 @@ mod tests {
         let full = seasonal_trend(720 + 168, 0.1);
         let (train, test) = full.split_at(720);
         let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(train.to_vec()), None, 168);
+        let out = f.forecast(&hourly(train.to_vec()), 168);
         assert_eq!(out.values.len(), 168);
         assert_eq!(out.period, Some(24));
         let err = crate::metrics::smape(test, &out.values);
@@ -273,21 +258,9 @@ mod tests {
     fn peak_tracks_series_peak() {
         let train = seasonal_trend(720, 0.0);
         let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(train), None, 168);
+        let out = f.forecast(&hourly(train), 168);
         // Peak of 200 + 50·sin = 250 (±10%).
         assert!((out.peak - 250.0).abs() < 25.0, "peak={}", out.peak);
-    }
-
-    #[test]
-    fn co_spikes_are_denoised() {
-        let mut usage = seasonal_trend(720, 0.0);
-        let mut quota = vec![400.0; 720];
-        usage[300] = 5000.0;
-        quota[300] = 50_000.0;
-        let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(usage), Some(&hourly(quota)), 24);
-        assert!(out.denoised_points >= 1);
-        assert!(out.peak < 400.0, "noise leaked into forecast: {}", out.peak);
     }
 
     #[test]
@@ -301,7 +274,7 @@ mod tests {
             }
         }
         let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(values), None, 168);
+        let out = f.forecast(&hourly(values), 168);
         assert!(
             out.peak > 700.0,
             "recurring burst dismissed: peak={} model={:?}",
@@ -316,7 +289,7 @@ mod tests {
         let mut values = vec![100.0; 480];
         values.extend(vec![500.0; 240]);
         let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(values), None, 48);
+        let out = f.forecast(&hourly(values), 48);
         let mean = out.values.iter().sum::<f64>() / out.values.len() as f64;
         assert!(mean > 400.0, "stale regime dominates: mean={mean}");
     }
@@ -324,7 +297,7 @@ mod tests {
     #[test]
     fn short_series_still_produces_output() {
         let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(vec![50.0; 24]), None, 12);
+        let out = f.forecast(&hourly(vec![50.0; 24]), 12);
         assert_eq!(out.values.len(), 12);
         assert!(out.values.iter().all(|v| v.is_finite()));
     }

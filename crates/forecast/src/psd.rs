@@ -9,15 +9,6 @@
 
 use std::f64::consts::PI;
 
-/// One spectral peak.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeriodEstimate {
-    /// Period length in samples.
-    pub period: usize,
-    /// Normalized power (ratio over median spectral power).
-    pub strength: f64,
-}
-
 /// Compute the periodogram power for frequencies `k = 1..n/2` of a detrended
 /// series. Returns `(power, n)`.
 fn periodogram(values: &[f64]) -> Vec<f64> {
@@ -39,20 +30,13 @@ fn periodogram(values: &[f64]) -> Vec<f64> {
     power
 }
 
-/// Detect up to `max_periods` significant periods, strongest first.
-///
-/// `min_strength` is the required ratio between a peak's power and the median
-/// spectral power (e.g. 20.0); `min_cycles` requires the series to contain at
-/// least that many full cycles of any reported period.
-fn detect_periods(
-    values: &[f64],
-    max_periods: usize,
-    min_strength: f64,
-    min_cycles: usize,
-) -> Vec<PeriodEstimate> {
+/// The single dominant period, if any: the strongest spectral peak whose
+/// power is at least `min_strength` times the median spectral power (e.g.
+/// 20.0) and whose period fits at least two full cycles in the series.
+pub fn dominant_period(values: &[f64], min_strength: f64) -> Option<usize> {
     let n = values.len();
     if n < 8 {
-        return Vec::new();
+        return None;
     }
     let power = periodogram(values);
     let mut sorted_power = power.clone();
@@ -65,38 +49,11 @@ fn detect_periods(
         .map(|(i, &p)| (i + 1, p)) // frequency k = index + 1
         .collect();
     by_power.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite power"));
-    let mut out: Vec<PeriodEstimate> = Vec::new();
-    for (k, p) in by_power {
-        if out.len() >= max_periods {
-            break;
-        }
-        let strength = p / median;
-        if strength < min_strength {
-            break;
-        }
-        let period = (n as f64 / k as f64).round() as usize;
-        if period < 2 || n / period < min_cycles {
-            continue;
-        }
-        // Skip harmonics/duplicates of an already-accepted period.
-        let dup = out.iter().any(|e| {
-            let ratio = e.period as f64 / period as f64;
-            let near_int = (ratio - ratio.round()).abs() < 0.05 && ratio >= 0.99;
-            period == e.period || near_int
-        });
-        if dup {
-            continue;
-        }
-        out.push(PeriodEstimate { period, strength });
-    }
-    out
-}
-
-/// The single dominant period, if any.
-pub fn dominant_period(values: &[f64], min_strength: f64) -> Option<usize> {
-    detect_periods(values, 1, min_strength, 2)
-        .first()
-        .map(|e| e.period)
+    by_power
+        .into_iter()
+        .take_while(|&(_, p)| p / median >= min_strength)
+        .map(|(k, _)| (n as f64 / k as f64).round() as usize)
+        .find(|&period| period >= 2 && n / period >= 2)
 }
 
 #[cfg(test)]
@@ -146,23 +103,7 @@ mod tests {
     }
 
     #[test]
-    fn two_superimposed_periods_both_found() {
-        let n = 24 * 7 * 6;
-        let v: Vec<f64> = (0..n)
-            .map(|t| {
-                100.0
-                    + 20.0 * (2.0 * PI * t as f64 / 24.0).sin()
-                    + 12.0 * (2.0 * PI * t as f64 / (24.0 * 7.0)).sin()
-            })
-            .collect();
-        let periods = detect_periods(&v, 3, 15.0, 2);
-        let ps: Vec<usize> = periods.iter().map(|e| e.period).collect();
-        assert!(ps.contains(&24), "periods: {ps:?}");
-        assert!(ps.contains(&168), "periods: {ps:?}");
-    }
-
-    #[test]
     fn short_series_is_safe() {
-        assert!(detect_periods(&[1.0, 2.0, 3.0], 2, 10.0, 2).is_empty());
+        assert_eq!(dominant_period(&[1.0, 2.0, 3.0], 10.0), None);
     }
 }

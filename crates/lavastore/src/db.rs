@@ -1216,9 +1216,13 @@ impl Db {
         written: &mut Vec<u64>,
     ) -> Result<Vec<(SstMeta, Arc<SstReader>)>> {
         let inputs = task.input_ids.iter().map(|id| &stripe.readers[id]);
-        // The inputs' record count bounds the merge's: it sizes each
-        // output's bloom filter.
-        let expected: u64 = inputs.clone().map(|r| r.record_count()).sum();
+        // Each output's bloom filter is sized for the records it can hold:
+        // `target_sst_bytes` over the inputs' mean record size in
+        // uncompressed block bytes, and no more than the merge has left.
+        let mut left: u64 = inputs.clone().map(|r| r.record_count()).sum();
+        let blocks: usize = inputs.clone().map(|r| r.data_blocks()).sum::<Result<_>>()?;
+        let input_bytes = (blocks * self.config.block_bytes).max(1) as u64;
+        let per_output = self.config.target_sst_bytes * left / input_bytes + 1;
         // Input ids come from-level first (newest first for L0): the
         // merge's tie-breaking order.
         let cursors = inputs
@@ -1256,7 +1260,7 @@ impl Db {
                     written.push(id);
                     let w = SstWriter::create(
                         &sst_path(&self.dir, id),
-                        expected as usize,
+                        per_output.min(left) as usize,
                         self.config.bloom_bits_per_key,
                         self.config.block_bytes,
                     )?;
@@ -1264,6 +1268,7 @@ impl Db {
                 }
             };
             w.add(&record)?;
+            left = left.saturating_sub(1);
             bytes += record.approximate_size() as u64;
             if bytes >= self.config.target_sst_bytes {
                 outputs.push(finish(id, w)?);
@@ -1278,6 +1283,7 @@ impl Db {
     }
 
     /// Run compactions until the tree is shaped (bounded rounds).
+    // LINT: allow(A009): a clock, not a mode: this file's TTL tests compact at later times
     pub fn compact_to_quiescence(&self, now: SimTime) -> Result<u32> {
         let mut rounds = 0;
         while rounds < 64 && self.compact_once(now)? {
@@ -1335,6 +1341,7 @@ fn is_live(kind: RecordKind, expires_at: u64, now: SimTime) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::{get_len_prefixed, get_varint};
     use abase_util::TestDir;
 
     #[test]
@@ -1547,6 +1554,82 @@ mod tests {
                 assert!(db.get(k.as_bytes(), 0).unwrap().value.is_some(), "{k}");
             }
         }
+    }
+
+    #[test]
+    fn compaction_outputs_size_their_blooms_for_their_own_records() {
+        // Four inputs of 5 000 records with 100 B values, merged into
+        // outputs of 256 KiB: eleven of them, each holding a tenth of the
+        // merge or less.
+        let dir = TestDir::new("compact-bloom-sizing");
+        let config = DbConfig {
+            n_stripes: 1,
+            memtable_bytes: 64 << 20,
+            target_sst_bytes: 256 << 10,
+            block_cache_bytes: 0,
+            compaction: CompactionConfig {
+                l0_trigger: 4,
+                ..CompactionConfig::default()
+            },
+            ..DbConfig::default()
+        };
+        let bits_per_key = config.bloom_bits_per_key as u64;
+        let db = Db::open(dir.path(), config).unwrap();
+        let key = |i: usize, input: usize| format!("key-{i:05}-{input}");
+        for input in 0..4 {
+            for i in 0..5_000 {
+                db.put(key(i, input).as_bytes(), &[b'v'; 100], None, 0)
+                    .unwrap();
+            }
+            db.flush().unwrap();
+        }
+        assert!(db.compact_once(0).unwrap());
+
+        let mut outputs = 0;
+        for entry in std::fs::read_dir(dir.path()).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "sst") {
+                continue;
+            }
+            // The properties region: record count, key range, index, bloom.
+            let file = std::fs::read(&path).unwrap();
+            let footer = file.len() - 20;
+            let offset = u64::from_le_bytes(file[footer..footer + 8].try_into().unwrap());
+            let props = &file[offset as usize..footer];
+            let mut pos = 0;
+            let records = get_varint(props, &mut pos).unwrap();
+            for _ in 0..3 {
+                get_len_prefixed(props, &mut pos).unwrap();
+            }
+            let bloom = BloomFilter::decode(props, &mut pos).unwrap().size_bytes() as u64;
+            let own = records * bits_per_key / 8;
+            assert!(
+                (own..=own * 3 / 2).contains(&bloom),
+                "{}: {records} records under {bloom} B of bloom filter, {} B of properties",
+                path.display(),
+                props.len()
+            );
+            outputs += 1;
+        }
+        assert_eq!(outputs, 11);
+
+        for input in 0..4 {
+            for i in 0..5_000 {
+                let got = db.get(key(i, input).as_bytes(), 0).unwrap().value;
+                assert_eq!(got.as_deref(), Some(&[b'v'; 100][..]));
+            }
+        }
+        // Absent keys inside the outputs' ranges: a filter false positive
+        // costs a block read (there is no cache). 10 bits per key and 6
+        // hashes give about 0.8 %.
+        let before = db.stats().block_reads;
+        let probes = 10_000;
+        for i in 0..probes {
+            let absent = key(i % 5_000, 4 + i / 5_000);
+            assert_eq!(db.get(absent.as_bytes(), 0).unwrap().value, None);
+        }
+        let fp = (db.stats().block_reads - before) as f64 / probes as f64;
+        assert!(fp < 0.02, "false-positive rate {fp}");
     }
 
     #[test]

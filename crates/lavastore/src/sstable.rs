@@ -629,6 +629,11 @@ impl SstReader {
         self.record_count
     }
 
+    /// Number of data blocks: one index entry, each a restart, per block.
+    pub(crate) fn data_blocks(&self) -> Result<usize> {
+        Ok(self.index_block()?.n_restarts())
+    }
+
     /// Smallest user key in the file.
     pub fn min_key(&self) -> &Bytes {
         &self.min_key

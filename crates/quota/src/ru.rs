@@ -31,8 +31,6 @@ const NODE_HIT_COST_FACTOR: f64 = 0.3;
 /// Where a read was ultimately served from — determines its real resource cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadOutcome {
-    /// Served by the proxy cache: never reached the data node. No charge.
-    ProxyCacheHit,
     /// Served by the data-node cache: CPU + memory only, no disk I/O.
     NodeCacheHit,
     /// Served from the storage engine: CPU + memory + disk I/O.
@@ -51,7 +49,6 @@ pub fn write_ru(size: usize, replicas: u32) -> f64 {
 pub fn charge_read(actual_size: usize, outcome: ReadOutcome) -> f64 {
     let byte_cost = actual_size as f64 / UNIT_BYTES as f64;
     match outcome {
-        ReadOutcome::ProxyCacheHit => 0.0,
         ReadOutcome::NodeCacheHit => (byte_cost * NODE_HIT_COST_FACTOR).max(MIN_RU),
         ReadOutcome::Miss => byte_cost.max(MIN_RU),
     }
@@ -82,12 +79,7 @@ impl RuEstimator {
     }
 
     /// Record a completed read so the moving averages track the workload.
-    /// Proxy-cache hits never reach the estimator (they bypass the node).
     pub fn record_read(&mut self, actual_size: usize, outcome: ReadOutcome) {
-        debug_assert!(
-            outcome != ReadOutcome::ProxyCacheHit,
-            "proxy hits bypass the data node and its estimator"
-        );
         self.read_size.record(actual_size as f64);
         self.hit_ratio
             .record(if outcome == ReadOutcome::NodeCacheHit {
@@ -167,10 +159,8 @@ mod tests {
     fn charges_differ_by_outcome() {
         let miss = charge_read(4096, ReadOutcome::Miss);
         let hit = charge_read(4096, ReadOutcome::NodeCacheHit);
-        let proxy = charge_read(4096, ReadOutcome::ProxyCacheHit);
         assert!((miss - 2.0).abs() < 1e-12);
         assert!((hit - 0.6).abs() < 1e-12); // 0.3 × 2 RU
-        assert_eq!(proxy, 0.0);
         assert!(hit < miss);
     }
 

@@ -145,19 +145,18 @@ impl Autoscaler {
         }
     }
 
-    /// Forecast the next-7-day peak from 30 days of hourly `usage` (with the
-    /// tenant's hourly `quota` series for denoising), then run Algorithm 1.
+    /// Forecast the next-7-day peak from 30 days of hourly `usage`, then run
+    /// Algorithm 1.
     pub fn forecast_and_decide(
         &mut self,
         tenant: u32,
         now: SimTime,
         usage: &TimeSeries,
-        quota: Option<&TimeSeries>,
         tenant_quota: f64,
         partitions: u32,
     ) -> (ScalingDecision, ForecastOutput) {
         let horizon = 7 * 24; // 7 days of hourly samples
-        let output = self.forecaster.forecast(usage, quota, horizon);
+        let output = self.forecaster.forecast(usage, horizon);
         let decision = self.decide(tenant, now, tenant_quota, partitions, output.peak);
         (decision, output)
     }
@@ -274,7 +273,7 @@ mod tests {
         let usage: Vec<f64> = (0..720).map(|t| 300.0 + t as f64).collect();
         let series = TimeSeries::new(0, HOUR, usage);
         let mut s = scaler();
-        let (decision, output) = s.forecast_and_decide(7, days(30), &series, None, 1100.0, 4);
+        let (decision, output) = s.forecast_and_decide(7, days(30), &series, 1100.0, 4);
         assert!(output.peak > 1000.0, "peak={}", output.peak);
         assert!(
             matches!(decision, ScalingDecision::ScaleUp { .. }),

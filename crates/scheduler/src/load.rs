@@ -100,22 +100,16 @@ impl ReplicaLoad {
         }
     }
 
-    /// A replica load from a combined RU vector and the read share of it in
-    /// `[0, 1]` — for callers that only track totals. The split is an
+    /// A replica load from a combined RU vector, 70 % of it attributed to
+    /// reads — for callers that only track totals. The split is an
     /// attribution; the combined vector (what the loss function weighs) is
     /// preserved exactly.
-    pub fn from_total(
-        id: u64,
-        tenant: u32,
-        partition: u64,
-        ru: LoadVector,
-        read_share: f64,
-        storage: f64,
-    ) -> Self {
+    pub fn from_total(id: u64, tenant: u32, partition: u64, ru: LoadVector, storage: f64) -> Self {
+        const READ_SHARE: f64 = 0.7;
         let mut read_ru = ru;
-        read_ru.scale(read_share.clamp(0.0, 1.0));
+        read_ru.scale(READ_SHARE);
         let mut write_ru = ru;
-        write_ru.scale(1.0 - read_share.clamp(0.0, 1.0));
+        write_ru.scale(1.0 - READ_SHARE);
         Self {
             id,
             tenant,
@@ -371,7 +365,7 @@ mod tests {
         let mut ru = [0.0; 24];
         ru[12] = ru_peak; // peak at noon
         ru[0] = ru_peak / 2.0;
-        ReplicaLoad::from_total(id, tenant, partition, LoadVector(ru), 0.7, storage)
+        ReplicaLoad::from_total(id, tenant, partition, LoadVector(ru), storage)
     }
 
     #[test]
@@ -389,7 +383,7 @@ mod tests {
     #[test]
     fn replica_load_split_preserves_the_total() {
         let re = replica(1, 1, 1, 40.0, 10.0);
-        // from_total(0.7): reads take 70% of every slot, writes the rest.
+        // from_total: reads take 70% of every slot, writes the rest.
         assert!((re.read_ru.peak() - 28.0).abs() < 1e-12);
         assert!((re.write_ru.peak() - 12.0).abs() < 1e-12);
         assert!((re.ru().peak() - 40.0).abs() < 1e-12);

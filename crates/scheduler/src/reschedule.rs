@@ -120,20 +120,17 @@ impl Rescheduler {
         out
     }
 
-    /// Run rounds until no migration fires or `max_rounds` is hit, modeling
+    /// Run rounds until no migration fires or 400 rounds have run, modeling
     /// the offline regime where every move started in round N has finished
     /// before round N+1 begins: each in-flight migration is completed
     /// *individually* (its two nodes unblocked) rather than by a wholesale
     /// flag sweep, so the completion semantics match the live engine's
     /// per-migration callbacks. Returns all migrations.
-    pub fn rebalance_to_convergence(
-        &self,
-        pool: &mut PoolState,
-        max_rounds: usize,
-    ) -> Vec<Migration> {
+    pub fn rebalance_to_convergence(&self, pool: &mut PoolState) -> Vec<Migration> {
+        const MAX_ROUNDS: usize = 400;
         let mut all = Vec::new();
         let mut inflight: Vec<Migration> = Vec::new();
-        for _ in 0..max_rounds {
+        for _ in 0..MAX_ROUNDS {
             for m in inflight.drain(..) {
                 pool.complete_migration(m.from_node, m.to_node);
             }
@@ -215,14 +212,7 @@ mod tests {
     use crate::load::LoadVector;
 
     fn replica(id: u64, tenant: u32, partition: u64, ru_peak: f64, storage: f64) -> ReplicaLoad {
-        ReplicaLoad::from_total(
-            id,
-            tenant,
-            partition,
-            LoadVector::flat(ru_peak),
-            0.7,
-            storage,
-        )
+        ReplicaLoad::from_total(id, tenant, partition, LoadVector::flat(ru_peak), storage)
     }
 
     /// A pool with one overloaded node and one idle node.
@@ -313,7 +303,7 @@ mod tests {
     fn convergence_balances_utilization() {
         let mut pool = skewed_pool();
         let before = pool.ru_util_std();
-        let moves = Rescheduler::default().rebalance_to_convergence(&mut pool, 100);
+        let moves = Rescheduler::default().rebalance_to_convergence(&mut pool);
         let after = pool.ru_util_std();
         assert!(moves.len() >= 3);
         assert!(after < before * 0.35, "std {before} -> {after}");
@@ -349,7 +339,7 @@ mod tests {
         let thin = NodeState::new(2, 1000.0, 1000.0);
         let mut pool = PoolState::new(vec![fat, thin]);
         let before = pool.storage_util_std();
-        Rescheduler::default().rebalance_to_convergence(&mut pool, 50);
+        Rescheduler::default().rebalance_to_convergence(&mut pool);
         assert!(pool.storage_util_std() < before * 0.5);
     }
 
@@ -381,7 +371,7 @@ mod tests {
             }
         }
         let mut pool = PoolState::new(nodes);
-        Rescheduler::default().rebalance_to_convergence(&mut pool, 200);
+        Rescheduler::default().rebalance_to_convergence(&mut pool);
         // Constraint: no node hosts two replicas of one partition.
         for node in &pool.nodes {
             for p in 0..30u64 {

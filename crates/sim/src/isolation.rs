@@ -144,7 +144,7 @@ impl IsolationExperiment {
         let mut monitor = TenantQuotaMonitor::new(mins(1));
         for (i, spec) in specs.into_iter().enumerate() {
             node.pipeline()
-                .add_partition(spec.partition, spec.id, spec.partition_quota_ru, 0);
+                .add_partition(spec.partition, spec.id, spec.partition_quota_ru);
             monitor.set_tenant_quota(spec.id, spec.tenant_quota_ru);
             let plane = ProxyPlane::new(
                 spec.id,
@@ -197,6 +197,7 @@ impl IsolationExperiment {
     }
 
     /// Mutable access to a tenant's proxy plane (quota/cache toggles).
+    // LINT: allow(A009): a lookup key; tests/isolation_pin.rs pins fig06_proxy_quota's call
     pub fn plane_mut(&mut self, tenant: TenantId) -> &mut ProxyPlane {
         // INVARIANT: tenants are registered at construction and never removed.
         &mut self.tenants.get_mut(&tenant).expect("known tenant").plane

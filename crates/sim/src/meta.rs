@@ -200,6 +200,7 @@ impl RecoveryModel {
 
     /// §3.3 utilization bound for an N-node multi-tenant pool: failure load
     /// spreads as 1/N per survivor, allowing utilization up to `N/(N+1)`.
+    // LINT: allow(A009): §3.3's bound for any pool size; this file's utilization_bounds_match_paper checks 3 nodes
     pub fn multi_tenant_max_utilization(n_nodes: u32) -> f64 {
         let n = f64::from(n_nodes);
         n / (n + 1.0)

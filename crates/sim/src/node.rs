@@ -251,8 +251,8 @@ mod tests {
 
     fn node() -> DataNodeSim {
         let n = DataNodeSim::new(1, DataNodeConfig::default());
-        n.pipeline().add_partition(10, 1, 3000.0, 0);
-        n.pipeline().add_partition(20, 2, 3000.0, 0);
+        n.pipeline().add_partition(10, 1, 3000.0);
+        n.pipeline().add_partition(20, 2, 3000.0);
         n
     }
 
@@ -330,8 +330,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        n.pipeline().add_partition(10, 1, 100.0, 0);
-        n.pipeline().add_partition(20, 2, 100.0, 0);
+        n.pipeline().add_partition(10, 1, 100.0);
+        n.pipeline().add_partition(20, 2, 100.0);
         // Tenant 1 floods: ~300 admitted (3× quota burst) then rejections.
         for i in 0..2_000 {
             n.submit(request(1, 10, i, false, 0), 0);
@@ -373,7 +373,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        n.pipeline().add_partition(10, 1, 1e9, 0); // effectively no quota
+        n.pipeline().add_partition(10, 1, 1e9); // effectively no quota
         let mut rejected = 0;
         for i in 0..10_000 {
             if n.submit(request(1, 10, i, false, 0), 0).is_some() {
@@ -393,8 +393,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        n.pipeline().add_partition(10, 1, 500.0, 0);
-        n.pipeline().add_partition(20, 2, 500.0, 0);
+        n.pipeline().add_partition(10, 1, 500.0);
+        n.pipeline().add_partition(20, 2, 500.0);
         // Equal quotas, both flood within their 3× burst: 1500 admitted each.
         for i in 0..1_500 {
             n.submit(request(1, 10, i, false, 0), 0);

@@ -138,6 +138,7 @@ impl ProxyPlane {
     }
 
     /// Toggle quota enforcement (Figure 6's minute-35 switch).
+    // LINT: allow(A009): tests/isolation_pin.rs pins fig06_proxy_quota's call; this file's cache tests switch it off
     pub fn set_quota_enabled(&mut self, enabled: bool) {
         self.config.quota_enabled = enabled;
     }

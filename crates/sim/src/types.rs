@@ -32,8 +32,6 @@ pub struct SimRequest {
 /// Where a completed request was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedFrom {
-    /// The proxy cache answered; the request never reached a data node.
-    ProxyCache,
     /// The data node cache answered (CPU + memory only).
     NodeCache,
     /// The storage engine answered (disk I/O).
@@ -50,8 +48,6 @@ pub enum Disposition {
         /// Serving layer.
         served_from: ServedFrom,
     },
-    /// Rejected by the proxy quota.
-    RejectedAtProxy,
     /// Rejected by the partition quota at the data node.
     RejectedAtNode,
 }
@@ -75,7 +71,6 @@ mod tests {
             served_from: ServedFrom::NodeCache,
         };
         assert!(ok.is_success());
-        assert!(!Disposition::RejectedAtProxy.is_success());
         assert!(!Disposition::RejectedAtNode.is_success());
     }
 }

@@ -35,6 +35,7 @@ pub const fn secs(v: u64) -> SimTime {
 }
 
 /// Convert minutes to [`SimTime`].
+// LINT: allow(A009): a unit like secs/hours/days; crates/workload/src/scenarios.rs's tests pass others
 #[inline]
 pub const fn mins(v: u64) -> SimTime {
     v * MICROS_PER_MIN

@@ -109,14 +109,9 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Record `n` identical observations.
-    fn record_n(&mut self, value: u64, n: u64) {
-        self.counts[Self::index(value)] += n;
-        self.total += n;
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
+        self.counts[Self::index(value)] += 1;
+        self.total += 1;
+        self.sum = self.sum.saturating_add(value);
     }
 
     /// Number of recorded observations.
@@ -236,17 +231,6 @@ mod tests {
         assert_eq!(h.mean(), 200.5);
         assert_eq!(h.sum(), 401);
         assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn record_n_equals_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for _ in 0..7 {
-            a.record(555);
-        }
-        b.record_n(555, 7);
-        assert_eq!(a, b);
     }
 
     #[test]

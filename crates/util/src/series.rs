@@ -129,11 +129,11 @@ impl TimeSeries {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {
     /// Arithmetic mean of the group.
+    // LINT: allow(A009): tests/property_based.rs
     Mean,
     /// Maximum of the group.
+    // LINT: allow(A009): tests/property_based.rs
     Max,
-    /// Sum of the group.
-    Sum,
 }
 
 impl Aggregation {
@@ -141,7 +141,6 @@ impl Aggregation {
         match self {
             Aggregation::Mean => xs.iter().sum::<f64>() / xs.len() as f64,
             Aggregation::Max => xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Aggregation::Sum => xs.iter().sum(),
         }
     }
 }

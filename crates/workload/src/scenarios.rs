@@ -1,9 +1,9 @@
 //! Traffic shapes for the isolation and dynamism experiments.
 //!
-//! Figures 5–7 are driven by piecewise traffic intensities: steady floors,
-//! step bursts at a given minute, ramps, and temporary plateaus. A
-//! [`TrafficShape`] maps virtual time to a QPS level; experiment harnesses
-//! combine shapes with [`crate::keys::RequestGen`] streams.
+//! Figures 5–7 are driven by piecewise traffic intensities: steady floors
+//! and step bursts at a given minute. A [`TrafficShape`] maps virtual time
+//! to a QPS level; experiment harnesses combine shapes with
+//! [`crate::keys::RequestGen`] streams.
 
 use abase_util::clock::SimTime;
 
@@ -23,29 +23,6 @@ pub enum TrafficShape {
         /// Burst end (exclusive).
         end: SimTime,
     },
-    /// Linear ramp from `from` QPS to `to` QPS over `[start, end)`, holding
-    /// `to` afterwards.
-    Ramp {
-        /// Starting QPS.
-        from: f64,
-        /// Final QPS.
-        to: f64,
-        /// Ramp start.
-        start: SimTime,
-        /// Ramp end.
-        end: SimTime,
-    },
-    /// Sinusoidal diurnal pattern: `mean ± amplitude` with the given period.
-    Diurnal {
-        /// Mean QPS.
-        mean: f64,
-        /// Peak deviation from the mean.
-        amplitude: f64,
-        /// Cycle length.
-        period: SimTime,
-    },
-    /// Sum of two shapes (e.g. diurnal + burst).
-    Sum(Box<TrafficShape>, Box<TrafficShape>),
 }
 
 impl TrafficShape {
@@ -65,30 +42,6 @@ impl TrafficShape {
                     *base
                 }
             }
-            TrafficShape::Ramp {
-                from,
-                to,
-                start,
-                end,
-            } => {
-                if t < *start {
-                    *from
-                } else if t >= *end {
-                    *to
-                } else {
-                    let frac = (t - start) as f64 / (end - start) as f64;
-                    from + (to - from) * frac
-                }
-            }
-            TrafficShape::Diurnal {
-                mean,
-                amplitude,
-                period,
-            } => {
-                let phase = (t % period) as f64 / *period as f64;
-                mean + amplitude * (2.0 * std::f64::consts::PI * phase).sin()
-            }
-            TrafficShape::Sum(a, b) => a.qps_at(t) + b.qps_at(t),
         }
     }
 
@@ -123,40 +76,6 @@ mod tests {
         assert_eq!(s.qps_at(mins(10)), 5000.0);
         assert_eq!(s.qps_at(mins(29)), 5000.0);
         assert_eq!(s.qps_at(mins(30)), 100.0);
-    }
-
-    #[test]
-    fn ramp_interpolates() {
-        let s = TrafficShape::Ramp {
-            from: 0.0,
-            to: 100.0,
-            start: secs(0),
-            end: secs(100),
-        };
-        assert_eq!(s.qps_at(secs(0)), 0.0);
-        assert!((s.qps_at(secs(50)) - 50.0).abs() < 1e-9);
-        assert_eq!(s.qps_at(secs(200)), 100.0);
-    }
-
-    #[test]
-    fn diurnal_oscillates() {
-        let s = TrafficShape::Diurnal {
-            mean: 100.0,
-            amplitude: 50.0,
-            period: mins(60),
-        };
-        assert!((s.qps_at(0) - 100.0).abs() < 1e-9);
-        assert!((s.qps_at(mins(15)) - 150.0).abs() < 1e-9); // quarter period
-        assert!((s.qps_at(mins(45)) - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sum_composes() {
-        let s = TrafficShape::Sum(
-            Box::new(TrafficShape::Steady(10.0)),
-            Box::new(TrafficShape::Steady(5.0)),
-        );
-        assert_eq!(s.qps_at(0), 15.0);
     }
 
     #[test]

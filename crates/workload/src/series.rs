@@ -78,15 +78,16 @@ impl SeriesSpec {
     }
 }
 
-/// The Figure-8a case: disk usage with 24-hour periodicity and steady growth.
-pub fn fig8a_disk_usage(days: usize, seed: u64) -> TimeSeries {
+/// The Figure-8a case: three weeks of disk usage with 24-hour periodicity
+/// and steady growth.
+pub fn fig8a_disk_usage() -> TimeSeries {
     SeriesSpec {
-        hours: days * 24,
+        hours: 21 * 24,
         base: 550.0,
         trend_per_hour: 0.55,
         seasonal: vec![(24.0, 60.0)],
         noise: 0.015,
-        seed,
+        seed: 8,
         ..Default::default()
     }
     .build()
@@ -149,7 +150,7 @@ mod tests {
 
     #[test]
     fn fig8a_series_grows_with_daily_cycle() {
-        let s = fig8a_disk_usage(21, 0);
+        let s = fig8a_disk_usage();
         assert_eq!(s.len(), 21 * 24);
         // Growth dominates over three weeks.
         let first_day_mean: f64 = s.values()[..24].iter().sum::<f64>() / 24.0;

@@ -6,7 +6,8 @@
 //! whether usage ever breached the quota (throttling) and how much quota
 //! headroom was carried (waste).
 //!
-//! Run with: `cargo run --release --example autoscaling`
+//! Run with: `cargo run --release --example autoscaling`. It exits non-zero
+//! if usage breached the quota in any hour or no scale-up fired.
 
 use abase::scheduler::{AutoscaleConfig, Autoscaler, ScalingDecision};
 use abase::util::clock::days;
@@ -15,7 +16,7 @@ use abase::workload::series::HOUR;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(11);
     let mut autoscaler = Autoscaler::new(AutoscaleConfig::default());
     let mut usage_level = 400.0f64;
@@ -24,6 +25,7 @@ fn main() {
     let mut throttled_hours = 0u32;
     let mut headroom_sum = 0.0f64;
     let mut samples = 0u32;
+    let mut scaled_up = false;
 
     println!("week | peak usage | quota  | forecast peak | decision");
     for week in 0..8u64 {
@@ -46,7 +48,7 @@ fn main() {
         }
         let series = TimeSeries::new(0, HOUR, history.clone());
         let (decision, output) =
-            autoscaler.forecast_and_decide(1, days(week * 7), &series, None, quota, 8);
+            autoscaler.forecast_and_decide(1, days(week * 7), &series, quota, 8);
         let label = match &decision {
             ScalingDecision::Hold => "hold".to_string(),
             ScalingDecision::ScaleUp {
@@ -62,6 +64,7 @@ fn main() {
                 };
                 let msg = format!("scale up -> {new_tenant_quota:.0}{s}");
                 quota = *new_tenant_quota;
+                scaled_up = true;
                 msg
             }
             ScalingDecision::ScaleDown {
@@ -84,4 +87,11 @@ fn main() {
     );
     println!("Algorithm 1 keeps the quota riding ~1/0.65 above the forecast peak, so");
     println!("growth never throttles while idle headroom stays bounded.");
+    if throttled_hours > 0 {
+        return Err(format!("usage breached the quota in {throttled_hours} hours").into());
+    }
+    if !scaled_up {
+        return Err("the growing tenant was never scaled up".into());
+    }
+    Ok(())
 }

@@ -4,7 +4,9 @@
 //! CPU-bound, one disk-bound — and runs rescheduling rounds until the pool is
 //! balanced, printing a utilization heat-strip each round.
 //!
-//! Run with: `cargo run --release --example rescheduling`
+//! Run with: `cargo run --release --example rescheduling`. It exits non-zero
+//! if the pool does not converge within 60 rounds or ends no better balanced
+//! than it started.
 
 use abase::scheduler::{LoadVector, NodeState, PoolState, ReplicaLoad, Rescheduler};
 
@@ -17,32 +19,29 @@ fn strip(pool: &PoolState, which: fn(&NodeState) -> f64) -> String {
     pool.nodes.iter().map(|n| heat(which(n))).collect()
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pool = PoolState::new(
         (0..20)
             .map(|i| NodeState::new(i, 1_000.0, 10_000.0))
             .collect(),
     );
-    // Node 0: CPU-hungry tenants (search/e-commerce shapes from Table 1 —
-    // read-dominant, so most of the RU total is read share).
+    // Node 0: CPU-hungry tenants (search/e-commerce shapes from Table 1).
     for id in 0..30u64 {
         pool.nodes[0].add_replica(ReplicaLoad::from_total(
             id,
             1,
             id,
             LoadVector::flat(35.0),
-            0.9,
             40.0,
         ));
     }
-    // Node 1: storage-hungry tenants (direct-message shape, write-heavy).
+    // Node 1: storage-hungry tenants (direct-message shape).
     for id in 100..130u64 {
         pool.nodes[1].add_replica(ReplicaLoad::from_total(
             id,
             2,
             id,
             LoadVector::flat(2.0),
-            0.3,
             320.0,
         ));
     }
@@ -54,7 +53,6 @@ fn main() {
             3 + (id % 5) as u32,
             id,
             LoadVector::flat(6.0),
-            0.7,
             60.0,
         ));
     }
@@ -62,6 +60,8 @@ fn main() {
     let rescheduler = Rescheduler::default();
     println!("round | RU util per node        | storage util per node   | RU std");
     let mut inflight = Vec::new();
+    let initial_std = pool.ru_util_std();
+    let mut converged = false;
     for round in 0..60 {
         if round % 5 == 0 {
             println!(
@@ -81,6 +81,7 @@ fn main() {
         let moves = rescheduler.reschedule_round(&mut pool);
         if moves.is_empty() && round > 0 {
             println!("converged after {round} rounds");
+            converged = true;
             break;
         }
         inflight = moves;
@@ -92,4 +93,15 @@ fn main() {
         pool.storage_util_std()
     );
     println!("Both dimensions balance simultaneously — the multi-resource part of §5.3.");
+    if !converged {
+        return Err("no convergence within 60 rounds".into());
+    }
+    if pool.ru_util_std() >= initial_std {
+        return Err(format!(
+            "RU std {:.4} is not below round 0's {initial_std:.4}",
+            pool.ru_util_std()
+        )
+        .into());
+    }
+    Ok(())
 }

@@ -126,7 +126,7 @@ fn growth_triggers_scale_up_and_split() {
     // 30 days of growth toward 2.5k RU/s.
     let usage: Vec<f64> = (0..720).map(|t| 800.0 + 2.2 * t as f64).collect();
     let series = TimeSeries::new(0, HOUR, usage);
-    let (decision, output) = autoscaler.forecast_and_decide(1, days(30), &series, None, 2_600.0, 4);
+    let (decision, output) = autoscaler.forecast_and_decide(1, days(30), &series, 2_600.0, 4);
     assert!(output.peak > 2_300.0, "peak={}", output.peak);
     match decision {
         ScalingDecision::ScaleUp {

@@ -45,7 +45,7 @@ fn a_tenant_over_its_quota_is_throttled_and_its_neighbour_is_not() {
     let (_dir, node) = open("noisy-neighbour");
     for tenant in [A, B] {
         node.pipeline()
-            .add_partition(u64::from(tenant), tenant, QUOTA_RU, 0);
+            .add_partition(u64::from(tenant), tenant, QUOTA_RU);
     }
     let addr = node.local_addr();
     let flooding = AtomicBool::new(true);
@@ -117,7 +117,7 @@ fn a_tenant_over_its_quota_is_throttled_and_its_neighbour_is_not() {
 fn hgetall_of_a_big_hash_is_admitted_above_a_get() {
     const T: u32 = 3103;
     let (_dir, node) = open("hash-estimate");
-    node.pipeline().add_partition(u64::from(T), T, 1e6, 0);
+    node.pipeline().add_partition(u64::from(T), T, 1e6);
     let mut client = Client::connect(node.local_addr());
     assert_eq!(client.cmd(&["AUTH", &T.to_string()]), RespValue::ok());
     let fields: Vec<String> = (0..100).map(|i| format!("f{i:03}")).collect();
