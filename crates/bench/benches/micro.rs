@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use abase_cache::aulru::{AuLruCache, AuLruConfig};
 use abase_cache::{SaLruCache, ShardedCache};
 use abase_core::{Pipeline, Request, Served, TableEngine};
-use abase_forecast::prophet::{ProphetConfig, ProphetModel};
+use abase_forecast::prophet::ProphetModel;
 use abase_forecast::psd::dominant_period;
 use abase_lavastore::block_cache::CachedRow;
 use abase_lavastore::encoding::crc32;
@@ -24,7 +24,7 @@ use abase_obs::{Histo, Span, Stage};
 use abase_proto::{Command, RequestScanner, RespValue, Scanned};
 use abase_quota::{RuEstimator, TokenBucket};
 use abase_scheduler::{LoadVector, NodeState, PoolState, ReplicaLoad, Rescheduler};
-use abase_wfq::{CpuTickBudget, DualWfq, DualWfqConfig, WfqItem};
+use abase_wfq::{CpuTickBudget, DualWfq, WfqItem};
 use abase_workload::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,7 +105,7 @@ fn bench_caches(c: &mut Criterion) {
 fn bench_wfq(c: &mut Criterion) {
     let mut group = c.benchmark_group("wfq");
     group.bench_function("push_pop_cycle", |b| {
-        let mut q: DualWfq<u64> = DualWfq::new(DualWfqConfig::default());
+        let mut q: DualWfq<u64> = DualWfq::new();
         let mut i = 0u64;
         b.iter(|| {
             q.push_cpu(WfqItem {
@@ -441,16 +441,10 @@ fn bench_forecast(c: &mut Criterion) {
     let mut group = c.benchmark_group("forecast");
     group.sample_size(20);
     group.bench_function("psd_dominant_period_720", |b| {
-        b.iter(|| black_box(dominant_period(&values, 20.0)));
+        b.iter(|| black_box(dominant_period(&values)));
     });
     group.bench_function("prophet_fit_720", |b| {
-        b.iter(|| {
-            black_box(ProphetModel::fit(
-                &values,
-                Some(24),
-                ProphetConfig::default(),
-            ))
-        });
+        b.iter(|| black_box(ProphetModel::fit(&values, Some(24))));
     });
     group.finish();
 }

@@ -8,10 +8,10 @@
 //! workload archetypes.
 
 use crate::{banner, fmt, print_table};
-use abase_forecast::histavg::HistoricalAverage;
-use abase_forecast::prophet::{ProphetConfig, ProphetModel};
+use abase_forecast::histavg::{self, HistoricalAverage};
+use abase_forecast::prophet::ProphetModel;
 use abase_forecast::psd::dominant_period;
-use abase_forecast::{smape, EnsembleForecaster};
+use abase_forecast::{forecast, smape};
 use abase_util::TimeSeries;
 use abase_workload::series::{SeriesSpec, HOUR};
 
@@ -84,18 +84,17 @@ pub fn run(_smoke: bool) -> Result<(), String> {
     );
     let horizon = 168usize;
     let mut rows = Vec::new();
-    let ensemble = EnsembleForecaster::default();
     for scenario in scenarios() {
         let full = scenario.spec.build();
         let (train, test) = full.split_at(full.len() - horizon);
         let train_values = train.values().to_vec();
-        let period = dominant_period(&train_values, 20.0);
-        let prophet_fc = ProphetModel::fit(&train_values, period, ProphetConfig::default())
+        let period = dominant_period(&train_values);
+        let prophet_fc = ProphetModel::fit(&train_values, period)
             .map(|m| m.forecast(horizon))
             .unwrap_or_else(|| vec![0.0; horizon]);
-        let hist_fc = HistoricalAverage::fit(&train_values, period, 0.7).forecast(horizon);
+        let hist_fc = HistoricalAverage::fit(&train_values, period, histavg::DECAY).forecast(horizon);
         let train_ts = TimeSeries::new(0, HOUR, train_values);
-        let ens = ensemble.forecast(&train_ts, horizon);
+        let ens = forecast(&train_ts, horizon);
         rows.push(vec![
             scenario.name.to_string(),
             fmt(smape(test.values(), &prophet_fc), 3),

@@ -8,7 +8,7 @@
 //! reads wait in each design.
 
 use crate::{banner, fmt, print_table};
-use abase_wfq::{CpuTickBudget, DualWfq, DualWfqConfig, WfqItem};
+use abase_wfq::{CpuTickBudget, DualWfq, WfqItem};
 
 /// Schedule `ticks` ticks of a mixed flood and return the mean scheduling
 /// delay (in ticks) of small-read completions.
@@ -19,8 +19,8 @@ use abase_wfq::{CpuTickBudget, DualWfq, DualWfqConfig, WfqItem};
 fn simulate(segregated: bool, ticks: usize) -> f64 {
     // Two queues exist in both designs; in the single-queue baseline the
     // small queue is unused and the mixed queue gets the whole budget.
-    let mut small_q: DualWfq<usize> = DualWfq::new(DualWfqConfig::default());
-    let mut mixed_q: DualWfq<usize> = DualWfq::new(DualWfqConfig::default());
+    let mut small_q: DualWfq<usize> = DualWfq::new();
+    let mut mixed_q: DualWfq<usize> = DualWfq::new();
     let total_budget = 100.0;
     let small_share = 0.4;
     let mut delays = Vec::new();

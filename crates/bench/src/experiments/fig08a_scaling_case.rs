@@ -22,7 +22,6 @@ pub fn run(_smoke: bool) -> Result<(), String> {
     let truth = fig8a_disk_usage();
     let mut autoscaler = Autoscaler::new(AutoscaleConfig {
         partition_quota_upper: f64::INFINITY, // storage quotas do not split here
-        ..Default::default()
     });
     let mut quota = 950.0; // initial tenant storage quota
     let mut rows = Vec::new();

@@ -35,6 +35,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
+/// Requests per partition per tick.
+const OPS_PER_TICK: usize = 8;
+
 /// Episode shape and cluster sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
@@ -49,8 +52,6 @@ pub struct ChaosConfig {
     pub write_concern: WriteConcern,
     /// Ticks per episode.
     pub ticks: u64,
-    /// Requests per partition per tick.
-    pub ops_per_tick: usize,
     /// Modeled per-node disk bandwidth for reconstruction (bytes/second);
     /// the §3.3 invariant bounds measured recovery bandwidth against it.
     pub recovery_bandwidth: f64,
@@ -66,7 +67,6 @@ impl Default for ChaosConfig {
             replication_factor: 3,
             write_concern: WriteConcern::Quorum,
             ticks: 30,
-            ops_per_tick: 8,
             recovery_bandwidth: 24e6,
             wait_timeout: Duration::from_millis(25),
         }
@@ -212,7 +212,6 @@ impl ChaosRunner {
                 db: DbConfig::small_for_tests(),
                 recovery_bandwidth: Some(cfg.recovery_bandwidth),
                 wait_timeout: cfg.wait_timeout,
-                ..Default::default()
             },
         );
         let mut gens: Vec<RequestGen> = Vec::new();
@@ -292,7 +291,7 @@ impl ChaosRunner {
                 );
             }
             for p in 0..cfg.partitions {
-                for _ in 0..cfg.ops_per_tick {
+                for _ in 0..OPS_PER_TICK {
                     let spec = gens[p as usize].next_request();
                     if spec.is_write {
                         op_counter += 1;

@@ -8,30 +8,27 @@
 //! Implementation: binary segmentation on mean shift with a BIC-style penalty.
 //! For each candidate split the gain is the reduction in total squared error
 //! from modelling the two halves with separate means; splits are accepted
-//! while the gain exceeds `penalty · σ²_global`.
+//! while the gain exceeds [`PENALTY`] `· σ²_global`.
+
+/// The split penalty, in multiples of the series' global variance.
+const PENALTY: f64 = 5.0;
+/// The shortest segment a split may leave, in samples (two days of hourly
+/// samples).
+const MIN_SEGMENT: usize = 48;
 
 /// Detected change points (indices where a new segment starts), ascending.
-fn detect_changepoints(values: &[f64], penalty: f64, min_segment: usize) -> Vec<usize> {
+fn detect_changepoints(values: &[f64]) -> Vec<usize> {
     let mut out = Vec::new();
     let global_var = variance(values).max(1e-12);
-    segment(
-        values,
-        0,
-        penalty * global_var,
-        min_segment.max(2),
-        &mut out,
-    );
+    segment(values, 0, PENALTY * global_var, &mut out);
     out.sort_unstable();
     out
 }
 
 /// The index of the last detected change point (start of the current regime),
 /// or 0 when the series is homogeneous.
-pub fn last_regime_start(values: &[f64], penalty: f64, min_segment: usize) -> usize {
-    detect_changepoints(values, penalty, min_segment)
-        .last()
-        .copied()
-        .unwrap_or(0)
+pub fn last_regime_start(values: &[f64]) -> usize {
+    detect_changepoints(values).last().copied().unwrap_or(0)
 }
 
 fn variance(values: &[f64]) -> f64 {
@@ -50,15 +47,15 @@ fn sse(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
 }
 
-fn segment(values: &[f64], offset: usize, threshold: f64, min_seg: usize, out: &mut Vec<usize>) {
+fn segment(values: &[f64], offset: usize, threshold: f64, out: &mut Vec<usize>) {
     let n = values.len();
-    if n < 2 * min_seg {
+    if n < 2 * MIN_SEGMENT {
         return;
     }
     let total = sse(values);
     let mut best_gain = 0.0;
     let mut best_split = 0usize;
-    for split in min_seg..=(n - min_seg) {
+    for split in MIN_SEGMENT..=(n - MIN_SEGMENT) {
         let gain = total - sse(&values[..split]) - sse(&values[split..]);
         if gain > best_gain {
             best_gain = gain;
@@ -71,14 +68,8 @@ fn segment(values: &[f64], offset: usize, threshold: f64, min_seg: usize, out: &
         return;
     }
     out.push(offset + best_split);
-    segment(&values[..best_split], offset, threshold, min_seg, out);
-    segment(
-        &values[best_split..],
-        offset + best_split,
-        threshold,
-        min_seg,
-        out,
-    );
+    segment(&values[..best_split], offset, threshold, out);
+    segment(&values[best_split..], offset + best_split, threshold, out);
 }
 
 #[cfg(test)]
@@ -88,14 +79,14 @@ mod tests {
     #[test]
     fn homogeneous_series_has_no_changepoints() {
         let v: Vec<f64> = (0..200).map(|i| 10.0 + (i % 7) as f64 * 0.1).collect();
-        assert!(detect_changepoints(&v, 5.0, 10).is_empty());
+        assert!(detect_changepoints(&v).is_empty());
     }
 
     #[test]
     fn single_level_shift_found() {
         let mut v = vec![10.0; 100];
         v.extend(vec![50.0; 100]);
-        let cps = detect_changepoints(&v, 5.0, 10);
+        let cps = detect_changepoints(&v);
         assert_eq!(cps.len(), 1);
         assert!((95..=105).contains(&cps[0]), "found at {:?}", cps);
     }
@@ -105,7 +96,7 @@ mod tests {
         let mut v = vec![10.0; 80];
         v.extend(vec![40.0; 80]);
         v.extend(vec![5.0; 80]);
-        let cps = detect_changepoints(&v, 5.0, 10);
+        let cps = detect_changepoints(&v);
         assert_eq!(cps.len(), 2);
         assert!((75..=85).contains(&cps[0]));
         assert!((155..=165).contains(&cps[1]));
@@ -115,14 +106,14 @@ mod tests {
     fn last_regime_start_points_at_newest_segment() {
         let mut v = vec![10.0; 120];
         v.extend(vec![100.0; 60]);
-        let start = last_regime_start(&v, 5.0, 10);
+        let start = last_regime_start(&v);
         assert!((115..=125).contains(&start), "start={start}");
     }
 
     #[test]
     fn short_series_is_safe() {
-        assert!(detect_changepoints(&[1.0, 2.0], 5.0, 10).is_empty());
-        assert_eq!(last_regime_start(&[], 5.0, 10), 0);
+        assert!(detect_changepoints(&[1.0, 2.0]).is_empty());
+        assert_eq!(last_regime_start(&[]), 0);
     }
 
     #[test]
@@ -134,7 +125,7 @@ mod tests {
                 base + ((i * 2654435761usize) % 100) as f64 / 25.0
             })
             .collect();
-        let cps = detect_changepoints(&v, 5.0, 20);
+        let cps = detect_changepoints(&v);
         assert!(!cps.is_empty());
         assert!(cps.iter().any(|&c| (130..=170).contains(&c)), "cps={cps:?}");
     }

@@ -5,9 +5,14 @@
 
 use abase_util::TimeSeries;
 
+/// A point is a spike when it exceeds this multiple of its
+/// [`window_median`].
+const SPIKE_THRESHOLD: f64 = 3.0;
 /// How close to a spike's height a spike on another day must come for the
 /// first to count as recurring.
 const SIMILARITY: f64 = 0.6;
+/// The window a spike's recurrence is looked for in: "the past 10 days".
+const LOOKBACK_DAYS: usize = 10;
 
 /// The median of the samples within ±3 of `i`, excluding `i` itself; `None`
 /// when `i` has no neighbour.
@@ -26,32 +31,29 @@ fn window_median(values: &[f64], i: usize) -> Option<f64> {
     window.get(n / 2).copied()
 }
 
-/// A point `i` is a *spike* when it exceeds `threshold ×` its
+/// A point `i` is a *spike* when it exceeds [`SPIKE_THRESHOLD`] × its
 /// [`window_median`].
-fn spike_mask(values: &[f64], threshold: f64) -> Vec<bool> {
+fn spike_mask(values: &[f64]) -> Vec<bool> {
     (0..values.len())
         .map(|i| {
-            window_median(values, i).is_some_and(|m| values[i] > threshold * m.max(f64::EPSILON))
+            window_median(values, i)
+                .is_some_and(|m| values[i] > SPIKE_THRESHOLD * m.max(f64::EPSILON))
         })
         .collect()
 }
 
 /// Sporadic peak removal: a spike is kept only if a comparable spike (within
 /// [`SIMILARITY`] of its height) occurs on a *different day* of the trailing
-/// `lookback_days`. One-off peaks are flattened to the local median.
+/// [`LOOKBACK_DAYS`]. One-off peaks are flattened to the local median.
 ///
 /// The series must be hourly-sampled.
-pub fn sporadic_peak_filter(
-    series: &TimeSeries,
-    threshold: f64,
-    lookback_days: usize,
-) -> (TimeSeries, usize) {
+pub fn sporadic_peak_filter(series: &TimeSeries) -> (TimeSeries, usize) {
     const HOUR: u64 = 3_600_000_000;
     assert_eq!(series.interval(), HOUR, "requires hourly samples");
     let values = series.values();
-    let mask = spike_mask(values, threshold);
+    let mask = spike_mask(values);
     let samples_per_day = 24usize;
-    let lookback = lookback_days * samples_per_day;
+    let lookback = LOOKBACK_DAYS * samples_per_day;
     let mut cleaned = values.to_vec();
     let mut removed = 0;
     for i in 0..values.len() {
@@ -87,7 +89,7 @@ mod tests {
     fn sporadic_single_peak_removed() {
         let mut v = vec![10.0; 24 * 10];
         v[100] = 400.0; // appears once in 10 days
-        let (cleaned, removed) = sporadic_peak_filter(&hourly(v), 3.0, 10);
+        let (cleaned, removed) = sporadic_peak_filter(&hourly(v));
         assert_eq!(removed, 1);
         assert!((cleaned.values()[100] - 10.0).abs() < 1e-9);
     }
@@ -100,7 +102,7 @@ mod tests {
         for day in 0..10 {
             v[day * 24 + 7 + (day % 3)] = 400.0; // wandering daily burst
         }
-        let (cleaned, removed) = sporadic_peak_filter(&hourly(v), 3.0, 10);
+        let (cleaned, removed) = sporadic_peak_filter(&hourly(v));
         assert_eq!(removed, 0);
         assert_eq!(cleaned.values().iter().filter(|&&x| x > 300.0).count(), 10);
     }

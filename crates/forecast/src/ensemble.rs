@@ -18,9 +18,9 @@
 
 use crate::changepoint::last_regime_start;
 use crate::denoise::sporadic_peak_filter;
-use crate::histavg::HistoricalAverage;
+use crate::histavg::{self, HistoricalAverage};
 use crate::metrics::smape;
-use crate::prophet::{ProphetConfig, ProphetModel};
+use crate::prophet::ProphetModel;
 use crate::psd::dominant_period;
 use abase_util::TimeSeries;
 
@@ -37,45 +37,12 @@ pub enum ModelChoice {
     RecentHistoryFallback,
 }
 
-/// Ensemble configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct EnsembleConfig {
-    /// Spike threshold (ratio over local median) for denoising.
-    pub spike_threshold: f64,
-    /// Lookback for sporadic-peak removal, in days.
-    pub sporadic_lookback_days: usize,
-    /// Change-point penalty (multiplied by global variance).
-    pub changepoint_penalty: f64,
-    /// Minimum segment length for change-point detection (samples).
-    pub changepoint_min_segment: usize,
-    /// Minimum PSD strength to accept a period.
-    pub psd_min_strength: f64,
-    /// Prophet-lite settings.
-    pub prophet: ProphetConfig,
-    /// Cycle decay for the historical average.
-    pub histavg_decay: f64,
-    /// Issue-3 guard: fallback triggers when the forecast max is below this
-    /// fraction of the recent observed max.
-    pub burst_guard_ratio: f64,
-    /// Keep at least this many samples after change-point truncation.
-    pub min_history: usize,
-}
-
-impl Default for EnsembleConfig {
-    fn default() -> Self {
-        Self {
-            spike_threshold: 3.0,
-            sporadic_lookback_days: 10,
-            changepoint_penalty: 5.0,
-            changepoint_min_segment: 48,
-            psd_min_strength: 20.0,
-            prophet: ProphetConfig::default(),
-            histavg_decay: 0.7,
-            burst_guard_ratio: 0.8,
-            min_history: 240,
-        }
-    }
-}
+/// Issue-3 guard: the forecast falls back to replaying recent history when
+/// its maximum is below this fraction of the recent observed maximum.
+const BURST_GUARD_RATIO: f64 = 0.8;
+/// Samples kept after change-point truncation, however recent the last
+/// change point (enough to see seasonality).
+const MIN_HISTORY: usize = 240;
 
 /// The forecast and its provenance.
 #[derive(Debug, Clone)]
@@ -92,134 +59,108 @@ pub struct ForecastOutput {
     pub denoised_points: usize,
 }
 
-/// The §5.2 ensemble forecaster.
-#[derive(Debug, Clone, Default)]
-pub struct EnsembleForecaster {
-    config: EnsembleConfig,
+/// The §5.2 ensemble forecaster: forecast `horizon` samples of `usage`.
+pub fn forecast(usage: &TimeSeries, horizon: usize) -> ForecastOutput {
+    // ---- Preprocess (Issue 1) ----
+    let mut denoised_points = 0usize;
+    let mut series = usage.clone();
+    const HOUR: u64 = 3_600_000_000;
+    if series.interval() == HOUR && series.len() >= 48 {
+        let (cleaned, removed) = sporadic_peak_filter(&series);
+        series = cleaned;
+        denoised_points += removed;
+    }
+    // Change-point truncation: focus on the current regime, but keep
+    // enough history to see seasonality.
+    let regime_start = last_regime_start(series.values());
+    let keep_from = regime_start.min(series.len().saturating_sub(MIN_HISTORY));
+    let values: Vec<f64> = series.values()[keep_from..].to_vec();
+    // ---- Periodicity (Issue 2) ----
+    let period = dominant_period(&values);
+    // ---- Models ----
+    let prophet = ProphetModel::fit(&values, period);
+    let histavg = HistoricalAverage::fit(&values, period, histavg::DECAY);
+    // Backtest on the trailing 25% of the regime.
+    let holdout = (values.len() / 4)
+        .max(1)
+        .min(values.len().saturating_sub(4));
+    let (fit_part, test_part) = values.split_at(values.len() - holdout);
+    let (forecast, model) = blend(
+        fit_part,
+        test_part,
+        period,
+        prophet.as_ref(),
+        &histavg,
+        horizon,
+    );
+    // ---- Non-periodic-burst guard (Issue 3) ----
+    // At least one day of history: non-periodic bursts recur daily at
+    // varying times, so a sub-daily window would miss them.
+    let recent_window = period.unwrap_or(24).max(24).min(values.len());
+    let recent = &values[values.len() - recent_window..];
+    let recent_max = recent.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let forecast_max = forecast.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let (final_values, final_model) = if forecast_max < BURST_GUARD_RATIO * recent_max {
+        // Replay the most recent period tiled across the horizon.
+        let replay: Vec<f64> = (0..horizon).map(|h| recent[h % recent.len()]).collect();
+        (replay, ModelChoice::RecentHistoryFallback)
+    } else {
+        (forecast, model)
+    };
+    let peak = final_values
+        .iter()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max)
+        .max(0.0);
+    ForecastOutput {
+        values: final_values,
+        peak,
+        period,
+        model: final_model,
+        denoised_points,
+    }
 }
 
-impl EnsembleForecaster {
-    /// A forecaster with the given configuration.
-    pub fn new(config: EnsembleConfig) -> Self {
-        Self { config }
-    }
-
-    /// Forecast `horizon` samples of `usage`.
-    pub fn forecast(&self, usage: &TimeSeries, horizon: usize) -> ForecastOutput {
-        let cfg = &self.config;
-        // ---- Preprocess (Issue 1) ----
-        let mut denoised_points = 0usize;
-        let mut series = usage.clone();
-        const HOUR: u64 = 3_600_000_000;
-        if series.interval() == HOUR && series.len() >= 48 {
-            let (cleaned, removed) =
-                sporadic_peak_filter(&series, cfg.spike_threshold, cfg.sporadic_lookback_days);
-            series = cleaned;
-            denoised_points += removed;
-        }
-        // Change-point truncation: focus on the current regime, but keep
-        // enough history to see seasonality.
-        let regime_start = last_regime_start(
-            series.values(),
-            cfg.changepoint_penalty,
-            cfg.changepoint_min_segment,
-        );
-        let keep_from = regime_start.min(series.len().saturating_sub(cfg.min_history));
-        let values: Vec<f64> = series.values()[keep_from..].to_vec();
-        // ---- Periodicity (Issue 2) ----
-        let period = dominant_period(&values, cfg.psd_min_strength);
-        // ---- Models ----
-        let prophet = ProphetModel::fit(&values, period, cfg.prophet);
-        let histavg = HistoricalAverage::fit(&values, period, cfg.histavg_decay);
-        // Backtest on the trailing 25% of the regime.
-        let holdout = (values.len() / 4)
-            .max(1)
-            .min(values.len().saturating_sub(4));
-        let (fit_part, test_part) = values.split_at(values.len() - holdout);
-        let (forecast, model) = self.blend(
-            fit_part,
-            test_part,
-            &values,
-            period,
-            prophet.as_ref(),
-            &histavg,
-            horizon,
-        );
-        // ---- Non-periodic-burst guard (Issue 3) ----
-        // At least one day of history: non-periodic bursts recur daily at
-        // varying times, so a sub-daily window would miss them.
-        let recent_window = period.unwrap_or(24).max(24).min(values.len());
-        let recent = &values[values.len() - recent_window..];
-        let recent_max = recent.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let forecast_max = forecast.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let (final_values, final_model) = if forecast_max < cfg.burst_guard_ratio * recent_max {
-            // Replay the most recent period tiled across the horizon.
-            let replay: Vec<f64> = (0..horizon).map(|h| recent[h % recent.len()]).collect();
-            (replay, ModelChoice::RecentHistoryFallback)
-        } else {
-            (forecast, model)
-        };
-        let peak = final_values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .max(0.0);
-        ForecastOutput {
-            values: final_values,
-            peak,
-            period,
-            model: final_model,
-            denoised_points,
-        }
-    }
-
-    /// Weighted blend by holdout sMAPE; retrains on full history for output.
-    #[allow(clippy::too_many_arguments)]
-    fn blend(
-        &self,
-        fit_part: &[f64],
-        test_part: &[f64],
-        full: &[f64],
-        period: Option<usize>,
-        prophet_full: Option<&ProphetModel>,
-        histavg_full: &HistoricalAverage,
-        horizon: usize,
-    ) -> (Vec<f64>, ModelChoice) {
-        let cfg = &self.config;
-        // Backtest each model trained on fit_part.
-        let prophet_bt =
-            ProphetModel::fit(fit_part, period, cfg.prophet).map(|m| m.forecast(test_part.len()));
-        let histavg_bt =
-            HistoricalAverage::fit(fit_part, period, cfg.histavg_decay).forecast(test_part.len());
-        let prophet_err = prophet_bt
-            .as_ref()
-            .map(|p| smape(test_part, p))
-            .unwrap_or(f64::INFINITY);
-        let histavg_err = smape(test_part, &histavg_bt);
-        let prophet_fc = prophet_full.map(|m| m.forecast(horizon));
-        let histavg_fc = histavg_full.forecast(horizon);
-        match prophet_fc {
-            None => (histavg_fc, ModelChoice::HistoricalOnly),
-            Some(pfc) => {
-                // Inverse-error weights with an epsilon floor.
-                let wp = 1.0 / (prophet_err + 1e-3);
-                let wh = 1.0 / (histavg_err + 1e-3);
-                let share_p = wp / (wp + wh);
-                let blended: Vec<f64> = pfc
-                    .iter()
-                    .zip(&histavg_fc)
-                    .map(|(p, h)| share_p * p + (1.0 - share_p) * h)
-                    .collect();
-                let model = if share_p > 0.85 {
-                    ModelChoice::ProphetOnly
-                } else if share_p < 0.15 {
-                    ModelChoice::HistoricalOnly
-                } else {
-                    ModelChoice::Blend
-                };
-                let _ = full;
-                (blended, model)
-            }
+/// Weighted blend by holdout sMAPE; retrains on full history for output.
+fn blend(
+    fit_part: &[f64],
+    test_part: &[f64],
+    period: Option<usize>,
+    prophet_full: Option<&ProphetModel>,
+    histavg_full: &HistoricalAverage,
+    horizon: usize,
+) -> (Vec<f64>, ModelChoice) {
+    // Backtest each model trained on fit_part.
+    let prophet_bt = ProphetModel::fit(fit_part, period).map(|m| m.forecast(test_part.len()));
+    let histavg_bt =
+        HistoricalAverage::fit(fit_part, period, histavg::DECAY).forecast(test_part.len());
+    let prophet_err = prophet_bt
+        .as_ref()
+        .map(|p| smape(test_part, p))
+        .unwrap_or(f64::INFINITY);
+    let histavg_err = smape(test_part, &histavg_bt);
+    let prophet_fc = prophet_full.map(|m| m.forecast(horizon));
+    let histavg_fc = histavg_full.forecast(horizon);
+    match prophet_fc {
+        None => (histavg_fc, ModelChoice::HistoricalOnly),
+        Some(pfc) => {
+            // Inverse-error weights with an epsilon floor.
+            let wp = 1.0 / (prophet_err + 1e-3);
+            let wh = 1.0 / (histavg_err + 1e-3);
+            let share_p = wp / (wp + wh);
+            let blended: Vec<f64> = pfc
+                .iter()
+                .zip(&histavg_fc)
+                .map(|(p, h)| share_p * p + (1.0 - share_p) * h)
+                .collect();
+            let model = if share_p > 0.85 {
+                ModelChoice::ProphetOnly
+            } else if share_p < 0.15 {
+                ModelChoice::HistoricalOnly
+            } else {
+                ModelChoice::Blend
+            };
+            (blended, model)
         }
     }
 }
@@ -246,8 +187,7 @@ mod tests {
     fn forecasts_seasonal_trend_with_low_error() {
         let full = seasonal_trend(720 + 168, 0.1);
         let (train, test) = full.split_at(720);
-        let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(train.to_vec()), 168);
+        let out = forecast(&hourly(train.to_vec()), 168);
         assert_eq!(out.values.len(), 168);
         assert_eq!(out.period, Some(24));
         let err = crate::metrics::smape(test, &out.values);
@@ -257,8 +197,7 @@ mod tests {
     #[test]
     fn peak_tracks_series_peak() {
         let train = seasonal_trend(720, 0.0);
-        let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(train), 168);
+        let out = forecast(&hourly(train), 168);
         // Peak of 200 + 50·sin = 250 (±10%).
         assert!((out.peak - 250.0).abs() < 25.0, "peak={}", out.peak);
     }
@@ -273,8 +212,7 @@ mod tests {
                 values[day * 24 + 8 + h] = 900.0;
             }
         }
-        let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(values), 168);
+        let out = forecast(&hourly(values), 168);
         assert!(
             out.peak > 700.0,
             "recurring burst dismissed: peak={} model={:?}",
@@ -288,16 +226,14 @@ mod tests {
         // Level 100 for 20 days, then level 500: forecast must track ~500.
         let mut values = vec![100.0; 480];
         values.extend(vec![500.0; 240]);
-        let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(values), 48);
+        let out = forecast(&hourly(values), 48);
         let mean = out.values.iter().sum::<f64>() / out.values.len() as f64;
         assert!(mean > 400.0, "stale regime dominates: mean={mean}");
     }
 
     #[test]
     fn short_series_still_produces_output() {
-        let f = EnsembleForecaster::default();
-        let out = f.forecast(&hourly(vec![50.0; 24]), 12);
+        let out = forecast(&hourly(vec![50.0; 24]), 12);
         assert_eq!(out.values.len(), 12);
         assert!(out.values.iter().all(|v| v.is_finite()));
     }

@@ -6,6 +6,9 @@
 //! cycles, weighted toward recent cycles; without a period it degenerates to a
 //! trailing mean.
 
+/// The cycle decay the §5.2 ensemble fits with.
+pub const DECAY: f64 = 0.7;
+
 /// A fitted historical-average model.
 #[derive(Debug, Clone)]
 pub struct HistoricalAverage {

@@ -31,5 +31,5 @@ pub mod metrics;
 pub mod prophet;
 pub mod psd;
 
-pub use ensemble::{EnsembleConfig, EnsembleForecaster, ForecastOutput, ModelChoice};
+pub use ensemble::{forecast, ForecastOutput, ModelChoice};
 pub use metrics::smape;

@@ -47,13 +47,16 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     Some(x)
 }
 
-/// Ridge regression: minimize `‖Xβ − y‖² + λ‖β‖²`.
+/// The ridge regularization strength `λ`.
+const LAMBDA: f64 = 1e-3;
+
+/// Ridge regression: minimize `‖Xβ − y‖² + λ‖β‖²` with `λ` = [`LAMBDA`].
 ///
 /// `x` is row-major `n × p`; returns `β` of length `p`. The intercept column,
 /// if any, should be part of `x` (it gets regularized too — acceptable at the
 /// tiny λ used).
 #[allow(clippy::needless_range_loop)]
-pub fn ridge_fit(x: &[Vec<f64>], y: &[f64], lambda: f64) -> Option<Vec<f64>> {
+pub fn ridge_fit(x: &[Vec<f64>], y: &[f64]) -> Option<Vec<f64>> {
     let n = x.len();
     assert_eq!(n, y.len());
     if n == 0 {
@@ -76,7 +79,7 @@ pub fn ridge_fit(x: &[Vec<f64>], y: &[f64], lambda: f64) -> Option<Vec<f64>> {
         for j in 0..i {
             xtx[i][j] = xtx[j][i];
         }
-        xtx[i][i] += lambda;
+        xtx[i][i] += LAMBDA;
     }
     solve(xtx, xty)
 }
@@ -108,7 +111,7 @@ mod tests {
         // y = 3 + 2t fitted with design [1, t].
         let x: Vec<Vec<f64>> = (0..50).map(|t| vec![1.0, t as f64]).collect();
         let y: Vec<f64> = (0..50).map(|t| 3.0 + 2.0 * t as f64).collect();
-        let beta = ridge_fit(&x, &y, 1e-6).unwrap();
+        let beta = ridge_fit(&x, &y).unwrap();
         assert!((beta[0] - 3.0).abs() < 1e-3);
         assert!((beta[1] - 2.0).abs() < 1e-4);
     }
@@ -118,7 +121,7 @@ mod tests {
         // Two identical columns: OLS is singular; ridge resolves it.
         let x: Vec<Vec<f64>> = (0..20).map(|t| vec![t as f64, t as f64]).collect();
         let y: Vec<f64> = (0..20).map(|t| 4.0 * t as f64).collect();
-        let beta = ridge_fit(&x, &y, 1e-3).unwrap();
+        let beta = ridge_fit(&x, &y).unwrap();
         // Combined effect recovers slope 4 split across the twins.
         assert!((beta[0] + beta[1] - 4.0).abs() < 1e-2);
     }

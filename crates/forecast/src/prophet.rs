@@ -10,26 +10,10 @@
 use crate::linalg::{predict_row, ridge_fit};
 use std::f64::consts::PI;
 
-/// Configuration for the prophet-lite model.
-#[derive(Debug, Clone, Copy)]
-pub struct ProphetConfig {
-    /// Number of evenly spaced candidate trend changepoints.
-    pub n_changepoints: usize,
-    /// Fourier order for the seasonal component (pairs of sin/cos terms).
-    pub fourier_order: usize,
-    /// Ridge regularization strength.
-    pub lambda: f64,
-}
-
-impl Default for ProphetConfig {
-    fn default() -> Self {
-        Self {
-            n_changepoints: 8,
-            fourier_order: 4,
-            lambda: 1e-3,
-        }
-    }
-}
+/// Evenly spaced candidate trend changepoints.
+const N_CHANGEPOINTS: usize = 8;
+/// Fourier order of the seasonal component (pairs of sin/cos terms).
+const FOURIER_ORDER: usize = 4;
 
 /// A fitted prophet-lite model.
 #[derive(Debug, Clone)]
@@ -37,18 +21,12 @@ pub struct ProphetModel {
     beta: Vec<f64>,
     changepoints: Vec<f64>,
     period: Option<usize>,
-    fourier_order: usize,
     n_train: usize,
 }
 
-fn design_row(
-    t: f64,
-    changepoints: &[f64],
-    period: Option<usize>,
-    fourier_order: usize,
-) -> Vec<f64> {
+fn design_row(t: f64, changepoints: &[f64], period: Option<usize>) -> Vec<f64> {
     // [intercept, t, relu(t - cp_i)..., sin/cos pairs...]
-    let mut row = Vec::with_capacity(2 + changepoints.len() + 2 * fourier_order);
+    let mut row = Vec::with_capacity(2 + changepoints.len() + 2 * FOURIER_ORDER);
     row.push(1.0);
     row.push(t);
     for &cp in changepoints {
@@ -56,7 +34,7 @@ fn design_row(
     }
     if let Some(p) = period {
         let p = p as f64;
-        for order in 1..=fourier_order {
+        for order in 1..=FOURIER_ORDER {
             let angle = 2.0 * PI * order as f64 * t / p;
             row.push(angle.sin());
             row.push(angle.cos());
@@ -69,28 +47,27 @@ impl ProphetModel {
     /// Fit on `values` (one sample per time step), optionally with a known
     /// seasonal `period` in samples (from PSD analysis). Returns `None` when
     /// the series is too short to fit.
-    pub fn fit(values: &[f64], period: Option<usize>, config: ProphetConfig) -> Option<Self> {
+    pub fn fit(values: &[f64], period: Option<usize>) -> Option<Self> {
         let n = values.len();
         if n < 8 {
             return None;
         }
         // Seasonality requires at least two full cycles of evidence.
         let period = period.filter(|&p| p >= 2 && n >= 2 * p);
-        let n_cp = config.n_changepoints.min(n / 8);
+        let n_cp = N_CHANGEPOINTS.min(n / 8);
         // Candidate changepoints over the first 80% of history (Prophet's
         // default guards against overfitting the most recent points).
         let changepoints: Vec<f64> = (1..=n_cp)
             .map(|i| (i as f64 / (n_cp + 1) as f64) * 0.8 * n as f64)
             .collect();
         let x: Vec<Vec<f64>> = (0..n)
-            .map(|t| design_row(t as f64, &changepoints, period, config.fourier_order))
+            .map(|t| design_row(t as f64, &changepoints, period))
             .collect();
-        let beta = ridge_fit(&x, values, config.lambda)?;
+        let beta = ridge_fit(&x, values)?;
         Some(Self {
             beta,
             changepoints,
             period,
-            fourier_order: config.fourier_order,
             n_train: n,
         })
     }
@@ -105,7 +82,7 @@ impl ProphetModel {
         (0..horizon)
             .map(|h| {
                 let t = (self.n_train + h) as f64;
-                let row = design_row(t, &self.changepoints, self.period, self.fourier_order);
+                let row = design_row(t, &self.changepoints, self.period);
                 predict_row(&row, &self.beta)
             })
             .collect()
@@ -120,7 +97,7 @@ mod tests {
     #[test]
     fn fits_linear_trend() {
         let values: Vec<f64> = (0..100).map(|t| 50.0 + 2.0 * t as f64).collect();
-        let m = ProphetModel::fit(&values, None, ProphetConfig::default()).unwrap();
+        let m = ProphetModel::fit(&values, None).unwrap();
         let fc = m.forecast(10);
         for (h, v) in fc.iter().enumerate() {
             let expect = 50.0 + 2.0 * (100 + h) as f64;
@@ -133,7 +110,7 @@ mod tests {
         let values: Vec<f64> = (0..240)
             .map(|t| 100.0 + 30.0 * (2.0 * PI * t as f64 / 24.0).sin())
             .collect();
-        let m = ProphetModel::fit(&values, Some(24), ProphetConfig::default()).unwrap();
+        let m = ProphetModel::fit(&values, Some(24)).unwrap();
         let fc = m.forecast(24);
         let expect: Vec<f64> = (240..264)
             .map(|t| 100.0 + 30.0 * (2.0 * PI * t as f64 / 24.0).sin())
@@ -146,7 +123,7 @@ mod tests {
         let values: Vec<f64> = (0..240)
             .map(|t| 100.0 + 0.5 * t as f64 + 20.0 * (2.0 * PI * t as f64 / 24.0).sin())
             .collect();
-        let m = ProphetModel::fit(&values, Some(24), ProphetConfig::default()).unwrap();
+        let m = ProphetModel::fit(&values, Some(24)).unwrap();
         let fc = m.forecast(48);
         let expect: Vec<f64> = (240..288)
             .map(|t| 100.0 + 0.5 * t as f64 + 20.0 * (2.0 * PI * t as f64 / 24.0).sin())
@@ -167,7 +144,7 @@ mod tests {
                 }
             })
             .collect();
-        let m = ProphetModel::fit(&values, None, ProphetConfig::default()).unwrap();
+        let m = ProphetModel::fit(&values, None).unwrap();
         let fc = m.forecast(20);
         // At h=19 the true value is 100 + 3*69 = 307; demand at least slope
         // continuation beyond 250.
@@ -176,13 +153,13 @@ mod tests {
 
     #[test]
     fn short_series_returns_none() {
-        assert!(ProphetModel::fit(&[1.0; 4], None, ProphetConfig::default()).is_none());
+        assert!(ProphetModel::fit(&[1.0; 4], None).is_none());
     }
 
     #[test]
     fn period_needs_two_cycles() {
         let values: Vec<f64> = (0..30).map(|t| t as f64).collect();
-        let m = ProphetModel::fit(&values, Some(24), ProphetConfig::default()).unwrap();
+        let m = ProphetModel::fit(&values, Some(24)).unwrap();
         assert_eq!(
             m.period(),
             None,

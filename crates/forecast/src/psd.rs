@@ -9,6 +9,10 @@
 
 use std::f64::consts::PI;
 
+/// How far above the spectrum's median power a peak must stand to count as
+/// a period.
+const MIN_STRENGTH: f64 = 20.0;
+
 /// Compute the periodogram power for frequencies `k = 1..n/2` of a detrended
 /// series. Returns `(power, n)`.
 fn periodogram(values: &[f64]) -> Vec<f64> {
@@ -31,9 +35,9 @@ fn periodogram(values: &[f64]) -> Vec<f64> {
 }
 
 /// The single dominant period, if any: the strongest spectral peak whose
-/// power is at least `min_strength` times the median spectral power (e.g.
-/// 20.0) and whose period fits at least two full cycles in the series.
-pub fn dominant_period(values: &[f64], min_strength: f64) -> Option<usize> {
+/// power is at least [`MIN_STRENGTH`] times the median spectral power and
+/// whose period fits at least two full cycles in the series.
+pub fn dominant_period(values: &[f64]) -> Option<usize> {
     let n = values.len();
     if n < 8 {
         return None;
@@ -51,7 +55,7 @@ pub fn dominant_period(values: &[f64], min_strength: f64) -> Option<usize> {
     by_power.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite power"));
     by_power
         .into_iter()
-        .take_while(|&(_, p)| p / median >= min_strength)
+        .take_while(|&(_, p)| p / median >= MIN_STRENGTH)
         .map(|(k, _)| (n as f64 / k as f64).round() as usize)
         .find(|&period| period >= 2 && n / period >= 2)
 }
@@ -70,20 +74,20 @@ mod tests {
     fn finds_daily_cycle_in_hourly_data() {
         // 30 days of hourly samples with a 24 h cycle.
         let v = sine(720, 24.0, 20.0);
-        assert_eq!(dominant_period(&v, 20.0), Some(24));
+        assert_eq!(dominant_period(&v), Some(24));
     }
 
     #[test]
     fn finds_weekly_cycle() {
         let v = sine(24 * 7 * 8, 24.0 * 7.0, 15.0);
-        assert_eq!(dominant_period(&v, 20.0), Some(24 * 7));
+        assert_eq!(dominant_period(&v), Some(24 * 7));
     }
 
     #[test]
     fn finds_unusual_three_and_a_half_day_cycle() {
         // The paper's TTL-driven 3.5-day period: 84 hourly samples per cycle.
         let v = sine(84 * 8, 84.0, 10.0);
-        assert_eq!(dominant_period(&v, 20.0), Some(84));
+        assert_eq!(dominant_period(&v), Some(84));
     }
 
     #[test]
@@ -99,11 +103,11 @@ mod tests {
                 100.0 + (state % 1000) as f64 / 100.0
             })
             .collect();
-        assert_eq!(dominant_period(&v, 20.0), None);
+        assert_eq!(dominant_period(&v), None);
     }
 
     #[test]
     fn short_series_is_safe() {
-        assert_eq!(dominant_period(&[1.0, 2.0, 3.0], 10.0), None);
+        assert_eq!(dominant_period(&[1.0, 2.0, 3.0]), None);
     }
 }

@@ -15,34 +15,33 @@
 //! The forecast `U_max` comes from the §5.2 ensemble over 30 days of hourly
 //! usage, predicting 7 days ahead.
 
-use abase_forecast::{EnsembleForecaster, ForecastOutput};
+use abase_forecast::{forecast, ForecastOutput};
 use abase_util::clock::{days, SimTime};
 use abase_util::TimeSeries;
 use std::collections::HashMap;
 
-/// Autoscaler thresholds.
+/// Scale-up trigger: forecast usage above this fraction of quota (line 1).
+const UPPER_THRESHOLD: f64 = 0.85;
+/// Post-scaling target utilization and scale-down trigger (lines 2 and 5).
+const LOWER_THRESHOLD: f64 = 0.65;
+/// `LOWER`: minimum partition quota, absorbing occasional bursts (RU/s).
+const PARTITION_QUOTA_LOWER: f64 = 100.0;
+/// Cool-off between downscales (line 5's 7 days).
+const DOWNSCALE_COOLDOWN: SimTime = days(7);
+
+/// The autoscaler's one setting. Figure 8a runs without a split bound
+/// (`f64::INFINITY`: its storage quota never splits); Figure 8b and
+/// `examples/autoscaling.rs` run the default.
 #[derive(Debug, Clone, Copy)]
 pub struct AutoscaleConfig {
-    /// Scale-up trigger: forecast usage above this fraction of quota (0.85).
-    pub upper_threshold: f64,
-    /// Post-scaling target utilization and scale-down trigger (0.65).
-    pub lower_threshold: f64,
     /// `UP`: partition quota above which a split is triggered (RU/s).
     pub partition_quota_upper: f64,
-    /// `LOWER`: minimum partition quota, absorbing occasional bursts (RU/s).
-    pub partition_quota_lower: f64,
-    /// Cool-off between downscales (7 days).
-    pub downscale_cooldown: SimTime,
 }
 
 impl Default for AutoscaleConfig {
     fn default() -> Self {
         Self {
-            upper_threshold: 0.85,
-            lower_threshold: 0.65,
             partition_quota_upper: 10_000.0,
-            partition_quota_lower: 100.0,
-            downscale_cooldown: days(7),
         }
     }
 }
@@ -72,12 +71,10 @@ pub enum ScalingDecision {
     },
 }
 
-/// Stateful autoscaler: remembers per-tenant scale times for the cool-off and
-/// owns the forecasting pipeline.
+/// Stateful autoscaler: remembers per-tenant scale times for the cool-off.
 #[derive(Debug, Default)]
 pub struct Autoscaler {
     config: AutoscaleConfig,
-    forecaster: EnsembleForecaster,
     last_scaled: HashMap<u32, SimTime>,
 }
 
@@ -86,14 +83,8 @@ impl Autoscaler {
     pub fn new(config: AutoscaleConfig) -> Self {
         Self {
             config,
-            forecaster: EnsembleForecaster::default(),
             last_scaled: HashMap::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.config
     }
 
     /// Pure Algorithm 1: decide from an already-forecast `u_max`.
@@ -105,14 +96,13 @@ impl Autoscaler {
         partitions: u32,
         u_max: f64,
     ) -> ScalingDecision {
-        let cfg = &self.config;
         assert!(partitions > 0, "tenant must have at least one partition");
-        if u_max > cfg.upper_threshold * tenant_quota {
-            let new_tenant_quota = u_max / cfg.lower_threshold;
+        if u_max > UPPER_THRESHOLD * tenant_quota {
+            let new_tenant_quota = u_max / LOWER_THRESHOLD;
             let mut new_partition_quota = new_tenant_quota / partitions as f64;
             let mut new_partitions = partitions;
             let mut split = false;
-            if new_partition_quota > cfg.partition_quota_upper {
+            if new_partition_quota > self.config.partition_quota_upper {
                 new_partition_quota *= 0.5;
                 new_partitions *= 2;
                 split = true;
@@ -124,17 +114,17 @@ impl Autoscaler {
                 new_partitions,
                 split,
             }
-        } else if u_max < cfg.lower_threshold * tenant_quota {
+        } else if u_max < LOWER_THRESHOLD * tenant_quota {
             let since = self
                 .last_scaled
                 .get(&tenant)
                 .map(|&t| now.saturating_sub(t));
-            if since.is_some_and(|dt| dt < cfg.downscale_cooldown) {
+            if since.is_some_and(|dt| dt < DOWNSCALE_COOLDOWN) {
                 return ScalingDecision::Hold;
             }
-            let new_tenant_quota = u_max / cfg.lower_threshold;
+            let new_tenant_quota = u_max / LOWER_THRESHOLD;
             let new_partition_quota =
-                (new_tenant_quota / partitions as f64).max(cfg.partition_quota_lower);
+                (new_tenant_quota / partitions as f64).max(PARTITION_QUOTA_LOWER);
             self.last_scaled.insert(tenant, now);
             ScalingDecision::ScaleDown {
                 new_tenant_quota,
@@ -156,7 +146,7 @@ impl Autoscaler {
         partitions: u32,
     ) -> (ScalingDecision, ForecastOutput) {
         let horizon = 7 * 24; // 7 days of hourly samples
-        let output = self.forecaster.forecast(usage, horizon);
+        let output = forecast(usage, horizon);
         let decision = self.decide(tenant, now, tenant_quota, partitions, output.peak);
         (decision, output)
     }
@@ -202,7 +192,6 @@ mod tests {
     fn split_triggers_when_partition_quota_breaches_up() {
         let mut s = Autoscaler::new(AutoscaleConfig {
             partition_quota_upper: 500.0,
-            ..Default::default()
         });
         // New quota = 3000/0.65 ≈ 4615; per-partition (N=4) ≈ 1154 > 500 → split.
         let d = s.decide(1, 0, 3000.0, 4, 3000.0);

@@ -36,13 +36,6 @@ impl LoadVector {
         }
     }
 
-    /// Scale every slot by `factor`.
-    pub fn scale(&mut self, factor: f64) {
-        for a in self.0.iter_mut() {
-            *a *= factor;
-        }
-    }
-
     /// `DN^ld = max_i Σ RE^ld_i` — the scalar load of the vector.
     pub fn peak(&self) -> f64 {
         self.0.iter().copied().fold(f64::NEG_INFINITY, f64::max)
@@ -56,12 +49,9 @@ impl LoadVector {
 
 /// The load of one replica in both resource dimensions.
 ///
-/// RU is carried **split into read and write shares**: with consistency-aware
-/// routing, follower replicas absorb read RU the leader never sees, so the
-/// rescheduler's loss function and the autoscaler's `LoadVector` must account
-/// reads where they were actually served — the combined vector
-/// ([`ReplicaLoad::ru`]) is what Algorithm 2 weighs, the split is what read
-/// routing and scaling policies reason about.
+/// With consistency-aware routing, follower replicas absorb read RU the
+/// leader never sees, so a replica's RU vector counts the reads it served
+/// itself; Algorithm 2 weighs only the combined read + write vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaLoad {
     /// Unique replica id.
@@ -71,61 +61,25 @@ pub struct ReplicaLoad {
     /// Partition the replica belongs to (two replicas of one partition must
     /// not share a node).
     pub partition: u64,
-    /// Read-RU load vector (reads served *by this replica* — leader reads on
-    /// a leader, routed follower reads on a follower).
-    pub read_ru: LoadVector,
-    /// Write-RU load vector (every replica of a group applies each write).
-    pub write_ru: LoadVector,
+    /// The combined RU vector ("incorporates the weighted factors of read
+    /// RU, write RU and the cache hit ratio"): the reads served *by this
+    /// replica* — leader reads on a leader, routed follower reads on a
+    /// follower — plus the writes every replica of a group applies.
+    pub ru: LoadVector,
     /// Storage footprint in bytes (flat across hours).
     pub storage: f64,
 }
 
 impl ReplicaLoad {
-    /// A replica load from split read/write RU vectors.
-    pub fn split(
-        id: u64,
-        tenant: u32,
-        partition: u64,
-        read_ru: LoadVector,
-        write_ru: LoadVector,
-        storage: f64,
-    ) -> Self {
-        Self {
-            id,
-            tenant,
-            partition,
-            read_ru,
-            write_ru,
-            storage,
-        }
-    }
-
-    /// A replica load from a combined RU vector, 70 % of it attributed to
-    /// reads — for callers that only track totals. The split is an
-    /// attribution; the combined vector (what the loss function weighs) is
-    /// preserved exactly.
+    /// A replica load from its combined RU vector.
     pub fn from_total(id: u64, tenant: u32, partition: u64, ru: LoadVector, storage: f64) -> Self {
-        const READ_SHARE: f64 = 0.7;
-        let mut read_ru = ru;
-        read_ru.scale(READ_SHARE);
-        let mut write_ru = ru;
-        write_ru.scale(1.0 - READ_SHARE);
         Self {
             id,
             tenant,
             partition,
-            read_ru,
-            write_ru,
+            ru,
             storage,
         }
-    }
-
-    /// The combined RU vector ("incorporates the weighted factors of read
-    /// RU, write RU and the cache hit ratio").
-    pub fn ru(&self) -> LoadVector {
-        let mut v = self.read_ru;
-        v.add(&self.write_ru);
-        v
     }
 }
 
@@ -142,8 +96,8 @@ pub struct NodeState {
     pub is_migrating: bool,
     /// Hosted replicas.
     pub replicas: Vec<ReplicaLoad>,
-    read_ru_load: LoadVector,
-    write_ru_load: LoadVector,
+    /// The hosted replicas' RU vectors, summed.
+    ru_load: LoadVector,
     storage_load: f64,
 }
 
@@ -156,16 +110,14 @@ impl NodeState {
             storage_capacity,
             is_migrating: false,
             replicas: Vec::new(),
-            read_ru_load: LoadVector::zero(),
-            write_ru_load: LoadVector::zero(),
+            ru_load: LoadVector::zero(),
             storage_load: 0.0,
         }
     }
 
     /// Host a replica.
     pub fn add_replica(&mut self, replica: ReplicaLoad) {
-        self.read_ru_load.add(&replica.read_ru);
-        self.write_ru_load.add(&replica.write_ru);
+        self.ru_load.add(&replica.ru);
         self.storage_load += replica.storage;
         self.replicas.push(replica);
     }
@@ -174,24 +126,9 @@ impl NodeState {
     pub fn remove_replica(&mut self, id: u64) -> Option<ReplicaLoad> {
         let pos = self.replicas.iter().position(|r| r.id == id)?;
         let replica = self.replicas.remove(pos);
-        self.read_ru_load.sub(&replica.read_ru);
-        self.write_ru_load.sub(&replica.write_ru);
+        self.ru_load.sub(&replica.ru);
         self.storage_load -= replica.storage;
         Some(replica)
-    }
-
-    /// The node's combined RU load vector (read + write).
-    fn ru_load_vector(&self) -> LoadVector {
-        let mut v = self.read_ru_load;
-        v.add(&self.write_ru_load);
-        v
-    }
-
-    /// The node's read-RU load vector — what follower-read routing adds to a
-    /// node and what a read-aware autoscaler watches.
-    // LINT: allow(A008): tests/read_routing.rs
-    pub fn read_ru_vector(&self) -> LoadVector {
-        self.read_ru_load
     }
 
     /// True if the node hosts a replica of `partition`.
@@ -205,7 +142,7 @@ impl NodeState {
         if self.replicas.is_empty() {
             0.0
         } else {
-            self.ru_load_vector().peak()
+            self.ru_load.peak()
         }
     }
 
@@ -229,8 +166,8 @@ impl NodeState {
 
     /// Loss if `replica` were removed.
     pub fn loss_without(&self, replica: &ReplicaLoad, r: f64, s: f64) -> f64 {
-        let mut ru = self.ru_load_vector();
-        ru.sub(&replica.ru());
+        let mut ru = self.ru_load;
+        ru.sub(&replica.ru);
         let ru_util = ru.peak().max(0.0) / self.ru_capacity;
         let sto_util = (self.storage_load - replica.storage) / self.storage_capacity;
         let dr = ru_util - r;
@@ -240,8 +177,8 @@ impl NodeState {
 
     /// Loss if `replica` were added.
     pub fn loss_with(&self, replica: &ReplicaLoad, r: f64, s: f64) -> f64 {
-        let mut ru = self.ru_load_vector();
-        ru.add(&replica.ru());
+        let mut ru = self.ru_load;
+        ru.add(&replica.ru);
         let ru_util = ru.peak() / self.ru_capacity;
         let sto_util = (self.storage_load + replica.storage) / self.storage_capacity;
         let dr = ru_util - r;
@@ -251,8 +188,8 @@ impl NodeState {
 
     /// RU utilization if `replica` were added.
     pub fn ru_util_with(&self, replica: &ReplicaLoad) -> f64 {
-        let mut ru = self.ru_load_vector();
-        ru.add(&replica.ru());
+        let mut ru = self.ru_load;
+        ru.add(&replica.ru);
         ru.peak() / self.ru_capacity
     }
 
@@ -283,7 +220,7 @@ impl PoolState {
         let mut sto_cap = 0.0;
         for node in &self.nodes {
             for replica in &node.replicas {
-                ru_load.add(&replica.ru());
+                ru_load.add(&replica.ru);
                 sto_load += replica.storage;
             }
             ru_cap += node.ru_capacity;
@@ -376,26 +313,6 @@ mod tests {
         assert_eq!(a.mean(), 3.0);
         a.sub(&LoadVector::flat(1.0));
         assert_eq!(a.peak(), 2.0);
-        a.scale(0.5);
-        assert_eq!(a.peak(), 1.0);
-    }
-
-    #[test]
-    fn replica_load_split_preserves_the_total() {
-        let re = replica(1, 1, 1, 40.0, 10.0);
-        // from_total: reads take 70% of every slot, writes the rest.
-        assert!((re.read_ru.peak() - 28.0).abs() < 1e-12);
-        assert!((re.write_ru.peak() - 12.0).abs() < 1e-12);
-        assert!((re.ru().peak() - 40.0).abs() < 1e-12);
-        // A follower that takes routed reads but no client writes.
-        let follower =
-            ReplicaLoad::split(2, 1, 2, LoadVector::flat(30.0), LoadVector::flat(5.0), 10.0);
-        assert_eq!(follower.ru().peak(), 35.0);
-        let mut n = NodeState::new(1, 100.0, 100.0);
-        n.add_replica(follower);
-        assert_eq!(n.read_ru_vector().peak(), 30.0);
-        assert_eq!(n.write_ru_load.peak(), 5.0);
-        assert_eq!(n.ru_load(), 35.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ([`plan_node_failure`]) and per-replica RU accounting around it.
 
 use crate::meta::{plan_node_failure, FailoverPlan, ReplicaSet};
-use crate::migration::{MigrationConfig, MigrationEngine, MigrationError, MigrationRequest};
+use crate::migration::{MigrationEngine, MigrationError, MigrationRequest, CUTOVER_LAG_BUDGET};
 use crate::types::NodeId;
 use abase_core::types::PartitionId;
 use abase_lavastore::DbConfig;
@@ -34,13 +34,11 @@ pub struct ReplicatedClusterConfig {
     /// Storage engine configuration for every replica.
     pub db: DbConfig,
     /// Modeled per-node disk bandwidth for reconstruction (None = disk speed).
+    /// Migration copies are throttled by it too: data movement and failover
+    /// re-seeding charge the same §3.3 disk model.
     pub recovery_bandwidth: Option<f64>,
     /// Commit retry budget per group (see `GroupConfig::wait_timeout`).
     pub wait_timeout: std::time::Duration,
-    /// Live-migration engine tuning (cut-over lag budget, catch-up cap).
-    /// Migration copies are throttled by `recovery_bandwidth` — data
-    /// movement and failover re-seeding charge the same §3.3 disk model.
-    pub migration: MigrationConfig,
 }
 
 impl Default for ReplicatedClusterConfig {
@@ -51,7 +49,6 @@ impl Default for ReplicatedClusterConfig {
             db: DbConfig::default(),
             recovery_bandwidth: None,
             wait_timeout: std::time::Duration::from_millis(100),
-            migration: MigrationConfig::default(),
         }
     }
 }
@@ -162,7 +159,7 @@ impl ReplicatedCluster {
             node_ids,
             dead_nodes: std::collections::HashSet::new(),
             groups: HashMap::new(),
-            migrations: MigrationEngine::new(config.migration),
+            migrations: MigrationEngine::default(),
             obs_baseline: abase_obs::snapshot(),
         }
     }
@@ -196,7 +193,7 @@ impl ReplicatedCluster {
     }
 
     /// The rescheduler's view of this cluster, built from the per-replica
-    /// split RU ledgers: one `NodeState` per node (capacity sized to the
+    /// RU ledgers (read + write summed): one `NodeState` per node (capacity sized to the
     /// observed peak node load × `capacity_headroom`, so utilizations land
     /// in the regime where Algorithm 2's S_L/S_M/S_H division is
     /// meaningful), one `ReplicaLoad` per hosted replica, `is_migrating`
@@ -225,12 +222,11 @@ impl ReplicatedCluster {
                     self.migrations.is_migrating(id) || self.dead_nodes.contains(&id);
                 if let Some(node) = self.nodes.get(&id) {
                     for (partition, split) in node.replica_ru_splits() {
-                        state.add_replica(abase_scheduler::ReplicaLoad::split(
+                        state.add_replica(abase_scheduler::ReplicaLoad::from_total(
                             (partition << 32) | u64::from(id),
                             1,
                             partition,
-                            abase_scheduler::LoadVector::flat(split.read_ru),
-                            abase_scheduler::LoadVector::flat(split.write_ru),
+                            abase_scheduler::LoadVector::flat(split.total()),
                             1.0,
                         ));
                     }
@@ -500,10 +496,6 @@ impl ReplicatedCluster {
     fn progress_inflight_migrations(&mut self) {
         let now_tick = self.migrations.tick();
         let inflight: Vec<crate::migration::ActiveMigration> = self.migrations.in_flight().to_vec();
-        // The engine's copy of the tuning is authoritative (the cluster
-        // config only seeds it at construction).
-        let budget = self.migrations.config().cutover_lag_budget;
-        let max_catchup = self.migrations.config().max_catchup_ticks;
         for m in inflight {
             let req = m.req;
             let Some(group) = self.groups.get_mut(&req.partition) else {
@@ -530,12 +522,7 @@ impl ReplicatedCluster {
             if now_tick <= m.joined_at_tick {
                 continue;
             }
-            if lag > budget {
-                if max_catchup > 0 && now_tick.saturating_sub(m.joined_at_tick) > max_catchup {
-                    self.migrations
-                        .note_aborted(req, format!("catch-up stuck at lag {lag}"));
-                    self.abort_staged_destination(req);
-                }
+            if lag > CUTOVER_LAG_BUDGET {
                 continue;
             }
             match self.cut_over(req, m.bytes_copied) {

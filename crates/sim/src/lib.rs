@@ -50,9 +50,7 @@ pub use cluster::{
 };
 pub use isolation::{IsolationExperiment, MinutePoint, TenantSpec};
 pub use meta::{plan_node_failure, FailoverPlan, RecoveryModel, ReplicaSet};
-pub use migration::{
-    MigrationConfig, MigrationEngine, MigrationError, MigrationReport, MigrationRequest,
-};
+pub use migration::{MigrationEngine, MigrationError, MigrationReport, MigrationRequest};
 pub use node::{DataNodeConfig, DataNodeSim};
 pub use proxy::{ProxyPlane, ProxyPlaneConfig};
 pub use types::{NodeId, ProxyId};

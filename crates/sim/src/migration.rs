@@ -105,8 +105,8 @@ pub struct MigrationReport {
     pub copy_secs: f64,
     /// Ticks spent in binlog catch-up between join and cut-over.
     pub catchup_ticks: u64,
-    /// Destination LSN lag when cut-over was entered (≤ the configured
-    /// budget; drained to 0 before the membership swap).
+    /// Destination LSN lag when cut-over was entered (≤
+    /// [`CUTOVER_LAG_BUDGET`]; drained to 0 before the membership swap).
     pub cutover_entry_lag: u64,
     /// Whether the moving replica led the group (leadership was handed over
     /// as part of the cut-over).
@@ -123,31 +123,14 @@ pub struct AbortedMigration {
     pub reason: String,
 }
 
-/// Engine tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct MigrationConfig {
-    /// Maximum LSN records the destination may trail by to enter cut-over
-    /// (the final drain still brings it to 0 before the swap).
-    pub cutover_lag_budget: u64,
-    /// Safety valve: abort a migration that has not reached the cut-over
-    /// budget after this many catch-up ticks (0 = never).
-    pub max_catchup_ticks: u64,
-}
-
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        Self {
-            cutover_lag_budget: 64,
-            max_catchup_ticks: 0,
-        }
-    }
-}
+/// Maximum LSN records the destination may trail by to enter cut-over (the
+/// final drain still brings it to 0 before the swap).
+pub const CUTOVER_LAG_BUDGET: u64 = 64;
 
 /// The migration engine: queue, per-node in-flight caps, and history. The
 /// cluster drives it; benches and tests observe it.
 #[derive(Debug, Default)]
 pub struct MigrationEngine {
-    config: MigrationConfig,
     queue: VecDeque<MigrationRequest>,
     inflight: Vec<ActiveMigration>,
     /// Nodes with an in-flight move (source or destination side). Cleared
@@ -159,19 +142,6 @@ pub struct MigrationEngine {
 }
 
 impl MigrationEngine {
-    /// An engine with the given tuning.
-    pub fn new(config: MigrationConfig) -> Self {
-        Self {
-            config,
-            ..Self::default()
-        }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> MigrationConfig {
-        self.config
-    }
-
     /// Does `node` have an in-flight move (as source or destination)? This
     /// is the live counterpart of the scheduler's `NodeState::is_migrating`.
     pub fn is_migrating(&self, node: NodeId) -> bool {

@@ -26,7 +26,12 @@ use abase_cache::SaLruCache;
 use abase_core::pipeline::{Pipeline, Request, Served};
 use abase_quota::ru::ReadOutcome;
 use abase_util::clock::SimTime;
-use abase_wfq::{NodeScheduler, NodeSchedulerConfig, WfqItem};
+use abase_wfq::{NodeScheduler, QueueClass, WfqItem};
+
+/// Service latency floor (dispatch + memory path).
+const BASE_SERVICE_MICROS: SimTime = 300;
+/// Additional latency for a storage (disk) read.
+const IO_SERVICE_MICROS: SimTime = 2_000;
 
 /// DataNode tuning.
 #[derive(Debug, Clone)]
@@ -39,15 +44,9 @@ pub struct DataNodeConfig {
     pub cache_bytes: usize,
     /// Replication factor (multiplies write RU, §4.1).
     pub replicas: u32,
-    /// Service latency floor (dispatch + memory path).
-    pub base_service_micros: SimTime,
-    /// Additional latency for a storage (disk) read.
-    pub io_service_micros: SimTime,
     /// Per-tenant CPU queue depth cap — the bounded "request queue" requests
     /// are filtered into (§4.2).
     pub max_queue_per_tenant: usize,
-    /// WFQ configuration.
-    pub scheduler: NodeSchedulerConfig,
 }
 
 impl Default for DataNodeConfig {
@@ -57,10 +56,7 @@ impl Default for DataNodeConfig {
             rejection_cost_ru: 0.2,
             cache_bytes: 64 << 20,
             replicas: 3,
-            base_service_micros: 300,
-            io_service_micros: 2_000,
             max_queue_per_tenant: 20_000,
-            scheduler: NodeSchedulerConfig::default(),
         }
     }
 }
@@ -83,12 +79,11 @@ impl DataNodeSim {
     /// A node with the given configuration.
     pub fn new(id: NodeId, config: DataNodeConfig) -> Self {
         let cache = SaLruCache::new(config.cache_bytes);
-        let scheduler = NodeScheduler::new(config.scheduler.clone());
         Self {
             id,
             pipeline: Pipeline::new(config.replicas),
             config,
-            scheduler,
+            scheduler: NodeScheduler::new(),
             cache,
             rejection_overhead_ru: 0.0,
         }
@@ -121,7 +116,7 @@ impl DataNodeSim {
             return self.reject();
         };
         // Bounded request queue: overflow is also a (costly) rejection.
-        let class = self.scheduler.classify(req.is_write, req.value_bytes);
+        let class = QueueClass::classify(req.is_write, req.value_bytes);
         if self.scheduler.cpu_tenant_depth(tenant) >= self.config.max_queue_per_tenant {
             return self.reject();
         }
@@ -174,7 +169,7 @@ impl DataNodeSim {
             } else {
                 // Miss: descend to the I/O layer (Rule 1: IOPS cost).
                 let io_cost = 1.0 + (bytes as f64 / (64.0 * 1024.0)).floor();
-                let class = self.scheduler.classify(false, bytes);
+                let class = QueueClass::classify(false, bytes);
                 self.scheduler.push_io(
                     class,
                     WfqItem {
@@ -209,9 +204,9 @@ impl DataNodeSim {
             } else {
                 completion_at.saturating_sub(req.issued_at)
             };
-            let mut latency = queueing + self.config.base_service_micros;
+            let mut latency = queueing + BASE_SERVICE_MICROS;
             if served_from == ServedFrom::Storage {
-                latency += self.config.io_service_micros;
+                latency += IO_SERVICE_MICROS;
             }
             completions.push((
                 req,

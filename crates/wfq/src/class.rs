@@ -27,13 +27,10 @@ impl QueueClass {
         QueueClass::LargeWrite,
     ];
 
-    /// Classify a request by direction and payload size.
-    ///
-    /// `large_threshold` is the boundary in bytes between "small" and "large";
-    /// ABase defaults it to 4 KiB (two RU units), separating e.g. 0.1 KB comment
-    /// reads from 10 KB advertisement blobs (Table 1).
-    pub fn classify(is_write: bool, size_bytes: usize, large_threshold: usize) -> Self {
-        match (is_write, size_bytes > large_threshold) {
+    /// Classify a request by direction and payload size: a payload above
+    /// [`LARGE_THRESHOLD`] is large.
+    pub fn classify(is_write: bool, size_bytes: usize) -> Self {
+        match (is_write, size_bytes > LARGE_THRESHOLD) {
             (false, false) => QueueClass::SmallRead,
             (false, true) => QueueClass::LargeRead,
             (true, false) => QueueClass::SmallWrite,
@@ -62,8 +59,10 @@ impl QueueClass {
     }
 }
 
-/// Default boundary between small and large requests (bytes).
-pub const DEFAULT_LARGE_THRESHOLD: usize = 4 << 10;
+/// The boundary in bytes between "small" and "large": 4 KiB (two RU units),
+/// separating e.g. 0.1 KB comment reads from 10 KB advertisement blobs
+/// (Table 1).
+const LARGE_THRESHOLD: usize = 4 << 10;
 
 #[cfg(test)]
 mod tests {
@@ -71,17 +70,11 @@ mod tests {
 
     #[test]
     fn classify_covers_quadrants() {
-        let th = DEFAULT_LARGE_THRESHOLD;
-        assert_eq!(QueueClass::classify(false, 100, th), QueueClass::SmallRead);
-        assert_eq!(
-            QueueClass::classify(false, th + 1, th),
-            QueueClass::LargeRead
-        );
-        assert_eq!(QueueClass::classify(true, th, th), QueueClass::SmallWrite);
-        assert_eq!(
-            QueueClass::classify(true, 1 << 20, th),
-            QueueClass::LargeWrite
-        );
+        let th = LARGE_THRESHOLD;
+        assert_eq!(QueueClass::classify(false, 100), QueueClass::SmallRead);
+        assert_eq!(QueueClass::classify(false, th + 1), QueueClass::LargeRead);
+        assert_eq!(QueueClass::classify(true, th), QueueClass::SmallWrite);
+        assert_eq!(QueueClass::classify(true, 1 << 20), QueueClass::LargeWrite);
     }
 
     #[test]

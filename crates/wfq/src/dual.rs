@@ -10,9 +10,9 @@
 //!
 //! * **Rule 1** — cost units differ per layer: the caller pushes RU costs into
 //!   the CPU queue and IOPS costs into the I/O queue.
-//! * **Rule 2** — per-tick concurrency limits for reads and writes, plus a
-//!   total write-RU ceiling that shields LavaStore compaction from write
-//!   bursts.
+//! * **Rule 2** — per-tick concurrency limits for reads and writes. (The
+//!   paper's per-tick write-RU ceiling, which shields LavaStore compaction
+//!   from write bursts, is not reproduced: no experiment set one.)
 //! * **Rule 3** — one tenant may consume at most 90 % of a tick's CPU budget
 //!   *when other tenants are waiting* (the cap is work-conserving: a lone
 //!   tenant may use the whole budget).
@@ -24,30 +24,23 @@ use crate::class::QueueClass;
 use crate::queue::{TenantId, WfqItem, WfqQueue};
 use std::collections::HashMap;
 
-/// Tuning knobs shared by the four dual-layer queues of a node.
-#[derive(Debug, Clone, Copy)]
-pub struct DualWfqConfig {
-    /// Rule 3: a single tenant's maximum share of one tick's CPU budget when
-    /// other tenants have queued requests. Paper value: 0.9.
-    pub single_tenant_cpu_share: f64,
-    /// Rule 2: maximum read requests scheduled per tick per class.
-    pub max_reads_per_tick: usize,
-    /// Rule 2: maximum write requests scheduled per tick per class.
-    pub max_writes_per_tick: usize,
-    /// Rule 2: ceiling on write RU per tick per class (compaction stability).
-    pub write_ru_ceiling: f64,
-}
-
-impl Default for DualWfqConfig {
-    fn default() -> Self {
-        Self {
-            single_tenant_cpu_share: 0.9,
-            max_reads_per_tick: 4096,
-            max_writes_per_tick: 2048,
-            write_ru_ceiling: f64::INFINITY,
-        }
-    }
-}
+/// Rule 3: a single tenant's maximum share of one tick's CPU budget when
+/// other tenants have queued requests (the paper's 90 %).
+const SINGLE_TENANT_CPU_SHARE: f64 = 0.9;
+/// Rule 2: maximum read requests scheduled per tick per class.
+const MAX_READS_PER_TICK: usize = 4096;
+/// Rule 2: maximum write requests scheduled per tick per class.
+const MAX_WRITES_PER_TICK: usize = 2048;
+/// Guaranteed share of the node CPU budget per class (small-read,
+/// large-read, small-write, large-write); sums to 1.
+const CLASS_CPU_SHARE: [f64; 4] = [0.4, 0.2, 0.25, 0.15];
+/// Always-on threads of each class's I/O pool (Figure 2 shows a pool per
+/// dual queue); they serve everyone in VFT order.
+const BASIC_IO_THREADS: usize = 8;
+/// Standby threads of each class's I/O pool, for Rule 4.
+const EXTRA_IO_THREADS: usize = 2;
+/// I/O operations one thread completes per tick.
+const IOPS_PER_THREAD: f64 = 100.0;
 
 /// CPU budget for draining one class for one tick.
 #[derive(Debug, Clone, Copy)]
@@ -65,38 +58,6 @@ pub struct IoTickBudget {
     pub extra_iops: f64,
 }
 
-/// The I/O-WFQ thread pool model: `basic` threads serve everyone in VFT order;
-/// `extra` threads activate only for non-monopolizing tenants (Rule 4).
-#[derive(Debug, Clone, Copy)]
-pub struct IoThreadPool {
-    /// Always-on worker threads.
-    pub basic_threads: usize,
-    /// Standby threads for Rule 4.
-    pub extra_threads: usize,
-    /// I/O operations one thread completes per tick.
-    pub iops_per_thread: f64,
-}
-
-impl IoThreadPool {
-    /// The per-tick budget this pool provides.
-    fn tick_budget(&self) -> IoTickBudget {
-        IoTickBudget {
-            basic_iops: self.basic_threads as f64 * self.iops_per_thread,
-            extra_iops: self.extra_threads as f64 * self.iops_per_thread,
-        }
-    }
-}
-
-impl Default for IoThreadPool {
-    fn default() -> Self {
-        Self {
-            basic_threads: 8,
-            extra_threads: 2,
-            iops_per_thread: 100.0,
-        }
-    }
-}
-
 /// One dual-layer WFQ: a CPU queue stacked on an I/O queue.
 #[derive(Debug)]
 pub struct DualWfq<T> {
@@ -104,16 +65,20 @@ pub struct DualWfq<T> {
     cpu: WfqQueue<T>,
     /// Lower layer; push with IOPS cost (cache misses only).
     io: WfqQueue<T>,
-    config: DualWfqConfig,
+}
+
+impl<T> Default for DualWfq<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T> DualWfq<T> {
-    /// An empty dual queue with the given rules.
-    pub fn new(config: DualWfqConfig) -> Self {
+    /// An empty dual queue.
+    pub fn new() -> Self {
         Self {
             cpu: WfqQueue::new(),
             io: WfqQueue::new(),
-            config,
         }
     }
 
@@ -152,20 +117,15 @@ impl<T> DualWfq<T> {
         is_write_class: bool,
     ) -> (Vec<WfqItem<T>>, f64) {
         let max_count = if is_write_class {
-            self.config.max_writes_per_tick
+            MAX_WRITES_PER_TICK
         } else {
-            self.config.max_reads_per_tick
+            MAX_READS_PER_TICK
         };
-        let ru_cap = if is_write_class {
-            budget.ru.min(self.config.write_ru_ceiling)
-        } else {
-            budget.ru
-        };
-        let tenant_cap = self.config.single_tenant_cpu_share * ru_cap;
+        let tenant_cap = SINGLE_TENANT_CPU_SHARE * budget.ru;
         let mut consumed: HashMap<TenantId, f64> = HashMap::new();
         let mut total = 0.0_f64;
         let mut out = Vec::new();
-        while out.len() < max_count && total < ru_cap {
+        while out.len() < max_count && total < budget.ru {
             let multi_tenant = self.cpu_distinct_tenants() > 1;
             let item = self.cpu.pop_eligible(|t| {
                 // Rule 3 applies only while other tenants are waiting.
@@ -174,7 +134,7 @@ impl<T> DualWfq<T> {
             let Some(item) = item else { break };
             // Admit an item that overshoots the budget only as the first item
             // of the tick, so oversized requests still make progress.
-            if total + item.cost > ru_cap && !out.is_empty() {
+            if total + item.cost > budget.ru && !out.is_empty() {
                 // Return it to the queue head-equivalent: re-push keeps its
                 // tenant VFT monotone (slightly pessimistic, acceptable).
                 self.cpu.push(item);
@@ -237,56 +197,29 @@ impl<T> DualWfq<T> {
     }
 }
 
-/// Per-node scheduler: the four class queues plus budget allocation.
-#[derive(Debug, Clone)]
-pub struct NodeSchedulerConfig {
-    /// Small/large boundary in bytes.
-    pub large_threshold: usize,
-    /// Guaranteed share of the node CPU budget per class
-    /// (small-read, large-read, small-write, large-write); should sum to 1.
-    pub class_cpu_share: [f64; 4],
-    /// Rules shared by all four dual queues.
-    pub dual: DualWfqConfig,
-    /// One I/O thread pool per class (Figure 2 shows a pool per dual queue).
-    pub io_pool: IoThreadPool,
-}
-
-impl Default for NodeSchedulerConfig {
-    fn default() -> Self {
-        Self {
-            large_threshold: crate::class::DEFAULT_LARGE_THRESHOLD,
-            class_cpu_share: [0.4, 0.2, 0.25, 0.15],
-            dual: DualWfqConfig::default(),
-            io_pool: IoThreadPool::default(),
-        }
-    }
-}
-
 /// The four dual-layer WFQs of one DataNode, with work-conserving budget split.
 #[derive(Debug)]
 pub struct NodeScheduler<T> {
     classes: [DualWfq<T>; 4],
-    config: NodeSchedulerConfig,
+}
+
+impl<T> Default for NodeScheduler<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T> NodeScheduler<T> {
-    /// A scheduler with the given configuration.
-    pub fn new(config: NodeSchedulerConfig) -> Self {
-        let mk = || DualWfq::new(config.dual);
+    /// A scheduler with four empty class queues.
+    pub fn new() -> Self {
         Self {
-            classes: [mk(), mk(), mk(), mk()],
-            config,
+            classes: [
+                DualWfq::new(),
+                DualWfq::new(),
+                DualWfq::new(),
+                DualWfq::new(),
+            ],
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &NodeSchedulerConfig {
-        &self.config
-    }
-
-    /// Classify a request by direction and size.
-    pub fn classify(&self, is_write: bool, size_bytes: usize) -> QueueClass {
-        QueueClass::classify(is_write, size_bytes, self.config.large_threshold)
     }
 
     /// Push a request into the CPU layer of its class.
@@ -328,7 +261,7 @@ impl<T> NodeScheduler<T> {
         let mut out = Vec::new();
         let mut leftover = 0.0_f64;
         for class in QueueClass::ALL {
-            let share = self.config.class_cpu_share[class.index()];
+            let share = CLASS_CPU_SHARE[class.index()];
             let budget = CpuTickBudget {
                 ru: total_ru * share,
             };
@@ -356,7 +289,10 @@ impl<T> NodeScheduler<T> {
 
     /// Drain all I/O layers for one tick; each class uses its own thread pool.
     pub fn drain_io_tick(&mut self) -> Vec<(QueueClass, WfqItem<T>)> {
-        let budget = self.config.io_pool.tick_budget();
+        let budget = IoTickBudget {
+            basic_iops: BASIC_IO_THREADS as f64 * IOPS_PER_THREAD,
+            extra_iops: EXTRA_IO_THREADS as f64 * IOPS_PER_THREAD,
+        };
         let mut out = Vec::new();
         for class in QueueClass::ALL {
             let (items, _) = self.classes[class.index()].drain_io(budget);
@@ -381,10 +317,7 @@ mod tests {
 
     #[test]
     fn rule3_caps_single_tenant_when_others_wait() {
-        let mut q = DualWfq::new(DualWfqConfig {
-            single_tenant_cpu_share: 0.9,
-            ..Default::default()
-        });
+        let mut q = DualWfq::new();
         // Tenant 1 floods; tenant 2 queues a little.
         for _ in 0..100 {
             q.push_cpu(item(1, 1.0));
@@ -405,7 +338,7 @@ mod tests {
 
     #[test]
     fn rule3_cap_is_work_conserving_for_lone_tenant() {
-        let mut q = DualWfq::new(DualWfqConfig::default());
+        let mut q = DualWfq::new();
         for _ in 0..100 {
             q.push_cpu(item(1, 1.0));
         }
@@ -416,45 +349,19 @@ mod tests {
     }
 
     #[test]
-    fn rule2_write_ceiling_limits_write_ru() {
-        let mut q = DualWfq::new(DualWfqConfig {
-            write_ru_ceiling: 5.0,
-            ..Default::default()
-        });
-        for _ in 0..100 {
-            q.push_cpu(item(1, 1.0));
-        }
-        let (_, used) = q.drain_cpu(CpuTickBudget { ru: 50.0 }, true);
-        assert!(used <= 5.0 + 1e-9, "write RU {used} exceeds ceiling");
-        // Reads are unaffected by the write ceiling.
-        let mut r = DualWfq::new(DualWfqConfig {
-            write_ru_ceiling: 5.0,
-            ..Default::default()
-        });
-        for _ in 0..100 {
-            r.push_cpu(item(1, 1.0));
-        }
-        let (_, used_r) = r.drain_cpu(CpuTickBudget { ru: 50.0 }, false);
-        assert!((used_r - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn rule2_concurrency_limit_bounds_scheduled_count() {
-        let mut q = DualWfq::new(DualWfqConfig {
-            max_reads_per_tick: 3,
-            ..Default::default()
-        });
-        for _ in 0..10 {
+        let mut q = DualWfq::new();
+        for _ in 0..MAX_READS_PER_TICK + 7 {
             q.push_cpu(item(1, 0.1));
         }
-        let (scheduled, _) = q.drain_cpu(CpuTickBudget { ru: 100.0 }, false);
-        assert_eq!(scheduled.len(), 3);
+        let (scheduled, _) = q.drain_cpu(CpuTickBudget { ru: 1_000.0 }, false);
+        assert_eq!(scheduled.len(), MAX_READS_PER_TICK);
         assert_eq!(q.cpu_depth(), 7);
     }
 
     #[test]
     fn oversized_first_item_still_progresses() {
-        let mut q = DualWfq::new(DualWfqConfig::default());
+        let mut q = DualWfq::new();
         q.push_cpu(item(1, 100.0));
         let (scheduled, used) = q.drain_cpu(CpuTickBudget { ru: 1.0 }, false);
         assert_eq!(scheduled.len(), 1);
@@ -463,7 +370,7 @@ mod tests {
 
     #[test]
     fn rule4_extra_threads_rescue_other_tenants() {
-        let mut q = DualWfq::new(DualWfqConfig::default());
+        let mut q = DualWfq::new();
         // Tenant 1 monopolizes; tenant 2 queues behind with higher VFTs.
         for _ in 0..50 {
             q.push_io(item(1, 1.0));
@@ -488,7 +395,7 @@ mod tests {
 
     #[test]
     fn rule4_no_extra_capacity_without_monopoly() {
-        let mut q = DualWfq::new(DualWfqConfig::default());
+        let mut q = DualWfq::new();
         for _ in 0..10 {
             q.push_io(item(1, 1.0));
             q.push_io(item(2, 1.0));
@@ -504,9 +411,9 @@ mod tests {
 
     #[test]
     fn node_scheduler_routes_classes_independently() {
-        let mut ns: NodeScheduler<u32> = NodeScheduler::new(NodeSchedulerConfig::default());
-        let small_read = ns.classify(false, 100);
-        let large_write = ns.classify(true, 1 << 20);
+        let mut ns: NodeScheduler<u32> = NodeScheduler::new();
+        let small_read = QueueClass::classify(false, 100);
+        let large_write = QueueClass::classify(true, 1 << 20);
         assert_eq!(small_read, QueueClass::SmallRead);
         assert_eq!(large_write, QueueClass::LargeWrite);
         ns.push_cpu(small_read, item(1, 1.0));
@@ -519,7 +426,7 @@ mod tests {
 
     #[test]
     fn node_scheduler_is_work_conserving_across_classes() {
-        let mut ns: NodeScheduler<u32> = NodeScheduler::new(NodeSchedulerConfig::default());
+        let mut ns: NodeScheduler<u32> = NodeScheduler::new();
         // Only small reads queued: they should be able to use ~all of the node
         // budget, not just their 40 % share.
         for _ in 0..100 {
@@ -535,21 +442,15 @@ mod tests {
 
     #[test]
     fn io_tick_drains_each_class_pool() {
-        let mut ns: NodeScheduler<u32> = NodeScheduler::new(NodeSchedulerConfig {
-            io_pool: IoThreadPool {
-                basic_threads: 1,
-                extra_threads: 0,
-                iops_per_thread: 2.0,
-            },
-            ..Default::default()
-        });
-        for _ in 0..10 {
+        let mut ns: NodeScheduler<u32> = NodeScheduler::new();
+        for _ in 0..1_000 {
             ns.push_io(QueueClass::SmallRead, item(1, 1.0));
             ns.push_io(QueueClass::LargeRead, item(1, 1.0));
         }
         let scheduled = ns.drain_io_tick();
-        // 2 IOPS per class pool, two classes queued.
-        assert_eq!(scheduled.len(), 4);
-        assert_eq!(ns.io_depth(), 16);
+        // 8 × 100 IOPS per class pool, two classes queued; one tenant, so
+        // the extra threads (Rule 4) find no one else to serve.
+        assert_eq!(scheduled.len(), 1_600);
+        assert_eq!(ns.io_depth(), 400);
     }
 }

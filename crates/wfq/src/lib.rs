@@ -9,9 +9,8 @@
 //!   (read/write × small/large), "ensuring closely matched request latencies
 //!   within each queue type" as 2DFQ observes for mixed request weights.
 //! * A **CPU-WFQ** upper layer whose request cost is the request's RU (Rule 1),
-//!   with read/write concurrency limits and a write-RU ceiling protecting the
-//!   storage engine during compaction (Rule 2), and a 90 % single-tenant share
-//!   cap (Rule 3).
+//!   with read/write concurrency limits (Rule 2) and a 90 % single-tenant
+//!   share cap (Rule 3).
 //! * An **I/O-WFQ** lower layer, entered only on a data-node cache miss, whose
 //!   cost is the request's IOPS ("a single I/O operation generally has a similar
 //!   execution time"), executed by a pool of basic threads plus extra threads
@@ -29,8 +28,5 @@ pub mod dual;
 pub mod queue;
 
 pub use class::QueueClass;
-pub use dual::{
-    CpuTickBudget, DualWfq, DualWfqConfig, IoThreadPool, IoTickBudget, NodeScheduler,
-    NodeSchedulerConfig,
-};
+pub use dual::{CpuTickBudget, DualWfq, IoTickBudget, NodeScheduler};
 pub use queue::{WfqItem, WfqQueue};

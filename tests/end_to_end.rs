@@ -121,7 +121,6 @@ fn growth_triggers_scale_up_and_split() {
     const HOUR: u64 = 3_600_000_000;
     let mut autoscaler = Autoscaler::new(AutoscaleConfig {
         partition_quota_upper: 400.0,
-        ..Default::default()
     });
     // 30 days of growth toward 2.5k RU/s.
     let usage: Vec<f64> = (0..720).map(|t| 800.0 + 2.2 * t as f64).collect();

@@ -155,25 +155,29 @@ fn follower_read_ru_feeds_the_reschedulers_loss_function() {
         c.read_routed(0, key.as_bytes(), ReadConsistency::Eventual, 0)
             .unwrap();
     }
-    // Build the scheduler's pool view straight from the cluster's split
-    // ledgers: one NodeState per node, one ReplicaLoad per hosted replica.
+    // Build the scheduler's pool view straight from the cluster's ledgers:
+    // one NodeState per node, one ReplicaLoad per hosted replica, its RU the
+    // ledger's read + write. The ledger's read share is kept per node.
     let members = c.replica_set(0).unwrap().members();
     let mut pool_nodes = Vec::new();
+    let mut node_reads = Vec::new();
     let mut replica_id = 0u64;
     for &node_id in &members {
         let node = c.node(node_id).unwrap();
         let mut state = NodeState::new(node_id, 10_000.0, 1e9);
+        let mut reads = 0.0;
         for (partition, split) in node.replica_ru_splits() {
-            state.add_replica(ReplicaLoad::split(
+            reads += split.read_ru;
+            state.add_replica(ReplicaLoad::from_total(
                 replica_id,
                 1,
                 partition,
-                LoadVector::flat(split.read_ru),
-                LoadVector::flat(split.write_ru),
+                LoadVector::flat(split.total()),
                 1.0,
             ));
             replica_id += 1;
         }
+        node_reads.push((node_id, reads));
         pool_nodes.push(state);
     }
     let leader = c.group(0).unwrap().leader().unwrap();
@@ -187,16 +191,17 @@ fn follower_read_ru_feeds_the_reschedulers_loss_function() {
             "node {} invisible to Algorithm 2",
             state.id
         );
+    }
+    for &(node_id, reads) in &node_reads {
         assert!(
-            state.read_ru_vector().peak() > 0.0,
-            "node {} reads missing from the load view",
-            state.id
+            reads > 0.0,
+            "node {node_id} reads missing from the load view"
         );
     }
-    let total_read: f64 = pool.nodes.iter().map(|n| n.read_ru_vector().peak()).sum();
-    let leader_state = pool.nodes.iter().find(|n| n.id == leader).unwrap();
+    let total_read: f64 = node_reads.iter().map(|&(_, reads)| reads).sum();
+    let leader_read = node_reads.iter().find(|&&(id, _)| id == leader).unwrap().1;
     assert!(
-        leader_state.read_ru_vector().peak() < total_read / 2.0,
+        leader_read < total_read / 2.0,
         "eventual reads concentrated on the leader"
     );
     // And the optimal-point arithmetic consumes the combined vectors.
