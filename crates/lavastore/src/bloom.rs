@@ -66,8 +66,8 @@ impl BloomFilter {
         self.may_contain_hashed(Self::hash_pair(key))
     }
 
-    /// [`BloomFilter::may_contain`] for a key hashed by
-    /// [`BloomFilter::hash_pair`]; stops at the first clear bit.
+    /// True if a key hashed by [`BloomFilter::hash_pair`] *may* be present;
+    /// stops at the first clear bit.
     pub fn may_contain_hashed(&self, hashes: (u64, u64)) -> bool {
         self.positions(hashes)
             .all(|pos| self.bits[pos / 8] & (1 << (pos % 8)) != 0)

@@ -2,7 +2,7 @@
 //!
 //! A single-node LSM-tree storage engine standing in for **LavaStore**,
 //! ByteDance's "purpose-built, high-performance, cost-effective local storage
-//! engine" that ABase DataNodes run on (paper §4.3, reference [43]).
+//! engine" that ABase DataNodes run on (paper §4.3, reference \[43\]).
 //!
 //! The engine is real — write-ahead log, sorted memtable, block-structured SST
 //! files with bloom filters, leveled compaction, TTL expiry — while staying

@@ -27,7 +27,7 @@
 //! patterns, not for ratio.
 //!
 //! [`decompress`] is total: any input gives the block back or
-//! [`Error::Corruption`], never a panic, and it allocates at most
+//! [`Error::Corruption`](crate::error::Error::Corruption), never a panic, and it allocates at most
 //! `max_decoded_len` of its input's length — whatever `raw_len` claims —
 //! because no sequence can expand by more than 255× (one extra length byte
 //! adds at most 255 output bytes).

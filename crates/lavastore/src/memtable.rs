@@ -16,7 +16,7 @@ pub struct MemEntry {
     pub seq: SeqNo,
     /// Put or tombstone.
     pub kind: RecordKind,
-    /// Absolute expiry or [`NO_EXPIRY`].
+    /// Absolute expiry or [`NO_EXPIRY`](crate::record::NO_EXPIRY).
     pub expires_at: u64,
     /// Value (empty for tombstones).
     pub value: Bytes,
