@@ -213,12 +213,7 @@ impl<T> NodeScheduler<T> {
     /// A scheduler with four empty class queues.
     pub fn new() -> Self {
         Self {
-            classes: [
-                DualWfq::new(),
-                DualWfq::new(),
-                DualWfq::new(),
-                DualWfq::new(),
-            ],
+            classes: std::array::from_fn(|_| DualWfq::new()),
         }
     }
 
