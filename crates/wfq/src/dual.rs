@@ -51,11 +51,11 @@ pub struct CpuTickBudget {
 
 /// I/O budget for draining one class for one tick, derived from its thread pool.
 #[derive(Debug, Clone, Copy)]
-pub struct IoTickBudget {
+struct IoTickBudget {
     /// IOPS capacity of the basic threads.
-    pub basic_iops: f64,
+    basic_iops: f64,
     /// IOPS capacity of the extra threads (Rule 4: non-monopolist tenants only).
-    pub extra_iops: f64,
+    extra_iops: f64,
 }
 
 /// One dual-layer WFQ: a CPU queue stacked on an I/O queue.

@@ -28,5 +28,5 @@ pub mod dual;
 pub mod queue;
 
 pub use class::QueueClass;
-pub use dual::{CpuTickBudget, DualWfq, IoTickBudget, NodeScheduler};
+pub use dual::{CpuTickBudget, DualWfq, NodeScheduler};
 pub use queue::{WfqItem, WfqQueue};
