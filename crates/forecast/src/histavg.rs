@@ -42,11 +42,6 @@ impl HistoricalAverage {
                     let mut weight_sum = 0.0;
                     let mut value_sum = 0.0;
                     // Walk cycles newest-first so the decay favours recency.
-                    let mut idx = n as isize - p as isize + phase as isize;
-                    // Align: find the largest index with this phase.
-                    while idx >= n as isize {
-                        idx -= p as isize;
-                    }
                     let mut weight = 1.0;
                     let mut i = (n as isize - 1)
                         - ((n as isize - 1 - phase as isize).rem_euclid(p as isize));
@@ -57,7 +52,6 @@ impl HistoricalAverage {
                         weight *= decay;
                         i -= p as isize;
                     }
-                    let _ = idx;
                     phase_means[phase] = if weight_sum > 0.0 {
                         value_sum / weight_sum
                     } else {

@@ -30,19 +30,25 @@
 //! time; a new reader for the same path gets a new id and simply re-faults
 //! its blocks in.
 //!
-//! # Rows are invalidated at flush, and only there
+//! # The memtables shadow the rows: a flush drops them while they are shadowed
 //!
 //! A row means "the newest SST-resident version of this key in its stripe".
-//! `Db::get` looks in the memtable first, so a newer write shadows the row
-//! for as long as it sits in the memtable; the row turns stale at the moment
-//! a flush moves that write into an SST. `Db::flush_stripe` therefore removes
-//! the row of every key it writes, tombstones included, while it holds the
-//! stripe's **write** lock. Readers probe and admit rows under the same
-//! stripe's **read** lock, so no admission can fall between the removal and
-//! `memtable.clear()`. Nothing else changes a key's newest SST-resident
-//! version: compaction rewrites it in place (or drops it once it reads as
-//! absent anyway), and a reopen starts with an empty cache. The write path
-//! never touches the cache.
+//! `Db::get` looks in the active memtable, then in the frozen one a flush is
+//! writing out, and only then at the rows, so a newer write shadows the row
+//! from the moment it enters the memtable until the flush's install puts it
+//! in an SST. For that whole span no read returns the key's row, and none
+//! admits one: an admission follows an SST search, and a read that finds
+//! the key in a memtable never searches. So `Db::build_frozen` removes the
+//! row of every key it writes, tombstones included, with no stripe lock
+//! held, and no admission can slip in between that removal and the install.
+//! The install adds the SST and clears the frozen memtable in one critical
+//! section under the stripe's **write** lock, while reads probe and admit
+//! rows under its **read** lock, so no read straddles it. A row admitted
+//! during the build for a key the frozen memtable does not hold stays
+//! right: the new SST holds no version of it. Nothing else changes a key's
+//! newest SST-resident version: compaction rewrites it in place (or drops it
+//! once it reads as absent anyway), and a reopen starts with an empty cache.
+//! The write path never touches the cache.
 //!
 //! Index and bloom blocks are *pinned*: they live in reader memory for the
 //! reader's whole lifetime (never evictable), and readers report those bytes
@@ -314,8 +320,9 @@ impl BlockCache {
         self.settle(outcome);
     }
 
-    /// Drop the row of `key`, if one is cached. The caller holds the write
-    /// lock of `key`'s stripe.
+    /// Drop the row of `key`, if one is cached. The caller is a flush whose
+    /// frozen memtable holds `key`, which keeps any read from admitting the
+    /// row again until the install (see the module docs).
     pub fn invalidate_row(&self, key: &[u8]) {
         let probe: &dyn AsProbe = &Probe::Row(key);
         if let Some(Entry::Row(row)) = self.entries.remove(probe) {

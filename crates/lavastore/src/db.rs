@@ -10,13 +10,15 @@
 //!
 //! Keys hash across `n_stripes` stripes, each with its own memtable, L0, and
 //! deeper levels under its own `RwLock` — so concurrent writers to different
-//! stripes never contend, and a stripe's memtable flush (the expensive SST
-//! write) blocks only that stripe. One shared group-commit [`Wal`] fronts all
-//! stripes and is the engine's **single LSN allocator**: frames enter the log
-//! in sequence order regardless of which stripe they land in, so replication
-//! tailing, `apply_replicated`'s gap/dedup logic, torn-tail recovery, and
-//! checkpoint cursors all observe one monotone LSN stream, exactly as in the
-//! single-lock engine.
+//! stripes never contend. A flush holds its stripe's lock only to freeze the
+//! memtable and to publish the finished SST: the SST write itself (the
+//! expensive part) runs with no stripe lock held, while the stripe keeps
+//! serving reads and writes (see `Db::flush_stripe`). One shared
+//! group-commit [`Wal`] fronts all stripes and is the engine's **single LSN
+//! allocator**: frames enter the log in sequence order regardless of which
+//! stripe they land in, so replication tailing, `apply_replicated`'s
+//! gap/dedup logic, torn-tail recovery, and checkpoint cursors all observe
+//! one monotone LSN stream, exactly as in the single-lock engine.
 //!
 //! Because stripes flush independently, a rotated WAL segment may still hold
 //! the only durable copy of another stripe's recent records. Each rotated
@@ -37,14 +39,15 @@ use crate::version::{self, SstMeta, Version};
 use crate::wal::{Wal, WalOptions};
 use abase_obs::Counter;
 use abase_util::clock::SimTime;
+use abase_util::failpoint::{self, FaultAction};
 use abase_util::lockrank::{rank, RankedMutex, RankedRwLock};
 use bytes::Bytes;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -205,9 +208,16 @@ pub struct DbStats {
     pub wal_bytes_written: u64,
 }
 
-/// One engine stripe: a memtable plus this stripe's slice of the LSM tree.
+/// One engine stripe: the active memtable, the frozen one a flush is writing
+/// out, and this stripe's slice of the LSM tree.
 struct Stripe {
     memtable: MemTable,
+    /// The memtable a flush swapped out of the write path and is writing to
+    /// an L0 SST. Reads look here right after `memtable`; install takes it
+    /// away in the same critical section that adds its SST. A failed build
+    /// leaves it for the stripe's next flush, which builds it before
+    /// freezing another, so a stripe holds at most one.
+    frozen: Option<Frozen>,
     /// This stripe's files per level (kept by [`version::add_file`], as the
     /// manifest's are); the union across stripes equals the manifest.
     levels: Vec<Vec<SstMeta>>,
@@ -218,6 +228,7 @@ impl Stripe {
     fn new(n_levels: usize) -> Self {
         Self {
             memtable: MemTable::new(),
+            frozen: None,
             levels: vec![Vec::new(); n_levels],
             readers: HashMap::new(),
         }
@@ -232,6 +243,16 @@ impl Stripe {
         version::remove_file(&mut self.levels, id);
         self.readers.remove(&id);
     }
+}
+
+/// A memtable swapped out of the write path by a flush's freeze.
+#[derive(Clone)]
+struct Frozen {
+    table: Arc<MemTable>,
+    /// `tracker.visible()` at the freeze: every record of the stripe with a
+    /// seq at or below it is in `table`, so once `table` is in an SST the
+    /// stripe is flushed through it.
+    through: u64,
 }
 
 /// Per-stripe durability watermarks, read lock-free during floor advancement.
@@ -356,6 +377,10 @@ struct Shared {
     /// oldest first. The floor may pass a segment only once every stripe has
     /// flushed through its `last seq held`.
     rotated: Vec<(u64, u64)>,
+    /// Segments below the floor still on disk, oldest first: the replication
+    /// backlog, trimmed to `wal_retention_segments`. The `Db` creates and
+    /// rotates every segment itself, so only `Db::open` lists the directory.
+    retained: VecDeque<u64>,
 }
 
 /// Where a [`Db::checkpoint`] snapshot ends in the source's log.
@@ -379,6 +404,9 @@ pub struct Db {
     /// The shared group-commit WAL — also the engine's one LSN allocator.
     log: Wal,
     stripes: Vec<RankedRwLock<Stripe>>,
+    /// One per stripe: serializes the stripe's flushes, held from freeze to
+    /// install (see [`Db::flush_stripe`]).
+    flushing: Vec<RankedMutex<()>>,
     marks: Vec<StripeMarks>,
     tracker: ApplyTracker,
     shared: RankedMutex<Shared>,
@@ -498,11 +526,13 @@ impl Db {
         // exactly where the previous process left off.
         let mut next_seq = version.next_seq;
         let mut rotated: Vec<(u64, u64)> = Vec::new();
+        let mut retained = VecDeque::new();
         let mut stripe_min: Vec<Option<u64>> = vec![None; n_stripes];
         let mut stripe_max: Vec<u64> = vec![0; n_stripes];
         let mut last_end = version.next_seq.saturating_sub(1);
         for id in Wal::list_segments(&dir)? {
             if id < version.wal_floor {
+                retained.push_back(id);
                 continue;
             }
             let mut seg_end = last_end;
@@ -548,6 +578,9 @@ impl Db {
                 .into_iter()
                 .map(|s| RankedRwLock::new(rank::LAVASTORE_STRIPE, s))
                 .collect(),
+            flushing: (0..n_stripes)
+                .map(|_| RankedMutex::new(rank::LAVASTORE_FLUSH, ()))
+                .collect(),
             marks,
             tracker: ApplyTracker::new(next_seq - 1),
             shared: RankedMutex::new(
@@ -556,6 +589,7 @@ impl Db {
                     version,
                     live_segment,
                     rotated,
+                    retained,
                 },
             ),
             stats: StatsInner::default(),
@@ -604,7 +638,9 @@ impl Db {
     /// Make a record already in the WAL visible — the one memtable-apply
     /// path of local and replicated writes: apply it to its stripe, mark
     /// the stripe's high-water seq, complete the seq for readers, and flush
-    /// the stripe once it crosses its share of the memtable budget.
+    /// the stripe once it crosses its share of the memtable budget — unless
+    /// a flush of the stripe is already running: then the first writer over
+    /// the threshold after it ends starts the next.
     fn apply_logged(&self, record: &Record) -> Result<()> {
         let s = self.stripe_of(&record.key);
         let over_threshold = {
@@ -620,7 +656,7 @@ impl Db {
             .fetch_max(record.seq, Ordering::AcqRel);
         self.tracker.complete(record.seq);
         if over_threshold {
-            self.flush_stripe(s)?;
+            self.flush_stripe(s, false)?;
         }
         Ok(())
     }
@@ -787,14 +823,12 @@ impl Db {
                     pin(sst_path(&self.dir, meta.id))?;
                 }
             }
-            for id in Wal::list_segments(&self.dir)? {
-                // Segments below the floor are retained backlog for tail
-                // readers; their records are already in the pinned SSTs and
-                // the clone would never replay them — streaming them wastes
-                // recovery bandwidth.
-                if id < shared.version.wal_floor {
-                    continue;
-                }
+            // The segments at or above the floor. Those below it are retained
+            // backlog for tail readers; their records are already in the
+            // pinned SSTs and the clone would never replay them — streaming
+            // them wastes recovery bandwidth.
+            let segments = shared.rotated.iter().map(|&(id, _)| id);
+            for id in segments.chain([shared.live_segment]) {
                 pin(wal_path(&self.dir, id))?;
             }
             let mut version = shared.version.clone();
@@ -839,8 +873,7 @@ impl Db {
                 while remaining > 0 {
                     // Chaos site: a checkpoint source dying mid-stream (each
                     // chunk may be the one that fails or stalls).
-                    if let Some(abase_util::failpoint::FaultAction::Error) =
-                        abase_util::failpoint::check("db.checkpoint", &fp_context)
+                    if let Some(FaultAction::Error) = failpoint::check("db.checkpoint", &fp_context)
                     {
                         return Err(Error::Io(std::io::Error::other(
                             "injected fault: checkpoint source failed mid-copy",
@@ -885,8 +918,9 @@ impl Db {
     }
 
     /// Point read at virtual time `now` (TTL-expired records read as absent).
-    /// Touches exactly one stripe's lock. Looks in the memtable, then the
-    /// node cache's rows, then the SSTs.
+    /// Touches exactly one stripe's lock, for reading. Looks in the active
+    /// memtable, then the frozen one a flush is writing out, then the node
+    /// cache's rows, then the SSTs.
     pub fn get(&self, key: &[u8], now: SimTime) -> Result<ReadResult> {
         self.stats.gets.inc();
         let stripe = self.stripes[self.stripe_of(key)].read();
@@ -897,16 +931,23 @@ impl Db {
             from_memtable: false,
             from_row_cache: false,
         };
-        // 1. Memtable: the newest state, shadowing everything below.
-        if let Some(entry) = stripe.memtable.get(key) {
+        // 1. Memtables, active then frozen: the newest state, shadowing
+        //    everything below. A key in the frozen table never reaches the
+        //    rows, so no read returns or admits a row the flush is
+        //    superseding.
+        let buffered = stripe
+            .memtable
+            .get(key)
+            .or_else(|| stripe.frozen.as_ref()?.table.get(key));
+        if let Some(entry) = buffered {
             self.stats.memtable_hits.inc();
             result.value = is_live(entry.kind, entry.expires_at, now).then(|| entry.value.clone());
             result.from_memtable = true;
             return Ok(result);
         }
-        // 2. Row: the newest SST-resident version, kept current by
-        //    `flush_stripe` (see `block_cache`). Held under the stripe's read
-        //    lock, like the admission below, so neither can straddle a flush.
+        // 2. Row: the newest SST-resident version, kept current by the flush
+        //    (see `block_cache`). Probed under the stripe's read lock, like
+        //    the admission below, so neither can straddle an install.
         if let Some(row) = self.block_cache.as_ref().and_then(|c| c.get_row(key)) {
             result.value = is_live(RecordKind::Put, row.expires_at, now).then_some(row.value);
             result.from_row_cache = true;
@@ -974,11 +1015,11 @@ impl Db {
     ///
     /// Takes every stripe's read lock (in index order, so concurrent scans
     /// cannot deadlock) to get a point-in-time view across stripes, then
-    /// merges every memtable's range and every SST's cursor lazily by key
-    /// with newest-seq-wins — sequence numbers are globally unique, so the
-    /// merge is unambiguous regardless of source order. Each source stops at
-    /// its first key past the prefix: no file is read beyond that key's
-    /// block.
+    /// merges every memtable's range, frozen ones included, and every SST's
+    /// cursor lazily by key with newest-seq-wins — sequence numbers are
+    /// globally unique, so the merge is unambiguous regardless of source
+    /// order. Each source stops at its first key past the prefix: no file is
+    /// read beyond that key's block.
     pub fn scan_prefix(
         &self,
         prefix: &[u8],
@@ -994,7 +1035,8 @@ impl Db {
         type Source<'a> = Box<dyn Iterator<Item = Result<Record>> + 'a>;
         let memtables = guards
             .iter()
-            .map(|s| Box::new(s.memtable.range(prefix).map(Ok)) as Source<'_>);
+            .flat_map(|s| std::iter::once(&s.memtable).chain(s.frozen.as_ref().map(|f| &*f.table)))
+            .map(|m| Box::new(m.range(prefix).map(Ok)) as Source<'_>);
         let ssts = cursors.iter_mut().map(|c| Box::new(c) as Source<'_>);
         let pairs = dedup_newest(MergeIterator::new(memtables.chain(ssts))?, now, true)
             .map(|r| r.map(|r| (r.key, r.value)))
@@ -1007,46 +1049,144 @@ impl Db {
         Ok((pairs, io))
     }
 
-    /// Force a memtable flush of every stripe (no-op for empty stripes).
+    /// Force a memtable flush of every stripe (no-op for empty stripes). A
+    /// flush already running on a stripe is waited for, then what the stripe
+    /// buffered since is flushed too: on return, every write applied before
+    /// the call is in an SST.
     pub fn flush(&self) -> Result<()> {
         for s in 0..self.n_stripes {
-            self.flush_stripe(s)?;
+            self.flush_stripe(s, true)?;
         }
         Ok(())
     }
 
-    /// Flush one stripe's memtable into an L0 SST, rotate the shared WAL,
-    /// and advance the floor as far as cross-stripe coverage allows.
-    fn flush_stripe(&self, s: usize) -> Result<()> {
+    /// Flush stripe `s`'s memtable into an L0 SST, holding the stripe's flush
+    /// lock throughout (`wait`: block on a flush already running, as
+    /// [`Db::flush`] does; otherwise leave the work to it and return). Three
+    /// steps:
+    ///
+    /// 1. **Freeze**, under the stripe's write lock: move the active memtable
+    ///    into the stripe's `frozen` slot. Reads keep finding its records
+    ///    there; writes go on into a fresh memtable.
+    /// 2. **Build**, with no stripe lock held: write, fsync and open the SST
+    ///    and drop its keys' cached rows ([`Db::build_frozen`]).
+    /// 3. **Install**: add the file to the manifest, rotate the shared WAL and
+    ///    advance the floor under `shared` alone, then add the reader and
+    ///    clear `frozen` in one step under the stripe's write lock.
+    ///
+    /// A frozen memtable a failed build left behind is built first, so a
+    /// stripe never holds two.
+    fn flush_stripe(&self, s: usize, wait: bool) -> Result<()> {
+        let _flushing = if wait {
+            self.flushing[s].lock()
+        } else {
+            match self.flushing[s].try_lock() {
+                Some(guard) => guard,
+                None => return Ok(()),
+            }
+        };
+        let left = self.stripes[s].read().frozen.clone();
+        if let Some(frozen) = left {
+            self.write_frozen(s, frozen, abase_obs::Timer::start(), Duration::ZERO)?;
+        }
+        let flush_timer = abase_obs::Timer::start();
         let mut stripe = self.stripes[s].write();
+        let held = Instant::now();
         // Everything this stripe holds with seq ≤ v is in its memtable right
         // now (we hold the stripe write lock, and `visible` only advances
-        // after a record's apply completes), so after writing the memtable
-        // out, this stripe is flushed through v.
+        // after a record's apply completes), so once the memtable is in an
+        // SST, this stripe is flushed through v.
         let v = self.tracker.visible();
         if stripe.memtable.is_empty() {
+            drop(stripe);
             // ORDER: AcqRel; Release publishes "flushed through v" to the
             // Acquire load in `advance_floor_locked` before the floor moves.
             self.marks[s].flushed_through.fetch_max(v, Ordering::AcqRel);
             let mut shared = self.shared.lock();
             return self.advance_floor_locked(&mut shared);
         }
-        let flush_timer = abase_obs::Timer::start();
+        let frozen = Frozen {
+            table: Arc::new(std::mem::take(&mut stripe.memtable)),
+            through: v,
+        };
+        stripe.frozen = Some(frozen.clone());
+        let stall = held.elapsed();
+        drop(stripe);
+        self.write_frozen(s, frozen, flush_timer, stall)
+    }
+
+    /// Build `frozen`'s SST, then install it (steps 2 and 3 of
+    /// [`Db::flush_stripe`]). `stall` is how long the freeze held the
+    /// stripe's write lock. A failed build removes its file and leaves
+    /// `frozen` in the stripe: readable, and still covered by the WAL, since
+    /// the floor did not move.
+    fn write_frozen(
+        &self,
+        s: usize,
+        frozen: Frozen,
+        flush_timer: abase_obs::Timer,
+        stall: Duration,
+    ) -> Result<()> {
         let id = self.shared.lock().version.allocate_file_id();
-        // The SST write — the expensive part — happens under only this
-        // stripe's lock: writes to other stripes proceed untouched.
         let path = sst_path(&self.dir, id);
+        let (meta, reader) = match self.build_frozen(s, id, &path, &frozen.table) {
+            Ok(built) => built,
+            Err(e) => {
+                // The manifest never named the file; nothing reads it.
+                std::fs::remove_file(&path).ok();
+                return Err(e);
+            }
+        };
+        // Once the manifest names the file, the stripe reads it, even if
+        // the WAL rotation or the manifest save below fails: its records are
+        // in the SST, and on disk the floor has not passed them.
+        let installed = {
+            let mut shared = self.shared.lock();
+            version::add_file(&mut shared.version.levels, meta.clone());
+            self.rotate_wal_locked(&mut shared).and_then(|()| {
+                // ORDER: AcqRel; Release publishes the completed SST write to
+                // the Acquire load in `advance_floor_locked`.
+                self.marks[s]
+                    .flushed_through
+                    .fetch_max(frozen.through, Ordering::AcqRel);
+                self.advance_floor_locked(&mut shared)
+            })
+        };
+        let mut stripe = self.stripes[s].write();
+        let held = Instant::now();
+        stripe.add_file(meta, reader);
+        stripe.frozen = None;
+        let stall = stall + held.elapsed();
+        drop(stripe);
+        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        crate::metrics::FLUSHES.inc();
+        crate::metrics::FLUSH_STALL_MICROS.record_duration(stall);
+        flush_timer.observe(&crate::metrics::FLUSH_MICROS);
+        installed
+    }
+
+    /// Write `table` to the new L0 SST `id` of stripe `s` at `path`, fsync
+    /// and open it, and drop its keys' cached rows. Takes no stripe lock.
+    fn build_frozen(
+        &self,
+        s: usize,
+        id: u64,
+        path: &Path,
+        table: &MemTable,
+    ) -> Result<(SstMeta, Arc<SstReader>)> {
         let mut writer = SstWriter::create(
-            &path,
-            stripe.memtable.len(),
+            path,
+            table.len(),
             self.config.bloom_bits_per_key,
             self.config.block_bytes,
         )?;
-        // Each record written here supersedes its key's cached row; drop it
-        // while the write lock keeps readers (and their admissions) out. A
-        // cache that holds no rows — a write-only load — skips the probes.
+        // Each record written here supersedes its key's cached row. Dropping
+        // the rows with no stripe lock held is safe: reads look in the frozen
+        // table before the rows, so until install takes it away no read
+        // returns or admits a row of its keys. A cache that holds no rows —
+        // a write-only load — skips the probes.
         let rows = self.block_cache.as_deref().filter(|c| c.row_count() > 0);
-        for record in stripe.memtable.range(b"") {
+        for record in table.range(b"") {
             writer.add(&record)?;
             if let Some(cache) = rows {
                 cache.invalidate_row(&record.key);
@@ -1066,37 +1206,38 @@ impl Db {
             file_size: info.file_size,
             record_count: info.record_count,
         };
-        let reader = Arc::new(SstReader::open_cached(&path, self.block_cache.clone())?);
-        {
-            let mut shared = self.shared.lock();
-            version::add_file(&mut shared.version.levels, meta.clone());
-            // Rotate the shared WAL so the flushed records' segment can age
-            // out once every stripe catches up. Skip when nothing was
-            // appended (another stripe's flush just rotated) or the log is
-            // poisoned (the simulated crash already ended this log's life;
-            // recovery happens at reopen).
-            if !self.log.is_poisoned() && self.log.appended_bytes() > 0 {
-                let new_segment = shared.version.allocate_file_id();
-                // `rotate` returns the last seq the old segment holds,
-                // captured under the log lock at the swap — no append can
-                // slip into the old segment after this watermark.
-                let end_seq = self
-                    .log
-                    .rotate(&wal_path(&self.dir, new_segment), new_segment)?;
-                let old = shared.live_segment;
-                shared.rotated.push((old, end_seq));
-                shared.live_segment = new_segment;
+        let reader = Arc::new(SstReader::open_cached(path, self.block_cache.clone())?);
+        // Chaos site: between build and install, a flush that stalls or
+        // fails with its SST written.
+        if failpoint::enabled() {
+            let context = self.dir.display().to_string();
+            if let Some(FaultAction::Error) = failpoint::check("db.flush", &context) {
+                return Err(Error::Io(std::io::Error::other(
+                    "injected fault: flush failed before install",
+                )));
             }
-            // ORDER: AcqRel; Release publishes the completed SST write to
-            // the Acquire load in `advance_floor_locked`.
-            self.marks[s].flushed_through.fetch_max(v, Ordering::AcqRel);
-            self.advance_floor_locked(&mut shared)?;
         }
-        stripe.add_file(meta, reader);
-        stripe.memtable.clear();
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        crate::metrics::FLUSHES.inc();
-        flush_timer.observe(&crate::metrics::FLUSH_MICROS);
+        Ok((meta, reader))
+    }
+
+    /// Rotate the shared WAL so the flushed records' segment can age out
+    /// once every stripe catches up. Skipped when nothing was appended
+    /// (another stripe's flush just rotated) or the log is poisoned (the
+    /// simulated crash already ended this log's life; recovery happens at
+    /// reopen). Caller holds the shared lock.
+    fn rotate_wal_locked(&self, shared: &mut Shared) -> Result<()> {
+        if self.log.is_poisoned() || self.log.appended_bytes() == 0 {
+            return Ok(());
+        }
+        let new_segment = shared.version.allocate_file_id();
+        // `rotate` returns the last seq the old segment holds, captured under
+        // the log lock at the swap — no append can slip into the old segment
+        // after this watermark.
+        let end_seq = self
+            .log
+            .rotate(&wal_path(&self.dir, new_segment), new_segment)?;
+        let old = std::mem::replace(&mut shared.live_segment, new_segment);
+        shared.rotated.push((old, end_seq));
         Ok(())
     }
 
@@ -1112,8 +1253,8 @@ impl Db {
         let mut min_cov = u64::MAX;
         for marks in &self.marks {
             // ORDER: Acquire pair with the AcqRel fetch_max publishes in
-            // `flush_stripe`/`write_record`: a mark observed here implies
-            // the flush/apply it describes is visible too.
+            // `flush_stripe`/`write_frozen`/`apply_logged`: a mark observed
+            // here implies the flush/apply it describes is visible too.
             let ft = marks.flushed_through.load(Ordering::Acquire);
             let ha = marks.highest_applied.load(Ordering::Acquire);
             // A stripe with nothing unflushed covers the whole visible
@@ -1127,7 +1268,12 @@ impl Db {
             .iter()
             .take_while(|&&(_, end_seq)| end_seq <= min_cov)
             .count();
-        shared.rotated.drain(..drop_count);
+        // The segments the floor passes join the retained backlog.
+        let passed = shared
+            .rotated
+            .drain(..drop_count)
+            .map(|(segment, _)| segment);
+        shared.retained.extend(passed);
         let new_floor = shared
             .rotated
             .first()
@@ -1136,15 +1282,13 @@ impl Db {
         shared.version.wal_floor = shared.version.wal_floor.max(new_floor);
         shared.version.next_seq = shared.version.next_seq.max(self.log.next_seq());
         shared.version.save(&self.dir)?;
-        // Segments below the floor are a retained replication backlog;
-        // delete the oldest beyond the retention budget.
-        let old: Vec<u64> = Wal::list_segments(&self.dir)?
-            .into_iter()
-            .filter(|&id| id < shared.version.wal_floor)
-            .collect();
-        let excess = old.len().saturating_sub(self.config.wal_retention_segments);
-        for id in &old[..excess] {
-            std::fs::remove_file(wal_path(&self.dir, *id)).ok();
+        // Delete the oldest backlog segments beyond the retention budget.
+        let excess = shared
+            .retained
+            .len()
+            .saturating_sub(self.config.wal_retention_segments);
+        for id in shared.retained.drain(..excess) {
+            std::fs::remove_file(wal_path(&self.dir, id)).ok();
         }
         Ok(())
     }

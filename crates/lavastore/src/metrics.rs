@@ -66,6 +66,13 @@ pub static FLUSH_BYTES: LazyCounter = LazyCounter::new(
 pub static FLUSH_MICROS: LazyHisto =
     LazyHisto::new("abase_lava_flush_micros", "Memtable flush latency");
 
+/// The part of a flush its stripe's readers and writers wait out: how long
+/// it holds the stripe's write lock (the freeze plus the install's publish).
+pub static FLUSH_STALL_MICROS: LazyHisto = LazyHisto::new(
+    "abase_lava_flush_stall_micros",
+    "Time a memtable flush holds its stripe's write lock: the freeze plus the install's publish",
+);
+
 /// Compactions completed.
 pub static COMPACTIONS: LazyCounter =
     LazyCounter::new("abase_lava_compactions_total", "Compactions completed");

@@ -7,10 +7,18 @@
 //! shard, two or three rows each — so rows are admitted, hit, invalidated
 //! *and* evicted throughout, and every `get` is compared with the model.
 //! Seeds are pinned; a failure names its seed and step.
+//!
+//! A second test holds a flush between its build and its install (the
+//! `db.flush` fail point) while a reader thread admits rows for the keys the
+//! frozen memtable does not hold, and checks every key against the model
+//! once the install is through.
 
 use abase_lavastore::{Db, DbConfig};
+use abase_util::failpoint::{self, FaultAction, ScopedInjector};
 use abase_util::TestDir;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const KEYS: u64 = 120;
 const STEPS: usize = 4_000;
@@ -148,4 +156,114 @@ fn gets_match_the_model_through_flush_compaction_ttl_and_reopen() {
             "seed {seed}: no row was ever evicted"
         );
     }
+}
+
+#[test]
+fn rows_admitted_while_a_flush_is_paused_match_the_model_after_install() {
+    let dir = TestDir::new("row-model-paused");
+    // One stripe: every rewritten key is in the one frozen memtable.
+    let config = DbConfig {
+        n_stripes: 1,
+        ..config()
+    };
+    let db = Arc::new(Db::open(dir.path(), config).unwrap());
+    let key = |id: u64| format!("key-{id:04}").into_bytes();
+    let mut model = Model::new();
+    let put = |db: &Db, model: &mut Model, id: u64, tag: &str| {
+        let value = format!("{tag}-{id:04}-{}", "x".repeat(24)).into_bytes();
+        db.put(&key(id), &value, None, 0).unwrap();
+        model.insert(key(id), (value, None));
+    };
+    // Every key in an SST, and read twice: their rows go in.
+    for id in 0..KEYS {
+        put(&db, &mut model, id, "old");
+    }
+    db.flush().unwrap();
+    for _ in 0..2 {
+        for id in 0..KEYS {
+            db.get(&key(id), 0).unwrap();
+        }
+    }
+    // A third of the keys get newer versions: those the flush freezes, whose
+    // rows it must drop.
+    let frozen = |id: u64| id.is_multiple_of(3);
+    for id in (0..KEYS).filter(|&id| frozen(id)) {
+        put(&db, &mut model, id, "new");
+    }
+
+    let _injector = ScopedInjector::enable();
+    failpoint::install(
+        "db.flush",
+        Some(&dir.path().display().to_string()),
+        FaultAction::DelayMs(300),
+        0,
+        1,
+    );
+    let flusher = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || db.flush())
+    };
+    while failpoint::fired("db.flush") == 0 {
+        std::thread::yield_now();
+    }
+    let installed = Arc::new(AtomicBool::new(false));
+    let flushes_before = db.stats().flushes;
+    let admitted_before = db.block_cache().unwrap().row_stats().insertions;
+    let reader = {
+        let (db, installed) = (Arc::clone(&db), Arc::clone(&installed));
+        let outside: Vec<(Vec<u8>, Vec<u8>)> = (0..KEYS)
+            .filter(|&id| !frozen(id))
+            .map(|id| (key(id), model[&key(id)].0.clone()))
+            .collect();
+        std::thread::spawn(move || {
+            // ORDER: Acquire pairs with the Release store after the join.
+            while !installed.load(Ordering::Acquire) {
+                for (k, v) in &outside {
+                    let got = db.get(k, 0).unwrap();
+                    assert_eq!(got.value.as_deref(), Some(&v[..]));
+                }
+            }
+        })
+    };
+    // Meanwhile the frozen keys answer from the frozen memtable.
+    for id in (0..KEYS).filter(|&id| frozen(id)) {
+        let got = db.get(&key(id), 0).unwrap();
+        assert_eq!(got.value.as_deref(), expected(&model, &key(id), 0));
+        assert!(got.from_memtable && !got.from_row_cache);
+    }
+    let admitted = || db.block_cache().unwrap().row_stats().insertions - admitted_before;
+    while admitted() == 0 && !flusher.is_finished() {
+        std::thread::yield_now();
+    }
+    assert!(
+        admitted() > 0 && db.stats().flushes == flushes_before,
+        "no row was admitted while the flush was paused"
+    );
+    flusher.join().unwrap().unwrap();
+    // ORDER: Release pairs with the reader's Acquire load.
+    installed.store(true, Ordering::Release);
+    reader.join().unwrap();
+
+    let check = |db: &Db, model: &Model, when: &str| {
+        for _ in 0..2 {
+            for id in 0..KEYS {
+                let got = db.get(&key(id), 0).unwrap();
+                assert_eq!(
+                    got.value.as_deref(),
+                    expected(model, &key(id), 0),
+                    "{when}: key-{id:04} (row hit: {})",
+                    got.from_row_cache
+                );
+            }
+        }
+    };
+    check(&db, &model, "after the install");
+    // Rows admitted during the pause for keys rewritten since are dropped by
+    // the flush that writes the rewrites.
+    for id in (0..KEYS).filter(|&id| id % 3 == 1) {
+        put(&db, &mut model, id, "newer");
+    }
+    check(&db, &model, "with rewrites in the memtable");
+    db.flush().unwrap();
+    check(&db, &model, "after the rewrites' flush");
 }

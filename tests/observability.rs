@@ -300,6 +300,46 @@ fn metrics_exposition_is_well_formed_prometheus_text() {
     );
 }
 
+/// A flush reports how long it held its stripe's write lock beside its whole
+/// latency. The SST is written with the stripe serving, so the held part is
+/// only a share of the whole.
+#[test]
+fn a_flush_reports_its_stall_beside_its_latency() {
+    let (_dir, addr, _slowlog) = start_server("flush-stall");
+    let mut client = TcpStream::connect(addr).unwrap();
+    // The test config flushes a stripe at 1 KiB of memtable: these SETs
+    // flush every stripe several times.
+    let value = "v".repeat(100);
+    for i in 0..200 {
+        let key = format!("stall-{i:03}");
+        assert_eq!(
+            roundtrip(&mut client, &cmd(&["SET", &key, &value])),
+            RespValue::ok()
+        );
+    }
+    let text = bulk_text(roundtrip(&mut client, &cmd(&["METRICS"])));
+    abase::obs::validate(&text).expect("METRICS output failed exposition validation");
+    for family in ["abase_lava_flush_micros", "abase_lava_flush_stall_micros"] {
+        let line = format!("# TYPE {family} histogram\n");
+        assert!(text.contains(&line), "missing `{line}` in:\n{text}");
+    }
+    let sample = |key: &str| -> f64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(key)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample {key} in:\n{text}"))
+    };
+    let stall = sample("abase_lava_flush_stall_micros_sum");
+    let flush = sample("abase_lava_flush_micros_sum");
+    assert!(
+        sample("abase_lava_flush_stall_micros_count") > 0.0,
+        "no flush recorded its stall"
+    );
+    assert!(
+        stall < flush,
+        "flushes held their stripes {stall} us of their {flush} us"
+    );
+}
+
 /// What an operator scrapes from the assembly the server binary runs: every
 /// family they read, with its type; histograms without a floor; and INFO and
 /// SLOWLOG over the same connection.
