@@ -6,7 +6,7 @@
 //! the plan (and everything the runner does with it) is a pure function of
 //! the seed, any failing episode replays exactly with `CHAOS_SEED=<n>`.
 
-use crate::runner::ChaosConfig;
+use crate::runner::{ChaosConfig, REPLICATION_FACTOR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,13 +126,13 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Draw an episode's plan from `seed`. Node-kill events (direct kills,
     /// torn tails, and mid-resync deaths all consume a node) are capped at
-    /// `nodes - replication_factor` so every group keeps a write quorum.
+    /// `nodes - REPLICATION_FACTOR` so every group keeps a write quorum.
     pub fn generate(seed: u64, config: &ChaosConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(
             seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(0xC4A05),
         );
-        let kill_budget = (config.nodes as usize).saturating_sub(config.replication_factor);
+        let kill_budget = (config.nodes as usize).saturating_sub(REPLICATION_FACTOR);
         let mut kills = 0usize;
         let n_events = rng.gen_range(3..8usize);
         let mut events = Vec::with_capacity(n_events);
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn kills_stay_within_budget_across_seeds() {
         let config = ChaosConfig::default();
-        let budget = (config.nodes as usize) - config.replication_factor;
+        let budget = (config.nodes as usize) - REPLICATION_FACTOR;
         for seed in 0..200 {
             let plan = FaultPlan::generate(seed, &config);
             assert!(

@@ -37,6 +37,16 @@ use std::time::Duration;
 
 /// Requests per partition per tick.
 const OPS_PER_TICK: usize = 8;
+/// Replicas per partition.
+pub(crate) const REPLICATION_FACTOR: usize = 3;
+/// Write concern under test: the acked-durability invariants assume a
+/// quorum.
+const WRITE_CONCERN: WriteConcern = WriteConcern::Quorum;
+/// Modeled per-node disk bandwidth for reconstruction (bytes/second); the
+/// §3.3 invariant bounds measured recovery bandwidth against it.
+const RECOVERY_BANDWIDTH: f64 = 24e6;
+/// Commit retry budget (see `GroupConfig::wait_timeout`).
+const WAIT_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Episode shape and cluster sizing.
 #[derive(Debug, Clone, Copy)]
@@ -45,18 +55,8 @@ pub struct ChaosConfig {
     pub nodes: u32,
     /// Replicated partitions (each mapped to a Table-1 workload profile).
     pub partitions: u64,
-    /// Replicas per partition.
-    pub replication_factor: usize,
-    /// Write concern under test (acked-durability invariants assume
-    /// `Quorum` or `All`).
-    pub write_concern: WriteConcern,
     /// Ticks per episode.
     pub ticks: u64,
-    /// Modeled per-node disk bandwidth for reconstruction (bytes/second);
-    /// the §3.3 invariant bounds measured recovery bandwidth against it.
-    pub recovery_bandwidth: f64,
-    /// Commit retry budget (see `GroupConfig::wait_timeout`).
-    pub wait_timeout: Duration,
 }
 
 impl Default for ChaosConfig {
@@ -64,11 +64,7 @@ impl Default for ChaosConfig {
         Self {
             nodes: 6,
             partitions: 4,
-            replication_factor: 3,
-            write_concern: WriteConcern::Quorum,
             ticks: 30,
-            recovery_bandwidth: 24e6,
-            wait_timeout: Duration::from_millis(25),
         }
     }
 }
@@ -207,11 +203,11 @@ impl ChaosRunner {
             dir.path(),
             cfg.nodes,
             ReplicatedClusterConfig {
-                replication_factor: cfg.replication_factor,
-                write_concern: cfg.write_concern,
+                replication_factor: REPLICATION_FACTOR,
+                write_concern: WRITE_CONCERN,
                 db: DbConfig::small_for_tests(),
-                recovery_bandwidth: Some(cfg.recovery_bandwidth),
-                wait_timeout: cfg.wait_timeout,
+                recovery_bandwidth: Some(RECOVERY_BANDWIDTH),
+                wait_timeout: WAIT_TIMEOUT,
             },
         );
         let mut gens: Vec<RequestGen> = Vec::new();
@@ -451,7 +447,7 @@ impl ChaosRunner {
             }
             FaultKind::KillRandomNode => {
                 let live = cluster.live_nodes();
-                if live.len() > self.config.replication_factor {
+                if live.len() > REPLICATION_FACTOR {
                     let victim = live[rng.gen_range(0..live.len())];
                     self.kill(cluster, victim, active, report);
                 }
@@ -616,7 +612,7 @@ impl ChaosRunner {
                 rec.copies.len()
             ));
         }
-        let budget = self.config.recovery_bandwidth * rec.distinct_sources as f64;
+        let budget = RECOVERY_BANDWIDTH * rec.distinct_sources as f64;
         // 35% headroom for throttle sleep granularity on small copies.
         let limit = budget * 1.35 + 256e3;
         let measured = rec.effective_bandwidth();

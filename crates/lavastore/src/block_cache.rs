@@ -38,9 +38,10 @@
 //! from the moment it enters the memtable until the flush's install puts it
 //! in an SST. For that whole span no read returns the key's row, and none
 //! admits one: an admission follows an SST search, and a read that finds
-//! the key in a memtable never searches. So `Db::build_frozen` removes the
-//! row of every key it writes, tombstones included, with no stripe lock
-//! held, and no admission can slip in between that removal and the install.
+//! the key in a memtable never searches. So a flush's SST writer
+//! (`Db::write_ssts`) removes the row of every key it writes, tombstones
+//! included, with no stripe lock held, and no admission can slip in between
+//! that removal and the install.
 //! The install adds the SST and clears the frozen memtable in one critical
 //! section under the stripe's **write** lock, while reads probe and admit
 //! rows under its **read** lock, so no read straddles it. A row admitted

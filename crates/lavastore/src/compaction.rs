@@ -5,9 +5,10 @@
 //! striped engine runs the policy independently over each stripe's levels —
 //! the slice passed in is one stripe's view, and the resulting task never
 //! crosses stripes. A task executes as one streaming merge (see
-//! [`crate::iter`]) whose memory is bounded by inputs × block size; a read
-//! that fails mid-merge fails the round, and its outputs are removed. Two
-//! triggers:
+//! [`crate::iter`]) whose memory is bounded by inputs × block size, through
+//! a flush's SST writer and install, with no stripe lock held across the
+//! merge; a read that fails mid-merge fails the round, and its outputs are
+//! removed. Two triggers:
 //!
 //! * **L0 trigger** — when L0 accumulates `l0_trigger` files, all of L0 plus
 //!   the overlapping span of L1 compacts into fresh L1 files.

@@ -10,10 +10,12 @@
 //!
 //! Keys hash across `n_stripes` stripes, each with its own memtable, L0, and
 //! deeper levels under its own `RwLock` — so concurrent writers to different
-//! stripes never contend. A flush holds its stripe's lock only to freeze the
-//! memtable and to publish the finished SST: the SST write itself (the
-//! expensive part) runs with no stripe lock held, while the stripe keeps
-//! serving reads and writes (see `Db::flush_stripe`). One shared
+//! stripes never contend. Flush and compaction share one SST writer and one
+//! install: a flush holds its stripe's lock only to freeze the memtable and
+//! to publish, a compaction round only to pick its inputs and to publish,
+//! and the SST writes run with no stripe lock held. A per-stripe flush lock
+//! serializes a stripe's flushes and rounds: a writer over the memtable
+//! threshold during a round leaves its flush for later. One shared
 //! group-commit [`Wal`] fronts all stripes and is the engine's **single LSN
 //! allocator**: frames enter the log in sequence order regardless of which
 //! stripe they land in, so replication tailing, `apply_replicated`'s
@@ -29,7 +31,7 @@
 
 use crate::block_cache::{BlockCache, CachedRow};
 use crate::bloom::BloomFilter;
-use crate::compaction::{pick_compaction, CompactionConfig, CompactionTask};
+use crate::compaction::{pick_compaction, CompactionConfig};
 use crate::error::{Error, Result};
 use crate::iter::{dedup_newest, MergeIterator};
 use crate::memtable::{MemEntry, MemTable};
@@ -404,8 +406,8 @@ pub struct Db {
     /// The shared group-commit WAL — also the engine's one LSN allocator.
     log: Wal,
     stripes: Vec<RankedRwLock<Stripe>>,
-    /// One per stripe: serializes the stripe's flushes, held from freeze to
-    /// install (see [`Db::flush_stripe`]).
+    /// One per stripe: serializes the stripe's flushes and compaction rounds,
+    /// each held from its start to its install (see [`Db::flush_stripe`]).
     flushing: Vec<RankedMutex<()>>,
     marks: Vec<StripeMarks>,
     tracker: ApplyTracker,
@@ -1061,18 +1063,19 @@ impl Db {
     }
 
     /// Flush stripe `s`'s memtable into an L0 SST, holding the stripe's flush
-    /// lock throughout (`wait`: block on a flush already running, as
-    /// [`Db::flush`] does; otherwise leave the work to it and return). Three
-    /// steps:
+    /// lock throughout (`wait`: block on a flush or compaction round already
+    /// running, as [`Db::flush`] does; otherwise leave the work to it and
+    /// return). Three steps:
     ///
     /// 1. **Freeze**, under the stripe's write lock: move the active memtable
     ///    into the stripe's `frozen` slot. Reads keep finding its records
     ///    there; writes go on into a fresh memtable.
     /// 2. **Build**, with no stripe lock held: write, fsync and open the SST
-    ///    and drop its keys' cached rows ([`Db::build_frozen`]).
-    /// 3. **Install**: add the file to the manifest, rotate the shared WAL and
-    ///    advance the floor under `shared` alone, then add the reader and
-    ///    clear `frozen` in one step under the stripe's write lock.
+    ///    and drop its keys' cached rows ([`Db::write_ssts`]).
+    /// 3. **Install** ([`Db::install`]): add the file to the manifest, rotate
+    ///    the shared WAL and advance the floor under `shared` alone, then add
+    ///    the reader and clear `frozen` in one step under the stripe's write
+    ///    lock.
     ///
     /// A frozen memtable a failed build left behind is built first, so a
     /// stripe never holds two.
@@ -1117,9 +1120,8 @@ impl Db {
 
     /// Build `frozen`'s SST, then install it (steps 2 and 3 of
     /// [`Db::flush_stripe`]). `stall` is how long the freeze held the
-    /// stripe's write lock. A failed build removes its file and leaves
-    /// `frozen` in the stripe: readable, and still covered by the WAL, since
-    /// the floor did not move.
+    /// stripe's write lock. A failed build leaves `frozen` in the stripe:
+    /// readable, and still covered by the WAL, since the floor did not move.
     fn write_frozen(
         &self,
         s: usize,
@@ -1127,97 +1129,182 @@ impl Db {
         flush_timer: abase_obs::Timer,
         stall: Duration,
     ) -> Result<()> {
-        let id = self.shared.lock().version.allocate_file_id();
-        let path = sst_path(&self.dir, id);
-        let (meta, reader) = match self.build_frozen(s, id, &path, &frozen.table) {
-            Ok(built) => built,
-            Err(e) => {
-                // The manifest never named the file; nothing reads it.
-                std::fs::remove_file(&path).ok();
-                return Err(e);
-            }
-        };
-        // Once the manifest names the file, the stripe reads it, even if
-        // the WAL rotation or the manifest save below fails: its records are
-        // in the SST, and on disk the floor has not passed them.
-        let installed = {
-            let mut shared = self.shared.lock();
-            version::add_file(&mut shared.version.levels, meta.clone());
-            self.rotate_wal_locked(&mut shared).and_then(|()| {
-                // ORDER: AcqRel; Release publishes the completed SST write to
-                // the Acquire load in `advance_floor_locked`.
-                self.marks[s]
-                    .flushed_through
-                    .fetch_max(frozen.through, Ordering::AcqRel);
-                self.advance_floor_locked(&mut shared)
-            })
-        };
-        let mut stripe = self.stripes[s].write();
-        let held = Instant::now();
-        stripe.add_file(meta, reader);
-        stripe.frozen = None;
-        let stall = stall + held.elapsed();
-        drop(stripe);
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        crate::metrics::FLUSHES.inc();
-        crate::metrics::FLUSH_STALL_MICROS.record_duration(stall);
+        let table = &frozen.table;
+        let outputs =
+            self.write_ssts(s, 0, table.range(b"").map(Ok), table.len() as u64, u64::MAX)?;
+        let (held, installed) = self.install(s, &[], outputs, Some(frozen.through));
+        crate::metrics::FLUSH_STALL_MICROS.record_duration(stall + held);
         flush_timer.observe(&crate::metrics::FLUSH_MICROS);
         installed
     }
 
-    /// Write `table` to the new L0 SST `id` of stripe `s` at `path`, fsync
-    /// and open it, and drop its keys' cached rows. Takes no stripe lock.
-    fn build_frozen(
+    /// The one SST writer of flush and compaction: stream `records`, sorted
+    /// by key, into new SSTs of stripe `s` at `level`, each fsynced and
+    /// opened, with no stripe lock held. Each bloom filter is sized for
+    /// `per_output` records, or the `left` the stream still holds if fewer.
+    /// L0 output is one file per memtable (L0 files may overlap, and the
+    /// compaction trigger counts them) and drops its keys' cached rows;
+    /// deeper outputs split at `target_sst_bytes`. A failure removes every
+    /// file the call created: the manifest never named them.
+    fn write_ssts(
         &self,
         s: usize,
-        id: u64,
-        path: &Path,
-        table: &MemTable,
-    ) -> Result<(SstMeta, Arc<SstReader>)> {
-        let mut writer = SstWriter::create(
-            path,
-            table.len(),
-            self.config.bloom_bits_per_key,
-            self.config.block_bytes,
-        )?;
-        // Each record written here supersedes its key's cached row. Dropping
-        // the rows with no stripe lock held is safe: reads look in the frozen
-        // table before the rows, so until install takes it away no read
-        // returns or admits a row of its keys. A cache that holds no rows —
-        // a write-only load — skips the probes.
-        let rows = self.block_cache.as_deref().filter(|c| c.row_count() > 0);
-        for record in table.range(b"") {
-            writer.add(&record)?;
-            if let Some(cache) = rows {
-                cache.invalidate_row(&record.key);
+        level: usize,
+        records: impl Iterator<Item = Result<Record>>,
+        mut left: u64,
+        per_output: u64,
+    ) -> Result<Vec<(SstMeta, Arc<SstReader>)>> {
+        let mut created = Vec::new();
+        let write = || -> Result<Vec<(SstMeta, Arc<SstReader>)>> {
+            // Each record a flush writes supersedes its key's cached row
+            // (a compaction changes no key's newest version). Dropping rows
+            // with no stripe lock held is safe: reads look in the frozen
+            // table before the rows, so until install takes it away no read
+            // returns or admits a row of its keys. A cache that holds no
+            // rows — a write-only load — skips the probes.
+            let rows = self
+                .block_cache
+                .as_deref()
+                .filter(|c| level == 0 && c.row_count() > 0);
+            let finish = |id: u64, w: SstWriter| -> Result<(SstMeta, Arc<SstReader>)> {
+                let info = w.finish()?;
+                self.stats
+                    .sst_bytes_written
+                    .fetch_add(info.file_size, Ordering::Relaxed);
+                let reader = SstReader::open_cached(&info.path, self.block_cache.clone())?;
+                let meta = SstMeta {
+                    id,
+                    level: level as u32,
+                    stripe: s as u32,
+                    min_key: info.min_key,
+                    max_key: info.max_key,
+                    file_size: info.file_size,
+                    record_count: info.record_count,
+                };
+                Ok((meta, Arc::new(reader)))
+            };
+            let mut outputs = Vec::new();
+            // The output being written: its id, writer and bytes so far.
+            let mut open: Option<(u64, SstWriter, u64)> = None;
+            for record in records {
+                let record = record?;
+                let (_, w, bytes) = match &mut open {
+                    Some(open) => open,
+                    None => {
+                        let id = self.shared.lock().version.allocate_file_id();
+                        created.push(id);
+                        let w = SstWriter::create(
+                            &sst_path(&self.dir, id),
+                            per_output.min(left) as usize,
+                            self.config.bloom_bits_per_key,
+                            self.config.block_bytes,
+                        )?;
+                        open.insert((id, w, 0))
+                    }
+                };
+                w.add(&record)?;
+                if let Some(cache) = rows {
+                    cache.invalidate_row(&record.key);
+                }
+                left = left.saturating_sub(1);
+                *bytes += record.approximate_size() as u64;
+                if level > 0 && *bytes >= self.config.target_sst_bytes {
+                    if let Some((id, w, _)) = open.take() {
+                        outputs.push(finish(id, w)?);
+                    }
+                }
             }
-        }
-        let info = writer.finish()?;
-        self.stats
-            .sst_bytes_written
-            .fetch_add(info.file_size, Ordering::Relaxed);
-        crate::metrics::FLUSH_BYTES.add(info.file_size);
-        let meta = SstMeta {
-            id,
-            level: 0,
-            stripe: s as u32,
-            min_key: info.min_key,
-            max_key: info.max_key,
-            file_size: info.file_size,
-            record_count: info.record_count,
+            if let Some((id, w, _)) = open {
+                outputs.push(finish(id, w)?);
+            }
+            // Chaos site: between build and install, a flush or compaction
+            // round that stalls or fails with its SSTs written.
+            if failpoint::enabled() {
+                let context = self.dir.display().to_string();
+                if let Some(FaultAction::Error) = failpoint::check("db.install", &context) {
+                    return Err(Error::Io(std::io::Error::other(
+                        "injected fault: SSTs built, install failed",
+                    )));
+                }
+            }
+            Ok(outputs)
         };
-        let reader = Arc::new(SstReader::open_cached(path, self.block_cache.clone())?);
-        // Chaos site: between build and install, a flush that stalls or
-        // fails with its SST written.
-        if failpoint::enabled() {
-            let context = self.dir.display().to_string();
-            if let Some(FaultAction::Error) = failpoint::check("db.flush", &context) {
-                return Err(Error::Io(std::io::Error::other(
-                    "injected fault: flush failed before install",
-                )));
+        let written = write();
+        if written.is_err() {
+            for id in created {
+                std::fs::remove_file(sst_path(&self.dir, id)).ok();
             }
         }
-        Ok((meta, reader))
+        written
+    }
+
+    /// The one install of flush and compaction: put `outputs` in the place
+    /// of `inputs` in the manifest under `shared`, then in stripe `s` under
+    /// its write lock. A flush passes its frozen table's `through` as
+    /// `flushed`: the same install rotates the WAL, advances the floor and
+    /// empties `frozen`. Inputs are unlinked only after a successful save,
+    /// but the stripe adopts what the in-memory manifest lists even if the
+    /// save fails, so the two never disagree. Returns how long the stripe's
+    /// write lock was held, and the save's outcome.
+    fn install(
+        &self,
+        s: usize,
+        inputs: &[u64],
+        outputs: Vec<(SstMeta, Arc<SstReader>)>,
+        flushed: Option<u64>,
+    ) -> (Duration, Result<()>) {
+        let bytes = outputs.iter().map(|(meta, _)| meta.file_size).sum();
+        let saved = {
+            let mut shared = self.shared.lock();
+            for id in inputs {
+                version::remove_file(&mut shared.version.levels, *id);
+            }
+            for (meta, _) in &outputs {
+                version::add_file(&mut shared.version.levels, meta.clone());
+            }
+            let saved = match flushed {
+                Some(through) => self.rotate_wal_locked(&mut shared).and_then(|()| {
+                    // ORDER: AcqRel; Release publishes the completed SST
+                    // write to the Acquire load in `advance_floor_locked`.
+                    self.marks[s]
+                        .flushed_through
+                        .fetch_max(through, Ordering::AcqRel);
+                    self.advance_floor_locked(&mut shared)
+                }),
+                None => shared.version.save(&self.dir),
+            };
+            // Under the shared lock, so a checkpoint pin never sees a
+            // version whose files are already unlinked.
+            if saved.is_ok() {
+                for id in inputs {
+                    std::fs::remove_file(sst_path(&self.dir, *id)).ok();
+                }
+            }
+            saved
+        };
+        let mut stripe = self.stripes[s].write();
+        let held = Instant::now();
+        for id in inputs {
+            stripe.remove_file(*id);
+        }
+        for (meta, reader) in outputs {
+            stripe.add_file(meta, reader);
+        }
+        if flushed.is_some() {
+            stripe.frozen = None;
+        }
+        let held = held.elapsed();
+        drop(stripe);
+        if flushed.is_some() {
+            self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+            crate::metrics::FLUSHES.inc();
+            crate::metrics::FLUSH_BYTES.add(bytes);
+        } else {
+            self.stats.compactions.fetch_add(1, Ordering::Relaxed);
+            crate::metrics::COMPACTIONS.inc();
+            crate::metrics::COMPACTION_BYTES.add(bytes);
+        }
+        (held, saved)
     }
 
     /// Rotate the shared WAL so the flushed records' segment can age out
@@ -1253,7 +1340,7 @@ impl Db {
         let mut min_cov = u64::MAX;
         for marks in &self.marks {
             // ORDER: Acquire pair with the AcqRel fetch_max publishes in
-            // `flush_stripe`/`write_frozen`/`apply_logged`: a mark observed
+            // `flush_stripe`/`install`/`apply_logged`: a mark observed
             // here implies the flush/apply it describes is visible too.
             let ft = marks.flushed_through.load(Ordering::Acquire);
             let ha = marks.highest_applied.load(Ordering::Acquire);
@@ -1295,135 +1382,43 @@ impl Db {
 
     /// Run at most one compaction round (first stripe with work wins).
     /// Returns true if one executed. Expired records are dropped using
-    /// virtual time `now`.
+    /// virtual time `now`. The round holds the stripe's flush lock, which
+    /// serializes every change to a stripe's files, and its stripe lock
+    /// only to pick the inputs and to install: the merge runs while the
+    /// stripe serves reads and writes.
     // LINT: allow(A008): tests/block_cache.rs
     pub fn compact_once(&self, now: SimTime) -> Result<bool> {
         for s in 0..self.n_stripes {
-            let mut stripe = self.stripes[s].write();
+            let _flushing = self.flushing[s].lock();
+            let stripe = self.stripes[s].read();
             let Some(task) = pick_compaction(&stripe.levels, &self.config.compaction) else {
                 continue;
             };
-            let mut written = Vec::new();
-            let outputs = match self.write_compaction(s, &stripe, &task, now, &mut written) {
-                Ok(outputs) => outputs,
-                Err(e) => {
-                    // The manifest never named these files; nothing reads
-                    // them.
-                    for id in written {
-                        std::fs::remove_file(sst_path(&self.dir, id)).ok();
-                    }
-                    return Err(e);
-                }
-            };
-            // Install: update the manifest under the shared lock (input
-            // deletion also happens there, so a concurrent checkpoint pin
-            // can never see a version whose files are already unlinked),
-            // then mirror into this stripe's view.
-            {
-                let mut shared = self.shared.lock();
-                for id in &task.input_ids {
-                    version::remove_file(&mut shared.version.levels, *id);
-                }
-                for (meta, _) in &outputs {
-                    version::add_file(&mut shared.version.levels, meta.clone());
-                }
-                shared.version.save(&self.dir)?;
-                for id in &task.input_ids {
-                    std::fs::remove_file(sst_path(&self.dir, *id)).ok();
-                }
-            }
-            for id in &task.input_ids {
-                stripe.remove_file(*id);
-            }
-            let bytes = outputs.iter().map(|(meta, _)| meta.file_size).sum();
-            for (meta, reader) in outputs {
-                stripe.add_file(meta, reader);
-            }
-            self.stats.compactions.fetch_add(1, Ordering::Relaxed);
-            crate::metrics::COMPACTIONS.inc();
-            crate::metrics::COMPACTION_BYTES.add(bytes);
+            let inputs: Vec<Arc<SstReader>> = task
+                .input_ids
+                .iter()
+                .map(|id| Arc::clone(&stripe.readers[id]))
+                .collect();
+            drop(stripe);
+            // Each output's bloom filter is sized for the records it can
+            // hold: `target_sst_bytes` over the inputs' mean record size in
+            // uncompressed block bytes, and no more than the merge has left.
+            let left: u64 = inputs.iter().map(|r| r.record_count()).sum();
+            let blocks: usize = inputs.iter().map(|r| r.data_blocks()).sum::<Result<_>>()?;
+            let input_bytes = (blocks * self.config.block_bytes).max(1) as u64;
+            let per_output = self.config.target_sst_bytes * left / input_bytes + 1;
+            // Input ids come from-level first (newest first for L0): the
+            // merge's tie-breaking order.
+            let cursors = inputs
+                .iter()
+                .map(|r| r.cursor(b"", false))
+                .collect::<Result<Vec<_>>>()?;
+            let merged = dedup_newest(MergeIterator::new(cursors)?, now, task.is_bottom_level);
+            let outputs = self.write_ssts(s, task.output_level, merged, left, per_output)?;
+            self.install(s, &task.input_ids, outputs, None).1?;
             return Ok(true);
         }
         Ok(false)
-    }
-
-    /// Stream the merge of `task`'s inputs in stripe `s` into new files at
-    /// its output level, split at the target file size, and open each.
-    /// Every output id goes into `written` before its file is created, so
-    /// the caller can remove them all if the round fails.
-    fn write_compaction(
-        &self,
-        s: usize,
-        stripe: &Stripe,
-        task: &CompactionTask,
-        now: SimTime,
-        written: &mut Vec<u64>,
-    ) -> Result<Vec<(SstMeta, Arc<SstReader>)>> {
-        let inputs = task.input_ids.iter().map(|id| &stripe.readers[id]);
-        // Each output's bloom filter is sized for the records it can hold:
-        // `target_sst_bytes` over the inputs' mean record size in
-        // uncompressed block bytes, and no more than the merge has left.
-        let mut left: u64 = inputs.clone().map(|r| r.record_count()).sum();
-        let blocks: usize = inputs.clone().map(|r| r.data_blocks()).sum::<Result<_>>()?;
-        let input_bytes = (blocks * self.config.block_bytes).max(1) as u64;
-        let per_output = self.config.target_sst_bytes * left / input_bytes + 1;
-        // Input ids come from-level first (newest first for L0): the
-        // merge's tie-breaking order.
-        let cursors = inputs
-            .map(|r| r.cursor(b"", false))
-            .collect::<Result<Vec<_>>>()?;
-        let merged = dedup_newest(MergeIterator::new(cursors)?, now, task.is_bottom_level);
-        let finish = |id: u64, w: SstWriter| -> Result<(SstMeta, Arc<SstReader>)> {
-            let info = w.finish()?;
-            self.stats
-                .sst_bytes_written
-                .fetch_add(info.file_size, Ordering::Relaxed);
-            let reader = SstReader::open_cached(&info.path, self.block_cache.clone())?;
-            let meta = SstMeta {
-                id,
-                level: task.output_level as u32,
-                stripe: s as u32,
-                min_key: info.min_key,
-                max_key: info.max_key,
-                file_size: info.file_size,
-                record_count: info.record_count,
-            };
-            Ok((meta, Arc::new(reader)))
-        };
-        let mut outputs = Vec::new();
-        // The output being written: its id, writer and bytes so far.
-        let mut open: Option<(u64, SstWriter, u64)> = None;
-        for record in merged {
-            let record = record?;
-            let (id, mut w, mut bytes) = match open.take() {
-                Some(open) => open,
-                None => {
-                    // File ids come from the shared counter (brief lock);
-                    // the writes run under only this stripe's lock.
-                    let id = self.shared.lock().version.allocate_file_id();
-                    written.push(id);
-                    let w = SstWriter::create(
-                        &sst_path(&self.dir, id),
-                        per_output.min(left) as usize,
-                        self.config.bloom_bits_per_key,
-                        self.config.block_bytes,
-                    )?;
-                    (id, w, 0)
-                }
-            };
-            w.add(&record)?;
-            left = left.saturating_sub(1);
-            bytes += record.approximate_size() as u64;
-            if bytes >= self.config.target_sst_bytes {
-                outputs.push(finish(id, w)?);
-            } else {
-                open = Some((id, w, bytes));
-            }
-        }
-        if let Some((id, w, _)) = open {
-            outputs.push(finish(id, w)?);
-        }
-        Ok(outputs)
     }
 
     /// Run compactions until the tree is shaped (bounded rounds).
@@ -1697,6 +1692,44 @@ mod tests {
                 let k = key(i, input);
                 assert!(db.get(k.as_bytes(), 0).unwrap().value.is_some(), "{k}");
             }
+        }
+    }
+
+    #[test]
+    fn a_compaction_whose_save_fails_is_not_merged_again() {
+        let dir = TestDir::new("compact-save-fails");
+        let config = DbConfig {
+            n_stripes: 1,
+            compaction: CompactionConfig {
+                l0_trigger: 2,
+                ..DbConfig::small_for_tests().compaction
+            },
+            ..DbConfig::small_for_tests()
+        };
+        let db = Db::open(dir.path(), config).unwrap();
+        db.put(b"k", b"v1", None, 0).unwrap();
+        db.flush().unwrap();
+        db.put(b"a", b"x", None, 0).unwrap();
+        db.flush().unwrap();
+        // A directory where the save writes its temporary file fails it.
+        let blocker = dir.path().join("MANIFEST.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(db.compact_once(0).is_err());
+        std::fs::remove_dir(&blocker).unwrap();
+        // The stripe reads what the in-memory manifest lists: the next round
+        // merges the failed round's output, not its inputs again.
+        db.put(b"k", b"v2", None, 0).unwrap();
+        db.flush().unwrap();
+        db.put(b"b", b"y", None, 0).unwrap();
+        db.flush().unwrap();
+        assert!(db.compact_once(0).unwrap());
+        assert_eq!(db.get(b"k", 0).unwrap().value.as_deref(), Some(&b"v2"[..]));
+        assert_eq!(db.level_file_counts()[..2], [0, 1]);
+        drop(db);
+        let db = Db::open(dir.path(), config).unwrap();
+        assert_eq!(db.get(b"k", 0).unwrap().value.as_deref(), Some(&b"v2"[..]));
+        for (key, value) in [(b"a", b"x"), (b"b", b"y")] {
+            assert_eq!(db.get(key, 0).unwrap().value.as_deref(), Some(&value[..]));
         }
     }
 

@@ -1,15 +1,18 @@
-//! A flush held between its build and its install by the `db.flush` fail
+//! A flush held between its build and its install by the `db.install` fail
 //! point. While the SST is written the stripe keeps serving reads and writes,
 //! the frozen memtable answers for its keys, and a build that fails loses
 //! nothing: the next flush installs the frozen memtable, and a reopen
-//! recovers every key.
+//! recovers every key. A compaction round held at the same point leaves its
+//! stripe serving too, and one that fails there leaves no file behind.
 //!
-//! The fail-point registry is process-global, so one test runs both cases
+//! The fail-point registry is process-global, so one test runs the cases
 //! in turn, and each rule matches only its own case's data directory.
 
+use abase_lavastore::version::Version;
 use abase_lavastore::{Db, DbConfig};
 use abase_util::failpoint::{self, FaultAction, ScopedInjector};
 use abase_util::TestDir;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,6 +41,8 @@ fn a_flush_held_between_build_and_install() {
     a_paused_flush_leaves_its_stripe_serving();
     failpoint::clear();
     a_failed_build_keeps_the_frozen_memtable_for_the_next_flush();
+    failpoint::clear();
+    a_compaction_round_held_before_its_install();
 }
 
 fn a_paused_flush_leaves_its_stripe_serving() {
@@ -50,7 +55,7 @@ fn a_paused_flush_leaves_its_stripe_serving() {
 
     let pause = Duration::from_millis(300);
     failpoint::install(
-        "db.flush",
+        "db.install",
         Some(&dir.path().display().to_string()),
         FaultAction::DelayMs(pause.as_millis() as u64),
         0,
@@ -60,7 +65,7 @@ fn a_paused_flush_leaves_its_stripe_serving() {
         let db = Arc::clone(&db);
         std::thread::spawn(move || db.flush())
     };
-    while failpoint::fired("db.flush") == 0 {
+    while failpoint::fired("db.install") == 0 {
         std::thread::yield_now();
     }
 
@@ -126,7 +131,7 @@ fn a_failed_build_keeps_the_frozen_memtable_for_the_next_flush() {
     let dir = TestDir::new("flush-fail");
     let db = Db::open(dir.path(), config()).unwrap();
     failpoint::install(
-        "db.flush",
+        "db.install",
         Some(&dir.path().display().to_string()),
         FaultAction::Error,
         0,
@@ -179,4 +184,135 @@ fn a_failed_build_keeps_the_frozen_memtable_for_the_next_flush() {
         let got = db.get(key.as_bytes(), 0).unwrap();
         assert_eq!(got.value.as_deref(), Some(&value(key)[..]), "{key}");
     }
+}
+
+/// A compaction round holds its stripe's flush lock, not the stripe lock:
+/// paused between its build and its install, it leaves the stripe serving,
+/// and a `Db::flush` waits for it. Failing there, it leaves the files and
+/// levels as they were.
+fn a_compaction_round_held_before_its_install() {
+    let inputs = || (0..3).flat_map(|n| (0..30).map(move |i| format!("input-{n}-{i:03}")));
+    let compactable = |name: &str| {
+        let dir = TestDir::new(name);
+        let db = Arc::new(Db::open(dir.path(), config()).unwrap());
+        // Three L0 files: the test config's L0 trigger.
+        for n in 0..3 {
+            for key in inputs().filter(|k| k.starts_with(&format!("input-{n}-"))) {
+                db.put(key.as_bytes(), &value(&key), None, 0).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        (dir, db)
+    };
+    let levels = |dir: &TestDir| -> Vec<usize> {
+        let version = Version::load(dir.path()).unwrap().unwrap();
+        version.levels.iter().map(Vec::len).collect()
+    };
+
+    // Paused.
+    let (dir, db) = compactable("compaction-pause");
+    assert_eq!(levels(&dir)[..2], [3, 0]);
+    let pause = Duration::from_millis(300);
+    failpoint::install(
+        "db.install",
+        Some(&dir.path().display().to_string()),
+        FaultAction::DelayMs(pause.as_millis() as u64),
+        0,
+        1,
+    );
+    let compactor = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || db.compact_once(0))
+    };
+    while failpoint::fired("db.install") == 0 {
+        std::thread::yield_now();
+    }
+    // Started during the pause, a flush waits for the round to install.
+    let flusher = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            db.flush().unwrap();
+            db.stats().compactions
+        })
+    };
+    let mut slowest = Duration::ZERO;
+    for i in 0..1_000 {
+        let key = format!("live-{i:04}");
+        let start = Instant::now();
+        db.put(key.as_bytes(), &value(&key), None, 0).unwrap();
+        slowest = slowest.max(start.elapsed());
+        let start = Instant::now();
+        let got = db.get(key.as_bytes(), 0).unwrap();
+        slowest = slowest.max(start.elapsed());
+        assert_eq!(got.value.as_deref(), Some(&value(&key)[..]), "{key}");
+    }
+    assert!(slowest < pause / 3, "a call took {slowest:?}");
+    // The inputs are the only place these keys live.
+    for key in inputs() {
+        let got = db.get(key.as_bytes(), 0).unwrap();
+        assert_eq!(got.value.as_deref(), Some(&value(&key)[..]), "{key}");
+    }
+    assert_eq!(
+        db.stats().compactions,
+        0,
+        "the round installed before the calls were done: they did not run during the pause"
+    );
+    assert!(!flusher.is_finished(), "a flush ran during the round");
+
+    assert!(compactor.join().unwrap().unwrap());
+    assert_eq!(
+        flusher.join().unwrap(),
+        1,
+        "the flush returned before the install"
+    );
+    assert_eq!(levels(&dir)[..2], [1, 1]);
+    let keys: Vec<String> = inputs()
+        .chain((0..1_000).map(|i| format!("live-{i:04}")))
+        .collect();
+    for key in &keys {
+        let got = db.get(key.as_bytes(), 0).unwrap();
+        assert_eq!(got.value.as_deref(), Some(&value(key)[..]), "{key}");
+    }
+    drop(db);
+    let db = Db::open(dir.path(), config()).unwrap();
+    for key in &keys {
+        let got = db.get(key.as_bytes(), 0).unwrap();
+        assert_eq!(got.value.as_deref(), Some(&value(key)[..]), "{key}");
+    }
+    drop(db);
+    failpoint::clear();
+
+    // Failed.
+    let (dir, db) = compactable("compaction-fail");
+    let before = levels(&dir);
+    failpoint::install(
+        "db.install",
+        Some(&dir.path().display().to_string()),
+        FaultAction::Error,
+        0,
+        1,
+    );
+    assert!(db.compact_once(0).is_err());
+    assert_eq!(db.stats().compactions, 0);
+    assert_eq!(levels(&dir), before);
+    let version = Version::load(dir.path()).unwrap().unwrap();
+    let listed: HashSet<String> = version
+        .levels
+        .iter()
+        .flatten()
+        .map(|m| format!("{:010}.sst", m.id))
+        .collect();
+    let on_disk: HashSet<String> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".sst"))
+        .collect();
+    assert_eq!(on_disk, listed, "the failed round left files behind");
+    for key in inputs() {
+        let got = db.get(key.as_bytes(), 0).unwrap();
+        assert_eq!(got.value.as_deref(), Some(&value(&key)[..]), "{key}");
+    }
+    // The fault has passed: the next round runs.
+    assert!(db.compact_once(0).unwrap());
+    assert_eq!(levels(&dir)[..2], [0, 1]);
 }

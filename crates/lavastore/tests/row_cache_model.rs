@@ -6,13 +6,17 @@
 //! later flush has superseded. The store runs with a 16 KiB cache — 1 KiB per
 //! shard, two or three rows each — so rows are admitted, hit, invalidated
 //! *and* evicted throughout, and every `get` is compared with the model.
-//! Seeds are pinned; a failure names its seed and step.
+//! Seeds are pinned; a failure names its seed and step. A second run of
+//! the same model shrinks the level budgets so that the data sinks to L2
+//! and the bottom level.
 //!
-//! A second test holds a flush between its build and its install (the
-//! `db.flush` fail point) while a reader thread admits rows for the keys the
-//! frozen memtable does not hold, and checks every key against the model
-//! once the install is through.
+//! A third test holds a flush between its build and its install (the
+//! `db.install` fail point) while a reader thread admits rows for the keys
+//! the frozen memtable does not hold, and checks every key against the
+//! model once the install is through.
 
+use abase_lavastore::compaction::CompactionConfig;
+use abase_lavastore::version::Version;
 use abase_lavastore::{Db, DbConfig};
 use abase_util::failpoint::{self, FaultAction, ScopedInjector};
 use abase_util::TestDir;
@@ -75,8 +79,11 @@ fn expected<'a>(model: &'a Model, key: &[u8], now: u64) -> Option<&'a [u8]> {
 }
 
 fn run(seed: u64) -> RowTraffic {
-    let dir = TestDir::new(&format!("row-model-{seed}"));
-    let mut db = Db::open(dir.path(), config()).unwrap();
+    run_in(&TestDir::new(&format!("row-model-{seed}")), seed, config())
+}
+
+fn run_in(dir: &TestDir, seed: u64, config: DbConfig) -> RowTraffic {
+    let mut db = Db::open(dir.path(), config).unwrap();
     let mut model = Model::new();
     let mut rng = Rng(seed);
     let mut now = 1u64;
@@ -114,7 +121,7 @@ fn run(seed: u64) -> RowTraffic {
             55 => {
                 traffic.absorb(&db);
                 drop(db);
-                db = Db::open(dir.path(), config()).unwrap();
+                db = Db::open(dir.path(), config).unwrap();
             }
             _ => {
                 let got = db.get(&key, now).unwrap();
@@ -158,6 +165,35 @@ fn gets_match_the_model_through_flush_compaction_ttl_and_reopen() {
     }
 }
 
+/// Levels small enough that the run's ~12 KB of data sinks through L1 and
+/// L2 to the bottom level, L3: rounds run at every depth, and the bottom
+/// ones drop tombstones and expired records.
+fn deep_config() -> DbConfig {
+    DbConfig {
+        compaction: CompactionConfig {
+            l0_trigger: 2,
+            level_base_bytes: 1 << 10,
+            level_growth: 2,
+            n_levels: 4,
+        },
+        ..config()
+    }
+}
+
+#[test]
+fn gets_match_the_model_in_a_tree_below_l1() {
+    for seed in [4, 5, 6, 0xDEE9, 0x5EED_0042] {
+        let dir = TestDir::new(&format!("row-model-deep-{seed}"));
+        run_in(&dir, seed, deep_config());
+        let version = Version::load(dir.path()).unwrap().unwrap();
+        let files: Vec<usize> = version.levels.iter().map(Vec::len).collect();
+        assert!(
+            files[2..].iter().any(|&n| n > 0),
+            "seed {seed}: no file below L1, files per level {files:?}"
+        );
+    }
+}
+
 #[test]
 fn rows_admitted_while_a_flush_is_paused_match_the_model_after_install() {
     let dir = TestDir::new("row-model-paused");
@@ -193,7 +229,7 @@ fn rows_admitted_while_a_flush_is_paused_match_the_model_after_install() {
 
     let _injector = ScopedInjector::enable();
     failpoint::install(
-        "db.flush",
+        "db.install",
         Some(&dir.path().display().to_string()),
         FaultAction::DelayMs(300),
         0,
@@ -203,7 +239,7 @@ fn rows_admitted_while_a_flush_is_paused_match_the_model_after_install() {
         let db = Arc::clone(&db);
         std::thread::spawn(move || db.flush())
     };
-    while failpoint::fired("db.flush") == 0 {
+    while failpoint::fired("db.install") == 0 {
         std::thread::yield_now();
     }
     let installed = Arc::new(AtomicBool::new(false));

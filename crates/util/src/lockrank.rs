@@ -28,7 +28,7 @@
 //! | 120  | [`rank::EVENT_OFFLOADED`] | sockets of connections on offload threads |
 //! | 200  | [`rank::REPLICA_GROUP`] | `ReplicaGroup` (held across shallow follower pumps, never across a checkpoint copy) |
 //! | 250  | [`rank::ENGINE_DB`] | `TableEngine`'s swappable `Arc<Db>` handle |
-//! | 290  | [`rank::LAVASTORE_FLUSH`] | per-stripe flush serializer (held from freeze through install, across the SST build) |
+//! | 290  | [`rank::LAVASTORE_FLUSH`] | per-stripe serializer of flushes and compaction rounds (held from start through install, across the SST build) |
 //! | 300  | [`rank::LAVASTORE_STRIPE`] | per-stripe memtable + LSM view |
 //! | 310  | [`rank::LAVASTORE_SHARED`] | cross-stripe manifest / WAL bookkeeping |
 //! | 320  | [`rank::WAL_STATE`] | group-commit WAL buffer + LSN allocator |
@@ -100,15 +100,16 @@ pub mod rank {
     pub const REPLICA_GROUP: Rank = Rank::new(200, "replication.group");
     /// `TableEngine`'s swappable `Arc<Db>` handle.
     pub const ENGINE_DB: Rank = Rank::new(250, "core.engine_db");
-    /// Serializes one lavastore stripe's flushes: held from the freeze
-    /// through the install, so it sits outside the stripe lock the flush
-    /// takes to freeze and to publish, and outside `shared`.
+    /// Serializes one lavastore stripe's flushes and compaction rounds: held
+    /// from a flush's freeze or a round's pick through the install, so it
+    /// sits outside the stripe lock they take to freeze, to pick and to
+    /// publish, and outside `shared`.
     pub const LAVASTORE_FLUSH: Rank = Rank::new(290, "lavastore.flush");
     /// One lavastore stripe (memtable + levels + readers).
     pub const LAVASTORE_STRIPE: Rank = Rank::new(300, "lavastore.stripe");
     /// Lavastore cross-stripe manifest / rotated-segment bookkeeping
-    /// (acquired under the flush lock on the flush path, and under a
-    /// stripe lock by compaction).
+    /// (acquired under the flush lock by flushes and compaction rounds,
+    /// never under a stripe lock).
     pub const LAVASTORE_SHARED: Rank = Rank::new(310, "lavastore.shared");
     /// Group-commit WAL state (acquired under `shared` on rotate/cursor).
     pub const WAL_STATE: Rank = Rank::new(320, "lavastore.wal");
